@@ -37,14 +37,24 @@ EXIT_INPUT = 4
 
 # -- field and matrix (de)serialization ---------------------------------------------
 
+def _json_int(value, what):
+    """An integer read from JSON; a float or a boolean is an input error,
+    never rounded (write a fraction as a string such as "3/2")."""
+    if isinstance(value, (bool, float)):
+        raise ValueError("%s %s is not an integer" % (what, json.dumps(value)))
+    return int(value)
+
+
 def context_from_json(obj, tower_cap=16):
     kind = obj.get("kind")
     if kind == "rational":
         ctx = rationals(tower_cap)
     elif kind == "gfp":
-        ctx = prime_field(int(obj["p"]), tower_cap)
+        ctx = prime_field(_json_int(obj["p"], "p"), tower_cap)
     elif kind == "gfq":
-        ctx = finite_field(int(obj["p"]), tuple(obj["modulus"]), tower_cap)
+        ctx = finite_field(_json_int(obj["p"], "p"),
+                           tuple(_json_int(c, "modulus coefficient")
+                                 for c in obj["modulus"]), tower_cap)
     else:
         raise ParseError("unknown field kind %r" % (kind,))
     for rec in obj.get("tower", ()):
@@ -93,7 +103,7 @@ def matrix_from_json(obj, tower_cap=16):
         out = []
         for entry in row:
             if isinstance(entry, (int, float)):
-                out.append(ctx.scalar(int(entry)))
+                out.append(ctx.scalar(_json_int(entry, "matrix entry")))
             else:
                 out.append(parse_scalar(str(entry), ctx))
         rows.append(out)

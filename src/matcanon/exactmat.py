@@ -1,12 +1,40 @@
-"""Dense exact matrices over a FieldContext and certified congruence moves."""
+"""Dense exact matrices over a FieldContext and certified congruence moves.
+
+Kernel.  Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan
+elimination (_rref, behind inverse_or_rank and solve) run on raw values, not
+on Scalar objects: entries are unwrapped once on entry and the result is
+rewrapped once through a trusted constructor that skips the per-entry
+checks.  A raw value is the entry's coordinate tuple (Scalar.coords),
+multiplied by the field's _tower_mul and added coordinatewise, so one code
+path covers every context; zero entries are skipped.  The one specialised
+case is GF(p) at tower height 0, whose raw values are flat ints with one
+reduction mod p per dot product (after FFPACK, Dumas, Giorgi and Pernet,
+ISSAC 2004).  The results are the exact values the Scalar operators would
+give, and certification is unchanged: a CongruenceWitness still checks
+X'AX = B and the invertibility of X exactly when it is built.
+"""
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 from .errors import (DimensionMismatch, IndexOutOfRange, MatcanonError,
                      ZeroScale)
-from .field import Scalar
+from .field import Scalar, _raw_scalar, _tower_inv, _tower_mul
+
+
+def _trusted(ctx, rows):
+    """ExactMatrix from a tuple of equal-length tuples of scalars in ctx.
+
+    Unlike ExactMatrix(), it checks and converts nothing.
+    """
+    m = object.__new__(ExactMatrix)
+    m.ctx = ctx
+    m.rows = rows
+    m.nrows = len(rows)
+    m.ncols = len(rows[0]) if rows else 0
+    return m
 
 
 class ExactMatrix:
@@ -28,19 +56,15 @@ class ExactMatrix:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_rows(ctx, entries):
-        return ExactMatrix(ctx, entries)
-
-    @staticmethod
     def zeros(ctx, nrows, ncols):
-        z = ctx.zero()
-        return ExactMatrix(ctx, [[z] * ncols for _ in range(nrows)])
+        row = (ctx.zero(),) * ncols
+        return _trusted(ctx, (row,) * nrows)
 
     @staticmethod
     def identity(ctx, n):
         z, o = ctx.zero(), ctx.one()
-        return ExactMatrix(ctx, [[o if i == j else z for j in range(n)]
-                                 for i in range(n)])
+        return _trusted(ctx, tuple(tuple(o if i == j else z for j in range(n))
+                                   for i in range(n)))
 
     @staticmethod
     def jordan_block(ctx, n, lam=None):
@@ -101,7 +125,8 @@ class ExactMatrix:
         else:
             return False
         a, b = self.promote(ctx), other.promote(ctx)
-        return a.rows == b.rows
+        return all(x.coords == y.coords
+                   for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, self.rows))
@@ -149,97 +174,52 @@ class ExactMatrix:
         if a.ncols != b.nrows:
             raise DimensionMismatch("matrix product %dx%d @ %dx%d"
                                     % (a.nrows, a.ncols, b.nrows, b.ncols))
-        bt = list(zip(*b.rows)) if b.rows else [()] * b.ncols
-        z = ctx.zero()
-        out = []
-        for row in a.rows:
-            out_row = []
-            for col in bt:
-                acc = z
-                for x, y in zip(row, col):
-                    if not x.is_zero() and not y.is_zero():
-                        acc = acc + x * y
-                out_row.append(acc)
-            out.append(out_row)
-        if not out:
+        if not a.nrows:
             return ExactMatrix.zeros(ctx, a.nrows, b.ncols)
-        return ExactMatrix(ctx, out)
+        ops = _raw_ops(ctx)
+        b_cols = ops.unwrap(zip(*b.rows)) if b.rows else [()] * b.ncols
+        return _trusted(ctx, ops.wrap(ops.matmul(ops.unwrap(a.rows), b_cols)))
 
     def transpose(self):
         if self.nrows == 0 or self.ncols == 0:
             return ExactMatrix.zeros(self.ctx, self.ncols, self.nrows)
-        return ExactMatrix(self.ctx, list(zip(*self.rows)))
+        return _trusted(self.ctx, tuple(zip(*self.rows)))
 
     def submatrix(self, row_idx, col_idx):
-        return ExactMatrix(self.ctx, [[self.rows[i][j] for j in col_idx]
-                                      for i in row_idx])
-
-    def column(self, j):
-        return [self.rows[i][j] for i in range(self.nrows)]
-
-    def apply_basis(self, basis_cols):
-        """Gram matrix of this form on the given new basis column vectors."""
-        x = ExactMatrix.from_columns(self.ctx, basis_cols)
-        return x.transpose() @ self @ x, x
+        rows = self.rows
+        return _trusted(self.ctx, tuple(tuple(rows[i][j] for j in col_idx)
+                                        for i in row_idx))
 
 
-InverseRank = namedtuple("InverseRank", "inverse rank kernel")
+InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots transform")
 
 
-def inverse_or_rank(a):
+def inverse_or_rank(a, transform=False):
     """Exact inverse when full rank, else rank and a right-kernel basis.
 
     Returns InverseRank(inverse or None, rank, kernel basis as a list of
-    column vectors).  Pivots are the first nonzero entry in column order,
-    so results are deterministic.
+    column vectors, pivot columns, transform).  Pivots are the first nonzero
+    entry in column order, so results are deterministic.  transform is the
+    invertible T with T @ A in reduced row echelon form; it is computed for
+    a square A (it is the inverse when A has full rank), and for any shape
+    when transform=True, else it is None.
     """
     ctx = a.ctx
+    ops = _raw_ops(ctx)
     n, m = a.nrows, a.ncols
-    work = [list(row) for row in a.rows]
-    ident = [[ctx.one() if i == j else ctx.zero() for j in range(n)]
-             for i in range(n)] if n == m else None
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if not work[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        if ident is not None:
-            ident[r], ident[piv] = ident[piv], ident[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        if ident is not None:
-            ident[r] = [x * inv for x in ident[r]]
-        for i in range(n):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                if ident is not None:
-                    ident[i] = [x - f * y
-                                for x, y in zip(ident[i], ident[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    rank = len(piv_cols)
-    kernel = []
-    piv_set = set(piv_cols)
-    free = [j for j in range(m) if j not in piv_set]
-    for fcol in free:
-        vec = [ctx.zero()] * m
-        vec[fcol] = ctx.one()
-        for row_i, pc in enumerate(piv_cols):
-            vec[pc] = -work[row_i][fcol]
-        kernel.append(vec)
-    inverse = None
-    if n == m and rank == n:
-        inverse = ExactMatrix(ctx, ident)
-    return InverseRank(inverse, rank, kernel)
+    work = ops.unwrap(a.rows)
+    if transform or n == m:
+        zero, one = ops.zero, ops.one
+        for i, row in enumerate(work):
+            row.extend(one if i == j else zero for j in range(n))
+    pivots = _rref(ops, work, m)
+    rank = len(pivots)
+    invertible = rank == n == m
+    t = None
+    if transform or invertible:
+        t = _trusted(ctx, ops.wrap([row[m:] for row in work]))
+    return InverseRank(t if invertible else None, rank,
+                       _kernel(ops, work, pivots, m), tuple(pivots), t)
 
 
 def solve(a, b):
@@ -248,48 +228,180 @@ def solve(a, b):
     b is a list of scalars (one per row of a).
     """
     ctx = a.ctx
+    ops = _raw_ops(ctx)
     n, m = a.nrows, a.ncols
-    work = [list(row) + [ctx.scalar(b[i]) if not isinstance(b[i], Scalar)
-                         else b[i].promote(ctx)]
-            for i, row in enumerate(a.rows)]
-    piv_cols = []
+    rhs = ops.unwrap([[ctx.scalar(b[i]) if not isinstance(b[i], Scalar)
+                       else b[i].promote(ctx) for i in range(n)]])[0]
+    work = ops.unwrap(a.rows)
+    for row, v in zip(work, rhs):
+        row.append(v)
+    pivots = _rref(ops, work, m)
+    kernel = _kernel(ops, work, pivots, m)
+    if any(work[i][m] != ops.zero for i in range(len(pivots), n)):
+        return None, kernel
+    particular = [ops.zero] * m
+    for row_i, pc in enumerate(pivots):
+        particular[pc] = work[row_i][m]
+    return list(ops.wrap([particular])[0]), kernel
+
+
+# -- the raw kernel ---------------------------------------------------------------
+
+def _rref(ops, work, m):
+    """Gauss-Jordan reduction of raw rows in place; returns the pivot columns.
+
+    Pivots are searched in the first m columns only, so columns beyond m (a
+    right-hand side, an identity that becomes the transform) ride along.
+    """
+    zero = ops.zero
+    n = len(work)
+    pivots = []
     r = 0
     for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if not work[i][c].is_zero():
-                piv = i
-                break
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if work[i][c] != zero), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
+        prow = work[r] = ops.scale(work[r], ops.inverse(work[r][c]))
         for i in range(n):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        piv_cols.append(c)
+            if i != r and work[i][c] != zero:
+                work[i] = ops.axpy(work[i], work[i][c], prow)
+        pivots.append(c)
         r += 1
-    for i in range(r, n):
-        if not work[i][m].is_zero():
-            return None, _kernel_from(work, piv_cols, m, ctx)
-    particular = [ctx.zero()] * m
-    for row_i, pc in enumerate(piv_cols):
-        particular[pc] = work[row_i][m]
-    return particular, _kernel_from(work, piv_cols, m, ctx)
+    return pivots
 
 
-def _kernel_from(work, piv_cols, m, ctx):
-    piv_set = set(piv_cols)
-    kernel = []
+def _kernel(ops, work, pivots, m):
+    """Right-kernel basis (lists of scalars) read off reduced raw rows."""
+    piv_set = set(pivots)
+    vectors = []
     for fcol in (j for j in range(m) if j not in piv_set):
-        vec = [ctx.zero()] * m
-        vec[fcol] = ctx.one()
-        for row_i, pc in enumerate(piv_cols):
-            vec[pc] = -work[row_i][fcol]
-        kernel.append(vec)
-    return kernel
+        vec = [ops.zero] * m
+        vec[fcol] = ops.one
+        for row_i, pc in enumerate(pivots):
+            vec[pc] = ops.neg(work[row_i][fcol])
+        vectors.append(vec)
+    return [list(row) for row in ops.wrap(vectors)]
+
+
+class _FlatOps:
+    """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
+    product is reduced mod p once, not once per operation."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.p = ctx.p
+        self.zero, self.one = 0, 1
+
+    @staticmethod
+    def unwrap(rows):
+        return [[e.coords[0] for e in row] for row in rows]
+
+    def wrap(self, rows):
+        memo = _Interned(self.ctx, lambda v: (v,))
+        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+
+    def neg(self, x):
+        return -x % self.p
+
+    def inverse(self, x):
+        return pow(x, self.p - 2, self.p)
+
+    def scale(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, prow)]
+
+    def matmul(self, a_rows, b_cols):
+        p = self.p
+        return [[sum(map(operator.mul, r, c)) % p for c in b_cols]
+                for r in a_rows]
+
+
+class _CoordOps:
+    """Every other context: raw values are Scalar.coords tuples, multiplied
+    by _tower_mul and added coordinatewise; zero entries are skipped."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.level = len(ctx.tower)
+        self.zero = ctx.zero().coords
+        self.one = ctx.one().coords
+
+    @staticmethod
+    def unwrap(rows):
+        return [[e.coords for e in row] for row in rows]
+
+    def wrap(self, rows):
+        ctx = self.ctx
+        if ctx.kind == "rational":
+            # hashing Fractions costs more than a fresh scalar
+            return tuple(tuple(_raw_scalar(ctx, v) for v in row)
+                         for row in rows)
+        memo = _Interned(ctx, lambda v: v)
+        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+
+    def neg(self, x):
+        return tuple(map(self.ctx._bneg, x))
+
+    def inverse(self, x):
+        return _tower_inv(self.ctx, x, self.level)
+
+    def scale(self, row, c):
+        ctx, level, zero = self.ctx, self.level, self.zero
+        return [x if x == zero else _tower_mul(ctx, x, c, level)
+                for x in row]
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        ctx, level, zero = self.ctx, self.level, self.zero
+        badd, bneg = ctx._badd, ctx._bneg
+        return [x if y == zero else
+                tuple(map(badd, x, map(bneg, _tower_mul(ctx, f, y, level))))
+                for x, y in zip(row, prow)]
+
+    def matmul(self, a_rows, b_cols):
+        ctx, level, zero = self.ctx, self.level, self.zero
+        badd = ctx._badd
+        out = []
+        for r in a_rows:
+            support = [(k, x) for k, x in enumerate(r) if x != zero]
+            out_row = []
+            for c in b_cols:
+                acc = zero
+                for k, x in support:
+                    y = c[k]
+                    if y != zero:
+                        acc = tuple(map(badd, acc,
+                                        _tower_mul(ctx, x, y, level)))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
+
+def _raw_ops(ctx):
+    if ctx.kind == "gfp" and not ctx.tower:
+        return _FlatOps(ctx)
+    return _CoordOps(ctx)
+
+
+class _Interned(dict):
+    """Raw value -> Scalar, building each distinct scalar once per wrap."""
+
+    def __init__(self, ctx, coords_of):
+        super().__init__()
+        self.ctx = ctx
+        self.coords_of = coords_of
+
+    def __missing__(self, v):
+        s = self[v] = _raw_scalar(self.ctx, self.coords_of(v))
+        return s
 
 
 class WitnessError(MatcanonError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (ContextMismatch, DivisionByZero, NoRootStrictPolicy,
@@ -22,11 +23,37 @@ _SQRT = "sqrt"
 _AS = "as"
 
 
+# Miller-Rabin with these witnesses is exact for every n < 3.3 * 10**24
+# (Sorenson and Webster, 2015), which covers all 64-bit n
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n):
+    n = operator.index(n)
     if n < 2:
         return False
-    for d in range(2, int(math.isqrt(n)) + 1):
+    for d in _MR_BASES:
         if n % d == 0:
+            return n == d
+    if n < 41 * 41:
+        return True
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("characteristic %d is too large to certify as "
+                         "prime" % n)
+    m, s = n - 1, 0
+    while m % 2 == 0:
+        m //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, m, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -427,6 +454,15 @@ class Scalar:
         return not self.is_zero()
 
 
+def _raw_scalar(ctx, coords):
+    """Trusted Scalar constructor: coords must already be a tuple of
+    ctx.dim canonical base elements (nothing is checked or converted)."""
+    s = object.__new__(Scalar)
+    s.ctx = ctx
+    s.coords = coords
+    return s
+
+
 def _tower_mul(ctx, xs, ys, level):
     """Multiply coordinate vectors at the given tower level (recursively).
 
@@ -497,43 +533,6 @@ def _tower_inv(ctx, xs, level):
     return lo + hi
 
 
-def _base_solve(ctx, cols, rhs):
-    """Solve sum_j cols[j]*x_j = rhs over the base field; None if singular."""
-    n = len(rhs)
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not ctx._bis_zero(aug[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ctx._binv(aug[r][c])
-        aug[r] = [ctx._bmul(inv, v) for v in aug[r]]
-        for i in range(n):
-            if i != r and not ctx._bis_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [ctx._badd(v, ctx._bneg(ctx._bmul(f, w)))
-                          for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        # consistent only if the remaining rhs rows vanished
-        for i in range(r, n):
-            if not ctx._bis_zero(aug[i][n]):
-                return None
-    sol = [ctx._bzero()] * n
-    for row, c in enumerate(piv_cols):
-        sol[c] = aug[row][n]
-    return sol
-
-
 # -- total order -------------------------------------------------------------
 
 def canonical_compare(x, y):
@@ -550,10 +549,6 @@ def canonical_compare(x, y):
         if c:
             return c
     return 0
-
-
-def canonical_min(x, y):
-    return x if canonical_compare(x, y) <= 0 else y
 
 
 # -- roots --------------------------------------------------------------------

@@ -154,7 +154,7 @@ def _decompose(a):
     # 5. row-reduce the end-column block of E to [[I_s],[0]] over Q (paired
     #    with the inverse-transpose on K to keep the (K,Q) identity)
     e_hat = [[g[d + i, j] for j in ends] for i in range(k)]
-    s_mat = _full_column_rank_reducer(ctx, e_hat, k)
+    s_mat = _full_column_rank_reducer(ctx, e_hat)
     s_inv_t = inverse_or_rank(s_mat.transpose()).inverse
     x_step = ExactMatrix.block_diag(ctx, [ExactMatrix.identity(ctx, d),
                                           s_mat, s_inv_t])
@@ -204,55 +204,40 @@ def _identity_rows(ctx, n):
 
 
 def _extend_to_basis(ctx, cols, n, kernel_last=False):
-    """Extend independent columns to a basis with unit vectors (greedy)."""
-    chosen = [list(c) for c in cols]
-    for i in range(n):
-        if len(chosen) == n:
-            break
-        unit = [ctx.zero()] * n
-        unit[i] = ctx.one()
-        trial = ExactMatrix.from_columns(ctx, chosen + [unit])
-        if inverse_or_rank(trial).rank == len(chosen) + 1:
-            chosen.append(unit)
-    if len(chosen) != n:
+    """Extend independent columns to a basis with unit vectors (greedy).
+
+    The unit vectors chosen are the pivot columns of [cols | I_n].
+    """
+    units = ExactMatrix.identity(ctx, n).rows
+    pivots = inverse_or_rank(
+        ExactMatrix.from_columns(ctx, list(cols) + list(units))).pivots
+    extension = [list(units[p - len(cols)]) for p in pivots
+                 if p >= len(cols)]
+    if len(cols) + len(extension) != n:
         raise InternalDegenerate("could not extend to a basis")
-    extension = chosen[len(cols):]
     if kernel_last:
         return extension + [list(c) for c in cols]
     return [list(c) for c in cols] + extension
 
 
 def _reduce_columns(nb):
-    """R with NB @ R = [0 | I_k]; NB is k x m with full row rank k."""
+    """R with NB @ R = [0 | I_k]; NB is k x m with full row rank k.
+
+    One elimination T @ NB = reduced gives it: the kernel vectors fill the
+    first m - k columns, and the columns of T = NB[:, pivots]^-1, placed on
+    the pivot rows, the last k.
+    """
     ctx = nb.ctx
     k, m = nb.nrows, nb.ncols
-    piv = []
-    for j in range(m):
-        if len(piv) == k:
-            break
-        trial = nb.submatrix(range(k), piv + [j])
-        if inverse_or_rank(trial).rank == len(piv) + 1:
-            piv.append(j)
-    if len(piv) != k:
+    res = inverse_or_rank(nb, transform=True)
+    if res.rank != k:
         raise InternalDegenerate("kernel rows are not full rank "
                                  "(radical was nonzero?)")
-    piv_block = nb.submatrix(range(k), piv)
-    piv_inv = inverse_or_rank(piv_block).inverse
-    free = [j for j in range(m) if j not in piv]
-    cols = []
-    for f in free:
-        rhs = [nb[i, f] for i in range(k)]
-        coeffs = [sum((piv_inv[i, t] * rhs[t] for t in range(k)),
-                      start=ctx.zero()) for i in range(k)]
-        v = [ctx.zero()] * m
-        v[f] = ctx.one()
-        for i, pj in enumerate(piv):
-            v[pj] = v[pj] - coeffs[i]
-        cols.append(v)
+    cols = list(res.kernel)
     for j in range(k):
         v = [ctx.zero()] * m
-        for i, pj in enumerate(piv):
-            v[pj] = piv_inv[i, j]
+        for i, pj in enumerate(res.pivots):
+            v[pj] = res.transform[i, j]
         cols.append(v)
     return ExactMatrix.from_columns(ctx, cols)
 
@@ -322,35 +307,14 @@ def _split_off_rowspace(m2, e_block, ends):
     return t_rows
 
 
-def _full_column_rank_reducer(ctx, e_hat, k):
+def _full_column_rank_reducer(ctx, e_hat):
     """S with S' @ E_hat = [[I_s],[0]]; E_hat is k x s of full column rank."""
     s = len(e_hat[0]) if e_hat else 0
-    if s == 0:
-        return ExactMatrix.identity(ctx, k)
-    work = [list(r) for r in e_hat]
-    trans = _identity_rows(ctx, k)
-    r = 0
-    for c in range(s):
-        piv = None
-        for i in range(r, k):
-            if not work[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            raise InternalDegenerate("attachment matrix lost column rank")
-        work[r], work[piv] = work[piv], work[r]
-        trans[r], trans[piv] = trans[piv], trans[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        trans[r] = [x * inv for x in trans[r]]
-        for i in range(k):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-                trans[i] = [x - f * y for x, y in zip(trans[i], trans[r])]
-        r += 1
-    # trans @ e_hat = [[I],[0]]; the congruence needs S with S' = trans
-    return ExactMatrix(ctx, trans).transpose()
+    res = inverse_or_rank(ExactMatrix(ctx, e_hat), transform=True)
+    if res.rank != s:
+        raise InternalDegenerate("attachment matrix lost column rank")
+    # transform @ e_hat = [[I],[0]]; the congruence needs S with S' = transform
+    return res.transform.transpose()
 
 
 def _sorted_layout(n, sizes, core_dim, order):

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 from matcanon.cli import (form_from_json, form_to_json, matrix_from_json,
                           matrix_to_json)
@@ -110,6 +113,26 @@ def test_input_error_exit_code(tmp_path):
     assert code == 4
     code, _out, _err = run_cli(["canon", str(tmp_path / "missing.json")])
     assert code == 4
+
+
+def test_non_integer_json_number_exit_code(tmp_path):
+    # 1.5 used to be truncated to 1 and true read as 1, both with exit 0
+    q = {"kind": "rational"}
+    for bad in (1.5, True):
+        obj = {"field": q, "matrix": [[bad, 0], [0, 1]]}
+        with pytest.raises(ValueError):
+            matrix_from_json(obj)
+        p = write_matrix(tmp_path, "bad.json", q, obj["matrix"])
+        code, _out, err = run_cli(["canon", p])
+        assert code == 4
+        assert "not an integer" in err
+    for field in ({"kind": "gfp", "p": 3.5},
+                  {"kind": "gfq", "p": 2, "modulus": [1.0, 1]}):
+        with pytest.raises(ValueError):
+            matrix_from_json({"field": field, "matrix": [["1"]]})
+    # integers and scalar strings still parse
+    a = matrix_from_json({"field": q, "matrix": [[2, "1/2"], [0, -1]]})
+    assert a == ExactMatrix(rationals(), [[2, Fraction(1, 2)], [0, -1]])
 
 
 def test_oracle_cli(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from matcanon.errors import (ContextMismatch, DivisionByZero,
                              NoRootStrictPolicy, ParseError,
                              TowerCapExceeded, WrongCharacteristic)
-from matcanon.field import (EXTEND, STRICT, artin_schreier_root_or_adjoin,
+from matcanon.field import (EXTEND, STRICT, _is_prime,
+                            artin_schreier_root_or_adjoin,
                             canonical_compare, finite_field, format_scalar,
                             gf4, parse_scalar, prime_field, rationals,
                             sqrt_or_adjoin)
@@ -272,3 +274,24 @@ def test_distributivity_random_gf4_tower():
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
+
+
+def test_prime_check_is_fast_and_exact():
+    # trial division took ~1.5e9 steps here; Miller-Rabin takes microseconds
+    start = time.perf_counter()
+    f = prime_field(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert f.scalar(2 ** 61) == f.one()
+    for composite in (561,                      # Carmichael number
+                      2 ** 61 + 1,              # 3 * 768614336404564651
+                      3215031751,               # strong pseudoprime to 2,3,5,7
+                      (2 ** 31 - 1) * (2 ** 61 - 1)):
+        with pytest.raises(ValueError):
+            prime_field(composite)
+    small = [n for n in range(2000) if _is_prime(n)]
+    assert small == [n for n in range(2, 2000)
+                     if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    # beyond the range where the fixed witnesses are proven exact the
+    # characteristic is refused rather than trusted
+    with pytest.raises(ValueError):
+        prime_field(2 ** 89 - 1)

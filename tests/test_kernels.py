@@ -1,0 +1,227 @@
+"""Cross-checks of the raw matmul and elimination kernels.
+
+Every kernel result is compared with a naive reference written here on the
+Scalar operators, over base fields, the flat GF(p) path and towers.  The
+kernel rewraps its results without the checks of ExactMatrix(), so every
+returned entry is also checked to be a Scalar of the right context with
+canonical coordinates.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
+from matcanon.field import (Scalar, artin_schreier_root_or_adjoin, gf4,
+                            prime_field, rationals)
+
+
+def _contexts():
+    q = rationals()
+    f3 = prime_field(3)
+    f4 = gf4()
+    _r, f4_as = artin_schreier_root_or_adjoin(f4.base_element((0, 1)))
+    assert f4_as.tower  # t has no Artin-Schreier root in GF(4)
+    return {
+        "Q": q,
+        "GF(2)": prime_field(2),
+        "GF(3)": f3,
+        "GF(4)": f4,
+        "GF(65521)": prime_field(65521),
+        "Q(sqrt2)": q.adjoin_sqrt(q.scalar(2)),
+        "GF(3)(sqrt-1)": f3.adjoin_sqrt(f3.scalar(-1)),
+        "GF(4)+AS": f4_as,
+    }
+
+
+CONTEXTS = _contexts()
+
+
+def rand_scalar(ctx, rng):
+    """A random element, zero about one time in three."""
+    if rng.random() < 1 / 3:
+        return ctx.zero()
+    total = ctx.zero()
+    for idx in range(ctx.dim):
+        if ctx.kind == "rational":
+            coef = ctx.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        elif ctx.kind == "gfp":
+            coef = ctx.scalar(rng.randrange(ctx.p))
+        else:
+            coef = ctx.scalar(tuple(rng.randrange(ctx.p)
+                                    for _ in ctx.modulus))
+        for bit in range(len(ctx.tower)):
+            if idx >> bit & 1:
+                coef = coef * ctx.generator(bit + 1)
+        total = total + coef
+    return total
+
+
+def rand_matrix(ctx, rng, n, m):
+    return ExactMatrix(ctx, [[rand_scalar(ctx, rng) for _ in range(m)]
+                             for _ in range(n)])
+
+
+def singular_square(ctx, rng, n):
+    """n x n with its last row a combination of the first two."""
+    rows = [list(r) for r in rand_matrix(ctx, rng, n, n).rows]
+    c = rand_scalar(ctx, rng)
+    rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+    return ExactMatrix(ctx, rows)
+
+
+def shapes(ctx, rng):
+    """(label, matrix) pairs: square, singular, rectangular and empty."""
+    return [("square", rand_matrix(ctx, rng, 4, 4)),
+            ("square", rand_matrix(ctx, rng, 3, 3)),
+            ("singular", singular_square(ctx, rng, 4)),
+            ("zero", ExactMatrix.zeros(ctx, 3, 3)),
+            ("wide", rand_matrix(ctx, rng, 2, 5)),
+            ("tall", rand_matrix(ctx, rng, 5, 2)),
+            ("n x 0", ExactMatrix(ctx, [[], [], []])),
+            ("0 x 0", ExactMatrix(ctx, []))]
+
+
+# -- naive Scalar-level references ---------------------------------------------
+
+def ref_matmul(a, b):
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)),
+                 a.ctx.zero()) for j in range(b.ncols)]
+            for i in range(a.nrows)]
+
+
+def ref_matvec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), a.ctx.zero())
+            for row in a.rows]
+
+
+def ref_rank(rows, ncols):
+    work = [list(r) for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(work))
+                    if not work[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] / work[rank][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+# -- canonical form of returned entries -----------------------------------------
+
+def assert_canonical(s, ctx):
+    assert isinstance(s, Scalar)
+    assert s.ctx == ctx
+    assert isinstance(s.coords, tuple) and len(s.coords) == ctx.dim
+    for c in s.coords:
+        if ctx.kind == "rational":
+            assert type(c) is Fraction
+            assert c.denominator > 0
+            assert math.gcd(c.numerator, c.denominator) == 1
+        elif ctx.kind == "gfp":
+            assert type(c) is int and 0 <= c < ctx.p
+        else:
+            assert type(c) is tuple and len(c) == len(ctx.modulus)
+            assert all(type(v) is int and 0 <= v < ctx.p for v in c)
+
+
+def assert_matrix_canonical(a, ctx, nrows, ncols):
+    assert a.ctx == ctx
+    assert (a.nrows, a.ncols) == (nrows, ncols)
+    assert isinstance(a.rows, tuple)
+    for row in a.rows:
+        assert isinstance(row, tuple) and len(row) == ncols
+        for e in row:
+            assert_canonical(e, ctx)
+
+
+def coords(rows):
+    return [[e.coords for e in row] for row in rows]
+
+
+# -- the checks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_matmul_matches_reference(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random("matmul " + name)
+    for n, k, m in ((4, 4, 4), (3, 3, 3), (2, 5, 3), (5, 1, 2), (3, 2, 0),
+                    (1, 6, 1)):
+        a = rand_matrix(ctx, rng, n, k)
+        b = rand_matrix(ctx, rng, k, m)
+        c = a @ b
+        assert_matrix_canonical(c, ctx, n, m)
+        assert coords(c.rows) == coords(ref_matmul(a, b))
+    empty = ExactMatrix(ctx, [])
+    assert (empty @ empty).nrows == 0
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_inverse_or_rank_matches_reference(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random("elim " + name)
+    for _round in range(3):
+        for label, a in shapes(ctx, rng):
+            n, m = a.nrows, a.ncols
+            res = inverse_or_rank(a)
+            rank = ref_rank(a.rows, m)
+            assert res.rank == rank == len(res.pivots), label
+            assert len(res.kernel) == m - rank
+            for v in res.kernel:
+                assert len(v) == m
+                for e in v:
+                    assert_canonical(e, ctx)
+                assert all(e.is_zero() for e in ref_matvec(a, v)), label
+            assert ref_rank(res.kernel, m) == len(res.kernel)
+            if n == m and rank == n:
+                inv = res.inverse
+                assert_matrix_canonical(inv, ctx, n, n)
+                ident = ExactMatrix.identity(ctx, n)
+                assert coords(ref_matmul(inv, a)) == coords(ident.rows)
+                assert coords(ref_matmul(a, inv)) == coords(ident.rows)
+            else:
+                assert res.inverse is None
+            # the transform reduces A to echelon form on the pivots
+            t = inverse_or_rank(a, transform=True).transform
+            assert_matrix_canonical(t, ctx, n, n)
+            assert ref_rank(t.rows, n) == n
+            reduced = ref_matmul(t, a)
+            for i, pc in enumerate(res.pivots):
+                column = [reduced[r][pc] for r in range(n)]
+                assert all(e == (1 if r == i else 0)
+                           for r, e in enumerate(column))
+            assert all(e.is_zero() for row in reduced[rank:] for e in row)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_solve_matches_reference(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random("solve " + name)
+    for _round in range(3):
+        for label, a in shapes(ctx, rng):
+            n, m = a.nrows, a.ncols
+            x0 = [rand_scalar(ctx, rng) for _ in range(m)]
+            for b in (ref_matvec(a, x0),
+                      [rand_scalar(ctx, rng) for _ in range(n)]):
+                part, kernel = solve(a, b)
+                consistent = (ref_rank([list(r) + [v] for r, v
+                                        in zip(a.rows, b)], m + 1)
+                              == ref_rank(a.rows, m))
+                assert (part is not None) == consistent, label
+                if part is not None:
+                    assert len(part) == m
+                    for e in part:
+                        assert_canonical(e, ctx)
+                    assert ([e.coords for e in ref_matvec(a, part)]
+                            == [e.coords for e in b])
+                assert len(kernel) == m - ref_rank(a.rows, m)
+                for v in kernel:
+                    for e in v:
+                        assert_canonical(e, ctx)
+                    assert all(e.is_zero() for e in ref_matvec(a, v))
