@@ -7,7 +7,7 @@ the monic modulus), optionally with "tower": [{"kind": "sqrt"|"as",
 "value": "<scalar in the context below>"}, ...].
 
 Exit codes: 0 success, 1 equivalence verdict false, 2 not split,
-3 no root under strict policy, 4 input error.
+3 no root under strict policy, 4 input error, 5 internal error.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import sys
 
 from .canon import (Block, canonical_block_matrix, canonicalize,
                     equivalent, invariants, transpose_witness)
-from .errors import (BudgetExceeded, MatcanonError, NoRootStrictPolicy,
-                     NotSplit, ParseError)
+from .errors import (BudgetExceeded, InternalDegenerate, MatcanonError,
+                     NoRootStrictPolicy, NotSplit, ParseError)
 from .exactmat import ExactMatrix
 from .field import (EXTEND, finite_field, format_scalar, parse_scalar,
                     prime_field, rationals)
@@ -33,6 +33,7 @@ EXIT_FALSE = 1
 EXIT_NOT_SPLIT = 2
 EXIT_NO_ROOT = 3
 EXIT_INPUT = 4
+EXIT_INTERNAL = 5
 
 
 # -- field and matrix (de)serialization ---------------------------------------------
@@ -445,6 +446,9 @@ def main(argv=None):
             json.JSONDecodeError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
+    except InternalDegenerate as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_INTERNAL
     except MatcanonError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT

@@ -11,16 +11,25 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
-from .errors import (ContextMismatch, DivisionByZero, NoRootStrictPolicy,
-                     ParseError, TowerCapExceeded, WrongCharacteristic)
+from .errors import (ContextMismatch, DivisionByZero, InternalDegenerate,
+                     NoRootStrictPolicy, ParseError, TowerCapExceeded,
+                     WrongCharacteristic)
 
 STRICT = "strict"
 EXTEND = "extend"
 
 _SQRT = "sqrt"
 _AS = "as"
+
+# random_elements streams are seeded so that every search drawing from them
+# (root splitting, Tonelli-Shanks non-residues) is deterministic
+_RANDOM_SEED = 0x6d6174
+# each draw succeeds with probability about 1/2: 64 failures in a row mean
+# the context is not a field
+_NONRESIDUE_TRIES = 64
 
 
 # Miller-Rabin with these witnesses is exact for every n < 3.3 * 10**24
@@ -211,9 +220,11 @@ class FieldContext:
         if all(c == 0 for c in x):
             raise DivisionByZero("division by zero in GF(%d^%d)"
                                  % (self.p, len(self.modulus)))
-        # x^(q-2) by square and multiply
-        q = self.p ** len(self.modulus)
-        result, acc, e = self._bone(), x, q - 2
+        return self._bpow(x, self.p ** len(self.modulus) - 2)
+
+    def _bpow(self, x, e):
+        """x^e for a base element x and e >= 0, by square and multiply."""
+        result, acc = self._bone(), x
         while e:
             if e & 1:
                 result = self._bmul(result, acc)
@@ -296,17 +307,31 @@ class FieldContext:
 
     # -- adjunctions ---------------------------------------------------------
 
-    def adjoin_sqrt(self, d):
-        """New context with a generator g, g^2 = d.  d must be a non-square."""
+    def adjoin_sqrt(self, d, rootless=False):
+        """New context with a generator g, g^2 = d.
+
+        d must be a non-square, or the result has zero divisors; ValueError
+        unless it is.  rootless=True skips the search for a square root when
+        the caller has just shown there is none.
+        """
         if len(self.tower) >= self.tower_cap:
             raise TowerCapExceeded("tower height cap %d reached"
                                    % self.tower_cap)
         d = d.promote(self)
+        if not rootless and (d.is_zero() or _find_sqrt(d) is not None):
+            raise ValueError("%s is a square in %r: adjoining its square "
+                             "root does not give a field"
+                             % (format_scalar(d), self))
         return FieldContext(self.kind, self.p, self.modulus,
                             self.tower + ((_SQRT, d.coords),), self.tower_cap)
 
-    def adjoin_artin_schreier(self, a):
-        """New context with a generator g, g^2 + g = a (characteristic 2)."""
+    def adjoin_artin_schreier(self, a, rootless=False):
+        """New context with a generator g, g^2 + g = a (characteristic 2).
+
+        x^2 + x = a must have no root in this context, or the result has
+        zero divisors; ValueError unless so.  rootless=True skips the search
+        when the caller has just shown there is none.
+        """
         if self.p != 2:
             raise WrongCharacteristic(
                 "Artin-Schreier adjunction requires characteristic 2")
@@ -314,6 +339,10 @@ class FieldContext:
             raise TowerCapExceeded("tower height cap %d reached"
                                    % self.tower_cap)
         a = a.promote(self)
+        if not rootless and _solve_frobenius_affine(
+                a, include_identity=True) is not None:
+            raise ValueError("x^2+x=%s has a root in %r: adjoining one does "
+                             "not give a field" % (format_scalar(a), self))
         return FieldContext(self.kind, self.p, self.modulus,
                             self.tower + ((_AS, a.coords),), self.tower_cap)
 
@@ -463,6 +492,27 @@ def _raw_scalar(ctx, coords):
     return s
 
 
+def enumeration_key(x):
+    """Sort key that orders finite-field scalars as iter_elements lists them."""
+    if x.ctx.kind == "gfq":
+        return tuple(c[::-1] for c in x.coords)
+    return x.coords
+
+
+def random_elements(ctx):
+    """Endless, seeded stream of uniformly random elements of a finite field
+    context; every call restarts the same stream."""
+    rng = random.Random(_RANDOM_SEED)
+    k = ctx.base_degree
+    while True:
+        if ctx.kind == "gfp":
+            coords = tuple(rng.randrange(ctx.p) for _ in range(ctx.dim))
+        else:
+            coords = tuple(tuple(rng.randrange(ctx.p) for _ in range(k))
+                           for _ in range(ctx.dim))
+        yield _raw_scalar(ctx, coords)
+
+
 def _tower_mul(ctx, xs, ys, level):
     """Multiply coordinate vectors at the given tower level (recursively).
 
@@ -563,7 +613,7 @@ def sqrt_or_adjoin(x, policy=EXTEND):
     if policy == STRICT:
         raise NoRootStrictPolicy("no square root of %s in %r"
                                  % (format_scalar(x), x.ctx))
-    ctx2 = x.ctx.adjoin_sqrt(x)
+    ctx2 = x.ctx.adjoin_sqrt(x, rootless=True)
     return ctx2.generator(len(ctx2.tower)), ctx2
 
 
@@ -578,7 +628,7 @@ def artin_schreier_root_or_adjoin(a, policy=EXTEND):
     if policy == STRICT:
         raise NoRootStrictPolicy("x^2+x=%s has no root in %r"
                                  % (format_scalar(a), ctx))
-    ctx2 = ctx.adjoin_artin_schreier(a)
+    ctx2 = ctx.adjoin_artin_schreier(a, rootless=True)
     return ctx2.generator(len(ctx2.tower)), ctx2
 
 
@@ -654,13 +704,14 @@ def _tonelli_shanks(x, q):
         s += 1
     if s == 1:
         return x ** ((q + 1) // 4)
-    z = None
-    for cand in ctx.iter_elements():
-        if cand.is_zero():
-            continue
-        if (cand ** ((q - 1) // 2)) != one:
-            z = cand
+    # half the nonzero elements are non-residues: draw, do not scan (in
+    # GF(p^2) the first p elements in iter_elements order are all squares)
+    for z in itertools.islice(random_elements(ctx), _NONRESIDUE_TRIES):
+        if not z.is_zero() and z ** ((q - 1) // 2) != one:
             break
+    else:
+        raise InternalDegenerate("no quadratic non-residue in %d draws"
+                                 % _NONRESIDUE_TRIES)
     c = z ** m
     t = x ** m
     r = x ** ((m + 1) // 2)
@@ -951,8 +1002,62 @@ def prime_field(p, tower_cap=16):
 
 def finite_field(p, modulus, tower_cap=16):
     """GF(p^k) with the given monic modulus X^k + c_{k-1}X^{k-1} + ... + c_0,
-    passed as the low coefficient list (c_0, ..., c_{k-1})."""
-    return FieldContext("gfq", p, tuple(modulus), tower_cap=tower_cap)
+    passed as the low coefficient list (c_0, ..., c_{k-1}).
+
+    The modulus must be irreducible over GF(p) (ValueError otherwise), or
+    the quotient ring has zero divisors.
+    """
+    ctx = FieldContext("gfq", p, tuple(modulus), tower_cap=tower_cap)
+    if not _modulus_is_irreducible(ctx):
+        raise ValueError("gfq modulus %s (low coefficients of a monic "
+                         "degree-%d polynomial) is reducible over GF(%d)"
+                         % (list(ctx.modulus), len(ctx.modulus), p))
+    return ctx
+
+
+def _modulus_is_irreducible(ctx):
+    """Rabin's test: the degree-k modulus f is irreducible over GF(p) iff
+    t^(p^k) = t mod f and gcd(t^(p^(k/r)) - t, f) = 1 for each prime r | k.
+    """
+    p, k = ctx.p, len(ctx.modulus)
+    if k == 1:
+        return True
+    t = (0, 1) + (0,) * (k - 2)
+    frobenius = [t]  # frobenius[j] = t^(p^j) mod f
+    for _ in range(k):
+        frobenius.append(ctx._bpow(frobenius[-1], p))
+    if frobenius[k] != t:
+        return False
+    f = list(ctx.modulus) + [1]
+    for r in range(2, k + 1):
+        if k % r == 0 and _is_prime(r):
+            h = list(frobenius[k // r])
+            h[1] -= 1
+            if _gcd_degree_mod_p(f, h, p) > 0:
+                return False
+    return True
+
+
+def _gcd_degree_mod_p(a, b, p):
+    """Degree of gcd(a, b) over GF(p) for int coefficient lists (low to
+    high); the zero polynomial counts as degree -1."""
+    def trim(v):
+        v = [c % p for c in v]
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            c = a[-1] * inv
+            off = len(a) - len(b)
+            for j, v in enumerate(b):
+                a[off + j] -= c * v
+            a = trim(a)
+        a, b = b, a
+    return len(a) - 1
 
 
 def gf4(tower_cap=16):

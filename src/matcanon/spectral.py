@@ -5,6 +5,16 @@ split into linear factors (extending the field by quadratic or
 Artin-Schreier adjunctions when allowed); the space then decomposes into
 generalized eigenspaces, orthogonal except for the pairing of V_lam with
 V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
+
+Roots are found one at a time, the least first.  Over GF(q) (a tower
+included) the roots of f in the field are those of g = gcd(f, X^q - X), with
+X^q mod f by square and multiply; g is split into linear factors by
+Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1) for odd q, or
+gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1)) for q = 2^m,
+over shifts a drawn from field.random_elements.  The work is polynomial in
+log q, and the root returned is the least in iter_elements order whatever
+the draws.  Over Q, rational roots come from the rational-root theorem.
+Factors with no root are quadratics or palindromes, reached by adjunction.
 """
 
 from __future__ import annotations
@@ -19,10 +29,12 @@ from .errors import (BudgetExceeded, DegenerateRestriction,
 from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
                        permutation_matrix, solve)
 from .field import (EXTEND, artin_schreier_root_or_adjoin, canonical_compare,
-                    sqrt_or_adjoin)
+                    enumeration_key, random_elements, sqrt_or_adjoin)
 
-_ENUM_GUARD = 1 << 16
 _TRIAL_BUDGET = 2_000_000
+# a shift splits a factor with two or more roots with probability about 1/2
+# or better; 64 failures in a row mean the context is not a field
+_SPLIT_TRIES = 64
 
 
 class Asymmetry:
@@ -207,16 +219,9 @@ def _find_one_root(poly, ctx, policy):
         if poly_eval(poly, cand).is_zero():
             return cand, ctx
     if ctx.kind != "rational":
-        if _finite_field_has_root(poly, ctx):
-            order = ctx.order()
-            if order > _ENUM_GUARD:
-                raise BudgetExceeded(
-                    "field of order %d too large to locate a root" % order)
-            for cand in ctx.iter_elements():
-                if poly_eval(poly, cand).is_zero():
-                    return cand, ctx
-            raise InternalDegenerate("root existence test disagrees with "
-                                     "enumeration")
+        roots = _finite_field_roots(poly, ctx)
+        if roots:
+            return roots[0], ctx
     else:
         if all(all(c.ctx._bis_zero(v) for v in c.coords[1:])
                for c in poly):
@@ -235,20 +240,57 @@ def _find_one_root(poly, ctx, policy):
                    "quadratic adjunctions" % (len(poly) - 1))
 
 
-def _finite_field_has_root(poly, ctx):
-    """Whether a monic polynomial has a root in the finite field ctx.
-
-    gcd(X^q - X, f) is nontrivial exactly when f has a root in GF(q);
-    X^q mod f comes from square-and-multiply in the quotient ring, so the
-    test works for any field order.
-    """
+def _finite_field_roots(poly, ctx):
+    """The distinct roots of a polynomial in the finite field ctx, in
+    iter_elements order (see the module docstring for the method)."""
     q = ctx.order()
+    g = _root_part(poly, ctx)
+    shifts = random_elements(ctx)
+    roots = []
+    pending = [g] if len(g) > 1 else []
+    while pending:
+        h = pending.pop()
+        if len(h) == 2:
+            roots.append(-h[0])
+            continue
+        for _ in range(_SPLIT_TRIES):
+            d = _poly_gcd(ctx, h, _splitting_poly(ctx, h, next(shifts), q))
+            if 1 < len(d) < len(h):
+                break
+        else:
+            raise InternalDegenerate("no shift split a degree-%d factor in "
+                                     "%d tries" % (len(h) - 1, _SPLIT_TRIES))
+        pending += [d, _poly_divmod(ctx, h, d)[0]]
+    return sorted(roots, key=enumeration_key)
+
+
+def _root_part(poly, ctx):
+    """gcd(f, X^q - X), monic: the product of X - r over the distinct roots
+    r of f in the finite field ctx of order q."""
     f = [c / poly[-1] for c in poly]
-    # X^q mod f
-    xq = _poly_powmod_x(ctx, q, f)
-    # gcd(xq - X, f)
-    diff = _poly_trim(ctx, _poly_sub(ctx, xq, [ctx.zero(), ctx.one()]))
-    return len(_poly_gcd(ctx, f, diff)) > 1
+    x = [ctx.zero(), ctx.one()]
+    xq = _poly_powmod(ctx, x, ctx.order(), f)
+    return _poly_gcd(ctx, f, _poly_sub(ctx, xq, x))
+
+
+def _finite_field_has_root(poly, ctx):
+    """Whether a polynomial has a root in the finite field ctx."""
+    return len(_root_part(poly, ctx)) > 1
+
+
+def _splitting_poly(ctx, h, a, q):
+    """w with gcd(h, w) collecting the roots r of h (deg h >= 2) on one side
+    of the shift a: (r + a)^((q-1)/2) = 1 for odd q, Tr(a r) = 0 for q = 2^m.
+    """
+    if q % 2:
+        w = _poly_powmod(ctx, [a, ctx.one()], (q - 1) // 2, h)
+        return _poly_sub(ctx, w, [ctx.one()])
+    y = [ctx.zero(), a]  # aX, already reduced since deg h >= 2
+    trace = y
+    for _ in range(q.bit_length() - 2):  # m - 1 squarings
+        y = _poly_mulmod(ctx, y, y, h)
+        trace = _poly_add(ctx, trace, y)
+    return trace
 
 
 def _poly_mulmod(ctx, a, b, f):
@@ -271,9 +313,9 @@ def _poly_mulmod(ctx, a, b, f):
     return _poly_trim(ctx, out[:n] if len(out) > n else out)
 
 
-def _poly_powmod_x(ctx, e, f):
+def _poly_powmod(ctx, base, e, f):
+    """base^e mod monic f, by square and multiply."""
     result = [ctx.one()]
-    base = [ctx.zero(), ctx.one()]
     while e:
         if e & 1:
             result = _poly_mulmod(ctx, result, base, f)
@@ -286,21 +328,25 @@ def _poly_gcd(ctx, a, b):
     a = _poly_trim(ctx, list(a))
     b = _poly_trim(ctx, list(b))
     while not (len(b) == 1 and b[0].is_zero()):
-        a, b = b, _poly_mod(ctx, a, b)
+        a, b = b, _poly_divmod(ctx, a, b)[1]
     if not a[-1].is_zero():
         a = [c / a[-1] for c in a]
     return a
 
 
-def _poly_mod(ctx, a, b):
-    a = _poly_trim(ctx, list(a))
-    while len(a) >= len(b) and not (len(a) == 1 and a[0].is_zero()):
-        c = a[-1] / b[-1]
-        off = len(a) - len(b)
+def _poly_divmod(ctx, a, b):
+    """Quotient and remainder of a by a nonzero b."""
+    rem = _poly_trim(ctx, list(a))
+    quot = [ctx.zero()] * max(len(rem) - len(b) + 1, 1)
+    lead_inv = b[-1].inverse()
+    while len(rem) >= len(b) and not (len(rem) == 1 and rem[0].is_zero()):
+        c = rem[-1] * lead_inv
+        off = len(rem) - len(b)
+        quot[off] = c
         for j in range(len(b)):
-            a[off + j] = a[off + j] - c * b[j]
-        a = _poly_trim(ctx, a[:-1])  # the top coefficient cancelled
-    return a
+            rem[off + j] = rem[off + j] - c * b[j]
+        rem = _poly_trim(ctx, rem[:-1])  # the top coefficient cancelled
+    return quot, rem
 
 
 def _quadratic_root(poly, ctx, policy):

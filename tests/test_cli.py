@@ -207,3 +207,40 @@ def test_machine_round_trip_with_tower(tmp_path):
     form = form_from_json(payload)
     assert [repr(b) for b in form.blocks] == payload["blocks"]
     assert form.context.tower  # reconstructed adjunction
+
+
+def test_reducible_gfq_modulus_exit_code(tmp_path):
+    # t^2+1 over GF(2) used to end in "minimal polynomial search ran away"
+    f = {"kind": "gfq", "p": 2, "modulus": [1, 0]}
+    p = write_matrix(tmp_path, "red.json", f, [["1", "t"], ["0", "1"]])
+    code, _out, err = run_cli(["canon", p])
+    assert code == 4
+    assert "reducible" in err
+
+
+def test_tower_adjunction_with_root_exit_code(tmp_path):
+    # sqrt(4) over Q, or a root of x^2+x over GF(2), is already in the field:
+    # adjoining it would give zero divisors and "certified" answers
+    for field in ({"kind": "rational",
+                   "tower": [{"kind": "sqrt", "value": "4"}]},
+                  {"kind": "gfp", "p": 2,
+                   "tower": [{"kind": "as", "value": "0"}]}):
+        p = write_matrix(tmp_path, "tower.json", field, [["1", "g1"],
+                                                         ["0", "1"]])
+        code, _out, err = run_cli(["canon", p])
+        assert code == 4
+        assert "does not give a field" in err
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    # an internal failure is not an input error: exit 5, not 4
+    from matcanon import cli
+    from matcanon.errors import InternalDegenerate
+
+    def broken(*_args, **_kwargs):
+        raise InternalDegenerate("eigen classes failed to be orthogonal")
+
+    monkeypatch.setattr(cli, "canonicalize", broken)
+    p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
+    assert cli.main(["canon", p]) == 5
+    assert "internal error" in capsys.readouterr().err

@@ -295,3 +295,47 @@ def test_prime_check_is_fast_and_exact():
     # characteristic is refused rather than trusted
     with pytest.raises(ValueError):
         prime_field(2 ** 89 - 1)
+
+
+def test_finite_field_rejects_reducible_modulus():
+    # t^2+1 = (t+1)^2 over GF(2) used to give a "field" with zero divisors;
+    # t^4+t^2+1 = (t^2+t+1)^2 has no root, so only Rabin's gcd test sees it
+    for p, modulus in ((2, (1, 0)), (2, (1, 0, 1, 0)), (5, (1, 0))):
+        with pytest.raises(ValueError, match="reducible"):
+            finite_field(p, modulus)
+    for p, modulus in ((3, (1, 0)), (2, (1, 1, 0)), (2, (1, 1, 0, 0)),
+                       (7, (3,))):
+        assert finite_field(p, modulus).order() == p ** len(modulus)
+
+
+def test_adjunction_refuses_element_with_root():
+    q, f3, f2 = rationals(), prime_field(3), prime_field(2)
+    for ctx, d in ((q, 4), (q, 0), (f3, 1), (f3, 0), (f2, 1),
+                   (q.adjoin_sqrt(q.scalar(2)), 8)):
+        with pytest.raises(ValueError, match="is a square"):
+            ctx.adjoin_sqrt(ctx.scalar(d))
+    for ctx, a in ((f2, 0), (gf4(), 1)):
+        with pytest.raises(ValueError, match="has a root"):
+            ctx.adjoin_artin_schreier(ctx.scalar(a))
+    assert len(q.adjoin_sqrt(q.scalar(2)).tower) == 1
+    assert len(f3.adjoin_sqrt(f3.scalar(-1)).tower) == 1
+    assert len(f2.adjoin_artin_schreier(f2.one()).tower) == 1
+
+
+def test_sqrt_in_large_quadratic_extension_is_fast():
+    # GF(1000003^2): the old non-residue scan walked the base field, whose
+    # elements are all squares there, and ran for minutes
+    f = prime_field(1000003)
+    ctx = f.adjoin_sqrt(f.scalar(-1))
+    g = ctx.generator(1)
+    start = time.perf_counter()
+    for y in (3 + 5 * g, 7 * g, ctx.scalar(2), 123456 + 654321 * g):
+        x = y * y
+        r, ctx2 = sqrt_or_adjoin(x)
+        assert ctx2 == ctx and r * r == x
+    q = ctx.order()
+    d = next(z for z in (g + k for k in range(1, 50))
+             if z ** ((q - 1) // 2) != ctx.one())
+    r, ctx2 = sqrt_or_adjoin(d)
+    assert len(ctx2.tower) == 2 and r * r == d.promote(ctx2)
+    assert time.perf_counter() - start < 5.0

@@ -259,3 +259,112 @@ def test_finite_field_root_existence_vs_enumeration():
                 got = _finite_field_has_root(poly, ctx)
                 brute = any(poly_eval(poly, x).is_zero() for x in pool)
                 assert got == brute, [str(c) for c in poly]
+
+
+def _monic_from_roots(ctx, roots, extra=()):
+    """prod (X - r) * (X^k + extra...), coefficients low to high."""
+    poly = [ctx.one()]
+    factors = [[-r, ctx.one()] for r in roots]
+    if extra:
+        factors.append([ctx.scalar(c) for c in extra] + [ctx.one()])
+    for fac in factors:
+        out = [ctx.zero()] * (len(poly) + len(fac) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(fac):
+                out[i + j] = out[i + j] + x * y
+        poly = out
+    return poly
+
+
+def test_finite_field_roots_match_enumeration():
+    # the splitter lists exactly the roots enumeration finds, in
+    # iter_elements order, and _find_one_root picks the root the old
+    # enumeration picked: 1, else -1, else the first one listed
+    from matcanon.field import gf4
+    from matcanon.spectral import _find_one_root, _finite_field_roots
+    f3 = prime_field(3)
+    contexts = [prime_field(2), f3, gf4(), prime_field(13),
+                f3.adjoin_sqrt(f3.scalar(-1))]
+    rng = random.Random(59)
+    checked = 0
+    for ctx in contexts:
+        pool = list(ctx.iter_elements())
+        for _ in range(40):
+            roots = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            extra = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+            poly = _monic_from_roots(ctx, roots, extra)
+            if len(poly) < 3:
+                continue
+            brute = [x for x in pool if poly_eval(poly, x).is_zero()]
+            assert _finite_field_roots(poly, ctx) == brute
+            if not brute:
+                continue
+            one = ctx.one()
+            expect = next(r for r in (one, -one) + tuple(brute)
+                          if poly_eval(poly, r).is_zero())
+            root, ctx2 = _find_one_root(poly, ctx, EXTEND)
+            assert ctx2 == ctx and root == expect
+            checked += 1
+    assert checked > 100
+
+
+def _companion(ctx, poly):
+    n = len(poly) - 1
+    rows = [[ctx.zero()] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i][i - 1] = ctx.one()
+    for i in range(n):
+        rows[i][n - 1] = -poly[i]
+    return ExactMatrix(ctx, rows)
+
+
+@pytest.mark.parametrize("p,c,b2,c2", [(65537, 3, 1, 3), (1000003, 3, 1, 9)])
+def test_split_min_poly_large_prime_fields(p, c, b2, c2):
+    # fields far beyond enumeration: roots in GF(p), a palindromic quadratic
+    # needing GF(p^2), and a palindromic quartic needing GF(p^4)
+    ctx = prime_field(p)
+    five = ctx.scalar(5)
+    known = {five: 1, five.inverse(): 1, ctx.scalar(-1): 2,
+             ctx.scalar(7): 3, ctx.scalar(7).inverse(): 3}
+    roots = [r for r, m in known.items() for _ in range(m)]
+    poly = _monic_from_roots(ctx, roots)
+    out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
+    assert out.ctx == ctx
+    assert dict(out.split_roots) == known
+    for coeffs, height in (([1, -c, 1], 1),
+                           ([1, -b2, c2 + 2, -b2, 1], 2)):
+        poly = [ctx.scalar(v) for v in coeffs]
+        out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
+        assert len(out.ctx.tower) == height
+        assert len(out.split_roots) == len(poly) - 1
+        for r, m in out.split_roots:
+            assert m == 1
+            assert poly_eval(out.min_poly, r).is_zero()
+            assert any(s == r.inverse() for s, _ in out.split_roots)
+
+
+def test_congruence_invariance_fuzz_large_primes():
+    # 3x3 and 4x4 over GF(65537) and GF(1000003): every form is answered or
+    # refused as NotSplit, never BudgetExceeded, and congruent inputs agree
+    from matcanon.canon import canonicalize
+    rng = random.Random(61)
+    answered = 0
+    for p in (65537, 1000003):
+        ctx = prime_field(p)
+        for n in (3, 4):
+            for _ in range(5):
+                a = ExactMatrix(ctx, [[rng.randrange(p) for _ in range(n)]
+                                      for _ in range(n)])
+                y = rand_invertible(ctx, rng, n)
+                b = y.transpose() @ a @ y
+                try:
+                    fa, _ = canonicalize(a)
+                except NotSplit:
+                    with pytest.raises(NotSplit):
+                        canonicalize(b)
+                    continue
+                fb, _ = canonicalize(b)
+                assert fa.gabriel == fb.gabriel
+                assert fa.blocks == fb.blocks
+                answered += 1
+    assert answered >= 10
