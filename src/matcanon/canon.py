@@ -17,8 +17,9 @@ from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
                        permutation_matrix)
 from .field import EXTEND, canonical_compare, format_scalar
 from .gabriel import gabriel_decompose
-from .spectral import (UnipotentClass, _hyperbolic_cell, asymmetry,
-                       eigen_split, hyperbolic_canonical, split_min_poly)
+from .spectral import (UnipotentClass, asymmetry, eigen_split,
+                       hyperbolic_block_matrix, hyperbolic_canonical,
+                       split_min_poly)
 from .unipotent import (gamma0_matrix, gamma_matrix, peel_all,
                         reduce_pair, reduce_single)
 
@@ -89,14 +90,14 @@ def canonical_block_matrix(desc, ctx):
         if fam == "F" and (char == 2 or m % 2 == 0):
             raise InvalidDescriptor("F_n needs odd m outside characteristic 2")
         eps = ctx.one() if fam in "DE" else -ctx.one()
-        return _hyperbolic_cell(ctx, m, eps)
+        return hyperbolic_block_matrix(ctx, m, eps)
     if fam == "G":
         if n % 2 == 1:
             raise InvalidDescriptor("G_n needs even n")
         lam = desc.lam.promote(ctx)
         if lam.is_zero() or lam * lam == ctx.one():
             raise InvalidDescriptor("G_n(lam) needs lam with lam^2 != 0, 1")
-        return _hyperbolic_cell(ctx, n // 2, lam)
+        return hyperbolic_block_matrix(ctx, n // 2, lam)
     raise InvalidDescriptor("unknown family %r" % (fam,))
 
 
@@ -338,7 +339,7 @@ def _reduce_pair_class(class_gram, cl, policy, ctx):
     s_cl = inverse_or_rank(class_gram).inverse @ class_gram.transpose()
     res = hyperbolic_canonical(class_gram, s_cl, lam, m_lam)
     descs = [Block("G", 2 * m, lam) for m in res.blocks]
-    targets = [_hyperbolic_cell(ctx, m, lam) for m in res.blocks]
+    targets = [hyperbolic_block_matrix(ctx, m, lam) for m in res.blocks]
     return descs, res.witness.x, targets, ctx
 
 

@@ -12,6 +12,12 @@ reduction mod p per dot product (after FFPACK, Dumas, Giorgi and Pernet,
 ISSAC 2004).  The results are the exact values the Scalar operators would
 give, and certification is unchanged: a CongruenceWitness still checks
 X'AX = B and the invertibility of X exactly when it is built.
+
+Two helpers are built on the product: ExactMatrix.power (square and
+multiply) and ExactMatrix.krylov (the columns v, Mv, ..., M^(k-1) v).  The
+pipeline stages reach the kernel only through @, inverse_or_rank, solve and
+these two; they keep no elimination, power loop or bilinear sum of their
+own.
 """
 
 from __future__ import annotations
@@ -24,16 +30,18 @@ from .errors import (DimensionMismatch, IndexOutOfRange, MatcanonError,
 from .field import Scalar, _raw_scalar, _tower_inv, _tower_mul
 
 
-def _trusted(ctx, rows):
-    """ExactMatrix from a tuple of equal-length tuples of scalars in ctx.
+def _trusted(ctx, rows, ncols):
+    """ExactMatrix from a tuple of tuples of ncols scalars in ctx.
 
-    Unlike ExactMatrix(), it checks and converts nothing.
+    Unlike ExactMatrix(), it checks and converts nothing.  ncols is given
+    rather than read off the first row, so a matrix with no rows keeps its
+    column count.
     """
     m = object.__new__(ExactMatrix)
     m.ctx = ctx
     m.rows = rows
     m.nrows = len(rows)
-    m.ncols = len(rows[0]) if rows else 0
+    m.ncols = ncols
     return m
 
 
@@ -58,13 +66,13 @@ class ExactMatrix:
     @staticmethod
     def zeros(ctx, nrows, ncols):
         row = (ctx.zero(),) * ncols
-        return _trusted(ctx, (row,) * nrows)
+        return _trusted(ctx, (row,) * nrows, ncols)
 
     @staticmethod
     def identity(ctx, n):
         z, o = ctx.zero(), ctx.one()
         return _trusted(ctx, tuple(tuple(o if i == j else z for j in range(n))
-                                   for i in range(n)))
+                                   for i in range(n)), n)
 
     @staticmethod
     def jordan_block(ctx, n, lam=None):
@@ -175,20 +183,47 @@ class ExactMatrix:
             raise DimensionMismatch("matrix product %dx%d @ %dx%d"
                                     % (a.nrows, a.ncols, b.nrows, b.ncols))
         if not a.nrows:
-            return ExactMatrix.zeros(ctx, a.nrows, b.ncols)
+            return ExactMatrix.zeros(ctx, 0, b.ncols)
         ops = _raw_ops(ctx)
         b_cols = ops.unwrap(zip(*b.rows)) if b.rows else [()] * b.ncols
-        return _trusted(ctx, ops.wrap(ops.matmul(ops.unwrap(a.rows), b_cols)))
+        return _trusted(ctx, ops.wrap(ops.matmul(ops.unwrap(a.rows), b_cols)),
+                        b.ncols)
+
+    def power(self, k):
+        """self^k for k >= 0, by square and multiply."""
+        if not self.is_square():
+            raise DimensionMismatch("power of a %dx%d matrix"
+                                    % (self.nrows, self.ncols))
+        result, base = None, self
+        while k:
+            if k & 1:
+                result = base if result is None else result @ base
+            k >>= 1
+            if k:
+                base = base @ base
+        if result is None:
+            return ExactMatrix.identity(self.ctx, self.nrows)
+        return result
+
+    def krylov(self, v, length):
+        """The columns v, Mv, ..., M^(length-1) v, as an n x length matrix."""
+        row = ExactMatrix(self.ctx, [v])
+        rows = [row.rows[0]][:length]
+        mt = self.transpose()
+        for _ in range(length - 1):
+            row = row @ mt
+            rows.append(row.rows[0])
+        return _trusted(self.ctx, tuple(rows), len(v)).transpose()
 
     def transpose(self):
         if self.nrows == 0 or self.ncols == 0:
             return ExactMatrix.zeros(self.ctx, self.ncols, self.nrows)
-        return _trusted(self.ctx, tuple(zip(*self.rows)))
+        return _trusted(self.ctx, tuple(zip(*self.rows)), self.nrows)
 
     def submatrix(self, row_idx, col_idx):
         rows = self.rows
         return _trusted(self.ctx, tuple(tuple(rows[i][j] for j in col_idx)
-                                        for i in row_idx))
+                                        for i in row_idx), len(col_idx))
 
 
 InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots transform")
@@ -217,7 +252,7 @@ def inverse_or_rank(a, transform=False):
     invertible = rank == n == m
     t = None
     if transform or invertible:
-        t = _trusted(ctx, ops.wrap([row[m:] for row in work]))
+        t = _trusted(ctx, ops.wrap([row[m:] for row in work]), n)
     return InverseRank(t if invertible else None, rank,
                        _kernel(ops, work, pivots, m), tuple(pivots), t)
 

@@ -768,32 +768,12 @@ def _solve_frobenius_affine(target, include_identity):
         if include_identity:
             img = img + e
         cols.append(to_bits(img))
-    rhs = to_bits(target)
-    # GF(2) Gaussian elimination
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if aug[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                aug[i] = [(v + w) % 2 for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][n]:
-            return None
-    sol = [0] * n
-    for row, c in enumerate(piv_cols):
-        sol[c] = aug[row][n]
-    return from_bits(sol)
+    from .exactmat import ExactMatrix, solve  # exactmat imports this module
+    sol, _kernel = solve(ExactMatrix.from_columns(prime_field(2), cols),
+                         to_bits(target))
+    if sol is None:
+        return None
+    return from_bits([b.coords[0] for b in sol])
 
 
 # -- parsing and formatting ----------------------------------------------------

@@ -7,6 +7,7 @@ ExactMatrix at the boundary.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from .errors import BudgetExceeded
@@ -67,6 +68,13 @@ def _is_invertible(x, n, p):
     return rank == n
 
 
+def _all_flat(n, p):
+    """Every n x n matrix over GF(p) as a flat tuple, the first entry
+    varying fastest."""
+    for t in itertools.product(range(p), repeat=n * n):
+        yield t[::-1]
+
+
 def _gl_size(n, p):
     size = 1
     for i in range(n):
@@ -82,17 +90,7 @@ def _gl_elements(n, p):
     key = (n, p)
     if key in _gl_cache:
         return _gl_cache[key]
-    out = []
-    total = p ** (n * n)
-    for code in range(total):
-        flat = []
-        c = code
-        for _ in range(n * n):
-            flat.append(c % p)
-            c //= p
-        flat = tuple(flat)
-        if _is_invertible(flat, n, p):
-            out.append(flat)
+    out = [flat for flat in _all_flat(n, p) if _is_invertible(flat, n, p)]
     _gl_cache[key] = out
     return out
 
@@ -146,45 +144,9 @@ def _primitive_root(p):
     raise ValueError("no primitive root (p not prime?)")
 
 
-def congruence_class_map(n, p, budget=DEFAULT_ORBIT_BUDGET):
-    """Map flat matrix tuple -> class representative tuple, by BFS orbits."""
-    total = p ** (n * n)
-    if total > budget:
-        raise BudgetExceeded("p^(n^2) = %d exceeds the budget" % total)
-    gens = _gl_generators(n, p)
-    gen_pairs = [(g, _transpose(g, n)) for g in gens]
-    seen = {}
-    for code in range(total):
-        flat = []
-        c = code
-        for _ in range(n * n):
-            flat.append(c % p)
-            c //= p
-        start = tuple(flat)
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for g, gt in gen_pairs:
-                nxt = _mat_mul(_mat_mul(gt, cur, n, p), g, n, p)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        rep = min(orbit)
-        for m in orbit:
-            seen[m] = rep
-    return seen
-
-
-def matrix_flat(a):
-    """Flat tuple of an ExactMatrix over a plain prime field."""
-    return _to_flat(a)
-
-
-def orbit_partition(n, p, budget=DEFAULT_ORBIT_BUDGET):
-    """Partition all n x n matrices over GF(p) into congruence classes.
+def _orbits(n, p, budget):
+    """(representative, orbit) for each congruence class of n x n matrices
+    over GF(p), in order of first appearance among all matrices.
 
     BFS orbit expansion under a generating set of GL keeps the cost at the
     orbit sum instead of |GL| * p^(n^2).  Representatives are the
@@ -193,19 +155,10 @@ def orbit_partition(n, p, budget=DEFAULT_ORBIT_BUDGET):
     total = p ** (n * n)
     if total > budget:
         raise BudgetExceeded("p^(n^2) = %d exceeds the budget" % total)
-    ctx = prime_field(p)
     gens = _gl_generators(n, p)
     gen_pairs = [(g, _transpose(g, n)) for g in gens]
-    seen = {}
-    classes = []
-    sizes = []
-    for code in range(total):
-        flat = []
-        c = code
-        for _ in range(n * n):
-            flat.append(c % p)
-            c //= p
-        start = tuple(flat)
+    seen = set()
+    for start in _all_flat(n, p):
         if start in seen:
             continue
         orbit = {start}
@@ -217,9 +170,24 @@ def orbit_partition(n, p, budget=DEFAULT_ORBIT_BUDGET):
                 if nxt not in orbit:
                     orbit.add(nxt)
                     frontier.append(nxt)
-        rep = min(orbit)
-        classes.append(_from_flat(rep, n, ctx))
-        sizes.append(len(orbit))
-        for m in orbit:
-            seen[m] = rep
-    return OrbitReport(p, n, classes, sizes)
+        seen |= orbit
+        yield min(orbit), orbit
+
+
+def congruence_class_map(n, p, budget=DEFAULT_ORBIT_BUDGET):
+    """Map flat matrix tuple -> class representative tuple, by BFS orbits."""
+    return {m: rep for rep, orbit in _orbits(n, p, budget) for m in orbit}
+
+
+def matrix_flat(a):
+    """Flat tuple of an ExactMatrix over a plain prime field."""
+    return _to_flat(a)
+
+
+def orbit_partition(n, p, budget=DEFAULT_ORBIT_BUDGET):
+    """Partition all n x n matrices over GF(p) into congruence classes
+    (see _orbits)."""
+    orbits = list(_orbits(n, p, budget))
+    ctx = prime_field(p)
+    return OrbitReport(p, n, [_from_flat(rep, n, ctx) for rep, _ in orbits],
+                       [len(orbit) for _, orbit in orbits])

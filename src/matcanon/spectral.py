@@ -27,7 +27,7 @@ from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, NoRootStrictPolicy, NotSplit,
                      SingularInput)
 from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
-                       permutation_matrix, solve)
+                       permutation_matrix)
 from .field import (EXTEND, artin_schreier_root_or_adjoin, canonical_compare,
                     enumeration_key, random_elements, sqrt_or_adjoin)
 
@@ -57,58 +57,21 @@ def asymmetry(a):
 
 
 def _minimal_polynomial(s):
-    """Monic minimal polynomial by linear dependence of I, S, S^2, ..."""
-    ctx = s.ctx
+    """Monic minimal polynomial: the first dependence among I, S, S^2, ...
+
+    One elimination over the flattened powers I, S, ..., S^n (columns)
+    makes I, ..., S^(d-1) the pivots and S^d the first free column; the
+    kernel vector of that column holds the coefficients.
+    """
     n = s.nrows
     if n == 0:
-        return [ctx.one()]
-    tracker = _EchelonTracker(ctx, n * n)
-    power = ExactMatrix.identity(ctx, n)
-    powers_flat = []
-    k = 0
-    while True:
-        flat = [power[i, j] for i in range(n) for j in range(n)]
-        powers_flat.append(flat)
-        combo = tracker.add(flat)
-        if combo is not None:
-            # sum_j combo[j] * S^j = 0 with combo[k] = 1 (monic)
-            return combo
-        power = power @ s
-        k += 1
-        if k > n:
-            raise InternalDegenerate("minimal polynomial search ran away")
-
-
-class _EchelonTracker:
-    """Incremental echelon basis that reports the dependence combination."""
-
-    def __init__(self, ctx, width):
-        self.ctx = ctx
-        self.width = width
-        self.rows = []    # reduced vectors
-        self.combos = []  # their expressions in the original inputs
-        self.pivots = []
-        self.count = 0
-
-    def add(self, vec):
-        """Insert a vector; returns the dependence combo or None if free."""
-        ctx = self.ctx
-        vec = list(vec)
-        combo = [ctx.zero()] * self.count + [ctx.one()]
-        for row, rcombo, piv in zip(self.rows, self.combos, self.pivots):
-            if not vec[piv].is_zero():
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-                combo = _poly_sub(ctx, combo, [f * y for y in rcombo])
-        piv = next((i for i, x in enumerate(vec) if not x.is_zero()), None)
-        self.count += 1
-        if piv is None:
-            return _poly_trim(ctx, combo)
-        inv = vec[piv].inverse()
-        self.rows.append([x * inv for x in vec])
-        self.combos.append([x * inv for x in combo])
-        self.pivots.append(piv)
-        return None
+        return [s.ctx.one()]
+    powers = [ExactMatrix.identity(s.ctx, n)]
+    for _ in range(n):
+        powers.append(powers[-1] @ s)
+    res = inverse_or_rank(ExactMatrix.from_columns(
+        s.ctx, [[e for row in p.rows for e in row] for p in powers]))
+    return res.kernel[0][:res.rank + 1]
 
 
 # -- small polynomial helpers (coefficients low-to-high) -------------------------
@@ -463,10 +426,7 @@ def eigen_split(a, asym):
         # the min-poly multiplicity bounds the nilpotency index on V_lam
         expo = next((m for r, m in asym.split_roots if r == lam), n)
         m = s - ExactMatrix.identity(ctx, n).scale(lam)
-        power = ExactMatrix.identity(ctx, n)
-        for _ in range(expo):
-            power = power @ m
-        return inverse_or_rank(power).kernel
+        return inverse_or_rank(m.power(expo)).kernel
 
     unipotent = []
     for eps in (one, -one):
@@ -539,19 +499,17 @@ class _CmpKey:
 # -- restricted operators and Jordan structure -----------------------------------------
 
 def restrict_operator(s, basis_cols):
-    """Matrix of S on the span of the given independent columns."""
-    ctx = s.ctx
+    """Matrix of S on the span of the given independent columns B.
+
+    One elimination T B = [I; 0] gives the coordinates T S B, whose rows
+    below the first m must vanish.
+    """
     m = len(basis_cols)
-    bmat = ExactMatrix.from_columns(ctx, basis_cols)
-    cols = []
-    for j in range(m):
-        image = s @ ExactMatrix.from_columns(ctx, [basis_cols[j]])
-        rhs = [image[i, 0] for i in range(s.nrows)]
-        part, _ = solve(bmat, rhs)
-        if part is None:
-            raise InternalDegenerate("operator does not preserve the span")
-        cols.append(part)
-    return ExactMatrix.from_columns(ctx, cols)
+    bmat = ExactMatrix.from_columns(s.ctx, basis_cols)
+    coords = inverse_or_rank(bmat, transform=True).transform @ s @ bmat
+    if not coords.submatrix(range(m, s.nrows), range(m)).is_zero():
+        raise InternalDegenerate("operator does not preserve the span")
+    return coords.submatrix(range(m), range(m))
 
 
 def nilpotent_jordan_chains(nmat):
@@ -575,26 +533,17 @@ def nilpotent_jordan_chains(nmat):
             raise InternalDegenerate("matrix is not nilpotent")
     chains = []
     for h in range(heights, 0, -1):
-        # mark ker N^{h-1} plus N-images of existing chains at height h
-        tracker = _EchelonTracker(ctx, m)
-        for v in kernels[h - 1]:
-            tracker.add(v)
-        images = []
-        for chain in chains:
-            # element of the chain with height exactly h is chain[len-h]
-            if len(chain) >= h:
-                images.append(chain[len(chain) - h])
-        for v in images:
-            tracker.add(v)
-        for v in kernels[h]:
-            if tracker.add(v) is None:  # independent: new chain top
-                chain = [v]
-                cur = v
-                for _ in range(h - 1):
-                    img = nmat @ ExactMatrix.from_columns(ctx, [cur])
-                    cur = [img[i, 0] for i in range(m)]
-                    chain.append(cur)
-                chains.append(chain)
+        # new chain tops: the vectors of ker N^h independent of ker N^{h-1},
+        # of the existing chains' elements of height h (chain[len - h]) and
+        # of the tops already taken, i.e. the pivot columns among them
+        below = kernels[h - 1] + [c[len(c) - h] for c in chains
+                                  if len(c) >= h]
+        pivots = inverse_or_rank(ExactMatrix.from_columns(
+            ctx, below + kernels[h])).pivots
+        for p in pivots:
+            if p >= len(below):
+                top = kernels[h][p - len(below)]
+                chains.append(list(nmat.krylov(top, h).transpose().rows))
     if sum(len(c) for c in chains) != m:
         raise InternalDegenerate("Jordan chains do not span")
     chains.sort(key=lambda c: -len(c))
@@ -648,31 +597,15 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
     for chain in chains:
         sizes.append(len(chain))
         svecs.extend(reversed(chain))
-    # duals on the inverse-eigenvalue side: f(t_j, s_i) = delta_ij
-    # pairing P[l][i] = f(c_l, s_i) where c_l are inverse-side unit vectors
-    pairing = [[None] * m for _ in range(m)]
-    for l in range(m):
-        for i in range(m):
-            acc = ctx.zero()
-            for r in range(m):
-                acc = acc + svecs[i][r] * class_gram[m + l, r]
-            pairing[l][i] = acc
-    pmat = ExactMatrix(ctx, pairing)
-    pinv = inverse_or_rank(pmat).inverse
+    # duals on the inverse-eigenvalue side: f(t_j, s_i) = delta_ij; with
+    # P = (f(c_l, s_i)) for the inverse-side unit vectors c_l, the
+    # coordinates of t_j are row j of P^{-1}
+    smat = ExactMatrix.from_columns(ctx, svecs)
+    pinv = inverse_or_rank(
+        class_gram.submatrix(range(m, n2), range(m)) @ smat).inverse
     if pinv is None:
         raise DegenerateRestriction("lam pairing is degenerate")
-    tvecs = []
-    for j in range(m):
-        # f(t_j, s_i) = delta: coefficient row j of P^{-1}
-        vec = [ctx.zero()] * (2 * m)
-        for l in range(m):
-            vec[m + l] = pinv[j, l]
-        tvecs.append(vec)
-    cols = []
-    for v in svecs:
-        cols.append(list(v) + [ctx.zero()] * m)
-    cols.extend(tvecs)
-    x1 = ExactMatrix.from_columns(ctx, cols)
+    x1 = ExactMatrix.block_diag(ctx, [smat, pinv.transpose()])
     g1 = x1.transpose() @ class_gram @ x1
     # interleave into per-block hyperbolic cells
     perm = [0] * (2 * m)
@@ -687,23 +620,20 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
     pm = permutation_matrix(ctx, perm)
     g2 = pm.transpose() @ g1 @ pm
     target = ExactMatrix.block_diag(ctx, [
-        _hyperbolic_cell(ctx, sz, lam) for sz in sizes])
+        hyperbolic_block_matrix(ctx, sz, lam) for sz in sizes])
     if g2 != target:
         raise InternalDegenerate("hyperbolic normalization mismatch")
     witness = CongruenceWitness(x1 @ pm, class_gram, g2)
     return HyperbolicResult(witness, sizes, g2)
 
 
-def _hyperbolic_cell(ctx, m, lam):
-    j = ExactMatrix.jordan_block(ctx, m, lam)
-    z = ExactMatrix.zeros(ctx, m, m)
-    i = ExactMatrix.identity(ctx, m)
-    top = [list(zr) + list(jr) for zr, jr in zip(z.rows, j.rows)]
-    bot = [list(ir) + list(zr) for ir, zr in zip(i.rows, z.rows)]
-    return ExactMatrix(ctx, top + bot)
-
-
 def hyperbolic_block_matrix(ctx, m, lam):
     """The canonical paired-class cell ((0, J_m(lam)), (I_m, 0))."""
-    return _hyperbolic_cell(ctx, m, ctx.scalar(lam)
-                            if not hasattr(lam, "ctx") else lam)
+    j = ExactMatrix.jordan_block(ctx, m, lam)
+    i = ExactMatrix.identity(ctx, m)
+    z = (ctx.zero(),) * m
+    return ExactMatrix(ctx, [z + jr for jr in j.rows]
+                       + [ir + z for ir in i.rows])
+
+
+_hyperbolic_cell = hyperbolic_block_matrix  # older name, still imported

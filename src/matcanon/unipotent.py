@@ -18,7 +18,7 @@ from .errors import (HypothesisViolation, InternalDegenerate,
 from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
                        solve)
 from .field import EXTEND, artin_schreier_root_or_adjoin, sqrt_or_adjoin
-from .spectral import _hyperbolic_cell, restrict_operator
+from .spectral import hyperbolic_block_matrix, restrict_operator
 
 UnipotentPiece = namedtuple("UnipotentPiece", "kind eps order basis gram")
 FreeModuleComponent = namedtuple("FreeModuleComponent",
@@ -39,10 +39,7 @@ def alternating_flag(gram):
 
 def _beta_matrix(gram, nmat, power):
     """Matrix of (x, y) -> f(p^power x, y) on the current basis."""
-    np_ = ExactMatrix.identity(gram.ctx, gram.nrows)
-    for _ in range(power):
-        np_ = np_ @ nmat
-    return np_.transpose() @ gram
+    return nmat.power(power).transpose() @ gram
 
 
 def _nilpotency_index(nmat):
@@ -85,17 +82,14 @@ def split_off_indecomposable(gram, nmat, eps):
         raise InternalDegenerate("could not keep the remainder "
                                  "non-alternating")
     v = _height_vector(nmat, r)
-    row = _functional(beta, v)
-    w = None
-    for j in range(n):
-        if not row[j].is_zero():
-            w = [ctx.zero()] * n
-            w[j] = row[j].inverse()
-            break
-    if w is None:
+    row = (ExactMatrix(ctx, [v]) @ beta).rows[0]  # x -> beta(v, x)
+    j = next((j for j, c in enumerate(row) if not c.is_zero()), None)
+    if j is None:
         raise InternalDegenerate("socle functional vanished on a "
                                  "non-degenerate part")
-    chain = _p_chain(nmat, v, r) + _p_chain(nmat, w, r)
+    w = [ctx.zero()] * n
+    w[j] = row[j].inverse()
+    chain = _columns(nmat.krylov(v, r)) + _columns(nmat.krylov(w, r))
     return _finish_split(gram, nmat, eps, "pair", r, chain)
 
 
@@ -107,14 +101,7 @@ def _finish_split(gram, nmat, eps, piece_kind, r, piece_basis):
     piece_gram = bmat.transpose() @ gram @ bmat
     if inverse_or_rank(piece_gram).inverse is None:
         raise InternalDegenerate("peeled piece is degenerate")
-    # orthogonal complement: f(U, x) = 0 and f(x, U) = 0
-    rows = []
-    for u in piece_basis:
-        rows.append([sum((u[i] * gram[i, j] for i in range(n)),
-                         start=ctx.zero()) for j in range(n)])   # f(u, x)
-        rows.append([sum((gram[j, i] * u[i] for i in range(n)),
-                         start=ctx.zero()) for j in range(n)])   # f(x, u)
-    comp = inverse_or_rank(ExactMatrix(ctx, rows)).kernel
+    comp = _orthogonal_complement(gram, piece_basis)
     if len(comp) + len(piece_basis) != n:
         raise InternalDegenerate("complement dimension mismatch")
     if comp:
@@ -131,7 +118,7 @@ def _finish_split(gram, nmat, eps, piece_kind, r, piece_basis):
 def _try_single_split(gram, nmat, eps, v, r):
     """Split a single block off at v, unless that strands an alternating
     remainder that still has order-r content (then None)."""
-    chain = _p_chain(nmat, v, r)
+    chain = _columns(nmat.krylov(v, r))
     out = _finish_split(gram, nmat, eps, "single", r, chain)
     _piece, comp, rem_gram, rem_nmat = out
     if not comp:
@@ -144,27 +131,23 @@ def _try_single_split(gram, nmat, eps, v, r):
     return out
 
 
+def _orthogonal_complement(gram, vectors):
+    """Basis of {x : f(u, x) = 0 = f(x, u) for every u in vectors}."""
+    ut = ExactMatrix(gram.ctx, vectors)  # the vectors as rows
+    rows = (ut @ gram).rows + (ut @ gram.transpose()).rows
+    return inverse_or_rank(ExactMatrix(gram.ctx, rows)).kernel
+
+
 def _repair_single_choice(gram, nmat, v, r):
     """Add a full-height vector orthogonal to v: the self-pairing value is
     unchanged while the eventual complement regains a non-alternating
     entry."""
-    ctx = gram.ctx
-    n = gram.nrows
-    chain = _p_chain(nmat, v, r)
-    rows = []
-    for u in chain:
-        rows.append([sum((u[i] * gram[i, j] for i in range(n)),
-                         start=ctx.zero()) for j in range(n)])
-        rows.append([sum((gram[j, i] * u[i] for i in range(n)),
-                         start=ctx.zero()) for j in range(n)])
-    comp = inverse_or_rank(ExactMatrix(ctx, rows)).kernel
-    power = ExactMatrix.identity(ctx, n)
-    for _ in range(r - 1):
-        power = power @ nmat
-    for w in comp:
-        image = power @ ExactMatrix.from_columns(ctx, [w])
-        if any(not image[i, 0].is_zero() for i in range(n)):
-            return [a + b for a, b in zip(v, w)]
+    comp = _orthogonal_complement(gram, _columns(nmat.krylov(v, r)))
+    if comp:
+        images = nmat.power(r - 1) @ ExactMatrix.from_columns(gram.ctx, comp)
+        for w, image in zip(comp, _columns(images)):
+            if any(not e.is_zero() for e in image):
+                return [a + b for a, b in zip(v, w)]
     raise InternalDegenerate("no full-height repair vector available")
 
 
@@ -197,37 +180,16 @@ def _self_pairing_vector(beta, ctx, n):
 
 
 def _height_vector(nmat, r):
-    """First basis-ish vector of height exactly r (p^{r-1} v != 0)."""
-    ctx = nmat.ctx
-    n = nmat.nrows
-    power = ExactMatrix.identity(ctx, n)
-    for _ in range(r - 1):
-        power = power @ nmat
-    for i in range(n):
-        if any(not power[j, i].is_zero() for j in range(n)):
-            v = [ctx.zero()] * n
-            v[i] = ctx.one()
-            return v
+    """The first unit vector of height exactly r (p^{r-1} v != 0)."""
+    for i, col in enumerate(_columns(nmat.power(r - 1))):
+        if any(not e.is_zero() for e in col):
+            return _unit(nmat.ctx, nmat.nrows, i)
     raise InternalDegenerate("no vector of full height")
 
 
-def _functional(beta, v):
-    """Row x -> beta(v, x)."""
-    n = beta.nrows
-    ctx = beta.ctx
-    return [sum((v[i] * beta[i, j] for i in range(n)), start=ctx.zero())
-            for j in range(n)]
-
-
-def _p_chain(nmat, v, length):
-    ctx = nmat.ctx
-    out = [list(v)]
-    cur = v
-    for _ in range(length - 1):
-        img = nmat @ ExactMatrix.from_columns(ctx, [cur])
-        cur = [img[i, 0] for i in range(nmat.nrows)]
-        out.append(cur)
-    return out
+def _columns(mat):
+    """The columns of a matrix, as lists."""
+    return [list(col) for col in mat.transpose().rows]
 
 
 def peel_all(gram, nmat, eps):
@@ -235,16 +197,17 @@ def peel_all(gram, nmat, eps):
     original coordinates."""
     ctx = gram.ctx
     pieces = []
-    base_cols = [_unit(ctx, gram.nrows, i) for i in range(gram.nrows)]
+    base = ExactMatrix.identity(ctx, gram.nrows)  # columns: current basis
     cur_gram, cur_nmat = gram, nmat
     while cur_gram.nrows:
         piece, comp, rem_gram, rem_nmat = split_off_indecomposable(
             cur_gram, cur_nmat, eps)
         # translate piece basis and the new complement into original coords
-        abs_basis = [_combine(base_cols, v) for v in piece.basis]
+        abs_basis = _columns(base @ ExactMatrix.from_columns(ctx, piece.basis))
         pieces.append(UnipotentPiece(piece.kind, eps, piece.order,
                                      abs_basis, piece.gram))
-        base_cols = [_combine(base_cols, v) for v in comp]
+        if comp:
+            base = base @ ExactMatrix.from_columns(ctx, comp)
         cur_gram, cur_nmat = rem_gram, rem_nmat
     return pieces
 
@@ -253,16 +216,6 @@ def _unit(ctx, n, i):
     v = [ctx.zero()] * n
     v[i] = ctx.one()
     return v
-
-
-def _combine(cols, coeffs):
-    ctx = None
-    n = len(cols[0]) if cols else 0
-    out = None
-    for c, col in zip(coeffs, cols):
-        term = [c * x for x in col]
-        out = term if out is None else [a + b for a, b in zip(out, term)]
-    return out if out is not None else []
 
 
 def filtration(gram, nmat, eps):
@@ -297,24 +250,9 @@ def hat_form_from_pieces(gram, nmat, group, m):
         else:
             gens.append(p.basis[0])
             gens.append(p.basis[m])
-    n = gram.nrows
-    power = ExactMatrix.identity(ctx, n)
-    for _ in range(m - 1):
-        power = power @ nmat
-    rows = []
-    for u in gens:
-        pu = power @ ExactMatrix.from_columns(ctx, [u])
-        row = []
-        for v in gens:
-            acc = ctx.zero()
-            for i in range(n):
-                for j in range(n):
-                    if not pu[i, 0].is_zero() and not v[j].is_zero():
-                        acc = acc + pu[i, 0] * gram[i, j] * v[j]
-            row.append(acc)
-        rows.append(row)
-    hat = ExactMatrix(ctx, rows) if rows else ExactMatrix.zeros(ctx, 0, 0)
-    if hat.nrows and inverse_or_rank(hat).inverse is None:
+    umat = ExactMatrix.from_columns(ctx, gens)
+    hat = (nmat.power(m - 1) @ umat).transpose() @ gram @ umat
+    if inverse_or_rank(hat).inverse is None:
         raise InternalDegenerate("hat form is degenerate")
     return hat
 
@@ -432,7 +370,6 @@ def _check_parity(eps, n, char):
 
 
 def _canon_single_char2_n3(g, policy):
-    ctx = g.ctx
     # scale the anti-diagonal to 1 (characteristic 2: unique square root)
     kappa = g[0, 2]
     root, ctx2 = sqrt_or_adjoin(kappa, policy)
@@ -449,25 +386,12 @@ def _canon_single_char2_n3(g, policy):
     g1 = g1.promote(ctx3)
     shift = _shift(ctx3, 3)
     vcoord = [ctx3.one(), xval, ctx3.zero()]
-    x2 = _cyclic_basis_matrix(shift, vcoord)
+    x2 = shift.krylov(vcoord, 3)
     g2 = x2.transpose() @ g1 @ x2
     expected = ExactMatrix(ctx3, [[0, 0, 1], [1, 1, 0], [1, 0, 0]])
     if g2 != expected:
         raise InternalDegenerate("char-2 n=3 normal form mismatch")
     return x1.promote(ctx3) @ x2, g2, ctx3
-
-
-def _cyclic_basis_matrix(shift, vcoord):
-    """Columns v, pv, p^2 v, ... for the given coordinate vector."""
-    ctx = shift.ctx
-    n = shift.nrows
-    cols = []
-    cur = list(vcoord)
-    for _ in range(n):
-        cols.append(cur)
-        img = shift @ ExactMatrix.from_columns(ctx, [cur])
-        cur = [img[i, 0] for i in range(n)]
-    return ExactMatrix.from_columns(ctx, cols)
 
 
 def _canon_single_step(g, eps, n, policy):
@@ -483,7 +407,7 @@ def _canon_single_step(g, eps, n, policy):
     # lift the new sub cyclic vector: coordinates j of the sub basis mean
     # p^{j+1} v, so stripping one p gives sum_j xs[j,0] p^j v
     vcoord = [xs[j, 0] for j in range(n - 2)] + [ctx2.zero(), ctx2.zero()]
-    b1 = _cyclic_basis_matrix(shift, vcoord)
+    b1 = shift.krylov(vcoord, n)
     g1 = b1.transpose() @ g @ b1
     if g1.submatrix(sub_idx, sub_idx) != cg_sub:
         raise InternalDegenerate("sub-reduction did not embed")
@@ -508,14 +432,11 @@ def _canon_single_step(g, eps, n, policy):
     cols = [u]
     if solve_from == 2:
         # z = p v1 + s p^{n-1} v1 fixing f(u, z) = cg[0, 1]
-        e1 = _unit(ctx2, n, 1)
-        etop = _unit(ctx2, n, n - 1)
-        fu_pv = _bil(g1, u, e1)
-        fu_top = _bil(g1, u, etop)
-        if fu_top.is_zero():
+        fu = (ExactMatrix(ctx2, [u]) @ g1).rows[0]  # x -> f(u, x)
+        if fu[n - 1].is_zero():
             raise InternalDegenerate("lost the skew-diagonal entry")
-        s = (cg[0, 1] - fu_pv) / fu_top
-        z = [a + s * b for a, b in zip(e1, etop)]
+        z = _unit(ctx2, n, 1)
+        z[n - 1] = (cg[0, 1] - fu[1]) / fu[n - 1]
         cols.append(z)
         start = 2
     else:
@@ -529,25 +450,14 @@ def _canon_single_step(g, eps, n, policy):
     return b1 @ x2, cg, ctx2
 
 
-def _bil(g, x, y):
-    ctx = g.ctx
-    acc = ctx.zero()
-    for i in range(g.nrows):
-        if x[i].is_zero():
-            continue
-        for j in range(g.ncols):
-            if not y[j].is_zero():
-                acc = acc + x[i] * g[i, j] * y[j]
-    return acc
-
-
 def _adjust_self_value(g1, part, hom, rho0, ctx):
     """u in part + span(hom) with f(u, u) = rho0."""
-    base = _bil(g1, part, part)
-    lin = []
-    for h in hom:
-        lin.append(_bil(g1, part, h) + _bil(g1, h, part))
-    quad = [[_bil(g1, hi, hj) for hj in hom] for hi in hom]
+    vmat = ExactMatrix.from_columns(ctx, [part] + hom)
+    f = vmat.transpose() @ g1 @ vmat  # the form on part, hom[0], ...
+    k = len(hom)
+    base = f[0, 0]
+    lin = [f[0, i + 1] + f[i + 1, 0] for i in range(k)]
+    quad = [[f[i + 1, j + 1] for j in range(k)] for i in range(k)]
     # try pure-linear solutions first: one coefficient at a time
     for i, li in enumerate(lin):
         if not li.is_zero() and quad[i][i].is_zero():
@@ -576,7 +486,7 @@ def _solve_quadratic_in_field(qa, qb, qc, ctx):
     if ctx.characteristic == 2:
         if qb.is_zero():
             try:
-                r, ctx2 = sqrt_or_adjoin(qc / qa, "strict")
+                r, _ = sqrt_or_adjoin(qc / qa, "strict")
             except NoRootStrictPolicy:
                 return None
             return r
@@ -639,7 +549,7 @@ def _gamma_cyclic_reduction(ctx, eps, n, policy):
     s = asym.s
     nmat = s - ExactMatrix.identity(ctx, n).scale(eps)
     v = _height_vector(nmat, n)
-    bmat = ExactMatrix.from_columns(ctx, _p_chain(nmat, v, n))
+    bmat = nmat.krylov(v, n)
     gcyc = bmat.transpose() @ gamma @ bmat
     x, cg, ctx2 = canon_single(gcyc, eps, n, policy)
     result = (bmat.promote(ctx2) @ x, cg, ctx2)
@@ -681,7 +591,7 @@ def pair_canon(g, eps, m, policy=EXTEND):
         x = ExactMatrix(ctx, [[ctx.one(), ctx.zero()],
                               [ctx.zero(), binv]])
         out = x.transpose() @ g @ x
-        if out != _hyperbolic_cell(ctx, 1, eps):
+        if out != hyperbolic_block_matrix(ctx, 1, eps):
             raise InternalDegenerate("pair base normalization failed")
         return x, _unit(ctx, 2, 0), [ctx.zero(), binv], ctx
 
@@ -708,21 +618,21 @@ def pair_canon(g, eps, m, policy=EXTEND):
 
     shift = ExactMatrix.block_diag(ctx, [_shift(ctx, m), _shift(ctx, m)])
     # repair the v side to a totally isotropic module generator
-    duals_w = _module_duals(g, shift, w1, v1, m)
+    duals_w = _module_duals(g, shift, w1, shift.krylov(v1, m))
     v1, ctx, g, shift, duals_w, w1 = _repair_generator(
         g, shift, v1, duals_w, w1, eps, m, policy)
     # repair the w side symmetrically
-    duals_v = _module_duals(g, shift, v1, w1, m)
+    duals_v = _module_duals(g, shift, v1, shift.krylov(w1, m))
     w1, ctx, g, shift, duals_v, v1 = _repair_generator(
         g, shift, w1, duals_v, v1, eps, m, policy)
     _assert_isotropic(g, shift, v1, m)
     _assert_isotropic(g, shift, w1, m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
-    svecs = list(reversed(_p_chain_coords(shift, v1, m)))
-    tvecs = _dual_basis_in_module(g, shift, w1, svecs, m)
+    svecs = _columns(shift.krylov(v1, m))[::-1]
+    tvecs = _module_duals(g, shift, w1, ExactMatrix.from_columns(ctx, svecs))
     x = ExactMatrix.from_columns(ctx, svecs + tvecs)
     out = x.transpose() @ g @ x
-    target = _hyperbolic_cell(ctx, m, eps)
+    target = hyperbolic_block_matrix(ctx, m, eps)
     if out != target:
         raise InternalDegenerate("pair normalization mismatch")
     return x, v1, w1, ctx
@@ -732,36 +642,14 @@ def _promote_vec(v, ctx):
     return [c.promote(ctx) if c.ctx != ctx else c for c in v]
 
 
-def _p_chain_coords(shift, v, length):
-    ctx = shift.ctx
-    out = [list(v)]
-    cur = list(v)
-    for _ in range(length - 1):
-        img = shift @ ExactMatrix.from_columns(ctx, [cur])
-        cur = [img[i, 0] for i in range(shift.nrows)]
-        out.append(cur)
-    return out
-
-
-def _module_duals(g, shift, gen, other_gen, m):
-    """Duals d_0..d_{m-1} inside the module of gen with
-    f(d_i, p^j other_gen) = delta_ij."""
-    ctx = g.ctx
-    chain = _p_chain_coords(shift, gen, m)
-    other_chain = _p_chain_coords(shift, other_gen, m)
-    pairing = [[_bil(g, chain[l], other_chain[j]) for j in range(m)]
-               for l in range(m)]
-    pinv = inverse_or_rank(ExactMatrix(ctx, pairing)).inverse
+def _module_duals(g, shift, gen, targets):
+    """Duals d_0, d_1, ... inside the p-module of gen with
+    f(d_i, t_j) = delta_ij for the columns t_j of targets."""
+    chain = shift.krylov(gen, targets.ncols)
+    pinv = inverse_or_rank(chain.transpose() @ g @ targets).inverse
     if pinv is None:
         raise InternalDegenerate("module pairing is degenerate")
-    duals = []
-    for i in range(m):
-        coeff = [pinv[i, l] for l in range(m)]
-        vec = [ctx.zero()] * len(gen)
-        for l in range(m):
-            vec = [a + coeff[l] * b for a, b in zip(vec, chain[l])]
-        duals.append(vec)
-    return duals
+    return _columns(chain @ pinv.transpose())
 
 
 def _repair_generator(g, shift, gen, duals, other_gen, eps, m, policy):
@@ -772,7 +660,7 @@ def _repair_generator(g, shift, gen, duals, other_gen, eps, m, policy):
     f(gen', p^j gen') = 0 live only at j = 0, 1.
     """
     ctx = g.ctx
-    pgen = _apply(shift, gen)
+    pgen = _columns(shift.krylov(gen, 2))[1]
     dirs = [duals[0]]
     if m >= 2:
         dirs.append(duals[1])
@@ -806,30 +694,17 @@ def _repair_generator(g, shift, gen, duals, other_gen, eps, m, policy):
     return new, ctx, g, shift, duals, other_gen
 
 
-def _apply(mat, vec):
-    img = mat @ ExactMatrix.from_columns(mat.ctx, [vec])
-    return [img[i, 0] for i in range(mat.nrows)]
-
-
 def _expand_conditions(g, shift, gen, dirs, m):
     """Exact coefficients of f(gen + sum x_i d_i, p^j (same)) in the x_i."""
-    ctx = g.ctx
-    powers = [None] * m
-    cur = ExactMatrix.identity(ctx, g.nrows)
-    for j in range(m):
-        powers[j] = cur
-        cur = cur @ shift
-    consts, lins, quads = [], [], []
     k = len(dirs)
-    for j in range(m):
-        pj = powers[j]
-        pj_gen = _apply(pj, gen)
-        pj_dirs = [_apply(pj, d) for d in dirs]
-        consts.append(_bil(g, gen, pj_gen))
-        lins.append([_bil(g, dirs[i], pj_gen) + _bil(g, gen, pj_dirs[i])
-                     for i in range(k)])
-        quads.append([[_bil(g, dirs[i], pj_dirs[l]) for l in range(k)]
-                      for i in range(k)])
+    left = ExactMatrix(g.ctx, [gen] + dirs) @ g  # rows: x -> f(u, x)
+    # pg[a, j] = f(u_a, p^j gen) and pd[i][a, j] = f(u_a, p^j d_i) for the
+    # vectors u = gen, d_0, d_1, ...
+    pg, *pd = [left @ shift.krylov(u, m) for u in [gen] + dirs]
+    consts = [pg[0, j] for j in range(m)]
+    lins = [[pg[i + 1, j] + pd[i][0, j] for i in range(k)] for j in range(m)]
+    quads = [[[pd[l][i + 1, j] for l in range(k)] for i in range(k)]
+             for j in range(m)]
     return consts, lins, quads
 
 
@@ -924,34 +799,14 @@ def _single_var_solutions(qa, qb, qc, ctx, policy):
 
 
 def _assert_isotropic(g, shift, gen, m):
-    chain = _p_chain_coords(shift, gen, m)
-    for a in range(m):
-        for b in range(m):
-            if not _bil(g, chain[a], chain[b]).is_zero():
-                raise InternalDegenerate("module is not totally isotropic")
-
-
-def _dual_basis_in_module(g, shift, gen, svecs, m):
-    """t_j inside the gen-module with f(t_j, s_i) = delta_ij."""
-    ctx = g.ctx
-    chain = _p_chain_coords(shift, gen, m)
-    pairing = [[_bil(g, chain[l], svecs[i]) for i in range(m)]
-               for l in range(m)]
-    pinv = inverse_or_rank(ExactMatrix(ctx, pairing)).inverse
-    if pinv is None:
-        raise InternalDegenerate("dual pairing is degenerate")
-    out = []
-    for j in range(m):
-        vec = [ctx.zero()] * len(gen)
-        for l in range(m):
-            vec = [a + pinv[j, l] * b for a, b in zip(vec, chain[l])]
-        out.append(vec)
-    return out
+    chain = shift.krylov(gen, m)
+    if not (chain.transpose() @ g @ chain).is_zero():
+        raise InternalDegenerate("module is not totally isotropic")
 
 
 def reduce_pair(g, eps, m, policy=EXTEND):
     """Witness from a pair-block Gram matrix to ((0, J_m(eps)), (I_m, 0))."""
     x, _vg, _wg, ctx = pair_canon(g, eps, m, policy)
-    target = _hyperbolic_cell(ctx, m, eps.promote(ctx))
+    target = hyperbolic_block_matrix(ctx, m, eps.promote(ctx))
     witness = CongruenceWitness(x, g.promote(ctx), target)
     return witness, ctx

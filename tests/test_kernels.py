@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from matcanon.errors import DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
 from matcanon.field import (Scalar, artin_schreier_root_or_adjoin, gf4,
                             prime_field, rationals)
@@ -81,7 +82,11 @@ def shapes(ctx, rng):
             ("wide", rand_matrix(ctx, rng, 2, 5)),
             ("tall", rand_matrix(ctx, rng, 5, 2)),
             ("n x 0", ExactMatrix(ctx, [[], [], []])),
-            ("0 x 0", ExactMatrix(ctx, []))]
+            ("0 x 0", ExactMatrix(ctx, [])),
+            ("0 x 5", ExactMatrix.zeros(ctx, 0, 5)),
+            ("0 x 3",
+             ExactMatrix.zeros(ctx, 0, 5) @ rand_matrix(ctx, rng, 5, 3)),
+            ("0 x 4", ExactMatrix.zeros(ctx, 4, 0).transpose())]
 
 
 # -- naive Scalar-level references ---------------------------------------------
@@ -225,3 +230,61 @@ def test_solve_matches_reference(name):
                     for e in v:
                         assert_canonical(e, ctx)
                     assert all(e.is_zero() for e in ref_matvec(a, v))
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_zero_row_shapes(name):
+    """A matrix with no rows keeps its column count."""
+    ctx = CONTEXTS[name]
+    rng = random.Random("empty " + name)
+    wide = ExactMatrix.zeros(ctx, 0, 5)
+    assert_matrix_canonical(wide, ctx, 0, 5)
+    assert_matrix_canonical(wide @ rand_matrix(ctx, rng, 5, 3), ctx, 0, 3)
+    assert_matrix_canonical(ExactMatrix.zeros(ctx, 4, 0).transpose(),
+                            ctx, 0, 4)
+    assert_matrix_canonical(wide.transpose(), ctx, 5, 0)
+    assert_matrix_canonical(rand_matrix(ctx, rng, 3, 4).submatrix([], [0, 2]),
+                            ctx, 0, 2)
+    assert_matrix_canonical(ExactMatrix(ctx, [[], []]) @ wide, ctx, 2, 5)
+    assert len(inverse_or_rank(wide).kernel) == 5
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_power_matches_reference(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random("power " + name)
+    inputs = shapes(ctx, rng) + [("nilpotent",
+                                  ExactMatrix.jordan_block(ctx, 4))]
+    for label, a in inputs:
+        n = a.nrows
+        if not a.is_square():
+            with pytest.raises(DimensionMismatch):
+                a.power(2)
+            continue
+        ref = ExactMatrix.identity(ctx, n)
+        for k in range(7):
+            got = a.power(k)
+            assert_matrix_canonical(got, ctx, n, n)
+            assert coords(got.rows) == coords(ref.rows), (label, k)
+            ref = ExactMatrix(ctx, ref_matmul(ref, a)) if n else ref
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_krylov_matches_reference(name):
+    ctx = CONTEXTS[name]
+    rng = random.Random("krylov " + name)
+    inputs = shapes(ctx, rng) + [("nilpotent",
+                                  ExactMatrix.jordan_block(ctx, 4))]
+    for label, a in inputs:
+        n = a.nrows
+        if not a.is_square():
+            continue
+        v = [rand_scalar(ctx, rng) for _ in range(n)]
+        for length in range(6):
+            got = a.krylov(v, length)
+            assert_matrix_canonical(got, ctx, n, length)
+            col = v
+            for j in range(length):
+                assert ([got[i, j].coords for i in range(n)]
+                        == [e.coords for e in col]), (label, length, j)
+                col = ref_matvec(a, col)
