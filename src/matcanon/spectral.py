@@ -505,6 +505,8 @@ def restrict_operator(s, basis_cols):
     below the first m must vanish.
     """
     m = len(basis_cols)
+    if not m:
+        return ExactMatrix.zeros(s.ctx, 0, 0)
     bmat = ExactMatrix.from_columns(s.ctx, basis_cols)
     coords = inverse_or_rank(bmat, transform=True).transform @ s @ bmat
     if not coords.submatrix(range(m, s.nrows), range(m)).is_zero():
