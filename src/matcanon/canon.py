@@ -3,8 +3,10 @@
 The pipeline: Gabriel decomposition, asymmetry of the invertible core,
 splitting of its minimal polynomial (extending the field when the policy
 allows), the eigenvalue splitting, and per-class reduction to the canonical
-indecomposable blocks.  Every stage contributes an explicit congruence; the
-composed witness is verified exactly against the assembled canonical matrix.
+indecomposable blocks.  Every stage returns a plain, unverified congruence
+(exactmat.Congruence).  Only the composed congruence is an answer, and it
+is certified once, against the assembled canonical matrix, where it leaves
+canonicalize or equivalent.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from collections import namedtuple
 
 from .errors import (HypothesisViolation, InternalDegenerate,
                      InvalidDescriptor, TowerCapExceeded)
-from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
-                       permutation_matrix)
+from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
+                       WitnessError, inverse_or_rank, permutation_matrix)
 from .field import EXTEND, canonical_compare, format_scalar
 from .gabriel import gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, eigen_split,
@@ -59,8 +61,11 @@ class Block:
 CanonicalForm = namedtuple("CanonicalForm",
                            "gabriel blocks context extension_report")
 
-EquivalenceResult = namedtuple("EquivalenceResult",
-                               "equivalent witness context extensions")
+# records: (record of a, record of b) behind a false verdict reached by
+# canonicalizing both sides, else None
+EquivalenceResult = namedtuple(
+    "EquivalenceResult", "equivalent witness context extensions records",
+    defaults=(None,))
 
 
 def canonical_block_matrix(desc, ctx):
@@ -154,6 +159,12 @@ def canonicalize(a, policy=EXTEND):
     Returns (CanonicalForm, CongruenceWitness); the witness target is
     canonical_form_matrix(form), possibly over an extended context.
     """
+    form, cong = _canonicalize(a, policy)
+    return form, CongruenceWitness(*cong)
+
+
+def _canonicalize(a, policy):
+    """canonicalize without the certificate: (CanonicalForm, Congruence)."""
     if not a.is_square():
         raise HypothesisViolation("canonicalize needs a square matrix")
     start_ctx = a.ctx
@@ -161,7 +172,7 @@ def canonicalize(a, policy=EXTEND):
     core = dec.core
     if core.nrows == 0:
         form = CanonicalForm(dec.jordan_sizes, [], start_ctx, [])
-        return form, dec.witness
+        return form, Congruence(dec.witness.x, a, dec.witness.target)
 
     asym = split_min_poly(asymmetry(core), policy)
     ctx = asym.ctx
@@ -201,70 +212,55 @@ def canonicalize(a, policy=EXTEND):
     x_total = dec.witness.x.promote(ctx_final)
     x_eigen = ExactMatrix.block_diag(ctx_final, [
         ExactMatrix.identity(ctx_final, njord),
-        split.witness.x.promote(ctx_final) @ x_classes])
+        split.x.promote(ctx_final) @ x_classes])
     x_total = x_total @ x_eigen
 
     # order the blocks canonically
+    # (every descriptor is its own object, so id() names its block)
     order = _sort_blocks(blocks)
-    sizes = [t.nrows for t in targets]
-    starts = []
+    size = {id(b): t.nrows for b, t in zip(blocks, targets)}
+    new_start = {}
     p = njord
-    for s in sizes:
-        starts.append(p)
-        p += s
-    used = [False] * len(blocks)
-    new_positions = {}
-    pnew = njord
     for desc in order:
-        for i, b in enumerate(blocks):
-            if not used[i] and b is desc:
-                new_positions[i] = pnew
-                pnew += sizes[i]
-                used[i] = True
-                break
-    n = a.nrows
-    perm = list(range(njord)) + [0] * (n - njord)
-    for i, st in enumerate(starts):
-        for j in range(sizes[i]):
-            perm[st + j] = new_positions[i] + j
+        new_start[id(desc)] = p
+        p += size[id(desc)]
+    perm = list(range(njord))
+    for b in blocks:
+        perm.extend(range(new_start[id(b)], new_start[id(b)] + size[id(b)]))
     pm = permutation_matrix(ctx_final, perm)
     x_total = x_total @ pm
 
     form = CanonicalForm(dec.jordan_sizes, order, ctx_final, [])
     target = canonical_form_matrix(form)
-    witness = CongruenceWitness(x_total, a.promote(ctx_final), target)
-    return _trim_result(form, witness, start_ctx)
+    cong = Congruence(x_total, a.promote(ctx_final), target)
+    return _trim_result(form, cong, start_ctx)
 
 
-def _trim_result(form, witness, start_ctx):
-    """Drop tower levels that the witness and target never touch.
+def _trim_result(form, cong, start_ctx):
+    """Drop tower levels that the congruence's X and target never touch.
 
     Scaffolding adjunctions from intermediate reductions can cancel in the
-    composed witness; the reported context keeps only what the certified
-    relation actually uses.
+    composed congruence; the reported context keeps only what the relation
+    actually uses.  Trimming comes before the one certification, so the
+    trimmed relation is the one certified.
     """
     from .field import Scalar
     height = len(start_ctx.tower)
-    for mat in (witness.x, witness.target):
+    for mat in (cong.x, cong.target):
         for row in mat.rows:
             for e in row:
                 height = max(height, len(e.trim().ctx.tower))
-    ctx_full = form.context
-    if height == len(ctx_full.tower):
-        report = _extension_report(start_ctx, ctx_full)
-        return CanonicalForm(form.gabriel, form.blocks, ctx_full, report), \
-            witness
-    ctx = ctx_full.truncated(height)
+    ctx = form.context
+    if height < len(ctx.tower):
+        ctx = ctx.truncated(height)
 
-    def demote(mat):
-        return ExactMatrix(ctx, [[Scalar(ctx, e.coords[:ctx.dim])
-                                  for e in row] for row in mat.rows])
+        def demote(mat):
+            return ExactMatrix(ctx, [[Scalar(ctx, e.coords[:ctx.dim])
+                                      for e in row] for row in mat.rows])
 
-    witness2 = CongruenceWitness(demote(witness.x), demote(witness.source),
-                                 demote(witness.target))
+        cong = Congruence(*map(demote, cong))
     report = _extension_report(start_ctx, ctx)
-    form2 = CanonicalForm(form.gabriel, form.blocks, ctx, report)
-    return form2, witness2
+    return CanonicalForm(form.gabriel, form.blocks, ctx, report), cong
 
 
 def _extension_report(start_ctx, ctx):
@@ -282,7 +278,7 @@ def _extension_report(start_ctx, ctx):
 
 
 def _reduce_unipotent_class(class_gram, eps, policy, ctx):
-    """Reduce one eigenvalue +-1 class; returns descriptors, local witness,
+    """Reduce one eigenvalue +-1 class; returns descriptors, local X,
     per-block targets, and the (possibly extended) context."""
     class_gram = class_gram.promote(ctx)
     eps = eps.promote(ctx)
@@ -297,7 +293,7 @@ def _reduce_unipotent_class(class_gram, eps, policy, ctx):
     for piece in pieces:
         if piece.kind == "single":
             n = piece.order
-            w, ctx_cur = reduce_single(piece.gram.promote(ctx_cur),
+            c, ctx_cur = reduce_single(piece.gram.promote(ctx_cur),
                                        eps.promote(ctx_cur), n, policy)
             if char == 2:
                 fam = "B"
@@ -308,7 +304,7 @@ def _reduce_unipotent_class(class_gram, eps, policy, ctx):
             descs.append(Block(fam, n))
         else:
             m = piece.order
-            w, ctx_cur = reduce_pair(piece.gram.promote(ctx_cur),
+            c, ctx_cur = reduce_pair(piece.gram.promote(ctx_cur),
                                      eps.promote(ctx_cur), m, policy)
             if char == 2:
                 fam = "D" if m % 2 == 0 else "E"
@@ -323,8 +319,8 @@ def _reduce_unipotent_class(class_gram, eps, policy, ctx):
                         "even pair at eigenvalue -1 outside characteristic 2")
                 fam = "F"
             descs.append(Block(fam, 2 * m))
-        xs.append(w.x)
-        targets.append(w.target)
+        xs.append(c.x)
+        targets.append(c.target)
     basis_cols = [v for piece in pieces for v in piece.basis]
     x_peel = ExactMatrix.from_columns(ctx, basis_cols).promote(ctx_cur)
     x_red = ExactMatrix.block_diag(ctx_cur, [x.promote(ctx_cur) for x in xs])
@@ -340,7 +336,7 @@ def _reduce_pair_class(class_gram, cl, policy, ctx):
     res = hyperbolic_canonical(class_gram, s_cl, lam, m_lam)
     descs = [Block("G", 2 * m, lam) for m in res.blocks]
     targets = [hyperbolic_block_matrix(ctx, m, lam) for m in res.blocks]
-    return descs, res.witness.x, targets, ctx
+    return descs, res.x, targets, ctx
 
 
 # -- invariants and congruence decision --------------------------------------------
@@ -481,6 +477,8 @@ _MERGE_ROUNDS = 8
 def equivalent(a, b, policy=EXTEND):
     """Decide congruence; verdict true carries an exactly verified witness.
 
+    A false verdict carries both invariant records in `records`, and the
+    two canonicalizations behind it are certified before it returns.
     Canonicalizing two matrices can demand different (but compatible)
     towers, e.g. sqrt(2) on one side and sqrt(8) on the other; the loop
     merges the contexts and re-canonicalizes until both sides settle in
@@ -492,8 +490,8 @@ def equivalent(a, b, policy=EXTEND):
     start_ctx = a.ctx.common(b.ctx)
     ctx = start_ctx
     for _ in range(_MERGE_ROUNDS):
-        form_a, wit_a = canonicalize(a.promote(ctx), policy)
-        form_b, wit_b = canonicalize(b.promote(ctx), policy)
+        form_a, cong_a = _canonicalize(a.promote(ctx), policy)
+        form_b, cong_b = _canonicalize(b.promote(ctx), policy)
         if form_a.context == form_b.context:
             break
         ctx = merge_contexts(form_a.context, form_b.context, policy)
@@ -503,9 +501,16 @@ def equivalent(a, b, policy=EXTEND):
     rec_b = record_from_form(form_b)
     report = _extension_report(start_ctx, form_a.context)
     if rec_a != rec_b:
-        return EquivalenceResult(False, None, form_a.context, report)
+        # the verdict rests on both canonical forms: certify them
+        CongruenceWitness(*cong_a)
+        CongruenceWitness(*cong_b)
+        return EquivalenceResult(False, None, form_a.context, report,
+                                 (rec_a, rec_b))
     ctx = form_a.context
-    y = wit_a.x @ inverse_or_rank(wit_b.x).inverse
+    xb_inv = inverse_or_rank(cong_b.x).inverse
+    if xb_inv is None:
+        raise WitnessError("witness matrix is singular")
+    y = cong_a.x @ xb_inv
     witness = CongruenceWitness(y, a.promote(ctx), b.promote(ctx))
     return EquivalenceResult(True, witness, ctx, report)
 

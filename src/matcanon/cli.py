@@ -19,9 +19,10 @@ import sys
 
 from .canon import (Block, canonical_block_matrix, canonicalize,
                     equivalent, invariants, transpose_witness)
-from .errors import (BudgetExceeded, InternalDegenerate, MatcanonError,
-                     NoRootStrictPolicy, NotSplit, ParseError)
-from .exactmat import ExactMatrix
+from .errors import (BudgetExceeded, DegenerateRestriction,
+                     InternalDegenerate, MatcanonError, NoRootStrictPolicy,
+                     NotSplit, ParseError)
+from .exactmat import ExactMatrix, WitnessError
 from .field import (EXTEND, finite_field, format_scalar, parse_scalar,
                     prime_field, rationals)
 from .gabriel import gabriel_decompose
@@ -191,14 +192,15 @@ def _cmd_equiv(args):
         # echo the verified relation
         payload["relation"] = "Y' A Y = B verified exactly"
     else:
-        rec_a = invariants(a, args.policy)
-        rec_b = invariants(b, args.policy)
-        payload["reason"] = _mismatch_reason(rec_a, rec_b)
+        payload["reason"] = _mismatch_reason(a, b, res.records)
     _emit(payload, args.machine)
     return EXIT_OK if res.equivalent else EXIT_FALSE
 
 
-def _mismatch_reason(rec_a, rec_b):
+def _mismatch_reason(a, b, records):
+    if records is None:
+        return "dimensions differ: %d vs %d" % (a.nrows, b.nrows)
+    rec_a, rec_b = records
     if rec_a.gabriel != rec_b.gabriel:
         return "gabriel sizes differ: %s vs %s" % (list(rec_a.gabriel),
                                                    list(rec_b.gabriel))
@@ -446,7 +448,7 @@ def main(argv=None):
             json.JSONDecodeError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
-    except InternalDegenerate as exc:
+    except (InternalDegenerate, WitnessError, DegenerateRestriction) as exc:
         sys.stderr.write("internal error: %s\n" % exc)
         return EXIT_INTERNAL
     except MatcanonError as exc:

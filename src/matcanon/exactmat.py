@@ -10,14 +10,22 @@ path covers every context; zero entries are skipped.  The one specialised
 case is GF(p) at tower height 0, whose raw values are flat ints with one
 reduction mod p per dot product (after FFPACK, Dumas, Giorgi and Pernet,
 ISSAC 2004).  The results are the exact values the Scalar operators would
-give, and certification is unchanged: a CongruenceWitness still checks
-X'AX = B and the invertibility of X exactly when it is built.
+give.
 
 Two helpers are built on the product: ExactMatrix.power (square and
 multiply) and ExactMatrix.krylov (the columns v, Mv, ..., M^(k-1) v).  The
 pipeline stages reach the kernel only through @, inverse_or_rank, solve and
 these two; they keep no elimination, power loop or bilinear sum of their
 own.
+
+Certification.  A Congruence (x, source, target) is a plain, unverified
+claim that x' * source * x == target, such as a pipeline stage returns.
+CongruenceWitness(*c) certifies one: it checks X'AX = B and the
+invertibility of X exactly when it is built.  Answers are certified once,
+where they leave the library (canonicalize, equivalent, transpose_witness,
+gabriel_decompose and the CLI on top of them).  One check of the composed
+X of a chain of stages certifies the answer whatever the links did, so the
+links are not checked on their own.
 """
 
 from __future__ import annotations
@@ -443,6 +451,9 @@ class WitnessError(MatcanonError):
     pass
 
 
+Congruence = namedtuple("Congruence", "x source target")
+
+
 class CongruenceWitness:
     """Invertible X with X' * source * X == target, verified on construction."""
 
@@ -461,24 +472,11 @@ class CongruenceWitness:
         self.source = source
         self.target = target
 
-    @staticmethod
-    def identity(a):
-        return CongruenceWitness(ExactMatrix.identity(a.ctx, a.nrows), a, a)
-
     def then(self, other):
         """Compose A->B (self) with B->C (other) into A->C."""
         if self.target != other.source:
             raise WitnessError("witness composition endpoint mismatch")
         return CongruenceWitness(self.x @ other.x, self.source, other.target)
-
-    def invert(self):
-        xin = inverse_or_rank(self.x).inverse
-        return CongruenceWitness(xin, self.target, self.source)
-
-    def promote(self, ctx):
-        return CongruenceWitness(self.x.promote(ctx),
-                                 self.source.promote(ctx),
-                                 self.target.promote(ctx))
 
 
 # -- elementary congruence transformations -------------------------------------

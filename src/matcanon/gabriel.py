@@ -11,8 +11,9 @@ reduces a singular zero-radical matrix to a three-block state
 where K spans the right kernel.  Decomposing M recursively and clearing E
 against the row space of M leaves each (q_i, k_i) pair either attached to
 the end of one Jordan chain of M (growing it by two) or detached as a J_2
-block.  All steps are explicit congruences; the final witness is verified
-exactly.
+block.  All steps are explicit congruences.  gabriel_decompose is a public
+entry point, so it certifies the composed witness itself, unlike the later
+pipeline stages, which return plain congruences.
 """
 
 from __future__ import annotations

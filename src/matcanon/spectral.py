@@ -26,8 +26,7 @@ from fractions import Fraction
 from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, NoRootStrictPolicy, NotSplit,
                      SingularInput)
-from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
-                       permutation_matrix)
+from .exactmat import ExactMatrix, inverse_or_rank, permutation_matrix
 from .field import (EXTEND, artin_schreier_root_or_adjoin, canonical_compare,
                     enumeration_key, random_elements, sqrt_or_adjoin)
 
@@ -403,15 +402,14 @@ def _divisors(n):
 
 UnipotentClass = namedtuple("UnipotentClass", "eigenvalue basis")
 PairClass = namedtuple("PairClass", "lam lam_inv basis_lam basis_inv")
-EigenSplit = namedtuple("EigenSplit", "classes witness gram")
+EigenSplit = namedtuple("EigenSplit", "classes x gram")
 
 
 def eigen_split(a, asym):
     """Split into unipotent classes (eigenvalue +-1) and hyperbolic pairs.
 
-    Returns EigenSplit(classes, witness, gram) where gram is the Gram matrix
-    in the new basis (block diagonal across classes) and the witness carries
-    A -> gram.
+    Returns EigenSplit(classes, x, gram) where gram = X'AX is the Gram
+    matrix in the new basis (block diagonal across classes).
     """
     if asym.split_roots is None:
         raise InternalDegenerate("eigen_split needs split_roots")
@@ -465,17 +463,10 @@ def eigen_split(a, asym):
         raise NotSplit("generalized eigenspaces do not fill the space")
     x = ExactMatrix.from_columns(ctx, cols)
     gram = x.transpose() @ a @ x
-    for i, (off_i, len_i) in enumerate(spans):
-        for j, (off_j, len_j) in enumerate(spans):
-            if i == j:
-                continue
-            for r in range(off_i, off_i + len_i):
-                for c in range(off_j, off_j + len_j):
-                    if not gram[r, c].is_zero():
-                        raise InternalDegenerate(
-                            "eigen classes failed to be orthogonal")
-    witness = CongruenceWitness(x, a, gram)
-    return EigenSplit(classes, witness, gram)
+    diag = [gram.submatrix(range(o, o + k), range(o, o + k)) for o, k in spans]
+    if gram != ExactMatrix.block_diag(ctx, diag):
+        raise InternalDegenerate("eigen classes failed to be orthogonal")
+    return EigenSplit(classes, x, gram)
 
 
 def _sort_key(x):
@@ -573,7 +564,7 @@ def elementary_divisor_multiplicities(s, lam):
 
 # -- hyperbolic classes -------------------------------------------------------------
 
-HyperbolicResult = namedtuple("HyperbolicResult", "witness blocks gram")
+HyperbolicResult = namedtuple("HyperbolicResult", "x blocks gram")
 
 
 def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
@@ -581,9 +572,9 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
 
     class_gram is the Gram matrix on (basis_lam, basis_inv); s_class the
     asymmetry restricted to the class in the same basis; lam the chosen
-    eigenvalue whose side is Jordan-reduced; m_lam = dim V_lam.  Returns the
-    witness from class_gram to the canonical matrix, the list of block sizes
-    m (Jordan sizes on the lam side), and the canonical matrix itself.
+    eigenvalue whose side is Jordan-reduced; m_lam = dim V_lam.  Returns X
+    with X' class_gram X the canonical matrix, the list of block sizes m
+    (Jordan sizes on the lam side), and the canonical matrix itself.
     """
     ctx = class_gram.ctx
     n2 = class_gram.nrows
@@ -625,8 +616,7 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
         hyperbolic_block_matrix(ctx, sz, lam) for sz in sizes])
     if g2 != target:
         raise InternalDegenerate("hyperbolic normalization mismatch")
-    witness = CongruenceWitness(x1 @ pm, class_gram, g2)
-    return HyperbolicResult(witness, sizes, g2)
+    return HyperbolicResult(x1 @ pm, sizes, g2)
 
 
 def hyperbolic_block_matrix(ctx, m, lam):

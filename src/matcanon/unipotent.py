@@ -15,8 +15,7 @@ from collections import namedtuple
 
 from .errors import (HypothesisViolation, InternalDegenerate,
                      NoArtinSchreierRootStrict, NoRootStrictPolicy)
-from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
-                       solve)
+from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
 from .field import EXTEND, artin_schreier_root_or_adjoin, sqrt_or_adjoin
 from .spectral import hyperbolic_block_matrix, restrict_operator
 
@@ -504,7 +503,7 @@ def _solve_quadratic_in_field(qa, qb, qc, ctx):
     return (r - qb) / (2 * qa)
 
 
-# -- Gamma block matrices and the single-block witness ---------------------------
+# -- Gamma block matrices and the single-block congruence ---------------------
 
 def gamma_matrix(ctx, n):
     """Gamma_n: the anti-diagonal staircase block (characteristic != 2)."""
@@ -558,7 +557,7 @@ def _gamma_cyclic_reduction(ctx, eps, n, policy):
 
 
 def reduce_single(g, eps, n, policy=EXTEND):
-    """Witness from a single-block cyclic Gram matrix to Gamma_n/Gamma_n^0."""
+    """(Congruence, ctx) from a single-block cyclic Gram to Gamma_n(^0)."""
     x1, cg1, ctx1 = canon_single(g, eps, n, policy)
     eps1 = eps.promote(ctx1)
     xg, cg2, ctx2 = _gamma_cyclic_reduction(ctx1, eps1, n, policy)
@@ -566,8 +565,7 @@ def reduce_single(g, eps, n, policy=EXTEND):
         raise InternalDegenerate("input and Gamma reductions disagree")
     x = x1.promote(ctx2) @ inverse_or_rank(xg).inverse
     target = _gamma_block(ctx2, eps.promote(ctx2), n)
-    witness = CongruenceWitness(x, g.promote(ctx2), target)
-    return witness, ctx2
+    return Congruence(x, g.promote(ctx2), target), ctx2
 
 
 # -- the pair (two equal elementary divisors) reduction --------------------------
@@ -805,8 +803,7 @@ def _assert_isotropic(g, shift, gen, m):
 
 
 def reduce_pair(g, eps, m, policy=EXTEND):
-    """Witness from a pair-block Gram matrix to ((0, J_m(eps)), (I_m, 0))."""
+    """(Congruence, ctx) from a pair-block Gram to ((0, J_m(eps)), (I, 0))."""
     x, _vg, _wg, ctx = pair_canon(g, eps, m, policy)
     target = hyperbolic_block_matrix(ctx, m, eps.promote(ctx))
-    witness = CongruenceWitness(x, g.promote(ctx), target)
-    return witness, ctx
+    return Congruence(x, g.promote(ctx), target), ctx

@@ -317,3 +317,14 @@ def test_record_block_bijection():
             rec = record_from_form(form)
             assert blocks_from_record(rec) == form.blocks
             assert tuple(form.gabriel) == rec.gabriel
+
+
+def test_false_verdict_carries_both_records():
+    q = rationals()
+    a = ExactMatrix(q, [[1, 1], [0, 1]])
+    b = ExactMatrix(q, [[1, 0], [0, 1]])
+    res = equivalent(a, b)
+    assert not res.equivalent and res.witness is None
+    assert res.records == (invariants(a), invariants(b))
+    assert equivalent(a, a).records is None
+    assert equivalent(a, ExactMatrix(q, [[1]])).records is None

@@ -244,3 +244,51 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
     assert cli.main(["canon", p]) == 5
     assert "internal error" in capsys.readouterr().err
+
+
+def test_corrupt_stage_exit_code(tmp_path, monkeypatch, capsys):
+    # a wrong stage fails the one certification of the answer; that is a
+    # defect in matcanon, not an input error: exit 5
+    from matcanon import canon, cli
+
+    original = canon.eigen_split
+
+    def corrupt(*args, **kwargs):
+        res = original(*args, **kwargs)
+        return res._replace(x=res.x.scale(res.x.ctx.scalar(2)))
+
+    monkeypatch.setattr(canon, "eigen_split", corrupt)
+    p = write_matrix(tmp_path, "a.json", {"kind": "rational"},
+                     [["1", "2"], ["0", "1"]])
+    assert cli.main(["canon", p]) == 5
+    err = capsys.readouterr().err
+    assert "internal error" in err and "X'AX = B failed" in err
+
+
+def test_equiv_false_verdict_reuses_records(tmp_path, monkeypatch, capsys):
+    # the reason is read off the records equivalent computed, with no
+    # second canonicalization of either input
+    from matcanon import cli
+
+    def rerun(*_args, **_kwargs):
+        pytest.fail("equiv re-canonicalized an input")
+
+    monkeypatch.setattr(cli, "invariants", rerun)
+    monkeypatch.setattr(cli, "canonicalize", rerun)
+    f2 = {"kind": "gfp", "p": 2}
+    ident = write_matrix(tmp_path, "i.json", f2, [["1", "0"], ["0", "1"]])
+    anti = write_matrix(tmp_path, "e.json", f2, [["0", "1"], ["1", "0"]])
+    assert cli.main(["equiv", ident, anti, "--machine"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] == "alternating flag mismatch at m=1"
+
+
+def test_equiv_reason_when_dimensions_differ(tmp_path, capsys):
+    from matcanon import cli
+    q = {"kind": "rational"}
+    a = write_matrix(tmp_path, "a.json", q, [["1"]])
+    b = write_matrix(tmp_path, "b.json", q, [["1", "0"], ["0", "1"]])
+    assert cli.main(["equiv", a, b, "--machine"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equivalent"] is False
+    assert payload["reason"] == "dimensions differ: 1 vs 2"
