@@ -12,6 +12,7 @@ canonicalize or equivalent.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cmp_to_key
 
 from .errors import (HypothesisViolation, InternalDegenerate,
                      InvalidDescriptor, TowerCapExceeded)
@@ -134,23 +135,13 @@ def _sort_blocks(blocks):
     return plain + gs
 
 
-class _LamKey:
-    __slots__ = ("lam",)
+def _lam_compare(x, y):
+    """canonical_compare in the common context of two eigenvalues."""
+    ctx = x.ctx.common(y.ctx)
+    return canonical_compare(x.promote(ctx), y.promote(ctx))
 
-    def __init__(self, lam):
-        self.lam = lam
 
-    def _pair(self, other):
-        ctx = self.lam.ctx.common(other.lam.ctx)
-        return self.lam.promote(ctx), other.lam.promote(ctx)
-
-    def __lt__(self, other):
-        x, y = self._pair(other)
-        return canonical_compare(x, y) < 0
-
-    def __eq__(self, other):
-        x, y = self._pair(other)
-        return canonical_compare(x, y) == 0
+_LamKey = cmp_to_key(_lam_compare)
 
 
 def canonicalize(a, policy=EXTEND):
@@ -160,11 +151,21 @@ def canonicalize(a, policy=EXTEND):
     canonical_form_matrix(form), possibly over an extended context.
     """
     form, cong = _canonicalize(a, policy)
-    return form, CongruenceWitness(*cong)
+    return form, _certify(cong)
+
+
+def _certify(cong):
+    """The certified congruence: a Congruence is checked, and a witness that
+    gabriel_decompose has certified already is returned as it is."""
+    if isinstance(cong, CongruenceWitness):
+        return cong
+    return CongruenceWitness(*cong)
 
 
 def _canonicalize(a, policy):
-    """canonicalize without the certificate: (CanonicalForm, Congruence)."""
+    """canonicalize without the certificate: (CanonicalForm, Congruence),
+    or the Gabriel witness, certified already, for an input whose core is
+    empty."""
     if not a.is_square():
         raise HypothesisViolation("canonicalize needs a square matrix")
     start_ctx = a.ctx
@@ -172,7 +173,7 @@ def _canonicalize(a, policy):
     core = dec.core
     if core.nrows == 0:
         form = CanonicalForm(dec.jordan_sizes, [], start_ctx, [])
-        return form, Congruence(dec.witness.x, a, dec.witness.target)
+        return form, dec.witness
 
     asym = split_min_poly(asymmetry(core), policy)
     ctx = asym.ctx
@@ -502,8 +503,8 @@ def equivalent(a, b, policy=EXTEND):
     report = _extension_report(start_ctx, form_a.context)
     if rec_a != rec_b:
         # the verdict rests on both canonical forms: certify them
-        CongruenceWitness(*cong_a)
-        CongruenceWitness(*cong_b)
+        _certify(cong_a)
+        _certify(cong_b)
         return EquivalenceResult(False, None, form_a.context, report,
                                  (rec_a, rec_b))
     ctx = form_a.context

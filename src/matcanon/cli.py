@@ -361,7 +361,7 @@ def _random_invertible(ctx, rng, n):
     from .exactmat import inverse_or_rank
     while True:
         y = _random_matrix(ctx, rng, n)
-        if inverse_or_rank(y).inverse is not None:
+        if inverse_or_rank(y, rank_only=True).rank == n:
             return y
 
 

@@ -1,22 +1,31 @@
 """Dense exact matrices over a FieldContext and certified congruence moves.
 
 Kernel.  Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan
-elimination (_rref, behind inverse_or_rank and solve) run on raw values, not
-on Scalar objects: entries are unwrapped once on entry and the result is
-rewrapped once through a trusted constructor that skips the per-entry
-checks.  A raw value is the entry's coordinate tuple (Scalar.coords),
-multiplied by the field's _tower_mul and added coordinatewise, so one code
-path covers every context; zero entries are skipped.  The one specialised
+elimination (_rref, behind inverse_or_rank and solve; first_dependence is
+its incremental form) run on raw values, not on Scalar objects: entries are
+unwrapped once on entry and the result is rewrapped once through a trusted
+constructor that skips the per-entry checks.  A raw value is the entry's
+coordinate tuple (Scalar.coords), multiplied by the field's _tower_mul and
+added coordinatewise, so one code path covers every context; zero entries
+are skipped.  The one specialised
 case is GF(p) at tower height 0, whose raw values are flat ints with one
 reduction mod p per dot product (after FFPACK, Dumas, Giorgi and Pernet,
 ISSAC 2004).  The results are the exact values the Scalar operators would
 give.
 
+An elimination builds only what its caller reads.  inverse_or_rank appends
+an identity, and so builds the row transform, only for a square input (for
+its inverse) or with transform=True; with rank_only=True it never augments
+and returns rank, kernel and pivots alone, as every rank, kernel and
+invertibility test does (the witness check needs rank n, not X^-1).
+first_dependence reduces vectors as they are read and stops at the first
+dependence, so the minimal polynomial forms only the powers it needs.
+
 Two helpers are built on the product: ExactMatrix.power (square and
 multiply) and ExactMatrix.krylov (the columns v, Mv, ..., M^(k-1) v).  The
-pipeline stages reach the kernel only through @, inverse_or_rank, solve and
-these two; they keep no elimination, power loop or bilinear sum of their
-own.
+pipeline stages reach the kernel only through @, inverse_or_rank, solve,
+first_dependence and these two; they keep no elimination, power loop or
+bilinear sum of their own.
 
 Certification.  A Congruence (x, source, target) is a plain, unverified
 claim that x' * source * x == target, such as a pipeline stage returns.
@@ -87,14 +96,8 @@ class ExactMatrix:
         """Lower-triangular Jordan block: lam on the diagonal, 1 below it."""
         lam = ctx.zero() if lam is None else ctx.scalar(lam)
         z, o = ctx.zero(), ctx.one()
-        rows = []
-        for i in range(n):
-            row = [z] * n
-            row[i] = lam
-            if i > 0:
-                row[i - 1] = o
-            rows.append(row)
-        return ExactMatrix(ctx, rows)
+        return ExactMatrix(ctx, [[lam if j == i else o if j == i - 1 else z
+                                  for j in range(n)] for i in range(n)])
 
     @staticmethod
     def block_diag(ctx, blocks):
@@ -112,11 +115,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_columns(ctx, cols):
-        if not cols:
-            return ExactMatrix.zeros(ctx, 0, 0)
-        n = len(cols[0])
-        return ExactMatrix(ctx, [[cols[j][i] for j in range(len(cols))]
-                                 for i in range(n)])
+        return ExactMatrix(ctx, zip(*cols))
 
     # -- basics -------------------------------------------------------------
 
@@ -237,7 +236,7 @@ class ExactMatrix:
 InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots transform")
 
 
-def inverse_or_rank(a, transform=False):
+def inverse_or_rank(a, transform=False, rank_only=False):
     """Exact inverse when full rank, else rank and a right-kernel basis.
 
     Returns InverseRank(inverse or None, rank, kernel basis as a list of
@@ -245,23 +244,25 @@ def inverse_or_rank(a, transform=False):
     entry in column order, so results are deterministic.  transform is the
     invertible T with T @ A in reduced row echelon form; it is computed for
     a square A (it is the inverse when A has full rank), and for any shape
-    when transform=True, else it is None.
+    when transform=True, else it is None.  rank_only=True is for callers
+    that read only rank, kernel and pivots: A is reduced alone, with no
+    identity appended, and inverse and transform are None.
     """
     ctx = a.ctx
     ops = _raw_ops(ctx)
     n, m = a.nrows, a.ncols
     work = ops.unwrap(a.rows)
-    if transform or n == m:
+    augment = not rank_only and (transform or n == m)
+    if augment:
         zero, one = ops.zero, ops.one
         for i, row in enumerate(work):
             row.extend(one if i == j else zero for j in range(n))
     pivots = _rref(ops, work, m)
     rank = len(pivots)
-    invertible = rank == n == m
     t = None
-    if transform or invertible:
+    if augment and (transform or rank == n == m):
         t = _trusted(ctx, ops.wrap([row[m:] for row in work]), n)
-    return InverseRank(t if invertible else None, rank,
+    return InverseRank(t if rank == n == m else None, rank,
                        _kernel(ops, work, pivots, m), tuple(pivots), t)
 
 
@@ -314,6 +315,32 @@ def _rref(ops, work, m):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def first_dependence(ctx, vectors):
+    """[c_0, ..., c_(d-1), 1] for the least d with c_0 v_0 + ... + v_d = 0,
+    the vectors being equal-length lists of scalars; None if independent.
+
+    Each vector is reduced against the earlier ones as it is read, carrying
+    the combination of the originals it equals, so nothing after v_d is read
+    (the Krylov minimal polynomial of Keller-Gehrig, TCS 36, 1985).
+    """
+    ops = _raw_ops(ctx)
+    zero = ops.zero
+    basis = []  # (pivot column, row scaled to 1 there)
+    for k, v in enumerate(vectors):
+        row = ops.unwrap([v])[0]
+        m = len(row)
+        row += [zero] * k + [ops.one]
+        for pc, prow in basis:
+            if row[pc] != zero:
+                head = len(prow)
+                row[:head] = ops.axpy(row[:head], row[pc], prow)
+        pc = next((j for j in range(m) if row[j] != zero), None)
+        if pc is None:
+            return list(ops.wrap([row[m:]])[0])
+        basis.append((pc, ops.scale(row, ops.inverse(row[pc]))))
+    return None
 
 
 def _kernel(ops, work, pivots, m):
@@ -466,7 +493,7 @@ class CongruenceWitness:
             raise WitnessError("witness parts must be square")
         if x.transpose() @ source @ x != target:
             raise WitnessError("congruence relation X'AX = B failed")
-        if x.nrows and inverse_or_rank(x).inverse is None:
+        if inverse_or_rank(x, rank_only=True).rank != x.nrows:
             raise WitnessError("witness matrix is singular")
         self.x = x
         self.source = source
@@ -492,41 +519,35 @@ def elementary_congruence(a, move):
         raise DimensionMismatch("congruence needs a square matrix")
     n = a.nrows
     ctx = a.ctx
-    x = [[ctx.one() if i == j else ctx.zero() for j in range(n)]
-         for i in range(n)]
     if isinstance(move, AddSym):
         i, j, c = move
         _check_index(n, i, j)
         if i == j:
             raise IndexOutOfRange("AddSym needs distinct indices")
-        c = ctx.scalar(c) if not isinstance(c, Scalar) else c
-        ctx2 = ctx.common(c.ctx)
-        if ctx2 != ctx:
-            x = [[e.promote(ctx2) for e in row] for row in x]
-            a = a.promote(ctx2)
-            ctx = ctx2
-        x[j][i] = c.promote(ctx)
+        where = (j, i)
     elif isinstance(move, ScaleSym):
         i, c = move
         _check_index(n, i)
-        c = ctx.scalar(c) if not isinstance(c, Scalar) else c
-        if c.is_zero():
-            raise ZeroScale("cannot scale a basis vector by zero")
-        ctx2 = ctx.common(c.ctx)
-        if ctx2 != ctx:
-            x = [[e.promote(ctx2) for e in row] for row in x]
-            a = a.promote(ctx2)
-            ctx = ctx2
-        x[i][i] = c.promote(ctx)
+        where = (i, i)
     elif isinstance(move, SwapSym):
         i, j = move
         _check_index(n, i, j)
-        x[i][i] = ctx.zero()
-        x[j][j] = ctx.zero()
-        x[i][j] = ctx.one()
-        x[j][i] = ctx.one()
+        where = None
     else:
         raise TypeError("unknown congruence move %r" % (move,))
+    if where:
+        c = ctx.scalar(c) if not isinstance(c, Scalar) else c
+        if isinstance(move, ScaleSym) and c.is_zero():
+            raise ZeroScale("cannot scale a basis vector by zero")
+        ctx = ctx.common(c.ctx)
+        a = a.promote(ctx)
+    x = [[ctx.one() if r == k else ctx.zero() for k in range(n)]
+         for r in range(n)]
+    if where:
+        x[where[0]][where[1]] = c.promote(ctx)
+    else:
+        x[i][i] = x[j][j] = ctx.zero()
+        x[i][j] = x[j][i] = ctx.one()
     xm = ExactMatrix(ctx, x)
     a2 = xm.transpose() @ a @ xm
     return a2, CongruenceWitness(xm, a, a2)

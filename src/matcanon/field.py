@@ -458,9 +458,6 @@ class Scalar:
     def is_zero(self):
         return all(self.ctx._bis_zero(c) for c in self.coords)
 
-    def is_one(self):
-        return (self == self.ctx.one())
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ctx.scalar(other)

@@ -68,7 +68,7 @@ def _decompose(a):
 
     # 1. split the radical: rows and columns annihilated both ways
     stacked = ExactMatrix(ctx, list(a.rows) + list(a.transpose().rows))
-    rad = inverse_or_rank(stacked).kernel
+    rad = inverse_or_rank(stacked, rank_only=True).kernel
     if rad:
         basis = _extend_to_basis(ctx, rad, n)
         x0 = ExactMatrix.from_columns(ctx, basis)
@@ -90,8 +90,8 @@ def _decompose(a):
         pm = permutation_matrix(ctx, perm)
         return sizes, core2, x_total @ pm
 
-    res = inverse_or_rank(a)
-    if res.inverse is not None:
+    res = inverse_or_rank(a, rank_only=True)
+    if res.rank == n:
         return [], a, ident
 
     # 2. singular with zero radical: build the (P, Q, K) state
@@ -211,7 +211,8 @@ def _extend_to_basis(ctx, cols, n, kernel_last=False):
     """
     units = ExactMatrix.identity(ctx, n).rows
     pivots = inverse_or_rank(
-        ExactMatrix.from_columns(ctx, list(cols) + list(units))).pivots
+        ExactMatrix.from_columns(ctx, list(cols) + list(units)),
+        rank_only=True).pivots
     extension = [list(units[p - len(cols)]) for p in pivots
                  if p >= len(cols)]
     if len(cols) + len(extension) != n:

@@ -22,11 +22,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import zip_longest
 
 from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, NoRootStrictPolicy, NotSplit,
                      SingularInput)
-from .exactmat import ExactMatrix, inverse_or_rank, permutation_matrix
+from .exactmat import (ExactMatrix, first_dependence, inverse_or_rank,
+                       permutation_matrix)
 from .field import (EXTEND, artin_schreier_root_or_adjoin, canonical_compare,
                     enumeration_key, random_elements, sqrt_or_adjoin)
 
@@ -58,19 +61,25 @@ def asymmetry(a):
 def _minimal_polynomial(s):
     """Monic minimal polynomial: the first dependence among I, S, S^2, ...
 
-    One elimination over the flattened powers I, S, ..., S^n (columns)
-    makes I, ..., S^(d-1) the pivots and S^d the first free column; the
-    kernel vector of that column holds the coefficients.
+    The powers are formed one at a time and each, flattened, is reduced
+    against the ones before it (exactmat.first_dependence), so a minimal
+    polynomial of degree d costs d - 1 products, not the n of all powers up
+    to S^n.
     """
     n = s.nrows
-    if n == 0:
-        return [s.ctx.one()]
-    powers = [ExactMatrix.identity(s.ctx, n)]
-    for _ in range(n):
-        powers.append(powers[-1] @ s)
-    res = inverse_or_rank(ExactMatrix.from_columns(
-        s.ctx, [[e for row in p.rows for e in row] for p in powers]))
-    return res.kernel[0][:res.rank + 1]
+
+    def powers():
+        yield ExactMatrix.identity(s.ctx, n)
+        p = s
+        for _ in range(n):  # S^n depends on I, ..., S^(n-1) (Cayley-Hamilton)
+            yield p
+            p = p @ s
+
+    poly = first_dependence(s.ctx, ([e for row in p.rows for e in row]
+                                    for p in powers()))
+    if poly is None:
+        raise InternalDegenerate("I, S, ..., S^n are independent")
+    return poly
 
 
 # -- small polynomial helpers (coefficients low-to-high) -------------------------
@@ -84,14 +93,7 @@ def _poly_trim(ctx, p):
 
 
 def _poly_sub(ctx, p, q):
-    n = max(len(p), len(q))
-    z = ctx.zero()
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else z
-        b = q[i] if i < len(q) else z
-        out.append(a - b)
-    return out
+    return [a - b for a, b in zip_longest(p, q, fillvalue=ctx.zero())]
 
 
 def poly_eval(p, x):
@@ -101,19 +103,14 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_divmod_linear(ctx, p, root):
+def poly_divmod_linear(p, root):
     """Divide p by (X - root); returns (quotient, remainder scalar)."""
-    q = [ctx.zero()] * (len(p) - 1)
-    acc = ctx.zero()
-    for i in range(len(p) - 1, -1, -1):
-        if i == len(p) - 1:
-            acc = p[i]
-        else:
-            acc = p[i] + acc * root
-        if i > 0:
-            q[i - 1] = acc
-    rem = acc
-    return q, rem
+    q = []
+    acc = p[-1]
+    for c in reversed(p[:-1]):  # synthetic division, top coefficient first
+        q.append(acc)
+        acc = c + acc * root
+    return q[::-1], acc
 
 
 def _promote_poly(p, ctx):
@@ -155,7 +152,7 @@ def split_min_poly(asym, policy=EXTEND):
 def _extract_root(ctx, work, root):
     mult = 0
     while len(work) > 1:
-        q, rem = poly_divmod_linear(ctx, work, root)
+        q, rem = poly_divmod_linear(work, root)
         if not rem.is_zero():
             break
         work = q
@@ -233,11 +230,6 @@ def _root_part(poly, ctx):
     x = [ctx.zero(), ctx.one()]
     xq = _poly_powmod(ctx, x, ctx.order(), f)
     return _poly_gcd(ctx, f, _poly_sub(ctx, xq, x))
-
-
-def _finite_field_has_root(poly, ctx):
-    """Whether a polynomial has a root in the finite field ctx."""
-    return len(_root_part(poly, ctx)) > 1
 
 
 def _splitting_poly(ctx, h, a, q):
@@ -424,7 +416,7 @@ def eigen_split(a, asym):
         # the min-poly multiplicity bounds the nilpotency index on V_lam
         expo = next((m for r, m in asym.split_roots if r == lam), n)
         m = s - ExactMatrix.identity(ctx, n).scale(lam)
-        return inverse_or_rank(m.power(expo)).kernel
+        return inverse_or_rank(m.power(expo), rank_only=True).kernel
 
     unipotent = []
     for eps in (one, -one):
@@ -443,7 +435,7 @@ def eigen_split(a, asym):
         other = rinv if rep == r else r
         seen.extend([r, rinv])
         paired.append((rep, other))
-    paired.sort(key=lambda pr: _sort_key(pr[0]))
+    paired.sort(key=lambda pr: cmp_to_key(canonical_compare)(pr[0]))
     classes = list(unipotent)
     for rep, other in paired:
         classes.append(PairClass(rep, other,
@@ -467,24 +459,6 @@ def eigen_split(a, asym):
     if gram != ExactMatrix.block_diag(ctx, diag):
         raise InternalDegenerate("eigen classes failed to be orthogonal")
     return EigenSplit(classes, x, gram)
-
-
-def _sort_key(x):
-    """Deterministic sort key for scalars of one context."""
-    return _CmpKey(x)
-
-
-class _CmpKey:
-    __slots__ = ("x",)
-
-    def __init__(self, x):
-        self.x = x
-
-    def __lt__(self, other):
-        return canonical_compare(self.x, other.x) < 0
-
-    def __eq__(self, other):
-        return canonical_compare(self.x, other.x) == 0
 
 
 # -- restricted operators and Jordan structure -----------------------------------------
@@ -516,7 +490,7 @@ def nilpotent_jordan_chains(nmat):
     power = nmat
     heights = 0
     while True:
-        ker = inverse_or_rank(power).kernel
+        ker = inverse_or_rank(power, rank_only=True).kernel
         kernels.append(ker)
         if len(ker) == m:
             heights = len(kernels) - 1
@@ -532,7 +506,7 @@ def nilpotent_jordan_chains(nmat):
         below = kernels[h - 1] + [c[len(c) - h] for c in chains
                                   if len(c) >= h]
         pivots = inverse_or_rank(ExactMatrix.from_columns(
-            ctx, below + kernels[h])).pivots
+            ctx, below + kernels[h]), rank_only=True).pivots
         for p in pivots:
             if p >= len(below):
                 top = kernels[h][p - len(below)]
@@ -553,7 +527,7 @@ def elementary_divisor_multiplicities(s, lam):
     power = ExactMatrix.identity(ctx, n)
     for _ in range(n + 1):
         power = power @ m0
-        ranks.append(inverse_or_rank(power).rank)
+        ranks.append(inverse_or_rank(power, rank_only=True).rank)
     out = {}
     for m in range(1, n + 1):
         cnt = ranks[m - 1] - 2 * ranks[m] + ranks[m + 1]
@@ -626,6 +600,3 @@ def hyperbolic_block_matrix(ctx, m, lam):
     z = (ctx.zero(),) * m
     return ExactMatrix(ctx, [z + jr for jr in j.rows]
                        + [ir + z for ir in i.rows])
-
-
-_hyperbolic_cell = hyperbolic_block_matrix  # older name, still imported

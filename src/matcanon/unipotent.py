@@ -98,7 +98,7 @@ def _finish_split(gram, nmat, eps, piece_kind, r, piece_basis):
     n = gram.nrows
     bmat = ExactMatrix.from_columns(ctx, piece_basis)
     piece_gram = bmat.transpose() @ gram @ bmat
-    if inverse_or_rank(piece_gram).inverse is None:
+    if inverse_or_rank(piece_gram, rank_only=True).rank != piece_gram.nrows:
         raise InternalDegenerate("peeled piece is degenerate")
     comp = _orthogonal_complement(gram, piece_basis)
     if len(comp) + len(piece_basis) != n:
@@ -134,7 +134,7 @@ def _orthogonal_complement(gram, vectors):
     """Basis of {x : f(u, x) = 0 = f(x, u) for every u in vectors}."""
     ut = ExactMatrix(gram.ctx, vectors)  # the vectors as rows
     rows = (ut @ gram).rows + (ut @ gram.transpose()).rows
-    return inverse_or_rank(ExactMatrix(gram.ctx, rows)).kernel
+    return inverse_or_rank(ExactMatrix(gram.ctx, rows), rank_only=True).kernel
 
 
 def _repair_single_choice(gram, nmat, v, r):
@@ -251,7 +251,7 @@ def hat_form_from_pieces(gram, nmat, group, m):
             gens.append(p.basis[m])
     umat = ExactMatrix.from_columns(ctx, gens)
     hat = (nmat.power(m - 1) @ umat).transpose() @ gram @ umat
-    if inverse_or_rank(hat).inverse is None:
+    if inverse_or_rank(hat, rank_only=True).rank != hat.nrows:
         raise InternalDegenerate("hat form is degenerate")
     return hat
 

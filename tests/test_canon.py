@@ -9,7 +9,7 @@ from matcanon import (Block, ExactMatrix, NotSplit, canonical_block_matrix,
                       transpose_witness)
 from matcanon.errors import InvalidDescriptor, NoRootStrictPolicy
 from matcanon.field import EXTEND, STRICT
-from matcanon.spectral import (_hyperbolic_cell,
+from matcanon.spectral import (hyperbolic_block_matrix,
                                elementary_divisor_multiplicities, asymmetry)
 from matcanon.unipotent import gamma0_matrix, gamma_matrix
 
@@ -68,7 +68,7 @@ def test_gamma3_is_a3():
 
 def test_d4_block():
     q = rationals()
-    a = _hyperbolic_cell(q, 2, q.one())
+    a = hyperbolic_block_matrix(q, 2, q.one())
     form, w = canonicalize(a)
     assert [repr(b) for b in form.blocks] == ["D4"]
 
@@ -328,3 +328,25 @@ def test_false_verdict_carries_both_records():
     assert res.records == (invariants(a), invariants(b))
     assert equivalent(a, a).records is None
     assert equivalent(a, ExactMatrix(q, [[1]])).records is None
+
+
+def test_gabriel_only_input_is_certified_once(monkeypatch):
+    """With no invertible core the answer is the Gabriel witness, which
+    gabriel_decompose has certified; canonicalize does not certify it again.
+    """
+    from matcanon.exactmat import CongruenceWitness
+    f3 = prime_field(3)
+    a = ExactMatrix(f3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    checks = []
+    init = CongruenceWitness.__init__
+
+    def counted(self, *args):
+        checks.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CongruenceWitness, "__init__", counted)
+    form, w = canonicalize(a)
+    monkeypatch.undo()
+    assert form.blocks == [] and sum(form.gabriel) == 3
+    assert w.source == a and w.target == canonical_form_matrix(form)
+    assert len(checks) == 1

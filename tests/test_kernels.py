@@ -202,6 +202,15 @@ def test_inverse_or_rank_matches_reference(name):
                 assert all(e == (1 if r == i else 0)
                            for r, e in enumerate(column))
             assert all(e.is_zero() for row in reduced[rank:] for e in row)
+            # rank_only reduces A alone: the same rank, kernel and pivots
+            light = inverse_or_rank(a, rank_only=True)
+            assert light.inverse is None and light.transform is None, label
+            assert light.rank == res.rank and light.pivots == res.pivots
+            for v in light.kernel:
+                for e in v:
+                    assert_canonical(e, ctx)
+            assert [coords([v]) for v in light.kernel] == \
+                [coords([v]) for v in res.kernel], label
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))

@@ -10,8 +10,8 @@ from matcanon.spectral import (Asymmetry, PairClass,
                                UnipotentClass, asymmetry,
                                elementary_divisor_multiplicities, eigen_split,
                                hyperbolic_block_matrix, hyperbolic_canonical,
-                               nilpotent_jordan_chains, poly_eval,
-                               restrict_operator, split_min_poly)
+                               _minimal_polynomial, nilpotent_jordan_chains,
+                               poly_eval, restrict_operator, split_min_poly)
 
 
 def gamma2(ctx):
@@ -249,14 +249,18 @@ def test_roots_closed_under_inversion_random():
 def test_finite_field_root_existence_vs_enumeration():
     # gcd(X^q - X, f) agrees with exhaustive evaluation on small fields
     from matcanon.field import gf4, prime_field
-    from matcanon.spectral import _finite_field_has_root
+    from matcanon.spectral import _root_part
     import itertools
+
+    def has_root(poly, ctx):
+        return len(_root_part(poly, ctx)) > 1
+
     for ctx in (prime_field(2), prime_field(3), gf4()):
         pool = list(ctx.iter_elements())
         for deg in (2, 3):
             for coeffs in itertools.product(pool, repeat=deg):
                 poly = list(coeffs) + [ctx.one()]
-                got = _finite_field_has_root(poly, ctx)
+                got = has_root(poly, ctx)
                 brute = any(poly_eval(poly, x).is_zero() for x in pool)
                 assert got == brute, [str(c) for c in poly]
 
@@ -368,3 +372,31 @@ def test_congruence_invariance_fuzz_large_primes():
                 assert fa.blocks == fb.blocks
                 answered += 1
     assert answered >= 10
+
+
+@pytest.mark.parametrize("ctx", [rationals(), prime_field(3)],
+                         ids=["Q", "GF(3)"])
+def test_minimal_polynomial_stops_at_first_dependence(ctx, monkeypatch):
+    """A 3 x 3 block repeated three times has a cubic minimal polynomial,
+    found with at most 3 products, not the 9 of all powers up to S^9."""
+    block = ExactMatrix(ctx, [[0, 1, 2], [1, 1, 0], [2, 0, 1]])
+    s = ExactMatrix.block_diag(ctx, [block] * 3)
+    products = []
+    matmul = ExactMatrix.__matmul__
+
+    def counted(a, b):
+        products.append((a.nrows, b.ncols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+    poly = _minimal_polynomial(s)
+    monkeypatch.undo()
+    d = len(poly) - 1
+    assert d == 3 and poly[-1] == ctx.one()
+    assert len(products) <= d
+    assert [c.coords for c in _minimal_polynomial(block)] == \
+        [c.coords for c in poly]
+    value = ExactMatrix.zeros(ctx, 9, 9)
+    for c in reversed(poly):  # Horner: sum c_i S^i
+        value = value @ s + ExactMatrix.identity(ctx, 9).scale(c)
+    assert value.is_zero()

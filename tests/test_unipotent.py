@@ -6,7 +6,7 @@ import pytest
 from matcanon.errors import NoArtinSchreierRootStrict
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import (EXTEND, STRICT, gf4, prime_field, rationals)
-from matcanon.spectral import asymmetry, _hyperbolic_cell
+from matcanon.spectral import asymmetry, hyperbolic_block_matrix
 from matcanon.unipotent import (alternating_flag, filtration, gamma0_matrix,
                                 gamma_matrix, hat_form, peel_all,
                                 reduce_pair, reduce_single)
@@ -101,7 +101,7 @@ def test_filtration_gamma1_plus_gamma3():
 
 def test_filtration_d4_block():
     q = rationals()
-    a = _hyperbolic_cell(q, 2, q.one())  # ((0, J_2(1)), (I_2, 0))
+    a = hyperbolic_block_matrix(q, 2, q.one())  # ((0, J_2(1)), (I_2, 0))
     comps = filtration(a, nil_of(a), q.one())
     assert [(c.order, len(c.basis)) for c in comps] == [(2, 4)]
     assert comps[0].pieces[0].kind == "pair"
@@ -130,10 +130,10 @@ def test_hat_form_scalar_asymmetry_signs():
     cases = [
         (gamma_matrix(q, 3), q.one()),
         (gamma_matrix(q, 1), q.one()),
-        (_hyperbolic_cell(q, 2, q.one()), q.one()),
+        (hyperbolic_block_matrix(q, 2, q.one()), q.one()),
         (gamma_matrix(q, 2), -q.one()),
         (gamma_matrix(q, 4), -q.one()),
-        (_hyperbolic_cell(q, 1, -q.one()), -q.one()),
+        (hyperbolic_block_matrix(q, 1, -q.one()), -q.one()),
     ]
     for a, eps in cases:
         asym = asymmetry(a)
@@ -229,7 +229,7 @@ def test_pair_m1_bases():
         g = ExactMatrix(q, [[q.zero(), eps * q.scalar(3)],
                             [q.scalar(3), q.zero()]])
         w, ctx = reduce_pair(g, eps, 1)
-        assert w.target == _hyperbolic_cell(ctx, 1, eps)
+        assert w.target == hyperbolic_block_matrix(ctx, 1, eps)
 
 
 def peel_one_pair(a, eps, m):
@@ -245,12 +245,12 @@ def test_pair_m2_paper_matrix_rational():
     c = paper_pair_m2(q, q.scalar(1), q.scalar(1))
     piece = peel_one_pair(c, q.one(), 2)
     w, ctx = reduce_pair(piece.gram, q.one(), 2)
-    assert w.target == _hyperbolic_cell(ctx, 2, q.one())
+    assert w.target == hyperbolic_block_matrix(ctx, 2, q.one())
     c = paper_pair_m2(q, q.zero(), q.zero())
     piece = peel_one_pair(c, q.one(), 2)
     w, ctx = reduce_pair(piece.gram, q.one(), 2)
     assert ctx == q
-    assert w.target == _hyperbolic_cell(q, 2, q.one())
+    assert w.target == hyperbolic_block_matrix(q, 2, q.one())
 
 
 def test_pair_m2_char2_needs_artin_schreier():
@@ -261,7 +261,7 @@ def test_pair_m2_char2_needs_artin_schreier():
         reduce_pair(piece.gram, f2.one(), 2, STRICT)
     w, ctx = reduce_pair(piece.gram, f2.one(), 2, EXTEND)
     assert len(ctx.tower) == 1
-    assert w.target == _hyperbolic_cell(ctx, 2, f2.one())
+    assert w.target == hyperbolic_block_matrix(ctx, 2, f2.one())
 
 
 def test_pair_m2_char2_one_zero_corner():
@@ -278,7 +278,7 @@ def test_hyperbolic_j1_plus_decomposes_over_q():
     # ((0, J_1(1)), (I, 0)) has a symmetric non-alternating hat form away
     # from characteristic 2, so it splits into two singles
     q = rationals()
-    a = _hyperbolic_cell(q, 1, q.one())
+    a = hyperbolic_block_matrix(q, 1, q.one())
     nmat = asymmetry(a).s - ExactMatrix.identity(q, 2)
     pieces = peel_all(a, nmat, q.one())
     assert [p.kind for p in pieces] == ["single", "single"]
@@ -289,7 +289,7 @@ def test_pair_scrambled_blocks():
     q = rationals()
     for m, eps in ((2, q.one()), (4, q.one()), (1, -q.one()),
                    (3, -q.one())):
-        base = _hyperbolic_cell(q, m, eps)
+        base = hyperbolic_block_matrix(q, m, eps)
         n = 2 * m
         for _ in range(4):
             while True:
@@ -302,14 +302,14 @@ def test_pair_scrambled_blocks():
             pieces = peel_all(a, nmat, eps)
             assert [p.kind for p in pieces] == ["pair"], (m, eps)
             w, ctx = reduce_pair(pieces[0].gram, eps, m)
-            assert w.target == _hyperbolic_cell(ctx, m, eps)
+            assert w.target == hyperbolic_block_matrix(ctx, m, eps)
 
 
 def test_pair_scrambled_char2():
     rng = random.Random(71)
     f2 = prime_field(2)
     for m in (1, 2, 3):
-        base = _hyperbolic_cell(f2, m, f2.one())
+        base = hyperbolic_block_matrix(f2, m, f2.one())
         n = 2 * m
         for _ in range(6):
             while True:
@@ -322,7 +322,7 @@ def test_pair_scrambled_char2():
             pieces = peel_all(a, nmat, f2.one())
             assert [p.kind for p in pieces] == ["pair"], m
             w, ctx = reduce_pair(pieces[0].gram, f2.one(), m, EXTEND)
-            assert w.target == _hyperbolic_cell(ctx, m, f2.one())
+            assert w.target == hyperbolic_block_matrix(ctx, m, f2.one())
 
 
 def test_reduce_single_parity_violations():
