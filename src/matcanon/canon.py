@@ -3,10 +3,10 @@
 The pipeline: Gabriel decomposition, asymmetry of the invertible core,
 splitting of its minimal polynomial (extending the field when the policy
 allows), the eigenvalue splitting, and per-class reduction to the canonical
-indecomposable blocks.  Every stage returns a plain, unverified congruence
-(exactmat.Congruence).  Only the composed congruence is an answer, and it
-is certified once, against the assembled canonical matrix, where it leaves
-canonicalize or equivalent.
+indecomposable blocks, named by the family table unipotent.FAMILIES.  Every
+stage returns a plain, unverified congruence (exactmat.Congruence).  Only
+the composed congruence is an answer, and it is certified once, against the
+assembled canonical matrix, where it leaves canonicalize or equivalent.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .gabriel import gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, eigen_split,
                        hyperbolic_block_matrix, hyperbolic_canonical,
                        split_min_poly)
-from .unipotent import (gamma0_matrix, gamma_matrix, peel_all,
-                        reduce_pair, reduce_single)
+from .unipotent import (CHARACTERISTICS, FAMILIES, eigen_sign, exists_in,
+                        family_of, gamma_block, peel_all, reduce_pair,
+                        reduce_single)
 
 
 class Block:
@@ -71,32 +72,11 @@ EquivalenceResult = namedtuple(
 
 def canonical_block_matrix(desc, ctx):
     """The exact block matrix for one descriptor in the given context."""
-    char = ctx.characteristic
     fam, n = desc.family, desc.n
-    if fam == "A":
-        if char == 2 or n % 2 == 0:
-            raise InvalidDescriptor("A_n needs odd n outside characteristic 2")
-        return gamma_matrix(ctx, n)
-    if fam == "B":
-        if char != 2 or n % 2 == 0:
-            raise InvalidDescriptor("B_n needs odd n in characteristic 2")
-        return gamma0_matrix(ctx, n)
-    if fam == "C":
-        if char == 2 or n % 2 == 1:
-            raise InvalidDescriptor("C_n needs even n outside characteristic 2")
-        return gamma_matrix(ctx, n)
-    if fam in "DEF":
-        if n % 2 == 1:
-            raise InvalidDescriptor("%s_n needs even n" % fam)
-        m = n // 2
-        if fam == "D" and m % 2 == 1:
-            raise InvalidDescriptor("D_n needs n = 2m with m even")
-        if fam == "E" and (char != 2 or m % 2 == 0):
-            raise InvalidDescriptor("E_n needs odd m in characteristic 2")
-        if fam == "F" and (char == 2 or m % 2 == 0):
-            raise InvalidDescriptor("F_n needs odd m outside characteristic 2")
-        eps = ctx.one() if fam in "DE" else -ctx.one()
-        return hyperbolic_block_matrix(ctx, m, eps)
+    if fam != "G" and fam not in FAMILIES:
+        raise InvalidDescriptor("unknown family %r" % (fam,))
+    if n < 1:
+        raise InvalidDescriptor("%s_n needs n >= 1" % fam)
     if fam == "G":
         if n % 2 == 1:
             raise InvalidDescriptor("G_n needs even n")
@@ -104,7 +84,17 @@ def canonical_block_matrix(desc, ctx):
         if lam.is_zero() or lam * lam == ctx.one():
             raise InvalidDescriptor("G_n(lam) needs lam with lam^2 != 0, 1")
         return hyperbolic_block_matrix(ctx, n // 2, lam)
-    raise InvalidDescriptor("unknown family %r" % (fam,))
+    sign, kind, where, parity = FAMILIES[fam]
+    count = 1 if kind == "single" else 2  # elementary divisors
+    if n % count:
+        raise InvalidDescriptor("%s_n needs even n" % fam)
+    if (n // count) % 2 != parity or not exists_in(where, ctx.characteristic):
+        raise InvalidDescriptor("%s_n needs %s %s%s" % (
+            fam, ("even", "odd")[parity], "nm"[count - 1],
+            CHARACTERISTICS[where]))
+    if kind == "single":
+        return gamma_block(ctx, n)
+    return hyperbolic_block_matrix(ctx, n // 2, ctx.scalar(sign))
 
 
 def canonical_form_matrix(form):
@@ -116,10 +106,8 @@ def canonical_form_matrix(form):
 
 
 def _block_sort_key(desc):
-    fam_order = {"A": 0, "B": 1, "C": 2, "D": 3, "E": 4, "F": 5}
-    if desc.family != "G":
-        return (0, fam_order[desc.family], -desc.n)
-    return (1, 0, -desc.n)
+    """A non-G block's place: family in table order, then larger first."""
+    return (list(FAMILIES).index(desc.family), -desc.n)
 
 
 def _sort_blocks(blocks):
@@ -205,8 +193,7 @@ def _canonicalize(a, policy):
         for d, t in zip(descs, tparts):
             blocks.append(d)
             targets.append(t.promote(ctx_final))
-    x_classes = ExactMatrix.block_diag(ctx_final, x_parts) if x_parts \
-        else ExactMatrix.zeros(ctx_final, 0, 0)
+    x_classes = ExactMatrix.block_diag(ctx_final, x_parts)
 
     # witness so far: A -> jordan + core -> jordan + eigen gram -> ...
     njord = sum(dec.jordan_sizes)
@@ -286,44 +273,26 @@ def _reduce_unipotent_class(class_gram, eps, policy, ctx):
     s_cl = inverse_or_rank(class_gram).inverse @ class_gram.transpose()
     nmat = s_cl - ExactMatrix.identity(ctx, class_gram.nrows).scale(eps)
     pieces = peel_all(class_gram, nmat, eps)
-    char = ctx.characteristic
+    sign, char = eigen_sign(eps), ctx.characteristic
     descs = []
     xs = []
     targets = []
     ctx_cur = ctx
     for piece in pieces:
-        if piece.kind == "single":
-            n = piece.order
-            c, ctx_cur = reduce_single(piece.gram.promote(ctx_cur),
-                                       eps.promote(ctx_cur), n, policy)
-            if char == 2:
-                fam = "B"
-            elif eps == eps.ctx.one():
-                fam = "A"
-            else:
-                fam = "C"
-            descs.append(Block(fam, n))
-        else:
-            m = piece.order
-            c, ctx_cur = reduce_pair(piece.gram.promote(ctx_cur),
-                                     eps.promote(ctx_cur), m, policy)
-            if char == 2:
-                fam = "D" if m % 2 == 0 else "E"
-            elif eps == eps.ctx.one():
-                if m % 2 == 1:
-                    raise InternalDegenerate(
-                        "odd pair at eigenvalue 1 outside characteristic 2")
-                fam = "D"
-            else:
-                if m % 2 == 0:
-                    raise InternalDegenerate(
-                        "even pair at eigenvalue -1 outside characteristic 2")
-                fam = "F"
-            descs.append(Block(fam, 2 * m))
+        reduce = reduce_single if piece.kind == "single" else reduce_pair
+        c, ctx_cur = reduce(piece.gram.promote(ctx_cur),
+                            eps.promote(ctx_cur), piece.order, policy)
+        fam = family_of(piece.kind, sign, char, piece.order)
+        if fam is None:
+            raise InternalDegenerate(
+                "no family has a %s of order %d at eigenvalue %d in "
+                "characteristic %d" % (piece.kind, piece.order, sign, char))
+        descs.append(Block(fam, len(piece.basis)))
         xs.append(c.x)
         targets.append(c.target)
     basis_cols = [v for piece in pieces for v in piece.basis]
-    x_peel = ExactMatrix.from_columns(ctx, basis_cols).promote(ctx_cur)
+    x_peel = ExactMatrix.from_columns(
+        ctx, class_gram.nrows, basis_cols).promote(ctx_cur)
     x_red = ExactMatrix.block_diag(ctx_cur, [x.promote(ctx_cur) for x in xs])
     return descs, x_peel @ x_red, targets, ctx_cur
 
@@ -356,19 +325,8 @@ class InvariantRecord:
     def __eq__(self, other):
         if not isinstance(other, InvariantRecord):
             return NotImplemented
-        if self.gabriel != other.gabriel:
-            return False
-        if len(self.unipotent) != len(other.unipotent) or \
-           len(self.pairs) != len(other.pairs):
-            return False
-        for (e1, m1, f1), (e2, m2, f2) in zip(self.unipotent,
-                                              other.unipotent):
-            if e1 != e2 or m1 != m2 or f1 != f2:
-                return False
-        for (l1, m1), (l2, m2) in zip(self.pairs, other.pairs):
-            if l1 != l2 or m1 != m2:
-                return False
-        return True
+        return ((self.gabriel, self.unipotent, self.pairs)
+                == (other.gabriel, other.unipotent, other.pairs))
 
     def __repr__(self):
         return ("InvariantRecord(gabriel=%r, unipotent=%r, pairs=%r)"
@@ -384,30 +342,18 @@ def record_from_form(form):
     flags = {}
     pair_entries = []   # (lam, m) occurrences
     for b in form.blocks:
-        if b.family in ("A", "B"):
-            uni.setdefault(1, {}).setdefault(b.n, 0)
-            uni[1][b.n] += 1
-            if char == 2:
-                if flags.get(b.n) is True:
-                    raise InternalDegenerate("B and E blocks share one order")
-                flags[b.n] = False
-        elif b.family == "C":
-            uni.setdefault(-1, {}).setdefault(b.n, 0)
-            uni[-1][b.n] += 1
-        elif b.family in ("D", "E"):
-            m = b.n // 2
-            uni.setdefault(1, {}).setdefault(m, 0)
-            uni[1][m] += 2
-            if char == 2 and m % 2 == 1:
-                if flags.get(m) is False:
-                    raise InternalDegenerate("B and E blocks share one order")
-                flags[m] = True
-        elif b.family == "F":
-            m = b.n // 2
-            uni.setdefault(-1, {}).setdefault(m, 0)
-            uni[-1][m] += 2
-        else:
+        if b.family == "G":
             pair_entries.append((b.lam, b.n // 2))
+            continue
+        sign, kind, _where, _parity = FAMILIES[b.family]
+        count = 1 if kind == "single" else 2
+        order = b.n // count
+        mults = uni.setdefault(sign, {})
+        mults[order] = mults.get(order, 0) + count
+        if char == 2 and order % 2 == 1:
+            # a B block gives an odd order the flag False, an E block True
+            if flags.setdefault(order, kind == "pair") != (kind == "pair"):
+                raise InternalDegenerate("B and E blocks share one order")
     unipotent = []
     for sign in (1, -1):
         if sign in uni:
@@ -428,39 +374,20 @@ def record_from_form(form):
 
 def blocks_from_record(record):
     """Reconstruct the sorted block list from an invariant record."""
-    ctx = record.context
-    char = ctx.characteristic
-    one = ctx.one()
+    char = record.context.characteristic
     blocks = []
     for eps, mults, flags in record.unipotent:
-        plus = (eps == one.trim()) or (eps == one)
+        sign = eigen_sign(eps)
         for m in sorted(mults):
             count = mults[m]
-            if char == 2:
-                if m % 2 == 1 and not flags.get(m, m % 2 == 0):
-                    blocks.extend(Block("B", m) for _ in range(count))
-                else:
-                    if count % 2:
-                        raise InternalDegenerate("odd pair multiplicity")
-                    fam = "E" if m % 2 == 1 else "D"
-                    blocks.extend(Block(fam, 2 * m)
-                                  for _ in range(count // 2))
-            elif plus:
-                if m % 2 == 1:
-                    blocks.extend(Block("A", m) for _ in range(count))
-                else:
-                    if count % 2:
-                        raise InternalDegenerate("odd pair multiplicity")
-                    blocks.extend(Block("D", 2 * m)
-                                  for _ in range(count // 2))
-            else:
-                if m % 2 == 0:
-                    blocks.extend(Block("C", m) for _ in range(count))
-                else:
-                    if count % 2:
-                        raise InternalDegenerate("odd pair multiplicity")
-                    blocks.extend(Block("F", 2 * m)
-                                  for _ in range(count // 2))
+            single = family_of("single", sign, char, m)
+            if single is not None and not flags.get(m, False):
+                blocks.extend(Block(single, m) for _ in range(count))
+                continue
+            if count % 2:
+                raise InternalDegenerate("odd pair multiplicity")
+            pair = family_of("pair", sign, char, m)
+            blocks.extend(Block(pair, 2 * m) for _ in range(count // 2))
     for lam, mults in record.pairs:
         for m in sorted(mults):
             blocks.extend(Block("G", 2 * m, lam) for _ in range(mults[m]))

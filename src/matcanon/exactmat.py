@@ -114,7 +114,13 @@ class ExactMatrix:
         return ExactMatrix(ctx, out)
 
     @staticmethod
-    def from_columns(ctx, cols):
+    def from_columns(ctx, nrows, cols):
+        """The nrows x len(cols) matrix with these columns, also when nrows
+        or len(cols) is 0."""
+        if any(len(col) != nrows for col in cols):
+            raise DimensionMismatch("columns must have %d entries" % nrows)
+        if not nrows or not cols:
+            return ExactMatrix.zeros(ctx, nrows, len(cols))
         return ExactMatrix(ctx, zip(*cols))
 
     # -- basics -------------------------------------------------------------

@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 
 from .errors import (ContextMismatch, DivisionByZero, InternalDegenerate,
-                     NoRootStrictPolicy, ParseError, TowerCapExceeded,
-                     WrongCharacteristic)
+                     NoArtinSchreierRootStrict, NoRootStrictPolicy,
+                     ParseError, TowerCapExceeded, WrongCharacteristic)
 
 STRICT = "strict"
 EXTEND = "extend"
@@ -629,6 +629,35 @@ def artin_schreier_root_or_adjoin(a, policy=EXTEND):
     return ctx2.generator(len(ctx2.tower)), ctx2
 
 
+def quadratic_roots(a, b, c, policy):
+    """The roots of a X^2 + b X + c, adjoining one root when policy allows.
+
+    Outside characteristic 2: (-b + r)/2a and (-b - r)/2a, in that order,
+    with r a square root of the discriminant.  In characteristic 2, one
+    root: sqrt(c/a) when b = 0, else b y/a with y^2 + y = ac/b^2 (the
+    substitution X = b Y/a).  For a = 0 the linear root, and for a = b = 0
+    [0] when c = 0 and no root otherwise.  A root lives in the context its
+    arithmetic gives, extended when a root had to be adjoined.  Under the
+    strict policy a missing square root raises NoRootStrictPolicy and a
+    missing Artin-Schreier root NoArtinSchreierRootStrict.
+    """
+    if a.is_zero():
+        if b.is_zero():
+            return [c] if c.is_zero() else []
+        return [-c / b]
+    if a.ctx.characteristic == 2:
+        if b.is_zero():
+            return [sqrt_or_adjoin(c / a, policy)[0]]
+        try:
+            y, ctx = artin_schreier_root_or_adjoin(a * c / (b * b), policy)
+        except NoRootStrictPolicy as exc:
+            raise NoArtinSchreierRootStrict(str(exc))
+        return [b.promote(ctx) * y / a.promote(ctx)]
+    r, ctx = sqrt_or_adjoin(b * b - 4 * a * c, policy)
+    b, two_a = b.promote(ctx), (a + a).promote(ctx)
+    return [(r - b) / two_a, (-r - b) / two_a]
+
+
 def _find_sqrt(x):
     """A square root of x in its own context, or None."""
     ctx = x.ctx
@@ -766,7 +795,7 @@ def _solve_frobenius_affine(target, include_identity):
             img = img + e
         cols.append(to_bits(img))
     from .exactmat import ExactMatrix, solve  # exactmat imports this module
-    sol, _kernel = solve(ExactMatrix.from_columns(prime_field(2), cols),
+    sol, _kernel = solve(ExactMatrix.from_columns(prime_field(2), n, cols),
                          to_bits(target))
     if sol is None:
         return None

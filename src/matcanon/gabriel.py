@@ -71,7 +71,7 @@ def _decompose(a):
     rad = inverse_or_rank(stacked, rank_only=True).kernel
     if rad:
         basis = _extend_to_basis(ctx, rad, n)
-        x0 = ExactMatrix.from_columns(ctx, basis)
+        x0 = ExactMatrix.from_columns(ctx, n, basis)
         a1 = x0.transpose() @ a @ x0
         r0 = len(rad)
         if not a1.submatrix(range(r0), range(n)).is_zero() or \
@@ -100,7 +100,7 @@ def _decompose(a):
     if d < 0:
         raise InternalDegenerate("kernel too large for a zero-radical matrix")
     basis = _extend_to_basis(ctx, res.kernel, n, kernel_last=True)
-    x_acc = ExactMatrix.from_columns(ctx, basis)
+    x_acc = ExactMatrix.from_columns(ctx, n, basis)
     g = x_acc.transpose() @ a @ x_acc
 
     # column-reduce the K-row block N (k x (n-k)) to [0 | I_k]
@@ -211,7 +211,7 @@ def _extend_to_basis(ctx, cols, n, kernel_last=False):
     """
     units = ExactMatrix.identity(ctx, n).rows
     pivots = inverse_or_rank(
-        ExactMatrix.from_columns(ctx, list(cols) + list(units)),
+        ExactMatrix.from_columns(ctx, n, list(cols) + list(units)),
         rank_only=True).pivots
     extension = [list(units[p - len(cols)]) for p in pivots
                  if p >= len(cols)]
@@ -241,7 +241,7 @@ def _reduce_columns(nb):
         for i, pj in enumerate(res.pivots):
             v[pj] = res.transform[i, j]
         cols.append(v)
-    return ExactMatrix.from_columns(ctx, cols)
+    return ExactMatrix.from_columns(ctx, m, cols)
 
 
 def _clear_pq_qq(ctx, g, p_idx, q_idx, k_idx):
@@ -298,7 +298,7 @@ def _split_off_rowspace(m2, e_block, ends):
         unit = [ctx.zero()] * d
         unit[e] = ctx.one()
         sys_cols.append(unit)
-    sys_matrix = ExactMatrix.from_columns(ctx, sys_cols)
+    sys_matrix = ExactMatrix.from_columns(ctx, d, sys_cols)
     t_rows = []
     for i in range(k):
         rhs = [e_block[i, c] for c in range(d)]

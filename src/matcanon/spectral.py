@@ -26,12 +26,12 @@ from functools import cmp_to_key
 from itertools import zip_longest
 
 from .errors import (BudgetExceeded, DegenerateRestriction,
-                     InternalDegenerate, NoRootStrictPolicy, NotSplit,
-                     SingularInput)
+                     InternalDegenerate, NoArtinSchreierRootStrict,
+                     NoRootStrictPolicy, NotSplit, SingularInput)
 from .exactmat import (ExactMatrix, first_dependence, inverse_or_rank,
                        permutation_matrix)
-from .field import (EXTEND, artin_schreier_root_or_adjoin, canonical_compare,
-                    enumeration_key, random_elements, sqrt_or_adjoin)
+from .field import (EXTEND, canonical_compare, enumeration_key,
+                    quadratic_roots, random_elements)
 
 _TRIAL_BUDGET = 2_000_000
 # a shift splits a factor with two or more roots with probability about 1/2
@@ -304,28 +304,18 @@ def _poly_divmod(ctx, a, b):
 
 
 def _quadratic_root(poly, ctx, policy):
-    """Root of a monic quadratic, adjoining a square root if needed."""
+    """Root of a quadratic, made monic (X^2 + c1 X + c0) first, adjoining a
+    square or Artin-Schreier root if needed."""
     c0, c1 = poly[0] / poly[2], poly[1] / poly[2]
-    if ctx.characteristic == 2:
-        if c1.is_zero():
-            r, ctx2 = sqrt_or_adjoin(c0, policy)  # X^2 = c0 (char 2: -c0=c0)
-            return r, ctx2
-        # X = c1*Y turns X^2 + c1 X + c0 into Y^2 + Y + c0/c1^2
-        a = c0 / (c1 * c1)
-        try:
-            y, ctx2 = artin_schreier_root_or_adjoin(a, policy)
-        except NoRootStrictPolicy:
-            raise NotSplit("quadratic factor needs an Artin-Schreier "
-                           "extension under strict policy")
-        return c1.promote(ctx2) * y, ctx2
-    disc = c1 * c1 - 4 * c0
     try:
-        r, ctx2 = sqrt_or_adjoin(disc, policy)
+        root = quadratic_roots(ctx.one(), c1, c0, policy)[0]
+    except NoArtinSchreierRootStrict:
+        raise NotSplit("quadratic factor needs an Artin-Schreier "
+                       "extension under strict policy")
     except NoRootStrictPolicy:
         raise NotSplit("quadratic factor has non-square discriminant "
                        "under strict policy")
-    two_inv = ctx2.scalar(2).inverse()
-    return (r - c1.promote(ctx2)) * two_inv, ctx2
+    return root, root.ctx
 
 
 def _poly_add(ctx, p, q):
@@ -453,7 +443,7 @@ def eigen_split(a, asym):
             cols.extend(cl.basis_inv)
     if len(cols) != n:
         raise NotSplit("generalized eigenspaces do not fill the space")
-    x = ExactMatrix.from_columns(ctx, cols)
+    x = ExactMatrix.from_columns(ctx, n, cols)
     gram = x.transpose() @ a @ x
     diag = [gram.submatrix(range(o, o + k), range(o, o + k)) for o, k in spans]
     if gram != ExactMatrix.block_diag(ctx, diag):
@@ -470,10 +460,8 @@ def restrict_operator(s, basis_cols):
     below the first m must vanish.
     """
     m = len(basis_cols)
-    if not m:
-        return ExactMatrix.zeros(s.ctx, 0, 0)
-    bmat = ExactMatrix.from_columns(s.ctx, basis_cols)
-    coords = inverse_or_rank(bmat, transform=True).transform @ s @ bmat
+    bmat = ExactMatrix.from_columns(s.ctx, s.nrows, basis_cols)
+    coords = inverse_or_rank(bmat, transform=True).transform @ (s @ bmat)
     if not coords.submatrix(range(m, s.nrows), range(m)).is_zero():
         raise InternalDegenerate("operator does not preserve the span")
     return coords.submatrix(range(m), range(m))
@@ -506,7 +494,7 @@ def nilpotent_jordan_chains(nmat):
         below = kernels[h - 1] + [c[len(c) - h] for c in chains
                                   if len(c) >= h]
         pivots = inverse_or_rank(ExactMatrix.from_columns(
-            ctx, below + kernels[h]), rank_only=True).pivots
+            ctx, m, below + kernels[h]), rank_only=True).pivots
         for p in pivots:
             if p >= len(below):
                 top = kernels[h][p - len(below)]
@@ -567,7 +555,7 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
     # duals on the inverse-eigenvalue side: f(t_j, s_i) = delta_ij; with
     # P = (f(c_l, s_i)) for the inverse-side unit vectors c_l, the
     # coordinates of t_j are row j of P^{-1}
-    smat = ExactMatrix.from_columns(ctx, svecs)
+    smat = ExactMatrix.from_columns(ctx, m, svecs)
     pinv = inverse_or_rank(
         class_gram.submatrix(range(m, n2), range(m)) @ smat).inverse
     if pinv is None:

@@ -7,6 +7,14 @@ with f(p^{n-1}v, v) != 0) and "pair" blocks (two elementary divisors p^m,
 found through a hyperbolic-like pair v, w).  Singles reduce recursively to
 the cyclic normal form shared with the Gamma matrices; pairs reduce to
 ((0, J_m(eps)), (I_m, 0)) via totally isotropic generator repair.
+
+FAMILIES is the classification of these blocks (Riehm; arXiv 1311.0565):
+which of A..F a single or a pair is depends only on the sign of eps, the
+characteristic and the parity of its order.  Every rule about the families
+reads that one table: block validity and order (canon), the name a peeled
+block gets, the invariant record and the parity check of the single
+reduction.  The quadratic equations of the reductions are solved by
+field.quadratic_roots.
 """
 
 from __future__ import annotations
@@ -16,12 +24,49 @@ from collections import namedtuple
 from .errors import (HypothesisViolation, InternalDegenerate,
                      NoArtinSchreierRootStrict, NoRootStrictPolicy)
 from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
-from .field import EXTEND, artin_schreier_root_or_adjoin, sqrt_or_adjoin
+from .field import EXTEND, STRICT, quadratic_roots, sqrt_or_adjoin
 from .spectral import hyperbolic_block_matrix, restrict_operator
 
 UnipotentPiece = namedtuple("UnipotentPiece", "kind eps order basis gram")
 FreeModuleComponent = namedtuple("FreeModuleComponent",
                                  "eps order basis gram hat_gram pieces")
+
+# The indecomposables at one eigenvalue eps = +-1: family -> (sign of eps,
+# "single" (one elementary divisor (X - eps)^n, the block is n x n) or
+# "pair" (two equal ones (X - eps)^m, the block is 2m x 2m), the
+# characteristics where the family exists ("2", "odd" or "any"), the
+# parity of n or m).  In characteristic 2, eps = 1 = -1.  The row order is
+# the canonical order of the blocks.
+FAMILIES = {
+    "A": (1, "single", "odd", 1),
+    "B": (1, "single", "2", 1),
+    "C": (-1, "single", "odd", 0),
+    "D": (1, "pair", "any", 0),
+    "E": (1, "pair", "2", 1),
+    "F": (-1, "pair", "odd", 1),
+}
+CHARACTERISTICS = {"2": " in characteristic 2",
+                   "odd": " outside characteristic 2", "any": ""}
+
+
+def exists_in(where, char):
+    """Whether a FAMILIES row's characteristic entry admits char."""
+    return where == "any" or (where == "2") == (char == 2)
+
+
+def family_of(kind, sign, char, order):
+    """The family of a "single" of order n or a "pair" of order m at
+    eigenvalue sign (1 or -1) in characteristic char, or None."""
+    for fam, (s, k, where, parity) in FAMILIES.items():
+        if (s, k, order % 2) == (sign, kind, parity) and \
+                exists_in(where, char):
+            return fam
+    return None
+
+
+def eigen_sign(eps):
+    """1 for eps = 1 (in characteristic 2 always), -1 for eps = -1."""
+    return 1 if eps == eps.ctx.one() else -1
 
 
 def alternating_flag(gram):
@@ -36,18 +81,13 @@ def alternating_flag(gram):
 
 # -- peeling indecomposables -----------------------------------------------------
 
-def _beta_matrix(gram, nmat, power):
-    """Matrix of (x, y) -> f(p^power x, y) on the current basis."""
-    return nmat.power(power).transpose() @ gram
-
-
 def _nilpotency_index(nmat):
-    n = nmat.nrows
-    power = ExactMatrix.identity(nmat.ctx, n)
-    for k in range(n + 1):
+    """(r, p^(r-1)) for the least r with p^r = 0 (None for p^-1)."""
+    top, power = None, ExactMatrix.identity(nmat.ctx, nmat.nrows)
+    for k in range(nmat.nrows + 1):
         if power.is_zero():
-            return k
-        power = power @ nmat
+            return k, top
+        top, power = power, power @ nmat
     raise InternalDegenerate("operator is not nilpotent")
 
 
@@ -67,20 +107,20 @@ def split_off_indecomposable(gram, nmat, eps):
     """
     ctx = gram.ctx
     n = gram.nrows
-    r = _nilpotency_index(nmat)
+    r, top = _nilpotency_index(nmat)
     if r == 0:
         raise InternalDegenerate("empty component")
-    beta = _beta_matrix(gram, nmat, r - 1)
+    beta = top.transpose() @ gram  # (x, y) -> f(p^(r-1) x, y)
     v = _self_pairing_vector(beta, ctx, n)
     if v is not None:
         for _attempt in range(n + 1):
             out = _try_single_split(gram, nmat, eps, v, r)
             if out is not None:
                 return out
-            v = _repair_single_choice(gram, nmat, v, r)
+            v = _repair_single_choice(gram, nmat, top, v, r)
         raise InternalDegenerate("could not keep the remainder "
                                  "non-alternating")
-    v = _height_vector(nmat, r)
+    v = _height_vector(top)
     row = (ExactMatrix(ctx, [v]) @ beta).rows[0]  # x -> beta(v, x)
     j = next((j for j, c in enumerate(row) if not c.is_zero()), None)
     if j is None:
@@ -96,20 +136,16 @@ def _finish_split(gram, nmat, eps, piece_kind, r, piece_basis):
     """Build the piece and its two-sided orthogonal complement."""
     ctx = gram.ctx
     n = gram.nrows
-    bmat = ExactMatrix.from_columns(ctx, piece_basis)
+    bmat = ExactMatrix.from_columns(ctx, n, piece_basis)
     piece_gram = bmat.transpose() @ gram @ bmat
     if inverse_or_rank(piece_gram, rank_only=True).rank != piece_gram.nrows:
         raise InternalDegenerate("peeled piece is degenerate")
     comp = _orthogonal_complement(gram, piece_basis)
     if len(comp) + len(piece_basis) != n:
         raise InternalDegenerate("complement dimension mismatch")
-    if comp:
-        cmat = ExactMatrix.from_columns(ctx, comp)
-        rem_gram = cmat.transpose() @ gram @ cmat
-        rem_nmat = restrict_operator(nmat, comp)
-    else:
-        rem_gram = ExactMatrix.zeros(ctx, 0, 0)
-        rem_nmat = ExactMatrix.zeros(ctx, 0, 0)
+    cmat = ExactMatrix.from_columns(ctx, n, comp)
+    rem_gram = cmat.transpose() @ gram @ cmat
+    rem_nmat = restrict_operator(nmat, comp)
     piece = UnipotentPiece(piece_kind, eps, r, piece_basis, piece_gram)
     return piece, comp, rem_gram, rem_nmat
 
@@ -119,12 +155,11 @@ def _try_single_split(gram, nmat, eps, v, r):
     remainder that still has order-r content (then None)."""
     chain = _columns(nmat.krylov(v, r))
     out = _finish_split(gram, nmat, eps, "single", r, chain)
-    _piece, comp, rem_gram, rem_nmat = out
-    if not comp:
+    _piece, _comp, rem_gram, rem_nmat = out
+    r_rem, top_rem = _nilpotency_index(rem_nmat)
+    if r_rem < r:
         return out
-    if _nilpotency_index(rem_nmat) < r:
-        return out
-    beta_rem = _beta_matrix(rem_gram, rem_nmat, r - 1)
+    beta_rem = top_rem.transpose() @ rem_gram
     if _self_pairing_vector(beta_rem, rem_gram.ctx, rem_gram.nrows) is None:
         return None
     return out
@@ -137,52 +172,41 @@ def _orthogonal_complement(gram, vectors):
     return inverse_or_rank(ExactMatrix(gram.ctx, rows), rank_only=True).kernel
 
 
-def _repair_single_choice(gram, nmat, v, r):
+def _repair_single_choice(gram, nmat, top, v, r):
     """Add a full-height vector orthogonal to v: the self-pairing value is
     unchanged while the eventual complement regains a non-alternating
-    entry."""
+    entry.  top is p^(r-1)."""
     comp = _orthogonal_complement(gram, _columns(nmat.krylov(v, r)))
-    if comp:
-        images = nmat.power(r - 1) @ ExactMatrix.from_columns(gram.ctx, comp)
-        for w, image in zip(comp, _columns(images)):
-            if any(not e.is_zero() for e in image):
-                return [a + b for a, b in zip(v, w)]
+    images = top @ ExactMatrix.from_columns(gram.ctx, gram.nrows, comp)
+    for w, image in zip(comp, _columns(images)):
+        if any(not e.is_zero() for e in image):
+            return [a + b for a, b in zip(v, w)]
     raise InternalDegenerate("no full-height repair vector available")
 
 
 def _self_pairing_vector(beta, ctx, n):
-    """v with beta(v, v) != 0, or None (deterministic search)."""
+    """v with beta(v, v) != 0, or None (deterministic search).
+
+    With a zero diagonal, beta(e_i + e_j, e_i + e_j) = b_ij + b_ji; in
+    characteristic 2 that is nonzero exactly when b_ij != b_ji.
+    """
     for i in range(n):
         if not beta[i, i].is_zero():
-            v = [ctx.zero()] * n
-            v[i] = ctx.one()
-            return v
-    if ctx.characteristic != 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not (beta[i, j] + beta[j, i]).is_zero():
-                    v = [ctx.zero()] * n
-                    v[i] = ctx.one()
-                    v[j] = ctx.one()
-                    return v
-    else:
-        # char 2 with zero diagonal: beta(v,v) = sum v_i v_j (b_ij + b_ji);
-        # nonzero iff beta is not symmetric
-        for i in range(n):
-            for j in range(i + 1, n):
-                if beta[i, j] != beta[j, i]:
-                    v = [ctx.zero()] * n
-                    v[i] = ctx.one()
-                    v[j] = ctx.one()
-                    return v
+            return _unit(ctx, n, i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (beta[i, j] + beta[j, i]).is_zero():
+                v = _unit(ctx, n, i)
+                v[j] = ctx.one()
+                return v
     return None
 
 
-def _height_vector(nmat, r):
-    """The first unit vector of height exactly r (p^{r-1} v != 0)."""
-    for i, col in enumerate(_columns(nmat.power(r - 1))):
+def _height_vector(top):
+    """The first unit vector of full height: top v != 0, top = p^(r-1)."""
+    for i, col in enumerate(_columns(top)):
         if any(not e.is_zero() for e in col):
-            return _unit(nmat.ctx, nmat.nrows, i)
+            return _unit(top.ctx, top.nrows, i)
     raise InternalDegenerate("no vector of full height")
 
 
@@ -202,11 +226,12 @@ def peel_all(gram, nmat, eps):
         piece, comp, rem_gram, rem_nmat = split_off_indecomposable(
             cur_gram, cur_nmat, eps)
         # translate piece basis and the new complement into original coords
-        abs_basis = _columns(base @ ExactMatrix.from_columns(ctx, piece.basis))
+        k = cur_gram.nrows
+        abs_basis = _columns(
+            base @ ExactMatrix.from_columns(ctx, k, piece.basis))
         pieces.append(UnipotentPiece(piece.kind, eps, piece.order,
                                      abs_basis, piece.gram))
-        if comp:
-            base = base @ ExactMatrix.from_columns(ctx, comp)
+        base = base @ ExactMatrix.from_columns(ctx, k, comp)
         cur_gram, cur_nmat = rem_gram, rem_nmat
     return pieces
 
@@ -228,7 +253,7 @@ def filtration(gram, nmat, eps):
     for m in sorted(by_order, reverse=True):
         group = by_order[m]
         basis = [v for p in group for v in p.basis]
-        bmat = ExactMatrix.from_columns(ctx, basis)
+        bmat = ExactMatrix.from_columns(ctx, gram.nrows, basis)
         cgram = bmat.transpose() @ gram @ bmat
         hat = hat_form_from_pieces(gram, nmat, group, m)
         comps.append(FreeModuleComponent(eps, m, basis, cgram, hat, group))
@@ -249,7 +274,7 @@ def hat_form_from_pieces(gram, nmat, group, m):
         else:
             gens.append(p.basis[0])
             gens.append(p.basis[m])
-    umat = ExactMatrix.from_columns(ctx, gens)
+    umat = ExactMatrix.from_columns(ctx, gram.nrows, gens)
     hat = (nmat.power(m - 1) @ umat).transpose() @ gram @ umat
     if inverse_or_rank(hat, rank_only=True).rank != hat.nrows:
         raise InternalDegenerate("hat form is degenerate")
@@ -356,16 +381,11 @@ def canon_single(g, eps, n, policy=EXTEND):
 
 
 def _check_parity(eps, n, char):
-    if char == 2:
-        if n % 2 == 0:
-            raise HypothesisViolation(
-                "characteristic 2 singles must have odd order")
-        return
-    plus = (eps == eps.ctx.one())
-    if plus and n % 2 == 0:
-        raise HypothesisViolation("(X-1)^n single needs odd n")
-    if not plus and n % 2 == 1:
-        raise HypothesisViolation("(X+1)^n single needs even n")
+    sign = eigen_sign(eps)
+    if family_of("single", sign, char, n) is None:
+        raise HypothesisViolation(
+            "no family has a single of order %d at eigenvalue %d in "
+            "characteristic %d" % (n, sign, char))
 
 
 def _canon_single_char2_n3(g, policy):
@@ -377,11 +397,8 @@ def _canon_single_char2_n3(g, policy):
     x1 = ExactMatrix.identity(ctx2, 3).scale(t)
     g1 = x1.transpose() @ g @ x1
     # v' = v + x p v with x^2 + x + g1[0,0] = 0
-    a = g1[0, 0]
-    try:
-        xval, ctx3 = artin_schreier_root_or_adjoin(a, policy)
-    except NoRootStrictPolicy as exc:
-        raise NoArtinSchreierRootStrict(str(exc))
+    xval = quadratic_roots(ctx2.one(), ctx2.one(), g1[0, 0], policy)[0]
+    ctx3 = xval.ctx
     g1 = g1.promote(ctx3)
     shift = _shift(ctx3, 3)
     vcoord = [ctx3.one(), xval, ctx3.zero()]
@@ -442,7 +459,7 @@ def _canon_single_step(g, eps, n, policy):
         start = 1
     for j in range(start, n):
         cols.append(_unit(ctx2, n, j))
-    x2 = ExactMatrix.from_columns(ctx2, cols)
+    x2 = ExactMatrix.from_columns(ctx2, n, cols)
     out = x2.transpose() @ g1 @ x2
     if out != cg:
         raise InternalDegenerate("single-block normalization mismatch")
@@ -451,7 +468,7 @@ def _canon_single_step(g, eps, n, policy):
 
 def _adjust_self_value(g1, part, hom, rho0, ctx):
     """u in part + span(hom) with f(u, u) = rho0."""
-    vmat = ExactMatrix.from_columns(ctx, [part] + hom)
+    vmat = ExactMatrix.from_columns(ctx, g1.nrows, [part] + hom)
     f = vmat.transpose() @ g1 @ vmat  # the form on part, hom[0], ...
     k = len(hom)
     base = f[0, 0]
@@ -464,43 +481,17 @@ def _adjust_self_value(g1, part, hom, rho0, ctx):
             return [a + t * b for a, b in zip(part, hom[i])]
     if base == rho0:
         return list(part)
-    # general single-variable quadratic attempts
+    # general single-variable quadratic attempts, in ctx itself
     for i, li in enumerate(lin):
         qa = quad[i][i]
         if li.is_zero() and qa.is_zero():
             continue
-        root = _solve_quadratic_in_field(qa, li, base - rho0, ctx)
-        if root is not None:
-            t = root
-            return [a + t * b for a, b in zip(part, hom[i])]
-    raise InternalDegenerate("cannot reach the canonical diagonal value")
-
-
-def _solve_quadratic_in_field(qa, qb, qc, ctx):
-    """Some x with qa x^2 + qb x + qc = 0 in ctx (no extension), or None."""
-    if qa.is_zero():
-        if qb.is_zero():
-            return None if not qc.is_zero() else ctx.zero()
-        return -qc / qb
-    if ctx.characteristic == 2:
-        if qb.is_zero():
-            try:
-                r, _ = sqrt_or_adjoin(qc / qa, "strict")
-            except NoRootStrictPolicy:
-                return None
-            return r
         try:
-            y, _ = artin_schreier_root_or_adjoin(qa * qc / (qb * qb),
-                                                 "strict")
+            t = quadratic_roots(qa, li, base - rho0, STRICT)[0]
         except NoRootStrictPolicy:
-            return None
-        return qb * y / qa
-    disc = qb * qb - 4 * qa * qc
-    try:
-        r, _ = sqrt_or_adjoin(disc, "strict")
-    except NoRootStrictPolicy:
-        return None
-    return (r - qb) / (2 * qa)
+            continue
+        return [a + t * b for a, b in zip(part, hom[i])]
+    raise InternalDegenerate("cannot reach the canonical diagonal value")
 
 
 # -- Gamma block matrices and the single-block congruence ---------------------
@@ -528,7 +519,9 @@ def gamma0_matrix(ctx, n):
     return ExactMatrix(ctx, rows)
 
 
-def _gamma_block(ctx, eps, n):
+def gamma_block(ctx, n):
+    """The single block of order n: Gamma_n, or Gamma_n^0 in characteristic
+    2."""
     if ctx.characteristic == 2:
         return gamma0_matrix(ctx, n)
     return gamma_matrix(ctx, n)
@@ -542,12 +535,12 @@ def _gamma_cyclic_reduction(ctx, eps, n, policy):
     key = (ctx._key, eps.coords, n)
     if key in _gamma_reduction_cache:
         return _gamma_reduction_cache[key]
-    gamma = _gamma_block(ctx, eps, n)
+    gamma = gamma_block(ctx, n)
     from .spectral import asymmetry
     asym = asymmetry(gamma)
     s = asym.s
     nmat = s - ExactMatrix.identity(ctx, n).scale(eps)
-    v = _height_vector(nmat, n)
+    v = _height_vector(nmat.power(n - 1))
     bmat = nmat.krylov(v, n)
     gcyc = bmat.transpose() @ gamma @ bmat
     x, cg, ctx2 = canon_single(gcyc, eps, n, policy)
@@ -564,7 +557,7 @@ def reduce_single(g, eps, n, policy=EXTEND):
     if cg1.promote(ctx2) != cg2:
         raise InternalDegenerate("input and Gamma reductions disagree")
     x = x1.promote(ctx2) @ inverse_or_rank(xg).inverse
-    target = _gamma_block(ctx2, eps.promote(ctx2), n)
+    target = gamma_block(ctx2, n)
     return Congruence(x, g.promote(ctx2), target), ctx2
 
 
@@ -627,8 +620,9 @@ def pair_canon(g, eps, m, policy=EXTEND):
     _assert_isotropic(g, shift, w1, m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
     svecs = _columns(shift.krylov(v1, m))[::-1]
-    tvecs = _module_duals(g, shift, w1, ExactMatrix.from_columns(ctx, svecs))
-    x = ExactMatrix.from_columns(ctx, svecs + tvecs)
+    tvecs = _module_duals(g, shift, w1,
+                          ExactMatrix.from_columns(ctx, 2 * m, svecs))
+    x = ExactMatrix.from_columns(ctx, 2 * m, svecs + tvecs)
     out = x.transpose() @ g @ x
     target = hyperbolic_block_matrix(ctx, m, eps)
     if out != target:
@@ -727,7 +721,7 @@ def _solve_corner_system(consts, lins, quads, k, ctx, policy):
     # strategy 1: single-direction solutions for each direction
     for i in range(k):
         sols = _single_var_solutions(quads[0][i][i], lins[0][i], consts[0],
-                                     ctx, policy)
+                                     policy)
         for t, cx in sols:
             xs = [zero.promote(cx)] * k
             xs[i] = t
@@ -737,7 +731,7 @@ def _solve_corner_system(consts, lins, quads, k, ctx, policy):
     if len(consts) > 1:
         for i in range(k):
             sols1 = _single_var_solutions(quads[1][i][i], lins[1][i],
-                                          consts[1], ctx, policy)
+                                          consts[1], policy)
             for t, cx in sols1:
                 for l in range(k):
                     if l == i:
@@ -749,7 +743,7 @@ def _solve_corner_system(consts, lins, quads, k, ctx, policy):
                     lin = (lins[0][l].promote(cx)
                            + (quads[0][i][l] + quads[0][l][i]).promote(cx) * t)
                     qq = quads[0][l][l].promote(cx)
-                    sols0 = _single_var_solutions(qq, lin, c0, cx, policy)
+                    sols0 = _single_var_solutions(qq, lin, c0, policy)
                     for t0, cx2 in sols0:
                         xs = [x.promote(cx2) for x in xs0]
                         xs[l] = t0
@@ -760,40 +754,15 @@ def _solve_corner_system(consts, lins, quads, k, ctx, policy):
     return None
 
 
-def _single_var_solutions(qa, qb, qc, ctx, policy):
-    """Solutions of qa x^2 + qb x + qc = 0, possibly extending (char 2)."""
-    out = []
-    if qa.is_zero() and qb.is_zero():
-        if qc.is_zero():
-            out.append((ctx.zero(), ctx))
-        return out
-    if qa.is_zero():
-        out.append((-qc / qb, ctx))
-        return out
-    if ctx.characteristic == 2:
-        if qb.is_zero():
-            try:
-                r, ctx2 = sqrt_or_adjoin(qc / qa, policy)
-                out.append((r, ctx2))
-            except NoRootStrictPolicy:
-                pass
-            return out
-        try:
-            y, ctx2 = artin_schreier_root_or_adjoin(qa * qc / (qb * qb),
-                                                    policy)
-        except NoRootStrictPolicy as exc:
-            raise NoArtinSchreierRootStrict(str(exc))
-        out.append((qb.promote(ctx2) * y / qa.promote(ctx2), ctx2))
-        return out
-    disc = qb * qb - 4 * qa * qc
+def _single_var_solutions(qa, qb, qc, policy):
+    """Solutions (x, ctx) of qa x^2 + qb x + qc = 0, possibly extending."""
     try:
-        r, ctx2 = sqrt_or_adjoin(disc, policy)
+        roots = quadratic_roots(qa, qb, qc, policy)
+    except NoArtinSchreierRootStrict:
+        raise
     except NoRootStrictPolicy:
-        return out
-    two_a = (qa + qa).promote(ctx2)
-    out.append(((r - qb.promote(ctx2)) / two_a, ctx2))
-    out.append(((-r - qb.promote(ctx2)) / two_a, ctx2))
-    return out
+        return []
+    return [(t, t.ctx) for t in roots]
 
 
 def _assert_isotropic(g, shift, gen, m):

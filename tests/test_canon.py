@@ -51,6 +51,17 @@ def test_invalid_descriptors():
         canonical_block_matrix(Block("G", 2, q.one()), q)
 
 
+def test_block_sizes_below_one_are_invalid():
+    # these used to give an empty matrix
+    q, f2 = rationals(), prime_field(2)
+    for ctx, desc in [(q, Block("A", -3)), (q, Block("C", 0)),
+                      (q, Block("D", 0)), (q, Block("F", 0)),
+                      (q, Block("G", 0, q.scalar(2))), (f2, Block("B", -1)),
+                      (f2, Block("E", 0)), (f2, Block("D", -4))]:
+        with pytest.raises(InvalidDescriptor, match="needs n >= 1"):
+            canonical_block_matrix(desc, ctx)
+
+
 def test_zero_matrix():
     q = rationals()
     form, w = canonicalize(ExactMatrix.zeros(q, 2, 2))

@@ -160,6 +160,16 @@ def test_block_cli():
     assert got == expect
 
 
+def test_block_cli_rejects_sizes_below_one():
+    # these used to print an empty matrix and exit 0
+    for args in (["A-3", "--field", "q"], ["C0", "--field", "q"],
+                 ["D0", "--field", "q"], ["G0(2)", "--field", "q"],
+                 ["B-1", "--field", "gf2"]):
+        code, out, err = run_cli(["block"] + args)
+        assert code == 4, args
+        assert out == "" and "needs n >= 1" in err, args
+
+
 def test_fuzz_cli_deterministic():
     args = ["fuzz", "--field", "gf3", "--count", "25", "--max-dim", "2",
             "--seed", "0", "--machine"]

@@ -17,6 +17,7 @@ from matcanon.errors import DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
 from matcanon.field import (Scalar, artin_schreier_root_or_adjoin, gf4,
                             prime_field, rationals)
+from matcanon.spectral import restrict_operator
 
 
 def _contexts():
@@ -256,6 +257,23 @@ def test_zero_row_shapes(name):
                             ctx, 0, 2)
     assert_matrix_canonical(ExactMatrix(ctx, [[], []]) @ wide, ctx, 2, 5)
     assert len(inverse_or_rank(wide).kernel) == 5
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_from_columns_keeps_its_shape(name):
+    """from_columns gives nrows x len(cols), also when either is 0."""
+    ctx = CONTEXTS[name]
+    rng = random.Random("columns " + name)
+    assert_matrix_canonical(ExactMatrix.from_columns(ctx, 3, []), ctx, 3, 0)
+    assert_matrix_canonical(ExactMatrix.from_columns(ctx, 0, [[], []]),
+                            ctx, 0, 2)
+    a = rand_matrix(ctx, rng, 3, 2)
+    cols = a.transpose().rows
+    assert ExactMatrix.from_columns(ctx, 3, cols) == a
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.from_columns(ctx, 2, cols)
+    ident = ExactMatrix.identity(ctx, 3)
+    assert_matrix_canonical(restrict_operator(ident, []), ctx, 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
