@@ -17,7 +17,7 @@ from functools import cmp_to_key
 from .errors import (HypothesisViolation, InternalDegenerate,
                      InvalidDescriptor, TowerCapExceeded)
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
-                       WitnessError, inverse_or_rank, permutation_matrix)
+                       WitnessError, inverse_or_rank)
 from .field import EXTEND, canonical_compare, format_scalar
 from .gabriel import gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, eigen_split,
@@ -184,39 +184,33 @@ def _canonicalize(a, policy):
         pending.append((descs, x_local, targets))
         offset += dim
 
-    # promote all class reductions to the final context and assemble
+    # promote all class reductions to the final context and assemble; the
+    # columns of the blocks follow those of the Gabriel part
+    # (every descriptor is its own object, so id() names its block)
+    njord = sum(dec.jordan_sizes)
     blocks = []
     x_parts = []
-    targets = []
+    cols = {}
+    start = njord
     for descs, x_local, tparts in pending:
         x_parts.append(x_local.promote(ctx_final))
         for d, t in zip(descs, tparts):
             blocks.append(d)
-            targets.append(t.promote(ctx_final))
+            cols[id(d)] = range(start, start + t.nrows)
+            start += t.nrows
     x_classes = ExactMatrix.block_diag(ctx_final, x_parts)
 
     # witness so far: A -> jordan + core -> jordan + eigen gram -> ...
-    njord = sum(dec.jordan_sizes)
     x_total = dec.witness.x.promote(ctx_final)
     x_eigen = ExactMatrix.block_diag(ctx_final, [
         ExactMatrix.identity(ctx_final, njord),
         split.x.promote(ctx_final) @ x_classes])
     x_total = x_total @ x_eigen
 
-    # order the blocks canonically
-    # (every descriptor is its own object, so id() names its block)
+    # order the blocks canonically: a column order
     order = _sort_blocks(blocks)
-    size = {id(b): t.nrows for b, t in zip(blocks, targets)}
-    new_start = {}
-    p = njord
-    for desc in order:
-        new_start[id(desc)] = p
-        p += size[id(desc)]
-    perm = list(range(njord))
-    for b in blocks:
-        perm.extend(range(new_start[id(b)], new_start[id(b)] + size[id(b)]))
-    pm = permutation_matrix(ctx_final, perm)
-    x_total = x_total @ pm
+    x_total = x_total.submatrix(range(start), [
+        *range(njord), *(c for desc in order for c in cols[id(desc)])])
 
     form = CanonicalForm(dec.jordan_sizes, order, ctx_final, [])
     target = canonical_form_matrix(form)

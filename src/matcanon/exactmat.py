@@ -21,11 +21,14 @@ invertibility test does (the witness check needs rank n, not X^-1).
 first_dependence reduces vectors as they are read and stops at the first
 dependence, so the minimal polynomial forms only the powers it needs.
 
-Two helpers are built on the product: ExactMatrix.power (square and
-multiply) and ExactMatrix.krylov (the columns v, Mv, ..., M^(k-1) v).  The
-pipeline stages reach the kernel only through @, inverse_or_rank, solve,
-first_dependence and these two; they keep no elimination, power loop or
-bilinear sum of their own.
+Two product helpers are built on it: ExactMatrix.power (field.power's
+square and multiply) and ExactMatrix.krylov (the columns v, Mv, ...,
+M^(k-1) v).  The pipeline stages reach the kernel only through @,
+inverse_or_rank, solve, first_dependence and these two; they keep no
+elimination, power loop or bilinear sum of their own.  A product with an
+empty side is the zero matrix of its shape, without the kernel.  A reorder
+of a basis is a column order, X.submatrix(range(n), order), with Gram
+matrix G.submatrix(order, order); no permutation matrix is multiplied.
 
 Certification.  A Congruence (x, source, target) is a plain, unverified
 claim that x' * source * x == target, such as a pipeline stage returns.
@@ -44,7 +47,7 @@ from collections import namedtuple
 
 from .errors import (DimensionMismatch, IndexOutOfRange, MatcanonError,
                      ZeroScale)
-from .field import Scalar, _raw_scalar, _tower_inv, _tower_mul
+from .field import Scalar, _raw_scalar, _tower_inv, _tower_mul, power
 
 
 def _trusted(ctx, rows, ncols):
@@ -195,10 +198,10 @@ class ExactMatrix:
         if a.ncols != b.nrows:
             raise DimensionMismatch("matrix product %dx%d @ %dx%d"
                                     % (a.nrows, a.ncols, b.nrows, b.ncols))
-        if not a.nrows:
-            return ExactMatrix.zeros(ctx, 0, b.ncols)
+        if not (a.nrows and a.ncols and b.ncols):
+            return ExactMatrix.zeros(ctx, a.nrows, b.ncols)
         ops = _raw_ops(ctx)
-        b_cols = ops.unwrap(zip(*b.rows)) if b.rows else [()] * b.ncols
+        b_cols = ops.unwrap(zip(*b.rows))
         return _trusted(ctx, ops.wrap(ops.matmul(ops.unwrap(a.rows), b_cols)),
                         b.ncols)
 
@@ -207,16 +210,8 @@ class ExactMatrix:
         if not self.is_square():
             raise DimensionMismatch("power of a %dx%d matrix"
                                     % (self.nrows, self.ncols))
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        if result is None:
-            return ExactMatrix.identity(self.ctx, self.nrows)
-        return result
+        return power(self, k, operator.matmul,
+                     ExactMatrix.identity(self.ctx, self.nrows))
 
     def krylov(self, v, length):
         """The columns v, Mv, ..., M^(length-1) v, as an n x length matrix."""
@@ -564,11 +559,3 @@ def _check_index(n, *idx):
         if not 0 <= i < n:
             raise IndexOutOfRange("index %d out of range for size %d" % (i, n))
 
-
-def permutation_matrix(ctx, perm):
-    """Congruence matrix moving old basis vector i to new position perm[i]."""
-    n = len(perm)
-    rows = [[ctx.zero()] * n for _ in range(n)]
-    for i, p in enumerate(perm):
-        rows[i][p] = ctx.one()
-    return ExactMatrix(ctx, rows)

@@ -4,6 +4,14 @@ A FieldContext is an exact base field (rationals, GF(p), or GF(p^k) given by a
 modulus polynomial) together with an ordered tower of degree-2 adjunctions.
 Scalars are coordinate vectors over the base field with respect to the
 multiplicative basis of the tower; every operation is exact.
+
+Arithmetic shared by the package is written here once.  power is its one
+square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers
+and ExactMatrix.power all call it.  The polynomial layer (Scalar
+coefficients, low to high) holds the products, division and gcd of root
+finding, and frobenius_gcd(f, e), the monic gcd(f, X^e - X), serves both
+root finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
+modulus (e = p^k and p^(k/r), over GF(p)).
 """
 
 from __future__ import annotations
@@ -65,6 +73,19 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def power(x, e, mul, one):
+    """x^e for e >= 0 by square and multiply: e = 0 gives one, which is never
+    multiplied, so x^e costs popcount(e) - 1 + floor(log2 e) products."""
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if result is None else result
 
 
 class FieldContext:
@@ -220,17 +241,8 @@ class FieldContext:
         if all(c == 0 for c in x):
             raise DivisionByZero("division by zero in GF(%d^%d)"
                                  % (self.p, len(self.modulus)))
-        return self._bpow(x, self.p ** len(self.modulus) - 2)
-
-    def _bpow(self, x, e):
-        """x^e for a base element x and e >= 0, by square and multiply."""
-        result, acc = self._bone(), x
-        while e:
-            if e & 1:
-                result = self._bmul(result, acc)
-            acc = self._bmul(acc, acc)
-            e >>= 1
-        return result
+        return power(x, self.p ** len(self.modulus) - 2, self._bmul,
+                     self._bone())
 
     def _bis_zero(self, x):
         if self.kind == "gfq":
@@ -428,16 +440,8 @@ class Scalar:
         return b * a.inverse()
 
     def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ctx.one()
-        acc = self
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        base = self.inverse() if e < 0 else self
+        return power(base, abs(e), operator.mul, self.ctx.one())
 
     # -- predicates and comparison -------------------------------------------
 
@@ -596,6 +600,91 @@ def canonical_compare(x, y):
         if c:
             return c
     return 0
+
+
+# -- polynomials (Scalar coefficients, low to high) ----------------------------
+
+def _poly_trim(ctx, p):
+    if not p:
+        return [ctx.zero()]
+    while len(p) > 1 and p[-1].is_zero():
+        p = p[:-1]
+    return p
+
+
+def _poly_sub(ctx, p, q):
+    return [a - b for a, b in itertools.zip_longest(p, q,
+                                                    fillvalue=ctx.zero())]
+
+
+def _poly_add(ctx, p, q):
+    return _poly_sub(ctx, p, [-c for c in q])
+
+
+def _poly_mulmod(ctx, a, b, f):
+    n = len(f) - 1
+    out = [ctx.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    # reduce modulo monic f
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i]
+        if c.is_zero():
+            continue
+        out[i] = ctx.zero()
+        for j in range(n):
+            out[i - n + j] = out[i - n + j] - c * f[j]
+    return _poly_trim(ctx, out[:n] if len(out) > n else out)
+
+
+def _poly_powmod(ctx, base, e, f):
+    """base^e mod monic f, for a base already reduced mod f."""
+    return power(base, e, lambda x, y: _poly_mulmod(ctx, x, y, f),
+                 [ctx.one()])
+
+
+def _poly_divmod(ctx, a, b):
+    """Quotient and remainder of a by a nonzero b."""
+    rem = _poly_trim(ctx, list(a))
+    quot = [ctx.zero()] * max(len(rem) - len(b) + 1, 1)
+    lead_inv = b[-1].inverse()
+    while len(rem) >= len(b) and not (len(rem) == 1 and rem[0].is_zero()):
+        c = rem[-1] * lead_inv
+        off = len(rem) - len(b)
+        quot[off] = c
+        for j in range(len(b)):
+            rem[off + j] = rem[off + j] - c * b[j]
+        rem = _poly_trim(ctx, rem[:-1])  # the top coefficient cancelled
+    return quot, rem
+
+
+def _poly_gcd(ctx, a, b):
+    a = _poly_trim(ctx, list(a))
+    b = _poly_trim(ctx, list(b))
+    while not (len(b) == 1 and b[0].is_zero()):
+        a, b = b, _poly_divmod(ctx, a, b)[1]
+    if not a[-1].is_zero():
+        a = [c / a[-1] for c in a]
+    return a
+
+
+def frobenius_gcd(f, e):
+    """The monic gcd(f, X^e - X) of a polynomial f of degree >= 1 over a
+    finite field, with X^e mod f by square and multiply.
+
+    For e = q, the order of the field, it is the product of X - r over the
+    distinct roots r of f in the field (root finding).  Over GF(p), f of
+    degree k is irreducible iff e = p^k gives f and e = p^(k/r) gives 1 for
+    every prime r | k (Rabin, SIAM J. Comput. 9, 1980).
+    """
+    ctx = f[-1].ctx
+    f = [c / f[-1] for c in f]
+    x = [ctx.zero(), ctx.one()]
+    return _poly_gcd(ctx, f, _poly_sub(ctx, _poly_powmod(ctx, x, e, f), x))
 
 
 # -- roots --------------------------------------------------------------------
@@ -1022,48 +1111,13 @@ def finite_field(p, modulus, tower_cap=16):
 
 
 def _modulus_is_irreducible(ctx):
-    """Rabin's test: the degree-k modulus f is irreducible over GF(p) iff
-    t^(p^k) = t mod f and gcd(t^(p^(k/r)) - t, f) = 1 for each prime r | k.
-    """
+    """Rabin's test of the degree-k modulus f over GF(p) (frobenius_gcd)."""
     p, k = ctx.p, len(ctx.modulus)
-    if k == 1:
-        return True
-    t = (0, 1) + (0,) * (k - 2)
-    frobenius = [t]  # frobenius[j] = t^(p^j) mod f
-    for _ in range(k):
-        frobenius.append(ctx._bpow(frobenius[-1], p))
-    if frobenius[k] != t:
-        return False
-    f = list(ctx.modulus) + [1]
-    for r in range(2, k + 1):
-        if k % r == 0 and _is_prime(r):
-            h = list(frobenius[k // r])
-            h[1] -= 1
-            if _gcd_degree_mod_p(f, h, p) > 0:
-                return False
-    return True
-
-
-def _gcd_degree_mod_p(a, b, p):
-    """Degree of gcd(a, b) over GF(p) for int coefficient lists (low to
-    high); the zero polynomial counts as degree -1."""
-    def trim(v):
-        v = [c % p for c in v]
-        while v and not v[-1]:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            c = a[-1] * inv
-            off = len(a) - len(b)
-            for j, v in enumerate(b):
-                a[off + j] -= c * v
-            a = trim(a)
-        a, b = b, a
-    return len(a) - 1
+    gfp = prime_field(p)
+    f = [gfp.scalar(c) for c in ctx.modulus] + [gfp.one()]
+    return (frobenius_gcd(f, p ** k) == f
+            and all(len(frobenius_gcd(f, p ** (k // r))) == 1
+                    for r in range(2, k + 1) if k % r == 0 and _is_prime(r)))
 
 
 def gf4(tower_cap=16):

@@ -11,9 +11,10 @@ reduces a singular zero-radical matrix to a three-block state
 where K spans the right kernel.  Decomposing M recursively and clearing E
 against the row space of M leaves each (q_i, k_i) pair either attached to
 the end of one Jordan chain of M (growing it by two) or detached as a J_2
-block.  All steps are explicit congruences.  gabriel_decompose is a public
-entry point, so it certifies the composed witness itself, unlike the later
-pipeline stages, which return plain congruences.
+block.  All steps are explicit congruences, and the final layouts are
+column orders of X (X.submatrix(range(n), order)).  gabriel_decompose is a
+public entry point, so it certifies the composed witness itself, unlike the
+later pipeline stages, which return plain congruences.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import namedtuple
 
 from .errors import InternalDegenerate
 from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
-                       permutation_matrix, solve)
+                       solve)
 
 GabrielDecomposition = namedtuple("GabrielDecomposition",
                                   "jordan_sizes core witness")
@@ -84,11 +85,9 @@ def _decompose(a):
                                               x2])
         x_total = x0 @ lifted
         # current layout: r0 J_1 blocks, then sizes2 blocks, then core
-        sizes, perm = _sorted_layout(n, [1] * r0 + sizes2,
-                                     core2.nrows,
-                                     order=[1] * r0 + sizes2)
-        pm = permutation_matrix(ctx, perm)
-        return sizes, core2, x_total @ pm
+        blocks = [[i] for i in range(r0)] + _runs(r0, sizes2)
+        sizes, order = _sorted_layout(blocks, range(n - core2.nrows, n))
+        return sizes, core2, x_total.submatrix(range(n), order)
 
     res = inverse_or_rank(a, rank_only=True)
     if res.rank == n:
@@ -130,11 +129,8 @@ def _decompose(a):
 
     # 4. clear E = (Q,P) down to end-of-chain columns via q_i += t_i . P,
     #    then restore the (P,Q)/(Q,Q) zeros
-    ends = []
-    off = 0
-    for s in sizes_m:
-        ends.append(off + s - 1)
-        off += s
+    chains = _runs(0, sizes_m)
+    ends = [run[-1] for run in chains]
     m2 = g.submatrix(p_idx, p_idx)
     e_block = g.submatrix(q_idx, p_idx)
     t_rows = _split_off_rowspace(m2, e_block, ends)
@@ -169,34 +165,12 @@ def _decompose(a):
             if g[d + i, j] != want:
                 raise InternalDegenerate("end-column normalization failed")
 
-    # 6. permute into chains + detached pairs + core
-    chain_sizes = [sz + 2 for sz in sizes_m] + [2] * (k - s)
-    perm = [0] * n
-    pos = 0
-    off = 0
-    for b, sz in enumerate(sizes_m):
-        for j in range(sz):
-            perm[off + j] = pos + j
-        perm[d + b] = pos + sz          # q_b
-        perm[d + k + b] = pos + sz + 1  # k_b
-        pos += sz + 2
-        off += sz
-    for j in range(s, k):  # detached pairs
-        perm[d + j] = pos
-        perm[d + k + j] = pos + 1
-        pos += 2
-    core_off = d - core_m.nrows
-    for j in range(core_m.nrows):
-        perm[core_off + j] = pos + j
-    pm = permutation_matrix(ctx, perm)
-    x_acc = x_acc @ pm
-    g = pm.transpose() @ g @ pm
-
-    sizes, perm2 = _sorted_layout(n, chain_sizes, core_m.nrows,
-                                  order=chain_sizes)
-    pm2 = permutation_matrix(ctx, perm2)
-    x_acc = x_acc @ pm2
-    return sizes, core_m, x_acc
+    # 6. reorder into chains (each grown by its q_b and k_b) + detached
+    #    (q_j, k_j) pairs + core, the blocks in descending size
+    blocks = [run + [d + b, d + k + b] for b, run in enumerate(chains)]
+    blocks += [[d + j, d + k + j] for j in range(s, k)]
+    sizes, order = _sorted_layout(blocks, range(d - core_m.nrows, d))
+    return sizes, core_m, x_acc.submatrix(range(n), order)
 
 
 def _identity_rows(ctx, n):
@@ -319,24 +293,20 @@ def _full_column_rank_reducer(ctx, e_hat):
     return res.transform.transpose()
 
 
-def _sorted_layout(n, sizes, core_dim, order):
-    """Permutation moving blocks laid out in `order` into descending order.
+def _runs(start, sizes):
+    """Consecutive runs of column indices of the given sizes from start."""
+    runs = []
+    for sz in sizes:
+        runs.append(list(range(start, start + sz)))
+        start += sz
+    return runs
 
-    Returns (sorted sizes, permutation list for permutation_matrix).
-    The core stays at the end.
+
+def _sorted_layout(blocks, core):
+    """The blocks, given as lists of column indices, in descending size
+    (ties keep their order), then the core columns.
+
+    Returns (sorted sizes, column order).
     """
-    tagged = sorted(range(len(order)), key=lambda i: (-order[i], i))
-    starts = []
-    pos = 0
-    for sz in order:
-        starts.append(pos)
-        pos += sz
-    perm = [0] * n
-    new_pos = 0
-    for i in tagged:
-        for j in range(order[i]):
-            perm[starts[i] + j] = new_pos + j
-        new_pos += order[i]
-    for j in range(core_dim):
-        perm[pos + j] = new_pos + j
-    return [order[i] for i in tagged], perm
+    blocks = sorted(blocks, key=len, reverse=True)
+    return [len(b) for b in blocks], [c for b in blocks for c in b] + [*core]

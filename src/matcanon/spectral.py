@@ -7,8 +7,9 @@ generalized eigenspaces, orthogonal except for the pairing of V_lam with
 V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
 
 Roots are found one at a time, the least first.  Over GF(q) (a tower
-included) the roots of f in the field are those of g = gcd(f, X^q - X), with
-X^q mod f by square and multiply; g is split into linear factors by
+included) the roots of f in the field are those of g = gcd(f, X^q - X),
+which field.frobenius_gcd computes (the routine of Rabin's irreducibility
+test, with another exponent); g is split into linear factors by
 Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1) for odd q, or
 gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1)) for q = 2^m,
 over shifts a drawn from field.random_elements.  The work is polynomial in
@@ -23,15 +24,15 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import zip_longest
 
 from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, NoArtinSchreierRootStrict,
                      NoRootStrictPolicy, NotSplit, SingularInput)
-from .exactmat import (ExactMatrix, first_dependence, inverse_or_rank,
-                       permutation_matrix)
-from .field import (EXTEND, canonical_compare, enumeration_key,
-                    quadratic_roots, random_elements)
+from .exactmat import ExactMatrix, first_dependence, inverse_or_rank
+from .field import (EXTEND, _poly_add, _poly_divmod, _poly_gcd, _poly_mulmod,
+                    _poly_powmod, _poly_sub, _poly_trim, canonical_compare,
+                    enumeration_key, frobenius_gcd, quadratic_roots,
+                    random_elements)
 
 _TRIAL_BUDGET = 2_000_000
 # a shift splits a factor with two or more roots with probability about 1/2
@@ -82,19 +83,7 @@ def _minimal_polynomial(s):
     return poly
 
 
-# -- small polynomial helpers (coefficients low-to-high) -------------------------
-
-def _poly_trim(ctx, p):
-    if not p:
-        return [ctx.zero()]
-    while len(p) > 1 and p[-1].is_zero():
-        p = p[:-1]
-    return p
-
-
-def _poly_sub(ctx, p, q):
-    return [a - b for a, b in zip_longest(p, q, fillvalue=ctx.zero())]
-
+# -- evaluation and division by X - root (coefficients low-to-high) -----------
 
 def poly_eval(p, x):
     acc = x.ctx.zero()
@@ -226,10 +215,7 @@ def _finite_field_roots(poly, ctx):
 def _root_part(poly, ctx):
     """gcd(f, X^q - X), monic: the product of X - r over the distinct roots
     r of f in the finite field ctx of order q."""
-    f = [c / poly[-1] for c in poly]
-    x = [ctx.zero(), ctx.one()]
-    xq = _poly_powmod(ctx, x, ctx.order(), f)
-    return _poly_gcd(ctx, f, _poly_sub(ctx, xq, x))
+    return frobenius_gcd(poly, ctx.order())
 
 
 def _splitting_poly(ctx, h, a, q):
@@ -247,62 +233,6 @@ def _splitting_poly(ctx, h, a, q):
     return trace
 
 
-def _poly_mulmod(ctx, a, b, f):
-    n = len(f) - 1
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    # reduce modulo monic f
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c.is_zero():
-            continue
-        out[i] = ctx.zero()
-        for j in range(n):
-            out[i - n + j] = out[i - n + j] - c * f[j]
-    return _poly_trim(ctx, out[:n] if len(out) > n else out)
-
-
-def _poly_powmod(ctx, base, e, f):
-    """base^e mod monic f, by square and multiply."""
-    result = [ctx.one()]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(ctx, result, base, f)
-        base = _poly_mulmod(ctx, base, base, f)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(ctx, a, b):
-    a = _poly_trim(ctx, list(a))
-    b = _poly_trim(ctx, list(b))
-    while not (len(b) == 1 and b[0].is_zero()):
-        a, b = b, _poly_divmod(ctx, a, b)[1]
-    if not a[-1].is_zero():
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def _poly_divmod(ctx, a, b):
-    """Quotient and remainder of a by a nonzero b."""
-    rem = _poly_trim(ctx, list(a))
-    quot = [ctx.zero()] * max(len(rem) - len(b) + 1, 1)
-    lead_inv = b[-1].inverse()
-    while len(rem) >= len(b) and not (len(rem) == 1 and rem[0].is_zero()):
-        c = rem[-1] * lead_inv
-        off = len(rem) - len(b)
-        quot[off] = c
-        for j in range(len(b)):
-            rem[off + j] = rem[off + j] - c * b[j]
-        rem = _poly_trim(ctx, rem[:-1])  # the top coefficient cancelled
-    return quot, rem
-
-
 def _quadratic_root(poly, ctx, policy):
     """Root of a quadratic, made monic (X^2 + c1 X + c0) first, adjoining a
     square or Artin-Schreier root if needed."""
@@ -316,10 +246,6 @@ def _quadratic_root(poly, ctx, policy):
         raise NotSplit("quadratic factor has non-square discriminant "
                        "under strict policy")
     return root, root.ctx
-
-
-def _poly_add(ctx, p, q):
-    return _poly_sub(ctx, p, [-c for c in q])
 
 
 def _palindrome_transform(poly, ctx):
@@ -562,23 +488,19 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
         raise DegenerateRestriction("lam pairing is degenerate")
     x1 = ExactMatrix.block_diag(ctx, [smat, pinv.transpose()])
     g1 = x1.transpose() @ class_gram @ x1
-    # interleave into per-block hyperbolic cells
-    perm = [0] * (2 * m)
-    pos = 0
+    # interleave into per-block hyperbolic cells: the s-side of each block,
+    # then its t-side
+    order = []
     off = 0
     for sz in sizes:
-        for j in range(sz):
-            perm[off + j] = pos + j          # s-side of the block
-            perm[m + off + j] = pos + sz + j  # t-side of the block
-        pos += 2 * sz
+        order += [*range(off, off + sz), *range(m + off, m + off + sz)]
         off += sz
-    pm = permutation_matrix(ctx, perm)
-    g2 = pm.transpose() @ g1 @ pm
+    g2 = g1.submatrix(order, order)
     target = ExactMatrix.block_diag(ctx, [
         hyperbolic_block_matrix(ctx, sz, lam) for sz in sizes])
     if g2 != target:
         raise InternalDegenerate("hyperbolic normalization mismatch")
-    return HyperbolicResult(x1 @ pm, sizes, g2)
+    return HyperbolicResult(x1.submatrix(range(n2), order), sizes, g2)
 
 
 def hyperbolic_block_matrix(ctx, m, lam):

@@ -7,7 +7,7 @@ from matcanon.errors import DimensionMismatch, IndexOutOfRange, ZeroScale
 from matcanon.exactmat import (AddSym, CongruenceWitness, ExactMatrix,
                                ScaleSym, SwapSym, WitnessError,
                                elementary_congruence, inverse_or_rank,
-                               permutation_matrix, solve)
+                               solve)
 from matcanon.field import prime_field, rationals
 
 
@@ -180,15 +180,6 @@ def test_dimension_mismatch():
     q = rationals()
     with pytest.raises(DimensionMismatch):
         ExactMatrix(q, [[1, 2]]) @ ExactMatrix(q, [[1, 2]])
-
-
-def test_permutation_matrix():
-    q = rationals()
-    p = permutation_matrix(q, [1, 2, 0])
-    a = ExactMatrix(q, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    out = p.transpose() @ a @ p
-    # old vector 0 moves to position 1, old 2 to position 0
-    assert out == ExactMatrix(q, [[3, 0, 0], [0, 1, 0], [0, 0, 2]])
 
 
 def test_block_diag_and_submatrix():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -306,6 +307,32 @@ def test_finite_field_rejects_reducible_modulus():
     for p, modulus in ((3, (1, 0)), (2, (1, 1, 0)), (2, (1, 1, 0, 0)),
                        (7, (3,))):
         assert finite_field(p, modulus).order() == p ** len(modulus)
+    # every monic modulus of small degree, against trial division by every
+    # monic polynomial of degree 1..k/2
+    for p, degrees in ((2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3))):
+        for k in degrees:
+            for modulus in itertools.product(range(p), repeat=k):
+                f = list(modulus) + [1]
+                reducible = any(
+                    _divides_mod_p(list(low) + [1], f, p)
+                    for d in range(1, k // 2 + 1)
+                    for low in itertools.product(range(p), repeat=d))
+                if reducible:
+                    with pytest.raises(ValueError, match="reducible"):
+                        finite_field(p, modulus)
+                else:
+                    assert finite_field(p, modulus).order() == p ** k
+
+
+def _divides_mod_p(g, f, p):
+    """Whether the monic g divides f over GF(p) (int coefficients, low to
+    high), by long division."""
+    f = list(f)
+    for top in range(len(f) - 1, len(g) - 2, -1):
+        c = f[top]
+        for j, v in enumerate(g):
+            f[top - len(g) + 1 + j] = (f[top - len(g) + 1 + j] - c * v) % p
+    return not any(f)
 
 
 def test_adjunction_refuses_element_with_root():

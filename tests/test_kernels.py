@@ -13,10 +13,12 @@ from fractions import Fraction
 
 import pytest
 
+from matcanon import exactmat
 from matcanon.errors import DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
-from matcanon.field import (Scalar, artin_schreier_root_or_adjoin, gf4,
-                            prime_field, rationals)
+from matcanon.field import (Scalar, _poly_mulmod, _poly_powmod, _poly_trim,
+                            artin_schreier_root_or_adjoin, gf4, prime_field,
+                            rationals)
 from matcanon.spectral import restrict_operator
 
 
@@ -260,6 +262,26 @@ def test_zero_row_shapes(name):
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_empty_products_skip_the_kernel(name, monkeypatch):
+    """A product with no rows, no inner dimension or no columns is the zero
+    matrix of its shape, built without the raw kernel."""
+    ctx = CONTEXTS[name]
+    rng = random.Random("empty product " + name)
+    pairs = ((ExactMatrix.zeros(ctx, 3, 0), ExactMatrix.zeros(ctx, 0, 4)),
+             (rand_matrix(ctx, rng, 3, 2), ExactMatrix.zeros(ctx, 2, 0)),
+             (ExactMatrix.zeros(ctx, 0, 2), rand_matrix(ctx, rng, 2, 3)))
+
+    def no_kernel(_ctx):
+        raise AssertionError("the raw kernel ran on an empty product")
+
+    monkeypatch.setattr(exactmat, "_raw_ops", no_kernel)
+    for a, b in pairs:
+        c = a @ b
+        assert_matrix_canonical(c, ctx, a.nrows, b.ncols)
+        assert c.is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_from_columns_keeps_its_shape(name):
     """from_columns gives nrows x len(cols), also when either is 0."""
     ctx = CONTEXTS[name]
@@ -294,6 +316,23 @@ def test_power_matches_reference(name):
             assert_matrix_canonical(got, ctx, n, n)
             assert coords(got.rows) == coords(ref.rows), (label, k)
             ref = ExactMatrix(ctx, ref_matmul(ref, a)) if n else ref
+    # Scalar powers against repeated products, and one negative exponent
+    for x in [rand_scalar(ctx, rng) for _ in range(3)] + [ctx.one()]:
+        ref = ctx.one()
+        for k in range(7):
+            assert (x ** k).coords == ref.coords, (x, k)
+            ref = ref * x
+        if not x.is_zero():
+            inv = x.inverse()
+            assert (x ** -3).coords == (inv * inv * inv).coords, x
+    # polynomial powers modulo a monic cubic against repeated products
+    f = [rand_scalar(ctx, rng) for _ in range(3)] + [ctx.one()]
+    base = _poly_trim(ctx, [rand_scalar(ctx, rng) for _ in range(3)])
+    ref = [ctx.one()]
+    for k in range(7):
+        got = _poly_powmod(ctx, base, k, f)
+        assert [c.coords for c in got] == [c.coords for c in ref], k
+        ref = _poly_mulmod(ctx, ref, base, f)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
