@@ -18,8 +18,9 @@ from .errors import (HypothesisViolation, InternalDegenerate,
                      InvalidDescriptor, TowerCapExceeded)
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, inverse_or_rank)
-from .field import EXTEND, canonical_compare, format_scalar
-from .gabriel import gabriel_decompose
+from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
+                    format_scalar)
+from .gabriel import _runs, gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, eigen_split,
                        hyperbolic_block_matrix, hyperbolic_canonical,
                        split_min_poly)
@@ -105,22 +106,12 @@ def canonical_form_matrix(form):
     return ExactMatrix.block_diag(ctx, parts)
 
 
-def _block_sort_key(desc):
-    """A non-G block's place: family in table order, then larger first."""
+def _block_key(desc):
+    """A block's place in the canonical order: the non-G families in table
+    order, then G blocks by eigenvalue; larger blocks first within each."""
+    if desc.family == "G":
+        return (len(FAMILIES), _LamKey(desc.lam), -desc.n)
     return (list(FAMILIES).index(desc.family), -desc.n)
-
-
-def _sort_blocks(blocks):
-    """Deterministic canonical order; G blocks by eigenvalue then size."""
-    plain = [b for b in blocks if b.family != "G"]
-    gs = [b for b in blocks if b.family == "G"]
-    plain.sort(key=_block_sort_key)
-
-    def gkey(b):
-        return (_LamKey(b.lam), -b.n)
-
-    gs.sort(key=gkey)
-    return plain + gs
 
 
 def _lam_compare(x, y):
@@ -168,7 +159,7 @@ def _canonicalize(a, policy):
     split = eigen_split(core.promote(ctx), asym)
 
     ctx_final = ctx
-    pending = []    # (descriptors, x_local, targets) per class
+    pending = []    # (descriptors, x_local) per class
     offset = 0
     for cl in split.classes:
         dim = (len(cl.basis) if isinstance(cl, UnipotentClass)
@@ -176,29 +167,19 @@ def _canonicalize(a, policy):
         idx = list(range(offset, offset + dim))
         class_gram = split.gram.submatrix(idx, idx)
         if isinstance(cl, UnipotentClass):
-            descs, x_local, targets, ctx_final = _reduce_unipotent_class(
+            descs, x_local, ctx_final = _reduce_unipotent_class(
                 class_gram, cl.eigenvalue, policy, ctx_final)
         else:
-            descs, x_local, targets, ctx_final = _reduce_pair_class(
+            descs, x_local, ctx_final = _reduce_pair_class(
                 class_gram, cl, policy, ctx_final)
-        pending.append((descs, x_local, targets))
+        pending.append((descs, x_local))
         offset += dim
 
-    # promote all class reductions to the final context and assemble; the
-    # columns of the blocks follow those of the Gabriel part
-    # (every descriptor is its own object, so id() names its block)
+    # promote all class reductions to the final context and assemble
     njord = sum(dec.jordan_sizes)
-    blocks = []
-    x_parts = []
-    cols = {}
-    start = njord
-    for descs, x_local, tparts in pending:
-        x_parts.append(x_local.promote(ctx_final))
-        for d, t in zip(descs, tparts):
-            blocks.append(d)
-            cols[id(d)] = range(start, start + t.nrows)
-            start += t.nrows
-    x_classes = ExactMatrix.block_diag(ctx_final, x_parts)
+    blocks = [d for descs, _x in pending for d in descs]
+    x_classes = ExactMatrix.block_diag(
+        ctx_final, [x_local.promote(ctx_final) for _d, x_local in pending])
 
     # witness so far: A -> jordan + core -> jordan + eigen gram -> ...
     x_total = dec.witness.x.promote(ctx_final)
@@ -207,12 +188,15 @@ def _canonicalize(a, policy):
         split.x.promote(ctx_final) @ x_classes])
     x_total = x_total @ x_eigen
 
-    # order the blocks canonically: a column order
-    order = _sort_blocks(blocks)
-    x_total = x_total.submatrix(range(start), [
-        *range(njord), *(c for desc in order for c in cols[id(desc)])])
+    # order the blocks canonically: a column order, the columns of the
+    # blocks following those of the Gabriel part
+    cols = _runs(njord, [d.n for d in blocks])
+    order = sorted(range(len(blocks)), key=lambda i: _block_key(blocks[i]))
+    x_total = x_total.submatrix(range(x_total.nrows), [
+        *range(njord), *(c for i in order for c in cols[i])])
 
-    form = CanonicalForm(dec.jordan_sizes, order, ctx_final, [])
+    form = CanonicalForm(dec.jordan_sizes, [blocks[i] for i in order],
+                         ctx_final, [])
     target = canonical_form_matrix(form)
     cong = Congruence(x_total, a.promote(ctx_final), target)
     return _trim_result(form, cong, start_ctx)
@@ -226,7 +210,6 @@ def _trim_result(form, cong, start_ctx):
     actually uses.  Trimming comes before the one certification, so the
     trimmed relation is the one certified.
     """
-    from .field import Scalar
     height = len(start_ctx.tower)
     for mat in (cong.x, cong.target):
         for row in mat.rows:
@@ -237,8 +220,8 @@ def _trim_result(form, cong, start_ctx):
         ctx = ctx.truncated(height)
 
         def demote(mat):
-            return ExactMatrix(ctx, [[Scalar(ctx, e.coords[:ctx.dim])
-                                      for e in row] for row in mat.rows])
+            return ExactMatrix(ctx, [[e.trim().promote(ctx) for e in row]
+                                     for row in mat.rows])
 
         cong = Congruence(*map(demote, cong))
     report = _extension_report(start_ctx, ctx)
@@ -246,22 +229,13 @@ def _trim_result(form, cong, start_ctx):
 
 
 def _extension_report(start_ctx, ctx):
-    from .field import Scalar
-    out = []
-    for height in range(len(start_ctx.tower), len(ctx.tower)):
-        kind, coords = ctx.tower[height]
-        # the defining element lives in the context before its adjunction
-        val = Scalar(ctx.truncated(height), coords)
-        if kind == "sqrt":
-            out.append("sqrt(%s)" % format_scalar(val))
-        else:
-            out.append("artin_schreier(%s)" % format_scalar(val))
-    return out
+    return ["%s(%s)" % (RECORD_KINDS[c1].report, format_scalar(d))
+            for c1, d in adjunctions(ctx, len(start_ctx.tower))]
 
 
 def _reduce_unipotent_class(class_gram, eps, policy, ctx):
-    """Reduce one eigenvalue +-1 class; returns descriptors, local X,
-    per-block targets, and the (possibly extended) context."""
+    """Reduce one eigenvalue +-1 class; returns descriptors, local X and the
+    (possibly extended) context."""
     class_gram = class_gram.promote(ctx)
     eps = eps.promote(ctx)
     s_cl = inverse_or_rank(class_gram).inverse @ class_gram.transpose()
@@ -270,7 +244,6 @@ def _reduce_unipotent_class(class_gram, eps, policy, ctx):
     sign, char = eigen_sign(eps), ctx.characteristic
     descs = []
     xs = []
-    targets = []
     ctx_cur = ctx
     for piece in pieces:
         reduce = reduce_single if piece.kind == "single" else reduce_pair
@@ -283,12 +256,11 @@ def _reduce_unipotent_class(class_gram, eps, policy, ctx):
                 "characteristic %d" % (piece.kind, piece.order, sign, char))
         descs.append(Block(fam, len(piece.basis)))
         xs.append(c.x)
-        targets.append(c.target)
     basis_cols = [v for piece in pieces for v in piece.basis]
     x_peel = ExactMatrix.from_columns(
         ctx, class_gram.nrows, basis_cols).promote(ctx_cur)
     x_red = ExactMatrix.block_diag(ctx_cur, [x.promote(ctx_cur) for x in xs])
-    return descs, x_peel @ x_red, targets, ctx_cur
+    return descs, x_peel @ x_red, ctx_cur
 
 
 def _reduce_pair_class(class_gram, cl, policy, ctx):
@@ -298,9 +270,7 @@ def _reduce_pair_class(class_gram, cl, policy, ctx):
     m_lam = len(cl.basis_lam)
     s_cl = inverse_or_rank(class_gram).inverse @ class_gram.transpose()
     res = hyperbolic_canonical(class_gram, s_cl, lam, m_lam)
-    descs = [Block("G", 2 * m, lam) for m in res.blocks]
-    targets = [hyperbolic_block_matrix(ctx, m, lam) for m in res.blocks]
-    return descs, res.x, targets, ctx
+    return [Block("G", 2 * m, lam) for m in res.blocks], res.x, ctx
 
 
 # -- invariants and congruence decision --------------------------------------------
@@ -385,7 +355,7 @@ def blocks_from_record(record):
     for lam, mults in record.pairs:
         for m in sorted(mults):
             blocks.extend(Block("G", 2 * m, lam) for _ in range(mults[m]))
-    return _sort_blocks(blocks)
+    return sorted(blocks, key=_block_key)
 
 
 def invariants(a, policy=EXTEND):

@@ -23,8 +23,9 @@ from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, MatcanonError, NoRootStrictPolicy,
                      NotSplit, ParseError)
 from .exactmat import ExactMatrix, WitnessError
-from .field import (EXTEND, finite_field, format_scalar, parse_scalar,
-                    prime_field, rationals)
+from .field import (EXTEND, RECORD_KINDS, adjoin_record, adjunctions,
+                    finite_field, format_scalar, parse_scalar, prime_field,
+                    rationals)
 from .gabriel import gabriel_decompose
 from .oracle import (DEFAULT_GL_BUDGET, DEFAULT_ORBIT_BUDGET,
                      bruteforce_congruent, orbit_partition)
@@ -59,29 +60,24 @@ def context_from_json(obj, tower_cap=16):
                                  for c in obj["modulus"]), tower_cap)
     else:
         raise ParseError("unknown field kind %r" % (kind,))
+    names = [kind.json for kind in RECORD_KINDS]
     for rec in obj.get("tower", ()):
         val = parse_scalar(rec["value"], ctx)
-        if rec["kind"] == "sqrt":
-            ctx = ctx.adjoin_sqrt(val)
-        elif rec["kind"] == "as":
-            ctx = ctx.adjoin_artin_schreier(val)
-        else:
+        if rec["kind"] not in names:
             raise ParseError("unknown adjunction kind %r" % (rec["kind"],))
+        ctx = adjoin_record(ctx, names.index(rec["kind"]), val)
     return ctx
 
 
 def context_to_json(ctx):
-    from .field import Scalar
     if ctx.kind == "rational":
         obj = {"kind": "rational"}
     elif ctx.kind == "gfp":
         obj = {"kind": "gfp", "p": ctx.p}
     else:
         obj = {"kind": "gfq", "p": ctx.p, "modulus": list(ctx.modulus)}
-    tower = []
-    for height, (kind, coords) in enumerate(ctx.tower):
-        val = Scalar(ctx.truncated(height), coords)
-        tower.append({"kind": kind, "value": format_scalar(val)})
+    tower = [{"kind": RECORD_KINDS[c1].json, "value": format_scalar(d)}
+             for c1, d in adjunctions(ctx)]
     if tower:
         obj["tower"] = tower
     return obj

@@ -2,8 +2,14 @@
 
 A FieldContext is an exact base field (rationals, GF(p), or GF(p^k) given by a
 modulus polynomial) together with an ordered tower of degree-2 adjunctions.
-Scalars are coordinate vectors over the base field with respect to the
-multiplicative basis of the tower; every operation is exact.
+Each adjunction is one record (c1, d): its generator g is a root of
+g^2 = c1 g + d over the level below, with c1 = 0 for a square root and c1 = 1
+for an Artin-Schreier root (characteristic 2, g^2 + g = d).  Scalars are
+coordinate vectors over the base field with respect to the multiplicative
+basis of the tower; every operation is exact.  The records are read here
+only: one multiply and one inverse serve both kinds, other modules read
+them through adjunctions(ctx) as (c1, d) pairs, and RECORD_KINDS holds
+their names in JSON and in the extension report.
 
 Arithmetic shared by the package is written here once.  power is its one
 square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers
@@ -20,6 +26,7 @@ import itertools
 import math
 import operator
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (ContextMismatch, DivisionByZero, InternalDegenerate,
@@ -28,9 +35,6 @@ from .errors import (ContextMismatch, DivisionByZero, InternalDegenerate,
 
 STRICT = "strict"
 EXTEND = "extend"
-
-_SQRT = "sqrt"
-_AS = "as"
 
 # random_elements streams are seeded so that every search drawing from them
 # (root splitting, Tonelli-Shanks non-residues) is deterministic
@@ -77,7 +81,10 @@ def _is_prime(n):
 
 def power(x, e, mul, one):
     """x^e for e >= 0 by square and multiply: e = 0 gives one, which is never
-    multiplied, so x^e costs popcount(e) - 1 + floor(log2 e) products."""
+    multiplied, so x^e costs popcount(e) - 1 + floor(log2 e) products.
+    ValueError for e < 0."""
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
     result = None
     while e:
         if e & 1:
@@ -91,10 +98,11 @@ def power(x, e, mul, one):
 class FieldContext:
     """Immutable exact field: base kind plus a tower of quadratic adjunctions.
 
-    kind is 'rational', 'gfp' or 'gfq'.  The tower is a tuple of
-    ('sqrt', coords) records meaning g^2 = d, or ('as', coords) records
-    meaning g^2 + g = a (characteristic 2 only); coords are the defining
-    element's coordinates in the context existing before the adjunction.
+    kind is 'rational', 'gfp' or 'gfq'.  The tower is a tuple of (c1, coords)
+    records, one per adjunction, meaning g^2 = c1 g + d: c1 is 0 (a square
+    root) or 1 (an Artin-Schreier root, characteristic 2 only), and coords
+    are the coordinates of d in the context existing before the adjunction.
+    Outside this module, read the records with adjunctions(ctx).
     """
 
     def __init__(self, kind, p=0, modulus=None, tower=(), tower_cap=16):
@@ -113,10 +121,9 @@ class FieldContext:
         self.modulus = modulus
         self.tower = tuple(tower)
         self.tower_cap = tower_cap
-        for rec in self.tower:
-            if rec[0] == _AS and self.p != 2:
-                raise WrongCharacteristic(
-                    "Artin-Schreier adjunction outside characteristic 2")
+        if self.p != 2 and any(c1 for c1, _d in self.tower):
+            raise WrongCharacteristic(
+                "Artin-Schreier adjunction outside characteristic 2")
         self._key = (self.kind, self.p, self.modulus, self.tower)
 
     # -- identity ---------------------------------------------------------
@@ -326,16 +333,7 @@ class FieldContext:
         unless it is.  rootless=True skips the search for a square root when
         the caller has just shown there is none.
         """
-        if len(self.tower) >= self.tower_cap:
-            raise TowerCapExceeded("tower height cap %d reached"
-                                   % self.tower_cap)
-        d = d.promote(self)
-        if not rootless and (d.is_zero() or _find_sqrt(d) is not None):
-            raise ValueError("%s is a square in %r: adjoining its square "
-                             "root does not give a field"
-                             % (format_scalar(d), self))
-        return FieldContext(self.kind, self.p, self.modulus,
-                            self.tower + ((_SQRT, d.coords),), self.tower_cap)
+        return self._adjoin(0, d, rootless)
 
     def adjoin_artin_schreier(self, a, rootless=False):
         """New context with a generator g, g^2 + g = a (characteristic 2).
@@ -347,16 +345,19 @@ class FieldContext:
         if self.p != 2:
             raise WrongCharacteristic(
                 "Artin-Schreier adjunction requires characteristic 2")
+        return self._adjoin(1, a, rootless)
+
+    def _adjoin(self, c1, d, rootless):
+        """The context with one more record (c1, d), g^2 = c1 g + d."""
         if len(self.tower) >= self.tower_cap:
             raise TowerCapExceeded("tower height cap %d reached"
                                    % self.tower_cap)
-        a = a.promote(self)
-        if not rootless and _solve_frobenius_affine(
-                a, include_identity=True) is not None:
-            raise ValueError("x^2+x=%s has a root in %r: adjoining one does "
-                             "not give a field" % (format_scalar(a), self))
+        d = d.promote(self)
+        kind = RECORD_KINDS[c1]
+        if not rootless and kind.find_root(d) is not None:
+            raise ValueError(kind.has_root % (format_scalar(d), self))
         return FieldContext(self.kind, self.p, self.modulus,
-                            self.tower + ((_AS, a.coords),), self.tower_cap)
+                            self.tower + ((c1, d.coords),), self.tower_cap)
 
     def truncated(self, height):
         """The prefix context with the first `height` adjunctions."""
@@ -536,7 +537,7 @@ def _tower_mul(ctx, xs, ys, level):
     if e_zero:
         return (_tower_mul(ctx, a, c, level - 1)
                 + _tower_mul(ctx, b, c, level - 1))
-    rec_kind, d = ctx.tower[level - 1]
+    c1, d = ctx.tower[level - 1]
     ac = _tower_mul(ctx, a, c, level - 1)
     be = _tower_mul(ctx, b, e, level - 1)
     ae = _tower_mul(ctx, a, e, level - 1)
@@ -544,8 +545,8 @@ def _tower_mul(ctx, xs, ys, level):
     bed = _tower_mul(ctx, be, d, level - 1)
     low = tuple(ctx._badd(x, y) for x, y in zip(ac, bed))
     high = tuple(ctx._badd(x, y) for x, y in zip(ae, bc))
-    if rec_kind == _AS:
-        # g^2 = g + a: the be part feeds both halves
+    if c1:
+        # g^2 = g + d: the be part feeds both halves
         high = tuple(ctx._badd(x, y) for x, y in zip(high, be))
     return low + high
 
@@ -553,34 +554,25 @@ def _tower_mul(ctx, xs, ys, level):
 def _tower_inv(ctx, xs, level):
     """Inverse of a tower element by norm descent.
 
-    For x = a + b g with g^2 = d: x^{-1} = (a - b g) / (a^2 - b^2 d).
-    For g^2 = g + alpha (characteristic 2): the conjugate is a + b + b g
-    and the norm is a^2 + a b + alpha b^2.  Both norms live one level down.
+    For x = a + b g with g^2 = c1 g + d, the conjugate (a + c1 b) - b g
+    gives x ((a + c1 b) - b g) = a (a + c1 b) - d b^2, the norm, which lives
+    one level down.
     """
     if level == 0:
         return (ctx._binv(xs[0]),)
     half = 1 << (level - 1)
     a, b = xs[:half], xs[half:]
-    rec_kind, d = ctx.tower[level - 1]
     if all(ctx._bis_zero(c) for c in b):
         inv = _tower_inv(ctx, a, level - 1)
         return inv + (ctx._bzero(),) * half
-    aa = _tower_mul(ctx, a, a, level - 1)
-    bb = _tower_mul(ctx, b, b, level - 1)
-    if rec_kind == _SQRT:
-        bbd = _tower_mul(ctx, bb, d, level - 1)
-        norm = tuple(ctx._badd(x, ctx._bneg(y)) for x, y in zip(aa, bbd))
-        conj_lo, conj_hi = a, tuple(ctx._bneg(c) for c in b)
-    else:
-        ab = _tower_mul(ctx, a, b, level - 1)
-        bba = _tower_mul(ctx, bb, d, level - 1)
-        norm = tuple(ctx._badd(ctx._badd(x, y), z)
-                     for x, y, z in zip(aa, ab, bba))
-        conj_lo = tuple(ctx._badd(x, y) for x, y in zip(a, b))
-        conj_hi = b
+    c1, d = ctx.tower[level - 1]
+    conj_lo = tuple(map(ctx._badd, a, b)) if c1 else a  # a + c1 b
+    a_conj = _tower_mul(ctx, a, conj_lo, level - 1)
+    bbd = _tower_mul(ctx, _tower_mul(ctx, b, b, level - 1), d, level - 1)
+    norm = tuple(ctx._badd(x, ctx._bneg(y)) for x, y in zip(a_conj, bbd))
     norm_inv = _tower_inv(ctx, norm, level - 1)
     lo = _tower_mul(ctx, conj_lo, norm_inv, level - 1)
-    hi = _tower_mul(ctx, conj_hi, norm_inv, level - 1)
+    hi = _tower_mul(ctx, tuple(map(ctx._bneg, b)), norm_inv, level - 1)
     return lo + hi
 
 
@@ -691,30 +683,26 @@ def frobenius_gcd(f, e):
 
 def sqrt_or_adjoin(x, policy=EXTEND):
     """Return (r, ctx) with r*r == x, adjoining a square root if needed."""
-    if x.is_zero():
-        return x, x.ctx
-    r = _find_sqrt(x)
-    if r is not None:
-        return r, x.ctx
-    if policy == STRICT:
-        raise NoRootStrictPolicy("no square root of %s in %r"
-                                 % (format_scalar(x), x.ctx))
-    ctx2 = x.ctx.adjoin_sqrt(x, rootless=True)
-    return ctx2.generator(len(ctx2.tower)), ctx2
+    return _root_or_adjoin(0, x, policy)
 
 
 def artin_schreier_root_or_adjoin(a, policy=EXTEND):
     """Return (x, ctx) with x*x + x == a over characteristic 2."""
-    ctx = a.ctx
-    if ctx.characteristic != 2:
+    if a.ctx.characteristic != 2:
         raise WrongCharacteristic("Artin-Schreier roots need characteristic 2")
-    r = _solve_frobenius_affine(a, include_identity=True)
+    return _root_or_adjoin(1, a, policy)
+
+
+def _root_or_adjoin(c1, d, policy):
+    """(r, ctx) with r^2 = c1 r + d: a root in d's context, else, unless the
+    policy is strict, the generator of the record (c1, d) adjoined to it."""
+    kind = RECORD_KINDS[c1]
+    r = kind.find_root(d)
     if r is not None:
-        return r, ctx
+        return r, d.ctx
     if policy == STRICT:
-        raise NoRootStrictPolicy("x^2+x=%s has no root in %r"
-                                 % (format_scalar(a), ctx))
-    ctx2 = ctx.adjoin_artin_schreier(a, rootless=True)
+        raise NoRootStrictPolicy(kind.no_root % (format_scalar(d), d.ctx))
+    ctx2 = adjoin_record(d.ctx, c1, d, rootless=True)
     return ctx2.generator(len(ctx2.tower)), ctx2
 
 
@@ -750,20 +738,24 @@ def quadratic_roots(a, b, c, policy):
 def _find_sqrt(x):
     """A square root of x in its own context, or None."""
     ctx = x.ctx
+    if x.is_zero():
+        return x
     if ctx.kind == "rational":
-        return _rational_tower_sqrt(x, len(ctx.tower))
-    if ctx.characteristic == 2:
-        return _solve_frobenius_affine(x, include_identity=False)
-    # odd characteristic finite field: Euler criterion + Tonelli-Shanks
+        return _rational_tower_sqrt(x)
     q = ctx.order()
+    if ctx.characteristic == 2:
+        # squaring is a bijection of GF(q): its inverse is x -> x^(q/2)
+        return x ** (q // 2)
+    # odd characteristic finite field: Euler criterion + Tonelli-Shanks
     if (x ** ((q - 1) // 2)) != ctx.one():
         return None
     return _tonelli_shanks(x, q)
 
 
-def _rational_tower_sqrt(x, level):
+def _rational_tower_sqrt(x):
     """Recursive square root search in a tower over Q; None if absent."""
     ctx = x.ctx
+    level = len(ctx.tower)
     if level == 0:
         f = x.coords[0]
         if f < 0:
@@ -774,32 +766,32 @@ def _rational_tower_sqrt(x, level):
             return Scalar(ctx, tuple(root))
         return None
     half = 1 << (level - 1)
-    sub = ctx.truncated(level - 1)
+    # only square roots occur over Q (Artin-Schreier needs characteristic 2)
+    (_c1, d), = adjunctions(ctx, level - 1)
+    sub = d.ctx
     lo = Scalar(sub, x.coords[:half])
     hi = Scalar(sub, x.coords[half:])
-    # only sqrt records occur over Q (Artin-Schreier needs characteristic 2)
-    d = Scalar(sub, ctx.tower[level - 1][1])
 
     def _lift(a, b):
         return Scalar(ctx, tuple(list(a.coords) + list(b.coords)))
 
     if hi.is_zero():
-        r = _rational_tower_sqrt(lo, level - 1)
+        r = _rational_tower_sqrt(lo)
         if r is not None:
             return _lift(r, sub.zero())
-        r = _rational_tower_sqrt(lo / d, level - 1)
+        r = _rational_tower_sqrt(lo / d)
         if r is not None:
             return _lift(sub.zero(), r)
         return None
     # y = a + b g, y^2 = (a^2 + b^2 d) + 2ab g = lo + hi g
     norm = lo * lo - d * hi * hi
-    s = _rational_tower_sqrt(norm, level - 1)
+    s = _rational_tower_sqrt(norm)
     if s is None:
         return None
     two = sub.scalar(2)
     for sign in (s, -s):
         bsq = (lo + sign) / (two * d)
-        b = _rational_tower_sqrt(bsq, level - 1)
+        b = _rational_tower_sqrt(bsq)
         if b is not None and not b.is_zero():
             a = hi / (two * b)
             cand = _lift(a, b)
@@ -844,51 +836,65 @@ def _tonelli_shanks(x, q):
     return r
 
 
-def _solve_frobenius_affine(target, include_identity):
-    """Solve x^2 = target (or x^2 + x = target) by GF(2)-linear algebra.
+def _artin_schreier_root(a):
+    """A root of x^2 + x = a in a's context (characteristic 2), or None.
 
-    Squaring is additive in characteristic 2 and GF(2)-linear on the
-    coordinate vector over the prime field, so both equations are linear
-    systems over GF(2).
+    x -> x^2 + x is additive, so it is GF(2)-linear on the coordinate vector
+    over the prime field, and the equation is a linear system over GF(2).
     """
-    ctx = target.ctx
+    ctx = a.ctx
+    flat = ctx.kind == "gfp"
     k = ctx.base_degree
     n = ctx.dim * k
 
     def to_bits(s):
-        bits = []
-        for c in s.coords:
-            if ctx.kind == "gfp":
-                bits.append(c % 2)
-            else:
-                bits.extend(v % 2 for v in c)
-        return bits
+        return [v for c in s.coords for v in ((c,) if flat else c)]
 
     def from_bits(bits):
-        coords = []
-        for i in range(ctx.dim):
-            chunk = bits[i * k:(i + 1) * k]
-            if ctx.kind == "gfp":
-                coords.append(chunk[0] % 2)
-            else:
-                coords.append(tuple(v % 2 for v in chunk))
-        return Scalar(ctx, tuple(coords))
+        chunks = [tuple(bits[i:i + k]) for i in range(0, n, k)]
+        return Scalar(ctx, [c[0] for c in chunks] if flat else chunks)
 
     cols = []
     for j in range(n):
-        bits = [0] * n
-        bits[j] = 1
-        e = from_bits(bits)
-        img = e * e
-        if include_identity:
-            img = img + e
-        cols.append(to_bits(img))
+        e = from_bits([int(i == j) for i in range(n)])
+        cols.append(to_bits(e * e + e))
     from .exactmat import ExactMatrix, solve  # exactmat imports this module
     sol, _kernel = solve(ExactMatrix.from_columns(prime_field(2), n, cols),
-                         to_bits(target))
+                         to_bits(a))
     if sol is None:
         return None
     return from_bits([b.coords[0] for b in sol])
+
+
+# The two kinds of record, indexed by c1: the name in JSON towers and in
+# extension reports, the public method that adjoins one, the root finder of
+# x^2 = c1 x + d, and the messages for a root that exists or is missing
+# (each formatted with d and the context).
+RecordKind = namedtuple("RecordKind",
+                        "json report adjoin find_root has_root no_root")
+RECORD_KINDS = (
+    RecordKind("sqrt", "sqrt", "adjoin_sqrt", _find_sqrt,
+               "%s is a square in %r: adjoining its square root does not "
+               "give a field", "no square root of %s in %r"),
+    RecordKind("as", "artin_schreier", "adjoin_artin_schreier",
+               _artin_schreier_root,
+               "x^2+x=%s has a root in %r: adjoining one does not give a "
+               "field", "x^2+x=%s has no root in %r"),
+)
+
+
+def adjunctions(ctx, start=0):
+    """The records of ctx from height start up, as (c1, d) pairs: the
+    generator g of each has g^2 = c1 g + d, d a Scalar of the level below."""
+    return [(c1, Scalar(ctx.truncated(height), d))
+            for height, (c1, d) in enumerate(ctx.tower[start:], start)]
+
+
+def adjoin_record(ctx, c1, d, rootless=False):
+    """ctx with the record (c1, d) adjoined.  It calls the kind's public
+    method, adjoin_sqrt or adjoin_artin_schreier, so that a wrapper of that
+    method sees every adjunction."""
+    return getattr(ctx, RECORD_KINDS[c1].adjoin)(d, rootless)
 
 
 # -- parsing and formatting ----------------------------------------------------
@@ -1055,13 +1061,8 @@ def merge_contexts(dst, src, policy=EXTEND):
         raise ContextMismatch("cannot merge towers over different bases")
     cur = dst
     roots = []
-    for height, (kind, coords) in enumerate(src.tower):
-        val = Scalar(src.truncated(height), coords)
-        val_m = embed_scalar(val, roots, cur)
-        if kind == _SQRT:
-            r, cur = sqrt_or_adjoin(val_m, policy)
-        else:
-            r, cur = artin_schreier_root_or_adjoin(val_m, policy)
+    for c1, d in adjunctions(src):
+        r, cur = _root_or_adjoin(c1, embed_scalar(d, roots, cur), policy)
         roots = [x.promote(cur) for x in roots]
         roots.append(r)
     return cur

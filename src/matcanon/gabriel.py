@@ -111,14 +111,13 @@ def _decompose(a):
 
     p_idx = list(range(d))
     q_idx = list(range(d, d + k))
-    k_idx = list(range(d + k, n))
 
     # clear the (P,Q) block by subtracting K-vectors from P-vectors,
     # and the (Q,Q) block by adding K-vectors to Q-vectors
-    x_step = _clear_pq_qq(ctx, g, p_idx, q_idx, k_idx)
+    x_step = _clear_pq_qq(g, d, k)
     x_acc = x_acc @ x_step
     g = x_step.transpose() @ g @ x_step
-    _check_state(g, p_idx, q_idx, k_idx)
+    _check_state(g, d, k)
 
     # 3. recurse on M = (P,P)
     m = g.submatrix(p_idx, p_idx)
@@ -143,10 +142,10 @@ def _decompose(a):
         x_step = ExactMatrix(ctx, x_step)
         x_acc = x_acc @ x_step
         g = x_step.transpose() @ g @ x_step
-        x_step = _clear_pq_qq(ctx, g, p_idx, q_idx, k_idx)
+        x_step = _clear_pq_qq(g, d, k)
         x_acc = x_acc @ x_step
         g = x_step.transpose() @ g @ x_step
-        _check_state(g, p_idx, q_idx, k_idx)
+        _check_state(g, d, k)
 
     # 5. row-reduce the end-column block of E to [[I_s],[0]] over Q (paired
     #    with the inverse-transpose on K to keep the (K,Q) identity)
@@ -218,43 +217,27 @@ def _reduce_columns(nb):
     return ExactMatrix.from_columns(ctx, m, cols)
 
 
-def _clear_pq_qq(ctx, g, p_idx, q_idx, k_idx):
-    """One congruence clearing the (P,Q) and (Q,Q) blocks against K."""
-    n = g.nrows
-    x = _identity_rows(ctx, n)
-    # p_a -= sum_j (P,Q)[a,j] k_j
-    for ai, a_ in enumerate(p_idx):
-        for ji, j_ in enumerate(q_idx):
-            c = g[a_, j_]
-            if not c.is_zero():
-                x[k_idx[ji]][a_] = x[k_idx[ji]][a_] - c
-    # q_i += sum_l C[i,l] k_l with C = -(Q,Q)
-    for ii, i_ in enumerate(q_idx):
-        for li, l_ in enumerate(q_idx):
-            c = g[i_, l_]
-            if not c.is_zero():
-                x[k_idx[li]][i_] = x[k_idx[li]][i_] - c
-    return ExactMatrix(ctx, x)
-
-
-def _check_state(g, p_idx, q_idx, k_idx):
+def _clear_pq_qq(g, d, k):
+    """One congruence clearing the (P,Q) and (Q,Q) blocks against K, for P,
+    Q and K the first d, the next k and the last k basis vectors: the
+    identity with -(G[P+Q, Q])' in its (K, P+Q) block, that is p_a -= sum_j
+    G[p_a, q_j] k_j and q_i -= sum_l G[q_i, q_l] k_l."""
     ctx = g.ctx
-    zero, one = ctx.zero(), ctx.one()
-    for i in q_idx:
-        for j in q_idx + k_idx:
-            if g[i, j] != zero:
-                raise InternalDegenerate("(Q,Q)/(Q,K) block not clear")
-    for i in p_idx:
-        for j in q_idx + k_idx:
-            if g[i, j] != zero:
-                raise InternalDegenerate("(P,Q)/(P,K) block not clear")
-    for ii, i in enumerate(k_idx):
-        for j in p_idx + k_idx:
-            if g[i, j] != zero:
-                raise InternalDegenerate("(K,P)/(K,K) block not clear")
-        for jj, j in enumerate(q_idx):
-            if g[i, j] != (one if ii == jj else zero):
-                raise InternalDegenerate("(K,Q) block is not the identity")
+    clear = (-g.submatrix(range(d + k), range(d, d + k))).transpose()
+    ident = ExactMatrix.identity(ctx, d + 2 * k).rows
+    return ExactMatrix(ctx, ident[:d + k] + tuple(
+        c + i[d + k:] for c, i in zip(clear.rows, ident[d + k:])))
+
+
+def _check_state(g, d, k):
+    """The (P, Q, K) state: G[P+Q, Q+K] = 0, G[K, P+K] = 0, G[K, Q] = I."""
+    pq, qk, kk = range(d + k), range(d, d + 2 * k), range(d + k, d + 2 * k)
+    if not g.submatrix(pq, qk).is_zero():
+        raise InternalDegenerate("(P,Q)/(P,K)/(Q,Q)/(Q,K) blocks not clear")
+    if not g.submatrix(kk, [*range(d), *kk]).is_zero():
+        raise InternalDegenerate("(K,P)/(K,K) block not clear")
+    if g.submatrix(kk, range(d, d + k)) != ExactMatrix.identity(g.ctx, k):
+        raise InternalDegenerate("(K,Q) block is not the identity")
 
 
 def _split_off_rowspace(m2, e_block, ends):

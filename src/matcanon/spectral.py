@@ -170,12 +170,10 @@ def _find_one_root(poly, ctx, policy):
         roots = _finite_field_roots(poly, ctx)
         if roots:
             return roots[0], ctx
-    else:
-        if all(all(c.ctx._bis_zero(v) for v in c.coords[1:])
-               for c in poly):
-            cand = _rational_root(poly, ctx)
-            if cand is not None:
-                return cand, ctx
+    elif all(not c.trim().ctx.tower for c in poly):
+        cand = _rational_root(poly, ctx)
+        if cand is not None:
+            return cand, ctx
     if len(poly) == 3:
         return _quadratic_root(poly, ctx, policy)
     pal = _palindrome_transform(poly, ctx)

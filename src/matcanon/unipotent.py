@@ -531,8 +531,9 @@ _gamma_reduction_cache = {}
 
 
 def _gamma_cyclic_reduction(ctx, eps, n, policy):
-    """Witness columns (basis matrix) X and context with X' Gamma X = CG."""
-    key = (ctx._key, eps.coords, n)
+    """(X^-1, CG, ctx2) for the witness columns (basis matrix) X with
+    X' Gamma X = CG over ctx2."""
+    key = (ctx, eps, n)
     if key in _gamma_reduction_cache:
         return _gamma_reduction_cache[key]
     gamma = gamma_block(ctx, n)
@@ -544,7 +545,7 @@ def _gamma_cyclic_reduction(ctx, eps, n, policy):
     bmat = nmat.krylov(v, n)
     gcyc = bmat.transpose() @ gamma @ bmat
     x, cg, ctx2 = canon_single(gcyc, eps, n, policy)
-    result = (bmat.promote(ctx2) @ x, cg, ctx2)
+    result = (inverse_or_rank(bmat.promote(ctx2) @ x).inverse, cg, ctx2)
     _gamma_reduction_cache[key] = result
     return result
 
@@ -553,10 +554,10 @@ def reduce_single(g, eps, n, policy=EXTEND):
     """(Congruence, ctx) from a single-block cyclic Gram to Gamma_n(^0)."""
     x1, cg1, ctx1 = canon_single(g, eps, n, policy)
     eps1 = eps.promote(ctx1)
-    xg, cg2, ctx2 = _gamma_cyclic_reduction(ctx1, eps1, n, policy)
+    xg_inv, cg2, ctx2 = _gamma_cyclic_reduction(ctx1, eps1, n, policy)
     if cg1.promote(ctx2) != cg2:
         raise InternalDegenerate("input and Gamma reductions disagree")
-    x = x1.promote(ctx2) @ inverse_or_rank(xg).inverse
+    x = x1.promote(ctx2) @ xg_inv
     target = gamma_block(ctx2, n)
     return Congruence(x, g.promote(ctx2), target), ctx2
 

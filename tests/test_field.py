@@ -1,10 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import matcanon
 from matcanon.errors import (ContextMismatch, DivisionByZero,
                              NoRootStrictPolicy, ParseError,
                              TowerCapExceeded, WrongCharacteristic)
@@ -366,3 +370,23 @@ def test_sqrt_in_large_quadratic_extension_is_fast():
     r, ctx2 = sqrt_or_adjoin(d)
     assert len(ctx2.tower) == 2 and r * r == d.promote(ctx2)
     assert time.perf_counter() - start < 5.0
+
+
+def test_negative_matrix_power_raises_instead_of_hanging():
+    # run in a child process, so that a hang fails this test, not the suite
+    src = os.path.dirname(os.path.dirname(matcanon.__file__))
+    code = ("from matcanon import ExactMatrix, prime_field\n"
+            "from matcanon.field import power\n"
+            "import operator\n"
+            "for call in (lambda: ExactMatrix.identity(prime_field(3), 2)"
+            ".power(-1), lambda: power(3, -2, operator.mul, 1)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["negative exponent -1",
+                                        "negative exponent -2"]
