@@ -7,6 +7,14 @@ indecomposable blocks, named by the family table unipotent.FAMILIES.  Every
 stage returns a plain, unverified congruence (exactmat.Congruence).  Only
 the composed congruence is an answer, and it is certified once, against the
 assembled canonical matrix, where it leaves canonicalize or equivalent.
+
+The field travels on the values: a stage's result lives in the tower it
+reached, read off as x.ctx, and the arithmetic lifts whatever it meets, so
+no stage takes or returns a context beside its values.  The one choice made
+on purpose is where a reduction starts: each class, and each piece within a
+class, is promoted to the running tower the one before it reached, so a root
+that two reductions need is found the second time, not adjoined again at
+another height.
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
                     format_scalar)
 from .gabriel import _runs, gabriel_decompose
-from .spectral import (UnipotentClass, asymmetry, eigen_split,
-                       hyperbolic_block_matrix, hyperbolic_canonical,
-                       split_min_poly)
+from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
+                       eigen_split, hyperbolic_block_matrix,
+                       hyperbolic_canonical, split_min_poly)
 from .unipotent import (CHARACTERISTICS, FAMILIES, eigen_sign, exists_in,
                         family_of, gamma_block, peel_all, reduce_pair,
                         reduce_single)
@@ -81,7 +89,7 @@ def canonical_block_matrix(desc, ctx):
     if fam == "G":
         if n % 2 == 1:
             raise InvalidDescriptor("G_n needs even n")
-        lam = desc.lam.promote(ctx)
+        lam = desc.lam
         if lam.is_zero() or lam * lam == ctx.one():
             raise InvalidDescriptor("G_n(lam) needs lam with lam^2 != 0, 1")
         return hyperbolic_block_matrix(ctx, n // 2, lam)
@@ -114,13 +122,7 @@ def _block_key(desc):
     return (list(FAMILIES).index(desc.family), -desc.n)
 
 
-def _lam_compare(x, y):
-    """canonical_compare in the common context of two eigenvalues."""
-    ctx = x.ctx.common(y.ctx)
-    return canonical_compare(x.promote(ctx), y.promote(ctx))
-
-
-_LamKey = cmp_to_key(_lam_compare)
+_LamKey = cmp_to_key(canonical_compare)
 
 
 def canonicalize(a, policy=EXTEND):
@@ -147,46 +149,40 @@ def _canonicalize(a, policy):
     empty."""
     if not a.is_square():
         raise HypothesisViolation("canonicalize needs a square matrix")
-    start_ctx = a.ctx
     dec = gabriel_decompose(a)
     core = dec.core
     if core.nrows == 0:
-        form = CanonicalForm(dec.jordan_sizes, [], start_ctx, [])
+        form = CanonicalForm(dec.jordan_sizes, [], a.ctx, [])
         return form, dec.witness
 
     asym = split_min_poly(asymmetry(core), policy)
-    ctx = asym.ctx
-    split = eigen_split(core.promote(ctx), asym)
+    split = eigen_split(core, asym)
 
-    ctx_final = ctx
+    ctx = asym.ctx  # the running tower: each class starts where the last ended
     pending = []    # (descriptors, x_local) per class
     offset = 0
     for cl in split.classes:
         dim = (len(cl.basis) if isinstance(cl, UnipotentClass)
                else len(cl.basis_lam) + len(cl.basis_inv))
         idx = list(range(offset, offset + dim))
-        class_gram = split.gram.submatrix(idx, idx)
+        class_gram = split.gram.submatrix(idx, idx).promote(ctx)
         if isinstance(cl, UnipotentClass):
-            descs, x_local, ctx_final = _reduce_unipotent_class(
-                class_gram, cl.eigenvalue, policy, ctx_final)
+            descs, x_local = _reduce_unipotent_class(
+                class_gram, cl.eigenvalue, policy)
         else:
-            descs, x_local, ctx_final = _reduce_pair_class(
-                class_gram, cl, policy, ctx_final)
+            descs, x_local = _reduce_pair_class(class_gram, cl)
+        ctx = x_local.ctx
         pending.append((descs, x_local))
         offset += dim
 
-    # promote all class reductions to the final context and assemble
+    # assemble the class reductions in the final context
     njord = sum(dec.jordan_sizes)
     blocks = [d for descs, _x in pending for d in descs]
-    x_classes = ExactMatrix.block_diag(
-        ctx_final, [x_local.promote(ctx_final) for _d, x_local in pending])
+    x_classes = ExactMatrix.block_diag(ctx, [x for _d, x in pending])
 
     # witness so far: A -> jordan + core -> jordan + eigen gram -> ...
-    x_total = dec.witness.x.promote(ctx_final)
-    x_eigen = ExactMatrix.block_diag(ctx_final, [
-        ExactMatrix.identity(ctx_final, njord),
-        split.x.promote(ctx_final) @ x_classes])
-    x_total = x_total @ x_eigen
+    x_total = dec.witness.x @ ExactMatrix.block_diag(ctx, [
+        ExactMatrix.identity(ctx, njord), split.x @ x_classes])
 
     # order the blocks canonically: a column order, the columns of the
     # blocks following those of the Gabriel part
@@ -196,20 +192,21 @@ def _canonicalize(a, policy):
         *range(njord), *(c for i in order for c in cols[i])])
 
     form = CanonicalForm(dec.jordan_sizes, [blocks[i] for i in order],
-                         ctx_final, [])
+                         ctx, [])
     target = canonical_form_matrix(form)
-    cong = Congruence(x_total, a.promote(ctx_final), target)
-    return _trim_result(form, cong, start_ctx)
+    return _trim_result(form, Congruence(x_total, a, target))
 
 
-def _trim_result(form, cong, start_ctx):
+def _trim_result(form, cong):
     """Drop tower levels that the congruence's X and target never touch.
 
     Scaffolding adjunctions from intermediate reductions can cancel in the
     composed congruence; the reported context keeps only what the relation
-    actually uses.  Trimming comes before the one certification, so the
-    trimmed relation is the one certified.
+    actually uses, and never less than the input's, cong.source.ctx.
+    Trimming comes before the one certification, so the trimmed relation
+    is the one certified.
     """
+    start_ctx = cong.source.ctx
     height = len(start_ctx.tower)
     for mat in (cong.x, cong.target):
         for row in mat.rows:
@@ -220,7 +217,7 @@ def _trim_result(form, cong, start_ctx):
         ctx = ctx.truncated(height)
 
         def demote(mat):
-            return ExactMatrix(ctx, [[e.trim().promote(ctx) for e in row]
+            return ExactMatrix(ctx, [[e.trim() for e in row]
                                      for row in mat.rows])
 
         cong = Congruence(*map(demote, cong))
@@ -233,44 +230,39 @@ def _extension_report(start_ctx, ctx):
             for c1, d in adjunctions(ctx, len(start_ctx.tower))]
 
 
-def _reduce_unipotent_class(class_gram, eps, policy, ctx):
-    """Reduce one eigenvalue +-1 class; returns descriptors, local X and the
-    (possibly extended) context."""
-    class_gram = class_gram.promote(ctx)
-    eps = eps.promote(ctx)
-    s_cl = inverse_or_rank(class_gram).inverse @ class_gram.transpose()
-    nmat = s_cl - ExactMatrix.identity(ctx, class_gram.nrows).scale(eps)
+def _reduce_unipotent_class(class_gram, eps, policy):
+    """Reduce one eigenvalue +-1 class; returns descriptors and local X,
+    over the context the reductions reached from class_gram's."""
+    ctx = class_gram.ctx
+    nmat = (asymmetry_matrix(class_gram)
+            - ExactMatrix.identity(ctx, class_gram.nrows).scale(eps))
     pieces = peel_all(class_gram, nmat, eps)
     sign, char = eigen_sign(eps), ctx.characteristic
     descs = []
     xs = []
-    ctx_cur = ctx
     for piece in pieces:
         reduce = reduce_single if piece.kind == "single" else reduce_pair
-        c, ctx_cur = reduce(piece.gram.promote(ctx_cur),
-                            eps.promote(ctx_cur), piece.order, policy)
+        # each piece starts from the tower the piece before it reached
+        x = reduce(piece.gram.promote(ctx), eps, piece.order, policy).x
+        ctx = x.ctx
         fam = family_of(piece.kind, sign, char, piece.order)
         if fam is None:
             raise InternalDegenerate(
                 "no family has a %s of order %d at eigenvalue %d in "
                 "characteristic %d" % (piece.kind, piece.order, sign, char))
         descs.append(Block(fam, len(piece.basis)))
-        xs.append(c.x)
+        xs.append(x)
     basis_cols = [v for piece in pieces for v in piece.basis]
-    x_peel = ExactMatrix.from_columns(
-        ctx, class_gram.nrows, basis_cols).promote(ctx_cur)
-    x_red = ExactMatrix.block_diag(ctx_cur, [x.promote(ctx_cur) for x in xs])
-    return descs, x_peel @ x_red, ctx_cur
+    x_peel = ExactMatrix.from_columns(class_gram.ctx, class_gram.nrows,
+                                      basis_cols)
+    return descs, x_peel @ ExactMatrix.block_diag(ctx, xs)
 
 
-def _reduce_pair_class(class_gram, cl, policy, ctx):
+def _reduce_pair_class(class_gram, cl):
     """Reduce one hyperbolic pair class to G blocks."""
-    class_gram = class_gram.promote(ctx)
-    lam = cl.lam.promote(ctx)
-    m_lam = len(cl.basis_lam)
-    s_cl = inverse_or_rank(class_gram).inverse @ class_gram.transpose()
-    res = hyperbolic_canonical(class_gram, s_cl, lam, m_lam)
-    return [Block("G", 2 * m, lam) for m in res.blocks], res.x, ctx
+    res = hyperbolic_canonical(class_gram, asymmetry_matrix(class_gram),
+                               cl.lam, len(cl.basis_lam))
+    return [Block("G", 2 * m, cl.lam) for m in res.blocks], res.x
 
 
 # -- invariants and congruence decision --------------------------------------------
@@ -403,7 +395,7 @@ def equivalent(a, b, policy=EXTEND):
     if xb_inv is None:
         raise WitnessError("witness matrix is singular")
     y = cong_a.x @ xb_inv
-    witness = CongruenceWitness(y, a.promote(ctx), b.promote(ctx))
+    witness = CongruenceWitness(y, a, b)
     return EquivalenceResult(True, witness, ctx, report)
 
 

@@ -17,12 +17,12 @@ import json
 import random
 import sys
 
-from .canon import (Block, canonical_block_matrix, canonicalize,
-                    equivalent, invariants, transpose_witness)
+from .canon import (Block, CanonicalForm, canonical_block_matrix,
+                    canonicalize, equivalent, invariants, transpose_witness)
 from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, MatcanonError, NoRootStrictPolicy,
                      NotSplit, ParseError)
-from .exactmat import ExactMatrix, WitnessError
+from .exactmat import ExactMatrix, WitnessError, inverse_or_rank
 from .field import (EXTEND, RECORD_KINDS, adjoin_record, adjunctions,
                     finite_field, format_scalar, parse_scalar, prime_field,
                     rationals)
@@ -108,18 +108,18 @@ def matrix_from_json(obj, tower_cap=16):
     return ExactMatrix(ctx, rows)
 
 
+def matrix_text(m):
+    """The entries of a matrix as rows of scalar strings."""
+    return [[format_scalar(e) for e in row] for row in m.rows]
+
+
 def matrix_to_json(a):
-    return {"field": context_to_json(a.ctx),
-            "matrix": [[format_scalar(e) for e in row] for row in a.rows]}
+    return {"field": context_to_json(a.ctx), "matrix": matrix_text(a)}
 
 
 def load_matrix(path, tower_cap=16):
     with open(path) as handle:
         return matrix_from_json(json.load(handle), tower_cap)
-
-
-def block_to_text(b):
-    return repr(b)
 
 
 def block_from_text(text, ctx):
@@ -137,13 +137,12 @@ def form_to_json(form):
     return {
         "field": context_to_json(form.context),
         "gabriel": list(form.gabriel),
-        "blocks": [block_to_text(b) for b in form.blocks],
+        "blocks": [repr(b) for b in form.blocks],
         "extensions": list(form.extension_report),
     }
 
 
 def form_from_json(obj):
-    from .canon import CanonicalForm
     ctx = context_from_json(obj["field"])
     blocks = [block_from_text(t, ctx) for t in obj["blocks"]]
     return CanonicalForm(list(obj["gabriel"]), blocks, ctx,
@@ -169,8 +168,7 @@ def _cmd_canon(args):
     a = load_matrix(args.matrix, args.tower_cap)
     form, wit = canonicalize(a, args.policy)
     payload = form_to_json(form)
-    payload["witness"] = [[format_scalar(e) for e in row]
-                          for row in wit.x.rows]
+    payload["witness"] = matrix_text(wit.x)
     _emit(payload, args.machine)
     return EXIT_OK
 
@@ -183,8 +181,7 @@ def _cmd_equiv(args):
                "extensions": list(res.extensions),
                "field": context_to_json(res.context)}
     if res.equivalent:
-        payload["witness"] = [[format_scalar(e) for e in row]
-                              for row in res.witness.x.rows]
+        payload["witness"] = matrix_text(res.witness.x)
         # echo the verified relation
         payload["relation"] = "Y' A Y = B verified exactly"
     else:
@@ -233,10 +230,8 @@ def _cmd_gabriel(args):
     dec = gabriel_decompose(a)
     payload = {"jordan_sizes": dec.jordan_sizes,
                "core_dimension": dec.core.nrows,
-               "core": [[format_scalar(e) for e in row]
-                        for row in dec.core.rows],
-               "witness": [[format_scalar(e) for e in row]
-                           for row in dec.witness.x.rows]}
+               "core": matrix_text(dec.core),
+               "witness": matrix_text(dec.witness.x)}
     _emit(payload, args.machine)
     return EXIT_OK
 
@@ -244,8 +239,7 @@ def _cmd_gabriel(args):
 def _cmd_transpose(args):
     a = load_matrix(args.matrix, args.tower_cap)
     wit = transpose_witness(a, args.policy)
-    payload = {"witness": [[format_scalar(e) for e in row]
-                           for row in wit.x.rows],
+    payload = {"witness": matrix_text(wit.x),
                "field": context_to_json(wit.x.ctx)}
     _emit(payload, args.machine)
     return EXIT_OK
@@ -257,9 +251,8 @@ def _cmd_oracle(args):
                                  args.budget or DEFAULT_ORBIT_BUDGET)
         payload = {"classes": len(report.classes),
                    "sizes": report.sizes,
-                   "representatives": [
-                       [[format_scalar(e) for e in row] for row in c.rows]
-                       for c in report.classes]}
+                   "representatives": [matrix_text(c)
+                                       for c in report.classes]}
         _emit(payload, args.machine)
         return EXIT_OK
     if not args.left or not args.right:
@@ -269,8 +262,7 @@ def _cmd_oracle(args):
     verdict, x = bruteforce_congruent(a, b, args.budget or DEFAULT_GL_BUDGET)
     payload = {"congruent": verdict}
     if x is not None:
-        payload["witness"] = [[format_scalar(e) for e in row]
-                              for row in x.rows]
+        payload["witness"] = matrix_text(x)
     _emit(payload, args.machine)
     return EXIT_OK if verdict else EXIT_FALSE
 
@@ -279,9 +271,8 @@ def _cmd_block(args):
     ctx = field_from_flag(args.field, args.tower_cap)
     desc = block_from_text(args.descriptor, ctx)
     mat = canonical_block_matrix(desc, ctx)
-    payload = {"block": block_to_text(desc),
-               "matrix": [[format_scalar(e) for e in row]
-                          for row in mat.rows]}
+    payload = {"block": repr(desc),
+               "matrix": matrix_text(mat)}
     _emit(payload, args.machine)
     return EXIT_OK
 
@@ -344,7 +335,6 @@ def _random_matrix(ctx, rng, n):
     if ctx.kind == "rational":
         return ExactMatrix(ctx, [[rng.randint(-3, 3) for _ in range(n)]
                                  for _ in range(n)])
-    pool = None
     if ctx.kind == "gfp":
         return ExactMatrix(ctx, [[rng.randrange(ctx.p) for _ in range(n)]
                                  for _ in range(n)])
@@ -354,7 +344,6 @@ def _random_matrix(ctx, rng, n):
 
 
 def _random_invertible(ctx, rng, n):
-    from .exactmat import inverse_or_rank
     while True:
         y = _random_matrix(ctx, rng, n)
         if inverse_or_rank(y, rank_only=True).rank == n:

@@ -30,6 +30,15 @@ empty side is the zero matrix of its shape, without the kernel.  A reorder
 of a basis is a column order, X.submatrix(range(n), order), with Gram
 matrix G.submatrix(order, order); no permutation matrix is multiplied.
 
+Contexts meet here.  A matrix lives in one FieldContext, and the arithmetic
+lifts: @, +, scale and == work in the common context of their operands (the
+longer of two prefix-compatible towers), and ExactMatrix(ctx, rows) (so
+from_columns and block_diag) and krylov build in the common context of ctx
+and of all the entries, never in the context of the first entry, which may
+lie lower.  promote only goes up a tower.  So a value computed from an
+extension carries it, and no caller passes a context beside a value that
+has one.
+
 Certification.  A Congruence (x, source, target) is a plain, unverified
 claim that x' * source * x == target, such as a pipeline stage returns.
 CongruenceWitness(*c) certifies one: it checks X'AX = B and the
@@ -42,20 +51,21 @@ links are not checked on their own.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import namedtuple
 
-from .errors import (DimensionMismatch, IndexOutOfRange, MatcanonError,
-                     ZeroScale)
+from .errors import (ContextMismatch, DimensionMismatch, IndexOutOfRange,
+                     MatcanonError, ZeroScale)
 from .field import Scalar, _raw_scalar, _tower_inv, _tower_mul, power
 
 
 def _trusted(ctx, rows, ncols):
-    """ExactMatrix from a tuple of tuples of ncols scalars in ctx.
+    """ExactMatrix from a tuple of tuples of ncols scalars, all in ctx.
 
-    Unlike ExactMatrix(), it checks and converts nothing.  ncols is given
-    rather than read off the first row, so a matrix with no rows keeps its
-    column count.
+    Unlike ExactMatrix(), it checks, converts and lifts nothing.  ncols is
+    given rather than read off the first row, so a matrix with no rows
+    keeps its column count.
     """
     m = object.__new__(ExactMatrix)
     m.ctx = ctx
@@ -66,11 +76,20 @@ def _trusted(ctx, rows, ncols):
 
 
 class ExactMatrix:
-    """Immutable dense matrix of scalars sharing one field context."""
+    """Immutable dense matrix of scalars sharing one field context.
+
+    ExactMatrix(ctx, rows) lives in the common context of ctx and of all
+    its Scalar entries (ints and Fractions are read in ctx), so rows that
+    mix a field and its extensions need no promotion first.
+    """
 
     __slots__ = ("ctx", "nrows", "ncols", "rows")
 
     def __init__(self, ctx, rows):
+        rows = tuple(map(tuple, rows))
+        for e in itertools.chain.from_iterable(rows):
+            if isinstance(e, Scalar) and e.ctx is not ctx:
+                ctx = ctx.common(e.ctx)
         self.ctx = ctx
         rows = tuple(tuple(ctx.scalar(e) if not isinstance(e, Scalar)
                            else e.promote(ctx) for e in row) for row in rows)
@@ -111,7 +130,7 @@ class ExactMatrix:
         for b in blocks:
             for i in range(b.nrows):
                 for j in range(b.ncols):
-                    out[r + i][c + j] = b.rows[i][j].promote(ctx)
+                    out[r + i][c + j] = b.rows[i][j]
             r += b.nrows
             c += b.ncols
         return ExactMatrix(ctx, out)
@@ -129,9 +148,11 @@ class ExactMatrix:
     # -- basics -------------------------------------------------------------
 
     def promote(self, ctx):
+        """The same matrix in ctx, whose tower must extend self.ctx's."""
         if ctx == self.ctx:
             return self
-        return ExactMatrix(ctx, self.rows)
+        return _trusted(ctx, tuple(tuple(e.promote(ctx) for e in row)
+                                   for row in self.rows), self.ncols)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -142,13 +163,10 @@ class ExactMatrix:
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
-        if other.ctx.is_prefix_of(self.ctx):
-            ctx = self.ctx
-        elif self.ctx.is_prefix_of(other.ctx):
-            ctx = other.ctx
-        else:
+        try:
+            a, b, _ctx = self._common(other)
+        except ContextMismatch:
             return False
-        a, b = self.promote(ctx), other.promote(ctx)
         return all(x.coords == y.coords
                    for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
@@ -188,10 +206,8 @@ class ExactMatrix:
 
     def scale(self, c):
         c = self.ctx.scalar(c) if not isinstance(c, Scalar) else c
-        ctx = self.ctx.common(c.ctx)
-        c = c.promote(ctx)
-        return ExactMatrix(ctx, [[x.promote(ctx) * c for x in row]
-                                 for row in self.rows])
+        return ExactMatrix(self.ctx.common(c.ctx),
+                           [[x * c for x in row] for row in self.rows])
 
     def __matmul__(self, other):
         a, b, ctx = self._common(other)
@@ -214,14 +230,15 @@ class ExactMatrix:
                      ExactMatrix.identity(self.ctx, self.nrows))
 
     def krylov(self, v, length):
-        """The columns v, Mv, ..., M^(length-1) v, as an n x length matrix."""
+        """The columns v, Mv, ..., M^(length-1) v, as an n x length matrix
+        in the common context of M and of all the entries of v."""
         row = ExactMatrix(self.ctx, [v])
         rows = [row.rows[0]][:length]
-        mt = self.transpose()
+        mt = self.transpose().promote(row.ctx)
         for _ in range(length - 1):
             row = row @ mt
             rows.append(row.rows[0])
-        return _trusted(self.ctx, tuple(rows), len(v)).transpose()
+        return _trusted(row.ctx, tuple(rows), len(v)).transpose()
 
     def transpose(self):
         if self.nrows == 0 or self.ncols == 0:
@@ -540,12 +557,10 @@ def elementary_congruence(a, move):
         c = ctx.scalar(c) if not isinstance(c, Scalar) else c
         if isinstance(move, ScaleSym) and c.is_zero():
             raise ZeroScale("cannot scale a basis vector by zero")
-        ctx = ctx.common(c.ctx)
-        a = a.promote(ctx)
     x = [[ctx.one() if r == k else ctx.zero() for k in range(n)]
          for r in range(n)]
     if where:
-        x[where[0]][where[1]] = c.promote(ctx)
+        x[where[0]][where[1]] = c
     else:
         x[i][i] = x[j][j] = ctx.zero()
         x[i][j] = x[j][i] = ctx.one()

@@ -102,7 +102,9 @@ class FieldContext:
     records, one per adjunction, meaning g^2 = c1 g + d: c1 is 0 (a square
     root) or 1 (an Artin-Schreier root, characteristic 2 only), and coords
     are the coordinates of d in the context existing before the adjunction.
-    Outside this module, read the records with adjunctions(ctx).
+    The constructor checks each record as _adjoin does: x^2 = c1 x + d must
+    have no root one level down, or the result has zero divisors.  Outside
+    this module, read the records with adjunctions(ctx).
     """
 
     def __init__(self, kind, p=0, modulus=None, tower=(), tower_cap=16):
@@ -119,12 +121,31 @@ class FieldContext:
         self.kind = kind
         self.p = p if kind != "rational" else 0
         self.modulus = modulus
-        self.tower = tuple(tower)
+        self.tower = ()
         self.tower_cap = tower_cap
-        if self.p != 2 and any(c1 for c1, _d in self.tower):
+        self._key = (self.kind, self.p, self.modulus, ())
+        tower = tuple(tower)
+        if any(c1 not in (0, 1) for c1, _d in tower):
+            raise ValueError("a tower record (c1, d) needs c1 = 0 (a square "
+                             "root) or c1 = 1 (an Artin-Schreier root)")
+        if self.p != 2 and any(c1 for c1, _d in tower):
             raise WrongCharacteristic(
                 "Artin-Schreier adjunction outside characteristic 2")
-        self._key = (self.kind, self.p, self.modulus, self.tower)
+        level = self
+        for c1, d in tower:
+            level = level._adjoin(c1, Scalar(level, d), False)
+        self.tower, self._key = level.tower, level._key
+
+    def _with_tower(self, tower):
+        """This base field with the given records, unchecked: they must be
+        a checked context's records or one just checked (_adjoin)."""
+        ctx = object.__new__(FieldContext)
+        # the attributes in __init__'s order, so that instances share one
+        # layout and attribute reads stay on CPython's fast path
+        ctx.kind, ctx.p, ctx.modulus = self.kind, self.p, self.modulus
+        ctx.tower, ctx.tower_cap = tower, self.tower_cap
+        ctx._key = (self.kind, self.p, self.modulus, tower)
+        return ctx
 
     # -- identity ---------------------------------------------------------
 
@@ -356,13 +377,11 @@ class FieldContext:
         kind = RECORD_KINDS[c1]
         if not rootless and kind.find_root(d) is not None:
             raise ValueError(kind.has_root % (format_scalar(d), self))
-        return FieldContext(self.kind, self.p, self.modulus,
-                            self.tower + ((c1, d.coords),), self.tower_cap)
+        return self._with_tower(self.tower + ((c1, d.coords),))
 
     def truncated(self, height):
         """The prefix context with the first `height` adjunctions."""
-        return FieldContext(self.kind, self.p, self.modulus,
-                            self.tower[:height], self.tower_cap)
+        return self._with_tower(self.tower[:height])
 
 
 class Scalar:
@@ -579,14 +598,13 @@ def _tower_inv(ctx, xs, level):
 # -- total order -------------------------------------------------------------
 
 def canonical_compare(x, y):
-    """Strict total order on scalars of one context: -1, 0 or 1.
+    """Strict total order on scalars: -1, 0 or 1, in their common context.
 
     Lexicographic on coordinate vectors from the highest tower coordinate
     down; base coordinates use numeric order over Q and the integer
     representative order over GF (gfq tuples compared highest degree first).
     """
-    if x.ctx != y.ctx:
-        raise ContextMismatch("canonical_compare needs a shared context")
+    x, y = x._pair(y)
     for a, b in zip(reversed(x.coords), reversed(y.coords)):
         c = x.ctx._bcmp(a, b)
         if c:
@@ -683,27 +701,29 @@ def frobenius_gcd(f, e):
 
 def sqrt_or_adjoin(x, policy=EXTEND):
     """Return (r, ctx) with r*r == x, adjoining a square root if needed."""
-    return _root_or_adjoin(0, x, policy)
+    r = _root_or_adjoin(0, x, policy)
+    return r, r.ctx
 
 
 def artin_schreier_root_or_adjoin(a, policy=EXTEND):
     """Return (x, ctx) with x*x + x == a over characteristic 2."""
     if a.ctx.characteristic != 2:
         raise WrongCharacteristic("Artin-Schreier roots need characteristic 2")
-    return _root_or_adjoin(1, a, policy)
+    r = _root_or_adjoin(1, a, policy)
+    return r, r.ctx
 
 
 def _root_or_adjoin(c1, d, policy):
-    """(r, ctx) with r^2 = c1 r + d: a root in d's context, else, unless the
-    policy is strict, the generator of the record (c1, d) adjoined to it."""
+    """r with r^2 = c1 r + d: a root in d's context, else, unless the policy
+    is strict, the generator of the record (c1, d) adjoined to it."""
     kind = RECORD_KINDS[c1]
     r = kind.find_root(d)
     if r is not None:
-        return r, d.ctx
+        return r
     if policy == STRICT:
         raise NoRootStrictPolicy(kind.no_root % (format_scalar(d), d.ctx))
     ctx2 = adjoin_record(d.ctx, c1, d, rootless=True)
-    return ctx2.generator(len(ctx2.tower)), ctx2
+    return ctx2.generator(len(ctx2.tower))
 
 
 def quadratic_roots(a, b, c, policy):
@@ -724,14 +744,14 @@ def quadratic_roots(a, b, c, policy):
         return [-c / b]
     if a.ctx.characteristic == 2:
         if b.is_zero():
-            return [sqrt_or_adjoin(c / a, policy)[0]]
+            return [_root_or_adjoin(0, c / a, policy)]
         try:
-            y, ctx = artin_schreier_root_or_adjoin(a * c / (b * b), policy)
+            y = _root_or_adjoin(1, a * c / (b * b), policy)
         except NoRootStrictPolicy as exc:
             raise NoArtinSchreierRootStrict(str(exc))
-        return [b.promote(ctx) * y / a.promote(ctx)]
-    r, ctx = sqrt_or_adjoin(b * b - 4 * a * c, policy)
-    b, two_a = b.promote(ctx), (a + a).promote(ctx)
+        return [b * y / a]
+    r = _root_or_adjoin(0, b * b - 4 * a * c, policy)
+    two_a = a + a
     return [(r - b) / two_a, (-r - b) / two_a]
 
 
@@ -795,7 +815,7 @@ def _rational_tower_sqrt(x):
         if b is not None and not b.is_zero():
             a = hi / (two * b)
             cand = _lift(a, b)
-            if cand * cand == x.promote(ctx):
+            if cand * cand == x:
                 return cand
     return None
 
@@ -1062,8 +1082,8 @@ def merge_contexts(dst, src, policy=EXTEND):
     cur = dst
     roots = []
     for c1, d in adjunctions(src):
-        r, cur = _root_or_adjoin(c1, embed_scalar(d, roots, cur), policy)
-        roots = [x.promote(cur) for x in roots]
+        r = _root_or_adjoin(c1, embed_scalar(d, roots, cur), policy)
+        cur = r.ctx
         roots.append(r)
     return cur
 

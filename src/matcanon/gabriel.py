@@ -37,7 +37,7 @@ def gabriel_decompose(a):
     if not a.is_square():
         raise InternalDegenerate("gabriel_decompose needs a square matrix")
     sizes, core, x = _decompose(a)
-    target = _assemble_target(a.ctx, sizes, core)
+    target = _assemble_target(sizes, core)
     witness = CongruenceWitness(x, a, target)
     return GabrielDecomposition(sizes, core, witness)
 
@@ -53,7 +53,7 @@ def is_invertible_splittable(b):
     return InvertibleSplit(degen, dec.core, dec.witness)
 
 
-def _assemble_target(ctx, sizes, core):
+def _assemble_target(sizes, core):
     blocks = [ExactMatrix.jordan_block(core.ctx, s) for s in sizes]
     blocks.append(core)
     return ExactMatrix.block_diag(core.ctx, blocks)

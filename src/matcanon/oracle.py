@@ -20,7 +20,8 @@ DEFAULT_ORBIT_BUDGET = 2 * 10 ** 6
 OrbitReport = namedtuple("OrbitReport", "p n classes sizes")
 
 
-def _to_flat(a):
+def matrix_flat(a):
+    """Flat tuple of an ExactMatrix over a plain prime field."""
     p = a.ctx.p
     return tuple(a[i, j].coords[0] % p for i in range(a.nrows)
                  for j in range(a.ncols))
@@ -106,7 +107,7 @@ def bruteforce_congruent(a, b, budget=DEFAULT_GL_BUDGET):
         return False, None
     if _gl_size(n, p) > budget:
         raise BudgetExceeded("|GL_%d(%d)| exceeds the budget" % (n, p))
-    fa, fb = _to_flat(a), _to_flat(b)
+    fa, fb = matrix_flat(a), matrix_flat(b)
     for x in _gl_elements(n, p):
         if _mat_mul(_mat_mul(_transpose(x, n), fa, n, p), x, n, p) == fb:
             return True, _from_flat(x, n, ctx)
@@ -177,11 +178,6 @@ def _orbits(n, p, budget):
 def congruence_class_map(n, p, budget=DEFAULT_ORBIT_BUDGET):
     """Map flat matrix tuple -> class representative tuple, by BFS orbits."""
     return {m: rep for rep, orbit in _orbits(n, p, budget) for m in orbit}
-
-
-def matrix_flat(a):
-    """Flat tuple of an ExactMatrix over a plain prime field."""
-    return _to_flat(a)
 
 
 def orbit_partition(n, p, budget=DEFAULT_ORBIT_BUDGET):

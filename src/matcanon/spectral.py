@@ -41,7 +41,11 @@ _SPLIT_TRIES = 64
 
 
 class Asymmetry:
-    """S = A^{-1}A' with its minimal polynomial and (optional) split roots."""
+    """S = A^{-1}A' with its minimal polynomial and (optional) split roots.
+
+    ctx is where the roots were found, which splitting may extend beyond
+    the context of S; the arithmetic lifts S and its polynomial there.
+    """
 
     def __init__(self, s, min_poly, ctx, split_roots=None):
         self.s = s
@@ -52,11 +56,16 @@ class Asymmetry:
 
 def asymmetry(a):
     """Asymmetry of an invertible Gram matrix, with exact minimal polynomial."""
+    s = asymmetry_matrix(a)
+    return Asymmetry(s, _minimal_polynomial(s), a.ctx)
+
+
+def asymmetry_matrix(a):
+    """S = A^{-1} A' for an invertible Gram matrix A."""
     inv = inverse_or_rank(a).inverse
     if inv is None:
         raise SingularInput("asymmetry needs an invertible Gram matrix")
-    s = inv @ a.transpose()
-    return Asymmetry(s, _minimal_polynomial(s), a.ctx)
+    return inv @ a.transpose()
 
 
 def _minimal_polynomial(s):
@@ -88,7 +97,7 @@ def _minimal_polynomial(s):
 def poly_eval(p, x):
     acc = x.ctx.zero()
     for c in reversed(p):
-        acc = acc * x + c.promote(x.ctx)
+        acc = acc * x + c
     return acc
 
 
@@ -102,26 +111,24 @@ def poly_divmod_linear(p, root):
     return q[::-1], acc
 
 
-def _promote_poly(p, ctx):
-    return [c.promote(ctx) for c in p]
-
-
 # -- root finding ------------------------------------------------------------------
 
 def split_min_poly(asym, policy=EXTEND):
     """Factor the minimal polynomial into linear factors, extending if allowed.
 
     Returns a new Asymmetry with split_roots filled and a possibly larger
-    context.  Raises NotSplit when a factor cannot be reached by quadratic
+    context; each root is searched for in the tower the one before it
+    reached.  Raises NotSplit when a factor cannot be reached by quadratic
     (or Artin-Schreier) adjunctions or the policy forbids extending.
     """
     ctx = asym.ctx
     work = list(asym.min_poly)
     roots = []
     while len(work) >= 2:
-        root, ctx = _find_one_root(work, ctx, policy)
-        work = _promote_poly(work, ctx)
-        work, mult = _extract_root(ctx, work, root)
+        root = _find_one_root(work, policy)
+        ctx = root.ctx
+        work = [c.promote(ctx) for c in work]
+        work, mult = _extract_root(work, root)
         if mult == 0:
             raise InternalDegenerate("claimed root does not divide")
         roots.append((root, mult))
@@ -130,15 +137,13 @@ def split_min_poly(asym, policy=EXTEND):
         partner = root.inverse()
         if partner != root and len(work) > 1 \
                 and poly_eval(work, partner).is_zero():
-            work, mult2 = _extract_root(ctx, work, partner)
+            work, mult2 = _extract_root(work, partner)
             roots.append((partner, mult2))
-    roots = [(r.promote(ctx), m) for r, m in roots]
-    _check_inverse_closed(roots, ctx)
-    return Asymmetry(asym.s.promote(ctx), _promote_poly(asym.min_poly, ctx),
-                     ctx, split_roots=roots)
+    _check_inverse_closed(roots)
+    return Asymmetry(asym.s, asym.min_poly, ctx, split_roots=roots)
 
 
-def _extract_root(ctx, work, root):
+def _extract_root(work, root):
     mult = 0
     while len(work) > 1:
         q, rem = poly_divmod_linear(work, root)
@@ -149,7 +154,7 @@ def _extract_root(ctx, work, root):
     return work, mult
 
 
-def _check_inverse_closed(roots, ctx):
+def _check_inverse_closed(roots):
     for r, m in roots:
         rinv = r.inverse()
         found = [(s, k) for s, k in roots if s == rinv]
@@ -158,39 +163,43 @@ def _check_inverse_closed(roots, ctx):
                 "asymmetry roots are not closed under inversion")
 
 
-def _find_one_root(poly, ctx, policy):
-    """One root of a monic polynomial, adjoining if needed; (root, ctx)."""
+def _find_one_root(poly, policy):
+    """One root of a monic polynomial whose coefficients share one context,
+    searched for there and adjoined to it if needed."""
+    ctx = poly[0].ctx
     if len(poly) == 2:
-        return -poly[0] / poly[1], ctx
+        return -poly[0] / poly[1]
     # cheap candidates first
     for cand in (ctx.one(), -ctx.one()):
         if poly_eval(poly, cand).is_zero():
-            return cand, ctx
+            return cand
     if ctx.kind != "rational":
-        roots = _finite_field_roots(poly, ctx)
+        roots = _finite_field_roots(poly)
         if roots:
-            return roots[0], ctx
+            return roots[0]
     elif all(not c.trim().ctx.tower for c in poly):
-        cand = _rational_root(poly, ctx)
+        cand = _rational_root(poly)
         if cand is not None:
-            return cand, ctx
+            return cand
     if len(poly) == 3:
-        return _quadratic_root(poly, ctx, policy)
-    pal = _palindrome_transform(poly, ctx)
+        return _quadratic_root(poly, policy)
+    pal = _palindrome_transform(poly)
     if pal is not None:
-        mu, ctx2 = _find_one_root(pal, ctx, policy)
+        mu = _find_one_root(pal, policy)
         # X^2 - mu X + 1 = 0
-        quad = [ctx2.one(), -mu, ctx2.one()]
-        return _quadratic_root(quad, ctx2, policy)
+        one = mu.ctx.one()
+        return _quadratic_root([one, -mu, one], policy)
     raise NotSplit("irreducible factor of degree %d is not reachable by "
                    "quadratic adjunctions" % (len(poly) - 1))
 
 
-def _finite_field_roots(poly, ctx):
-    """The distinct roots of a polynomial in the finite field ctx, in
-    iter_elements order (see the module docstring for the method)."""
+def _finite_field_roots(poly):
+    """The distinct roots of a polynomial in the finite field ctx of its
+    coefficients, in iter_elements order (see the module docstring for the
+    method)."""
+    ctx = poly[0].ctx
     q = ctx.order()
-    g = _root_part(poly, ctx)
+    g = frobenius_gcd(poly, q)
     shifts = random_elements(ctx)
     roots = []
     pending = [g] if len(g) > 1 else []
@@ -210,12 +219,6 @@ def _finite_field_roots(poly, ctx):
     return sorted(roots, key=enumeration_key)
 
 
-def _root_part(poly, ctx):
-    """gcd(f, X^q - X), monic: the product of X - r over the distinct roots
-    r of f in the finite field ctx of order q."""
-    return frobenius_gcd(poly, ctx.order())
-
-
 def _splitting_poly(ctx, h, a, q):
     """w with gcd(h, w) collecting the roots r of h (deg h >= 2) on one side
     of the shift a: (r + a)^((q-1)/2) = 1 for odd q, Tr(a r) = 0 for q = 2^m.
@@ -231,23 +234,23 @@ def _splitting_poly(ctx, h, a, q):
     return trace
 
 
-def _quadratic_root(poly, ctx, policy):
+def _quadratic_root(poly, policy):
     """Root of a quadratic, made monic (X^2 + c1 X + c0) first, adjoining a
     square or Artin-Schreier root if needed."""
     c0, c1 = poly[0] / poly[2], poly[1] / poly[2]
     try:
-        root = quadratic_roots(ctx.one(), c1, c0, policy)[0]
+        return quadratic_roots(c1.ctx.one(), c1, c0, policy)[0]
     except NoArtinSchreierRootStrict:
         raise NotSplit("quadratic factor needs an Artin-Schreier "
                        "extension under strict policy")
     except NoRootStrictPolicy:
         raise NotSplit("quadratic factor has non-square discriminant "
                        "under strict policy")
-    return root, root.ctx
 
 
-def _palindrome_transform(poly, ctx):
+def _palindrome_transform(poly):
     """g with poly(X) = X^k g(X + 1/X) when poly is palindromic, else None."""
+    ctx = poly[0].ctx
     n = len(poly) - 1
     if n % 2 != 0:
         return None
@@ -267,8 +270,9 @@ def _palindrome_transform(poly, ctx):
     return _poly_trim(ctx, g)
 
 
-def _rational_root(poly, ctx):
+def _rational_root(poly):
     """A rational root of a monic poly with rational coefficients, or None."""
+    ctx = poly[0].ctx
     fracs = [c.coords[0] for c in poly]
     lcm = 1
     for f in fracs:
@@ -320,8 +324,6 @@ def eigen_split(a, asym):
     if asym.split_roots is None:
         raise InternalDegenerate("eigen_split needs split_roots")
     ctx = asym.ctx
-    a = a.promote(ctx)
-    s = asym.s.promote(ctx)
     n = a.nrows
     one = ctx.one()
     roots = [r for r, _m in asym.split_roots]
@@ -329,7 +331,7 @@ def eigen_split(a, asym):
     def gen_eigenspace(lam):
         # the min-poly multiplicity bounds the nilpotency index on V_lam
         expo = next((m for r, m in asym.split_roots if r == lam), n)
-        m = s - ExactMatrix.identity(ctx, n).scale(lam)
+        m = asym.s - ExactMatrix.identity(ctx, n).scale(lam)
         return inverse_or_rank(m.power(expo), rank_only=True).kernel
 
     unipotent = []
@@ -433,7 +435,6 @@ def elementary_divisor_multiplicities(s, lam):
     """Map m -> number of elementary divisors (X-lam)^m of S."""
     ctx = s.ctx
     n = s.nrows
-    lam = lam.promote(ctx) if lam.ctx != ctx else lam
     m0 = s - ExactMatrix.identity(ctx, n).scale(lam)
     ranks = [n]
     power = ExactMatrix.identity(ctx, n)

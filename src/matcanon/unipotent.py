@@ -15,6 +15,13 @@ reads that one table: block validity and order (canon), the name a peeled
 block gets, the invariant record and the parity check of the single
 reduction.  The quadratic equations of the reductions are solved by
 field.quadratic_roots.
+
+The reductions take and return matrices and scalars, never a context: a
+root they adjoin (a square root in the single reduction, an Artin-Schreier
+root in a corner repair) lives on the values computed from it, the
+arithmetic lifts every operand to the common context, and the result's
+context is x.ctx.  A reduction starts from its input's context, which the
+caller sets to the running tower.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from .errors import (HypothesisViolation, InternalDegenerate,
                      NoArtinSchreierRootStrict, NoRootStrictPolicy)
 from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
 from .field import EXTEND, STRICT, quadratic_roots, sqrt_or_adjoin
-from .spectral import hyperbolic_block_matrix, restrict_operator
+from .spectral import (asymmetry_matrix, hyperbolic_block_matrix,
+                       restrict_operator)
 
 UnipotentPiece = namedtuple("UnipotentPiece", "kind eps order basis gram")
 FreeModuleComponent = namedtuple("FreeModuleComponent",
@@ -111,7 +119,7 @@ def split_off_indecomposable(gram, nmat, eps):
     if r == 0:
         raise InternalDegenerate("empty component")
     beta = top.transpose() @ gram  # (x, y) -> f(p^(r-1) x, y)
-    v = _self_pairing_vector(beta, ctx, n)
+    v = _self_pairing_vector(beta)
     if v is not None:
         for _attempt in range(n + 1):
             out = _try_single_split(gram, nmat, eps, v, r)
@@ -160,7 +168,7 @@ def _try_single_split(gram, nmat, eps, v, r):
     if r_rem < r:
         return out
     beta_rem = top_rem.transpose() @ rem_gram
-    if _self_pairing_vector(beta_rem, rem_gram.ctx, rem_gram.nrows) is None:
+    if _self_pairing_vector(beta_rem) is None:
         return None
     return out
 
@@ -184,12 +192,13 @@ def _repair_single_choice(gram, nmat, top, v, r):
     raise InternalDegenerate("no full-height repair vector available")
 
 
-def _self_pairing_vector(beta, ctx, n):
+def _self_pairing_vector(beta):
     """v with beta(v, v) != 0, or None (deterministic search).
 
     With a zero diagonal, beta(e_i + e_j, e_i + e_j) = b_ij + b_ji; in
     characteristic 2 that is nonzero exactly when b_ij != b_ji.
     """
+    ctx, n = beta.ctx, beta.nrows
     for i in range(n):
         if not beta[i, i].is_zero():
             return _unit(ctx, n, i)
@@ -281,19 +290,11 @@ def hat_form_from_pieces(gram, nmat, group, m):
     return hat
 
 
-def hat_form(comp):
-    """Spec surface: the hat-form Gram matrix of a component."""
-    return comp.hat_gram
-
-
 # -- the cyclic (single elementary divisor) reduction ----------------------------
 
-def _shift(ctx, n):
-    return ExactMatrix.jordan_block(ctx, n, 0)
-
-
 def _sigma_cyclic(ctx, n, eps):
-    return ExactMatrix.identity(ctx, n).scale(eps) + _shift(ctx, n)
+    return ExactMatrix.identity(ctx, n).scale(eps) + \
+        ExactMatrix.jordan_block(ctx, n)
 
 
 def _check_cyclic_gram(g, n):
@@ -351,30 +352,25 @@ def canon_single(g, eps, n, policy=EXTEND):
     """Reduce a cyclic-basis Gram matrix with single elementary divisor
     (X-eps)^n to the canonical cyclic normal form.
 
-    Returns (x, cg, ctx) with x' g x = cg exactly.
+    Returns (x, cg) with x' g x = cg exactly, both over x.ctx, the context
+    the reduction reached from g's.
     """
-    ctx = g.ctx
-    char = ctx.characteristic
+    char = g.ctx.characteristic
     _check_parity(eps, n, char)
     _check_cyclic_gram(g, n)
     if n == 1:
-        a = g[0, 0]
-        root, ctx2 = sqrt_or_adjoin(a, policy)
-        x = ExactMatrix(ctx2, [[root.inverse()]])
-        cg = ExactMatrix(ctx2, [[1]])
-        return x, cg, ctx2
+        rinv = sqrt_or_adjoin(g[0, 0], policy)[0].inverse()
+        return ExactMatrix(g.ctx, [[rinv]]), ExactMatrix(rinv.ctx, [[1]])
     if n == 2:
         c = g[0, 0]
         if c.is_zero():
             raise InternalDegenerate("n=2 cyclic gram with zero corner")
-        root, ctx2 = sqrt_or_adjoin(c, policy)
-        rinv = root.inverse()
-        x = ExactMatrix.identity(ctx2, 2).scale(rinv)
-        cg = x.transpose() @ g.promote(ctx2) @ x
-        expected = canonical_cyclic_gram(ctx2, eps.promote(ctx2), 2)
-        if cg != expected:
+        rinv = sqrt_or_adjoin(c, policy)[0].inverse()
+        x = ExactMatrix.identity(g.ctx, 2).scale(rinv)
+        cg = x.transpose() @ g @ x
+        if cg != canonical_cyclic_gram(x.ctx, eps, 2):
             raise InternalDegenerate("n=2 normal form mismatch")
-        return x, cg, ctx2
+        return x, cg
     if char == 2 and n == 3:
         return _canon_single_char2_n3(g, policy)
     return _canon_single_step(g, eps, n, policy)
@@ -390,46 +386,36 @@ def _check_parity(eps, n, char):
 
 def _canon_single_char2_n3(g, policy):
     # scale the anti-diagonal to 1 (characteristic 2: unique square root)
-    kappa = g[0, 2]
-    root, ctx2 = sqrt_or_adjoin(kappa, policy)
-    g = g.promote(ctx2)
-    t = root.inverse()
-    x1 = ExactMatrix.identity(ctx2, 3).scale(t)
+    t = sqrt_or_adjoin(g[0, 2], policy)[0].inverse()
+    x1 = ExactMatrix.identity(g.ctx, 3).scale(t)
     g1 = x1.transpose() @ g @ x1
     # v' = v + x p v with x^2 + x + g1[0,0] = 0
-    xval = quadratic_roots(ctx2.one(), ctx2.one(), g1[0, 0], policy)[0]
-    ctx3 = xval.ctx
-    g1 = g1.promote(ctx3)
-    shift = _shift(ctx3, 3)
-    vcoord = [ctx3.one(), xval, ctx3.zero()]
-    x2 = shift.krylov(vcoord, 3)
+    one = g1.ctx.one()
+    xval = quadratic_roots(one, one, g1[0, 0], policy)[0]
+    x2 = ExactMatrix.jordan_block(g1.ctx, 3).krylov([one, xval, 0], 3)
     g2 = x2.transpose() @ g1 @ x2
-    expected = ExactMatrix(ctx3, [[0, 0, 1], [1, 1, 0], [1, 0, 0]])
-    if g2 != expected:
+    if g2 != ExactMatrix(g.ctx, [[0, 0, 1], [1, 1, 0], [1, 0, 0]]):
         raise InternalDegenerate("char-2 n=3 normal form mismatch")
-    return x1.promote(ctx3) @ x2, g2, ctx3
+    return x1 @ x2, g2
 
 
 def _canon_single_step(g, eps, n, policy):
     """Recursive case of the single reduction (n >= 3, not char-2 n=3)."""
-    ctx = g.ctx
-    char = ctx.characteristic
+    char = g.ctx.characteristic
     sub_idx = list(range(1, n - 1))
-    sub = g.submatrix(sub_idx, sub_idx)
-    xs, cg_sub, ctx2 = canon_single(sub, eps.promote(sub.ctx), n - 2, policy)
-    g = g.promote(ctx2)
-    eps = eps.promote(ctx2)
-    shift = _shift(ctx2, n)
+    xs, cg_sub = canon_single(g.submatrix(sub_idx, sub_idx), eps, n - 2,
+                              policy)
     # lift the new sub cyclic vector: coordinates j of the sub basis mean
     # p^{j+1} v, so stripping one p gives sum_j xs[j,0] p^j v
-    vcoord = [xs[j, 0] for j in range(n - 2)] + [ctx2.zero(), ctx2.zero()]
-    b1 = shift.krylov(vcoord, n)
+    vcoord = [xs[j, 0] for j in range(n - 2)] + [0, 0]
+    b1 = ExactMatrix.jordan_block(g.ctx, n).krylov(vcoord, n)
     g1 = b1.transpose() @ g @ b1
+    ctx = g1.ctx
     if g1.submatrix(sub_idx, sub_idx) != cg_sub:
         raise InternalDegenerate("sub-reduction did not embed")
 
-    cg = canonical_cyclic_gram(ctx2, eps, n)
-    plus = (eps == ctx2.one())
+    cg = canonical_cyclic_gram(ctx, eps, n)
+    plus = (eps == ctx.one())
     solve_from = 1 if (char != 2 and plus) else 2
     rho0 = cg[0, 0]
 
@@ -439,36 +425,36 @@ def _canon_single_step(g, eps, n, policy):
     for j in range(solve_from, n):
         rows.append([g1[i, j] for i in range(n)])
         rhs.append(cg[0, j])
-    part, hom = solve(ExactMatrix(ctx2, rows), rhs)
+    part, hom = solve(ExactMatrix(ctx, rows), rhs)
     if part is None:
         raise InternalDegenerate("cyclic row system inconsistent")
     # adjust f(u,u) = rho0 within the homogeneous freedom
-    u = _adjust_self_value(g1, part, hom, rho0, ctx2)
+    u = _adjust_self_value(g1, part, hom, rho0)
 
     cols = [u]
     if solve_from == 2:
         # z = p v1 + s p^{n-1} v1 fixing f(u, z) = cg[0, 1]
-        fu = (ExactMatrix(ctx2, [u]) @ g1).rows[0]  # x -> f(u, x)
+        fu = (ExactMatrix(ctx, [u]) @ g1).rows[0]  # x -> f(u, x)
         if fu[n - 1].is_zero():
             raise InternalDegenerate("lost the skew-diagonal entry")
-        z = _unit(ctx2, n, 1)
+        z = _unit(ctx, n, 1)
         z[n - 1] = (cg[0, 1] - fu[1]) / fu[n - 1]
         cols.append(z)
         start = 2
     else:
         start = 1
     for j in range(start, n):
-        cols.append(_unit(ctx2, n, j))
-    x2 = ExactMatrix.from_columns(ctx2, n, cols)
+        cols.append(_unit(ctx, n, j))
+    x2 = ExactMatrix.from_columns(ctx, n, cols)
     out = x2.transpose() @ g1 @ x2
     if out != cg:
         raise InternalDegenerate("single-block normalization mismatch")
-    return b1 @ x2, cg, ctx2
+    return b1 @ x2, cg
 
 
-def _adjust_self_value(g1, part, hom, rho0, ctx):
+def _adjust_self_value(g1, part, hom, rho0):
     """u in part + span(hom) with f(u, u) = rho0."""
-    vmat = ExactMatrix.from_columns(ctx, g1.nrows, [part] + hom)
+    vmat = ExactMatrix.from_columns(g1.ctx, g1.nrows, [part] + hom)
     f = vmat.transpose() @ g1 @ vmat  # the form on part, hom[0], ...
     k = len(hom)
     base = f[0, 0]
@@ -530,36 +516,33 @@ def gamma_block(ctx, n):
 _gamma_reduction_cache = {}
 
 
-def _gamma_cyclic_reduction(ctx, eps, n, policy):
-    """(X^-1, CG, ctx2) for the witness columns (basis matrix) X with
-    X' Gamma X = CG over ctx2."""
+def _gamma_cyclic_reduction(eps, n, policy):
+    """(X^-1, CG) for the witness columns (basis matrix) X with
+    X' Gamma X = CG, Gamma_n(^0) taken over eps's context."""
+    ctx = eps.ctx
     key = (ctx, eps, n)
     if key in _gamma_reduction_cache:
         return _gamma_reduction_cache[key]
     gamma = gamma_block(ctx, n)
-    from .spectral import asymmetry
-    asym = asymmetry(gamma)
-    s = asym.s
-    nmat = s - ExactMatrix.identity(ctx, n).scale(eps)
+    nmat = asymmetry_matrix(gamma) - ExactMatrix.identity(ctx, n).scale(eps)
     v = _height_vector(nmat.power(n - 1))
     bmat = nmat.krylov(v, n)
-    gcyc = bmat.transpose() @ gamma @ bmat
-    x, cg, ctx2 = canon_single(gcyc, eps, n, policy)
-    result = (inverse_or_rank(bmat.promote(ctx2) @ x).inverse, cg, ctx2)
+    x, cg = canon_single(bmat.transpose() @ gamma @ bmat, eps, n, policy)
+    result = (inverse_or_rank(bmat @ x).inverse, cg)
     _gamma_reduction_cache[key] = result
     return result
 
 
 def reduce_single(g, eps, n, policy=EXTEND):
-    """(Congruence, ctx) from a single-block cyclic Gram to Gamma_n(^0)."""
-    x1, cg1, ctx1 = canon_single(g, eps, n, policy)
-    eps1 = eps.promote(ctx1)
-    xg_inv, cg2, ctx2 = _gamma_cyclic_reduction(ctx1, eps1, n, policy)
-    if cg1.promote(ctx2) != cg2:
+    """Congruence from a single-block cyclic Gram to Gamma_n(^0)."""
+    x1, cg1 = canon_single(g, eps, n, policy)
+    # the Gamma side starts from the tower the input side reached, so a
+    # root both sides need is adjoined once
+    xg_inv, cg2 = _gamma_cyclic_reduction(eps.promote(x1.ctx), n, policy)
+    if cg1 != cg2:
         raise InternalDegenerate("input and Gamma reductions disagree")
-    x = x1.promote(ctx2) @ xg_inv
-    target = gamma_block(ctx2, n)
-    return Congruence(x, g.promote(ctx2), target), ctx2
+    x = x1 @ xg_inv
+    return Congruence(x, g, gamma_block(x.ctx, n))
 
 
 # -- the pair (two equal elementary divisors) reduction --------------------------
@@ -568,9 +551,9 @@ def pair_canon(g, eps, m, policy=EXTEND):
     """Reduce a pair-block Gram matrix (basis v, pv, ..., w, pw, ...) to
     ((0, J_m(eps)), (I_m, 0)).
 
-    Returns (x, v_gen, w_gen, ctx): x columns are the new basis, the
-    generators are coordinates of the repaired module generators in the
-    input basis.
+    Returns (x, v_gen, w_gen): x columns are the new basis, over x.ctx, the
+    context the reduction reached from g's; the generators are coordinates
+    of the repaired module generators in the input basis.
     """
     ctx = g.ctx
     if m == 1:
@@ -585,7 +568,7 @@ def pair_canon(g, eps, m, policy=EXTEND):
         out = x.transpose() @ g @ x
         if out != hyperbolic_block_matrix(ctx, 1, eps):
             raise InternalDegenerate("pair base normalization failed")
-        return x, _unit(ctx, 2, 0), [ctx.zero(), binv], ctx
+        return x, _unit(ctx, 2, 0), [ctx.zero(), binv]
 
     if m == 2:
         v1 = _unit(ctx, 4, 0)
@@ -593,12 +576,8 @@ def pair_canon(g, eps, m, policy=EXTEND):
     else:
         sub_idx = (list(range(1, m - 1))
                    + list(range(m + 1, 2 * m - 1)))
-        sub = g.submatrix(sub_idx, sub_idx)
-        _xs, vg_sub, wg_sub, ctx2 = pair_canon(sub, eps.promote(sub.ctx),
-                                               m - 2, policy)
-        g = g.promote(ctx2)
-        eps = eps.promote(ctx2)
-        ctx = ctx2
+        _xs, vg_sub, wg_sub = pair_canon(g.submatrix(sub_idx, sub_idx), eps,
+                                         m - 2, policy)
         # strip one p: sub slot j of the v part is p^{j+1} v
         v1 = [ctx.zero()] * (2 * m)
         w1 = [ctx.zero()] * (2 * m)
@@ -608,15 +587,15 @@ def pair_canon(g, eps, m, policy=EXTEND):
             v1[m + j] = vg_sub[m - 2 + j]
             w1[m + j] = wg_sub[m - 2 + j]
 
-    shift = ExactMatrix.block_diag(ctx, [_shift(ctx, m), _shift(ctx, m)])
-    # repair the v side to a totally isotropic module generator
-    duals_w = _module_duals(g, shift, w1, shift.krylov(v1, m))
-    v1, ctx, g, shift, duals_w, w1 = _repair_generator(
-        g, shift, v1, duals_w, w1, eps, m, policy)
-    # repair the w side symmetrically
-    duals_v = _module_duals(g, shift, v1, shift.krylov(w1, m))
-    w1, ctx, g, shift, duals_v, v1 = _repair_generator(
-        g, shift, w1, duals_v, v1, eps, m, policy)
+    shift = ExactMatrix.block_diag(ctx, [ExactMatrix.jordan_block(ctx, m)] * 2)
+    # repair the v side to a totally isotropic module generator, then the w
+    # side symmetrically
+    v1 = _repair_generator(g, shift, v1,
+                           _module_duals(g, shift, w1, shift.krylov(v1, m)),
+                           m, policy)
+    w1 = _repair_generator(g, shift, w1,
+                           _module_duals(g, shift, v1, shift.krylov(w1, m)),
+                           m, policy)
     _assert_isotropic(g, shift, v1, m)
     _assert_isotropic(g, shift, w1, m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
@@ -625,14 +604,9 @@ def pair_canon(g, eps, m, policy=EXTEND):
                           ExactMatrix.from_columns(ctx, 2 * m, svecs))
     x = ExactMatrix.from_columns(ctx, 2 * m, svecs + tvecs)
     out = x.transpose() @ g @ x
-    target = hyperbolic_block_matrix(ctx, m, eps)
-    if out != target:
+    if out != hyperbolic_block_matrix(ctx, m, eps):
         raise InternalDegenerate("pair normalization mismatch")
-    return x, v1, w1, ctx
-
-
-def _promote_vec(v, ctx):
-    return [c.promote(ctx) if c.ctx != ctx else c for c in v]
+    return x, v1, w1
 
 
 def _module_duals(g, shift, gen, targets):
@@ -645,46 +619,31 @@ def _module_duals(g, shift, gen, targets):
     return _columns(chain @ pinv.transpose())
 
 
-def _repair_generator(g, shift, gen, duals, other_gen, eps, m, policy):
-    """Correct gen so that its p-module is totally isotropic.
+def _repair_generator(g, shift, gen, duals, m, policy):
+    """gen corrected so that its p-module is totally isotropic.
 
-    duals are d_0, d_1 from the other module (f(d_i, p^j gen) = delta_ij);
-    the ansatz is gen' = gen + x0 d_0 + x1 d_1 + x2 p gen.  Conditions
-    f(gen', p^j gen') = 0 live only at j = 0, 1.
+    duals are d_0, d_1, ... from the other module (f(d_i, p^j gen) =
+    delta_ij); the ansatz is gen' = gen + x0 d_0 + x1 d_1 + x2 p gen.
+    Conditions f(gen', p^j gen') = 0 live only at j = 0, 1.
     """
-    ctx = g.ctx
-    pgen = _columns(shift.krylov(gen, 2))[1]
-    dirs = [duals[0]]
-    if m >= 2:
-        dirs.append(duals[1])
-    dirs.append(pgen)
+    dirs = duals[:2] + [_columns(shift.krylov(gen, 2))[1]]
     consts, lins, quads = _expand_conditions(g, shift, gen, dirs, m)
     live = [j for j in range(m)
             if not (consts[j].is_zero()
                     and all(c.is_zero() for c in lins[j])
                     and all(c.is_zero() for row in quads[j] for c in row))]
     if not live:
-        return gen, ctx, g, shift, duals, other_gen
+        return gen
     if any(j > 1 for j in live):
         raise InternalDegenerate("isotropy defect beyond the corner")
-    coeffs = _solve_corner_system(consts, lins, quads, len(dirs), ctx,
-                                  policy)
+    coeffs = _solve_corner_system(consts, lins, quads, len(dirs), policy)
     if coeffs is None:
         raise InternalDegenerate("corner repair found no solution")
-    coeffs, ctx2 = coeffs
-    if ctx2 != ctx:
-        g = g.promote(ctx2)
-        shift = shift.promote(ctx2)
-        gen = _promote_vec(gen, ctx2)
-        dirs = [_promote_vec(d, ctx2) for d in dirs]
-        duals = [_promote_vec(d, ctx2) for d in duals]
-        other_gen = _promote_vec(other_gen, ctx2)
-        ctx = ctx2
     new = list(gen)
     for c, d in zip(coeffs, dirs):
         new = [a + c * b for a, b in zip(new, d)]
     _assert_isotropic(g, shift, new, m)
-    return new, ctx, g, shift, duals, other_gen
+    return new
 
 
 def _expand_conditions(g, shift, gen, dirs, m):
@@ -701,8 +660,8 @@ def _expand_conditions(g, shift, gen, dirs, m):
     return consts, lins, quads
 
 
-def _solve_corner_system(consts, lins, quads, k, ctx, policy):
-    """Solve the j = 0 and j = 1 corner equations; returns (coeffs, ctx)."""
+def _solve_corner_system(consts, lins, quads, k, policy):
+    """Coefficients solving the j = 0 and j = 1 corner equations, or None."""
 
     def eval_cond(j, xs):
         acc = consts[j]
@@ -713,57 +672,48 @@ def _solve_corner_system(consts, lins, quads, k, ctx, policy):
                 acc = acc + quads[j][i][l] * xs[i] * xs[l]
         return acc
 
-    def check(xs, cx):
-        return all(eval_cond(j, [x.promote(cx) for x in xs]).is_zero()
-                   for j in range(len(consts)))
-
-    zero = ctx.zero()
+    zero = consts[0].ctx.zero()
     candidates = []
     # strategy 1: single-direction solutions for each direction
     for i in range(k):
-        sols = _single_var_solutions(quads[0][i][i], lins[0][i], consts[0],
-                                     policy)
-        for t, cx in sols:
-            xs = [zero.promote(cx)] * k
+        for t in _single_var_solutions(quads[0][i][i], lins[0][i], consts[0],
+                                       policy):
+            xs = [zero] * k
             xs[i] = t
-            candidates.append((xs, cx))
+            candidates.append(xs)
     # strategy 2: solve condition 1 for one direction, then condition 0
     # with another
     if len(consts) > 1:
         for i in range(k):
-            sols1 = _single_var_solutions(quads[1][i][i], lins[1][i],
-                                          consts[1], policy)
-            for t, cx in sols1:
+            for t in _single_var_solutions(quads[1][i][i], lins[1][i],
+                                           consts[1], policy):
                 for l in range(k):
                     if l == i:
                         continue
-                    xs0 = [zero.promote(cx)] * k
+                    xs0 = [zero] * k
                     xs0[i] = t
                     # condition 0 as a polynomial in x_l given x_i = t
                     c0 = eval_cond(0, xs0)
-                    lin = (lins[0][l].promote(cx)
-                           + (quads[0][i][l] + quads[0][l][i]).promote(cx) * t)
-                    qq = quads[0][l][l].promote(cx)
-                    sols0 = _single_var_solutions(qq, lin, c0, policy)
-                    for t0, cx2 in sols0:
-                        xs = [x.promote(cx2) for x in xs0]
+                    lin = lins[0][l] + (quads[0][i][l] + quads[0][l][i]) * t
+                    for t0 in _single_var_solutions(quads[0][l][l], lin, c0,
+                                                    policy):
+                        xs = list(xs0)
                         xs[l] = t0
-                        candidates.append((xs, cx2))
-    for xs, cx in candidates:
-        if check(xs, cx):
-            return xs, cx
+                        candidates.append(xs)
+    for xs in candidates:
+        if all(eval_cond(j, xs).is_zero() for j in range(len(consts))):
+            return xs
     return None
 
 
 def _single_var_solutions(qa, qb, qc, policy):
-    """Solutions (x, ctx) of qa x^2 + qb x + qc = 0, possibly extending."""
+    """The roots of qa x^2 + qb x + qc = 0, possibly extending."""
     try:
-        roots = quadratic_roots(qa, qb, qc, policy)
+        return quadratic_roots(qa, qb, qc, policy)
     except NoArtinSchreierRootStrict:
         raise
     except NoRootStrictPolicy:
         return []
-    return [(t, t.ctx) for t in roots]
 
 
 def _assert_isotropic(g, shift, gen, m):
@@ -773,7 +723,6 @@ def _assert_isotropic(g, shift, gen, m):
 
 
 def reduce_pair(g, eps, m, policy=EXTEND):
-    """(Congruence, ctx) from a pair-block Gram to ((0, J_m(eps)), (I, 0))."""
-    x, _vg, _wg, ctx = pair_canon(g, eps, m, policy)
-    target = hyperbolic_block_matrix(ctx, m, eps.promote(ctx))
-    return Congruence(x, g.promote(ctx), target), ctx
+    """Congruence from a pair-block Gram to ((0, J_m(eps)), (I, 0))."""
+    x = pair_canon(g, eps, m, policy)[0]
+    return Congruence(x, g, hyperbolic_block_matrix(x.ctx, m, eps))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from matcanon import exactmat
-from matcanon.errors import DimensionMismatch
+from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
 from matcanon.field import (Scalar, _poly_mulmod, _poly_powmod, _poly_trim,
                             artin_schreier_root_or_adjoin, gf4, prime_field,
@@ -354,3 +354,54 @@ def test_krylov_matches_reference(name):
                 assert ([got[i, j].coords for i in range(n)]
                         == [e.coords for e in col]), (label, length, j)
                 col = ref_matvec(a, col)
+
+
+# -- the context rule: contexts meet in the arithmetic -------------------------
+
+# (field, extension) pairs of CONTEXTS
+EXTENSIONS = [("Q", "Q(sqrt2)"), ("GF(3)", "GF(3)(sqrt-1)"),
+              ("GF(4)", "GF(4)+AS")]
+
+
+@pytest.mark.parametrize("base, ext", EXTENSIONS)
+def test_krylov_lives_in_the_common_context(base, ext):
+    """A vector over an extension of M's field, and one that mixes entries
+    of both with a field entry first, give the columns over the extension,
+    the same as with everything promoted first."""
+    small, big = CONTEXTS[base], CONTEXTS[ext]
+    rng = random.Random("lift " + ext)
+    a = rand_matrix(small, rng, 4, 4)
+    wide = [rand_scalar(big, rng) for _ in range(4)]
+    mixed = [rand_scalar(small, rng), rand_scalar(big, rng), small.zero(),
+             big.generator(len(big.tower))]
+    for v in (wide, mixed):
+        for length in (1, 4):
+            got = a.krylov(v, length)
+            assert_matrix_canonical(got, big, 4, length)
+            want = a.promote(big).krylov([e.promote(big) for e in v], length)
+            assert coords(got.rows) == coords(want.rows)
+
+
+@pytest.mark.parametrize("base, ext", EXTENSIONS)
+def test_constructors_live_in_the_common_context(base, ext):
+    """ExactMatrix(ctx, rows), from_columns and block_diag with entries
+    over an extension of ctx give the matrix over the extension; promote
+    still refuses to leave a context."""
+    small, big = CONTEXTS[base], CONTEXTS[ext]
+    rng = random.Random("construct " + ext)
+    rows = [[rand_scalar(small, rng), 2, rand_scalar(big, rng)],
+            [big.generator(len(big.tower)), small.one(), 0]]
+    got = ExactMatrix(small, rows)
+    assert_matrix_canonical(got, big, 2, 3)
+    assert coords(got.rows) == coords(ExactMatrix(big, rows).rows)
+    cols = [list(col) for col in got.transpose().rows]
+    got = ExactMatrix.from_columns(small, 2, cols)
+    assert_matrix_canonical(got, big, 2, 3)
+    assert coords(got.rows) == coords(ExactMatrix(big, rows).rows)
+    blocks = [rand_matrix(small, rng, 2, 2), rand_matrix(big, rng, 1, 2)]
+    got = ExactMatrix.block_diag(small, blocks)
+    want = ExactMatrix.block_diag(big, [b.promote(big) for b in blocks])
+    assert_matrix_canonical(got, big, 3, 4)
+    assert coords(got.rows) == coords(want.rows)
+    with pytest.raises(ContextMismatch):
+        got.promote(small)

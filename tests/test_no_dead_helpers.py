@@ -17,13 +17,11 @@ SRC = pathlib.Path(matcanon.__file__).resolve().parent
 
 TEST_ONLY = {
     "filtration",
-    "hat_form",
     "alternating_flag",
     # ROADMAP item 1: should read the kernels gen_eigenspace computes
     "elementary_divisor_multiplicities",
     "form_from_json",
     "congruence_class_map",
-    "matrix_flat",
 }
 
 

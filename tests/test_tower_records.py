@@ -9,9 +9,12 @@ of characteristic 2 is a square, so a characteristic-2 JSON tower with a
 "sqrt" record is refused on reading (pinned below).
 """
 
+from fractions import Fraction
+
 import pytest
 
-from matcanon import ExactMatrix, ParseError, canonicalize, equivalent
+from matcanon import (ExactMatrix, FieldContext, ParseError, canonicalize,
+                      equivalent)
 from matcanon.canon import _extension_report
 from matcanon.cli import context_from_json, context_to_json
 from matcanon.field import (STRICT, gf4, prime_field, rationals,
@@ -109,3 +112,18 @@ def test_characteristic_2_square_roots_square_back(build):
         for policy in ("extend", STRICT):
             r, ctx2 = sqrt_or_adjoin(x, policy)
             assert ctx2 == ctx and r * r == x
+
+
+def test_the_constructor_checks_each_record():
+    # Q(sqrt 4) would have zero divisors: (g - 2)(g + 2) = 0
+    with pytest.raises(ValueError, match="4 is a square in Q"):
+        FieldContext("rational", tower=[(0, (Fraction(4),))])
+    # a record kind is c1 = 0 or c1 = 1, nothing else
+    with pytest.raises(ValueError, match="c1 = 0"):
+        FieldContext("gfp", 2, tower=[(7, (1,))])
+    # checked records give the context the adjoin methods build
+    q = rationals()
+    q2 = q.adjoin_sqrt(q.scalar(2))
+    assert FieldContext("rational", tower=q2.tower) == q2
+    f2_as = prime_field(2).adjoin_artin_schreier(prime_field(2).one())
+    assert FieldContext("gfp", 2, tower=f2_as.tower) == f2_as

@@ -8,8 +8,8 @@ from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import (EXTEND, STRICT, gf4, prime_field, rationals)
 from matcanon.spectral import asymmetry, hyperbolic_block_matrix
 from matcanon.unipotent import (alternating_flag, filtration, gamma0_matrix,
-                                gamma_matrix, hat_form, peel_all,
-                                reduce_pair, reduce_single)
+                                gamma_matrix, peel_all, reduce_pair,
+                                reduce_single)
 
 
 def nil_of(a, eps=None):
@@ -111,7 +111,7 @@ def test_hat_form_values():
     q = rationals()
     a = gamma_matrix(q, 3)
     comps = filtration(a, nil_of(a), q.one())
-    hat = hat_form(comps[0])
+    hat = comps[0].hat_gram
     assert hat.nrows == 1
     assert not hat[0, 0].is_zero()
     assert not alternating_flag(hat)
@@ -119,7 +119,7 @@ def test_hat_form_values():
     f2 = prime_field(2)
     e2 = ExactMatrix(f2, [[0, 1], [1, 0]])
     comps = filtration(e2, nil_of(e2), f2.one())
-    hat = hat_form(comps[0])
+    hat = comps[0].hat_gram
     assert alternating_flag(hat)
     assert hat == e2  # m = 1: the hat form is the form itself
 
@@ -148,7 +148,8 @@ def test_hat_form_scalar_asymmetry_signs():
 def test_reduce_single_scalar_九():
     q = rationals()
     g = ExactMatrix(q, [[9]])
-    w, ctx = reduce_single(g, q.one(), 1)
+    w = reduce_single(g, q.one(), 1)
+    ctx = w.x.ctx
     assert ctx == q
     assert w.x == ExactMatrix(q, [[Fraction(1, 3)]])
     assert w.target == ExactMatrix(q, [[1]])
@@ -163,7 +164,8 @@ def test_reduce_single_gamma_self():
         nmat = asym.s - ExactMatrix.identity(q, n).scale(eps)
         pieces = peel_all(gm, nmat, eps)
         assert len(pieces) == 1 and pieces[0].kind == "single"
-        w, ctx = reduce_single(pieces[0].gram, eps, n)
+        w = reduce_single(pieces[0].gram, eps, n)
+        ctx = w.x.ctx
         assert w.target == gamma_matrix(ctx, n)
 
 
@@ -182,7 +184,8 @@ def test_reduce_single_scrambled_gamma5():
         nmat = asym.s - ExactMatrix.identity(q, 5)
         pieces = peel_all(a, nmat, q.one())
         assert len(pieces) == 1
-        w, ctx = reduce_single(pieces[0].gram, q.one(), 5)
+        w = reduce_single(pieces[0].gram, q.one(), 5)
+        ctx = w.x.ctx
         assert w.target == gamma_matrix(ctx, 5)
 
 
@@ -193,7 +196,8 @@ def test_reduce_single_char2_gamma3():
     nmat = asym.s - ExactMatrix.identity(f2, 3)
     pieces = peel_all(g30, nmat, f2.one())
     assert [p.kind for p in pieces] == ["single"]
-    w, ctx = reduce_single(pieces[0].gram, f2.one(), 3)
+    w = reduce_single(pieces[0].gram, f2.one(), 3)
+    ctx = w.x.ctx
     assert w.target == gamma0_matrix(ctx, 3)
 
 
@@ -209,7 +213,8 @@ def test_case3_matrix_over_gf4():
     nmat = asym.s - ExactMatrix.identity(f4, 3)
     pieces = peel_all(a, nmat, f4.one())
     assert [p.kind for p in pieces] == ["single"]
-    w, ctx = reduce_single(pieces[0].gram, f4.one(), 3, EXTEND)
+    w = reduce_single(pieces[0].gram, f4.one(), 3, EXTEND)
+    ctx = w.x.ctx
     assert len(ctx.tower) == 1  # one Artin-Schreier adjunction
     assert w.target == gamma0_matrix(ctx, 3)
     with pytest.raises(NoArtinSchreierRootStrict):
@@ -228,7 +233,8 @@ def test_pair_m1_bases():
     for eps in (q.one(), -q.one()):
         g = ExactMatrix(q, [[q.zero(), eps * q.scalar(3)],
                             [q.scalar(3), q.zero()]])
-        w, ctx = reduce_pair(g, eps, 1)
+        w = reduce_pair(g, eps, 1)
+        ctx = w.x.ctx
         assert w.target == hyperbolic_block_matrix(ctx, 1, eps)
 
 
@@ -244,11 +250,13 @@ def test_pair_m2_paper_matrix_rational():
     q = rationals()
     c = paper_pair_m2(q, q.scalar(1), q.scalar(1))
     piece = peel_one_pair(c, q.one(), 2)
-    w, ctx = reduce_pair(piece.gram, q.one(), 2)
+    w = reduce_pair(piece.gram, q.one(), 2)
+    ctx = w.x.ctx
     assert w.target == hyperbolic_block_matrix(ctx, 2, q.one())
     c = paper_pair_m2(q, q.zero(), q.zero())
     piece = peel_one_pair(c, q.one(), 2)
-    w, ctx = reduce_pair(piece.gram, q.one(), 2)
+    w = reduce_pair(piece.gram, q.one(), 2)
+    ctx = w.x.ctx
     assert ctx == q
     assert w.target == hyperbolic_block_matrix(q, 2, q.one())
 
@@ -259,7 +267,8 @@ def test_pair_m2_char2_needs_artin_schreier():
     piece = peel_one_pair(c, f2.one(), 2)
     with pytest.raises(NoArtinSchreierRootStrict):
         reduce_pair(piece.gram, f2.one(), 2, STRICT)
-    w, ctx = reduce_pair(piece.gram, f2.one(), 2, EXTEND)
+    w = reduce_pair(piece.gram, f2.one(), 2, EXTEND)
+    ctx = w.x.ctx
     assert len(ctx.tower) == 1
     assert w.target == hyperbolic_block_matrix(ctx, 2, f2.one())
 
@@ -270,7 +279,8 @@ def test_pair_m2_char2_one_zero_corner():
                  (f2.zero(), f2.zero())):
         c = paper_pair_m2(f2, a, b)
         piece = peel_one_pair(c, f2.one(), 2)
-        w, ctx = reduce_pair(piece.gram, f2.one(), 2, STRICT)
+        w = reduce_pair(piece.gram, f2.one(), 2, STRICT)
+        ctx = w.x.ctx
         assert ctx == f2
 
 
@@ -301,7 +311,8 @@ def test_pair_scrambled_blocks():
             nmat = asymmetry(a).s - ExactMatrix.identity(q, n).scale(eps)
             pieces = peel_all(a, nmat, eps)
             assert [p.kind for p in pieces] == ["pair"], (m, eps)
-            w, ctx = reduce_pair(pieces[0].gram, eps, m)
+            w = reduce_pair(pieces[0].gram, eps, m)
+            ctx = w.x.ctx
             assert w.target == hyperbolic_block_matrix(ctx, m, eps)
 
 
@@ -321,7 +332,8 @@ def test_pair_scrambled_char2():
             nmat = asymmetry(a).s - ExactMatrix.identity(f2, n)
             pieces = peel_all(a, nmat, f2.one())
             assert [p.kind for p in pieces] == ["pair"], m
-            w, ctx = reduce_pair(pieces[0].gram, f2.one(), m, EXTEND)
+            w = reduce_pair(pieces[0].gram, f2.one(), m, EXTEND)
+            ctx = w.x.ctx
             assert w.target == hyperbolic_block_matrix(ctx, m, f2.one())
 
 
