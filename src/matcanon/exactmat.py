@@ -4,14 +4,14 @@ Kernel.  Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan
 elimination (_rref, behind inverse_or_rank and solve; first_dependence is
 its incremental form) run on raw values, not on Scalar objects: entries are
 unwrapped once on entry and the result is rewrapped once through a trusted
-constructor that skips the per-entry checks.  A raw value is the entry's
-coordinate tuple (Scalar.coords), multiplied by the field's _tower_mul and
-added coordinatewise, so one code path covers every context; zero entries
-are skipped.  The one specialised
-case is GF(p) at tower height 0, whose raw values are flat ints with one
-reduction mod p per dot product (after FFPACK, Dumas, Giorgi and Pernet,
-ISSAC 2004).  The results are the exact values the Scalar operators would
-give.
+constructor that skips the per-entry checks.  The raw arithmetic is
+field._raw_ops, which root finding's polynomial layer shares.  A raw value
+is the entry's coordinate tuple (Scalar.coords), multiplied by the field's
+_tower_mul and added coordinatewise, so one code path covers every
+context; zero entries are skipped.  The one specialised case is GF(p) at
+tower height 0, whose raw values are flat ints with one reduction mod p
+per dot product (after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004).  The
+results are the exact values the Scalar operators would give.
 
 An elimination builds only what its caller reads.  inverse_or_rank appends
 an identity, and so builds the row transform, only for a square input (for
@@ -57,7 +57,7 @@ from collections import namedtuple
 
 from .errors import (ContextMismatch, DimensionMismatch, IndexOutOfRange,
                      MatcanonError, ZeroScale)
-from .field import Scalar, _raw_scalar, _tower_inv, _tower_mul, power
+from .field import Scalar, _raw_ops, power
 
 
 def _trusted(ctx, rows, ncols):
@@ -372,124 +372,6 @@ def _kernel(ops, work, pivots, m):
             vec[pc] = ops.neg(work[row_i][fcol])
         vectors.append(vec)
     return [list(row) for row in ops.wrap(vectors)]
-
-
-class _FlatOps:
-    """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
-    product is reduced mod p once, not once per operation."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.p = ctx.p
-        self.zero, self.one = 0, 1
-
-    @staticmethod
-    def unwrap(rows):
-        return [[e.coords[0] for e in row] for row in rows]
-
-    def wrap(self, rows):
-        memo = _Interned(self.ctx, lambda v: (v,))
-        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
-
-    def neg(self, x):
-        return -x % self.p
-
-    def inverse(self, x):
-        return pow(x, self.p - 2, self.p)
-
-    def scale(self, row, c):
-        p = self.p
-        return [x * c % p for x in row]
-
-    def axpy(self, row, f, prow):
-        """row - f * prow."""
-        p = self.p
-        return [(x - f * y) % p for x, y in zip(row, prow)]
-
-    def matmul(self, a_rows, b_cols):
-        p = self.p
-        return [[sum(map(operator.mul, r, c)) % p for c in b_cols]
-                for r in a_rows]
-
-
-class _CoordOps:
-    """Every other context: raw values are Scalar.coords tuples, multiplied
-    by _tower_mul and added coordinatewise; zero entries are skipped."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.level = len(ctx.tower)
-        self.zero = ctx.zero().coords
-        self.one = ctx.one().coords
-
-    @staticmethod
-    def unwrap(rows):
-        return [[e.coords for e in row] for row in rows]
-
-    def wrap(self, rows):
-        ctx = self.ctx
-        if ctx.kind == "rational":
-            # hashing Fractions costs more than a fresh scalar
-            return tuple(tuple(_raw_scalar(ctx, v) for v in row)
-                         for row in rows)
-        memo = _Interned(ctx, lambda v: v)
-        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
-
-    def neg(self, x):
-        return tuple(map(self.ctx._bneg, x))
-
-    def inverse(self, x):
-        return _tower_inv(self.ctx, x, self.level)
-
-    def scale(self, row, c):
-        ctx, level, zero = self.ctx, self.level, self.zero
-        return [x if x == zero else _tower_mul(ctx, x, c, level)
-                for x in row]
-
-    def axpy(self, row, f, prow):
-        """row - f * prow."""
-        ctx, level, zero = self.ctx, self.level, self.zero
-        badd, bneg = ctx._badd, ctx._bneg
-        return [x if y == zero else
-                tuple(map(badd, x, map(bneg, _tower_mul(ctx, f, y, level))))
-                for x, y in zip(row, prow)]
-
-    def matmul(self, a_rows, b_cols):
-        ctx, level, zero = self.ctx, self.level, self.zero
-        badd = ctx._badd
-        out = []
-        for r in a_rows:
-            support = [(k, x) for k, x in enumerate(r) if x != zero]
-            out_row = []
-            for c in b_cols:
-                acc = zero
-                for k, x in support:
-                    y = c[k]
-                    if y != zero:
-                        acc = tuple(map(badd, acc,
-                                        _tower_mul(ctx, x, y, level)))
-                out_row.append(acc)
-            out.append(out_row)
-        return out
-
-
-def _raw_ops(ctx):
-    if ctx.kind == "gfp" and not ctx.tower:
-        return _FlatOps(ctx)
-    return _CoordOps(ctx)
-
-
-class _Interned(dict):
-    """Raw value -> Scalar, building each distinct scalar once per wrap."""
-
-    def __init__(self, ctx, coords_of):
-        super().__init__()
-        self.ctx = ctx
-        self.coords_of = coords_of
-
-    def __missing__(self, v):
-        s = self[v] = _raw_scalar(self.ctx, self.coords_of(v))
-        return s
 
 
 class WitnessError(MatcanonError):

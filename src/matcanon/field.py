@@ -13,9 +13,12 @@ their names in JSON and in the extension report.
 
 Arithmetic shared by the package is written here once.  power is its one
 square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers
-and ExactMatrix.power all call it.  The polynomial layer (Scalar
-coefficients, low to high) holds the products, division and gcd of root
-finding, and frobenius_gcd(f, e), the monic gcd(f, X^e - X), serves both
+and ExactMatrix.power all call it.  _raw_ops(ctx) computes on raw values,
+unwrapped from Scalars once (ints for GF(p) with no adjunction, else
+coordinate tuples through _tower_mul), a whole row at a time (scale, axpy).
+exactmat's kernels run on it, and so does the polynomial layer (raw
+coefficients, low to high): the products, division and gcd of root finding,
+and frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both
 root finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
 modulus (e = p^k and p^(k/r), over GF(p)).
 """
@@ -48,6 +51,8 @@ _NONRESIDUE_TRIES = 64
 # (Sorenson and Webster, 2015), which covers all 64-bit n
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+
+_FRACTION_ZERO = Fraction(0)  # immutable: one object serves every context
 
 
 def _is_prime(n):
@@ -102,9 +107,9 @@ class FieldContext:
     records, one per adjunction, meaning g^2 = c1 g + d: c1 is 0 (a square
     root) or 1 (an Artin-Schreier root, characteristic 2 only), and coords
     are the coordinates of d in the context existing before the adjunction.
-    The constructor checks each record as _adjoin does: x^2 = c1 x + d must
-    have no root one level down, or the result has zero divisors.  Outside
-    this module, read the records with adjunctions(ctx).
+    The constructor reads coords as scalar() does and checks each record
+    as _adjoin does: x^2 = c1 x + d must have no root one level down, or
+    the result has zero divisors.  Elsewhere read them with adjunctions().
     """
 
     def __init__(self, kind, p=0, modulus=None, tower=(), tower_cap=16):
@@ -131,9 +136,10 @@ class FieldContext:
         if self.p != 2 and any(c1 for c1, _d in tower):
             raise WrongCharacteristic(
                 "Artin-Schreier adjunction outside characteristic 2")
-        level = self
+        level = self  # the base field, whose scalar() reads each coordinate
         for c1, d in tower:
-            level = level._adjoin(c1, Scalar(level, d), False)
+            d = Scalar(level, [self.scalar(c).coords[0] for c in d])
+            level = level._adjoin(c1, d, False)
         self.tower, self._key = level.tower, level._key
 
     def _with_tower(self, tower):
@@ -204,7 +210,7 @@ class FieldContext:
 
     def _bzero(self):
         if self.kind == "rational":
-            return Fraction(0)
+            return _FRACTION_ZERO
         if self.kind == "gfp":
             return 0
         return (0,) * len(self.modulus)
@@ -545,11 +551,10 @@ def _tower_mul(ctx, xs, ys, level):
     half = 1 << (level - 1)
     a, b = xs[:half], xs[half:]
     c, e = ys[:half], ys[half:]
-    bz = ctx._bis_zero
-    b_zero = all(bz(v) for v in b)
-    e_zero = all(bz(v) for v in e)
+    zero = (ctx._bzero(),) * half
+    b_zero, e_zero = b == zero, e == zero
     if b_zero and e_zero:
-        return _tower_mul(ctx, a, c, level - 1) + (ctx._bzero(),) * half
+        return _tower_mul(ctx, a, c, level - 1) + zero
     if b_zero:
         return (_tower_mul(ctx, a, c, level - 1)
                 + _tower_mul(ctx, a, e, level - 1))
@@ -562,11 +567,12 @@ def _tower_mul(ctx, xs, ys, level):
     ae = _tower_mul(ctx, a, e, level - 1)
     bc = _tower_mul(ctx, b, c, level - 1)
     bed = _tower_mul(ctx, be, d, level - 1)
-    low = tuple(ctx._badd(x, y) for x, y in zip(ac, bed))
-    high = tuple(ctx._badd(x, y) for x, y in zip(ae, bc))
+    badd = ctx._badd
+    low = tuple(map(badd, ac, bed))
+    high = tuple(map(badd, ae, bc))
     if c1:
         # g^2 = g + d: the be part feeds both halves
-        high = tuple(ctx._badd(x, y) for x, y in zip(high, be))
+        high = tuple(map(badd, high, be))
     return low + high
 
 
@@ -595,6 +601,126 @@ def _tower_inv(ctx, xs, level):
     return lo + hi
 
 
+# -- raw values: the kernels' and the polynomial layer's arithmetic ----------
+
+class _FlatOps:
+    """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
+    product is reduced mod p once, not once per operation."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.p = ctx.p
+        self.zero, self.one = 0, 1
+
+    @staticmethod
+    def unwrap(rows):
+        return [[e.coords[0] for e in row] for row in rows]
+
+    def wrap(self, rows):
+        memo = _Interned(self.ctx, lambda v: (v,))
+        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+
+    def neg(self, x):
+        return -x % self.p
+
+    def inverse(self, x):
+        return pow(x, self.p - 2, self.p)
+
+    def scale(self, row, c):
+        p = self.p
+        return [x * c % p for x in row]
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(row, prow)]
+
+    def matmul(self, a_rows, b_cols):
+        p = self.p
+        return [[sum(map(operator.mul, r, c)) % p for c in b_cols]
+                for r in a_rows]
+
+
+class _CoordOps:
+    """Every other context: raw values are Scalar.coords tuples, multiplied
+    by _tower_mul and added coordinatewise; zero entries are skipped."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.level = len(ctx.tower)
+        self.zero = ctx.zero().coords
+        self.one = ctx.one().coords
+
+    @staticmethod
+    def unwrap(rows):
+        return [[e.coords for e in row] for row in rows]
+
+    def wrap(self, rows):
+        ctx = self.ctx
+        if ctx.kind == "rational":
+            # hashing Fractions costs more than a fresh scalar
+            return tuple(tuple(_raw_scalar(ctx, v) for v in row)
+                         for row in rows)
+        memo = _Interned(ctx, lambda v: v)
+        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+
+    def neg(self, x):
+        return tuple(map(self.ctx._bneg, x))
+
+    def inverse(self, x):
+        return _tower_inv(self.ctx, x, self.level)
+
+    def scale(self, row, c):
+        ctx, level, zero = self.ctx, self.level, self.zero
+        return [x if x == zero else _tower_mul(ctx, x, c, level)
+                for x in row]
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        ctx, level, zero = self.ctx, self.level, self.zero
+        badd, bneg = ctx._badd, ctx._bneg
+        return [x if y == zero else
+                tuple(map(badd, x, map(bneg, _tower_mul(ctx, f, y, level))))
+                for x, y in zip(row, prow)]
+
+    def matmul(self, a_rows, b_cols):
+        ctx, level, zero = self.ctx, self.level, self.zero
+        badd = ctx._badd
+        out = []
+        for r in a_rows:
+            support = [(k, x) for k, x in enumerate(r) if x != zero]
+            out_row = []
+            for c in b_cols:
+                acc = zero
+                for k, x in support:
+                    y = c[k]
+                    if y != zero:
+                        acc = tuple(map(badd, acc,
+                                        _tower_mul(ctx, x, y, level)))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
+
+def _raw_ops(ctx):
+    if ctx.kind == "gfp" and not ctx.tower:
+        return _FlatOps(ctx)
+    return _CoordOps(ctx)
+
+
+class _Interned(dict):
+    """Raw value -> Scalar, building each distinct scalar once per wrap."""
+
+    def __init__(self, ctx, coords_of):
+        super().__init__()
+        self.ctx = ctx
+        self.coords_of = coords_of
+
+    def __missing__(self, v):
+        s = self[v] = _raw_scalar(self.ctx, self.coords_of(v))
+        return s
+
+
 # -- total order -------------------------------------------------------------
 
 def canonical_compare(x, y):
@@ -612,89 +738,81 @@ def canonical_compare(x, y):
     return 0
 
 
-# -- polynomials (Scalar coefficients, low to high) ----------------------------
+# -- polynomials (raw coefficients of one context, low to high) ---------------
 
-def _poly_trim(ctx, p):
-    if not p:
-        return [ctx.zero()]
-    while len(p) > 1 and p[-1].is_zero():
+def _poly_trim(ops, p):
+    while len(p) > 1 and p[-1] == ops.zero:
         p = p[:-1]
-    return p
+    return p or [ops.zero]
 
 
-def _poly_sub(ctx, p, q):
-    return [a - b for a, b in itertools.zip_longest(p, q,
-                                                    fillvalue=ctx.zero())]
+def _poly_axpy(ops, p, c, q):
+    """p - c q."""
+    n = max(len(p), len(q))
+    return ops.axpy(p + [ops.zero] * (n - len(p)), c,
+                    q + [ops.zero] * (n - len(q)))
 
 
-def _poly_add(ctx, p, q):
-    return _poly_sub(ctx, p, [-c for c in q])
-
-
-def _poly_mulmod(ctx, a, b, f):
+def _poly_mulmod(ops, a, b, f):
+    """a b mod monic f: each coefficient of a adds a scaled row b, and each
+    coefficient above deg f takes a scaled row of f away."""
     n = len(f) - 1
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
+    zero = ops.zero
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    # reduce modulo monic f
+        if x != zero:
+            out[i:i + len(b)] = ops.axpy(out[i:i + len(b)], ops.neg(x), b)
+    low = f[:n]
     for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c.is_zero():
-            continue
-        out[i] = ctx.zero()
-        for j in range(n):
-            out[i - n + j] = out[i - n + j] - c * f[j]
-    return _poly_trim(ctx, out[:n] if len(out) > n else out)
+        if out[i] != zero:  # X^i = X^(i-n) (X^n - f)
+            out[i - n:i] = ops.axpy(out[i - n:i], out[i], low)
+    return _poly_trim(ops, out[:n])
 
 
-def _poly_powmod(ctx, base, e, f):
+def _poly_powmod(ops, base, e, f):
     """base^e mod monic f, for a base already reduced mod f."""
-    return power(base, e, lambda x, y: _poly_mulmod(ctx, x, y, f),
-                 [ctx.one()])
+    return power(base, e, lambda x, y: _poly_mulmod(ops, x, y, f), [ops.one])
 
 
-def _poly_divmod(ctx, a, b):
-    """Quotient and remainder of a by a nonzero b."""
-    rem = _poly_trim(ctx, list(a))
-    quot = [ctx.zero()] * max(len(rem) - len(b) + 1, 1)
-    lead_inv = b[-1].inverse()
-    while len(rem) >= len(b) and not (len(rem) == 1 and rem[0].is_zero()):
-        c = rem[-1] * lead_inv
+def _poly_divmod(ops, a, b):
+    """Quotient and remainder of a by a nonzero b, dividing by b made monic
+    and scaling the quotient back."""
+    lead_inv = ops.inverse(b[-1])
+    b = ops.scale(b, lead_inv)
+    rem = _poly_trim(ops, list(a))
+    quot = [ops.zero] * max(len(rem) - len(b) + 1, 1)
+    while len(rem) >= len(b) and not (len(rem) == 1 and rem[0] == ops.zero):
         off = len(rem) - len(b)
-        quot[off] = c
-        for j in range(len(b)):
-            rem[off + j] = rem[off + j] - c * b[j]
-        rem = _poly_trim(ctx, rem[:-1])  # the top coefficient cancelled
-    return quot, rem
+        quot[off] = rem[-1]
+        rem[off:] = ops.axpy(rem[off:], rem[-1], b)
+        rem = _poly_trim(ops, rem[:-1])  # the top coefficient cancelled
+    return ops.scale(quot, lead_inv), rem
 
 
-def _poly_gcd(ctx, a, b):
-    a = _poly_trim(ctx, list(a))
-    b = _poly_trim(ctx, list(b))
-    while not (len(b) == 1 and b[0].is_zero()):
-        a, b = b, _poly_divmod(ctx, a, b)[1]
-    if not a[-1].is_zero():
-        a = [c / a[-1] for c in a]
+def _poly_gcd(ops, a, b):
+    """The monic gcd of a and b ([zero] when both are zero)."""
+    a, b = _poly_trim(ops, list(a)), _poly_trim(ops, list(b))
+    while not (len(b) == 1 and b[0] == ops.zero):
+        a, b = b, _poly_divmod(ops, a, b)[1]
+    if a[-1] != ops.zero:
+        a = ops.scale(a, ops.inverse(a[-1]))
     return a
 
 
-def frobenius_gcd(f, e):
+def frobenius_gcd(ops, f, e):
     """The monic gcd(f, X^e - X) of a polynomial f of degree >= 1 over a
-    finite field, with X^e mod f by square and multiply.
+    finite field, raw coefficients of the context of ops, with X^e mod f by
+    square and multiply.
 
     For e = q, the order of the field, it is the product of X - r over the
     distinct roots r of f in the field (root finding).  Over GF(p), f of
     degree k is irreducible iff e = p^k gives f and e = p^(k/r) gives 1 for
     every prime r | k (Rabin, SIAM J. Comput. 9, 1980).
     """
-    ctx = f[-1].ctx
-    f = [c / f[-1] for c in f]
-    x = [ctx.zero(), ctx.one()]
-    return _poly_gcd(ctx, f, _poly_sub(ctx, _poly_powmod(ctx, x, e, f), x))
+    f = ops.scale(f, ops.inverse(f[-1]))
+    x = [ops.zero, ops.one]
+    return _poly_gcd(ops, f, _poly_axpy(ops, _poly_powmod(ops, x, e, f),
+                                        ops.one, x))
 
 
 # -- roots --------------------------------------------------------------------
@@ -1134,10 +1252,10 @@ def finite_field(p, modulus, tower_cap=16):
 def _modulus_is_irreducible(ctx):
     """Rabin's test of the degree-k modulus f over GF(p) (frobenius_gcd)."""
     p, k = ctx.p, len(ctx.modulus)
-    gfp = prime_field(p)
-    f = [gfp.scalar(c) for c in ctx.modulus] + [gfp.one()]
-    return (frobenius_gcd(f, p ** k) == f
-            and all(len(frobenius_gcd(f, p ** (k // r))) == 1
+    ops = _raw_ops(prime_field(p))
+    f = list(ctx.modulus) + [1]  # reduced ints: raw GF(p) coefficients
+    return (frobenius_gcd(ops, f, p ** k) == f
+            and all(len(frobenius_gcd(ops, f, p ** (k // r))) == 1
                     for r in range(2, k + 1) if k % r == 0 and _is_prime(r)))
 
 

@@ -6,15 +6,16 @@ Artin-Schreier adjunctions when allowed); the space then decomposes into
 generalized eigenspaces, orthogonal except for the pairing of V_lam with
 V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
 
-Roots are found one at a time, the least first.  Over GF(q) (a tower
-included) the roots of f in the field are those of g = gcd(f, X^q - X),
-which field.frobenius_gcd computes (the routine of Rabin's irreducibility
-test, with another exponent); g is split into linear factors by
-Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1) for odd q, or
-gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1)) for q = 2^m,
-over shifts a drawn from field.random_elements.  The work is polynomial in
-log q, and the root returned is the least in iter_elements order whatever
-the draws.  Over Q, rational roots come from the rational-root theorem.
+Roots are taken one at a time: 1, else -1, else the least in the field.
+Over GF(q) (a tower included) the roots of f in the field are those of
+g = gcd(f, X^q - X), which field.frobenius_gcd computes on raw values (the
+routine of Rabin's irreducibility test, with another exponent) once per
+context: one search lists the roots until an adjunction changes q.  g is
+split into linear factors by Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1)
+for odd q, or gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1))
+for q = 2^m, over shifts a drawn from field.random_elements.  The work is
+polynomial in log q, and the list is in iter_elements order whatever the
+draws.  Over Q, rational roots come from the rational-root theorem.
 Factors with no root are quadratics or palindromes, reached by adjunction.
 """
 
@@ -29,8 +30,8 @@ from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, NoArtinSchreierRootStrict,
                      NoRootStrictPolicy, NotSplit, SingularInput)
 from .exactmat import ExactMatrix, first_dependence, inverse_or_rank
-from .field import (EXTEND, _poly_add, _poly_divmod, _poly_gcd, _poly_mulmod,
-                    _poly_powmod, _poly_sub, _poly_trim, canonical_compare,
+from .field import (EXTEND, _poly_axpy, _poly_divmod, _poly_gcd, _poly_mulmod,
+                    _poly_powmod, _poly_trim, _raw_ops, canonical_compare,
                     enumeration_key, frobenius_gcd, quadratic_roots,
                     random_elements)
 
@@ -92,23 +93,13 @@ def _minimal_polynomial(s):
     return poly
 
 
-# -- evaluation and division by X - root (coefficients low-to-high) -----------
+# -- evaluation (coefficients low-to-high) ------------------------------------
 
 def poly_eval(p, x):
     acc = x.ctx.zero()
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_divmod_linear(p, root):
-    """Divide p by (X - root); returns (quotient, remainder scalar)."""
-    q = []
-    acc = p[-1]
-    for c in reversed(p[:-1]):  # synthetic division, top coefficient first
-        q.append(acc)
-        acc = c + acc * root
-    return q[::-1], acc
 
 
 # -- root finding ------------------------------------------------------------------
@@ -124,8 +115,11 @@ def split_min_poly(asym, policy=EXTEND):
     ctx = asym.ctx
     work = list(asym.min_poly)
     roots = []
+    # None, or the roots of work in its context not yet peeled, least first:
+    # X^q mod work is computed once per context, not once per root
+    listed = None
     while len(work) >= 2:
-        root = _find_one_root(work, policy)
+        root, listed = _find_one_root(work, policy, listed)
         ctx = root.ctx
         work = [c.promote(ctx) for c in work]
         work, mult = _extract_root(work, root)
@@ -139,19 +133,22 @@ def split_min_poly(asym, policy=EXTEND):
                 and poly_eval(work, partner).is_zero():
             work, mult2 = _extract_root(work, partner)
             roots.append((partner, mult2))
+        listed = listed and [r for r in listed if r not in (root, partner)]
     _check_inverse_closed(roots)
     return Asymmetry(asym.s, asym.min_poly, ctx, split_roots=roots)
 
 
 def _extract_root(work, root):
+    """work / (X - root)^m for the largest such m, and m (one context)."""
+    ops = _raw_ops(root.ctx)
+    raw, linear = ops.unwrap([work, [-root, root.ctx.one()]])
     mult = 0
-    while len(work) > 1:
-        q, rem = poly_divmod_linear(work, root)
-        if not rem.is_zero():
+    while len(raw) > 1:
+        quot, rem = _poly_divmod(ops, raw, linear)
+        if rem != [ops.zero]:
             break
-        work = q
-        mult += 1
-    return work, mult
+        raw, mult = quot, mult + 1
+    return list(ops.wrap([raw])[0]), mult
 
 
 def _check_inverse_closed(roots):
@@ -163,32 +160,33 @@ def _check_inverse_closed(roots):
                 "asymmetry roots are not closed under inversion")
 
 
-def _find_one_root(poly, policy):
-    """One root of a monic polynomial whose coefficients share one context,
-    searched for there and adjoined to it if needed."""
+def _find_one_root(poly, policy, listed=None):
+    """One root of a monic polynomial whose coefficients share one context:
+    1, else -1, else the least in that context, else one adjoined to it.
+    listed, None or poly's roots there (least first), is returned with the
+    root: found here if needed, None after an adjunction (q has changed)."""
     ctx = poly[0].ctx
     if len(poly) == 2:
-        return -poly[0] / poly[1]
-    # cheap candidates first
-    for cand in (ctx.one(), -ctx.one()):
-        if poly_eval(poly, cand).is_zero():
-            return cand
-    if ctx.kind != "rational":
-        roots = _finite_field_roots(poly)
-        if roots:
-            return roots[0]
-    elif all(not c.trim().ctx.tower for c in poly):
-        cand = _rational_root(poly)
+        return -poly[0] / poly[1], listed
+    if listed is None:
+        cand = next((c for c in (ctx.one(), -ctx.one())
+                     if poly_eval(poly, c).is_zero()), None)
+        if cand is None and ctx.kind != "rational":
+            listed = _finite_field_roots(poly)
+        elif cand is None and all(not c.trim().ctx.tower for c in poly):
+            cand = _rational_root(poly)
         if cand is not None:
-            return cand
+            return cand, None
+    if listed:  # made when 1 and -1 were not roots, so neither is listed
+        return listed[0], listed
     if len(poly) == 3:
-        return _quadratic_root(poly, policy)
+        return _quadratic_root(poly, policy), None
     pal = _palindrome_transform(poly)
     if pal is not None:
-        mu = _find_one_root(pal, policy)
+        mu, _ = _find_one_root(pal, policy)
         # X^2 - mu X + 1 = 0
         one = mu.ctx.one()
-        return _quadratic_root([one, -mu, one], policy)
+        return _quadratic_root([one, -mu, one], policy), None
     raise NotSplit("irreducible factor of degree %d is not reachable by "
                    "quadratic adjunctions" % (len(poly) - 1))
 
@@ -198,39 +196,40 @@ def _finite_field_roots(poly):
     coefficients, in iter_elements order (see the module docstring for the
     method)."""
     ctx = poly[0].ctx
+    ops = _raw_ops(ctx)
     q = ctx.order()
-    g = frobenius_gcd(poly, q)
-    shifts = random_elements(ctx)
+    g = frobenius_gcd(ops, ops.unwrap([poly])[0], q)
+    shifts = (ops.unwrap([[a]])[0][0] for a in random_elements(ctx))
     roots = []
     pending = [g] if len(g) > 1 else []
     while pending:
         h = pending.pop()
         if len(h) == 2:
-            roots.append(-h[0])
+            roots.append(ops.neg(h[0]))
             continue
         for _ in range(_SPLIT_TRIES):
-            d = _poly_gcd(ctx, h, _splitting_poly(ctx, h, next(shifts), q))
+            d = _poly_gcd(ops, h, _splitting_poly(ops, h, next(shifts), q))
             if 1 < len(d) < len(h):
                 break
         else:
             raise InternalDegenerate("no shift split a degree-%d factor in "
                                      "%d tries" % (len(h) - 1, _SPLIT_TRIES))
-        pending += [d, _poly_divmod(ctx, h, d)[0]]
-    return sorted(roots, key=enumeration_key)
+        pending += [d, _poly_divmod(ops, h, d)[0]]
+    return sorted(ops.wrap([roots])[0], key=enumeration_key)
 
 
-def _splitting_poly(ctx, h, a, q):
+def _splitting_poly(ops, h, a, q):
     """w with gcd(h, w) collecting the roots r of h (deg h >= 2) on one side
     of the shift a: (r + a)^((q-1)/2) = 1 for odd q, Tr(a r) = 0 for q = 2^m.
     """
     if q % 2:
-        w = _poly_powmod(ctx, [a, ctx.one()], (q - 1) // 2, h)
-        return _poly_sub(ctx, w, [ctx.one()])
-    y = [ctx.zero(), a]  # aX, already reduced since deg h >= 2
+        w = _poly_powmod(ops, [a, ops.one], (q - 1) // 2, h)
+        return _poly_axpy(ops, w, ops.one, [ops.one])
+    y = [ops.zero, a]  # aX, already reduced since deg h >= 2
     trace = y
     for _ in range(q.bit_length() - 2):  # m - 1 squarings
-        y = _poly_mulmod(ctx, y, y, h)
-        trace = _poly_add(ctx, trace, y)
+        y = _poly_mulmod(ops, y, y, h)
+        trace = _poly_axpy(ops, trace, ops.one, y)  # - is + in char 2
     return trace
 
 
@@ -252,22 +251,19 @@ def _palindrome_transform(poly):
     """g with poly(X) = X^k g(X + 1/X) when poly is palindromic, else None."""
     ctx = poly[0].ctx
     n = len(poly) - 1
-    if n % 2 != 0:
-        return None
-    if any(poly[i] != poly[n - i] for i in range(n + 1)):
+    if n % 2 or any(poly[i] != poly[n - i] for i in range(n + 1)):
         return None
     k = n // 2
+    ops = _raw_ops(ctx)
+    raw, p_prev = ops.unwrap([poly, [ctx.scalar(2)]])
     # P_j(Y) = X^j + X^-j: P_0 = 2, P_1 = Y, P_j = Y P_{j-1} - P_{j-2}
-    z, o = ctx.zero(), ctx.one()
-    p_prev = [ctx.scalar(2)]
-    p_cur = [z, o]
-    g = [poly[k]]
+    p_cur, g = [ops.zero, ops.one], [raw[k]]
     for j in range(1, k + 1):
         if j > 1:
-            shifted = [z] + list(p_cur)
-            p_prev, p_cur = p_cur, _poly_sub(ctx, shifted, p_prev)
-        g = _poly_add(ctx, g, [poly[k + j] * c for c in p_cur])
-    return _poly_trim(ctx, g)
+            p_prev, p_cur = p_cur, _poly_axpy(ops, [ops.zero] + p_cur,
+                                              ops.one, p_prev)
+        g = _poly_axpy(ops, g, ops.neg(raw[k + j]), p_cur)
+    return list(ops.wrap([_poly_trim(ops, g)])[0])
 
 
 def _rational_root(poly):

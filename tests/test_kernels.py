@@ -1,4 +1,5 @@
-"""Cross-checks of the raw matmul and elimination kernels.
+"""Cross-checks of the raw matmul and elimination kernels and of the raw
+polynomial layer.
 
 Every kernel result is compared with a naive reference written here on the
 Scalar operators, over base fields, the flat GF(p) path and towers.  The
@@ -7,6 +8,7 @@ returned entry is also checked to be a Scalar of the right context with
 canonical coordinates.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,9 +18,10 @@ import pytest
 from matcanon import exactmat
 from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
-from matcanon.field import (Scalar, _poly_mulmod, _poly_powmod, _poly_trim,
-                            artin_schreier_root_or_adjoin, gf4, prime_field,
-                            rationals)
+from matcanon.field import (Scalar, _poly_divmod, _poly_gcd, _poly_mulmod,
+                            _poly_powmod, _poly_trim, _raw_ops,
+                            artin_schreier_root_or_adjoin, frobenius_gcd, gf4,
+                            prime_field, rationals)
 from matcanon.spectral import restrict_operator
 
 
@@ -119,6 +122,56 @@ def ref_rank(rows, ncols):
             work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+def ref_trim(p):
+    while len(p) > 1 and p[-1].is_zero():
+        p = p[:-1]
+    return p
+
+
+def ref_divmod(a, b):
+    """Schoolbook long division of Scalar polynomials by a nonzero b."""
+    ctx = b[-1].ctx
+    rem = ref_trim(list(a))
+    quot = [ctx.zero()] * max(len(rem) - len(b) + 1, 1)
+    while len(rem) >= len(b) and not (len(rem) == 1 and rem[0].is_zero()):
+        c = rem[-1] / b[-1]
+        off = len(rem) - len(b)
+        quot[off] = c
+        rem = [x - c * b[i - off] if i >= off else x
+               for i, x in enumerate(rem)]
+        rem = ref_trim(rem[:-1]) if len(rem) > 1 else [ctx.zero()]
+    return quot, rem
+
+
+def ref_mul(a, b):
+    prod = [a[0].ctx.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = prod[i + j] + x * y
+    return prod
+
+
+def ref_mulmod(a, b, f):
+    return ref_divmod(ref_mul(a, b), f)[1]
+
+
+def ref_powmod(base, e, f):
+    """base^e mod f, squaring from the top bit of e down."""
+    out = [f[-1].ctx.one()]
+    for bit in bin(e)[2:]:
+        out = ref_mulmod(out, out, f)
+        if bit == "1":
+            out = ref_mulmod(out, base, f)
+    return out
+
+
+def ref_gcd(a, b):
+    a, b = ref_trim(list(a)), ref_trim(list(b))
+    while not (len(b) == 1 and b[0].is_zero()):
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if not a[-1].is_zero() else a
 
 
 # -- canonical form of returned entries -----------------------------------------
@@ -326,13 +379,72 @@ def test_power_matches_reference(name):
             inv = x.inverse()
             assert (x ** -3).coords == (inv * inv * inv).coords, x
     # polynomial powers modulo a monic cubic against repeated products
-    f = [rand_scalar(ctx, rng) for _ in range(3)] + [ctx.one()]
-    base = _poly_trim(ctx, [rand_scalar(ctx, rng) for _ in range(3)])
-    ref = [ctx.one()]
+    ops = _raw_ops(ctx)
+    f = ops.unwrap([[rand_scalar(ctx, rng) for _ in range(3)]
+                    + [ctx.one()]])[0]
+    base = _poly_trim(ops, ops.unwrap([[rand_scalar(ctx, rng)
+                                        for _ in range(3)]])[0])
+    ref = [ops.one]
     for k in range(7):
-        got = _poly_powmod(ctx, base, k, f)
-        assert [c.coords for c in got] == [c.coords for c in ref], k
-        ref = _poly_mulmod(ctx, ref, base, f)
+        got = _poly_powmod(ops, base, k, f)
+        assert got == ref, k
+        ref = _poly_mulmod(ops, ref, base, f)
+
+
+def rand_poly(ctx, rng, degree, monic=False):
+    """A Scalar polynomial of the given degree (nonzero top coefficient)."""
+    top = ctx.one() if monic else next(
+        x for x in iter(lambda: rand_scalar(ctx, rng), None)
+        if not x.is_zero())
+    return [rand_scalar(ctx, rng) for _ in range(degree)] + [top]
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_polynomial_layer_matches_reference(name):
+    """mulmod, powmod, divmod, gcd and frobenius_gcd on raw coefficients
+    give the coefficients of the naive Scalar versions above, wrapped back
+    as canonical scalars."""
+    ctx = CONTEXTS[name]
+    ops = _raw_ops(ctx)
+    rng = random.Random("polynomials " + name)
+
+    def raw(poly):
+        return ops.unwrap([poly])[0]
+
+    def back(coeffs):
+        out = list(ops.wrap([coeffs])[0])
+        for c in out:
+            assert_canonical(c, ctx)
+        return [c.coords for c in out]
+
+    def want(poly):
+        return [c.coords for c in poly]
+
+    # X^e - X over Q is no Frobenius map, but it exercises the same layer
+    e = ctx.order() or 7
+    for _ in range(6):
+        f = rand_poly(ctx, rng, rng.randint(1, 4), monic=True)
+        a = ref_divmod(rand_poly(ctx, rng, rng.randint(0, 5)), f)[1]
+        b = ref_divmod(rand_poly(ctx, rng, rng.randint(0, 5)), f)[1]
+        assert back(_poly_mulmod(ops, raw(a), raw(b), raw(f))) == \
+            want(ref_mulmod(a, b, f))
+        for k in (0, 1, 2, 5, 12, 1000):
+            assert back(_poly_powmod(ops, raw(a), k, raw(f))) == \
+                want(ref_powmod(a, k, f)), k
+        num = rand_poly(ctx, rng, rng.randint(0, 7))
+        den = rand_poly(ctx, rng, rng.randint(0, 3))
+        quot, rem = _poly_divmod(ops, raw(num), raw(den))
+        ref_quot, ref_rem = ref_divmod(num, den)
+        assert (back(quot), back(rem)) == (want(ref_quot), want(ref_rem))
+        common = rand_poly(ctx, rng, rng.randint(0, 2), monic=True)
+        a2, b2 = ref_mul(a, common), ref_mul(b, common)
+        assert back(_poly_gcd(ops, raw(a2), raw(b2))) == want(ref_gcd(a2, b2))
+        g = rand_poly(ctx, rng, rng.randint(1, 4))
+        x = [ctx.zero(), ctx.one()]
+        xe = ref_powmod(ref_divmod(x, g)[1], e, g)
+        ref = ref_gcd(g, [u - v for u, v in itertools.zip_longest(
+            xe, x, fillvalue=ctx.zero())])
+        assert back(frobenius_gcd(ops, raw(g), e)) == want(ref)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))

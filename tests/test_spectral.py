@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -248,11 +249,13 @@ def test_roots_closed_under_inversion_random():
 
 def test_finite_field_root_existence_vs_enumeration():
     # gcd(X^q - X, f) agrees with exhaustive evaluation on small fields
-    from matcanon.field import frobenius_gcd, gf4, prime_field
+    from matcanon.field import _raw_ops, frobenius_gcd, gf4, prime_field
     import itertools
 
     def has_root(poly, ctx):
-        return len(frobenius_gcd(poly, ctx.order())) > 1
+        ops = _raw_ops(ctx)
+        return len(frobenius_gcd(ops, ops.unwrap([poly])[0],
+                                 ctx.order())) > 1
 
     for ctx in (prime_field(2), prime_field(3), gf4()):
         pool = list(ctx.iter_elements())
@@ -305,9 +308,10 @@ def test_finite_field_roots_match_enumeration():
             one = ctx.one()
             expect = next(r for r in (one, -one) + tuple(brute)
                           if poly_eval(poly, r).is_zero())
-            root = _find_one_root(poly, EXTEND)
+            root, listed = _find_one_root(poly, EXTEND)
             ctx2 = root.ctx
             assert ctx2 == ctx and root == expect
+            assert listed is None or listed == brute
             checked += 1
     assert checked > 100
 
@@ -348,14 +352,17 @@ def test_split_min_poly_large_prime_fields(p, c, b2, c2):
 
 
 def test_congruence_invariance_fuzz_large_primes():
-    # 3x3 and 4x4 over GF(65537) and GF(1000003): every form is answered or
-    # refused as NotSplit, never BudgetExceeded, and congruent inputs agree
+    # 3x3 to 8x8 over GF(65537) and GF(1000003): every form is answered or
+    # refused as NotSplit, never BudgetExceeded, and congruent inputs agree,
+    # within a wall-clock bound that root splitting by enumeration, or one
+    # Frobenius power per root, would not keep at these sizes
     from matcanon.canon import canonicalize
     rng = random.Random(61)
+    start = time.perf_counter()
     answered = 0
     for p in (65537, 1000003):
         ctx = prime_field(p)
-        for n in (3, 4):
+        for n in (3, 4, 5, 6, 7, 8):
             for _ in range(5):
                 a = ExactMatrix(ctx, [[rng.randrange(p) for _ in range(n)]
                                       for _ in range(n)])
@@ -371,7 +378,52 @@ def test_congruence_invariance_fuzz_large_primes():
                 assert fa.gabriel == fb.gabriel
                 assert fa.blocks == fb.blocks
                 answered += 1
-    assert answered >= 10
+    assert answered >= 40
+    assert time.perf_counter() - start < 60
+
+
+def test_frobenius_power_once_per_context(monkeypatch):
+    """split_min_poly computes X^q mod f once per context it passes
+    through, and takes the further roots from the list that gave the
+    first: 1, else -1, else the least left, each partner 1/r peeled with
+    it."""
+    from matcanon import spectral
+    calls = []
+    real = spectral.frobenius_gcd
+
+    def counted(ops, f, e):
+        calls.append((e, len(f) - 1))
+        return real(ops, f, e)
+
+    monkeypatch.setattr(spectral, "frobenius_gcd", counted)
+    p = 65537
+    ctx = prime_field(p)
+    two, three, five = (ctx.scalar(v) for v in (2, 3, 5))
+    # six distinct roots in GF(p) besides -1: one computation, of degree 6
+    # once -1 (a cheap candidate, no computation) is peeled
+    roots = [two, two.inverse(), three, three.inverse(), five,
+             five.inverse(), -ctx.one(), -ctx.one()]
+    poly = _monic_from_roots(ctx, roots)
+    out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
+    assert out.ctx == ctx
+    assert out.split_roots == [(-ctx.one(), 2), (two, 1), (two.inverse(), 1),
+                               (three, 1), (three.inverse(), 1),
+                               (five, 1), (five.inverse(), 1)]
+    assert calls == [(p, 6)]
+    # two irreducible palindromic quadratics besides 2 and 1/2: one
+    # computation in GF(p), none more there, and one in GF(p^2) after the
+    # adjunction; the palindrome's quadratic in Y = X + 1/X is a
+    # polynomial of its own and costs its own, in GF(p)
+    c = next(c for c in range(4, p)
+             if pow(c * c - 4, (p - 1) // 2, p) == p - 1)
+    assert pow(3 * 3 - 4, (p - 1) // 2, p) == p - 1
+    poly = _monic_from_roots(ctx, [two, two.inverse()],
+                             extra=[1, -3 - c, 2 + 3 * c, -3 - c])
+    del calls[:]
+    out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
+    assert len(out.ctx.tower) == 1
+    assert len(out.split_roots) == 6
+    assert calls == [(p, 6), (p, 2), (p * p, 2)]
 
 
 @pytest.mark.parametrize("ctx", [rationals(), prime_field(3)],

@@ -127,3 +127,18 @@ def test_the_constructor_checks_each_record():
     assert FieldContext("rational", tower=q2.tower) == q2
     f2_as = prime_field(2).adjoin_artin_schreier(prime_field(2).one())
     assert FieldContext("gfp", 2, tower=f2_as.tower) == f2_as
+
+
+def test_the_constructor_reduces_record_coordinates():
+    # a record's coordinates are read as scalar() reads a value: 5 is 2 in
+    # GF(3), an int is a Fraction over Q, a GF(4) tuple is taken mod 2
+    f3 = prime_field(3)
+    ctx = FieldContext("gfp", 3, tower=[(0, (5,))])
+    assert ctx == f3.adjoin_sqrt(f3.scalar(2))
+    assert hash(ctx) == hash(f3.adjoin_sqrt(f3.scalar(2)))
+    _q, q23 = _q_sqrt2_sqrt3()
+    ctx = FieldContext("rational", tower=[(0, (2,)), (0, (3, 0))])
+    assert ctx == q23
+    assert all(type(c) is Fraction for _c1, d in ctx.tower for c in d)
+    _f4, f4_as = _gf4_as()
+    assert FieldContext("gfq", 2, (1, 1), tower=[(1, ((2, 3),))]) == f4_as
