@@ -5,13 +5,16 @@ elimination (_rref, behind inverse_or_rank and solve; first_dependence is
 its incremental form) run on raw values, not on Scalar objects: entries are
 unwrapped once on entry and the result is rewrapped once through a trusted
 constructor that skips the per-entry checks.  The raw arithmetic is
-field._raw_ops, which root finding's polynomial layer shares.  A raw value
-is the entry's coordinate tuple (Scalar.coords), multiplied by the field's
-_tower_mul and added coordinatewise, so one code path covers every
-context; zero entries are skipped.  The one specialised case is GF(p) at
-tower height 0, whose raw values are flat ints with one reduction mod p
-per dot product (after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004).  The
-results are the exact values the Scalar operators would give.
+field._raw_ops, which root finding's polynomial layer shares, and the
+kernels are written once against its interface (unwrap, wrap, neg,
+inverse, scale, axpy, matmul).  It has three cases.  GF(p) at tower height
+0 has flat ints with one reduction mod p per dot product (after FFPACK,
+Dumas, Giorgi and Pernet, ISSAC 2004).  Every other finite field of at most
+256 elements has element indices, multiplied through exp/log tables and
+added by XOR or a Zech logarithm.  Everything else has the entry's
+coordinate tuple (Scalar.coords), multiplied by the field's _tower_mul and
+added coordinatewise, with zero entries skipped.  The results are the exact
+values the Scalar operators would give.
 
 An elimination builds only what its caller reads.  inverse_or_rank appends
 an identity, and so builds the row transform, only for a square input (for

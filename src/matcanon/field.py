@@ -12,19 +12,31 @@ them through adjunctions(ctx) as (c1, d) pairs, and RECORD_KINDS holds
 their names in JSON and in the extension report.
 
 Arithmetic shared by the package is written here once.  power is its one
-square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers
-and ExactMatrix.power all call it.  _raw_ops(ctx) computes on raw values,
-unwrapped from Scalars once (ints for GF(p) with no adjunction, else
-coordinate tuples through _tower_mul), a whole row at a time (scale, axpy).
+square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers,
+square roots and ExactMatrix.power all call it.  _raw_ops(ctx) computes on
+raw values, unwrapped from Scalars once, a whole row at a time (scale,
+axpy), in one of three ways:
+  - GF(p) with no adjunction: ints mod p (_FlatOps);
+  - any other finite field of at most 256 elements: element indices, with
+    exp/log tables built once per context (_TableOps, _Tables): a product
+    adds logarithms, a sum is XOR in characteristic 2 and one Zech
+    logarithm otherwise (Givaro's GF(q), Dumas, Gautier and Pernet, ISSAC
+    2002; Huber, IEEE Trans. Inf. Theory 36, 1990).  A GF(p^k) base of that
+    size multiplies its base elements (_bmul, _binv) by the same tables;
+  - everything else: coordinate tuples through _tower_mul (_CoordOps).
 exactmat's kernels run on it, and so does the polynomial layer (raw
 coefficients, low to high): the products, division and gcd of root finding,
 and frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both
 root finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
-modulus (e = p^k and p^(k/r), over GF(p)).
+modulus (e = p^k and p^(k/r), over GF(p)).  Square roots over GF(q) take
+their powers (Euler's criterion, Tonelli-Shanks) on raw values too.
+Canonical order, printing and witnesses stay on coordinates: raw results
+are wrapped back into Scalars once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -53,6 +65,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 _FRACTION_ZERO = Fraction(0)  # immutable: one object serves every context
+
+# finite contexts of at most this many elements, other than GF(p) itself,
+# compute on exp/log tables (_TableOps, _Tables)
+_TABLE_MAX_ORDER = 256
 
 
 def _is_prime(n):
@@ -248,6 +264,16 @@ class FieldContext:
             return x * y
         if self.kind == "gfp":
             return (x * y) % self.p
+        tables = self._base_tables()
+        if tables is None:
+            return self._bmul_poly(x, y)
+        index, log = tables.index, tables.log
+        return tables.coords[tables.exp[log[index[(x,)]]
+                                        + log[index[(y,)]]]][0]
+
+    def _bmul_poly(self, x, y):
+        """The product of two GF(p^k) base elements by polynomial
+        multiplication reduced modulo the modulus."""
         k = len(self.modulus)
         prod = [0] * (2 * k - 1)
         for i, a in enumerate(x):
@@ -275,8 +301,21 @@ class FieldContext:
         if all(c == 0 for c in x):
             raise DivisionByZero("division by zero in GF(%d^%d)"
                                  % (self.p, len(self.modulus)))
-        return power(x, self.p ** len(self.modulus) - 2, self._bmul,
-                     self._bone())
+        tables = self._base_tables()
+        if tables is None:
+            return power(x, self.p ** len(self.modulus) - 2, self._bmul_poly,
+                         self._bone())
+        log = tables.log[tables.index[(x,)]]
+        return tables.coords[tables.exp[tables.order - 1 - log]][0]
+
+    def _base_tables(self):
+        """The _Tables of this context's gfq base field when it has at most
+        _TABLE_MAX_ORDER elements (built on first use), else None."""
+        key = (self.kind, self.p, self.modulus, ())
+        tables = _field_tables_cache.get(key)
+        if tables is None and self.p ** len(self.modulus) <= _TABLE_MAX_ORDER:
+            tables = _field_tables(self.truncated(0))
+        return tables
 
     def _bis_zero(self, x):
         if self.kind == "gfq":
@@ -702,10 +741,165 @@ class _CoordOps:
         return out
 
 
+class _TableOps:
+    """Finite contexts of at most _TABLE_MAX_ORDER elements other than GF(p)
+    itself: raw values are element indices (see _Tables).  A product adds
+    logarithms, a sum is XOR in characteristic 2 and one Zech logarithm
+    otherwise; a zero factor reads the zero padding of exp, unbranched."""
+
+    def __init__(self, ctx):
+        tables = _field_tables(ctx)
+        self.ctx = ctx
+        self.index, self.coords = tables.index, tables.coords
+        self.exp, self.log, self.zech = tables.exp, tables.log, tables.zech
+        self.units, self.minus_one = tables.order - 1, tables.minus_one
+        self.zero, self.one = 0, 1
+
+    def unwrap(self, rows):
+        index = self.index
+        return [[index[e.coords] for e in row] for row in rows]
+
+    def wrap(self, rows):
+        memo = _Interned(self.ctx, self.coords.__getitem__)
+        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+
+    def neg(self, x):
+        return self.exp[self.log[x] + self.minus_one]
+
+    def inverse(self, x):
+        if not x:
+            raise DivisionByZero("scalar division by zero")
+        return self.exp[self.units - self.log[x]]
+
+    def scale(self, row, c):
+        exp, log = self.exp, self.log
+        lc = log[c]
+        return [exp[lc + log[x]] for x in row]
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        exp, log, zech = self.exp, self.log, self.zech
+        lf = log[self.neg(f)]  # the logarithm of -f
+        if zech is None:
+            return [x ^ exp[lf + log[y]] for x, y in zip(row, prow)]
+        if not f:
+            return list(row)
+        out = []
+        for x, y in zip(row, prow):
+            if y:
+                t = lf + log[y]
+                if x:  # x - f y = g^lx (1 + g^(t - lx))
+                    lx = log[x]
+                    x = exp[lx + zech[t - lx]]
+                else:
+                    x = exp[t]
+            out.append(x)
+        return out
+
+    def matmul(self, a_rows, b_cols):
+        exp, log, zech = self.exp, self.log, self.zech
+        a_logs = [[log[x] for x in r] for r in a_rows]
+        b_logs = [[log[y] for y in c] for c in b_cols]
+        if zech is None:
+            xor, add, at = operator.xor, operator.add, exp.__getitem__
+            return [[functools.reduce(xor, map(at, map(add, r, c)), 0)
+                     for c in b_logs] for r in a_logs]
+        zero_log = log[0]
+        out = []
+        for r in a_logs:
+            support = [(k, lx) for k, lx in enumerate(r) if lx != zero_log]
+            out_row = []
+            for c in b_logs:
+                acc = 0
+                for k, lx in support:
+                    ly = c[k]
+                    if ly != zero_log:
+                        t = lx + ly
+                        if acc:
+                            la = log[acc]
+                            acc = exp[la + zech[t - la]]
+                        else:
+                            acc = exp[t]
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+
+
 def _raw_ops(ctx):
     if ctx.kind == "gfp" and not ctx.tower:
         return _FlatOps(ctx)
+    if ctx.kind != "rational" and ctx.order() <= _TABLE_MAX_ORDER:
+        return _TableOps(ctx)
     return _CoordOps(ctx)
+
+
+# The tables of a finite context with q elements and a primitive element g.
+# An element's index is the integer whose base-p digits, lowest first, are
+# its coordinates over GF(p): Scalar.coords flattened, base coordinates
+# first, so zero is 0 and one is 1.  coords lists Scalar.coords by index and
+# index inverts it.  log[i] is the logarithm of the element i to the base g,
+# in [0, q - 1), and log[0] is the sentinel 2(q - 1) - 1; exp[n] is the
+# index of g^n for n below the sentinel and 0 from it on, so exp[log[a] +
+# log[b]] is the product a b, a zero factor included.  zech[n] is log(1 +
+# g^n) for n in [0, 2(q - 1)) (the sentinel where 1 + g^n = 0), so that
+# negative differences of logarithms index it too; None in characteristic
+# 2, where sums are XOR.  minus_one is the logarithm of -1.  Every table
+# has O(q) entries.
+_Tables = namedtuple("_Tables", "order coords index exp log zech minus_one")
+
+_field_tables_cache = {}  # context key -> _Tables, built once per context
+
+
+def _field_tables(ctx):
+    tables = _field_tables_cache.get(ctx._key)
+    if tables is None:
+        tables = _field_tables_cache[ctx._key] = _build_tables(ctx)
+    return tables
+
+
+def _build_tables(ctx):
+    """The _Tables of a finite context: a primitive element is the first
+    index whose powers, taken with _tower_mul, reach q - 1 elements."""
+    p, q, k = ctx.p, ctx.order(), ctx.base_degree
+    units = q - 1
+    # product() counts with its last digit fastest: reversed, the lowest
+    coords = [t[::-1] for t in itertools.product(range(p),
+                                                 repeat=ctx.dim * k)]
+    if ctx.kind == "gfq":
+        coords = [tuple(d[j:j + k] for j in range(0, len(d), k))
+                  for d in coords]
+    index = {c: i for i, c in enumerate(coords)}
+    if ctx.tower:
+        level = len(ctx.tower)
+
+        def mul(x, y):
+            return _tower_mul(ctx, x, y, level)
+    else:  # a gfq base: _bmul reads the tables that this builds
+
+        def mul(x, y):
+            return (ctx._bmul_poly(x[0], y[0]),)
+    one = coords[1]
+    for g in coords[1:]:
+        powers, x = [1], g
+        # bounded in case a zero divisor sends the powers to 0, never to 1
+        while x != one and len(powers) < q:
+            powers.append(index[x])
+            x = mul(x, g)
+        if len(powers) == units:
+            break
+    else:
+        raise InternalDegenerate("no primitive element in %r" % (ctx,))
+    sentinel = 2 * units - 1
+    exp = (powers * 2)[:sentinel] + [0] * (2 * units)
+    log = [sentinel] * q
+    for n, i in enumerate(powers):
+        log[i] = n
+    zech = None
+    if p != 2:
+        # 1 + x adds 1 to the lowest digit of the index of x
+        zech = [log[i - i % p + (i + 1) % p] for i in powers] * 2
+    return _Tables(q, coords, index, exp, log, zech,
+                   0 if p == 2 else units // 2)
 
 
 class _Interned(dict):
@@ -881,13 +1075,26 @@ def _find_sqrt(x):
     if ctx.kind == "rational":
         return _rational_tower_sqrt(x)
     q = ctx.order()
+    ops = _raw_ops(ctx)
+    (raw,), = ops.unwrap([[x]])
     if ctx.characteristic == 2:
         # squaring is a bijection of GF(q): its inverse is x -> x^(q/2)
-        return x ** (q // 2)
-    # odd characteristic finite field: Euler criterion + Tonelli-Shanks
-    if (x ** ((q - 1) // 2)) != ctx.one():
-        return None
-    return _tonelli_shanks(x, q)
+        root = _raw_power(ops, raw, q // 2)
+    elif _raw_power(ops, raw, (q - 1) // 2) != ops.one:
+        return None  # Euler's criterion
+    else:
+        root = _tonelli_shanks(ops, raw, q)
+    return ops.wrap([[root]])[0][0]
+
+
+def _raw_mul(ops, a, b):
+    """The product of two raw values of ops: a row of one entry, scaled."""
+    return ops.scale([a], b)[0]
+
+
+def _raw_power(ops, x, e):
+    """x^e for a raw value x of ops, by power."""
+    return power(x, e, functools.partial(_raw_mul, ops), ops.one)
 
 
 def _rational_tower_sqrt(x):
@@ -938,38 +1145,40 @@ def _rational_tower_sqrt(x):
     return None
 
 
-def _tonelli_shanks(x, q):
-    """Square root in an odd-characteristic finite field (x is a residue)."""
-    ctx = x.ctx
-    one = ctx.one()
+def _tonelli_shanks(ops, x, q):
+    """Square root of the raw value x of ops, a nonzero square in an
+    odd-characteristic finite field of order q."""
+    one = ops.one
     m = q - 1
     s = 0
     while m % 2 == 0:
         m //= 2
         s += 1
     if s == 1:
-        return x ** ((q + 1) // 4)
+        return _raw_power(ops, x, (q + 1) // 4)
     # half the nonzero elements are non-residues: draw, do not scan (in
     # GF(p^2) the first p elements in iter_elements order are all squares)
-    for z in itertools.islice(random_elements(ctx), _NONRESIDUE_TRIES):
-        if not z.is_zero() and z ** ((q - 1) // 2) != one:
+    for z in itertools.islice(random_elements(ops.ctx), _NONRESIDUE_TRIES):
+        (z,), = ops.unwrap([[z]])
+        if z != ops.zero and _raw_power(ops, z, (q - 1) // 2) != one:
             break
     else:
         raise InternalDegenerate("no quadratic non-residue in %d draws"
                                  % _NONRESIDUE_TRIES)
-    c = z ** m
-    t = x ** m
-    r = x ** ((m + 1) // 2)
+    mul = functools.partial(_raw_mul, ops)
+    c = _raw_power(ops, z, m)
+    t = _raw_power(ops, x, m)
+    r = _raw_power(ops, x, (m + 1) // 2)
     while t != one:
         t2 = t
         i = 0
         while t2 != one:
-            t2 = t2 * t2
+            t2 = mul(t2, t2)
             i += 1
-        b = c ** (1 << (s - i - 1))
-        r = r * b
-        c = b * b
-        t = t * c
+        b = _raw_power(ops, c, 1 << (s - i - 1))
+        r = mul(r, b)
+        c = mul(b, b)
+        t = mul(t, c)
         s = i
     return r
 

@@ -2,10 +2,12 @@
 polynomial layer.
 
 Every kernel result is compared with a naive reference written here on the
-Scalar operators, over base fields, the flat GF(p) path and towers.  The
-kernel rewraps its results without the checks of ExactMatrix(), so every
-returned entry is also checked to be a Scalar of the right context with
-canonical coordinates.
+Scalar operators, over base fields and towers, on each of the three raw
+paths: ints mod p (GF(p) itself), exp/log tables (finite fields of at most
+256 elements) and coordinate tuples (Q, its towers and larger finite
+fields).  The kernel rewraps its results without the checks of
+ExactMatrix(), so every returned entry is also checked to be a Scalar of
+the right context with canonical coordinates.
 """
 
 import itertools
@@ -18,8 +20,9 @@ import pytest
 from matcanon import exactmat
 from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
-from matcanon.field import (Scalar, _poly_divmod, _poly_gcd, _poly_mulmod,
-                            _poly_powmod, _poly_trim, _raw_ops,
+from matcanon.field import (Scalar, _CoordOps, _FlatOps, _poly_divmod,
+                            _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
+                            _raw_ops, _TableOps,
                             artin_schreier_root_or_adjoin, frobenius_gcd, gf4,
                             prime_field, rationals)
 from matcanon.spectral import restrict_operator
@@ -31,12 +34,15 @@ def _contexts():
     f4 = gf4()
     _r, f4_as = artin_schreier_root_or_adjoin(f4.base_element((0, 1)))
     assert f4_as.tower  # t has no Artin-Schreier root in GF(4)
+    f65521 = prime_field(65521)
     return {
         "Q": q,
         "GF(2)": prime_field(2),
         "GF(3)": f3,
         "GF(4)": f4,
-        "GF(65521)": prime_field(65521),
+        "GF(65521)": f65521,
+        # 17 is the least non-square mod 65521
+        "GF(65521)(sqrt17)": f65521.adjoin_sqrt(f65521.scalar(17)),
         "Q(sqrt2)": q.adjoin_sqrt(q.scalar(2)),
         "GF(3)(sqrt-1)": f3.adjoin_sqrt(f3.scalar(-1)),
         "GF(4)+AS": f4_as,
@@ -44,6 +50,16 @@ def _contexts():
 
 
 CONTEXTS = _contexts()
+
+
+def test_contexts_cover_every_raw_path():
+    paths = {name: type(_raw_ops(ctx)) for name, ctx in CONTEXTS.items()}
+    assert {name for name, ops in paths.items() if ops is _FlatOps} == \
+        {"GF(2)", "GF(3)", "GF(65521)"}
+    assert {name for name, ops in paths.items() if ops is _TableOps} == \
+        {"GF(4)", "GF(3)(sqrt-1)", "GF(4)+AS"}
+    assert {name for name, ops in paths.items() if ops is _CoordOps} == \
+        {"Q", "Q(sqrt2)", "GF(65521)(sqrt17)"}
 
 
 def rand_scalar(ctx, rng):
