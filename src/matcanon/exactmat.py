@@ -7,14 +7,18 @@ unwrapped once on entry and the result is rewrapped once through a trusted
 constructor that skips the per-entry checks.  The raw arithmetic is
 field._raw_ops, which root finding's polynomial layer shares, and the
 kernels are written once against its interface (unwrap, wrap, neg,
-inverse, scale, axpy, matmul).  It has three cases.  GF(p) at tower height
-0 has flat ints with one reduction mod p per dot product (after FFPACK,
-Dumas, Giorgi and Pernet, ISSAC 2004).  Every other finite field of at most
-256 elements has element indices, multiplied through exp/log tables and
-added by XOR or a Zech logarithm.  Everything else has the entry's
-coordinate tuple (Scalar.coords), multiplied by the field's _tower_mul and
-added coordinatewise, with zero entries skipped.  The results are the exact
-values the Scalar operators would give.
+inverse, scale, axpy, matmul).  It has four cases.  Q and its towers have
+one normalized integer vector per entry (numerators over a positive common
+denominator, gcd 1, so equal entries have equal raw values), multiplied by
+one flat pass over the monomial products g_S g_T; a matrix product sums
+each entry over one denominator and normalizes it once.  GF(p) at tower
+height 0 has flat ints with one reduction mod p per dot product (after
+FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004).  Every other finite field of
+at most 256 elements has element indices, multiplied through exp/log tables
+and added by XOR or a Zech logarithm.  Larger finite towers have the
+entry's coordinate tuple (Scalar.coords), multiplied by the field's
+_tower_mul and added coordinatewise, with zero entries skipped.  The
+results are the exact values the Scalar operators would give.
 
 An elimination builds only what its caller reads.  inverse_or_rank appends
 an identity, and so builds the row transform, only for a square input (for
@@ -94,8 +98,10 @@ class ExactMatrix:
             if isinstance(e, Scalar) and e.ctx is not ctx:
                 ctx = ctx.common(e.ctx)
         self.ctx = ctx
-        rows = tuple(tuple(ctx.scalar(e) if not isinstance(e, Scalar)
-                           else e.promote(ctx) for e in row) for row in rows)
+        # an entry already in ctx is kept as it is; ctx.scalar converts an
+        # int or Fraction and lifts a Scalar from a prefix of ctx
+        rows = tuple(tuple(e if isinstance(e, Scalar) and e.ctx is ctx
+                           else ctx.scalar(e) for e in row) for row in rows)
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0

@@ -15,7 +15,14 @@ Arithmetic shared by the package is written here once.  power is its one
 square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers,
 square roots and ExactMatrix.power all call it.  _raw_ops(ctx) computes on
 raw values, unwrapped from Scalars once, a whole row at a time (scale,
-axpy), in one of three ways:
+axpy), in one of four ways:
+  - Q and its towers: one normalized integer vector per element, the
+    coordinates' numerators over their positive common denominator, gcd 1
+    (_RatOps).  A product is one flat multiply over the nonzero coordinate
+    pairs, reading the monomial products g_S g_T from a table filled from
+    _tower_mul one pair at a time (_MonomialTable); a matrix product sums
+    each entry over one denominator and takes one gcd (after Cohen, A
+    Course in Computational Algebraic Number Theory, GTM 138, ch. 2);
   - GF(p) with no adjunction: ints mod p (_FlatOps);
   - any other finite field of at most 256 elements: element indices, with
     exp/log tables built once per context (_TableOps, _Tables): a product
@@ -23,7 +30,8 @@ axpy), in one of three ways:
     logarithm otherwise (Givaro's GF(q), Dumas, Gautier and Pernet, ISSAC
     2002; Huber, IEEE Trans. Inf. Theory 36, 1990).  A GF(p^k) base of that
     size multiplies its base elements (_bmul, _binv) by the same tables;
-  - everything else: coordinate tuples through _tower_mul (_CoordOps).
+  - finite towers above that size: coordinate tuples through _tower_mul
+    (_CoordOps).
 exactmat's kernels run on it, and so does the polynomial layer (raw
 coefficients, low to high): the products, division and gcd of root finding,
 and frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both
@@ -681,8 +689,9 @@ class _FlatOps:
 
 
 class _CoordOps:
-    """Every other context: raw values are Scalar.coords tuples, multiplied
-    by _tower_mul and added coordinatewise; zero entries are skipped."""
+    """Finite towers of more than _TABLE_MAX_ORDER elements: raw values are
+    Scalar.coords tuples, multiplied by _tower_mul and added coordinatewise;
+    zero entries are skipped."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -695,12 +704,7 @@ class _CoordOps:
         return [[e.coords for e in row] for row in rows]
 
     def wrap(self, rows):
-        ctx = self.ctx
-        if ctx.kind == "rational":
-            # hashing Fractions costs more than a fresh scalar
-            return tuple(tuple(_raw_scalar(ctx, v) for v in row)
-                         for row in rows)
-        memo = _Interned(ctx, lambda v: v)
+        memo = _Interned(self.ctx, lambda v: v)
         return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
 
     def neg(self, x):
@@ -825,10 +829,231 @@ class _TableOps:
         return out
 
 
+class _RatOps:
+    """Q and its towers: a raw value is one normalized integer vector, the
+    numerators of the coordinates followed by their common denominator,
+    (n_0, ..., n_(dim-1), den) with den > 0 and gcd 1, so that equal
+    elements have equal raw values.  A product is a flat multiply over the
+    nonzero coordinate pairs, reading g_S g_T from the context's
+    _MonomialTable; every result entry is normalized once (one gcd)."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.dim = ctx.dim
+        self.zero = (0,) * self.dim + (1,)
+        self.one = (1,) + self.zero[1:]
+        self.table = _monomial_table(ctx)
+
+    def unwrap(self, rows):
+        if self.dim == 1:
+            return [[(c.numerator, c.denominator)
+                     for c in (e.coords[0] for e in row)] for row in rows]
+        return [[_rat_raw(e.coords) for e in row] for row in rows]
+
+    def wrap(self, rows):
+        memo = _Interned(self.ctx, _rat_coords)
+        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+
+    def neg(self, x):
+        return (*[-n for n in x[:-1]], x[-1])
+
+    def inverse(self, x):
+        if x == self.zero:
+            raise DivisionByZero("scalar division by zero")
+        return _rat_inverse(self.ctx, x)
+
+    def scale(self, row, c):
+        if self.dim == 1:
+            cn, cd = c
+            return [_rat_normalized((n * cn,), d * cd) for n, d in row]
+        zero, mul = self.zero, self.table.mul
+        cs, cd = _rat_support(c[:-1]), c[-1]
+        out = []
+        for x in row:
+            if x != zero:
+                acc, den = mul(_rat_support(x[:-1]), cs)
+                x = _rat_normalized(acc, x[-1] * cd * den)
+            out.append(x)
+        return out
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        zero, mul = self.zero, self.table.mul
+        if f == zero:
+            return list(row)
+        if self.dim == 1:
+            (fn, fd), out = f, []
+            for x, (yn, yd) in zip(row, prow):
+                if yn:
+                    (xn, xd), yd = x, yd * fd
+                    x = _rat_normalized((xn * yd - fn * yn * xd,), xd * yd)
+                out.append(x)
+            return out
+        fs, fd = _rat_support(f[:-1]), f[-1]
+        out = []
+        for x, y in zip(row, prow):
+            if y != zero:
+                acc, den = mul(fs, _rat_support(y[:-1]))
+                yd, xd = fd * y[-1] * den, x[-1]
+                x = _rat_normalized([a * yd - b * xd for a, b in zip(x, acc)],
+                                    xd * yd)
+            out.append(x)
+        return out
+
+    def matmul(self, a_rows, b_cols):
+        """Each row and each column is put over one denominator and split
+        into integer coordinate vectors, so an entry is a sum over pairs of
+        coordinates of one integer dot product times g_S g_T."""
+        mul = self.table.mul
+        cols = [_rat_split(c) for c in b_cols]
+        out = []
+        for rd, rs in map(_rat_split, a_rows):
+            out_row = []
+            for cd, cs in cols:
+                acc, den = mul(rs, cs, _int_dot)
+                out_row.append(_rat_normalized(acc, rd * cd * den))
+            out.append(out_row)
+        return out
+
+
+def _rat_inverse(ctx, x):
+    """The inverse of a nonzero raw rational value, by the norm descent of
+    _tower_inv: x = (a + b g)/den with integer vectors a, b one level down
+    has x^-1 = den (a - b g) / (a^2 - d b^2)."""
+    level = len(ctx.tower)
+    if not level:
+        n, d = x
+        return (d, n) if n > 0 else (-d, -n)
+    half = 1 << (level - 1)
+    sub = ctx.truncated(level - 1)
+    a, b, den = x[:half], x[half:-1], x[-1]
+    if not any(b):
+        inv = _rat_inverse(sub, (*a, den))
+        return (*inv[:-1], *b, inv[-1])
+    mul = _monomial_table(sub).mul
+    sa, sb = _rat_support(a), _rat_support(b)
+    aa, ta = mul(sa, sa)
+    bb, tb = mul(sb, sb)
+    d = _rat_raw(ctx.tower[level - 1][1])
+    dbb, tdbb = mul(_rat_support(d[:-1]), _rat_support(bb))
+    tdbb *= d[-1] * tb
+    norm = _rat_normalized([u * tdbb - v * ta for u, v in zip(aa, dbb)],
+                           ta * tdbb)
+    inv = _rat_inverse(sub, norm)
+    si = _rat_support(inv[:-1])
+    lo, tlo = mul(sa, si)
+    hi, thi = mul(sb, si)
+    return _rat_normalized([den * thi * u for u in lo]
+                           + [-den * tlo * v for v in hi], tlo * thi * inv[-1])
+
+
+def _rat_raw(coords):
+    """The raw value of Fraction coordinates: over the lcm of their
+    denominators the numerators already have gcd 1 with it."""
+    den = math.lcm(*[c.denominator for c in coords])
+    return (*[c.numerator * (den // c.denominator) for c in coords], den)
+
+
+def _rat_coords(x):
+    """Scalar.coords of a raw rational value, built by Fraction()."""
+    den = x[-1]
+    if den == 1:
+        return tuple(map(Fraction, x[:-1]))
+    return tuple(Fraction(n, den) if n else _FRACTION_ZERO for n in x[:-1])
+
+
+def _rat_normalized(nums, den):
+    """The raw value nums / den (den > 0), divided by its gcd."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return (*nums, den)
+    return (*[n // g for n in nums], den // g)
+
+
+def _rat_support(nums):
+    """The nonzero entries of an integer vector, as (coordinate, n) pairs."""
+    return [(s, n) for s, n in enumerate(nums) if n]
+
+
+def _rat_split(vector):
+    """(den, [(s, coordinate s of every entry over den)]) for a raw vector,
+    keeping the coordinates s that are nonzero in some entry."""
+    den = math.lcm(*[x[-1] for x in vector])
+    scaled = [x[:-1] if x[-1] == den else [n * (den // x[-1]) for n in x[:-1]]
+              for x in vector]
+    return den, [(s, v) for s, v in enumerate(zip(*scaled)) if any(v)]
+
+
+class _MonomialTable:
+    """The products g_S g_T of the monomial basis of a rational context (g_S
+    the product of the generators g_i, i in S, S read as a bitmask) in base
+    coordinates: rows[S][T] lists (coordinate, numerator) over the common
+    denominator den.  Each pair is filled on first use from _tower_mul on
+    unit vectors, so the table assumes nothing about the records; a pair
+    whose denominator does not divide den raises den and rescales every
+    entry, and a product that saw den change is computed again."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.den = 1
+        self.rows = [[None] * ctx.dim for _ in range(ctx.dim)]
+
+    def fill(self, s, t):
+        ctx = self.ctx
+        units = [tuple(Fraction(int(i == j)) for i in range(ctx.dim))
+                 for j in (s, t)]
+        prod = _tower_mul(ctx, *units, len(ctx.tower))
+        den = math.lcm(self.den, *[c.denominator for c in prod])
+        if den != self.den:
+            grow, self.den = den // self.den, den
+            for row in self.rows:
+                row[:] = [e and tuple((k, n * grow) for k, n in e)
+                          for e in row]
+        entry = tuple((k, c.numerator * (den // c.denominator))
+                      for k, c in enumerate(prod) if c)
+        self.rows[s][t] = self.rows[t][s] = entry
+        return entry
+
+    def mul(self, xs, ys, times=operator.mul):
+        """(numerators, den) of the sum of times(x, y) g_s g_t over the pairs
+        (s, x) of xs and (t, y) of ys, as numerators / den: the product of
+        two integer vectors given by their supports (_rat_support), or with
+        _int_dot the dot product of two split vectors (_rat_split)."""
+        rows, fill = self.rows, self.fill
+        while True:
+            den = self.den
+            acc = [0] * len(rows)
+            for s, x in xs:
+                row = rows[s]
+                for t, y in ys:
+                    c = times(x, y)
+                    if c:
+                        for k, n in row[t] or fill(s, t):
+                            acc[k] += c * n
+            if den == self.den:
+                return acc, den
+
+
+def _int_dot(xv, yv):
+    return sum(map(operator.mul, xv, yv))
+
+
+_monomial_tables_cache = {}  # context key -> _MonomialTable, filled lazily
+
+
+def _monomial_table(ctx):
+    table = _monomial_tables_cache.get(ctx._key)
+    if table is None:
+        table = _monomial_tables_cache[ctx._key] = _MonomialTable(ctx)
+    return table
+
+
 def _raw_ops(ctx):
+    if ctx.kind == "rational":
+        return _RatOps(ctx)
     if ctx.kind == "gfp" and not ctx.tower:
         return _FlatOps(ctx)
-    if ctx.kind != "rational" and ctx.order() <= _TABLE_MAX_ORDER:
+    if ctx.order() <= _TABLE_MAX_ORDER:
         return _TableOps(ctx)
     return _CoordOps(ctx)
 

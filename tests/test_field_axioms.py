@@ -1,8 +1,11 @@
-"""Property tests of the field axioms in towers and large prime fields.
+"""Property tests of the field axioms in towers and large prime fields, and
+of the raw rational arithmetic of the kernels against the Scalar operators.
 
 Elements are drawn coordinate by coordinate over the base field, so every
-element of each tower can occur.  The settings are derandomized: each run
-draws the same examples, and the suite stays deterministic.
+element of each tower can occur.  Rational towers of height 1 to 4 are drawn
+record by record, each d at a random level of the tower below it.  The
+settings are derandomized: each run draws the same examples, and the suite
+stays deterministic.
 """
 
 from fractions import Fraction
@@ -10,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from matcanon.field import (Scalar, artin_schreier_root_or_adjoin,  # noqa: E402
-                            gf4, prime_field, rationals)
+from matcanon.field import (Scalar, _RatOps, _raw_ops,  # noqa: E402
+                            artin_schreier_root_or_adjoin, gf4, prime_field,
+                            rationals)
 
 
 def _towers():
@@ -82,3 +86,51 @@ def test_nonzero_elements_are_invertible(name):
         assert x * x.inverse() == ctx.one()
 
     check()
+
+
+def lower_elements(ctx):
+    """Elements of a random level of ctx, promoted: sparse and dense
+    coordinate vectors alike."""
+    return st.integers(0, len(ctx.tower)).flatmap(
+        lambda k: elements(ctx.truncated(k)).map(lambda x: x.promote(ctx)))
+
+
+@st.composite
+def rational_towers(draw):
+    """Q with 1 to 4 square roots adjoined, each of a non-square d drawn at
+    a random level of the tower so far."""
+    ctx = rationals()
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(lower_elements(ctx))
+        try:
+            ctx = ctx.adjoin_sqrt(d)
+        except ValueError:  # d is a square in ctx
+            assume(False)
+    return ctx
+
+
+@AXIOMS
+@given(st.data())
+def test_rational_raw_ops_match_scalar_operators(data):
+    ctx = data.draw(rational_towers())
+    x, y, f, c = (data.draw(lower_elements(ctx)) for _ in range(4))
+    ops = _raw_ops(ctx)
+    assert isinstance(ops, _RatOps)
+
+    def back(raw_row):
+        return [s.coords for s in ops.wrap([raw_row])[0]]
+
+    def want(*scalars):
+        return [s.coords for s in scalars]
+
+    rx, ry, rf, rc = ops.unwrap([[x, y, f, c]])[0]
+    assert back(ops.scale([rx, ry, rf], rc)) == want(x * c, y * c, f * c)
+    assert back(ops.axpy([rx, ry], rf, [ry, rc])) == want(x - f * y,
+                                                          y - f * c)
+    # [[x, y], [f, c]] @ [[c, x], [y, f]], the right side given by columns
+    assert [back(row) for row in ops.matmul([[rx, ry], [rf, rc]],
+                                            [[rc, ry], [rx, rf]])] == \
+        [want(x * c + y * y, x * x + y * f), want(f * c + c * y,
+                                                  f * x + c * f)]
+    if not x.is_zero():
+        assert back([ops.inverse(rx)]) == want(x.inverse())

@@ -2,11 +2,12 @@
 polynomial layer.
 
 Every kernel result is compared with a naive reference written here on the
-Scalar operators, over base fields and towers, on each of the three raw
+Scalar operators, over base fields and towers, on each of the four raw
 paths: ints mod p (GF(p) itself), exp/log tables (finite fields of at most
-256 elements) and coordinate tuples (Q, its towers and larger finite
-fields).  The kernel rewraps its results without the checks of
-ExactMatrix(), so every returned entry is also checked to be a Scalar of
+256 elements), normalized integer vectors (Q and its towers, up to a
+height-3 tower whose last records lie at level 1) and coordinate tuples
+(larger finite fields).  The kernel rewraps its results without the checks
+of ExactMatrix(), so every returned entry is also checked to be a Scalar of
 the right context with canonical coordinates.
 """
 
@@ -22,9 +23,9 @@ from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
 from matcanon.field import (Scalar, _CoordOps, _FlatOps, _poly_divmod,
                             _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
-                            _raw_ops, _TableOps,
+                            _RatOps, _raw_ops, _TableOps,
                             artin_schreier_root_or_adjoin, frobenius_gcd, gf4,
-                            prime_field, rationals)
+                            parse_scalar, prime_field, rationals)
 from matcanon.spectral import restrict_operator
 
 
@@ -35,6 +36,12 @@ def _contexts():
     _r, f4_as = artin_schreier_root_or_adjoin(f4.base_element((0, 1)))
     assert f4_as.tower  # t has no Artin-Schreier root in GF(4)
     f65521 = prime_field(65521)
+    # the tower of the seed-1 small-batch case 18 of the benchmark: d2 and
+    # d3 lie at level 1 (g3^2 = 214/3 - 3 g1), so products in it do not
+    # reduce to rational squares
+    q3 = q
+    for d in ("796/3", "214/3+3*g1", "214/3-3*g1"):
+        q3 = q3.adjoin_sqrt(parse_scalar(d, q3))
     return {
         "Q": q,
         "GF(2)": prime_field(2),
@@ -44,6 +51,7 @@ def _contexts():
         # 17 is the least non-square mod 65521
         "GF(65521)(sqrt17)": f65521.adjoin_sqrt(f65521.scalar(17)),
         "Q(sqrt2)": q.adjoin_sqrt(q.scalar(2)),
+        "Q+3 adjunctions": q3,
         "GF(3)(sqrt-1)": f3.adjoin_sqrt(f3.scalar(-1)),
         "GF(4)+AS": f4_as,
     }
@@ -58,8 +66,45 @@ def test_contexts_cover_every_raw_path():
         {"GF(2)", "GF(3)", "GF(65521)"}
     assert {name for name, ops in paths.items() if ops is _TableOps} == \
         {"GF(4)", "GF(3)(sqrt-1)", "GF(4)+AS"}
+    assert {name for name, ops in paths.items() if ops is _RatOps} == \
+        {"Q", "Q(sqrt2)", "Q+3 adjunctions"}
     assert {name for name, ops in paths.items() if ops is _CoordOps} == \
-        {"Q", "Q(sqrt2)", "GF(65521)(sqrt17)"}
+        {"GF(65521)(sqrt17)"}
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CONTEXTS)
+                                  if CONTEXTS[n].kind == "rational"])
+def test_rational_raw_values_are_normalized(name):
+    """A raw rational value is (n_0, ..., n_(dim-1), den) with den > 0 and
+    gcd 1, so each element has one raw value: unwrap, every kernel result
+    and the zero of the ops agree with it, and there is one raw zero."""
+    ctx = CONTEXTS[name]
+    ops = _raw_ops(ctx)
+    rng = random.Random("normalized " + name)
+
+    def check(x):
+        assert type(x) is tuple and len(x) == ctx.dim + 1
+        assert all(type(n) is int for n in x)
+        assert x[-1] > 0 and math.gcd(*x) == 1
+
+    a = rand_matrix(ctx, rng, 4, 4)
+    raw = ops.unwrap(a.rows)
+    products = ops.matmul(raw, ops.unwrap(a.transpose().rows))
+    pivot = next(x for x in itertools.chain(*raw) if x != ops.zero)
+    derived = [ops.scale(raw[1], pivot), ops.axpy(raw[1], pivot, raw[2]),
+               ops.axpy(raw[1], ops.one, raw[1]), [ops.inverse(pivot)],
+               [ops.neg(x) for x in raw[3]]] + products
+    for x in itertools.chain(*raw, *derived):
+        check(x)
+        # the raw value of the element x denotes
+        assert ops.unwrap(ops.wrap([[x]]))[0][0] == x
+    check(ops.zero)
+    check(ops.one)
+    zeros = {x for x in itertools.chain(*derived)
+             if ops.wrap([[x]])[0][0].is_zero()}
+    assert zeros == {ops.zero}
+    assert ops.unwrap([[ctx.zero(), -ctx.zero(), ctx.one() - ctx.one()]]) \
+        == [[ops.zero] * 3]
 
 
 def rand_scalar(ctx, rng):
@@ -444,7 +489,10 @@ def test_polynomial_layer_matches_reference(name):
         b = ref_divmod(rand_poly(ctx, rng, rng.randint(0, 5)), f)[1]
         assert back(_poly_mulmod(ops, raw(a), raw(b), raw(f))) == \
             want(ref_mulmod(a, b, f))
-        for k in (0, 1, 2, 5, 12, 1000):
+        # in the rational height-3 tower the coefficients of a^1000 mod f
+        # have thousands of digits, and the Scalar reference alone takes
+        # about 10 s: that tower stops at 12
+        for k in (0, 1, 2, 5, 12) + ((1000,) if ctx.dim < 8 else ()):
             assert back(_poly_powmod(ops, raw(a), k, raw(f))) == \
                 want(ref_powmod(a, k, f)), k
         num = rand_poly(ctx, rng, rng.randint(0, 7))

@@ -2,7 +2,7 @@
 
 For seeded random matrices, and for scrambled direct sums of one random
 block repeated (so that the minimal polynomial is a proper divisor of the
-characteristic polynomial), over Q and GF(p) with n up to 8:
+characteristic polynomial), over Q and GF(p) with n up to MAX_N = 12:
 - the minimal polynomial of S = A^{-1} A' divides sympy's characteristic
   polynomial of S and has the same irreducible factors;
 - at each root lam in the base field, elementary_divisor_multiplicities
@@ -25,6 +25,7 @@ from matcanon.spectral import (asymmetry,  # noqa: E402
                                elementary_divisor_multiplicities)
 
 X = sympy.Symbol("x")
+MAX_N = 12
 FIELDS = {"Q": rationals(), "GF(2)": prime_field(2), "GF(3)": prime_field(3),
           "GF(13)": prime_field(13), "GF(65521)": prime_field(65521)}
 
@@ -51,11 +52,12 @@ def scrambled_repeat(ctx, rng, block, copies):
 
 
 def cases(ctx, rng):
-    """Invertible inputs: random n x n (n = 1..8, twice each) and repeated
-    blocks (sizes 1..4, two or more copies, n <= 8)."""
-    out = [random_matrix(ctx, rng, n) for n in range(1, 9) for _ in range(2)]
+    """Invertible inputs: random n x n (n = 1..MAX_N, twice each) and
+    repeated blocks (sizes 1..4, two or more copies, n <= MAX_N)."""
+    out = [random_matrix(ctx, rng, n) for n in range(1, MAX_N + 1)
+           for _ in range(2)]
     for size in range(1, 5):
-        for copies in range(2, 8 // size + 1):
+        for copies in range(2, MAX_N // size + 1):
             block = random_matrix(ctx, rng, size)
             out.append(scrambled_repeat(ctx, rng, block, copies))
     return [a for a in out if inverse_or_rank(a).inverse is not None]
