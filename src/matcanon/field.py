@@ -991,12 +991,18 @@ class _MonomialTable:
     denominator den.  Each pair is filled on first use from _tower_mul on
     unit vectors, so the table assumes nothing about the records; a pair
     whose denominator does not divide den raises den and rescales every
-    entry, and a product that saw den change is computed again."""
+    entry, and a product that saw den change is computed again.  A row is
+    made on first use too: at the height cap of 16 a full table would have
+    2^32 slots."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.den = 1
-        self.rows = [[None] * ctx.dim for _ in range(ctx.dim)]
+        self.rows = [None] * ctx.dim
+
+    def row(self, s):
+        row = self.rows[s] = [None] * len(self.rows)
+        return row
 
     def fill(self, s, t):
         ctx = self.ctx
@@ -1006,12 +1012,13 @@ class _MonomialTable:
         den = math.lcm(self.den, *[c.denominator for c in prod])
         if den != self.den:
             grow, self.den = den // self.den, den
-            for row in self.rows:
+            for row in filter(None, self.rows):
                 row[:] = [e and tuple((k, n * grow) for k, n in e)
                           for e in row]
         entry = tuple((k, c.numerator * (den // c.denominator))
                       for k, c in enumerate(prod) if c)
-        self.rows[s][t] = self.rows[t][s] = entry
+        for a, b in ((s, t), (t, s)):
+            (self.rows[a] or self.row(a))[b] = entry
         return entry
 
     def mul(self, xs, ys, times=operator.mul):
@@ -1024,7 +1031,7 @@ class _MonomialTable:
             den = self.den
             acc = [0] * len(rows)
             for s, x in xs:
-                row = rows[s]
+                row = rows[s] or self.row(s)
                 for t, y in ys:
                     c = times(x, y)
                     if c:

@@ -14,11 +14,12 @@ the right context with canonical coordinates.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from matcanon import exactmat
+from matcanon import exactmat, field
 from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
 from matcanon.field import (Scalar, _CoordOps, _FlatOps, _poly_divmod,
@@ -105,6 +106,42 @@ def test_rational_raw_values_are_normalized(name):
     assert zeros == {ops.zero}
     assert ops.unwrap([[ctx.zero(), -ctx.zero(), ctx.one() - ctx.one()]]) \
         == [[ops.zero] * 3]
+
+
+def test_rational_tables_live_in_one_cache():
+    """The monomial tables of the rational ops live in one module dict of
+    field whose name ends in _cache, keyed by context key, which the bench
+    empties before each measured pass; refilled, they give the same
+    products."""
+    ctx = CONTEXTS["Q+3 adjunctions"]
+    ops = _raw_ops(ctx)
+    assert [name for name, value in vars(field).items()
+            if name.endswith("_cache") and isinstance(value, dict)
+            and value.get(ctx._key) is ops.table] == ["_monomial_tables_cache"]
+    a = rand_matrix(ctx, random.Random("cache"), 3, 3)
+    before = coords((a @ a).rows)
+    field._monomial_tables_cache.clear()
+    assert coords((a @ a).rows) == before
+    assert field._monomial_tables_cache[ctx._key] is not ops.table
+
+
+def test_rational_tables_grow_by_use():
+    """At the default tower cap of 16 a full table of g_S g_T would have
+    2^32 slots: a product of two base elements there builds one row."""
+    ctx = rationals()
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        ctx = ctx.adjoin_sqrt(ctx.scalar(p), rootless=True)
+    assert ctx.dim == 1 << 16
+    a = ExactMatrix(ctx, [[Fraction(2, 3)]])
+    tracemalloc.start()
+    try:
+        prod = a @ a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prod[0, 0] == ctx.scalar(Fraction(4, 9))
+    assert peak < 64 << 20
+    assert sum(row is not None for row in _raw_ops(ctx).table.rows) == 1
 
 
 def rand_scalar(ctx, rng):
