@@ -69,6 +69,9 @@ class Block:
         return "%s%d" % (self.family, self.n)
 
 
+# gabriel plus blocks is the congruence invariant; context and
+# extension_report carry the witness (the field X is written over, and how it
+# was reached) and can differ between congruent inputs
 CanonicalForm = namedtuple("CanonicalForm",
                            "gabriel blocks context extension_report")
 
@@ -234,8 +237,7 @@ def _reduce_unipotent_class(class_gram, eps, policy):
     """Reduce one eigenvalue +-1 class; returns descriptors and local X,
     over the context the reductions reached from class_gram's."""
     ctx = class_gram.ctx
-    nmat = (asymmetry_matrix(class_gram)
-            - ExactMatrix.identity(ctx, class_gram.nrows).scale(eps))
+    nmat = asymmetry_matrix(class_gram).minus_scalar(eps)
     pieces = peel_all(class_gram, nmat, eps)
     sign, char = eigen_sign(eps), ctx.characteristic
     descs = []

@@ -1,4 +1,4 @@
-"""Command-line surface: canonicalize, decide congruence, run the oracle.
+"""Command-line surface: canonicalize, decide congruence, read invariants.
 
 Matrix files are JSON: {"field": {...}, "matrix": [[scalar strings]]}.
 Field objects: {"kind": "rational"} | {"kind": "gfp", "p": 3}
@@ -14,21 +14,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .canon import (Block, CanonicalForm, canonical_block_matrix,
-                    canonicalize, equivalent, invariants, transpose_witness)
-from .errors import (BudgetExceeded, DegenerateRestriction,
-                     InternalDegenerate, MatcanonError, NoRootStrictPolicy,
-                     NotSplit, ParseError)
-from .exactmat import ExactMatrix, WitnessError, inverse_or_rank
-from .field import (EXTEND, RECORD_KINDS, adjoin_record, adjunctions,
-                    finite_field, format_scalar, parse_scalar, prime_field,
-                    rationals)
+from .canon import (Block, canonical_block_matrix, canonicalize, equivalent,
+                    invariants, transpose_witness)
+from .errors import (DegenerateRestriction, InternalDegenerate,
+                     MatcanonError, NoRootStrictPolicy, NotSplit, ParseError)
+from .exactmat import ExactMatrix, WitnessError
+from .field import (RECORD_KINDS, adjoin_record, adjunctions, finite_field,
+                    format_scalar, parse_scalar, prime_field, rationals)
 from .gabriel import gabriel_decompose
-from .oracle import (DEFAULT_GL_BUDGET, DEFAULT_ORBIT_BUDGET,
-                     bruteforce_congruent, orbit_partition)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -113,10 +108,6 @@ def matrix_text(m):
     return [[format_scalar(e) for e in row] for row in m.rows]
 
 
-def matrix_to_json(a):
-    return {"field": context_to_json(a.ctx), "matrix": matrix_text(a)}
-
-
 def load_matrix(path, tower_cap=16):
     with open(path) as handle:
         return matrix_from_json(json.load(handle), tower_cap)
@@ -140,13 +131,6 @@ def form_to_json(form):
         "blocks": [repr(b) for b in form.blocks],
         "extensions": list(form.extension_report),
     }
-
-
-def form_from_json(obj):
-    ctx = context_from_json(obj["field"])
-    blocks = [block_from_text(t, ctx) for t in obj["blocks"]]
-    return CanonicalForm(list(obj["gabriel"]), blocks, ctx,
-                         list(obj.get("extensions", [])))
 
 
 def _emit(payload, machine):
@@ -245,28 +229,6 @@ def _cmd_transpose(args):
     return EXIT_OK
 
 
-def _cmd_oracle(args):
-    if args.partition:
-        report = orbit_partition(args.dimension, args.prime,
-                                 args.budget or DEFAULT_ORBIT_BUDGET)
-        payload = {"classes": len(report.classes),
-                   "sizes": report.sizes,
-                   "representatives": [matrix_text(c)
-                                       for c in report.classes]}
-        _emit(payload, args.machine)
-        return EXIT_OK
-    if not args.left or not args.right:
-        raise ParseError("oracle needs two matrix files or --partition")
-    a = load_matrix(args.left, args.tower_cap)
-    b = load_matrix(args.right, args.tower_cap)
-    verdict, x = bruteforce_congruent(a, b, args.budget or DEFAULT_GL_BUDGET)
-    payload = {"congruent": verdict}
-    if x is not None:
-        payload["witness"] = matrix_text(x)
-    _emit(payload, args.machine)
-    return EXIT_OK if verdict else EXIT_FALSE
-
-
 def _cmd_block(args):
     ctx = field_from_flag(args.field, args.tower_cap)
     desc = block_from_text(args.descriptor, ctx)
@@ -275,79 +237,6 @@ def _cmd_block(args):
                "matrix": matrix_text(mat)}
     _emit(payload, args.machine)
     return EXIT_OK
-
-
-def _cmd_fuzz(args):
-    ctx = field_from_flag(args.field, args.tower_cap)
-    rng = random.Random(args.seed)
-    failures = []
-    checked = 0
-    for case in range(args.count):
-        n = rng.randint(1, args.max_dim)
-        a = _random_matrix(ctx, rng, n)
-        y = _random_invertible(ctx, rng, n)
-        b = y.transpose() @ a @ y
-        try:
-            fa, wa = canonicalize(a, args.policy)
-            fb, wb = canonicalize(b, args.policy)
-        except NotSplit:
-            continue
-        except NoRootStrictPolicy:
-            continue
-        checked += 1
-        if fa.gabriel != fb.gabriel or fa.blocks != fb.blocks:
-            failures.append({"case": case, "kind": "invariance",
-                             "matrix": matrix_to_json(a)["matrix"]})
-        if ctx.kind == "gfp" and n <= 3 and args.policy == EXTEND:
-            try:
-                res = equivalent(a, b, args.policy)
-                bf, _ = bruteforce_congruent(a, b,
-                                             args.budget or DEFAULT_GL_BUDGET)
-                if res.equivalent != bf and not res.extensions:
-                    failures.append({"case": case, "kind": "oracle",
-                                     "matrix": matrix_to_json(a)["matrix"]})
-            except (BudgetExceeded, NotSplit, NoRootStrictPolicy):
-                pass
-    payload = {"cases": args.count, "checked": checked,
-               "failures": failures, "seed": args.seed}
-    if ctx.kind == "gfp" and ctx.p == 2:
-        payload["pair_counterexample"] = _pair_counterexample_report(
-            args.budget or DEFAULT_GL_BUDGET)
-    _emit(payload, args.machine)
-    return EXIT_OK
-
-
-def _pair_counterexample_report(budget):
-    """The order-2 pair matrices with (a,b) = (1,1) vs (0,0) over GF(2)."""
-    f2 = prime_field(2)
-    c11 = ExactMatrix(f2, [[1, 0, 1, 1], [0, 0, 0, 1],
-                           [1, 0, 0, 0], [0, 1, 0, 1]])
-    c00 = ExactMatrix(f2, [[0, 0, 1, 1], [0, 0, 0, 1],
-                           [1, 0, 0, 0], [0, 1, 0, 0]])
-    try:
-        verdict, _ = bruteforce_congruent(c11, c00, budget)
-    except BudgetExceeded:
-        return "skipped (budget)"
-    return "distinct over GF(2)" if not verdict else "UNEXPECTEDLY CONGRUENT"
-
-
-def _random_matrix(ctx, rng, n):
-    if ctx.kind == "rational":
-        return ExactMatrix(ctx, [[rng.randint(-3, 3) for _ in range(n)]
-                                 for _ in range(n)])
-    if ctx.kind == "gfp":
-        return ExactMatrix(ctx, [[rng.randrange(ctx.p) for _ in range(n)]
-                                 for _ in range(n)])
-    pool = list(ctx.iter_elements())
-    return ExactMatrix(ctx, [[rng.choice(pool) for _ in range(n)]
-                             for _ in range(n)])
-
-
-def _random_invertible(ctx, rng, n):
-    while True:
-        y = _random_matrix(ctx, rng, n)
-        if inverse_or_rank(y, rank_only=True).rank == n:
-            return y
 
 
 def build_parser():
@@ -390,30 +279,11 @@ def build_parser():
     common(p)
     p.set_defaults(func=_cmd_transpose)
 
-    p = sub.add_parser("oracle", help="brute-force congruence over GF(p)")
-    p.add_argument("left", nargs="?")
-    p.add_argument("right", nargs="?")
-    p.add_argument("--partition", action="store_true")
-    p.add_argument("-n", "--dimension", type=int, default=2)
-    p.add_argument("--prime", type=int, default=2)
-    p.add_argument("--budget", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_oracle)
-
     p = sub.add_parser("block", help="emit one canonical block matrix")
     p.add_argument("descriptor", help="e.g. A3 or G4(1/2)")
     p.add_argument("--field", default="q")
     common(p)
     p.set_defaults(func=_cmd_block)
-
-    p = sub.add_parser("fuzz", help="seeded random invariant suite")
-    p.add_argument("--field", default="gf3")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_fuzz)
 
     return parser
 

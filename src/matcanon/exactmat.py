@@ -38,13 +38,13 @@ of a basis is a column order, X.submatrix(range(n), order), with Gram
 matrix G.submatrix(order, order); no permutation matrix is multiplied.
 
 Contexts meet here.  A matrix lives in one FieldContext, and the arithmetic
-lifts: @, +, scale and == work in the common context of their operands (the
-longer of two prefix-compatible towers), and ExactMatrix(ctx, rows) (so
-from_columns and block_diag) and krylov build in the common context of ctx
-and of all the entries, never in the context of the first entry, which may
-lie lower.  promote only goes up a tower.  So a value computed from an
-extension carries it, and no caller passes a context beside a value that
-has one.
+lifts: @, +, scale, minus_scalar and == work in the common context of their
+operands (the longer of two prefix-compatible towers), and ExactMatrix(ctx,
+rows) (so from_columns and block_diag) and krylov build in the common
+context of ctx and of all the entries, never in the context of the first
+entry, which may lie lower.  promote only goes up a tower.  So a value
+computed from an extension carries it, and no caller passes a context beside
+a value that has one.
 
 Certification.  A Congruence (x, source, target) is a plain, unverified
 claim that x' * source * x == target, such as a pipeline stage returns.
@@ -217,6 +217,14 @@ class ExactMatrix:
         c = self.ctx.scalar(c) if not isinstance(c, Scalar) else c
         return ExactMatrix(self.ctx.common(c.ctx),
                            [[x * c for x in row] for row in self.rows])
+
+    def minus_scalar(self, c):
+        """self - c I in the common context of self and c, as scale has it;
+        only the diagonal changes."""
+        c = self.ctx.scalar(c) if not isinstance(c, Scalar) else c
+        return ExactMatrix(self.ctx.common(c.ctx),
+                           [[*row[:i], row[i] - c, *row[i + 1:]]
+                            for i, row in enumerate(self.rows)])
 
     def __matmul__(self, other):
         a, b, ctx = self._common(other)

@@ -327,7 +327,7 @@ def eigen_split(a, asym):
     def gen_eigenspace(lam):
         # the min-poly multiplicity bounds the nilpotency index on V_lam
         expo = next((m for r, m in asym.split_roots if r == lam), n)
-        m = asym.s - ExactMatrix.identity(ctx, n).scale(lam)
+        m = asym.s.minus_scalar(lam)
         return inverse_or_rank(m.power(expo), rank_only=True).kernel
 
     unipotent = []
@@ -427,24 +427,6 @@ def nilpotent_jordan_chains(nmat):
     return chains
 
 
-def elementary_divisor_multiplicities(s, lam):
-    """Map m -> number of elementary divisors (X-lam)^m of S."""
-    ctx = s.ctx
-    n = s.nrows
-    m0 = s - ExactMatrix.identity(ctx, n).scale(lam)
-    ranks = [n]
-    power = ExactMatrix.identity(ctx, n)
-    for _ in range(n + 1):
-        power = power @ m0
-        ranks.append(inverse_or_rank(power, rank_only=True).rank)
-    out = {}
-    for m in range(1, n + 1):
-        cnt = ranks[m - 1] - 2 * ranks[m] + ranks[m + 1]
-        if cnt:
-            out[m] = cnt
-    return out
-
-
 # -- hyperbolic classes -------------------------------------------------------------
 
 HyperbolicResult = namedtuple("HyperbolicResult", "x blocks gram")
@@ -466,7 +448,7 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
         raise DegenerateRestriction("paired class dimensions differ")
     # Jordan-reduce the lam side
     s_lam = s_class.submatrix(range(m), range(m))
-    nmat = s_lam - ExactMatrix.identity(ctx, m).scale(lam)
+    nmat = s_lam.minus_scalar(lam)
     chains = nilpotent_jordan_chains(nmat)
     svecs = []   # reversed chains: highest power of N first
     sizes = []

@@ -36,8 +36,6 @@ from .spectral import (asymmetry_matrix, hyperbolic_block_matrix,
                        restrict_operator)
 
 UnipotentPiece = namedtuple("UnipotentPiece", "kind eps order basis gram")
-FreeModuleComponent = namedtuple("FreeModuleComponent",
-                                 "eps order basis gram hat_gram pieces")
 
 # The indecomposables at one eigenvalue eps = +-1: family -> (sign of eps,
 # "single" (one elementary divisor (X - eps)^n, the block is n x n) or
@@ -75,16 +73,6 @@ def family_of(kind, sign, char, order):
 def eigen_sign(eps):
     """1 for eps = 1 (in characteristic 2 always), -1 for eps = -1."""
     return 1 if eps == eps.ctx.one() else -1
-
-
-def alternating_flag(gram):
-    """True iff the form is alternating (zero diagonal and skew-symmetric;
-    in characteristic 2 skew-symmetric means symmetric)."""
-    n = gram.nrows
-    for i in range(n):
-        if not gram[i, i].is_zero():
-            return False
-    return gram.transpose() == -gram
 
 
 # -- peeling indecomposables -----------------------------------------------------
@@ -251,51 +239,7 @@ def _unit(ctx, n, i):
     return v
 
 
-def filtration(gram, nmat, eps):
-    """Group the peeled pieces by order into orthogonal free components."""
-    pieces = peel_all(gram, nmat, eps)
-    ctx = gram.ctx
-    by_order = {}
-    for p in pieces:
-        by_order.setdefault(p.order, []).append(p)
-    comps = []
-    for m in sorted(by_order, reverse=True):
-        group = by_order[m]
-        basis = [v for p in group for v in p.basis]
-        bmat = ExactMatrix.from_columns(ctx, gram.nrows, basis)
-        cgram = bmat.transpose() @ gram @ bmat
-        hat = hat_form_from_pieces(gram, nmat, group, m)
-        comps.append(FreeModuleComponent(eps, m, basis, cgram, hat, group))
-    return comps
-
-
-def hat_form_from_pieces(gram, nmat, group, m):
-    """Gram matrix of the induced form on V_m / p V_m.
-
-    Generators: the cyclic vector of each single piece, both generators of
-    each pair piece.  f_hat(u, v) = f(p^{m-1} u, v).
-    """
-    ctx = gram.ctx
-    gens = []
-    for p in group:
-        if p.kind == "single":
-            gens.append(p.basis[0])
-        else:
-            gens.append(p.basis[0])
-            gens.append(p.basis[m])
-    umat = ExactMatrix.from_columns(ctx, gram.nrows, gens)
-    hat = (nmat.power(m - 1) @ umat).transpose() @ gram @ umat
-    if inverse_or_rank(hat, rank_only=True).rank != hat.nrows:
-        raise InternalDegenerate("hat form is degenerate")
-    return hat
-
-
 # -- the cyclic (single elementary divisor) reduction ----------------------------
-
-def _sigma_cyclic(ctx, n, eps):
-    return ExactMatrix.identity(ctx, n).scale(eps) + \
-        ExactMatrix.jordan_block(ctx, n)
-
 
 def _check_cyclic_gram(g, n):
     for a in range(n):
@@ -341,7 +285,7 @@ def canonical_cyclic_gram(ctx, eps, n):
         rows[j][0] = eps * rho[j] + rho[j + 1]
     rows[n - 1][0] = eps * rho[n - 1]
     cg = ExactMatrix(ctx, rows)
-    s = _sigma_cyclic(ctx, n, eps)
+    s = ExactMatrix.jordan_block(ctx, n, eps)
     if cg @ s != cg.transpose():
         raise InternalDegenerate("canonical cyclic gram is inconsistent")
     _check_cyclic_gram(cg, n)
@@ -524,7 +468,7 @@ def _gamma_cyclic_reduction(eps, n, policy):
     if key in _gamma_reduction_cache:
         return _gamma_reduction_cache[key]
     gamma = gamma_block(ctx, n)
-    nmat = asymmetry_matrix(gamma) - ExactMatrix.identity(ctx, n).scale(eps)
+    nmat = asymmetry_matrix(gamma).minus_scalar(eps)
     v = _height_vector(nmat.power(n - 1))
     bmat = nmat.krylov(v, n)
     x, cg = canon_single(bmat.transpose() @ gamma @ bmat, eps, n, policy)

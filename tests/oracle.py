@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .errors import BudgetExceeded
-from .exactmat import ExactMatrix
-from .field import prime_field
+from matcanon.errors import BudgetExceeded
+from matcanon.exactmat import ExactMatrix
+from matcanon.field import prime_field
 
 DEFAULT_GL_BUDGET = 10 ** 6
 DEFAULT_ORBIT_BUDGET = 2 * 10 ** 6

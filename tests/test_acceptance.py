@@ -16,10 +16,11 @@ from matcanon import (AddSym, Block, ExactMatrix, NoRootStrictPolicy,
                       inverse_or_rank, prime_field, rationals,
                       transpose_witness)
 from matcanon.field import EXTEND, STRICT
-from matcanon.oracle import (bruteforce_congruent, congruence_class_map,
-                             matrix_flat)
-from matcanon.spectral import (asymmetry, elementary_divisor_multiplicities)
-from matcanon.unipotent import alternating_flag, filtration
+from matcanon.spectral import asymmetry
+
+from filtration import (alternating_flag, elementary_divisor_multiplicities,
+                        filtration)
+from oracle import bruteforce_congruent, congruence_class_map, matrix_flat
 
 
 def _report(num, text, t0):

@@ -9,9 +9,10 @@ from matcanon import (Block, ExactMatrix, NotSplit, canonical_block_matrix,
                       transpose_witness)
 from matcanon.errors import InvalidDescriptor, NoRootStrictPolicy
 from matcanon.field import EXTEND, STRICT
-from matcanon.spectral import (hyperbolic_block_matrix,
-                               elementary_divisor_multiplicities, asymmetry)
+from matcanon.spectral import hyperbolic_block_matrix, asymmetry
 from matcanon.unipotent import gamma0_matrix, gamma_matrix
+
+from filtration import elementary_divisor_multiplicities
 
 
 def rand_matrix(ctx, rng, n, lo=-3, hi=3):

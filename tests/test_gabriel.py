@@ -115,7 +115,7 @@ def test_cores_congruent_under_congruence():
     # the cores of congruent matrices are congruent (empirically), decided
     # by the full pipeline, or by the brute-force oracle for small GF(3)
     from matcanon import NotSplit, equivalent
-    from matcanon.oracle import bruteforce_congruent
+    from oracle import bruteforce_congruent
     rng = random.Random(27)
     f3 = prime_field(3)
     checked = 0

@@ -618,3 +618,14 @@ def test_constructors_live_in_the_common_context(base, ext):
     assert coords(got.rows) == coords(want.rows)
     with pytest.raises(ContextMismatch):
         got.promote(small)
+
+
+@pytest.mark.parametrize("base, ext", EXTENSIONS)
+def test_minus_scalar_is_m_minus_c_identity(base, ext):
+    """M - cI changes the diagonal alone, in the common context of M and c."""
+    small, big = CONTEXTS[base], CONTEXTS[ext]
+    a = rand_matrix(small, random.Random("shift " + ext), 3, 3)
+    for c in (big.generator(len(big.tower)), small.scalar(2), 2):
+        want = a - ExactMatrix.identity(small, 3).scale(c)
+        assert_matrix_canonical(a.minus_scalar(c), want.ctx, 3, 3)
+        assert coords(a.minus_scalar(c).rows) == coords(want.rows)

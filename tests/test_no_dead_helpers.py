@@ -3,8 +3,7 @@
 Every top-level function, class and constant of the package must be read
 somewhere in src/ outside its own definition, or be exported through
 matcanon.__all__.  A read is a name load or an attribute access; an import
-alone is not one.  The names below are used by the tests only, and each is
-on record as such.
+alone is not one.  A reference the tests alone need lives under tests/.
 """
 
 import ast
@@ -14,15 +13,6 @@ import pathlib
 import matcanon
 
 SRC = pathlib.Path(matcanon.__file__).resolve().parent
-
-TEST_ONLY = {
-    "filtration",
-    "alternating_flag",
-    # ROADMAP item 1: should read the kernels gen_eigenspace computes
-    "elementary_divisor_multiplicities",
-    "form_from_json",
-    "congruence_class_map",
-}
 
 
 def _defined(stmt):
@@ -69,12 +59,7 @@ def _package_sources():
 
 def test_every_helper_has_a_reader():
     dead = dead_names(_package_sources()) - set(matcanon.__all__)
-    assert dead <= TEST_ONLY, sorted(dead - TEST_ONLY)
-
-
-def test_test_only_names_are_still_unread():
-    # a test-only name that gained a reader in src/ leaves the list
-    assert TEST_ONLY <= dead_names(_package_sources())
+    assert not dead, sorted(dead)
 
 
 def test_rule_flags_a_helper_left_behind():

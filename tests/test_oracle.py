@@ -5,8 +5,9 @@ import pytest
 from matcanon import ExactMatrix, prime_field
 from matcanon.errors import BudgetExceeded
 from matcanon.gabriel import gabriel_decompose
-from matcanon.oracle import (bruteforce_congruent, orbit_partition,
-                             _gl_elements, _gl_size)
+
+from oracle import (bruteforce_congruent, orbit_partition, _gl_elements,
+                    _gl_size)
 
 
 def test_gl_sizes():

@@ -8,11 +8,12 @@ from matcanon.errors import NotSplit, SingularInput
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import EXTEND, STRICT, prime_field, rationals
 from matcanon.spectral import (Asymmetry, PairClass,
-                               UnipotentClass, asymmetry,
-                               elementary_divisor_multiplicities, eigen_split,
+                               UnipotentClass, asymmetry, eigen_split,
                                hyperbolic_block_matrix, hyperbolic_canonical,
                                _minimal_polynomial, nilpotent_jordan_chains,
                                poly_eval, restrict_operator, split_min_poly)
+
+from filtration import elementary_divisor_multiplicities
 
 
 def gamma2(ctx):

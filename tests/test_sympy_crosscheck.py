@@ -21,8 +21,9 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from matcanon.exactmat import ExactMatrix, inverse_or_rank  # noqa: E402
 from matcanon.field import prime_field, rationals  # noqa: E402
-from matcanon.spectral import (asymmetry,  # noqa: E402
-                               elementary_divisor_multiplicities)
+from matcanon.spectral import asymmetry  # noqa: E402
+
+from filtration import elementary_divisor_multiplicities  # noqa: E402
 
 X = sympy.Symbol("x")
 MAX_N = 12

@@ -7,9 +7,10 @@ from matcanon.errors import NoArtinSchreierRootStrict
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import (EXTEND, STRICT, gf4, prime_field, rationals)
 from matcanon.spectral import asymmetry, hyperbolic_block_matrix
-from matcanon.unipotent import (alternating_flag, filtration, gamma0_matrix,
-                                gamma_matrix, peel_all, reduce_pair,
-                                reduce_single)
+from matcanon.unipotent import (gamma0_matrix, gamma_matrix, peel_all,
+                                reduce_pair, reduce_single)
+
+from filtration import alternating_flag, filtration
 
 
 def nil_of(a, eps=None):
@@ -55,7 +56,7 @@ def test_gamma_matrices_match_printed_forms():
 def test_gamma_elementary_divisor_claims():
     # asymmetry of Gamma_n has one elementary divisor: (X-1)^n odd n,
     # (X+1)^n even n; Gamma_n^0 likewise (X-1)^n in characteristic 2
-    from matcanon.spectral import elementary_divisor_multiplicities
+    from filtration import elementary_divisor_multiplicities
     q = rationals()
     for n in range(1, 7):
         g = gamma_matrix(q, n)
