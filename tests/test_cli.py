@@ -1,4 +1,3 @@
-import argparse
 import json
 import subprocess
 import sys
@@ -6,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from matcanon.cli import (block_from_text, build_parser, context_from_json,
-                          context_to_json, matrix_from_json, matrix_text)
+from matcanon.cli import (block_from_text, context_from_json, context_to_json,
+                          matrix_from_json, matrix_text)
 from matcanon import ExactMatrix, canonicalize, prime_field, rationals
 from matcanon.unipotent import gamma_matrix
 
@@ -140,10 +139,9 @@ def test_non_integer_json_number_exit_code(tmp_path):
 
 def test_only_the_promise_subcommands():
     # oracle and fuzz are test aids, not commands: argparse's usage error
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    assert sorted(sub.choices) == sorted(["canon", "equiv", "invariants",
-                                          "gabriel", "transpose", "block"])
+    code, out, _ = run_cli(["--help"])
+    assert code == 0
+    assert "{canon,equiv,invariants,gabriel,transpose,block}" in out
     for command in ("oracle", "fuzz"):
         code, out, err = run_cli([command])
         assert code == 2, command
