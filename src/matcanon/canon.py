@@ -27,7 +27,7 @@ from .errors import (HypothesisViolation, InternalDegenerate,
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, inverse_or_rank)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
-                    format_scalar)
+                    format_scalar, merge_contexts)
 from .gabriel import _runs, gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
                        eigen_split, hyperbolic_block_matrix,
@@ -372,7 +372,6 @@ def equivalent(a, b, policy=EXTEND):
     """
     if a.nrows != b.nrows:
         return EquivalenceResult(False, None, a.ctx, [])
-    from .field import merge_contexts
     start_ctx = a.ctx.common(b.ctx)
     ctx = start_ctx
     for _ in range(_MERGE_ROUNDS):

@@ -115,6 +115,8 @@ def load_matrix(path, tower_cap=16):
 
 def block_from_text(text, ctx):
     text = text.strip()
+    if not text:
+        raise ParseError("empty block descriptor")
     fam = text[0]
     if fam == "G":
         open_idx = text.index("(")

@@ -2,23 +2,21 @@
 
 Kernel.  Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan
 elimination (_rref, behind inverse_or_rank and solve; first_dependence is
-its incremental form) run on raw values, not on Scalar objects: entries are
-unwrapped once on entry and the result is rewrapped once through a trusted
-constructor that skips the per-entry checks.  The raw arithmetic is
-field._raw_ops, which root finding's polynomial layer shares, and the
-kernels are written once against its interface (unwrap, wrap, neg,
-inverse, scale, axpy, matmul).  It has four cases.  Q and its towers have
-one normalized integer vector per entry (numerators over a positive common
-denominator, gcd 1, so equal entries have equal raw values), multiplied by
-one flat pass over the monomial products g_S g_T; a matrix product sums
-each entry over one denominator and normalizes it once.  GF(p) at tower
-height 0 has flat ints with one reduction mod p per dot product (after
-FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004).  Every other finite field of
-at most 256 elements has element indices, multiplied through exp/log tables
-and added by XOR or a Zech logarithm.  Larger finite towers have the
-entry's coordinate tuple (Scalar.coords), multiplied by the field's
-_tower_mul and added coordinatewise, with zero entries skipped.  The
-results are the exact values the Scalar operators would give.
+its incremental form) run on the raw values of the entries (Scalar.raw) and
+build their result's Scalars on raw values.  The arithmetic is the
+context's ctx.ops (field._raw_ops), which the Scalar operators and root
+finding's polynomial layer share, and the kernels are written once against
+its row interface (neg, inverse, scale, axpy, matmul).  It has four cases.
+Q and its towers have one normalized integer vector per entry (numerators
+over a positive common denominator, gcd 1, so equal entries have equal raw
+values), multiplied by one flat pass over the monomial products g_S g_T; a
+matrix product sums each entry over one denominator and normalizes it
+once.  GF(p) at tower height 0 has flat ints with one reduction mod p per
+dot product (after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004).  Every
+other finite field of at most 256 elements has element indices, multiplied
+through exp/log tables and added by XOR or a Zech logarithm.  Larger finite
+towers have coordinate tuples, multiplied by the field's _tower_mul and
+added coordinatewise, with zero entries skipped.
 
 An elimination builds only what its caller reads.  inverse_or_rank appends
 an identity, and so builds the row transform, only for a square input (for
@@ -58,13 +56,25 @@ links are not checked on their own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import namedtuple
 
 from .errors import (ContextMismatch, DimensionMismatch, IndexOutOfRange,
                      MatcanonError, ZeroScale)
-from .field import Scalar, _raw_ops, power
+from .field import Scalar, power
+
+
+def _raw(rows):
+    """The raw values of rows of scalars, as lists."""
+    return [[e.raw for e in row] for row in rows]
+
+
+def _scalars(ctx, rows):
+    """Rows of raw values of ctx as tuples of scalars."""
+    new = functools.partial(Scalar, ctx)
+    return tuple(tuple(map(new, row)) for row in rows)
 
 
 def _trusted(ctx, rows, ncols):
@@ -176,7 +186,7 @@ class ExactMatrix:
             a, b, _ctx = self._common(other)
         except ContextMismatch:
             return False
-        return all(x.coords == y.coords
+        return all(x.raw == y.raw
                    for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
     def __hash__(self):
@@ -233,10 +243,8 @@ class ExactMatrix:
                                     % (a.nrows, a.ncols, b.nrows, b.ncols))
         if not (a.nrows and a.ncols and b.ncols):
             return ExactMatrix.zeros(ctx, a.nrows, b.ncols)
-        ops = _raw_ops(ctx)
-        b_cols = ops.unwrap(zip(*b.rows))
-        return _trusted(ctx, ops.wrap(ops.matmul(ops.unwrap(a.rows), b_cols)),
-                        b.ncols)
+        product = ctx.ops.matmul(_raw(a.rows), _raw(zip(*b.rows)))
+        return _trusted(ctx, _scalars(ctx, product), b.ncols)
 
     def power(self, k):
         """self^k for k >= 0, by square and multiply."""
@@ -284,9 +292,9 @@ def inverse_or_rank(a, transform=False, rank_only=False):
     identity appended, and inverse and transform are None.
     """
     ctx = a.ctx
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     n, m = a.nrows, a.ncols
-    work = ops.unwrap(a.rows)
+    work = _raw(a.rows)
     augment = not rank_only and (transform or n == m)
     if augment:
         zero, one = ops.zero, ops.one
@@ -296,7 +304,7 @@ def inverse_or_rank(a, transform=False, rank_only=False):
     rank = len(pivots)
     t = None
     if augment and (transform or rank == n == m):
-        t = _trusted(ctx, ops.wrap([row[m:] for row in work]), n)
+        t = _trusted(ctx, _scalars(ctx, [row[m:] for row in work]), n)
     return InverseRank(t if rank == n == m else None, rank,
                        _kernel(ops, work, pivots, m), tuple(pivots), t)
 
@@ -307,11 +315,10 @@ def solve(a, b):
     b is a list of scalars (one per row of a).
     """
     ctx = a.ctx
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     n, m = a.nrows, a.ncols
-    rhs = ops.unwrap([[ctx.scalar(b[i]) if not isinstance(b[i], Scalar)
-                       else b[i].promote(ctx) for i in range(n)]])[0]
-    work = ops.unwrap(a.rows)
+    rhs = [ctx.scalar(b[i]).raw for i in range(n)]
+    work = _raw(a.rows)
     for row, v in zip(work, rhs):
         row.append(v)
     pivots = _rref(ops, work, m)
@@ -321,7 +328,7 @@ def solve(a, b):
     particular = [ops.zero] * m
     for row_i, pc in enumerate(pivots):
         particular[pc] = work[row_i][m]
-    return list(ops.wrap([particular])[0]), kernel
+    return [Scalar(ctx, v) for v in particular], kernel
 
 
 # -- the raw kernel ---------------------------------------------------------------
@@ -360,11 +367,11 @@ def first_dependence(ctx, vectors):
     the combination of the originals it equals, so nothing after v_d is read
     (the Krylov minimal polynomial of Keller-Gehrig, TCS 36, 1985).
     """
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     zero = ops.zero
     basis = []  # (pivot column, row scaled to 1 there)
     for k, v in enumerate(vectors):
-        row = ops.unwrap([v])[0]
+        row = [e.raw for e in v]
         m = len(row)
         row += [zero] * k + [ops.one]
         for pc, prow in basis:
@@ -373,7 +380,7 @@ def first_dependence(ctx, vectors):
                 row[:head] = ops.axpy(row[:head], row[pc], prow)
         pc = next((j for j in range(m) if row[j] != zero), None)
         if pc is None:
-            return list(ops.wrap([row[m:]])[0])
+            return [Scalar(ctx, v) for v in row[m:]]
         basis.append((pc, ops.scale(row, ops.inverse(row[pc]))))
     return None
 
@@ -388,7 +395,7 @@ def _kernel(ops, work, pivots, m):
         for row_i, pc in enumerate(pivots):
             vec[pc] = ops.neg(work[row_i][fcol])
         vectors.append(vec)
-    return [list(row) for row in ops.wrap(vectors)]
+    return [[Scalar(ops.ctx, v) for v in vec] for vec in vectors]
 
 
 class WitnessError(MatcanonError):

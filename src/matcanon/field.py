@@ -4,25 +4,26 @@ A FieldContext is an exact base field (rationals, GF(p), or GF(p^k) given by a
 modulus polynomial) together with an ordered tower of degree-2 adjunctions.
 Each adjunction is one record (c1, d): its generator g is a root of
 g^2 = c1 g + d over the level below, with c1 = 0 for a square root and c1 = 1
-for an Artin-Schreier root (characteristic 2, g^2 + g = d).  Scalars are
-coordinate vectors over the base field with respect to the multiplicative
-basis of the tower; every operation is exact.  The records are read here
-only: one multiply and one inverse serve both kinds, other modules read
-them through adjunctions(ctx) as (c1, d) pairs, and RECORD_KINDS holds
-their names in JSON and in the extension report.
+for an Artin-Schreier root (characteristic 2, g^2 + g = d).  A Scalar has
+coordinates over the base field in the multiplicative basis of the tower;
+every operation is exact.  The records are read here only: one multiply and
+one inverse serve both kinds, other modules read them through
+adjunctions(ctx) as (c1, d) pairs, and RECORD_KINDS holds their names in
+JSON and in the extension report.
 
 Arithmetic shared by the package is written here once.  power is its one
 square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers,
-square roots and ExactMatrix.power all call it.  _raw_ops(ctx) computes on
-raw values, unwrapped from Scalars once, a whole row at a time (scale,
-axpy), in one of four ways:
-  - Q and its towers: one normalized integer vector per element, the
-    coordinates' numerators over their positive common denominator, gcd 1
-    (_RatOps).  A product is one flat multiply over the nonzero coordinate
-    pairs, reading the monomial products g_S g_T from a table filled from
-    _tower_mul one pair at a time (_MonomialTable); a matrix product sums
-    each entry over one denominator and takes one gcd (after Cohen, A
-    Course in Computational Algebraic Number Theory, GTM 138, ch. 2);
+square roots and ExactMatrix.power all call it.  An element has one
+representation, its raw value (see Scalar), and ctx.ops, built once per
+context instance by _raw_ops, computes on it an element at a time (add,
+neg, mul, inverse) or a row at a time (scale, axpy, matmul), in one of four
+ways:
+  - Q and its towers (_RatOps): a product is one flat multiply over the
+    nonzero coordinate pairs, reading the monomial products g_S g_T from a
+    table filled from _tower_mul one pair at a time (_MonomialTable); a
+    matrix product sums each entry over one denominator and takes one gcd
+    (after Cohen, A Course in Computational Algebraic Number Theory, GTM
+    138, ch. 2);
   - GF(p) with no adjunction: ints mod p (_FlatOps);
   - any other finite field of at most 256 elements: element indices, with
     exp/log tables built once per context (_TableOps, _Tables): a product
@@ -32,18 +33,20 @@ axpy), in one of four ways:
     size multiplies its base elements (_bmul, _binv) by the same tables;
   - finite towers above that size: coordinate tuples through _tower_mul
     (_CoordOps).
-exactmat's kernels run on it, and so does the polynomial layer (raw
-coefficients, low to high): the products, division and gcd of root finding,
-and frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both
-root finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
-modulus (e = p^k and p^(k/r), over GF(p)).  Square roots over GF(q) take
-their powers (Euler's criterion, Tonelli-Shanks) on raw values too.
-Canonical order, printing and witnesses stay on coordinates: raw results
-are wrapped back into Scalars once.
+promote and trim move raw values directly.  The Scalar operators,
+exactmat's kernels and the polynomial layer (raw coefficients, low to high)
+all run on these ops: the products, division and gcd of root finding,
+frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both root
+finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
+modulus (e = p^k and p^(k/r), over GF(p)), and the powers of square roots
+over GF(q) (Euler's criterion, Tonelli-Shanks).  Coordinates
+(Scalar.coords) are read off raw values for tower records, canonical order
+and printing.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -153,6 +156,7 @@ class FieldContext:
         self.tower = ()
         self.tower_cap = tower_cap
         self._key = (self.kind, self.p, self.modulus, ())
+        self._ops = None
         tower = tuple(tower)
         if any(c1 not in (0, 1) for c1, _d in tower):
             raise ValueError("a tower record (c1, d) needs c1 = 0 (a square "
@@ -160,9 +164,11 @@ class FieldContext:
         if self.p != 2 and any(c1 for c1, _d in tower):
             raise WrongCharacteristic(
                 "Artin-Schreier adjunction outside characteristic 2")
-        level = self  # the base field, whose scalar() reads each coordinate
+        # the base field reads each coordinate (self has no ops before its
+        # tower is final)
+        base = level = self._with_tower(())
         for c1, d in tower:
-            d = Scalar(level, [self.scalar(c).coords[0] for c in d])
+            d = level.element([base.scalar(c).coords[0] for c in d])
             level = level._adjoin(c1, d, False)
         self.tower, self._key = level.tower, level._key
 
@@ -175,6 +181,7 @@ class FieldContext:
         ctx.kind, ctx.p, ctx.modulus = self.kind, self.p, self.modulus
         ctx.tower, ctx.tower_cap = tower, self.tower_cap
         ctx._key = (self.kind, self.p, self.modulus, tower)
+        ctx._ops = None
         return ctx
 
     # -- identity ---------------------------------------------------------
@@ -186,6 +193,14 @@ class FieldContext:
 
     def __hash__(self):
         return hash(self._key)
+
+    @property
+    def ops(self):
+        """The arithmetic of raw values (_raw_ops), kept on the instance:
+        a lookup by _key would hash the tower records at every operation."""
+        if self._ops is None:
+            self._ops = _raw_ops(self)
+        return self._ops
 
     def __repr__(self):
         if self.kind == "rational":
@@ -325,52 +340,36 @@ class FieldContext:
             tables = _field_tables(self.truncated(0))
         return tables
 
-    def _bis_zero(self, x):
-        if self.kind == "gfq":
-            return all(c == 0 for c in x)
-        return x == 0
-
-    def _bcmp(self, x, y):
-        if self.kind == "rational":
-            return (x > y) - (x < y)
-        if self.kind == "gfp":
-            return (x > y) - (x < y)
-        rx, ry = tuple(reversed(x)), tuple(reversed(y))
-        return (rx > ry) - (rx < ry)
-
     # -- scalar constructors -----------------------------------------------
 
     def zero(self):
-        return Scalar(self, (self._bzero(),) * self.dim)
+        return Scalar(self, self.ops.zero)
 
     def one(self):
-        coords = [self._bzero()] * self.dim
-        coords[0] = self._bone()
-        return Scalar(self, tuple(coords))
+        return Scalar(self, self.ops.one)
+
+    def element(self, coords):
+        """The scalar with these base-field coordinates, one per monomial."""
+        coords = tuple(coords)
+        if len(coords) != self.dim:
+            raise ValueError("coordinate length %d does not match context "
+                             "dimension %d" % (len(coords), self.dim))
+        return Scalar(self, self.ops.from_coords(coords))
 
     def scalar(self, value):
         """Build a scalar from an int, Fraction, or base element."""
         if isinstance(value, Scalar):
             return value.promote(self)
-        coords = [self._bzero()] * self.dim
+        if isinstance(value, Fraction) and self.kind != "rational":
+            num, den = value.numerator, value.denominator
+            return self.scalar(num) / self.scalar(den)
         if isinstance(value, int):
-            coords[0] = self._bfrom_int(value)
-        elif isinstance(value, Fraction):
-            if self.kind != "rational":
-                if value.denominator != 1:
-                    num = value.numerator % self.p
-                    den = value.denominator % self.p
-                    coords[0] = self._bmul(self._bfrom_int(num),
-                                           self._binv(self._bfrom_int(den)))
-                else:
-                    coords[0] = self._bfrom_int(value.numerator)
-            else:
-                coords[0] = value
+            value = self._bfrom_int(value)
         elif self.kind == "gfq" and isinstance(value, tuple):
-            coords[0] = tuple(c % self.p for c in value)
-        else:
+            value = tuple(c % self.p for c in value)
+        elif not isinstance(value, Fraction):
             raise TypeError("cannot coerce %r into %r" % (value, self))
-        return Scalar(self, tuple(coords))
+        return self.base_element(value)
 
     def generator(self, index):
         """The index-th (1-based) tower generator as a scalar."""
@@ -378,13 +377,13 @@ class FieldContext:
             raise ValueError("no generator g%d in this context" % index)
         coords = [self._bzero()] * self.dim
         coords[1 << (index - 1)] = self._bone()
-        return Scalar(self, tuple(coords))
+        return self.element(coords)
 
     def base_element(self, value):
         """A scalar whose only nonzero coordinate is the given base element."""
         coords = [self._bzero()] * self.dim
         coords[0] = value
-        return Scalar(self, tuple(coords))
+        return self.element(coords)
 
     def iter_elements(self):
         """Deterministic enumeration of all elements (finite fields only)."""
@@ -396,7 +395,7 @@ class FieldContext:
             base = [tuple(reversed(c)) for c in itertools.product(
                 range(self.p), repeat=len(self.modulus))]
         for combo in itertools.product(base, repeat=self.dim):
-            yield Scalar(self, combo)
+            yield self.element(combo)
 
     # -- adjunctions ---------------------------------------------------------
 
@@ -438,28 +437,40 @@ class FieldContext:
 
 
 class Scalar:
-    """Immutable element of a FieldContext; coordinates over the base field."""
+    """Immutable element of a FieldContext: the pair (ctx, raw), raw being
+    the value that ctx.ops computes on:
+      - Q and its towers (_RatOps): the int tuple (n_0, ..., n_(dim-1),
+        den) of the coordinates' numerators over their positive common
+        denominator, with gcd 1;
+      - GF(p) with no adjunction (_FlatOps): the int in [0, p);
+      - other finite contexts of at most _TABLE_MAX_ORDER elements
+        (_TableOps): the element's index in the context's tables;
+      - larger finite contexts (_CoordOps): the coordinate tuple.
+    An element has one raw value per context, which == compares and hash
+    reads.  coords (Fractions, ints or GF(p^k) tuples) is derived from raw;
+    ctx.element builds a scalar from coordinates.
+    """
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "raw")
 
-    def __init__(self, ctx, coords):
+    def __init__(self, ctx, raw):
         self.ctx = ctx
-        self.coords = tuple(coords)
-        if len(self.coords) != ctx.dim:
-            raise ValueError("coordinate length %d does not match context "
-                             "dimension %d" % (len(self.coords), ctx.dim))
+        self.raw = raw
+
+    @property
+    def coords(self):
+        return self.ctx.ops.to_coords(self.raw)
 
     # -- promotion ---------------------------------------------------------
 
     def promote(self, ctx):
-        """Zero-extend into a context whose tower extends this scalar's."""
+        """The same element in a context whose tower extends this scalar's."""
         if self.ctx == ctx:
             return self
         if not self.ctx.is_prefix_of(ctx):
             raise ContextMismatch("cannot promote %r scalar into %r"
                                   % (self.ctx, ctx))
-        coords = list(self.coords) + [ctx._bzero()] * (ctx.dim - len(self.coords))
-        return Scalar(ctx, tuple(coords))
+        return Scalar(ctx, ctx.ops.move(self.raw, self.ctx.ops))
 
     def _pair(self, other):
         if not isinstance(other, Scalar):
@@ -473,97 +484,73 @@ class Scalar:
 
     def __add__(self, other):
         a, b = self._pair(other)
-        ctx = a.ctx
-        return Scalar(ctx, tuple(ctx._badd(x, y)
-                                 for x, y in zip(a.coords, b.coords)))
+        return Scalar(a.ctx, a.ctx.ops.add(a.raw, b.raw))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, tuple(self.ctx._bneg(x) for x in self.coords))
+        return Scalar(self.ctx, self.ctx.ops.neg(self.raw))
 
     def __sub__(self, other):
         a, b = self._pair(other)
         return a + (-b)
 
     def __rsub__(self, other):
-        a, b = self._pair(other)
-        return b + (-a)
+        return -(self - other)
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        ctx = a.ctx
-        return Scalar(ctx, _tower_mul(ctx, a.coords, b.coords,
-                                      len(ctx.tower)))
+        return Scalar(a.ctx, a.ctx.ops.mul(a.raw, b.raw))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise DivisionByZero("scalar division by zero")
-        ctx = self.ctx
-        return Scalar(ctx, _tower_inv(ctx, self.coords, len(ctx.tower)))
+        return Scalar(self.ctx, self.ctx.ops.inverse(self.raw))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
         return a * b.inverse()
 
     def __rtruediv__(self, other):
-        a, b = self._pair(other)
-        return b * a.inverse()
+        return self.inverse() * other
 
     def __pow__(self, e):
-        base = self.inverse() if e < 0 else self
-        return power(base, abs(e), operator.mul, self.ctx.one())
+        ops = self.ctx.ops
+        base = ops.inverse(self.raw) if e < 0 else self.raw
+        return Scalar(self.ctx, power(base, abs(e), ops.mul, ops.one))
 
     # -- predicates and comparison -------------------------------------------
 
     def trim(self):
         """The same scalar in the smallest prefix context that holds it."""
-        height = len(self.ctx.tower)
-        while height > 0:
-            half = 1 << (height - 1)
-            if all(self.ctx._bis_zero(c) for c in self.coords[half:2 * half]):
-                height -= 1
-            else:
-                break
-        if height == len(self.ctx.tower):
+        ctx, ops = self.ctx, self.ctx.ops
+        height = ops.height(self.raw)
+        if height == len(ctx.tower):
             return self
-        sub = self.ctx.truncated(height)
-        return Scalar(sub, self.coords[:sub.dim])
+        sub = ctx.truncated(height)
+        return Scalar(sub, sub.ops.move(self.raw, ops))
 
     def is_zero(self):
-        return all(self.ctx._bis_zero(c) for c in self.coords)
+        return self.raw == self.ctx.ops.zero
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.scalar(other)
-        if not isinstance(other, Scalar):
+        if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         try:
             a, b = self._pair(other)
         except ContextMismatch:
             return False
-        return a.coords == b.coords
+        return a.raw == b.raw
 
     def __hash__(self):
-        # promotions zero-extend but compare equal: hash the trimmed coords
-        return hash(self.trim().coords)
+        # promotions compare equal: hash the raw value in the trimmed context
+        return hash(self.trim().raw)
 
     def __repr__(self):
         return "Scalar(%s)" % format_scalar(self)
 
     def __bool__(self):
         return not self.is_zero()
-
-
-def _raw_scalar(ctx, coords):
-    """Trusted Scalar constructor: coords must already be a tuple of
-    ctx.dim canonical base elements (nothing is checked or converted)."""
-    s = object.__new__(Scalar)
-    s.ctx = ctx
-    s.coords = coords
-    return s
 
 
 def enumeration_key(x):
@@ -584,7 +571,7 @@ def random_elements(ctx):
         else:
             coords = tuple(tuple(rng.randrange(ctx.p) for _ in range(k))
                            for _ in range(ctx.dim))
-        yield _raw_scalar(ctx, coords)
+        yield ctx.element(coords)
 
 
 def _tower_mul(ctx, xs, ys, level):
@@ -634,9 +621,9 @@ def _tower_inv(ctx, xs, level):
         return (ctx._binv(xs[0]),)
     half = 1 << (level - 1)
     a, b = xs[:half], xs[half:]
-    if all(ctx._bis_zero(c) for c in b):
-        inv = _tower_inv(ctx, a, level - 1)
-        return inv + (ctx._bzero(),) * half
+    zero = (ctx._bzero(),) * half
+    if b == zero:
+        return _tower_inv(ctx, a, level - 1) + zero
     c1, d = ctx.tower[level - 1]
     conj_lo = tuple(map(ctx._badd, a, b)) if c1 else a  # a + c1 b
     a_conj = _tower_mul(ctx, a, conj_lo, level - 1)
@@ -648,29 +635,50 @@ def _tower_inv(ctx, xs, level):
     return lo + hi
 
 
-# -- raw values: the kernels' and the polynomial layer's arithmetic ----------
+# -- raw values: the arithmetic of Scalars, kernels and polynomials ----------
+#
+# Each ops class has zero and one; add, neg, mul and inverse (DivisionByZero
+# on zero); the kernels' scale, axpy (row - f prow) and matmul; from_coords
+# and to_coords; height(x), the height of the least prefix context holding
+# x; and move(x, ops), the raw value here of x, a raw value of ops, the ops
+# of a prefix or an extension of this context.  indexed: raw values are
+# element indices, the same in every context of a tower that has them.
 
 class _FlatOps:
     """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
     product is reduced mod p once, not once per operation."""
+
+    indexed = True
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.p = ctx.p
         self.zero, self.one = 0, 1
 
-    @staticmethod
-    def unwrap(rows):
-        return [[e.coords[0] for e in row] for row in rows]
+    def from_coords(self, coords):
+        return coords[0]
 
-    def wrap(self, rows):
-        memo = _Interned(self.ctx, lambda v: (v,))
-        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+    def to_coords(self, x):
+        return (x,)
+
+    def height(self, x):
+        return 0
+
+    def move(self, x, ops):
+        return x if ops.indexed else x[0]
+
+    def add(self, x, y):
+        return (x + y) % self.p
 
     def neg(self, x):
         return -x % self.p
 
+    def mul(self, x, y):
+        return x * y % self.p
+
     def inverse(self, x):
+        if not x:
+            raise DivisionByZero("scalar division by zero")
         return pow(x, self.p - 2, self.p)
 
     def scale(self, row, c):
@@ -690,59 +698,62 @@ class _FlatOps:
 
 class _CoordOps:
     """Finite towers of more than _TABLE_MAX_ORDER elements: raw values are
-    Scalar.coords tuples, multiplied by _tower_mul and added coordinatewise;
-    zero entries are skipped."""
+    coordinate tuples, multiplied by _tower_mul and added coordinatewise;
+    the row operations skip zero entries."""
+
+    indexed = False
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.level = len(ctx.tower)
-        self.zero = ctx.zero().coords
-        self.one = ctx.one().coords
+        self.zero = (ctx._bzero(),) * ctx.dim
+        self.one = (ctx._bone(),) + self.zero[1:]
 
-    @staticmethod
-    def unwrap(rows):
-        return [[e.coords for e in row] for row in rows]
+    def from_coords(self, coords):
+        return coords
 
-    def wrap(self, rows):
-        memo = _Interned(self.ctx, lambda v: v)
-        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+    def to_coords(self, x):
+        return x
+
+    def height(self, x):
+        height, zero = self.level, self.zero
+        while height and x[1 << (height - 1):1 << height] == \
+                zero[:1 << (height - 1)]:
+            height -= 1
+        return height
+
+    def move(self, x, ops):
+        x = ops.to_coords(x)  # zero-extended or cut
+        return x[:len(self.zero)] + self.zero[len(x):]
+
+    def add(self, x, y):
+        return tuple(map(self.ctx._badd, x, y))
 
     def neg(self, x):
         return tuple(map(self.ctx._bneg, x))
 
+    def mul(self, x, y):
+        return _tower_mul(self.ctx, x, y, self.level)
+
     def inverse(self, x):
+        if x == self.zero:
+            raise DivisionByZero("scalar division by zero")
         return _tower_inv(self.ctx, x, self.level)
 
     def scale(self, row, c):
-        ctx, level, zero = self.ctx, self.level, self.zero
-        return [x if x == zero else _tower_mul(ctx, x, c, level)
-                for x in row]
+        zero, mul = self.zero, self.mul
+        return [x if x == zero else mul(x, c) for x in row]
 
     def axpy(self, row, f, prow):
-        """row - f * prow."""
-        ctx, level, zero = self.ctx, self.level, self.zero
-        badd, bneg = ctx._badd, ctx._bneg
-        return [x if y == zero else
-                tuple(map(badd, x, map(bneg, _tower_mul(ctx, f, y, level))))
+        zero, add, neg, mul = self.zero, self.add, self.neg, self.mul
+        return [x if y == zero else add(x, neg(mul(f, y)))
                 for x, y in zip(row, prow)]
 
     def matmul(self, a_rows, b_cols):
-        ctx, level, zero = self.ctx, self.level, self.zero
-        badd = ctx._badd
-        out = []
-        for r in a_rows:
-            support = [(k, x) for k, x in enumerate(r) if x != zero]
-            out_row = []
-            for c in b_cols:
-                acc = zero
-                for k, x in support:
-                    y = c[k]
-                    if y != zero:
-                        acc = tuple(map(badd, acc,
-                                        _tower_mul(ctx, x, y, level)))
-                out_row.append(acc)
-            out.append(out_row)
-        return out
+        zero, add, mul = self.zero, self.add, self.mul
+        return [[functools.reduce(add, [mul(x, y) for x, y in zip(r, c)
+                                        if x != zero and y != zero], zero)
+                 for c in b_cols] for r in a_rows]
 
 
 class _TableOps:
@@ -751,24 +762,39 @@ class _TableOps:
     logarithms, a sum is XOR in characteristic 2 and one Zech logarithm
     otherwise; a zero factor reads the zero padding of exp, unbranched."""
 
+    indexed = True
+
     def __init__(self, ctx):
         tables = _field_tables(ctx)
         self.ctx = ctx
-        self.index, self.coords = tables.index, tables.coords
+        self.from_coords = tables.index.__getitem__
+        self.to_coords = tables.coords.__getitem__
         self.exp, self.log, self.zech = tables.exp, tables.log, tables.zech
         self.units, self.minus_one = tables.order - 1, tables.minus_one
         self.zero, self.one = 0, 1
+        # the indices below p^(k 2^h) are the elements of height h or less
+        self.bounds = [ctx.p ** (ctx.base_degree << h)
+                       for h in range(len(ctx.tower) + 1)]
 
-    def unwrap(self, rows):
-        index = self.index
-        return [[index[e.coords] for e in row] for row in rows]
+    def height(self, x):
+        return bisect.bisect_right(self.bounds, x)
 
-    def wrap(self, rows):
-        memo = _Interned(self.ctx, self.coords.__getitem__)
-        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+    def move(self, x, ops):
+        return x if ops.indexed else self.from_coords(x[:self.ctx.dim])
+
+    def add(self, x, y):
+        if self.zech is None:
+            return x ^ y
+        if not (x and y):
+            return x or y
+        lx = self.log[x]  # x + y = g^lx (1 + g^(ly - lx))
+        return self.exp[lx + self.zech[self.log[y] - lx]]
 
     def neg(self, x):
         return self.exp[self.log[x] + self.minus_one]
+
+    def mul(self, x, y):
+        return self.exp[self.log[x] + self.log[y]]
 
     def inverse(self, x):
         if not x:
@@ -837,44 +863,93 @@ class _RatOps:
     nonzero coordinate pairs, reading g_S g_T from the context's
     _MonomialTable; every result entry is normalized once (one gcd)."""
 
+    indexed = False
+
     def __init__(self, ctx):
         self.ctx = ctx
         self.dim = ctx.dim
+        self.level = len(ctx.tower)
         self.zero = (0,) * self.dim + (1,)
         self.one = (1,) + self.zero[1:]
         self.table = _monomial_table(ctx)
+        self.below = None  # see inverse
 
-    def unwrap(self, rows):
-        if self.dim == 1:
-            return [[(c.numerator, c.denominator)
-                     for c in (e.coords[0] for e in row)] for row in rows]
-        return [[_rat_raw(e.coords) for e in row] for row in rows]
+    def from_coords(self, coords):
+        # over the lcm of the denominators of Fraction coordinates, the
+        # numerators already have gcd 1 with it
+        den = math.lcm(*[c.denominator for c in coords])
+        return (*[c.numerator * (den // c.denominator) for c in coords], den)
 
-    def wrap(self, rows):
-        memo = _Interned(self.ctx, _rat_coords)
-        return tuple(tuple(map(memo.__getitem__, row)) for row in rows)
+    def to_coords(self, x):
+        den = x[-1]
+        if den == 1:
+            return tuple(map(Fraction, x[:-1]))
+        return tuple(Fraction(n, den) if n else _FRACTION_ZERO
+                     for n in x[:-1])
+
+    def height(self, x):
+        height = self.level
+        while height and not any(x[1 << (height - 1):1 << height]):
+            height -= 1
+        return height
+
+    def move(self, x, ops):
+        n = len(x) - 1  # zero numerators are added or dropped
+        return x[:min(n, self.dim)] + self.zero[n:-1] + x[-1:]
+
+    def add(self, x, y):
+        xd, yd = x[-1], y[-1]
+        if xd == yd:
+            return _rat_normalized([a + b for a, b in zip(x[:-1], y)], xd)
+        return _rat_normalized([a * yd + b * xd for a, b in zip(x[:-1], y)],
+                               xd * yd)
 
     def neg(self, x):
         return (*[-n for n in x[:-1]], x[-1])
 
+    def mul(self, x, y):
+        if self.dim == 1:
+            return _rat_normalized((x[0] * y[0],), x[1] * y[1])
+        acc, den = self.table.mul(_rat_support(x[:-1]), _rat_support(y[:-1]))
+        return _rat_normalized(acc, x[-1] * y[-1] * den)
+
     def inverse(self, x):
+        """By the norm descent of _tower_inv: x = (a + b g)/den with integer
+        vectors a, b one level down has x^-1 = den (a - b g) / (a^2 - d b^2).
+        """
         if x == self.zero:
             raise DivisionByZero("scalar division by zero")
-        return _rat_inverse(self.ctx, x)
+        if not self.level:
+            n, d = x
+            return (d, n) if n > 0 else (-d, -n)
+        if self.below is None:  # the ops one level down, and d there
+            sub = self.ctx.truncated(self.level - 1).ops
+            self.below = sub, sub.from_coords(self.ctx.tower[-1][1])
+        sub, d = self.below
+        half = self.dim // 2
+        a, b, den = x[:half], x[half:-1], x[-1]
+        if not any(b):
+            inv = sub.inverse((*a, den))
+            return (*inv[:-1], *b, inv[-1])
+        mul = sub.table.mul
+        sa, sb = _rat_support(a), _rat_support(b)
+        aa, ta = mul(sa, sa)
+        bb, tb = mul(sb, sb)
+        dbb, tdbb = mul(_rat_support(d[:-1]), _rat_support(bb))
+        tdbb *= d[-1] * tb
+        norm = _rat_normalized([u * tdbb - v * ta for u, v in zip(aa, dbb)],
+                               ta * tdbb)
+        inv = sub.inverse(norm)
+        si = _rat_support(inv[:-1])
+        lo, tlo = mul(sa, si)
+        hi, thi = mul(sb, si)
+        return _rat_normalized([den * thi * u for u in lo]
+                               + [-den * tlo * v for v in hi],
+                               tlo * thi * inv[-1])
 
     def scale(self, row, c):
-        if self.dim == 1:
-            cn, cd = c
-            return [_rat_normalized((n * cn,), d * cd) for n, d in row]
-        zero, mul = self.zero, self.table.mul
-        cs, cd = _rat_support(c[:-1]), c[-1]
-        out = []
-        for x in row:
-            if x != zero:
-                acc, den = mul(_rat_support(x[:-1]), cs)
-                x = _rat_normalized(acc, x[-1] * cd * den)
-            out.append(x)
-        return out
+        zero, mul = self.zero, self.mul
+        return [x if x == zero else mul(x, c) for x in row]
 
     def axpy(self, row, f, prow):
         """row - f * prow."""
@@ -914,52 +989,6 @@ class _RatOps:
                 out_row.append(_rat_normalized(acc, rd * cd * den))
             out.append(out_row)
         return out
-
-
-def _rat_inverse(ctx, x):
-    """The inverse of a nonzero raw rational value, by the norm descent of
-    _tower_inv: x = (a + b g)/den with integer vectors a, b one level down
-    has x^-1 = den (a - b g) / (a^2 - d b^2)."""
-    level = len(ctx.tower)
-    if not level:
-        n, d = x
-        return (d, n) if n > 0 else (-d, -n)
-    half = 1 << (level - 1)
-    sub = ctx.truncated(level - 1)
-    a, b, den = x[:half], x[half:-1], x[-1]
-    if not any(b):
-        inv = _rat_inverse(sub, (*a, den))
-        return (*inv[:-1], *b, inv[-1])
-    mul = _monomial_table(sub).mul
-    sa, sb = _rat_support(a), _rat_support(b)
-    aa, ta = mul(sa, sa)
-    bb, tb = mul(sb, sb)
-    d = _rat_raw(ctx.tower[level - 1][1])
-    dbb, tdbb = mul(_rat_support(d[:-1]), _rat_support(bb))
-    tdbb *= d[-1] * tb
-    norm = _rat_normalized([u * tdbb - v * ta for u, v in zip(aa, dbb)],
-                           ta * tdbb)
-    inv = _rat_inverse(sub, norm)
-    si = _rat_support(inv[:-1])
-    lo, tlo = mul(sa, si)
-    hi, thi = mul(sb, si)
-    return _rat_normalized([den * thi * u for u in lo]
-                           + [-den * tlo * v for v in hi], tlo * thi * inv[-1])
-
-
-def _rat_raw(coords):
-    """The raw value of Fraction coordinates: over the lcm of their
-    denominators the numerators already have gcd 1 with it."""
-    den = math.lcm(*[c.denominator for c in coords])
-    return (*[c.numerator * (den // c.denominator) for c in coords], den)
-
-
-def _rat_coords(x):
-    """Scalar.coords of a raw rational value, built by Fraction()."""
-    den = x[-1]
-    if den == 1:
-        return tuple(map(Fraction, x[:-1]))
-    return tuple(Fraction(n, den) if n else _FRACTION_ZERO for n in x[:-1])
 
 
 def _rat_normalized(nums, den):
@@ -1134,19 +1163,6 @@ def _build_tables(ctx):
                    0 if p == 2 else units // 2)
 
 
-class _Interned(dict):
-    """Raw value -> Scalar, building each distinct scalar once per wrap."""
-
-    def __init__(self, ctx, coords_of):
-        super().__init__()
-        self.ctx = ctx
-        self.coords_of = coords_of
-
-    def __missing__(self, v):
-        s = self[v] = _raw_scalar(self.ctx, self.coords_of(v))
-        return s
-
-
 # -- total order -------------------------------------------------------------
 
 def canonical_compare(x, y):
@@ -1157,11 +1173,8 @@ def canonical_compare(x, y):
     representative order over GF (gfq tuples compared highest degree first).
     """
     x, y = x._pair(y)
-    for a, b in zip(reversed(x.coords), reversed(y.coords)):
-        c = x.ctx._bcmp(a, b)
-        if c:
-            return c
-    return 0
+    kx, ky = enumeration_key(x)[::-1], enumeration_key(y)[::-1]
+    return (kx > ky) - (kx < ky)
 
 
 # -- polynomials (raw coefficients of one context, low to high) ---------------
@@ -1307,26 +1320,15 @@ def _find_sqrt(x):
     if ctx.kind == "rational":
         return _rational_tower_sqrt(x)
     q = ctx.order()
-    ops = _raw_ops(ctx)
-    (raw,), = ops.unwrap([[x]])
+    mul, one = ctx.ops.mul, ctx.ops.one
     if ctx.characteristic == 2:
         # squaring is a bijection of GF(q): its inverse is x -> x^(q/2)
-        root = _raw_power(ops, raw, q // 2)
-    elif _raw_power(ops, raw, (q - 1) // 2) != ops.one:
+        root = power(x.raw, q // 2, mul, one)
+    elif power(x.raw, (q - 1) // 2, mul, one) != one:
         return None  # Euler's criterion
     else:
-        root = _tonelli_shanks(ops, raw, q)
-    return ops.wrap([[root]])[0][0]
-
-
-def _raw_mul(ops, a, b):
-    """The product of two raw values of ops: a row of one entry, scaled."""
-    return ops.scale([a], b)[0]
-
-
-def _raw_power(ops, x, e):
-    """x^e for a raw value x of ops, by power."""
-    return power(x, e, functools.partial(_raw_mul, ops), ops.one)
+        root = _tonelli_shanks(ctx.ops, x.raw, q)
+    return Scalar(ctx, root)
 
 
 def _rational_tower_sqrt(x):
@@ -1334,31 +1336,25 @@ def _rational_tower_sqrt(x):
     ctx = x.ctx
     level = len(ctx.tower)
     if level == 0:
-        f = x.coords[0]
-        if f < 0:
-            return None
-        rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-        if rn * rn == f.numerator and rd * rd == f.denominator:
-            root = [Fraction(rn, rd)] + [Fraction(0)] * (ctx.dim - 1)
-            return Scalar(ctx, tuple(root))
+        n, d = x.raw  # gcd(n, d) = 1, so a root (rn, rd) is normalized
+        rn, rd = math.isqrt(max(n, 0)), math.isqrt(d)
+        if n >= 0 and rn * rn == n and rd * rd == d:
+            return Scalar(ctx, (rn, rd))
         return None
     half = 1 << (level - 1)
     # only square roots occur over Q (Artin-Schreier needs characteristic 2)
     (_c1, d), = adjunctions(ctx, level - 1)
-    sub = d.ctx
-    lo = Scalar(sub, x.coords[:half])
-    hi = Scalar(sub, x.coords[half:])
-
-    def _lift(a, b):
-        return Scalar(ctx, tuple(list(a.coords) + list(b.coords)))
-
+    sub, g = d.ctx, ctx.generator(level)
+    raw = x.raw
+    lo = Scalar(sub, _rat_normalized(raw[:half], raw[-1]))
+    hi = Scalar(sub, _rat_normalized(raw[half:-1], raw[-1]))
     if hi.is_zero():
         r = _rational_tower_sqrt(lo)
         if r is not None:
-            return _lift(r, sub.zero())
+            return r.promote(ctx)
         r = _rational_tower_sqrt(lo / d)
         if r is not None:
-            return _lift(sub.zero(), r)
+            return g * r
         return None
     # y = a + b g, y^2 = (a^2 + b^2 d) + 2ab g = lo + hi g
     norm = lo * lo - d * hi * hi
@@ -1370,8 +1366,7 @@ def _rational_tower_sqrt(x):
         bsq = (lo + sign) / (two * d)
         b = _rational_tower_sqrt(bsq)
         if b is not None and not b.is_zero():
-            a = hi / (two * b)
-            cand = _lift(a, b)
+            cand = hi / (two * b) + g * b
             if cand * cand == x:
                 return cand
     return None
@@ -1380,34 +1375,33 @@ def _rational_tower_sqrt(x):
 def _tonelli_shanks(ops, x, q):
     """Square root of the raw value x of ops, a nonzero square in an
     odd-characteristic finite field of order q."""
-    one = ops.one
+    mul, one = ops.mul, ops.one
     m = q - 1
     s = 0
     while m % 2 == 0:
         m //= 2
         s += 1
     if s == 1:
-        return _raw_power(ops, x, (q + 1) // 4)
+        return power(x, (q + 1) // 4, mul, one)
     # half the nonzero elements are non-residues: draw, do not scan (in
     # GF(p^2) the first p elements in iter_elements order are all squares)
     for z in itertools.islice(random_elements(ops.ctx), _NONRESIDUE_TRIES):
-        (z,), = ops.unwrap([[z]])
-        if z != ops.zero and _raw_power(ops, z, (q - 1) // 2) != one:
+        z = z.raw
+        if z != ops.zero and power(z, (q - 1) // 2, mul, one) != one:
             break
     else:
         raise InternalDegenerate("no quadratic non-residue in %d draws"
                                  % _NONRESIDUE_TRIES)
-    mul = functools.partial(_raw_mul, ops)
-    c = _raw_power(ops, z, m)
-    t = _raw_power(ops, x, m)
-    r = _raw_power(ops, x, (m + 1) // 2)
+    c = power(z, m, mul, one)
+    t = power(x, m, mul, one)
+    r = power(x, (m + 1) // 2, mul, one)
     while t != one:
         t2 = t
         i = 0
         while t2 != one:
             t2 = mul(t2, t2)
             i += 1
-        b = _raw_power(ops, c, 1 << (s - i - 1))
+        b = power(c, 1 << (s - i - 1), mul, one)
         r = mul(r, b)
         c = mul(b, b)
         t = mul(t, c)
@@ -1431,7 +1425,7 @@ def _artin_schreier_root(a):
 
     def from_bits(bits):
         chunks = [tuple(bits[i:i + k]) for i in range(0, n, k)]
-        return Scalar(ctx, [c[0] for c in chunks] if flat else chunks)
+        return ctx.element([c[0] for c in chunks] if flat else chunks)
 
     cols = []
     for j in range(n):
@@ -1442,7 +1436,7 @@ def _artin_schreier_root(a):
                          to_bits(a))
     if sol is None:
         return None
-    return from_bits([b.coords[0] for b in sol])
+    return from_bits([b.raw for b in sol])
 
 
 # The two kinds of record, indexed by c1: the name in JSON towers and in
@@ -1465,7 +1459,7 @@ RECORD_KINDS = (
 def adjunctions(ctx, start=0):
     """The records of ctx from height start up, as (c1, d) pairs: the
     generator g of each has g^2 = c1 g + d, d a Scalar of the level below."""
-    return [(c1, Scalar(ctx.truncated(height), d))
+    return [(c1, ctx.truncated(height).element(d))
             for height, (c1, d) in enumerate(ctx.tower[start:], start)]
 
 
@@ -1481,9 +1475,10 @@ def adjoin_record(ctx, c1, d, rootless=False):
 def format_scalar(x):
     """Canonical text form; format_scalar and parse_scalar round-trip."""
     ctx = x.ctx
+    zero = ctx._bzero()
     terms = []
     for idx, c in enumerate(x.coords):
-        if ctx._bis_zero(c):
+        if c == zero:
             continue
         coef = _format_base(ctx, c)
         gens = [i + 1 for i in range(len(ctx.tower)) if idx & (1 << i)]
@@ -1620,6 +1615,8 @@ def _parse_factor(s, pos, ctx):
             if k == j + 1:
                 raise ParseError("denominator expected", j)
             den = int(s[j + 1:k])
+            if not den:
+                raise ParseError("zero denominator in %r" % s[pos:k], j + 1)
             if ctx.kind == "rational":
                 return ctx.scalar(Fraction(num, den)), k
             return ctx.scalar(num) / ctx.scalar(den), k
@@ -1649,19 +1646,14 @@ def merge_contexts(dst, src, policy=EXTEND):
 
 def embed_scalar(s, gen_images, ctx):
     """Map a tower scalar through generator images into another context."""
-    total = ctx.zero()
+    total, zero = ctx.zero(), ctx._bzero()
     for idx, c in enumerate(s.coords):
-        if s.ctx._bis_zero(c):
-            continue
-        term = ctx.base_element(c)
-        bit = 0
-        k = idx
-        while k:
-            if k & 1:
-                term = term * gen_images[bit]
-            k >>= 1
-            bit += 1
-        total = total + term
+        if c != zero:  # c g_S, S the bits of idx
+            term = ctx.base_element(c)
+            for bit in range(idx.bit_length()):
+                if idx >> bit & 1:
+                    term = term * gen_images[bit]
+            total = total + term
     return total
 
 
@@ -1693,7 +1685,7 @@ def finite_field(p, modulus, tower_cap=16):
 def _modulus_is_irreducible(ctx):
     """Rabin's test of the degree-k modulus f over GF(p) (frobenius_gcd)."""
     p, k = ctx.p, len(ctx.modulus)
-    ops = _raw_ops(prime_field(p))
+    ops = prime_field(p).ops
     f = list(ctx.modulus) + [1]  # reduced ints: raw GF(p) coefficients
     return (frobenius_gcd(ops, f, p ** k) == f
             and all(len(frobenius_gcd(ops, f, p ** (k // r))) == 1

@@ -30,8 +30,8 @@ from .errors import (BudgetExceeded, DegenerateRestriction,
                      InternalDegenerate, NoArtinSchreierRootStrict,
                      NoRootStrictPolicy, NotSplit, SingularInput)
 from .exactmat import ExactMatrix, first_dependence, inverse_or_rank
-from .field import (EXTEND, _poly_axpy, _poly_divmod, _poly_gcd, _poly_mulmod,
-                    _poly_powmod, _poly_trim, _raw_ops, canonical_compare,
+from .field import (EXTEND, Scalar, _poly_axpy, _poly_divmod, _poly_gcd,
+                    _poly_mulmod, _poly_powmod, _poly_trim, canonical_compare,
                     enumeration_key, frobenius_gcd, quadratic_roots,
                     random_elements)
 
@@ -140,15 +140,16 @@ def split_min_poly(asym, policy=EXTEND):
 
 def _extract_root(work, root):
     """work / (X - root)^m for the largest such m, and m (one context)."""
-    ops = _raw_ops(root.ctx)
-    raw, linear = ops.unwrap([work, [-root, root.ctx.one()]])
+    ctx = root.ctx
+    ops = ctx.ops
+    raw, linear = [c.raw for c in work], [ops.neg(root.raw), ops.one]
     mult = 0
     while len(raw) > 1:
         quot, rem = _poly_divmod(ops, raw, linear)
         if rem != [ops.zero]:
             break
         raw, mult = quot, mult + 1
-    return list(ops.wrap([raw])[0]), mult
+    return [Scalar(ctx, c) for c in raw], mult
 
 
 def _check_inverse_closed(roots):
@@ -196,10 +197,10 @@ def _finite_field_roots(poly):
     coefficients, in iter_elements order (see the module docstring for the
     method)."""
     ctx = poly[0].ctx
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     q = ctx.order()
-    g = frobenius_gcd(ops, ops.unwrap([poly])[0], q)
-    shifts = (ops.unwrap([[a]])[0][0] for a in random_elements(ctx))
+    g = frobenius_gcd(ops, [c.raw for c in poly], q)
+    shifts = (a.raw for a in random_elements(ctx))
     roots = []
     pending = [g] if len(g) > 1 else []
     while pending:
@@ -215,7 +216,7 @@ def _finite_field_roots(poly):
             raise InternalDegenerate("no shift split a degree-%d factor in "
                                      "%d tries" % (len(h) - 1, _SPLIT_TRIES))
         pending += [d, _poly_divmod(ops, h, d)[0]]
-    return sorted(ops.wrap([roots])[0], key=enumeration_key)
+    return sorted((Scalar(ctx, r) for r in roots), key=enumeration_key)
 
 
 def _splitting_poly(ops, h, a, q):
@@ -254,8 +255,8 @@ def _palindrome_transform(poly):
     if n % 2 or any(poly[i] != poly[n - i] for i in range(n + 1)):
         return None
     k = n // 2
-    ops = _raw_ops(ctx)
-    raw, p_prev = ops.unwrap([poly, [ctx.scalar(2)]])
+    ops = ctx.ops
+    raw, p_prev = [c.raw for c in poly], [ctx.scalar(2).raw]
     # P_j(Y) = X^j + X^-j: P_0 = 2, P_1 = Y, P_j = Y P_{j-1} - P_{j-2}
     p_cur, g = [ops.zero, ops.one], [raw[k]]
     for j in range(1, k + 1):
@@ -263,17 +264,15 @@ def _palindrome_transform(poly):
             p_prev, p_cur = p_cur, _poly_axpy(ops, [ops.zero] + p_cur,
                                               ops.one, p_prev)
         g = _poly_axpy(ops, g, ops.neg(raw[k + j]), p_cur)
-    return list(ops.wrap([_poly_trim(ops, g)])[0])
+    return [Scalar(ctx, c) for c in _poly_trim(ops, g)]
 
 
 def _rational_root(poly):
     """A rational root of a monic poly with rational coefficients, or None."""
     ctx = poly[0].ctx
-    fracs = [c.coords[0] for c in poly]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
+    # each raw value is (n, 0, ..., 0, den) with gcd(n, den) = 1
+    lcm = math.lcm(*[c.raw[-1] for c in poly])
+    ints = [c.raw[0] * (lcm // c.raw[-1]) for c in poly]
     a0, alead = ints[0], ints[-1]
     if a0 == 0:
         return ctx.zero()

@@ -203,6 +203,40 @@ def test_machine_round_trip_with_tower(tmp_path):
     assert context_to_json(ctx) == payload["field"]
 
 
+def test_zero_denominator_in_a_matrix_entry_exit_code(tmp_path):
+    # "1/0" used to escape as a ZeroDivisionError traceback with exit 1,
+    # the code of a false verdict, so a script read it as "not congruent"
+    q = {"kind": "rational"}
+    bad = write_matrix(tmp_path, "bad.json", q, [["1/0", "0"], ["0", "1"]])
+    good = write_matrix(tmp_path, "good.json", q, [["1", "0"], ["0", "1"]])
+    for args in (["canon", bad], ["equiv", good, bad]):
+        code, out, err = run_cli(args)
+        assert code == 4, args
+        assert out == "" and "zero denominator" in err, args
+
+
+def test_zero_denominator_in_a_tower_value_exit_code(tmp_path):
+    for field in ({"kind": "rational",
+                   "tower": [{"kind": "sqrt", "value": "2/0"}]},
+                  {"kind": "gfp", "p": 3,
+                   "tower": [{"kind": "sqrt", "value": "1/0"}]}):
+        p = write_matrix(tmp_path, "tower.json", field, [["1", "g1"],
+                                                         ["0", "1"]])
+        code, out, err = run_cli(["canon", p])
+        assert code == 4, field
+        assert out == "" and "zero denominator" in err, field
+
+
+def test_block_descriptor_input_errors():
+    # "G4(1/0)" used to exit 1 with a ZeroDivisionError and "" with an
+    # IndexError
+    for descriptor, message in (("G4(1/0)", "zero denominator"),
+                                ("", "empty block descriptor")):
+        code, out, err = run_cli(["block", descriptor, "--field", "q"])
+        assert code == 4, descriptor
+        assert out == "" and message in err, descriptor
+
+
 def test_reducible_gfq_modulus_exit_code(tmp_path):
     # t^2+1 over GF(2) used to end in "minimal polynomial search ran away"
     f = {"kind": "gfq", "p": 2, "modulus": [1, 0]}

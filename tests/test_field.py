@@ -174,8 +174,7 @@ def test_parse_format_round_trip_random():
     for _ in range(50):
         coords = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                        for _ in range(ctx.dim))
-        from matcanon.field import Scalar
-        x = Scalar(ctx, coords)
+        x = ctx.element(coords)
         assert parse_scalar(format_scalar(x), ctx) == x
 
 
@@ -204,9 +203,8 @@ def test_mul_inverse_property_random():
     q = rationals()
     g, ctx = sqrt_or_adjoin(q.scalar(2))
     for _ in range(100):
-        from matcanon.field import Scalar
         coords = tuple(Fraction(rng.randint(-5, 5)) for _ in range(ctx.dim))
-        x = Scalar(ctx, coords)
+        x = ctx.element(coords)
         if x.is_zero():
             continue
         assert x * (ctx.one() / x) == ctx.one()

@@ -1,5 +1,7 @@
-"""Property tests of the field axioms in towers and large prime fields, and
-of the raw rational arithmetic of the kernels against the Scalar operators.
+"""Property tests of the field axioms in towers and large prime fields, of
+the raw rational arithmetic against the coordinate arithmetic (_tower_mul,
+_tower_inv on Fractions), and of moving raw values along towers (promote,
+trim, == and hash).
 
 Elements are drawn coordinate by coordinate over the base field, so every
 element of each tower can occur.  Rational towers of height 1 to 4 are drawn
@@ -16,9 +18,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from matcanon.field import (Scalar, _RatOps, _raw_ops,  # noqa: E402
-                            artin_schreier_root_or_adjoin, gf4, prime_field,
-                            rationals)
+from matcanon.field import (_RatOps, _tower_inv,  # noqa: E402
+                            _tower_mul, artin_schreier_root_or_adjoin,
+                            gf4, prime_field, rationals)
 
 
 def _towers():
@@ -51,7 +53,7 @@ def _base(ctx):
 
 def elements(ctx):
     return st.lists(_base(ctx), min_size=ctx.dim, max_size=ctx.dim).map(
-        lambda coords: Scalar(ctx, coords))
+        lambda coords: ctx.element(coords))
 
 
 def triples(ctx):
@@ -111,26 +113,112 @@ def rational_towers(draw):
 
 @AXIOMS
 @given(st.data())
-def test_rational_raw_ops_match_scalar_operators(data):
+def test_rational_raw_ops_match_tower_arithmetic(data):
+    """Each element and row operation of _RatOps on raw values gives the
+    Fraction coordinates of _tower_mul and _tower_inv."""
     ctx = data.draw(rational_towers())
     x, y, f, c = (data.draw(lower_elements(ctx)) for _ in range(4))
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     assert isinstance(ops, _RatOps)
+    level = len(ctx.tower)
+
+    def mul(u, v):
+        return _tower_mul(ctx, u.coords, v.coords, level)
+
+    def add(u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    def sub(u, v):
+        return tuple(a - b for a, b in zip(u, v))
 
     def back(raw_row):
-        return [s.coords for s in ops.wrap([raw_row])[0]]
+        return [ops.to_coords(v) for v in raw_row]
 
-    def want(*scalars):
-        return [s.coords for s in scalars]
-
-    rx, ry, rf, rc = ops.unwrap([[x, y, f, c]])[0]
-    assert back(ops.scale([rx, ry, rf], rc)) == want(x * c, y * c, f * c)
-    assert back(ops.axpy([rx, ry], rf, [ry, rc])) == want(x - f * y,
-                                                          y - f * c)
+    rx, ry, rf, rc = x.raw, y.raw, f.raw, c.raw
+    assert back([ops.mul(rx, ry), ops.add(rx, ry), ops.neg(rx)]) == \
+        [mul(x, y), add(x.coords, y.coords), tuple(-a for a in x.coords)]
+    assert back(ops.scale([rx, ry, rf], rc)) == [mul(x, c), mul(y, c),
+                                                 mul(f, c)]
+    assert back(ops.axpy([rx, ry], rf, [ry, rc])) == \
+        [sub(x.coords, mul(f, y)), sub(y.coords, mul(f, c))]
     # [[x, y], [f, c]] @ [[c, x], [y, f]], the right side given by columns
     assert [back(row) for row in ops.matmul([[rx, ry], [rf, rc]],
                                             [[rc, ry], [rx, rf]])] == \
-        [want(x * c + y * y, x * x + y * f), want(f * c + c * y,
-                                                  f * x + c * f)]
+        [[add(mul(x, c), mul(y, y)), add(mul(x, x), mul(y, f))],
+         [add(mul(f, c), mul(c, y)), add(mul(f, x), mul(c, f))]]
     if not x.is_zero():
-        assert back([ops.inverse(rx)]) == want(x.inverse())
+        assert back([ops.inverse(rx)]) == [_tower_inv(ctx, x.coords, level)]
+
+
+def _non_square(ctx):
+    """The first nonzero element of a finite ctx with no square root."""
+    return next(x for x in ctx.iter_elements()
+                if not x.is_zero() and not any(
+                    y * y == x for y in ctx.iter_elements()))
+
+
+def _chains():
+    """Towers, lowest level first, across the raw representations: GF(3)
+    (ints) to GF(9) and GF(81) (table indices) to GF(6561) (coordinate
+    tuples); GF(65521) (ints) to one square root (coordinate tuples); GF(4)
+    to GF(16) (table indices); Q to Q(sqrt2, sqrt3) (integer vectors)."""
+    f3 = prime_field(3)
+    f9 = f3.adjoin_sqrt(f3.scalar(2))
+    f81 = f9.adjoin_sqrt(_non_square(f9))
+    # the first element of GF(81) with no root: a square root search over
+    # all 81 elements for each of 81 elements is quick enough
+    f6561 = f81.adjoin_sqrt(_non_square(f81))
+    big = prime_field(65521)
+    f4 = gf4()
+    q = rationals()
+    q2 = q.adjoin_sqrt(q.scalar(2))
+    return {
+        "GF(3)..GF(6561)": [f3, f9, f81, f6561],
+        "GF(65521)(sqrt17)": [big, big.adjoin_sqrt(big.scalar(17))],
+        "GF(4)+AS": [f4, f4.adjoin_artin_schreier(f4.base_element((0, 1)))],
+        "Q(sqrt2,sqrt3)": [q, q2, q2.adjoin_sqrt(q2.scalar(3))],
+    }
+
+
+CHAINS = _chains()
+
+
+def _padded(x, ctx):
+    """x's coordinates zero-extended to ctx: promotion on coordinates."""
+    coords = x.coords
+    return coords + (ctx.zero().coords[0],) * (ctx.dim - len(coords))
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_promote_and_trim_move_raw_values(name):
+    """Promoting moves the raw value up a tower and trimming moves it back:
+    the two give an equal scalar with the identical raw value and hash, and
+    promotion zero-extends the coordinates.  Products and sums of scalars
+    of different heights match _tower_mul and the coordinatewise sum."""
+    chain = CHAINS[name]
+    top = chain[-1]
+    drawn = st.sampled_from(chain).flatmap(elements)
+
+    @AXIOMS
+    @given(drawn, drawn)
+    def check(x, w):
+        low = x.trim()
+        assert low == x and hash(low) == hash(x)
+        assert low.coords == x.coords[:low.ctx.dim]
+        assert low.ctx.tower == x.ctx.tower[:len(low.ctx.tower)]
+        half = low.ctx.dim // 2
+        assert not low.ctx.tower or any(
+            c != low.ctx.zero().coords[0] for c in low.coords[half:])
+        for ctx in chain[len(x.ctx.tower):]:
+            up = x.promote(ctx)
+            assert up.ctx == ctx and up.coords == _padded(x, ctx)
+            assert up == x and hash(up) == hash(x)
+            back = up.trim()
+            assert back.raw == low.raw and back.ctx == low.ctx
+            assert back == x and hash(back) == hash(x)
+        assert (x * w).promote(top).coords == _tower_mul(
+            top, _padded(x, top), _padded(w, top), len(top.tower))
+        assert (x + w).promote(top).coords == tuple(map(
+            top._badd, _padded(x, top), _padded(w, top)))
+
+    check()

@@ -2,9 +2,10 @@
 
 Finite contexts of at most field._TABLE_MAX_ORDER elements, other than GF(p)
 itself, compute on element indices (field._TableOps).  Here every product,
-sum, difference, negation and inverse of each such field met below is
-compared with the coordinate arithmetic: _tower_mul and the coordinatewise
-sum, and, for a GF(p^k) base, with the polynomial product _bmul_poly.  The
+sum, difference, negation and inverse of each such field met below, by the
+element and the row operations alike, is compared with the coordinate
+arithmetic: _tower_mul and the coordinatewise sum, and, for a GF(p^k) base,
+with the polynomial product _bmul_poly.  The
 routing of _raw_ops and the table cache are checked too, and congruence
 invariance on scrambled block sums larger than the bench draws.
 """
@@ -69,37 +70,40 @@ def test_tables_match_coordinate_arithmetic(name, empty_cache):
     ops = _raw_ops(ctx)
     assert isinstance(ops, _TableOps)
     elements = list(ctx.iter_elements())
-    raw = ops.unwrap([elements])[0]
+    raw = [ops.from_coords(x.coords) for x in elements]
     assert sorted(raw) == list(range(q))
-    assert raw[0] == ops.zero == 0 and ops.unwrap([[ctx.one()]]) == [[1]]
-    wrapped = ops.wrap([raw])[0]
-    assert [x.coords for x in wrapped] == [x.coords for x in elements]
-    assert all(x.ctx == ctx for x in wrapped)
+    assert [x.raw for x in elements] == raw
+    assert raw[0] == ops.zero == 0 and ctx.one().raw == ops.one == 1
+    assert [ops.to_coords(v) for v in raw] == [x.coords for x in elements]
     level = len(ctx.tower)
     plus_one, minus_one = ops.neg(ops.one), ops.one  # axpy is row - f prow
     for a, ra in zip(elements, raw):
         products = ops.scale(raw, ra)
         sums = ops.axpy([ra] * q, plus_one, raw)
         differences = ops.axpy([ra] * q, minus_one, raw)
+        assert [ops.mul(ra, rb) for rb in raw] == products
+        assert [ops.add(ra, rb) for rb in raw] == sums
+        assert [ops.add(ra, ops.neg(rb)) for rb in raw] == differences
         for b, prod, total, diff in zip(elements, products, sums,
                                         differences):
-            assert ops.coords[prod] == _tower_mul(ctx, a.coords, b.coords,
-                                                  level), (a, b)
+            assert ops.to_coords(prod) == _tower_mul(ctx, a.coords, b.coords,
+                                                     level), (a, b)
             plain_sum = tuple(map(ctx._badd, a.coords, b.coords))
-            assert ops.coords[total] == plain_sum, (a, b)
-            assert ops.coords[diff] == tuple(
+            assert ops.to_coords(total) == plain_sum, (a, b)
+            assert ops.to_coords(diff) == tuple(
                 map(ctx._badd, a.coords, map(ctx._bneg, b.coords))), (a, b)
-        assert ops.coords[ops.neg(ra)] == tuple(map(ctx._bneg, a.coords))
+        assert ops.to_coords(ops.neg(ra)) == tuple(map(ctx._bneg, a.coords))
         assert ops.axpy([ra] * q, ops.zero, raw) == [ra] * q
         if ra:
             inv = ops.inverse(ra)
-            assert ops.coords[inv] == field._tower_inv(ctx, a.coords, level)
+            assert ops.to_coords(inv) == field._tower_inv(ctx, a.coords,
+                                                          level)
             assert ops.scale([inv], ra) == [ops.one]
     # the sums of matmul, on [a, 1] . [1, b]
     table = ops.matmul([[ra, ops.one] for ra in raw],
                        [[ops.one, rb] for rb in raw])
     for a, row in zip(elements, table):
-        assert [ops.coords[s] for s in row] == [
+        assert [ops.to_coords(s) for s in row] == [
             tuple(map(ctx._badd, a.coords, b.coords)) for b in elements]
     # every table has O(q) entries
     tables = empty_cache[ctx._key]

@@ -6,9 +6,9 @@ Scalar operators, over base fields and towers, on each of the four raw
 paths: ints mod p (GF(p) itself), exp/log tables (finite fields of at most
 256 elements), normalized integer vectors (Q and its towers, up to a
 height-3 tower whose last records lie at level 1) and coordinate tuples
-(larger finite fields).  The kernel rewraps its results without the checks
-of ExactMatrix(), so every returned entry is also checked to be a Scalar of
-the right context with canonical coordinates.
+(larger finite fields).  The kernel builds its result Scalars on raw values
+without the checks of ExactMatrix(), so every returned entry is also
+checked to be a Scalar of the right context with canonical coordinates.
 """
 
 import itertools
@@ -19,12 +19,12 @@ from fractions import Fraction
 
 import pytest
 
-from matcanon import exactmat, field
+from matcanon import field
 from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
 from matcanon.field import (Scalar, _CoordOps, _FlatOps, _poly_divmod,
                             _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
-                            _RatOps, _raw_ops, _TableOps,
+                            _RatOps, _TableOps,
                             artin_schreier_root_or_adjoin, frobenius_gcd, gf4,
                             parse_scalar, prime_field, rationals)
 from matcanon.spectral import restrict_operator
@@ -62,7 +62,7 @@ CONTEXTS = _contexts()
 
 
 def test_contexts_cover_every_raw_path():
-    paths = {name: type(_raw_ops(ctx)) for name, ctx in CONTEXTS.items()}
+    paths = {name: type(ctx.ops) for name, ctx in CONTEXTS.items()}
     assert {name for name, ops in paths.items() if ops is _FlatOps} == \
         {"GF(2)", "GF(3)", "GF(65521)"}
     assert {name for name, ops in paths.items() if ops is _TableOps} == \
@@ -77,10 +77,11 @@ def test_contexts_cover_every_raw_path():
                                   if CONTEXTS[n].kind == "rational"])
 def test_rational_raw_values_are_normalized(name):
     """A raw rational value is (n_0, ..., n_(dim-1), den) with den > 0 and
-    gcd 1, so each element has one raw value: unwrap, every kernel result
-    and the zero of the ops agree with it, and there is one raw zero."""
+    gcd 1, so each element has one raw value: the raw values of Scalars,
+    every kernel result and the zero of the ops agree with it, and there is
+    one raw zero."""
     ctx = CONTEXTS[name]
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     rng = random.Random("normalized " + name)
 
     def check(x):
@@ -89,40 +90,48 @@ def test_rational_raw_values_are_normalized(name):
         assert x[-1] > 0 and math.gcd(*x) == 1
 
     a = rand_matrix(ctx, rng, 4, 4)
-    raw = ops.unwrap(a.rows)
-    products = ops.matmul(raw, ops.unwrap(a.transpose().rows))
+    raw = [[e.raw for e in row] for row in a.rows]
+    cols = [[e.raw for e in c] for c in a.transpose().rows]
+    products = ops.matmul(raw, cols)
     pivot = next(x for x in itertools.chain(*raw) if x != ops.zero)
     derived = [ops.scale(raw[1], pivot), ops.axpy(raw[1], pivot, raw[2]),
                ops.axpy(raw[1], ops.one, raw[1]), [ops.inverse(pivot)],
                [ops.neg(x) for x in raw[3]]] + products
     for x in itertools.chain(*raw, *derived):
         check(x)
-        # the raw value of the element x denotes
-        assert ops.unwrap(ops.wrap([[x]]))[0][0] == x
+        # the raw value of the element x denotes, read back from its
+        # Fraction coordinates
+        assert ops.from_coords(ops.to_coords(x)) == x
     check(ops.zero)
     check(ops.one)
-    zeros = {x for x in itertools.chain(*derived)
-             if ops.wrap([[x]])[0][0].is_zero()}
+    zeros = {x for x in itertools.chain(*derived) if not any(ops.to_coords(x))}
     assert zeros == {ops.zero}
-    assert ops.unwrap([[ctx.zero(), -ctx.zero(), ctx.one() - ctx.one()]]) \
-        == [[ops.zero] * 3]
+    assert [e.raw for e in (ctx.zero(), -ctx.zero(), ctx.one() - ctx.one(),
+                            ctx.element([0] * ctx.dim))] == [ops.zero] * 4
 
 
 def test_rational_tables_live_in_one_cache():
     """The monomial tables of the rational ops live in one module dict of
     field whose name ends in _cache, keyed by context key, which the bench
-    empties before each measured pass; refilled, they give the same
-    products."""
+    empties before each measured pass; a context built after that refills
+    them, with the same products."""
     ctx = CONTEXTS["Q+3 adjunctions"]
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     assert [name for name, value in vars(field).items()
             if name.endswith("_cache") and isinstance(value, dict)
             and value.get(ctx._key) is ops.table] == ["_monomial_tables_cache"]
     a = rand_matrix(ctx, random.Random("cache"), 3, 3)
     before = coords((a @ a).rows)
     field._monomial_tables_cache.clear()
-    assert coords((a @ a).rows) == before
-    assert field._monomial_tables_cache[ctx._key] is not ops.table
+    fresh = ctx.truncated(0)
+    for c1, d in field.adjunctions(ctx):
+        fresh = field.adjoin_record(fresh, c1, d.promote(fresh), rootless=True)
+    assert fresh == ctx and fresh is not ctx
+    b = ExactMatrix(fresh, [[fresh.element(e.coords) for e in row]
+                            for row in a.rows])
+    assert coords((b @ b).rows) == before
+    assert field._monomial_tables_cache[ctx._key] is fresh.ops.table
+    assert fresh.ops.table is not ops.table
 
 
 def test_rational_tables_grow_by_use():
@@ -141,7 +150,7 @@ def test_rational_tables_grow_by_use():
         tracemalloc.stop()
     assert prod[0, 0] == ctx.scalar(Fraction(4, 9))
     assert peak < 64 << 20
-    assert sum(row is not None for row in _raw_ops(ctx).table.rows) == 1
+    assert sum(row is not None for row in ctx.ops.table.rows) == 1
 
 
 def rand_scalar(ctx, rng):
@@ -415,17 +424,20 @@ def test_zero_row_shapes(name):
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_empty_products_skip_the_kernel(name, monkeypatch):
     """A product with no rows, no inner dimension or no columns is the zero
-    matrix of its shape, built without the raw kernel."""
+    matrix of its shape, built without the raw kernel (the matmul of the
+    context's ops)."""
     ctx = CONTEXTS[name]
     rng = random.Random("empty product " + name)
     pairs = ((ExactMatrix.zeros(ctx, 3, 0), ExactMatrix.zeros(ctx, 0, 4)),
              (rand_matrix(ctx, rng, 3, 2), ExactMatrix.zeros(ctx, 2, 0)),
              (ExactMatrix.zeros(ctx, 0, 2), rand_matrix(ctx, rng, 2, 3)))
 
-    def no_kernel(_ctx):
+    def no_kernel(*_args):
         raise AssertionError("the raw kernel ran on an empty product")
 
-    monkeypatch.setattr(exactmat, "_raw_ops", no_kernel)
+    monkeypatch.setattr(type(ctx.ops), "matmul", no_kernel)
+    with pytest.raises(AssertionError, match="the raw kernel ran"):
+        rand_matrix(ctx, rng, 1, 1) @ rand_matrix(ctx, rng, 1, 1)
     for a, b in pairs:
         c = a @ b
         assert_matrix_canonical(c, ctx, a.nrows, b.ncols)
@@ -477,11 +489,9 @@ def test_power_matches_reference(name):
             inv = x.inverse()
             assert (x ** -3).coords == (inv * inv * inv).coords, x
     # polynomial powers modulo a monic cubic against repeated products
-    ops = _raw_ops(ctx)
-    f = ops.unwrap([[rand_scalar(ctx, rng) for _ in range(3)]
-                    + [ctx.one()]])[0]
-    base = _poly_trim(ops, ops.unwrap([[rand_scalar(ctx, rng)
-                                        for _ in range(3)]])[0])
+    ops = ctx.ops
+    f = [rand_scalar(ctx, rng).raw for _ in range(3)] + [ops.one]
+    base = _poly_trim(ops, [rand_scalar(ctx, rng).raw for _ in range(3)])
     ref = [ops.one]
     for k in range(7):
         got = _poly_powmod(ops, base, k, f)
@@ -500,17 +510,17 @@ def rand_poly(ctx, rng, degree, monic=False):
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_polynomial_layer_matches_reference(name):
     """mulmod, powmod, divmod, gcd and frobenius_gcd on raw coefficients
-    give the coefficients of the naive Scalar versions above, wrapped back
-    as canonical scalars."""
+    give the coefficients of the naive Scalar versions above, read back as
+    canonical scalars."""
     ctx = CONTEXTS[name]
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     rng = random.Random("polynomials " + name)
 
     def raw(poly):
-        return ops.unwrap([poly])[0]
+        return [c.raw for c in poly]
 
     def back(coeffs):
-        out = list(ops.wrap([coeffs])[0])
+        out = [Scalar(ctx, c) for c in coeffs]
         for c in out:
             assert_canonical(c, ctx)
         return [c.coords for c in out]

@@ -11,7 +11,7 @@ from matcanon import (Block, ExactMatrix, NoRootStrictPolicy, NotSplit,
                       finite_field, gf4, inverse_or_rank, prime_field,
                       rationals, sqrt_or_adjoin, transpose_witness)
 from matcanon.field import EXTEND, STRICT
-from matcanon.spectral import asymmetry, poly_eval
+from matcanon.spectral import asymmetry
 from matcanon.unipotent import gamma0_matrix, gamma_matrix
 
 

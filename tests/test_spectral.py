@@ -250,12 +250,11 @@ def test_roots_closed_under_inversion_random():
 
 def test_finite_field_root_existence_vs_enumeration():
     # gcd(X^q - X, f) agrees with exhaustive evaluation on small fields
-    from matcanon.field import _raw_ops, frobenius_gcd, gf4, prime_field
+    from matcanon.field import frobenius_gcd, gf4, prime_field
     import itertools
 
     def has_root(poly, ctx):
-        ops = _raw_ops(ctx)
-        return len(frobenius_gcd(ops, ops.unwrap([poly])[0],
+        return len(frobenius_gcd(ctx.ops, [c.raw for c in poly],
                                  ctx.order())) > 1
 
     for ctx in (prime_field(2), prime_field(3), gf4()):
