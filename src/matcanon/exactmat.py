@@ -15,8 +15,9 @@ once.  GF(p) at tower height 0 has flat ints with one reduction mod p per
 dot product (after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004).  Every
 other finite field of at most 256 elements has element indices, multiplied
 through exp/log tables and added by XOR or a Zech logarithm.  Larger finite
-towers have coordinate tuples, multiplied by the field's _tower_mul and
-added coordinatewise, with zero entries skipped.
+fields have integer vectors mod p, multiplied like the rational vectors by
+one pass over the monomial products, each entry of a matrix product reduced
+mod p once.
 
 An elimination builds only what its caller reads.  inverse_or_rank appends
 an identity, and so builds the row transform, only for a square input (for

@@ -16,23 +16,23 @@ square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers,
 square roots and ExactMatrix.power all call it.  An element has one
 representation, its raw value (see Scalar), and ctx.ops, built once per
 context instance by _raw_ops, computes on it an element at a time (add,
-neg, mul, inverse) or a row at a time (scale, axpy, matmul), in one of four
+neg, mul, inverse) or a row at a time (scale, axpy, matmul), in one of three
 ways:
-  - Q and its towers (_RatOps): a product is one flat multiply over the
-    nonzero coordinate pairs, reading the monomial products g_S g_T from a
-    table filled from _tower_mul one pair at a time (_MonomialTable); a
-    matrix product sums each entry over one denominator and takes one gcd
-    (after Cohen, A Course in Computational Algebraic Number Theory, GTM
-    138, ch. 2);
   - GF(p) with no adjunction: ints mod p (_FlatOps);
   - any other finite field of at most 256 elements: element indices, with
     exp/log tables built once per context (_TableOps, _Tables): a product
     adds logarithms, a sum is XOR in characteristic 2 and one Zech
     logarithm otherwise (Givaro's GF(q), Dumas, Gautier and Pernet, ISSAC
-    2002; Huber, IEEE Trans. Inf. Theory 36, 1990).  A GF(p^k) base of that
-    size multiplies its base elements (_bmul, _binv) by the same tables;
-  - finite towers above that size: coordinate tuples through _tower_mul
-    (_CoordOps).
+    2002; Huber, IEEE Trans. Inf. Theory 36, 1990);
+  - Q and its towers (_RatOps), and larger finite fields (_ModOps): integer
+    vectors over the monomial basis t^i g_S (t the generator of a GF(p^k)
+    base), multiplied by one flat pass over the nonzero coordinate pairs
+    that reads the monomial products from a _MonomialTable, filled one pair
+    at a time by recurrence on the tower records (after Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, ch. 2 and 4.2).  Over Q
+    a vector holds numerators over one denominator, and each result is
+    normalized by one gcd; over GF(p) each result entry is reduced mod p
+    once, also in a matrix product's dot products.
 promote and trim move raw values directly.  The Scalar operators,
 exactmat's kernels and the polynomial layer (raw coefficients, low to high)
 all run on these ops: the products, division and gcd of root finding,
@@ -157,6 +157,7 @@ class FieldContext:
         self.tower_cap = tower_cap
         self._key = (self.kind, self.p, self.modulus, ())
         self._ops = None
+        self._prefixes = ()
         tower = tuple(tower)
         if any(c1 not in (0, 1) for c1, _d in tower):
             raise ValueError("a tower record (c1, d) needs c1 = 0 (a square "
@@ -171,10 +172,12 @@ class FieldContext:
             d = level.element([base.scalar(c).coords[0] for c in d])
             level = level._adjoin(c1, d, False)
         self.tower, self._key = level.tower, level._key
+        self._prefixes = level._prefixes
 
-    def _with_tower(self, tower):
+    def _with_tower(self, tower, prefixes=()):
         """This base field with the given records, unchecked: they must be
-        a checked context's records or one just checked (_adjoin)."""
+        a checked context's records or one just checked (_adjoin), with the
+        instances of its proper prefixes, lowest first (see truncated)."""
         ctx = object.__new__(FieldContext)
         # the attributes in __init__'s order, so that instances share one
         # layout and attribute reads stay on CPython's fast path
@@ -182,6 +185,7 @@ class FieldContext:
         ctx.tower, ctx.tower_cap = tower, self.tower_cap
         ctx._key = (self.kind, self.p, self.modulus, tower)
         ctx._ops = None
+        ctx._prefixes = prefixes
         return ctx
 
     # -- identity ---------------------------------------------------------
@@ -261,85 +265,6 @@ class FieldContext:
             return 1
         return (1,) + (0,) * (len(self.modulus) - 1)
 
-    def _bfrom_int(self, n):
-        if self.kind == "rational":
-            return Fraction(n)
-        if self.kind == "gfp":
-            return n % self.p
-        return (n % self.p,) + (0,) * (len(self.modulus) - 1)
-
-    def _badd(self, x, y):
-        if self.kind == "rational":
-            return x + y
-        if self.kind == "gfp":
-            return (x + y) % self.p
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def _bneg(self, x):
-        if self.kind == "rational":
-            return -x
-        if self.kind == "gfp":
-            return (-x) % self.p
-        return tuple((-a) % self.p for a in x)
-
-    def _bmul(self, x, y):
-        if self.kind == "rational":
-            return x * y
-        if self.kind == "gfp":
-            return (x * y) % self.p
-        tables = self._base_tables()
-        if tables is None:
-            return self._bmul_poly(x, y)
-        index, log = tables.index, tables.log
-        return tables.coords[tables.exp[log[index[(x,)]]
-                                        + log[index[(y,)]]]][0]
-
-    def _bmul_poly(self, x, y):
-        """The product of two GF(p^k) base elements by polynomial
-        multiplication reduced modulo the modulus."""
-        k = len(self.modulus)
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    prod[i + j] = (prod[i + j] + a * b) % self.p
-        # reduce modulo the monic modulus X^k + sum(mod[i] X^i)
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, m in enumerate(self.modulus):
-                    prod[i - k + j] = (prod[i - k + j] - c * m) % self.p
-        return tuple(prod[:k])
-
-    def _binv(self, x):
-        if self.kind == "rational":
-            if x == 0:
-                raise DivisionByZero("rational division by zero")
-            return Fraction(1) / x
-        if self.kind == "gfp":
-            if x % self.p == 0:
-                raise DivisionByZero("division by zero in GF(%d)" % self.p)
-            return pow(x, self.p - 2, self.p)
-        if all(c == 0 for c in x):
-            raise DivisionByZero("division by zero in GF(%d^%d)"
-                                 % (self.p, len(self.modulus)))
-        tables = self._base_tables()
-        if tables is None:
-            return power(x, self.p ** len(self.modulus) - 2, self._bmul_poly,
-                         self._bone())
-        log = tables.log[tables.index[(x,)]]
-        return tables.coords[tables.exp[tables.order - 1 - log]][0]
-
-    def _base_tables(self):
-        """The _Tables of this context's gfq base field when it has at most
-        _TABLE_MAX_ORDER elements (built on first use), else None."""
-        key = (self.kind, self.p, self.modulus, ())
-        tables = _field_tables_cache.get(key)
-        if tables is None and self.p ** len(self.modulus) <= _TABLE_MAX_ORDER:
-            tables = _field_tables(self.truncated(0))
-        return tables
-
     # -- scalar constructors -----------------------------------------------
 
     def zero(self):
@@ -360,12 +285,12 @@ class FieldContext:
         """Build a scalar from an int, Fraction, or base element."""
         if isinstance(value, Scalar):
             return value.promote(self)
+        if isinstance(value, int):
+            return Scalar(self, self.ops.from_int(value))
         if isinstance(value, Fraction) and self.kind != "rational":
             num, den = value.numerator, value.denominator
             return self.scalar(num) / self.scalar(den)
-        if isinstance(value, int):
-            value = self._bfrom_int(value)
-        elif self.kind == "gfq" and isinstance(value, tuple):
+        if self.kind == "gfq" and isinstance(value, tuple):
             value = tuple(c % self.p for c in value)
         elif not isinstance(value, Fraction):
             raise TypeError("cannot coerce %r into %r" % (value, self))
@@ -429,11 +354,13 @@ class FieldContext:
         kind = RECORD_KINDS[c1]
         if not rootless and kind.find_root(d) is not None:
             raise ValueError(kind.has_root % (format_scalar(d), self))
-        return self._with_tower(self.tower + ((c1, d.coords),))
+        return self._with_tower(self.tower + ((c1, d.coords),),
+                                self._prefixes + (self,))
 
     def truncated(self, height):
-        """The prefix context with the first `height` adjunctions."""
-        return self._with_tower(self.tower[:height])
+        """The prefix context with the first `height` adjunctions: the same
+        instance at each call, so that its ops are built once."""
+        return self._prefixes[height] if height < len(self.tower) else self
 
 
 class Scalar:
@@ -445,10 +372,12 @@ class Scalar:
       - GF(p) with no adjunction (_FlatOps): the int in [0, p);
       - other finite contexts of at most _TABLE_MAX_ORDER elements
         (_TableOps): the element's index in the context's tables;
-      - larger finite contexts (_CoordOps): the coordinate tuple.
+      - larger finite contexts (_ModOps): the flat int tuple of its
+        coordinates over GF(p), each in [0, p).
     An element has one raw value per context, which == compares and hash
     reads.  coords (Fractions, ints or GF(p^k) tuples) is derived from raw;
-    ctx.element builds a scalar from coordinates.
+    ctx.element builds a scalar from coordinates, and ctx.scalar(n) builds
+    the raw value of an int n directly (from_int).
     """
 
     __slots__ = ("ctx", "raw")
@@ -574,75 +503,16 @@ def random_elements(ctx):
         yield ctx.element(coords)
 
 
-def _tower_mul(ctx, xs, ys, level):
-    """Multiply coordinate vectors at the given tower level (recursively).
-
-    Promoted base-field values have zero high halves; branching on those
-    keeps the recursion linear for the common sparse cases.
-    """
-    if level == 0:
-        return (ctx._bmul(xs[0], ys[0]),)
-    half = 1 << (level - 1)
-    a, b = xs[:half], xs[half:]
-    c, e = ys[:half], ys[half:]
-    zero = (ctx._bzero(),) * half
-    b_zero, e_zero = b == zero, e == zero
-    if b_zero and e_zero:
-        return _tower_mul(ctx, a, c, level - 1) + zero
-    if b_zero:
-        return (_tower_mul(ctx, a, c, level - 1)
-                + _tower_mul(ctx, a, e, level - 1))
-    if e_zero:
-        return (_tower_mul(ctx, a, c, level - 1)
-                + _tower_mul(ctx, b, c, level - 1))
-    c1, d = ctx.tower[level - 1]
-    ac = _tower_mul(ctx, a, c, level - 1)
-    be = _tower_mul(ctx, b, e, level - 1)
-    ae = _tower_mul(ctx, a, e, level - 1)
-    bc = _tower_mul(ctx, b, c, level - 1)
-    bed = _tower_mul(ctx, be, d, level - 1)
-    badd = ctx._badd
-    low = tuple(map(badd, ac, bed))
-    high = tuple(map(badd, ae, bc))
-    if c1:
-        # g^2 = g + d: the be part feeds both halves
-        high = tuple(map(badd, high, be))
-    return low + high
-
-
-def _tower_inv(ctx, xs, level):
-    """Inverse of a tower element by norm descent.
-
-    For x = a + b g with g^2 = c1 g + d, the conjugate (a + c1 b) - b g
-    gives x ((a + c1 b) - b g) = a (a + c1 b) - d b^2, the norm, which lives
-    one level down.
-    """
-    if level == 0:
-        return (ctx._binv(xs[0]),)
-    half = 1 << (level - 1)
-    a, b = xs[:half], xs[half:]
-    zero = (ctx._bzero(),) * half
-    if b == zero:
-        return _tower_inv(ctx, a, level - 1) + zero
-    c1, d = ctx.tower[level - 1]
-    conj_lo = tuple(map(ctx._badd, a, b)) if c1 else a  # a + c1 b
-    a_conj = _tower_mul(ctx, a, conj_lo, level - 1)
-    bbd = _tower_mul(ctx, _tower_mul(ctx, b, b, level - 1), d, level - 1)
-    norm = tuple(ctx._badd(x, ctx._bneg(y)) for x, y in zip(a_conj, bbd))
-    norm_inv = _tower_inv(ctx, norm, level - 1)
-    lo = _tower_mul(ctx, conj_lo, norm_inv, level - 1)
-    hi = _tower_mul(ctx, tuple(map(ctx._bneg, b)), norm_inv, level - 1)
-    return lo + hi
-
-
 # -- raw values: the arithmetic of Scalars, kernels and polynomials ----------
 #
 # Each ops class has zero and one; add, neg, mul and inverse (DivisionByZero
-# on zero); the kernels' scale, axpy (row - f prow) and matmul; from_coords
-# and to_coords; height(x), the height of the least prefix context holding
-# x; and move(x, ops), the raw value here of x, a raw value of ops, the ops
-# of a prefix or an extension of this context.  indexed: raw values are
-# element indices, the same in every context of a tower that has them.
+# on zero); the kernels' scale, axpy (row - f prow) and matmul; from_int,
+# from_coords and to_coords; height(x), the height of the least prefix
+# context holding x; and move(x, ops), the raw value here of x, a raw value
+# of ops, the ops of a prefix or an extension of this context.  indexed: raw
+# values are element indices, the same in every context of a tower that has
+# them, whose base-p digits, lowest first, are the coordinates over GF(p)
+# in the order of _ModOps.
 
 class _FlatOps:
     """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
@@ -654,6 +524,9 @@ class _FlatOps:
         self.ctx = ctx
         self.p = ctx.p
         self.zero, self.one = 0, 1
+
+    def from_int(self, n):
+        return n % self.p
 
     def from_coords(self, coords):
         return coords[0]
@@ -696,66 +569,6 @@ class _FlatOps:
                 for r in a_rows]
 
 
-class _CoordOps:
-    """Finite towers of more than _TABLE_MAX_ORDER elements: raw values are
-    coordinate tuples, multiplied by _tower_mul and added coordinatewise;
-    the row operations skip zero entries."""
-
-    indexed = False
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.level = len(ctx.tower)
-        self.zero = (ctx._bzero(),) * ctx.dim
-        self.one = (ctx._bone(),) + self.zero[1:]
-
-    def from_coords(self, coords):
-        return coords
-
-    def to_coords(self, x):
-        return x
-
-    def height(self, x):
-        height, zero = self.level, self.zero
-        while height and x[1 << (height - 1):1 << height] == \
-                zero[:1 << (height - 1)]:
-            height -= 1
-        return height
-
-    def move(self, x, ops):
-        x = ops.to_coords(x)  # zero-extended or cut
-        return x[:len(self.zero)] + self.zero[len(x):]
-
-    def add(self, x, y):
-        return tuple(map(self.ctx._badd, x, y))
-
-    def neg(self, x):
-        return tuple(map(self.ctx._bneg, x))
-
-    def mul(self, x, y):
-        return _tower_mul(self.ctx, x, y, self.level)
-
-    def inverse(self, x):
-        if x == self.zero:
-            raise DivisionByZero("scalar division by zero")
-        return _tower_inv(self.ctx, x, self.level)
-
-    def scale(self, row, c):
-        zero, mul = self.zero, self.mul
-        return [x if x == zero else mul(x, c) for x in row]
-
-    def axpy(self, row, f, prow):
-        zero, add, neg, mul = self.zero, self.add, self.neg, self.mul
-        return [x if y == zero else add(x, neg(mul(f, y)))
-                for x, y in zip(row, prow)]
-
-    def matmul(self, a_rows, b_cols):
-        zero, add, mul = self.zero, self.add, self.mul
-        return [[functools.reduce(add, [mul(x, y) for x, y in zip(r, c)
-                                        if x != zero and y != zero], zero)
-                 for c in b_cols] for r in a_rows]
-
-
 class _TableOps:
     """Finite contexts of at most _TABLE_MAX_ORDER elements other than GF(p)
     itself: raw values are element indices (see _Tables).  A product adds
@@ -776,11 +589,16 @@ class _TableOps:
         self.bounds = [ctx.p ** (ctx.base_degree << h)
                        for h in range(len(ctx.tower) + 1)]
 
+    def from_int(self, n):
+        return n % self.ctx.p  # the lowest digit
+
     def height(self, x):
         return bisect.bisect_right(self.bounds, x)
 
     def move(self, x, ops):
-        return x if ops.indexed else self.from_coords(x[:self.ctx.dim])
+        if ops.indexed:
+            return x
+        return self.from_coords(ops.to_coords(x)[:self.ctx.dim])
 
     def add(self, x, y):
         if self.zech is None:
@@ -874,7 +692,11 @@ class _RatOps:
         self.table = _monomial_table(ctx)
         self.below = None  # see inverse
 
-    def from_coords(self, coords):
+    def from_int(self, n):
+        return (int(n),) + self.zero[1:]
+
+    @staticmethod
+    def from_coords(coords):
         # over the lcm of the denominators of Fraction coordinates, the
         # numerators already have gcd 1 with it
         den = math.lcm(*[c.denominator for c in coords])
@@ -910,13 +732,12 @@ class _RatOps:
     def mul(self, x, y):
         if self.dim == 1:
             return _rat_normalized((x[0] * y[0],), x[1] * y[1])
-        acc, den = self.table.mul(_rat_support(x[:-1]), _rat_support(y[:-1]))
+        acc, den = self.table.mul(_support(x[:-1]), _support(y[:-1]))
         return _rat_normalized(acc, x[-1] * y[-1] * den)
 
     def inverse(self, x):
-        """By the norm descent of _tower_inv: x = (a + b g)/den with integer
-        vectors a, b one level down has x^-1 = den (a - b g) / (a^2 - d b^2).
-        """
+        """By norm descent: x = (a + b g)/den with integer vectors a, b one
+        level down has x^-1 = den (a - b g) / (a^2 - d b^2)."""
         if x == self.zero:
             raise DivisionByZero("scalar division by zero")
         if not self.level:
@@ -932,15 +753,15 @@ class _RatOps:
             inv = sub.inverse((*a, den))
             return (*inv[:-1], *b, inv[-1])
         mul = sub.table.mul
-        sa, sb = _rat_support(a), _rat_support(b)
+        sa, sb = _support(a), _support(b)
         aa, ta = mul(sa, sa)
         bb, tb = mul(sb, sb)
-        dbb, tdbb = mul(_rat_support(d[:-1]), _rat_support(bb))
+        dbb, tdbb = mul(_support(d[:-1]), _support(bb))
         tdbb *= d[-1] * tb
         norm = _rat_normalized([u * tdbb - v * ta for u, v in zip(aa, dbb)],
                                ta * tdbb)
         inv = sub.inverse(norm)
-        si = _rat_support(inv[:-1])
+        si = _support(inv[:-1])
         lo, tlo = mul(sa, si)
         hi, thi = mul(sb, si)
         return _rat_normalized([den * thi * u for u in lo]
@@ -964,11 +785,11 @@ class _RatOps:
                     x = _rat_normalized((xn * yd - fn * yn * xd,), xd * yd)
                 out.append(x)
             return out
-        fs, fd = _rat_support(f[:-1]), f[-1]
+        fs, fd = _support(f[:-1]), f[-1]
         out = []
         for x, y in zip(row, prow):
             if y != zero:
-                acc, den = mul(fs, _rat_support(y[:-1]))
+                acc, den = mul(fs, _support(y[:-1]))
                 yd, xd = fd * y[-1] * den, x[-1]
                 x = _rat_normalized([a * yd - b * xd for a, b in zip(x, acc)],
                                     xd * yd)
@@ -991,6 +812,127 @@ class _RatOps:
         return out
 
 
+class _ModOps:
+    """Finite contexts of more than _TABLE_MAX_ORDER elements: a raw value
+    is the flat tuple of the element's coordinates over GF(p), ints in
+    [0, p), one per monomial t^i g_S of the context's _MonomialTable, base
+    coordinates first (Scalar.coords flattened).  A product is one integer
+    accumulation over the nonzero coordinate pairs, and each entry of a
+    result, a matrix product's included, is reduced mod p once.  The tables
+    of smaller fields (_build_tables) take their powers with it too."""
+
+    indexed = False
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.p, self.k = ctx.p, ctx.base_degree
+        self.flat = ctx.kind == "gfp"  # coordinates are ints, not tuples
+        self.level = len(ctx.tower)
+        self.zero = (0,) * (ctx.dim * self.k)
+        self.one = (1,) + self.zero[1:]
+        self.table = _monomial_table(ctx)
+        self.below = None  # see inverse
+
+    def from_int(self, n):
+        return (n % self.p,) + self.zero[1:]
+
+    def from_coords(self, coords):
+        if self.flat:
+            return tuple(coords)
+        return tuple(itertools.chain.from_iterable(coords))
+
+    def to_coords(self, x):
+        if self.flat:
+            return x
+        k = self.k
+        return tuple(x[i:i + k] for i in range(0, len(x), k))
+
+    def height(self, x):
+        height, k = self.level, self.k
+        while height and not any(x[k << (height - 1):k << height]):
+            height -= 1
+        return height
+
+    def move(self, x, ops):
+        if ops.indexed:  # the base-p digits of an index
+            digits = []
+            while x:
+                x, c = divmod(x, self.p)
+                digits.append(c)
+            x = tuple(digits)
+        return x[:len(self.zero)] + self.zero[len(x):]
+
+    def add(self, x, y):
+        p = self.p
+        return tuple([(a + b) % p for a, b in zip(x, y)])
+
+    def neg(self, x):
+        p = self.p
+        return tuple([-a % p for a in x])
+
+    def mul(self, x, y):
+        p = self.p
+        return tuple([a % p for a in
+                      self.table.mul(_support(x), _support(y))[0]])
+
+    def inverse(self, x):
+        """By norm descent: x = a + b g, g^2 = c1 g + d, with a and b one
+        level down, has x^-1 = ((a + c1 b) - b g) / (a (a + c1 b) - d b^2),
+        the norm inverted by the ops one level down.  A GF(p^k) base
+        inverts by x^(p^k - 2)."""
+        if x == self.zero:
+            raise DivisionByZero("scalar division by zero")
+        if not self.level:
+            return power(x, self.p ** self.k - 2, self.mul, self.one)
+        if self.below is None:  # the ops one level down, and the record
+            sub = self.ctx.truncated(self.level - 1).ops
+            c1, d = self.ctx.tower[-1]
+            self.below = sub, c1, sub.from_coords(d)
+        sub, c1, d = self.below
+        half = len(x) // 2
+        a, b = sub.move(x[:half], self), sub.move(x[half:], self)
+        if b == sub.zero:
+            return self.move(sub.inverse(a), sub)
+        conj = sub.add(a, b) if c1 else a
+        norm = sub.add(sub.mul(a, conj), sub.neg(sub.mul(d, sub.mul(b, b))))
+        inv = sub.inverse(norm)
+        lo = self.move(sub.mul(conj, inv), sub)
+        hi = self.move(sub.neg(sub.mul(b, inv)), sub)
+        return lo[:half] + hi[:half]
+
+    def scale(self, row, c):
+        p, mul, cs = self.p, self.table.mul, _support(c)
+        out = []
+        for x in row:
+            xs = _support(x)
+            if xs:
+                x = tuple([a % p for a in mul(xs, cs)[0]])
+            out.append(x)
+        return out
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        p, mul, fs = self.p, self.table.mul, _support(f)
+        if not fs:
+            return list(row)
+        out = []
+        for x, y in zip(row, prow):
+            ys = _support(y)
+            if ys:
+                acc = mul(fs, ys)[0]
+                x = tuple([(a - b) % p for a, b in zip(x, acc)])
+            out.append(x)
+        return out
+
+    def matmul(self, a_rows, b_cols):
+        """An entry is a sum over pairs of coordinates of one integer dot
+        product times the monomial product, reduced mod p once."""
+        p, mul = self.p, self.table.mul
+        cols = [_coordinate_split(c) for c in b_cols]
+        return [[tuple([a % p for a in mul(rs, cs, _int_dot)[0]])
+                 for cs in cols] for rs in map(_coordinate_split, a_rows)]
+
+
 def _rat_normalized(nums, den):
     """The raw value nums / den (den > 0), divided by its gcd."""
     g = math.gcd(den, *nums)
@@ -999,62 +941,124 @@ def _rat_normalized(nums, den):
     return (*[n // g for n in nums], den // g)
 
 
-def _rat_support(nums):
+def _support(nums):
     """The nonzero entries of an integer vector, as (coordinate, n) pairs."""
     return [(s, n) for s, n in enumerate(nums) if n]
 
 
+def _coordinate_split(vector):
+    """[(s, coordinate s of every entry)] for integer vectors of one
+    length, keeping the coordinates s that are nonzero in some entry."""
+    return [(s, v) for s, v in enumerate(zip(*vector)) if any(v)]
+
+
 def _rat_split(vector):
-    """(den, [(s, coordinate s of every entry over den)]) for a raw vector,
-    keeping the coordinates s that are nonzero in some entry."""
+    """(den, _coordinate_split of the numerators over den) for rational
+    raw values, den the lcm of their denominators."""
     den = math.lcm(*[x[-1] for x in vector])
-    scaled = [x[:-1] if x[-1] == den else [n * (den // x[-1]) for n in x[:-1]]
-              for x in vector]
-    return den, [(s, v) for s, v in enumerate(zip(*scaled)) if any(v)]
+    return den, _coordinate_split([
+        x[:-1] if x[-1] == den else [n * (den // x[-1]) for n in x[:-1]]
+        for x in vector])
 
 
 class _MonomialTable:
-    """The products g_S g_T of the monomial basis of a rational context (g_S
-    the product of the generators g_i, i in S, S read as a bitmask) in base
-    coordinates: rows[S][T] lists (coordinate, numerator) over the common
-    denominator den.  Each pair is filled on first use from _tower_mul on
-    unit vectors, so the table assumes nothing about the records; a pair
-    whose denominator does not divide den raises den and rescales every
-    entry, and a product that saw den change is computed again.  A row is
-    made on first use too: at the height cap of 16 a full table would have
-    2^32 slots."""
+    """The products m_s m_t of the monomial basis of a context, over Q or
+    GF(p), in that basis: rows[s][t] lists (coordinate, numerator) pairs
+    over the common denominator den, which stays 1 over GF(p), where the
+    numerators are reduced mod p.  The monomial m_s is t^i g_S for s = i + k
+    S (t the generator of a GF(p^k) base, 1 otherwise, and g_S the product
+    of the generators g_j, j in the bitmask S), so a prefix context's
+    monomials come first and the table of a prefix holds the products of
+    its own.
+
+    A pair is filled on first use, by recurrence on the top generator g of
+    the tower, g^2 = c1 g + d: a pair of monomials below g is read from the
+    prefix's table (_monomial_table, keyed by context key, so contexts that
+    share a prefix share its products); if one monomial has g, the product
+    is the one without g shifted up one half; if both have g, it is the
+    product E without g times c1 g + d, that is, E d (one product one level
+    down) plus c1 E shifted up.  At the base, t^i t^j is read off the
+    modulus.  A pair whose denominator does not divide den raises den and
+    rescales every entry, and a product that saw den change is computed
+    again.  A row is made on first use too: at the height cap of 16 a full
+    table would have 2^32 slots."""
 
     def __init__(self, ctx):
-        self.ctx = ctx
+        self.p = ctx.p
         self.den = 1
-        self.rows = [None] * ctx.dim
+        self.rows = [None] * (ctx.dim * ctx.base_degree)
+        self.below = None
+        if ctx.tower:
+            self.below = _monomial_table(ctx.truncated(len(ctx.tower) - 1))
+            self.c1, d = ctx.tower[-1]  # d on flat coordinates, over d_den
+            if not self.p:
+                *d, self.d_den = _RatOps.from_coords(d)
+            elif ctx.kind == "gfq":
+                d, self.d_den = itertools.chain.from_iterable(d), 1
+            else:
+                self.d_den = 1
+            self.d = _support(d)
+        elif ctx.kind == "gfq":  # t^n for n < 2k - 1, reduced
+            x, self.base = (1,) + (0,) * (len(ctx.modulus) - 1), []
+            for _ in range(2 * len(ctx.modulus) - 1):
+                self.base.append(tuple(_support(x)))
+                x = tuple((low - x[-1] * m) % self.p  # t x
+                          for low, m in zip((0,) + x[:-1], ctx.modulus))
+        else:
+            self.base = [((0, 1),)]
 
     def row(self, s):
         row = self.rows[s] = [None] * len(self.rows)
         return row
 
+    def entry(self, s, t):
+        return (self.rows[s] or self.row(s))[t] or self.fill(s, t)
+
     def fill(self, s, t):
-        ctx = self.ctx
-        units = [tuple(Fraction(int(i == j)) for i in range(ctx.dim))
-                 for j in (s, t)]
-        prod = _tower_mul(ctx, *units, len(ctx.tower))
-        den = math.lcm(self.den, *[c.denominator for c in prod])
-        if den != self.den:
-            grow, self.den = den // self.den, den
-            for row in filter(None, self.rows):
-                row[:] = [e and tuple((k, n * grow) for k, n in e)
-                          for e in row]
-        entry = tuple((k, c.numerator * (den // c.denominator))
-                      for k, c in enumerate(prod) if c)
+        below, den = self.below, 1
+        if below is None:
+            pairs = self.base[s + t]
+        else:
+            half = len(self.rows) // 2
+            if s < half and t < half:
+                pairs = below.entry(s, t)
+                den = below.den
+            elif s >= half and t >= half:
+                low = below.entry(s - half, t - half)
+                low_den = below.den
+                acc, den = below.mul(low, self.d)
+                den *= low_den * self.d_den
+                if self.p:
+                    acc = [a % self.p for a in acc]
+                pairs = _support(acc)
+                if self.c1:  # characteristic 2, so den is 1
+                    pairs += [(k + half, n) for k, n in low]
+            else:
+                low = below.entry(s - half, t) if s >= half else \
+                    below.entry(s, t - half)
+                den = below.den
+                pairs = [(k + half, n) for k, n in low]
+        if not self.p:  # over Q: raise self.den to a multiple of den
+            g = math.gcd(den, *[n for _k, n in pairs])
+            den //= g
+            if self.den % den:
+                grow = den // math.gcd(self.den, den)
+                self.den *= grow
+                for row in filter(None, self.rows):
+                    row[:] = [e and tuple((k, n * grow) for k, n in e)
+                              for e in row]
+            pairs = [(k, n // g * (self.den // den)) for k, n in pairs]
+        entry = tuple(pairs)
         for a, b in ((s, t), (t, s)):
             (self.rows[a] or self.row(a))[b] = entry
         return entry
 
     def mul(self, xs, ys, times=operator.mul):
-        """(numerators, den) of the sum of times(x, y) g_s g_t over the pairs
+        """(numerators, den) of the sum of times(x, y) m_s m_t over the pairs
         (s, x) of xs and (t, y) of ys, as numerators / den: the product of
-        two integer vectors given by their supports (_rat_support), or with
-        _int_dot the dot product of two split vectors (_rat_split)."""
+        two integer vectors given by their supports (_support), or with
+        _int_dot the dot product of two split vectors (_coordinate_split).
+        Over GF(p) den is 1 and the numerators are not reduced."""
         rows, fill = self.rows, self.fill
         while True:
             den = self.den
@@ -1091,7 +1095,7 @@ def _raw_ops(ctx):
         return _FlatOps(ctx)
     if ctx.order() <= _TABLE_MAX_ORDER:
         return _TableOps(ctx)
-    return _CoordOps(ctx)
+    return _ModOps(ctx)
 
 
 # The tables of a finite context with q elements and a primitive element g.
@@ -1120,32 +1124,21 @@ def _field_tables(ctx):
 
 def _build_tables(ctx):
     """The _Tables of a finite context: a primitive element is the first
-    index whose powers, taken with _tower_mul, reach q - 1 elements."""
+    index whose powers, taken on flat coordinates by _ModOps, reach q - 1
+    elements."""
     p, q, k = ctx.p, ctx.order(), ctx.base_degree
     units = q - 1
     # product() counts with its last digit fastest: reversed, the lowest
-    coords = [t[::-1] for t in itertools.product(range(p),
-                                                 repeat=ctx.dim * k)]
-    if ctx.kind == "gfq":
-        coords = [tuple(d[j:j + k] for j in range(0, len(d), k))
-                  for d in coords]
-    index = {c: i for i, c in enumerate(coords)}
-    if ctx.tower:
-        level = len(ctx.tower)
-
-        def mul(x, y):
-            return _tower_mul(ctx, x, y, level)
-    else:  # a gfq base: _bmul reads the tables that this builds
-
-        def mul(x, y):
-            return (ctx._bmul_poly(x[0], y[0]),)
-    one = coords[1]
-    for g in coords[1:]:
+    flat = [t[::-1] for t in itertools.product(range(p), repeat=ctx.dim * k)]
+    digits = {d: i for i, d in enumerate(flat)}
+    ops = _ModOps(ctx)
+    one = flat[1]
+    for g in flat[1:]:
         powers, x = [1], g
         # bounded in case a zero divisor sends the powers to 0, never to 1
         while x != one and len(powers) < q:
-            powers.append(index[x])
-            x = mul(x, g)
+            powers.append(digits[x])
+            x = ops.mul(x, g)
         if len(powers) == units:
             break
     else:
@@ -1159,8 +1152,9 @@ def _build_tables(ctx):
     if p != 2:
         # 1 + x adds 1 to the lowest digit of the index of x
         zech = [log[i - i % p + (i + 1) % p] for i in powers] * 2
-    return _Tables(q, coords, index, exp, log, zech,
-                   0 if p == 2 else units // 2)
+    coords = [ops.to_coords(d) for d in flat]
+    return _Tables(q, coords, {c: i for i, c in enumerate(coords)}, exp, log,
+                   zech, 0 if p == 2 else units // 2)
 
 
 # -- total order -------------------------------------------------------------

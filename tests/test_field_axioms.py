@@ -1,13 +1,14 @@
 """Property tests of the field axioms in towers and large prime fields, of
-the raw rational arithmetic against the coordinate arithmetic (_tower_mul,
-_tower_inv on Fractions), and of moving raw values along towers (promote,
-trim, == and hash).
+the raw arithmetic of towers against the coordinate arithmetic of
+tests/towerref.py (tower_mul, tower_inv), and of moving raw values along
+towers (promote, trim, == and hash).
 
 Elements are drawn coordinate by coordinate over the base field, so every
-element of each tower can occur.  Rational towers of height 1 to 4 are drawn
-record by record, each d at a random level of the tower below it.  The
-settings are derandomized: each run draws the same examples, and the suite
-stays deterministic.
+element of each tower can occur.  Towers of height 1 to 4 are drawn record
+by record, each d at a random level of the tower below it: over Q, and over
+GF(3), GF(65521) and GF(4), where they cross the 256-element table cap.
+The settings are derandomized: each run draws the same examples, and the
+suite stays deterministic.
 """
 
 from fractions import Fraction
@@ -18,9 +19,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from matcanon.field import (_RatOps, _tower_inv,  # noqa: E402
-                            _tower_mul, artin_schreier_root_or_adjoin,
+from matcanon.field import (_RatOps, _TABLE_MAX_ORDER,  # noqa: E402
+                            adjoin_record, artin_schreier_root_or_adjoin,
                             gf4, prime_field, rationals)
+
+from towerref import badd, bneg, bzero, tower_inv, tower_mul  # noqa: E402
 
 
 def _towers():
@@ -111,32 +114,55 @@ def rational_towers(draw):
     return ctx
 
 
-@AXIOMS
-@given(st.data())
-def test_rational_raw_ops_match_tower_arithmetic(data):
-    """Each element and row operation of _RatOps on raw values gives the
-    Fraction coordinates of _tower_mul and _tower_inv."""
-    ctx = data.draw(rational_towers())
-    x, y, f, c = (data.draw(lower_elements(ctx)) for _ in range(4))
+FINITE_BASES = {"GF(3)": prime_field(3), "GF(65521)": prime_field(65521),
+                "GF(4)": gf4()}
+
+
+@st.composite
+def finite_towers(draw, ctx):
+    """A finite ctx with 1 to 4 records, square roots in odd characteristic
+    and Artin-Schreier roots in characteristic 2, each d the first of eight
+    elements drawn at random levels of the tower so far that has no root
+    there.  GF(3) and GF(4) cross the table cap at height 3, GF(65521) at
+    height 1."""
+    c1 = int(ctx.p == 2)
+    # sampled, so that the heights above the cap come up as often as 1
+    for _ in range(draw(st.sampled_from([1, 2, 3, 4]))):
+        for d in draw(st.lists(lower_elements(ctx), min_size=8,
+                               max_size=8)):
+            try:
+                ctx = adjoin_record(ctx, c1, d)
+                break
+            except ValueError:  # d has a root in ctx
+                pass
+        else:
+            assume(False)
+    return ctx
+
+
+def check_raw_ops(ctx, x, y, f, c):
+    """Each element and row operation of ctx.ops on the raw values of x,
+    y, f and c gives the coordinates of tower_mul, tower_inv and the
+    coordinatewise sum."""
     ops = ctx.ops
-    assert isinstance(ops, _RatOps)
     level = len(ctx.tower)
 
     def mul(u, v):
-        return _tower_mul(ctx, u.coords, v.coords, level)
+        return tower_mul(ctx, u.coords, v.coords, level)
 
     def add(u, v):
-        return tuple(a + b for a, b in zip(u, v))
+        return tuple(badd(ctx, a, b) for a, b in zip(u, v))
 
     def sub(u, v):
-        return tuple(a - b for a, b in zip(u, v))
+        return tuple(badd(ctx, a, bneg(ctx, b)) for a, b in zip(u, v))
 
     def back(raw_row):
         return [ops.to_coords(v) for v in raw_row]
 
     rx, ry, rf, rc = x.raw, y.raw, f.raw, c.raw
     assert back([ops.mul(rx, ry), ops.add(rx, ry), ops.neg(rx)]) == \
-        [mul(x, y), add(x.coords, y.coords), tuple(-a for a in x.coords)]
+        [mul(x, y), add(x.coords, y.coords),
+         tuple(bneg(ctx, a) for a in x.coords)]
     assert back(ops.scale([rx, ry, rf], rc)) == [mul(x, c), mul(y, c),
                                                  mul(f, c)]
     assert back(ops.axpy([rx, ry], rf, [ry, rc])) == \
@@ -147,7 +173,53 @@ def test_rational_raw_ops_match_tower_arithmetic(data):
         [[add(mul(x, c), mul(y, y)), add(mul(x, x), mul(y, f))],
          [add(mul(f, c), mul(c, y)), add(mul(f, x), mul(c, f))]]
     if not x.is_zero():
-        assert back([ops.inverse(rx)]) == [_tower_inv(ctx, x.coords, level)]
+        assert back([ops.inverse(rx)]) == [tower_inv(ctx, x.coords, level)]
+
+
+@AXIOMS
+@given(st.data())
+def test_rational_raw_ops_match_tower_arithmetic(data):
+    """_RatOps on raw values gives the Fraction coordinates of tower_mul
+    and tower_inv."""
+    ctx = data.draw(rational_towers())
+    assert isinstance(ctx.ops, _RatOps)
+    check_raw_ops(ctx, *(data.draw(lower_elements(ctx)) for _ in range(4)))
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_BASES))
+def test_finite_raw_ops_match_tower_arithmetic(name):
+    """The ops of finite towers, on tables up to the cap and on integer
+    vectors mod p above it, give the coordinates of tower_mul and
+    tower_inv; promoting an element of a lower level across the cap and
+    trimming it back move its raw value and keep its coordinates, its
+    value and its hash."""
+
+    @AXIOMS
+    @given(st.data())
+    def check(data):
+        ctx = data.draw(finite_towers(FINITE_BASES[name]))
+        xyfc = [data.draw(lower_elements(ctx)) for _ in range(4)]
+        check_raw_ops(ctx, *xyfc)
+        check_promote_and_trim(ctx, xyfc[0])
+
+    check()
+
+
+def check_promote_and_trim(ctx, x):
+    """x, trimmed and promoted back up every level of ctx, keeps its
+    coordinates, value, hash and raw value; across the cap an index or an
+    int becomes a vector."""
+    low = x.trim()
+    assert low.coords == x.coords[:low.ctx.dim]
+    assert x.coords[low.ctx.dim:] == (bzero(ctx),) * (ctx.dim - low.ctx.dim)
+    for height in range(len(low.ctx.tower), len(ctx.tower) + 1):
+        up = low.promote(ctx.truncated(height))
+        assert up.coords == x.coords[:up.ctx.dim]
+        assert up == x and hash(up) == hash(x)
+        assert up.trim().raw == low.raw and up.trim().ctx == low.ctx
+    if ctx.order() > _TABLE_MAX_ORDER and low.ctx.order() <= \
+            _TABLE_MAX_ORDER:
+        assert type(x.raw) is tuple and type(low.raw) is int
 
 
 def _non_square(ctx):
@@ -159,9 +231,10 @@ def _non_square(ctx):
 
 def _chains():
     """Towers, lowest level first, across the raw representations: GF(3)
-    (ints) to GF(9) and GF(81) (table indices) to GF(6561) (coordinate
-    tuples); GF(65521) (ints) to one square root (coordinate tuples); GF(4)
-    to GF(16) (table indices); Q to Q(sqrt2, sqrt3) (integer vectors)."""
+    (ints) to GF(9) and GF(81) (table indices) to GF(6561) (integer vectors
+    mod 3); GF(65521) (ints) to one square root (integer vectors mod p);
+    GF(4) to GF(16) (table indices); Q to Q(sqrt2, sqrt3) (normalized
+    integer vectors)."""
     f3 = prime_field(3)
     f9 = f3.adjoin_sqrt(f3.scalar(2))
     f81 = f9.adjoin_sqrt(_non_square(f9))
@@ -194,7 +267,7 @@ def test_promote_and_trim_move_raw_values(name):
     """Promoting moves the raw value up a tower and trimming moves it back:
     the two give an equal scalar with the identical raw value and hash, and
     promotion zero-extends the coordinates.  Products and sums of scalars
-    of different heights match _tower_mul and the coordinatewise sum."""
+    of different heights match tower_mul and the coordinatewise sum."""
     chain = CHAINS[name]
     top = chain[-1]
     drawn = st.sampled_from(chain).flatmap(elements)
@@ -216,9 +289,9 @@ def test_promote_and_trim_move_raw_values(name):
             back = up.trim()
             assert back.raw == low.raw and back.ctx == low.ctx
             assert back == x and hash(back) == hash(x)
-        assert (x * w).promote(top).coords == _tower_mul(
+        assert (x * w).promote(top).coords == tower_mul(
             top, _padded(x, top), _padded(w, top), len(top.tower))
-        assert (x + w).promote(top).coords == tuple(map(
-            top._badd, _padded(x, top), _padded(w, top)))
+        assert (x + w).promote(top).coords == tuple(
+            badd(top, u, v) for u, v in zip(_padded(x, top), _padded(w, top)))
 
     check()

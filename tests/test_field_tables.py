@@ -4,10 +4,10 @@ Finite contexts of at most field._TABLE_MAX_ORDER elements, other than GF(p)
 itself, compute on element indices (field._TableOps).  Here every product,
 sum, difference, negation and inverse of each such field met below, by the
 element and the row operations alike, is compared with the coordinate
-arithmetic: _tower_mul and the coordinatewise sum, and, for a GF(p^k) base,
-with the polynomial product _bmul_poly.  The
-routing of _raw_ops and the table cache are checked too, and congruence
-invariance on scrambled block sums larger than the bench draws.
+arithmetic of tests/towerref.py: tower_mul and the coordinatewise sum, and,
+for a GF(p^k) base, the polynomial product.  The routing of _raw_ops and
+the table caches are checked too, and congruence invariance on scrambled
+block sums larger than the bench draws.
 """
 
 import random
@@ -20,9 +20,11 @@ from matcanon import (Block, ExactMatrix, canonical_block_matrix,
                       inverse_or_rank, prime_field)
 from matcanon import field
 from matcanon.exactmat import CongruenceWitness
-from matcanon.field import (_CoordOps, _FlatOps, _raw_ops, _TableOps,
-                            _tower_mul, artin_schreier_root_or_adjoin,
-                            finite_field, sqrt_or_adjoin)
+from matcanon.field import (_FlatOps, _ModOps, _raw_ops, _TableOps,
+                            artin_schreier_root_or_adjoin, finite_field,
+                            sqrt_or_adjoin)
+
+from towerref import badd, binv, bmul, bneg, tower_inv, tower_mul
 
 
 def _first(ctx, rootless):
@@ -56,9 +58,12 @@ SMALL_FIELDS = _small_fields()
 
 @pytest.fixture
 def empty_cache(monkeypatch):
-    """A fresh table cache for the test, so that what it builds is seen."""
+    """Fresh table caches for the test, so that what it builds is seen:
+    the _Tables cache is returned, and the monomial tables' is patched
+    too."""
     cache = {}
     monkeypatch.setattr(field, "_field_tables_cache", cache)
+    monkeypatch.setattr(field, "_monomial_tables_cache", {})
     return cache
 
 
@@ -86,25 +91,28 @@ def test_tables_match_coordinate_arithmetic(name, empty_cache):
         assert [ops.add(ra, ops.neg(rb)) for rb in raw] == differences
         for b, prod, total, diff in zip(elements, products, sums,
                                         differences):
-            assert ops.to_coords(prod) == _tower_mul(ctx, a.coords, b.coords,
-                                                     level), (a, b)
-            plain_sum = tuple(map(ctx._badd, a.coords, b.coords))
+            assert ops.to_coords(prod) == tower_mul(ctx, a.coords, b.coords,
+                                                    level), (a, b)
+            plain_sum = tuple(badd(ctx, u, v)
+                              for u, v in zip(a.coords, b.coords))
             assert ops.to_coords(total) == plain_sum, (a, b)
             assert ops.to_coords(diff) == tuple(
-                map(ctx._badd, a.coords, map(ctx._bneg, b.coords))), (a, b)
-        assert ops.to_coords(ops.neg(ra)) == tuple(map(ctx._bneg, a.coords))
+                badd(ctx, u, bneg(ctx, v))
+                for u, v in zip(a.coords, b.coords)), (a, b)
+        assert ops.to_coords(ops.neg(ra)) == tuple(bneg(ctx, u)
+                                                   for u in a.coords)
         assert ops.axpy([ra] * q, ops.zero, raw) == [ra] * q
         if ra:
             inv = ops.inverse(ra)
-            assert ops.to_coords(inv) == field._tower_inv(ctx, a.coords,
-                                                          level)
+            assert ops.to_coords(inv) == tower_inv(ctx, a.coords, level)
             assert ops.scale([inv], ra) == [ops.one]
     # the sums of matmul, on [a, 1] . [1, b]
     table = ops.matmul([[ra, ops.one] for ra in raw],
                        [[ops.one, rb] for rb in raw])
     for a, row in zip(elements, table):
         assert [ops.to_coords(s) for s in row] == [
-            tuple(map(ctx._badd, a.coords, b.coords)) for b in elements]
+            tuple(badd(ctx, u, v) for u, v in zip(a.coords, b.coords))
+            for b in elements]
     # every table has O(q) entries
     tables = empty_cache[ctx._key]
     for part in (tables.coords, tables.index, tables.exp, tables.log,
@@ -114,23 +122,29 @@ def test_tables_match_coordinate_arithmetic(name, empty_cache):
 
 @pytest.mark.parametrize("name", ["GF(4)", "GF(8)", "GF(27)"])
 def test_base_products_read_the_tables(name, empty_cache):
-    """_bmul and _binv of a GF(p^k) base read its tables, and agree with
-    the polynomial product on every pair."""
+    """The products and inverses of a GF(p^k) base read its tables, built
+    once, and agree with the polynomial product on every pair."""
     ctx = SMALL_FIELDS[name]
+    ops = _raw_ops(ctx)
+    assert isinstance(ops, _TableOps)
     base = [x.coords[0] for x in ctx.iter_elements()]
     for x in base:
         for y in base:
-            assert ctx._bmul(x, y) == ctx._bmul_poly(x, y), (x, y)
+            prod = ops.mul(ops.from_coords((x,)), ops.from_coords((y,)))
+            assert ops.to_coords(prod) == (bmul(ctx, x, y),), (x, y)
         if any(x):
-            assert ctx._bmul(ctx._binv(x), x) == ctx._bone()
+            inv = ops.inverse(ops.from_coords((x,)))
+            assert ops.to_coords(inv) == (binv(ctx, x),)
     assert list(empty_cache) == [ctx._key]
 
 
 def test_routing_and_the_cache(empty_cache):
     """GF(p) itself stays on ints and builds no table; a finite context
-    above the cap stays on coordinates and builds none either; the tables
-    live in a module dict whose name ends in _cache, which the bench
-    empties before each measured pass."""
+    above the cap computes on integer vectors mod p with the monomial
+    tables of its tower and builds no _Tables; the tables live in the two
+    module dicts whose names end in _cache, which the bench empties before
+    each measured pass, and a context built after that refills them."""
+    monomial_cache = field._monomial_tables_cache
     f7 = prime_field(7)
     assert isinstance(_raw_ops(f7), _FlatOps)
     assert isinstance(_raw_ops(prime_field(65521)), _FlatOps)
@@ -139,21 +153,40 @@ def test_routing_and_the_cache(empty_cache):
     f6561 = f81.adjoin_sqrt(_first(
         f81, lambda x: not x.is_zero() and field._find_sqrt(x) is None))
     empty_cache.clear()
+    monomial_cache.clear()
+    products = []
     for ctx in (big, f6561):
         assert ctx.order() > field._TABLE_MAX_ORDER
         ops = _raw_ops(ctx)
-        assert isinstance(ops, _CoordOps)
+        assert isinstance(ops, _ModOps)
+        assert monomial_cache[ctx._key] is ops.table
+        # the tables of its prefixes, keyed by prefix
+        assert all(ctx.truncated(h)._key in monomial_cache
+                   for h in range(len(ctx.tower)))
         a = ExactMatrix(ctx, [[1, ctx.generator(1)], [0, 1]])
         assert inverse_or_rank(a @ a).rank == 2
+        products.append(a @ a)
     assert not empty_cache
+    monomial_cache.clear()
     a = ExactMatrix(f7, [[1, 2], [3, 4]])
     assert inverse_or_rank(a @ a).rank == 2
-    assert not empty_cache
+    assert not empty_cache and not monomial_cache
     _raw_ops(SMALL_FIELDS["GF(9)"])
     assert list(empty_cache) == [SMALL_FIELDS["GF(9)"]._key]
-    caches = [name for name, value in vars(field).items()
-              if name.endswith("_cache") and value is empty_cache]
-    assert caches == ["_field_tables_cache"]
+    caches = sorted(name for name, value in vars(field).items()
+                    if name.endswith("_cache") and isinstance(value, dict))
+    assert caches == ["_field_tables_cache", "_monomial_tables_cache"]
+    # emptied as the bench does, the caches are refilled by new contexts,
+    # with the same products
+    for name in caches:
+        getattr(field, name).clear()
+    for ctx, before in zip((big, f6561), products):
+        fresh = field.FieldContext(ctx.kind, ctx.p, tower=ctx.tower)
+        assert fresh == ctx and fresh.ops.table is not ctx.ops.table
+        a = ExactMatrix(fresh, [[1, fresh.generator(1)], [0, 1]])
+        assert [[e.coords for e in row] for row in (a @ a).rows] == \
+            [[e.coords for e in row] for row in before.rows]
+    assert set(monomial_cache) >= {big._key, f6561._key}
 
 
 # -- congruence invariance on sums larger than the bench's ------------------

@@ -5,10 +5,13 @@ Every kernel result is compared with a naive reference written here on the
 Scalar operators, over base fields and towers, on each of the four raw
 paths: ints mod p (GF(p) itself), exp/log tables (finite fields of at most
 256 elements), normalized integer vectors (Q and its towers, up to a
-height-3 tower whose last records lie at level 1) and coordinate tuples
-(larger finite fields).  The kernel builds its result Scalars on raw values
-without the checks of ExactMatrix(), so every returned entry is also
-checked to be a Scalar of the right context with canonical coordinates.
+height-3 tower whose last records lie at level 1) and integer vectors mod p
+(larger finite fields: towers over GF(p) and GF(4) up to height 3, and a
+GF(p^2) base).  The kernel builds its result Scalars on raw values without
+the checks of ExactMatrix(), so every returned entry is also checked to be
+a Scalar of the right context with canonical coordinates.  The raw value
+of an int and the building of ops once per context instance are checked
+here too.
 """
 
 import itertools
@@ -22,11 +25,12 @@ import pytest
 from matcanon import field
 from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
-from matcanon.field import (Scalar, _CoordOps, _FlatOps, _poly_divmod,
+from matcanon.field import (Scalar, _FlatOps, _ModOps, _poly_divmod,
                             _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
-                            _RatOps, _TableOps,
-                            artin_schreier_root_or_adjoin, frobenius_gcd, gf4,
-                            parse_scalar, prime_field, rationals)
+                            _RatOps, _TableOps, adjunctions,
+                            artin_schreier_root_or_adjoin, finite_field,
+                            frobenius_gcd, gf4, parse_scalar, prime_field,
+                            rationals, sqrt_or_adjoin)
 from matcanon.spectral import restrict_operator
 
 
@@ -43,6 +47,19 @@ def _contexts():
     q3 = q
     for d in ("796/3", "214/3+3*g1", "214/3-3*g1"):
         q3 = q3.adjoin_sqrt(parse_scalar(d, q3))
+    # GF(3^8): -1, 1 + g1 and g2 have no square roots where they are
+    # adjoined, and GF(9) and GF(81) below it compute on tables
+    f6561 = f3
+    for d in ("-1", "1+g1", "g2"):
+        f6561 = f6561.adjoin_sqrt(parse_scalar(d, f6561))
+    # 17 is the least non-square mod 65521 and no fourth power
+    big2 = f65521.adjoin_sqrt(f65521.scalar(17))
+    # GF(4^8) by three Artin-Schreier roots, GF(256) below it on tables
+    f4_as3 = f4_as
+    for _ in range(2):
+        f4_as3 = f4_as3.adjoin_artin_schreier(next(
+            x for x in f4_as3.iter_elements()
+            if field._artin_schreier_root(x) is None))
     return {
         "Q": q,
         "GF(2)": prime_field(2),
@@ -50,7 +67,12 @@ def _contexts():
         "GF(4)": f4,
         "GF(65521)": f65521,
         # 17 is the least non-square mod 65521
-        "GF(65521)(sqrt17)": f65521.adjoin_sqrt(f65521.scalar(17)),
+        "GF(65521)(sqrt17)": big2,
+        "GF(65521) height 2": big2.adjoin_sqrt(big2.generator(1)),
+        # the same field as a base, t^2 = 17: vectors mod p at height 0
+        "GF(65521^2)": finite_field(65521, (65521 - 17, 0)),
+        "GF(3) height 3": f6561,
+        "GF(4)+3 AS": f4_as3,
         "Q(sqrt2)": q.adjoin_sqrt(q.scalar(2)),
         "Q+3 adjunctions": q3,
         "GF(3)(sqrt-1)": f3.adjoin_sqrt(f3.scalar(-1)),
@@ -69,8 +91,59 @@ def test_contexts_cover_every_raw_path():
         {"GF(4)", "GF(3)(sqrt-1)", "GF(4)+AS"}
     assert {name for name, ops in paths.items() if ops is _RatOps} == \
         {"Q", "Q(sqrt2)", "Q+3 adjunctions"}
-    assert {name for name, ops in paths.items() if ops is _CoordOps} == \
-        {"GF(65521)(sqrt17)"}
+    assert {name for name, ops in paths.items() if ops is _ModOps} == \
+        {"GF(65521)(sqrt17)", "GF(65521) height 2", "GF(65521^2)",
+         "GF(3) height 3", "GF(4)+3 AS"}
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_scalar_of_an_int_is_its_element(name):
+    """ctx.scalar(n) builds the raw value of n directly: the same value as
+    the element with the coordinates of n, on every raw path."""
+    ctx = CONTEXTS[name]
+    p = ctx.p
+    for n in (0, 1, -1, p, -p - 1, 10 ** 20):
+        if ctx.kind == "rational":
+            base = Fraction(n)
+        elif ctx.kind == "gfp":
+            base = n % p
+        else:
+            base = (n % p,) + (0,) * (len(ctx.modulus) - 1)
+        want = ctx.element([base] + [ctx.zero().coords[0]] * (ctx.dim - 1))
+        got = ctx.scalar(n)
+        assert got.ctx is ctx and got.raw == want.raw, n
+        assert type(got.raw) is type(want.raw) and got.coords == want.coords
+
+
+def test_ops_are_built_once_per_context(monkeypatch):
+    """truncated returns the same prefix instance at every call, so along a
+    tower of height 3 over Q and over GF(65521) trimming, hashing, inverses,
+    promotion and reading the records build the ops of each of the four
+    contexts once."""
+    builds = []
+    build = field._raw_ops
+    monkeypatch.setattr(field, "_raw_ops",
+                        lambda ctx: builds.append(ctx) or build(ctx))
+    for base, records in ((rationals(), ("2", "3", "5")),
+                          (prime_field(65521), ("17", "g1", "g2"))):
+        builds.clear()
+        tower = [base]
+        for d in records:
+            tower.append(sqrt_or_adjoin(parse_scalar(d, tower[-1]))[1])
+        top = tower[-1]
+        x = sum((top.generator(i) * (i + 1) for i in (1, 2, 3)),
+                top.scalar(7))
+        for _ in range(2):
+            for ctx in tower:
+                low = ctx.generator(len(ctx.tower)) if ctx.tower \
+                    else ctx.scalar(3)
+                assert low.promote(top).trim() == low
+                assert hash(low) == hash(low.promote(top))
+                assert (x * low).inverse() * x == low.inverse()
+                assert [d.ctx for _c1, d in adjunctions(ctx)] == tower[
+                    :len(ctx.tower)]
+            assert all(top.truncated(h) is tower[h] for h in range(4))
+        assert [id(ctx) for ctx in builds] == [id(ctx) for ctx in tower]
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(CONTEXTS)
