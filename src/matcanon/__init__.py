@@ -9,32 +9,25 @@ from .errors import (BudgetExceeded, ContextMismatch, DivisionByZero,
                      NoArtinSchreierRootStrict, NoRootStrictPolicy, NotSplit,
                      ParseError, SingularInput, TowerCapExceeded,
                      WrongCharacteristic)
-from .exactmat import (AddSym, CongruenceWitness, ExactMatrix, ScaleSym,
-                       SwapSym, elementary_congruence, inverse_or_rank, solve)
+from .exactmat import CongruenceWitness, ExactMatrix, inverse_or_rank, solve
 from .field import (EXTEND, STRICT, FieldContext, Scalar,
                     artin_schreier_root_or_adjoin, canonical_compare,
                     finite_field, format_scalar, gf4, parse_scalar,
                     prime_field, rationals, sqrt_or_adjoin)
-from .gabriel import gabriel_decompose, is_invertible_splittable
-from .spectral import (asymmetry, eigen_split, hyperbolic_canonical,
-                       split_min_poly)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddSym", "Block", "BudgetExceeded", "CanonicalForm", "CongruenceWitness",
+    "Block", "BudgetExceeded", "CanonicalForm", "CongruenceWitness",
     "ContextMismatch", "DivisionByZero", "EXTEND", "EquivalenceResult",
-    "ExactMatrix", "FieldContext", "HypothesisViolation", "InvalidDescriptor",
-    "InvariantRecord", "MatcanonError", "NoArtinSchreierRootStrict",
-    "NoRootStrictPolicy", "NotSplit", "ParseError", "STRICT", "ScaleSym",
-    "Scalar", "SingularInput", "SwapSym", "TowerCapExceeded",
-    "WrongCharacteristic", "artin_schreier_root_or_adjoin", "asymmetry",
-    "blocks_from_record",
-    "canonical_block_matrix", "canonical_compare", "canonical_form_matrix",
-    "canonicalize", "eigen_split", "elementary_congruence", "equivalent",
-    "finite_field", "format_scalar", "gabriel_decompose", "gf4",
-    "hyperbolic_canonical", "invariants", "inverse_or_rank",
-    "is_invertible_splittable", "parse_scalar", "prime_field", "rationals",
-    "record_from_form", "solve", "split_min_poly", "sqrt_or_adjoin",
-    "transpose_witness",
+    "ExactMatrix", "FieldContext", "HypothesisViolation",
+    "InvalidDescriptor", "InvariantRecord", "MatcanonError",
+    "NoArtinSchreierRootStrict", "NoRootStrictPolicy", "NotSplit",
+    "ParseError", "STRICT", "Scalar", "SingularInput", "TowerCapExceeded",
+    "WrongCharacteristic", "artin_schreier_root_or_adjoin",
+    "blocks_from_record", "canonical_block_matrix", "canonical_compare",
+    "canonical_form_matrix", "canonicalize", "equivalent", "finite_field",
+    "format_scalar", "gf4", "invariants", "inverse_or_rank",
+    "parse_scalar", "prime_field", "rationals", "record_from_form",
+    "solve", "sqrt_or_adjoin", "transpose_witness",
 ]

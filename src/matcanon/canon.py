@@ -135,28 +135,18 @@ def canonicalize(a, policy=EXTEND):
     canonical_form_matrix(form), possibly over an extended context.
     """
     form, cong = _canonicalize(a, policy)
-    return form, _certify(cong)
-
-
-def _certify(cong):
-    """The certified congruence: a Congruence is checked, and a witness that
-    gabriel_decompose has certified already is returned as it is."""
-    if isinstance(cong, CongruenceWitness):
-        return cong
-    return CongruenceWitness(*cong)
+    return form, CongruenceWitness(*cong)
 
 
 def _canonicalize(a, policy):
-    """canonicalize without the certificate: (CanonicalForm, Congruence),
-    or the Gabriel witness, certified already, for an input whose core is
-    empty."""
+    """canonicalize without the certificate: (CanonicalForm, Congruence)."""
     if not a.is_square():
         raise HypothesisViolation("canonicalize needs a square matrix")
     dec = gabriel_decompose(a)
     core = dec.core
     if core.nrows == 0:
         form = CanonicalForm(dec.jordan_sizes, [], a.ctx, [])
-        return form, dec.witness
+        return form, dec.congruence
 
     asym = split_min_poly(asymmetry(core), policy)
     split = eigen_split(core, asym)
@@ -184,7 +174,7 @@ def _canonicalize(a, policy):
     x_classes = ExactMatrix.block_diag(ctx, [x for _d, x in pending])
 
     # witness so far: A -> jordan + core -> jordan + eigen gram -> ...
-    x_total = dec.witness.x @ ExactMatrix.block_diag(ctx, [
+    x_total = dec.congruence.x @ ExactMatrix.block_diag(ctx, [
         ExactMatrix.identity(ctx, njord), split.x @ x_classes])
 
     # order the blocks canonically: a column order, the columns of the
@@ -387,8 +377,8 @@ def equivalent(a, b, policy=EXTEND):
     report = _extension_report(start_ctx, form_a.context)
     if rec_a != rec_b:
         # the verdict rests on both canonical forms: certify them
-        _certify(cong_a)
-        _certify(cong_b)
+        CongruenceWitness(*cong_a)
+        CongruenceWitness(*cong_b)
         return EquivalenceResult(False, None, form_a.context, report,
                                  (rec_a, rec_b))
     ctx = form_a.context

@@ -20,7 +20,7 @@ from .canon import (Block, canonical_block_matrix, canonicalize, equivalent,
                     invariants, transpose_witness)
 from .errors import (DegenerateRestriction, InternalDegenerate,
                      MatcanonError, NoRootStrictPolicy, NotSplit, ParseError)
-from .exactmat import ExactMatrix, WitnessError
+from .exactmat import CongruenceWitness, ExactMatrix, WitnessError
 from .field import (RECORD_KINDS, adjoin_record, adjunctions, finite_field,
                     format_scalar, parse_scalar, prime_field, rationals)
 from .gabriel import gabriel_decompose
@@ -214,10 +214,12 @@ def _cmd_invariants(args):
 def _cmd_gabriel(args):
     a = load_matrix(args.matrix, args.tower_cap)
     dec = gabriel_decompose(a)
+    # the decomposition is a plain congruence; printing it makes it an answer
+    wit = CongruenceWitness(*dec.congruence)
     payload = {"jordan_sizes": dec.jordan_sizes,
                "core_dimension": dec.core.nrows,
                "core": matrix_text(dec.core),
-               "witness": matrix_text(dec.witness.x)}
+               "witness": matrix_text(wit.x)}
     _emit(payload, args.machine)
     return EXIT_OK
 

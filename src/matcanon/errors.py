@@ -40,14 +40,6 @@ class DimensionMismatch(MatcanonError):
     pass
 
 
-class IndexOutOfRange(MatcanonError):
-    pass
-
-
-class ZeroScale(MatcanonError):
-    pass
-
-
 class SingularInput(MatcanonError):
     pass
 

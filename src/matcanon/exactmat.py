@@ -1,4 +1,4 @@
-"""Dense exact matrices over a FieldContext and certified congruence moves.
+"""Dense exact matrices over a FieldContext and certified congruences.
 
 Kernel.  Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan
 elimination (_rref, behind inverse_or_rank and solve; first_dependence is
@@ -49,10 +49,11 @@ Certification.  A Congruence (x, source, target) is a plain, unverified
 claim that x' * source * x == target, such as a pipeline stage returns.
 CongruenceWitness(*c) certifies one: it checks X'AX = B and the
 invertibility of X exactly when it is built.  Answers are certified once,
-where they leave the library (canonicalize, equivalent, transpose_witness,
-gabriel_decompose and the CLI on top of them).  One check of the composed
-X of a chain of stages certifies the answer whatever the links did, so the
-links are not checked on their own.
+where they leave the library: in canonicalize, equivalent and
+transpose_witness, and in the CLI's gabriel subcommand, which prints the
+Gabriel congruence.  One check of the composed X of a chain of stages
+certifies the answer whatever the links did, so the links, the Gabriel
+decomposition among them, are not checked on their own.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ import itertools
 import operator
 from collections import namedtuple
 
-from .errors import (ContextMismatch, DimensionMismatch, IndexOutOfRange,
-                     MatcanonError, ZeroScale)
+from .errors import ContextMismatch, DimensionMismatch, MatcanonError
 from .field import Scalar, power
 
 
@@ -423,61 +423,3 @@ class CongruenceWitness:
         self.x = x
         self.source = source
         self.target = target
-
-    def then(self, other):
-        """Compose A->B (self) with B->C (other) into A->C."""
-        if self.target != other.source:
-            raise WitnessError("witness composition endpoint mismatch")
-        return CongruenceWitness(self.x @ other.x, self.source, other.target)
-
-
-# -- elementary congruence transformations -------------------------------------
-
-AddSym = namedtuple("AddSym", "i j c")      # row/col i += c * row/col j
-ScaleSym = namedtuple("ScaleSym", "i c")    # row/col i *= c
-SwapSym = namedtuple("SwapSym", "i j")      # swap rows and columns i, j
-
-
-def elementary_congruence(a, move):
-    """Apply one elementary congruence transformation; returns (A', witness)."""
-    if not a.is_square():
-        raise DimensionMismatch("congruence needs a square matrix")
-    n = a.nrows
-    ctx = a.ctx
-    if isinstance(move, AddSym):
-        i, j, c = move
-        _check_index(n, i, j)
-        if i == j:
-            raise IndexOutOfRange("AddSym needs distinct indices")
-        where = (j, i)
-    elif isinstance(move, ScaleSym):
-        i, c = move
-        _check_index(n, i)
-        where = (i, i)
-    elif isinstance(move, SwapSym):
-        i, j = move
-        _check_index(n, i, j)
-        where = None
-    else:
-        raise TypeError("unknown congruence move %r" % (move,))
-    if where:
-        c = ctx.scalar(c) if not isinstance(c, Scalar) else c
-        if isinstance(move, ScaleSym) and c.is_zero():
-            raise ZeroScale("cannot scale a basis vector by zero")
-    x = [[ctx.one() if r == k else ctx.zero() for k in range(n)]
-         for r in range(n)]
-    if where:
-        x[where[0]][where[1]] = c
-    else:
-        x[i][i] = x[j][j] = ctx.zero()
-        x[i][j] = x[j][i] = ctx.one()
-    xm = ExactMatrix(ctx, x)
-    a2 = xm.transpose() @ a @ xm
-    return a2, CongruenceWitness(xm, a, a2)
-
-
-def _check_index(n, *idx):
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexOutOfRange("index %d out of range for size %d" % (i, n))
-

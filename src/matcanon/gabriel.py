@@ -12,9 +12,8 @@ where K spans the right kernel.  Decomposing M recursively and clearing E
 against the row space of M leaves each (q_i, k_i) pair either attached to
 the end of one Jordan chain of M (growing it by two) or detached as a J_2
 block.  All steps are explicit congruences, and the final layouts are
-column orders of X (X.submatrix(range(n), order)).  gabriel_decompose is a
-public entry point, so it certifies the composed witness itself, unlike the
-later pipeline stages, which return plain congruences.
+column orders of X (X.submatrix(range(n), order)).  Like the later
+pipeline stages, gabriel_decompose returns a plain, unverified congruence.
 """
 
 from __future__ import annotations
@@ -22,14 +21,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InternalDegenerate
-from .exactmat import (CongruenceWitness, ExactMatrix, inverse_or_rank,
-                       solve)
+from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
 
 GabrielDecomposition = namedtuple("GabrielDecomposition",
-                                  "jordan_sizes core witness")
-
-InvertibleSplit = namedtuple("InvertibleSplit",
-                             "degenerate invertible witness")
+                                  "jordan_sizes core congruence")
 
 
 def gabriel_decompose(a):
@@ -38,19 +33,7 @@ def gabriel_decompose(a):
         raise InternalDegenerate("gabriel_decompose needs a square matrix")
     sizes, core, x = _decompose(a)
     target = _assemble_target(sizes, core)
-    witness = CongruenceWitness(x, a, target)
-    return GabrielDecomposition(sizes, core, witness)
-
-
-def is_invertible_splittable(b):
-    """Split B = degenerate ⊕ invertible when an invertible part exists."""
-    dec = gabriel_decompose(b)
-    if dec.core.nrows == 0:
-        return None
-    ctx = b.ctx
-    degen = ExactMatrix.block_diag(
-        ctx, [ExactMatrix.jordan_block(ctx, s) for s in dec.jordan_sizes])
-    return InvertibleSplit(degen, dec.core, dec.witness)
+    return GabrielDecomposition(sizes, core, Congruence(x, a, target))
 
 
 def _assemble_target(sizes, core):

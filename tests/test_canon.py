@@ -342,13 +342,9 @@ def test_false_verdict_carries_both_records():
     assert equivalent(a, ExactMatrix(q, [[1]])).records is None
 
 
-def test_gabriel_only_input_is_certified_once(monkeypatch):
-    """With no invertible core the answer is the Gabriel witness, which
-    gabriel_decompose has certified; canonicalize does not certify it again.
-    """
+def _certified(call):
+    """call()'s result and the number of congruences certified in it."""
     from matcanon.exactmat import CongruenceWitness
-    f3 = prime_field(3)
-    a = ExactMatrix(f3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     checks = []
     init = CongruenceWitness.__init__
 
@@ -356,9 +352,52 @@ def test_gabriel_only_input_is_certified_once(monkeypatch):
         checks.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(CongruenceWitness, "__init__", counted)
-    form, w = canonicalize(a)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CongruenceWitness, "__init__", counted)
+        result = call()
+    return result, len(checks)
+
+
+def test_each_answer_is_certified_once():
+    """An answer is certified where it leaves the library, once: the
+    Gabriel step, a stage like the others, is not certified on its own."""
+    from matcanon import canon
+    f3, q = prime_field(3), rationals()
+    with_core = ExactMatrix(f3, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    (form, _w), count = _certified(lambda: canonicalize(with_core))
+    assert form.gabriel == [2] and form.blocks == [Block("A", 1)]
+    assert count == 1
+
+    jordan_only = ExactMatrix(f3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    (form, w), count = _certified(lambda: canonicalize(jordan_only))
     assert form.blocks == [] and sum(form.gabriel) == 3
-    assert w.source == a and w.target == canonical_form_matrix(form)
-    assert len(checks) == 1
+    assert w.source == jordan_only
+    assert w.target == canonical_form_matrix(form)
+    assert count == 1
+
+    empty = ExactMatrix.zeros(q, 0, 0)
+    (form, w), count = _certified(lambda: canonicalize(empty))
+    assert form.gabriel == [] and form.blocks == [] and w.x.nrows == 0
+    assert count == 1
+
+    a = ExactMatrix(q, [[0, 2], [1, 0]])
+    b = ExactMatrix(q, [[0, 8], [4, 0]])
+    res, count = _certified(lambda: equivalent(a, b))
+    assert res.equivalent and count == 1
+
+    # a false verdict in one merge round: each side canonicalized once, and
+    # both canonical congruences certified
+    rounds = []
+    step = canon._canonicalize
+
+    def counted_step(*args):
+        rounds.append(args)
+        return step(*args)
+
+    a = ExactMatrix(f3, [[1, 1], [0, 1]])
+    b = ExactMatrix(f3, [[1, 0], [0, 1]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canon, "_canonicalize", counted_step)
+        res, count = _certified(lambda: equivalent(a, b))
+    assert not res.equivalent and len(rounds) == 2
+    assert count == 2

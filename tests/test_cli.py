@@ -7,7 +7,8 @@ import pytest
 
 from matcanon.cli import (block_from_text, context_from_json, context_to_json,
                           matrix_from_json, matrix_text)
-from matcanon import ExactMatrix, canonicalize, prime_field, rationals
+from matcanon import (ExactMatrix, canonicalize, inverse_or_rank, prime_field,
+                      rationals)
 from matcanon.unipotent import gamma_matrix
 
 
@@ -147,6 +148,39 @@ def test_only_the_promise_subcommands():
         assert code == 2, command
         assert out == "" and err.startswith("usage: matcanon"), command
         assert "invalid choice: '%s'" % command in err, command
+
+
+def _scrambled_sum(ctx, parts):
+    """Y' (direct sum of parts) Y for a fixed unitriangular Y."""
+    a = ExactMatrix.block_diag(ctx, parts)
+    n = a.nrows
+    y = ExactMatrix(ctx, [[1 if i == j else (i + 2 * j) % 3 if i < j else 0
+                           for j in range(n)] for i in range(n)])
+    return y.transpose() @ a @ y
+
+
+@pytest.mark.parametrize("name, jordan, core", [
+    ("core", [3, 1], [[0, 1], [2, 0]]),
+    ("no-core", [3, 2, 1], []),
+])
+def test_gabriel_cli_witness(tmp_path, name, jordan, core):
+    q = rationals()
+    core = ExactMatrix(q, core)
+    a = _scrambled_sum(q, [ExactMatrix.jordan_block(q, s) for s in jordan]
+                       + [core])
+    field = context_to_json(q)
+    p = write_matrix(tmp_path, name + ".json", field, matrix_text(a))
+    code, out, err = run_cli(["gabriel", p, "--machine"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["jordan_sizes"] == jordan
+    assert payload["core_dimension"] == core.nrows
+    x = matrix_from_json({"field": field, "matrix": payload["witness"]})
+    got = matrix_from_json({"field": field, "matrix": payload["core"]})
+    target = ExactMatrix.block_diag(
+        q, [ExactMatrix.jordan_block(q, s) for s in jordan] + [got])
+    assert inverse_or_rank(x, rank_only=True).rank == a.nrows
+    assert x.transpose() @ a @ x == target
 
 
 def test_block_cli():

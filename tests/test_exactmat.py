@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from matcanon.errors import DimensionMismatch, IndexOutOfRange, ZeroScale
-from matcanon.exactmat import (AddSym, CongruenceWitness, ExactMatrix,
-                               ScaleSym, SwapSym, WitnessError,
-                               elementary_congruence, inverse_or_rank,
-                               solve)
+from matcanon.errors import DimensionMismatch
+from matcanon.exactmat import (CongruenceWitness, ExactMatrix, WitnessError,
+                               inverse_or_rank, solve)
 from matcanon.field import prime_field, rationals
+
+from elementary import (AddSym, IndexOutOfRange, ScaleSym, SwapSym, ZeroScale,
+                        elementary_congruence)
 
 
 def rand_matrix(ctx, rng, n, lo=-3, hi=3):
@@ -171,7 +172,7 @@ def test_witness_composition_random():
         c = y.transpose() @ b @ y
         w1 = CongruenceWitness(x, a, b)
         w2 = CongruenceWitness(y, b, c)
-        w = w1.then(w2)
+        w = CongruenceWitness(w1.x @ w2.x, a, c)
         assert w.x == x @ y
         assert w.source == a and w.target == c
 

@@ -1,8 +1,8 @@
 import random
 
-from matcanon.exactmat import ExactMatrix, inverse_or_rank
+from matcanon.exactmat import CongruenceWitness, ExactMatrix, inverse_or_rank
 from matcanon.field import prime_field, rationals
-from matcanon.gabriel import gabriel_decompose, is_invertible_splittable
+from matcanon.gabriel import gabriel_decompose
 
 
 def rand_matrix(ctx, rng, n, lo=-3, hi=3):
@@ -65,14 +65,15 @@ def test_empty_matrix():
 
 
 def test_witness_relation_always_checked():
-    # CongruenceWitness verifies on construction; a passing call proves the
-    # relation holds exactly
+    # the decomposition is a plain congruence; certifying it checks the
+    # relation and the invertibility of X exactly
     rng = random.Random(17)
     f = prime_field(2)
     for _ in range(50):
         n = rng.randint(1, 5)
         a = rand_matrix(f, rng, n)
         dec = gabriel_decompose(a)
+        CongruenceWitness(*dec.congruence)
         assert sum(dec.jordan_sizes) + dec.core.nrows == n
         assert inverse_or_rank(dec.core).inverse is not None or \
             dec.core.nrows == 0
@@ -142,17 +143,18 @@ def test_cores_congruent_under_congruence():
     assert checked >= 40
 
 
-def test_is_invertible_splittable():
+def test_degenerate_and_invertible_parts():
     q = rationals()
-    assert is_invertible_splittable(ExactMatrix.jordan_block(q, 2)) is None
-    split = is_invertible_splittable(ExactMatrix(q, [[1]]))
-    assert split is not None
-    assert split.invertible == ExactMatrix(q, [[1]])
-    split = is_invertible_splittable(
-        ExactMatrix.block_diag(q, [ExactMatrix.jordan_block(q, 1),
-                                   ExactMatrix(q, [[2]])]))
-    assert split.invertible == ExactMatrix(q, [[2]])
-    assert split.degenerate == ExactMatrix.zeros(q, 1, 1)
+    dec = gabriel_decompose(ExactMatrix.jordan_block(q, 2))
+    assert dec.jordan_sizes == [2] and dec.core.nrows == 0
+    dec = gabriel_decompose(ExactMatrix(q, [[1]]))
+    assert dec.jordan_sizes == [] and dec.core == ExactMatrix(q, [[1]])
+    a = ExactMatrix.block_diag(q, [ExactMatrix.jordan_block(q, 1),
+                                   ExactMatrix(q, [[2]])])
+    dec = gabriel_decompose(a)
+    assert dec.jordan_sizes == [1] and dec.core == ExactMatrix(q, [[2]])
+    w = CongruenceWitness(*dec.congruence)
+    assert w.source == a and w.target == a
 
 
 def test_sizes_partition_dimension_random():

@@ -4,6 +4,7 @@ Every top-level function, class and constant of the package must be read
 somewhere in src/ outside its own definition, or be exported through
 matcanon.__all__.  A read is a name load or an attribute access; an import
 alone is not one.  A reference the tests alone need lives under tests/.
+Every exported name is documented: README.md names it in backticks.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pathlib
 import matcanon
 
 SRC = pathlib.Path(matcanon.__file__).resolve().parent
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _defined(stmt):
@@ -60,6 +62,12 @@ def _package_sources():
 def test_every_helper_has_a_reader():
     dead = dead_names(_package_sources()) - set(matcanon.__all__)
     assert not dead, sorted(dead)
+
+
+def test_every_export_is_documented():
+    text = README.read_text()
+    missing = [name for name in matcanon.__all__ if "`%s`" % name not in text]
+    assert not missing, missing
 
 
 def test_rule_flags_a_helper_left_behind():

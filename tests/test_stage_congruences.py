@@ -18,8 +18,8 @@ from matcanon.exactmat import (CongruenceWitness, ExactMatrix, WitnessError,
                                inverse_or_rank)
 from matcanon.field import gf4, prime_field, rationals, sqrt_or_adjoin
 
-STAGES = ("eigen_split", "hyperbolic_canonical", "reduce_single",
-          "reduce_pair")
+STAGES = ("gabriel_decompose", "eigen_split", "hyperbolic_canonical",
+          "reduce_single", "reduce_pair")
 
 
 def _stage_congruence(name, args, result):
@@ -29,7 +29,7 @@ def _stage_congruence(name, args, result):
         return result.x, a.promote(asym.ctx), result.gram
     if name == "hyperbolic_canonical":
         return result.x, args[0], result.gram
-    cong = result
+    cong = result.congruence if name == "gabriel_decompose" else result
     if cong.source != args[0].promote(cong.source.ctx):
         pytest.fail("%s: congruence source is not the stage input" % name)
     return cong
@@ -138,7 +138,8 @@ def test_every_stage_congruence_holds(name, make_ctx, sums, stage_calls):
             continue
     has_g = any(callable(b) for blocks in sums for b in blocks)
     used = {stage for stage, count in stage_calls.items() if count}
-    assert used >= ({"eigen_split", "reduce_single", "reduce_pair"}
+    assert used >= ({"gabriel_decompose", "eigen_split", "reduce_single",
+                     "reduce_pair"}
                     | ({"hyperbolic_canonical"} if has_g else set()))
 
 
