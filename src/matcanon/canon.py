@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cmp_to_key
 
-from .errors import (HypothesisViolation, InternalDegenerate,
-                     InvalidDescriptor, TowerCapExceeded)
+from .errors import InternalDegenerate, InvalidDescriptor, TowerCapExceeded
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, inverse_or_rank)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
@@ -140,8 +139,6 @@ def canonicalize(a, policy=EXTEND):
 
 def _canonicalize(a, policy):
     """canonicalize without the certificate: (CanonicalForm, Congruence)."""
-    if not a.is_square():
-        raise HypothesisViolation("canonicalize needs a square matrix")
     dec = gabriel_decompose(a)
     core = dec.core
     if core.nrows == 0:

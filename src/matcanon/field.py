@@ -1314,15 +1314,11 @@ def _find_sqrt(x):
     if ctx.kind == "rational":
         return _rational_tower_sqrt(x)
     q = ctx.order()
-    mul, one = ctx.ops.mul, ctx.ops.one
     if ctx.characteristic == 2:
         # squaring is a bijection of GF(q): its inverse is x -> x^(q/2)
-        root = power(x.raw, q // 2, mul, one)
-    elif power(x.raw, (q - 1) // 2, mul, one) != one:
-        return None  # Euler's criterion
-    else:
-        root = _tonelli_shanks(ctx.ops, x.raw, q)
-    return Scalar(ctx, root)
+        return Scalar(ctx, power(x.raw, q // 2, ctx.ops.mul, ctx.ops.one))
+    root = _tonelli_shanks(ctx.ops, x.raw, q)
+    return None if root is None else Scalar(ctx, root)
 
 
 def _rational_tower_sqrt(x):
@@ -1367,28 +1363,38 @@ def _rational_tower_sqrt(x):
 
 
 def _tonelli_shanks(ops, x, q):
-    """Square root of the raw value x of ops, a nonzero square in an
-    odd-characteristic finite field of order q."""
+    """Square root of the nonzero raw value x of ops, in an odd-characteristic
+    finite field of order q, or None when x is not a square.
+
+    With q - 1 = 2^s m, m odd, u = x^((m-1)/2) gives the first guess
+    r = x^((m+1)/2) = u x and t = x^m = u r.  Euler's criterion
+    x^((q-1)/2) = 1 then reads t^(2^(s-1)) = 1, s - 1 squarings of t.  For
+    s = 1 the guess is the root x^((q+1)/4); otherwise a non-residue z,
+    tested the same way on c = z^m, corrects it.
+    """
     mul, one = ops.mul, ops.one
     m = q - 1
     s = 0
     while m % 2 == 0:
         m //= 2
         s += 1
-    if s == 1:
-        return power(x, (q + 1) // 4, mul, one)
+    u = power(x, (m - 1) // 2, mul, one)
+    r = mul(u, x)
+    t = mul(u, r)
+    if power(t, 1 << (s - 1), mul, one) != one:
+        return None  # Euler's criterion
+    if t == one:
+        return r
     # half the nonzero elements are non-residues: draw, do not scan (in
     # GF(p^2) the first p elements in iter_elements order are all squares)
     for z in itertools.islice(random_elements(ops.ctx), _NONRESIDUE_TRIES):
-        z = z.raw
-        if z != ops.zero and power(z, (q - 1) // 2, mul, one) != one:
-            break
+        if z.raw != ops.zero:
+            c = power(z.raw, m, mul, one)
+            if power(c, 1 << (s - 1), mul, one) != one:
+                break
     else:
         raise InternalDegenerate("no quadratic non-residue in %d draws"
                                  % _NONRESIDUE_TRIES)
-    c = power(z, m, mul, one)
-    t = power(x, m, mul, one)
-    r = power(x, (m + 1) // 2, mul, one)
     while t != one:
         t2 = t
         i = 0

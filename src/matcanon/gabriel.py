@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InternalDegenerate
+from .errors import HypothesisViolation, InternalDegenerate
 from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
 
 GabrielDecomposition = namedtuple("GabrielDecomposition",
@@ -30,7 +30,8 @@ GabrielDecomposition = namedtuple("GabrielDecomposition",
 def gabriel_decompose(a):
     """Decompose A up to congruence as (0-Jordan blocks) + invertible core."""
     if not a.is_square():
-        raise InternalDegenerate("gabriel_decompose needs a square matrix")
+        raise HypothesisViolation("congruence needs a square matrix, not "
+                                  "%d x %d" % (a.nrows, a.ncols))
     sizes, core, x = _decompose(a)
     target = _assemble_target(sizes, core)
     return GabrielDecomposition(sizes, core, Congruence(x, a, target))

@@ -7,15 +7,18 @@ generalized eigenspaces, orthogonal except for the pairing of V_lam with
 V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
 
 Roots are taken one at a time: 1, else -1, else the least in the field.
-Over GF(q) (a tower included) the roots of f in the field are those of
-g = gcd(f, X^q - X), which field.frobenius_gcd computes on raw values (the
-routine of Rabin's irreducibility test, with another exponent) once per
-context: one search lists the roots until an adjunction changes q.  g is
-split into linear factors by Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1)
-for odd q, or gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1))
-for q = 2^m, over shifts a drawn from field.random_elements.  The work is
-polynomial in log q, and the list is in iter_elements order whatever the
-draws.  Over Q, rational roots come from the rational-root theorem.
+A quadratic goes straight to field.quadratic_roots, one square root (or
+Artin-Schreier root) whatever the field, and the preference picks among
+the roots it returns.  Over GF(q) (a tower included) the roots of f of
+degree >= 3 in the field are those of g = gcd(f, X^q - X), which
+field.frobenius_gcd computes on raw values (the routine of Rabin's
+irreducibility test, with another exponent) once per context: one search
+lists the roots until an adjunction changes q.  g is split into linear
+factors by Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1) for odd q, or
+gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1)) for q = 2^m,
+over shifts a drawn from field.random_elements.  The work is polynomial in
+log q, and the list is in iter_elements order whatever the draws.  Over Q,
+rational roots of degree >= 3 come from the rational-root theorem.
 Factors with no root are quadratics or palindromes, reached by adjunction.
 """
 
@@ -169,7 +172,7 @@ def _find_one_root(poly, policy, listed=None):
     ctx = poly[0].ctx
     if len(poly) == 2:
         return -poly[0] / poly[1], listed
-    if listed is None:
+    if listed is None and len(poly) > 3:
         cand = next((c for c in (ctx.one(), -ctx.one())
                      if poly_eval(poly, c).is_zero()), None)
         if cand is None and ctx.kind != "rational":
@@ -181,13 +184,13 @@ def _find_one_root(poly, policy, listed=None):
     if listed:  # made when 1 and -1 were not roots, so neither is listed
         return listed[0], listed
     if len(poly) == 3:
-        return _quadratic_root(poly, policy), None
+        return _preferred_root(_quadratic_roots(poly, policy), ctx), None
     pal = _palindrome_transform(poly)
     if pal is not None:
         mu, _ = _find_one_root(pal, policy)
         # X^2 - mu X + 1 = 0
         one = mu.ctx.one()
-        return _quadratic_root([one, -mu, one], policy), None
+        return _quadratic_roots([one, -mu, one], policy)[0], None
     raise NotSplit("irreducible factor of degree %d is not reachable by "
                    "quadratic adjunctions" % (len(poly) - 1))
 
@@ -234,18 +237,44 @@ def _splitting_poly(ops, h, a, q):
     return trace
 
 
-def _quadratic_root(poly, policy):
-    """Root of a quadratic, made monic (X^2 + c1 X + c0) first, adjoining a
-    square or Artin-Schreier root if needed."""
+def _quadratic_roots(poly, policy):
+    """The roots of a quadratic, made monic (X^2 + c1 X + c0) first, by
+    field.quadratic_roots: both when they lie in poly's context, else the
+    one adjoined to it (a square or Artin-Schreier root).  In characteristic
+    2 the other root of r is r + c1, and r is double when c1 = 0."""
     c0, c1 = poly[0] / poly[2], poly[1] / poly[2]
     try:
-        return quadratic_roots(c1.ctx.one(), c1, c0, policy)[0]
+        roots = quadratic_roots(c1.ctx.one(), c1, c0, policy)
     except NoArtinSchreierRootStrict:
         raise NotSplit("quadratic factor needs an Artin-Schreier "
                        "extension under strict policy")
     except NoRootStrictPolicy:
         raise NotSplit("quadratic factor has non-square discriminant "
                        "under strict policy")
+    r = roots[0]
+    if c1.ctx.characteristic == 2 and r.ctx == c1.ctx and not c1.is_zero():
+        roots.append(r + c1)
+    return roots
+
+
+def _preferred_root(roots, ctx):
+    """The root a search of ctx would pick among roots that lie in it: 1,
+    else -1, else the least (in iter_elements order over GF(q); over Q, when
+    the roots are rational, in the order _rational_root tries them: least
+    denominator, then least |numerator|, + before -); otherwise roots[0]."""
+    if roots[0].ctx != ctx:
+        return roots[0]  # adjoined
+    for eps in (ctx.one(), -ctx.one()):
+        if eps in roots:
+            return eps
+    if ctx.kind != "rational":
+        return min(roots, key=enumeration_key)
+    if all(not r.trim().ctx.tower for r in roots):
+        def tried(r):
+            x = r.coords[0]
+            return x.denominator, abs(x.numerator), x < 0
+        return min(roots, key=tried)
+    return roots[0]
 
 
 def _palindrome_transform(poly):

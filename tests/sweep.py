@@ -4,8 +4,9 @@ Each case is a matrix, and its digest is taken over the answer text of
 tests/test_golden_answers.py (forms, contexts, reports, records, witnesses
 and refusals under both policies, and every third case the transpose witness
 and two `equivalent` verdicts).  Cases cycle through random n x n matrices
-over Q, GF(2), GF(3), GF(4), GF(13), GF(65521) and GF(65537), and scrambled
-sums of canonical blocks over three towers above the 256-element table cap:
+over Q, GF(2), GF(3), GF(4), GF(13), GF(65521), GF(65537) and GF(1000003)
+(q = 3 mod 4, whose square roots need no non-residue), and scrambled sums
+of canonical blocks over three towers above the 256-element table cap:
 GF(3) at height 3 (GF(3^8)), GF(65521)(sqrt 17) and GF(65521^4).  The same
 seed and count give the same cases, so two trees that answer alike print
 the same lines.  Run from the repository root:
@@ -29,7 +30,8 @@ from test_golden_answers import answer_text
 RANDOM_FIELDS = (("q", rationals()), ("gf2", prime_field(2)),
                  ("gf3", prime_field(3)), ("gf4", gf4()),
                  ("gf13", prime_field(13)), ("gf65521", prime_field(65521)),
-                 ("gf65537", prime_field(65537)))
+                 ("gf65537", prime_field(65537)),
+                 ("gf1000003", prime_field(1000003)))
 
 
 def _towers():

@@ -219,6 +219,31 @@ def test_non_square_input_exit_code(tmp_path):
     assert code == 4
 
 
+def test_non_square_input_is_an_input_error_for_canon_and_gabriel(tmp_path):
+    p = write_matrix(tmp_path, "rect.json", {"kind": "rational"},
+                     [["1", "2", "3"], ["4", "5", "6"]])
+    for command in ("canon", "gabriel"):
+        code, _out, err = run_cli([command, p])
+        assert code == 4, (command, err)
+        assert "needs a square matrix, not 2 x 3" in err
+
+
+def test_huge_split_quadratic_over_q(tmp_path):
+    # the asymmetry's minimal polynomial (X - n)(X - 1/n) is solved by one
+    # integer square root of its discriminant, not by trial division of n
+    q = rationals()
+    n = 10 ** 18 + 1
+    a = ExactMatrix(q, [[0, 1], [n, 0]])
+    form, wit = canonicalize(a)
+    assert wit.x.transpose() @ a @ wit.x == wit.target
+    assert form.context == q
+    p = write_matrix(tmp_path, "huge.json", {"kind": "rational"},
+                     [["0", "1"], [str(n), "0"]])
+    code, out, err = run_cli(["canon", p, "--machine"])
+    assert code == 0, err
+    assert json.loads(out)["blocks"] == ["G2(1/%d)" % n]
+
+
 def test_machine_round_trip_with_tower(tmp_path):
     # the characteristic-2 pair needing an Artin-Schreier extension: the
     # reported field carries a tower and must round-trip

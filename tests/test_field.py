@@ -12,7 +12,7 @@ import matcanon
 from matcanon.errors import (ContextMismatch, DivisionByZero,
                              NoRootStrictPolicy, ParseError,
                              TowerCapExceeded, WrongCharacteristic)
-from matcanon.field import (EXTEND, STRICT, _is_prime,
+from matcanon.field import (EXTEND, STRICT, Scalar, _is_prime,
                             artin_schreier_root_or_adjoin,
                             canonical_compare, finite_field, format_scalar,
                             gf4, parse_scalar, prime_field, rationals,
@@ -208,6 +208,34 @@ def test_mul_inverse_property_random():
         if x.is_zero():
             continue
         assert x * (ctx.one() / x) == ctx.one()
+
+
+@pytest.mark.parametrize("ctx, s", [
+    (prime_field(7), 1), (prime_field(13), 2), (prime_field(17), 4),
+    (prime_field(65537), 16),
+    (prime_field(3).adjoin_sqrt(prime_field(3).scalar(-1)), 3)],
+    ids=["GF(7)", "GF(13)", "GF(17)", "GF(65537)", "GF(3)(sqrt-1)"])
+def test_tonelli_shanks_decides_squares(ctx, s):
+    """_tonelli_shanks returns a square root of every nonzero square and
+    None for every non-square, against the squares listed by brute force,
+    for q - 1 = 2^s m with s = 1, 2, 3, 4 and 16."""
+    from matcanon.field import _tonelli_shanks
+    q = ctx.order()
+    assert (q - 1) % (1 << s) == 0 and (q - 1) >> s & 1
+    if q < 100:
+        pool = list(ctx.iter_elements())
+        squares = {y * y for y in pool}
+    else:
+        pool = [ctx.scalar(v) for v in random.Random(q).sample(range(q), 300)]
+        squares = {ctx.scalar(v * v) for v in range(q)}
+    for x in pool:
+        if x.is_zero():
+            continue
+        r = _tonelli_shanks(ctx.ops, x.raw, q)
+        if x in squares:
+            assert r is not None and Scalar(ctx, r) * Scalar(ctx, r) == x
+        else:
+            assert r is None
 
 
 def test_sqrt_squares_random_contexts():

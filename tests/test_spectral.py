@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -411,9 +412,9 @@ def test_frobenius_power_once_per_context(monkeypatch):
                                (five, 1), (five.inverse(), 1)]
     assert calls == [(p, 6)]
     # two irreducible palindromic quadratics besides 2 and 1/2: one
-    # computation in GF(p), none more there, and one in GF(p^2) after the
-    # adjunction; the palindrome's quadratic in Y = X + 1/X is a
-    # polynomial of its own and costs its own, in GF(p)
+    # computation in GF(p), none more there; the palindrome's quadratic in
+    # Y = X + 1/X and the quadratic left in GF(p^2) after the adjunction
+    # are solved by a square root each, with no computation
     c = next(c for c in range(4, p)
              if pow(c * c - 4, (p - 1) // 2, p) == p - 1)
     assert pow(3 * 3 - 4, (p - 1) // 2, p) == p - 1
@@ -423,7 +424,82 @@ def test_frobenius_power_once_per_context(monkeypatch):
     out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
     assert len(out.ctx.tower) == 1
     assert len(out.split_roots) == 6
-    assert calls == [(p, 6), (p, 2), (p * p, 2)]
+    assert calls == [(p, 6)]
+
+
+def _listed_root(poly):
+    """The root a search that lists roots picks for a monic quadratic: 1,
+    else -1, else the first root listed (_finite_field_roots over GF(q),
+    _rational_root over Q), else the root quadratic_roots adjoins."""
+    from matcanon.field import quadratic_roots
+    from matcanon.spectral import _finite_field_roots, _rational_root
+    ctx = poly[0].ctx
+    one = ctx.one()
+    if ctx.kind == "rational":
+        listed = [one, -one, _rational_root(poly)]
+    else:
+        listed = [one, -one] + _finite_field_roots(poly)
+    found = [r for r in listed
+             if r is not None and poly_eval(poly, r).is_zero()]
+    if found:
+        return found[0]
+    return quadratic_roots(one, poly[1], poly[0], EXTEND)[0]
+
+
+def _quadratic_fields():
+    from matcanon.field import gf4
+    f3, big = prime_field(3), prime_field(65521)
+    return [("GF(13)", prime_field(13)), ("GF(65521)", big),
+            ("GF(4)", gf4()), ("GF(3)(sqrt-1)", f3.adjoin_sqrt(f3.scalar(-1))),
+            ("GF(65521)(sqrt17)", big.adjoin_sqrt(big.scalar(17))),
+            ("Q", rationals())]
+
+
+@pytest.mark.parametrize("name, ctx", _quadratic_fields(),
+                         ids=[name for name, _ in _quadratic_fields()])
+def test_quadratic_roots_without_listing(name, ctx, monkeypatch):
+    """A quadratic minimal polynomial is solved by quadratic_roots, with no
+    X^q listing and no rational-root search, and split_min_poly takes the
+    root the listing picks: 1, else -1, else the least in the field, else
+    the one adjoined.  Split quadratics (X - a)(X - 1/a) and irreducible
+    palindromes X^2 - mu X + 1 alike."""
+    from matcanon import spectral
+    from matcanon.field import format_scalar, random_elements
+    one = ctx.one()
+    if ctx.kind == "rational":
+        rng = random.Random(name)
+        draws = (ctx.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                 for _ in itertools.count())
+    else:
+        draws = random_elements(ctx)
+    polys = [_monic_from_roots(ctx, [one, -one]),
+             _monic_from_roots(ctx, [one, one]),
+             _monic_from_roots(ctx, [-one, -one])]
+    mus = []
+    while len(polys) < 12 or len(mus) < 4:
+        a = next(draws)
+        if a.is_zero():
+            continue
+        if len(polys) < 12 and a != one and a != -one:
+            polys.append(_monic_from_roots(ctx, [a, a.inverse()]))
+        # X^2 - a X + 1 when it has no root in ctx
+        if len(mus) < 4 and _listed_root([one, -a, one]).ctx != ctx:
+            mus.append(a)
+    polys += [[one, -mu, one] for mu in mus]
+    expected = [_listed_root(poly) for poly in polys]
+    assert any(r.ctx == ctx and r != one and r != -one for r in expected)
+    assert any(r.ctx != ctx for r in expected)
+
+    def refuse(*args):
+        raise AssertionError("a quadratic was sent to a root search")
+
+    monkeypatch.setattr(spectral, "frobenius_gcd", refuse)
+    monkeypatch.setattr(spectral, "_rational_root", refuse)
+    for poly, want in zip(polys, expected):
+        out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
+        got = out.split_roots[0][0]
+        assert (got.ctx, format_scalar(got)) == \
+            (want.ctx, format_scalar(want)), [format_scalar(c) for c in poly]
 
 
 @pytest.mark.parametrize("ctx", [rationals(), prime_field(3)],
