@@ -27,7 +27,7 @@ from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, inverse_or_rank)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
                     format_scalar, merge_contexts)
-from .gabriel import _runs, gabriel_decompose
+from .gabriel import _check_square, _runs, gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
                        eigen_split, hyperbolic_block_matrix,
                        hyperbolic_canonical, split_min_poly)
@@ -198,19 +198,10 @@ def _trim_result(form, cong):
     """
     start_ctx = cong.source.ctx
     height = len(start_ctx.tower)
-    for mat in (cong.x, cong.target):
-        for row in mat.rows:
-            for e in row:
-                height = max(height, len(e.trim().ctx.tower))
-    ctx = form.context
-    if height < len(ctx.tower):
-        ctx = ctx.truncated(height)
-
-        def demote(mat):
-            return ExactMatrix(ctx, [[e.trim() for e in row]
-                                     for row in mat.rows])
-
-        cong = Congruence(*map(demote, cong))
+    x, target = cong.x.trim(height), cong.target.trim(height)
+    ctx = x.ctx.common(target.ctx)
+    cong = Congruence(x.promote(ctx), cong.source.promote(ctx),
+                      target.promote(ctx))
     report = _extension_report(start_ctx, ctx)
     return CanonicalForm(form.gabriel, form.blocks, ctx, report), cong
 
@@ -357,6 +348,7 @@ def equivalent(a, b, policy=EXTEND):
     merges the contexts and re-canonicalizes until both sides settle in
     one field.
     """
+    _check_square(a, b)
     if a.nrows != b.nrows:
         return EquivalenceResult(False, None, a.ctx, [])
     start_ctx = a.ctx.common(b.ctx)

@@ -91,16 +91,10 @@ def field_from_flag(text, tower_cap=16):
 
 def matrix_from_json(obj, tower_cap=16):
     ctx = context_from_json(obj["field"], tower_cap)
-    rows = []
-    for row in obj["matrix"]:
-        out = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                out.append(ctx.scalar(_json_int(entry, "matrix entry")))
-            else:
-                out.append(parse_scalar(str(entry), ctx))
-        rows.append(out)
-    return ExactMatrix(ctx, rows)
+    return ExactMatrix(ctx, [[_json_int(e, "matrix entry")
+                              if isinstance(e, (int, float))
+                              else parse_scalar(str(e), ctx) for e in row]
+                             for row in obj["matrix"]])
 
 
 def matrix_text(m):

@@ -1,49 +1,46 @@
 """Dense exact matrices over a FieldContext and certified congruences.
 
-Kernel.  Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan
-elimination (_rref, behind inverse_or_rank and solve; first_dependence is
-its incremental form) run on the raw values of the entries (Scalar.raw) and
-build their result's Scalars on raw values.  The arithmetic is the
-context's ctx.ops (field._raw_ops), which the Scalar operators and root
-finding's polynomial layer share, and the kernels are written once against
-its row interface (neg, inverse, scale, axpy, matmul).  It has four cases.
-Q and its towers have one normalized integer vector per entry (numerators
-over a positive common denominator, gcd 1, so equal entries have equal raw
-values), multiplied by one flat pass over the monomial products g_S g_T; a
-matrix product sums each entry over one denominator and normalizes it
-once.  GF(p) at tower height 0 has flat ints with one reduction mod p per
-dot product (after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004).  Every
-other finite field of at most 256 elements has element indices, multiplied
-through exp/log tables and added by XOR or a Zech logarithm.  Larger finite
-fields have integer vectors mod p, multiplied like the rational vectors by
-one pass over the monomial products, each entry of a matrix product reduced
-mod p once.
+Kernel.  An ExactMatrix holds rows of raw values (Scalar.raw), the values
+its context's ctx.ops (field._raw_ops) computes on, and every constructor,
+comparison and kernel here works on them; a Scalar is built only where an
+entry is read out (A[i, j], rows, columns, kernel and solution vectors).
+Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan elimination
+(_rref, behind inverse_or_rank and solve; first_dependence is its
+incremental form) are written once against the ops' row interface (neg,
+inverse, scale, axpy, matmul), which the Scalar operators and root
+finding's polynomial layer share.  field.py has its four cases: Q towers
+on normalized integer vectors, GF(p) on ints reduced once per dot product
+(after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004), fields of at most 256
+elements on exp/log/Zech tables, larger finite fields on vectors mod p.
 
 An elimination builds only what its caller reads.  inverse_or_rank appends
 an identity, and so builds the row transform, only for a square input (for
 its inverse) or with transform=True; with rank_only=True it never augments
 and returns rank, kernel and pivots alone, as every rank, kernel and
 invertibility test does (the witness check needs rank n, not X^-1).
-first_dependence reduces vectors as they are read and stops at the first
-dependence, so the minimal polynomial forms only the powers it needs.
+first_dependence reduces matrices, flattened, as they are read and stops
+at the first dependence, so the minimal polynomial forms only the powers
+it needs.
 
 Two product helpers are built on it: ExactMatrix.power (field.power's
 square and multiply) and ExactMatrix.krylov (the columns v, Mv, ...,
 M^(k-1) v).  The pipeline stages reach the kernel only through @,
-inverse_or_rank, solve, first_dependence and these two; they keep no
-elimination, power loop or bilinear sum of their own.  A product with an
-empty side is the zero matrix of its shape, without the kernel.  A reorder
-of a basis is a column order, X.submatrix(range(n), order), with Gram
-matrix G.submatrix(order, order); no permutation matrix is multiplied.
+inverse_or_rank, solve, first_dependence and these two, and the raw rows
+not at all: they tile (blocks, block_diag), cut (submatrix, columns) and
+read (A[i, j]) matrices here.  A product with an empty side is the zero
+matrix of its shape, without the kernel.  A reorder of a basis is a column
+order, X.submatrix(range(n), order), with Gram matrix G.submatrix(order,
+order); no permutation matrix is multiplied.
 
 Contexts meet here.  A matrix lives in one FieldContext, and the arithmetic
 lifts: @, +, scale, minus_scalar and == work in the common context of their
 operands (the longer of two prefix-compatible towers), and ExactMatrix(ctx,
-rows) (so from_columns and block_diag) and krylov build in the common
+rows) (so from_columns), block_diag, blocks and krylov build in the common
 context of ctx and of all the entries, never in the context of the first
-entry, which may lie lower.  promote only goes up a tower.  So a value
-computed from an extension carries it, and no caller passes a context beside
-a value that has one.
+entry, which may lie lower.  promote only goes up a tower, trim down to
+the least level holding every entry.  So a value computed from an
+extension carries it, and no caller passes a context beside a value that
+has one.
 
 Certification.  A Congruence (x, source, target) is a plain, unverified
 claim that x' * source * x == target, such as a pipeline stage returns.
@@ -67,41 +64,34 @@ from .errors import ContextMismatch, DimensionMismatch, MatcanonError
 from .field import Scalar, power
 
 
-def _raw(rows):
-    """The raw values of rows of scalars, as lists."""
-    return [[e.raw for e in row] for row in rows]
-
-
-def _scalars(ctx, rows):
-    """Rows of raw values of ctx as tuples of scalars."""
-    new = functools.partial(Scalar, ctx)
-    return tuple(tuple(map(new, row)) for row in rows)
-
-
-def _trusted(ctx, rows, ncols):
-    """ExactMatrix from a tuple of tuples of ncols scalars, all in ctx.
-
-    Unlike ExactMatrix(), it checks, converts and lifts nothing.  ncols is
-    given rather than read off the first row, so a matrix with no rows
-    keeps its column count.
-    """
+def _trusted(ctx, raw, ncols):
+    """ExactMatrix from a tuple of tuples of ncols raw values of ctx,
+    unchecked; ncols is given, so a matrix with no rows keeps it."""
     m = object.__new__(ExactMatrix)
     m.ctx = ctx
-    m.rows = rows
-    m.nrows = len(rows)
+    m.nrows = len(raw)
     m.ncols = ncols
+    m.raw = raw
     return m
 
 
-class ExactMatrix:
-    """Immutable dense matrix of scalars sharing one field context.
+def _common_context(ctx, matrices):
+    """The common context of ctx and of the matrices'."""
+    return functools.reduce(lambda c, m: c.common(m.ctx), matrices, ctx)
 
-    ExactMatrix(ctx, rows) lives in the common context of ctx and of all
-    its Scalar entries (ints and Fractions are read in ctx), so rows that
-    mix a field and its extensions need no promotion first.
+
+class ExactMatrix:
+    """Immutable dense matrix over one field context, held as raw rows.
+
+    raw is a tuple of rows, each a tuple of ncols raw values of ctx.ops.
+    ExactMatrix(ctx, rows) takes ints, Fractions, base elements and
+    Scalars, and lives in the common context of ctx and of all its Scalar
+    entries (ints and Fractions are read in ctx), so rows that mix a field
+    and its extensions need no promotion first.  A[i, j], rows and columns
+    read entries out as Scalars.
     """
 
-    __slots__ = ("ctx", "nrows", "ncols", "rows")
+    __slots__ = ("ctx", "nrows", "ncols", "raw")
 
     def __init__(self, ctx, rows):
         rows = tuple(map(tuple, rows))
@@ -109,51 +99,66 @@ class ExactMatrix:
             if isinstance(e, Scalar) and e.ctx is not ctx:
                 ctx = ctx.common(e.ctx)
         self.ctx = ctx
-        # an entry already in ctx is kept as it is; ctx.scalar converts an
-        # int or Fraction and lifts a Scalar from a prefix of ctx
-        rows = tuple(tuple(e if isinstance(e, Scalar) and e.ctx is ctx
-                           else ctx.scalar(e) for e in row) for row in rows)
-        self.rows = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != self.ncols:
-                raise DimensionMismatch("ragged rows")
+        if any(len(row) != self.ncols for row in rows):
+            raise DimensionMismatch("ragged rows")
+        # an entry already in ctx gives its raw value; ctx.scalar converts
+        # an int or Fraction and lifts a Scalar from a prefix of ctx
+        self.raw = tuple(tuple(e.raw if isinstance(e, Scalar) and e.ctx is ctx
+                               else ctx.scalar(e).raw for e in row)
+                         for row in rows)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zeros(ctx, nrows, ncols):
-        row = (ctx.zero(),) * ncols
+        row = (ctx.ops.zero,) * ncols
         return _trusted(ctx, (row,) * nrows, ncols)
 
     @staticmethod
     def identity(ctx, n):
-        z, o = ctx.zero(), ctx.one()
+        z, o = ctx.ops.zero, ctx.ops.one
         return _trusted(ctx, tuple(tuple(o if i == j else z for j in range(n))
                                    for i in range(n)), n)
 
     @staticmethod
     def jordan_block(ctx, n, lam=None):
         """Lower-triangular Jordan block: lam on the diagonal, 1 below it."""
-        lam = ctx.zero() if lam is None else ctx.scalar(lam)
-        z, o = ctx.zero(), ctx.one()
-        return ExactMatrix(ctx, [[lam if j == i else o if j == i - 1 else z
-                                  for j in range(n)] for i in range(n)])
+        z, o = ctx.ops.zero, ctx.ops.one
+        lam = z if lam is None else ctx.scalar(lam).raw
+        return _trusted(ctx, tuple(tuple(lam if j == i else o if j == i - 1
+                                         else z for j in range(n))
+                                   for i in range(n)), n)
 
     @staticmethod
     def block_diag(ctx, blocks):
-        n = sum(b.nrows for b in blocks)
+        ctx = _common_context(ctx, blocks)
+        zero = ctx.ops.zero
         m = sum(b.ncols for b in blocks)
-        out = [[ctx.zero()] * m for _ in range(n)]
-        r = c = 0
+        raw, c = [], 0
         for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out[r + i][c + j] = b.rows[i][j]
-            r += b.nrows
+            left, right = (zero,) * c, (zero,) * (m - c - b.ncols)
+            raw.extend(left + row + right for row in b.promote(ctx).raw)
             c += b.ncols
-        return ExactMatrix(ctx, out)
+        return _trusted(ctx, tuple(raw), m)
+
+    @staticmethod
+    def blocks(ctx, grid):
+        """The matrix tiled by a grid, given as rows of blocks, in the
+        common context of ctx and of all the blocks.  The blocks of a grid
+        row have one row count, and each grid row has the same columns."""
+        grid = [list(row) for row in grid]
+        ctx = _common_context(ctx, itertools.chain.from_iterable(grid))
+        ncols = sum(b.ncols for b in grid[0]) if grid else 0
+        raw = []
+        for row in grid:
+            if len({b.nrows for b in row}) > 1 or \
+               sum(b.ncols for b in row) != ncols:
+                raise DimensionMismatch("the blocks do not tile a matrix")
+            raw.extend(tuple(itertools.chain.from_iterable(parts)) for parts
+                       in zip(*[b.promote(ctx).raw for b in row]))
+        return _trusted(ctx, tuple(raw), ncols)
 
     @staticmethod
     def from_columns(ctx, nrows, cols):
@@ -167,16 +172,44 @@ class ExactMatrix:
 
     # -- basics -------------------------------------------------------------
 
+    def _moved(self, ctx):
+        """The same raw rows moved into ctx, a context of self.ctx's tower
+        that holds every entry."""
+        move, ops = ctx.ops.move, self.ctx.ops
+        return _trusted(ctx, tuple(tuple([move(x, ops) for x in row])
+                                   for row in self.raw), self.ncols)
+
     def promote(self, ctx):
         """The same matrix in ctx, whose tower must extend self.ctx's."""
         if ctx == self.ctx:
             return self
-        return _trusted(ctx, tuple(tuple(e.promote(ctx) for e in row)
-                                   for row in self.rows), self.ncols)
+        if not self.ctx.is_prefix_of(ctx):
+            raise ContextMismatch("cannot promote %r matrix into %r"
+                                  % (self.ctx, ctx))
+        return self._moved(ctx)
+
+    def trim(self, height=0):
+        """The same matrix in the least prefix of its context that holds
+        every entry and has at least `height` adjunctions."""
+        ops = self.ctx.ops
+        height = max(height, 0, *map(ops.height,
+                                     itertools.chain.from_iterable(self.raw)))
+        sub = self.ctx.truncated(height)
+        return self if sub is self.ctx else self._moved(sub)
+
+    @property
+    def rows(self):
+        """The entries as a tuple of rows, each a tuple of Scalars."""
+        new = functools.partial(Scalar, self.ctx)
+        return tuple(tuple(map(new, row)) for row in self.raw)
+
+    def columns(self):
+        """The entries as a list of columns, each a list of Scalars."""
+        return [list(col) for col in self.transpose().rows]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return Scalar(self.ctx, self.raw[i][j])
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -187,11 +220,11 @@ class ExactMatrix:
             a, b, _ctx = self._common(other)
         except ContextMismatch:
             return False
-        return all(x.raw == y.raw
-                   for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+        return a.raw == b.raw
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        # promotions compare equal: hash the raw rows in the least context
+        return hash((self.nrows, self.ncols, self.trim().raw))
 
     def __repr__(self):
         from .field import format_scalar
@@ -203,7 +236,8 @@ class ExactMatrix:
         return self.nrows == self.ncols
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.rows for e in row)
+        zero = self.ctx.ops.zero
+        return all(x == zero for row in self.raw for x in row)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -215,27 +249,39 @@ class ExactMatrix:
         a, b, ctx = self._common(other)
         if (a.nrows, a.ncols) != (b.nrows, b.ncols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return ExactMatrix(ctx, [[x + y for x, y in zip(r1, r2)]
-                                 for r1, r2 in zip(a.rows, b.rows)])
+        add = ctx.ops.add
+        return _trusted(ctx, tuple(tuple(map(add, r1, r2))
+                                   for r1, r2 in zip(a.raw, b.raw)), a.ncols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix(self.ctx, [[-x for x in row] for row in self.rows])
+        neg = self.ctx.ops.neg
+        return _trusted(self.ctx, tuple(tuple(map(neg, row))
+                                        for row in self.raw), self.ncols)
+
+    def _lifted(self, c):
+        """(self, c's raw value) in the common context of self and c."""
+        c = self.ctx.scalar(c) if not isinstance(c, Scalar) else c
+        ctx = self.ctx.common(c.ctx)
+        return self.promote(ctx), c.promote(ctx).raw
 
     def scale(self, c):
-        c = self.ctx.scalar(c) if not isinstance(c, Scalar) else c
-        return ExactMatrix(self.ctx.common(c.ctx),
-                           [[x * c for x in row] for row in self.rows])
+        a, c = self._lifted(c)
+        scale = a.ctx.ops.scale
+        return _trusted(a.ctx, tuple(tuple(scale(row, c)) for row in a.raw),
+                        a.ncols)
 
     def minus_scalar(self, c):
         """self - c I in the common context of self and c, as scale has it;
         only the diagonal changes."""
-        c = self.ctx.scalar(c) if not isinstance(c, Scalar) else c
-        return ExactMatrix(self.ctx.common(c.ctx),
-                           [[*row[:i], row[i] - c, *row[i + 1:]]
-                            for i, row in enumerate(self.rows)])
+        a, c = self._lifted(c)
+        ops = a.ctx.ops
+        c = ops.neg(c)
+        return _trusted(a.ctx, tuple((*row[:i], ops.add(row[i], c),
+                                      *row[i + 1:])
+                                     for i, row in enumerate(a.raw)), a.ncols)
 
     def __matmul__(self, other):
         a, b, ctx = self._common(other)
@@ -244,8 +290,8 @@ class ExactMatrix:
                                     % (a.nrows, a.ncols, b.nrows, b.ncols))
         if not (a.nrows and a.ncols and b.ncols):
             return ExactMatrix.zeros(ctx, a.nrows, b.ncols)
-        product = ctx.ops.matmul(_raw(a.rows), _raw(zip(*b.rows)))
-        return _trusted(ctx, _scalars(ctx, product), b.ncols)
+        product = ctx.ops.matmul(a.raw, tuple(zip(*b.raw)))
+        return _trusted(ctx, tuple(map(tuple, product)), b.ncols)
 
     def power(self, k):
         """self^k for k >= 0, by square and multiply."""
@@ -259,21 +305,21 @@ class ExactMatrix:
         """The columns v, Mv, ..., M^(length-1) v, as an n x length matrix
         in the common context of M and of all the entries of v."""
         row = ExactMatrix(self.ctx, [v])
-        rows = [row.rows[0]][:length]
+        raw = [row.raw[0]][:length]
         mt = self.transpose().promote(row.ctx)
         for _ in range(length - 1):
             row = row @ mt
-            rows.append(row.rows[0])
-        return _trusted(row.ctx, tuple(rows), len(v)).transpose()
+            raw.append(row.raw[0])
+        return _trusted(row.ctx, tuple(raw), len(v)).transpose()
 
     def transpose(self):
         if self.nrows == 0 or self.ncols == 0:
             return ExactMatrix.zeros(self.ctx, self.ncols, self.nrows)
-        return _trusted(self.ctx, tuple(zip(*self.rows)), self.nrows)
+        return _trusted(self.ctx, tuple(zip(*self.raw)), self.nrows)
 
     def submatrix(self, row_idx, col_idx):
-        rows = self.rows
-        return _trusted(self.ctx, tuple(tuple(rows[i][j] for j in col_idx)
+        raw = self.raw
+        return _trusted(self.ctx, tuple(tuple([raw[i][j] for j in col_idx])
                                         for i in row_idx), len(col_idx))
 
 
@@ -295,7 +341,7 @@ def inverse_or_rank(a, transform=False, rank_only=False):
     ctx = a.ctx
     ops = ctx.ops
     n, m = a.nrows, a.ncols
-    work = _raw(a.rows)
+    work = list(map(list, a.raw))
     augment = not rank_only and (transform or n == m)
     if augment:
         zero, one = ops.zero, ops.one
@@ -305,7 +351,7 @@ def inverse_or_rank(a, transform=False, rank_only=False):
     rank = len(pivots)
     t = None
     if augment and (transform or rank == n == m):
-        t = _trusted(ctx, _scalars(ctx, [row[m:] for row in work]), n)
+        t = _trusted(ctx, tuple(tuple(row[m:]) for row in work), n)
     return InverseRank(t if rank == n == m else None, rank,
                        _kernel(ops, work, pivots, m), tuple(pivots), t)
 
@@ -319,9 +365,7 @@ def solve(a, b):
     ops = ctx.ops
     n, m = a.nrows, a.ncols
     rhs = [ctx.scalar(b[i]).raw for i in range(n)]
-    work = _raw(a.rows)
-    for row, v in zip(work, rhs):
-        row.append(v)
+    work = [[*row, v] for row, v in zip(a.raw, rhs)]
     pivots = _rref(ops, work, m)
     kernel = _kernel(ops, work, pivots, m)
     if any(work[i][m] != ops.zero for i in range(len(pivots), n)):
@@ -360,28 +404,28 @@ def _rref(ops, work, m):
     return pivots
 
 
-def first_dependence(ctx, vectors):
-    """[c_0, ..., c_(d-1), 1] for the least d with c_0 v_0 + ... + v_d = 0,
-    the vectors being equal-length lists of scalars; None if independent.
+def first_dependence(matrices):
+    """[c_0, ..., c_(d-1), 1] for the least d with c_0 M_0 + ... + M_d = 0,
+    the matrices sharing one shape and context and each read as the vector
+    of its entries, row by row; None if they are independent.
 
-    Each vector is reduced against the earlier ones as it is read, carrying
-    the combination of the originals it equals, so nothing after v_d is read
+    Each is reduced against the earlier ones as it is read, carrying the
+    combination of the originals it equals, so nothing after M_d is read
     (the Krylov minimal polynomial of Keller-Gehrig, TCS 36, 1985).
     """
-    ops = ctx.ops
-    zero = ops.zero
     basis = []  # (pivot column, row scaled to 1 there)
-    for k, v in enumerate(vectors):
-        row = [e.raw for e in v]
-        m = len(row)
-        row += [zero] * k + [ops.one]
+    for k, mat in enumerate(matrices):
+        ops = mat.ctx.ops
+        zero = ops.zero
+        row = [*itertools.chain.from_iterable(mat.raw), *[zero] * k, ops.one]
+        m = len(row) - k - 1
         for pc, prow in basis:
             if row[pc] != zero:
                 head = len(prow)
                 row[:head] = ops.axpy(row[:head], row[pc], prow)
         pc = next((j for j in range(m) if row[j] != zero), None)
         if pc is None:
-            return [Scalar(ctx, v) for v in row[m:]]
+            return [Scalar(mat.ctx, v) for v in row[m:]]
         basis.append((pc, ops.scale(row, ops.inverse(row[pc]))))
     return None
 

@@ -29,12 +29,19 @@ GabrielDecomposition = namedtuple("GabrielDecomposition",
 
 def gabriel_decompose(a):
     """Decompose A up to congruence as (0-Jordan blocks) + invertible core."""
-    if not a.is_square():
-        raise HypothesisViolation("congruence needs a square matrix, not "
-                                  "%d x %d" % (a.nrows, a.ncols))
+    _check_square(a)
     sizes, core, x = _decompose(a)
     target = _assemble_target(sizes, core)
     return GabrielDecomposition(sizes, core, Congruence(x, a, target))
+
+
+def _check_square(*mats):
+    """HypothesisViolation unless every matrix is square: congruence, and
+    so every entry point, takes square matrices alone."""
+    for a in mats:
+        if not a.is_square():
+            raise HypothesisViolation("congruence needs a square matrix, "
+                                      "not %d x %d" % (a.nrows, a.ncols))
 
 
 def _assemble_target(sizes, core):
@@ -52,7 +59,7 @@ def _decompose(a):
         return [], a, ident
 
     # 1. split the radical: rows and columns annihilated both ways
-    stacked = ExactMatrix(ctx, list(a.rows) + list(a.transpose().rows))
+    stacked = ExactMatrix.blocks(ctx, [[a], [a.transpose()]])
     rad = inverse_or_rank(stacked, rank_only=True).kernel
     if rad:
         basis = _extend_to_basis(ctx, rad, n)
@@ -118,12 +125,12 @@ def _decompose(a):
     e_block = g.submatrix(q_idx, p_idx)
     t_rows = _split_off_rowspace(m2, e_block, ends)
     if t_rows is not None:
-        x_step = _identity_rows(ctx, n)
-        for i, ti in enumerate(t_rows):
-            for aa, c in enumerate(ti):
-                # q_i += c * p_a  (columns of X are new basis vectors)
-                x_step[aa][d + i] = x_step[aa][d + i] + c
-        x_step = ExactMatrix(ctx, x_step)
+        # q_i += t_i[a] p_a (columns of X are new basis vectors)
+        x_step = ExactMatrix.blocks(ctx, [
+            [ExactMatrix.identity(ctx, d), ExactMatrix.from_columns(
+                ctx, d, t_rows), ExactMatrix.zeros(ctx, d, k)],
+            [ExactMatrix.zeros(ctx, 2 * k, d),
+             ExactMatrix.identity(ctx, 2 * k)]])
         x_acc = x_acc @ x_step
         g = x_step.transpose() @ g @ x_step
         x_step = _clear_pq_qq(g, d, k)
@@ -133,8 +140,7 @@ def _decompose(a):
 
     # 5. row-reduce the end-column block of E to [[I_s],[0]] over Q (paired
     #    with the inverse-transpose on K to keep the (K,Q) identity)
-    e_hat = [[g[d + i, j] for j in ends] for i in range(k)]
-    s_mat = _full_column_rank_reducer(ctx, e_hat)
+    s_mat = _full_column_rank_reducer(g.submatrix(range(d, d + k), ends))
     s_inv_t = inverse_or_rank(s_mat.transpose()).inverse
     x_step = ExactMatrix.block_diag(ctx, [ExactMatrix.identity(ctx, d),
                                           s_mat, s_inv_t])
@@ -156,22 +162,16 @@ def _decompose(a):
     return sizes, core_m, x_acc.submatrix(range(n), order)
 
 
-def _identity_rows(ctx, n):
-    return [[ctx.one() if i == j else ctx.zero() for j in range(n)]
-            for i in range(n)]
-
-
 def _extend_to_basis(ctx, cols, n, kernel_last=False):
     """Extend independent columns to a basis with unit vectors (greedy).
 
     The unit vectors chosen are the pivot columns of [cols | I_n].
     """
-    units = ExactMatrix.identity(ctx, n).rows
+    units = ExactMatrix.identity(ctx, n).columns()
     pivots = inverse_or_rank(
-        ExactMatrix.from_columns(ctx, n, list(cols) + list(units)),
+        ExactMatrix.from_columns(ctx, n, list(cols) + units),
         rank_only=True).pivots
-    extension = [list(units[p - len(cols)]) for p in pivots
-                 if p >= len(cols)]
+    extension = [units[p - len(cols)] for p in pivots if p >= len(cols)]
     if len(cols) + len(extension) != n:
         raise InternalDegenerate("could not extend to a basis")
     if kernel_last:
@@ -208,9 +208,9 @@ def _clear_pq_qq(g, d, k):
     G[p_a, q_j] k_j and q_i -= sum_l G[q_i, q_l] k_l."""
     ctx = g.ctx
     clear = (-g.submatrix(range(d + k), range(d, d + k))).transpose()
-    ident = ExactMatrix.identity(ctx, d + 2 * k).rows
-    return ExactMatrix(ctx, ident[:d + k] + tuple(
-        c + i[d + k:] for c, i in zip(clear.rows, ident[d + k:])))
+    return ExactMatrix.blocks(ctx, [
+        [ExactMatrix.identity(ctx, d + k), ExactMatrix.zeros(ctx, d + k, k)],
+        [clear, ExactMatrix.identity(ctx, k)]])
 
 
 def _check_state(g, d, k):
@@ -232,17 +232,12 @@ def _split_off_rowspace(m2, e_block, ends):
     if d == 0 or k == 0:
         return None
     # unknowns: t (d coefficients) plus residues on end columns
-    # equations: t' M2 + r . ends = e_i  as row vectors
-    cols = [[m2[a, c] for c in range(d)] for a in range(d)]  # rows of M2
-    sys_cols = [list(row) for row in cols]
-    for e in ends:
-        unit = [ctx.zero()] * d
-        unit[e] = ctx.one()
-        sys_cols.append(unit)
-    sys_matrix = ExactMatrix.from_columns(ctx, d, sys_cols)
+    # equations: t' M2 + r . ends = e_i  as row vectors, so the system is
+    # [M2' | the unit columns of the ends]
+    units = ExactMatrix.identity(ctx, d).submatrix(range(d), ends)
+    sys_matrix = ExactMatrix.blocks(ctx, [[m2.transpose(), units]])
     t_rows = []
-    for i in range(k):
-        rhs = [e_block[i, c] for c in range(d)]
+    for rhs in e_block.transpose().columns():  # the rows e_i of E
         part, _hom = solve(sys_matrix, rhs)
         if part is None:
             raise InternalDegenerate("row space split failed")
@@ -250,11 +245,10 @@ def _split_off_rowspace(m2, e_block, ends):
     return t_rows
 
 
-def _full_column_rank_reducer(ctx, e_hat):
+def _full_column_rank_reducer(e_hat):
     """S with S' @ E_hat = [[I_s],[0]]; E_hat is k x s of full column rank."""
-    s = len(e_hat[0]) if e_hat else 0
-    res = inverse_or_rank(ExactMatrix(ctx, e_hat), transform=True)
-    if res.rank != s:
+    res = inverse_or_rank(e_hat, transform=True)
+    if res.rank != e_hat.ncols:
         raise InternalDegenerate("attachment matrix lost column rank")
     # transform @ e_hat = [[I],[0]]; the congruence needs S with S' = transform
     return res.transform.transpose()

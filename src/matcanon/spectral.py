@@ -89,8 +89,7 @@ def _minimal_polynomial(s):
             yield p
             p = p @ s
 
-    poly = first_dependence(s.ctx, ([e for row in p.rows for e in row]
-                                    for p in powers()))
+    poly = first_dependence(powers())
     if poly is None:
         raise InternalDegenerate("I, S, ..., S^n are independent")
     return poly
@@ -381,16 +380,12 @@ def eigen_split(a, asym):
         classes.append(PairClass(rep, other,
                                  gen_eigenspace(rep), gen_eigenspace(other)))
 
-    cols = []
-    spans = []
+    cols, spans = [], []
     for cl in classes:
-        if isinstance(cl, UnipotentClass):
-            spans.append((len(cols), len(cl.basis)))
-            cols.extend(cl.basis)
-        else:
-            spans.append((len(cols), len(cl.basis_lam) + len(cl.basis_inv)))
-            cols.extend(cl.basis_lam)
-            cols.extend(cl.basis_inv)
+        vecs = (cl.basis if isinstance(cl, UnipotentClass)
+                else cl.basis_lam + cl.basis_inv)
+        spans.append((len(cols), len(vecs)))
+        cols.extend(vecs)
     if len(cols) != n:
         raise NotSplit("generalized eigenspaces do not fill the space")
     x = ExactMatrix.from_columns(ctx, n, cols)
@@ -448,7 +443,7 @@ def nilpotent_jordan_chains(nmat):
         for p in pivots:
             if p >= len(below):
                 top = kernels[h][p - len(below)]
-                chains.append(list(nmat.krylov(top, h).transpose().rows))
+                chains.append(nmat.krylov(top, h).columns())
     if sum(len(c) for c in chains) != m:
         raise InternalDegenerate("Jordan chains do not span")
     chains.sort(key=lambda c: -len(c))
@@ -510,8 +505,7 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
 
 def hyperbolic_block_matrix(ctx, m, lam):
     """The canonical paired-class cell ((0, J_m(lam)), (I_m, 0))."""
-    j = ExactMatrix.jordan_block(ctx, m, lam)
-    i = ExactMatrix.identity(ctx, m)
-    z = (ctx.zero(),) * m
-    return ExactMatrix(ctx, [z + jr for jr in j.rows]
-                       + [ir + z for ir in i.rows])
+    z = ExactMatrix.zeros(ctx, m, m)
+    return ExactMatrix.blocks(ctx, [
+        [z, ExactMatrix.jordan_block(ctx, m, lam)],
+        [ExactMatrix.identity(ctx, m), z]])

@@ -117,14 +117,14 @@ def split_off_indecomposable(gram, nmat, eps):
         raise InternalDegenerate("could not keep the remainder "
                                  "non-alternating")
     v = _height_vector(top)
-    row = (ExactMatrix(ctx, [v]) @ beta).rows[0]  # x -> beta(v, x)
-    j = next((j for j, c in enumerate(row) if not c.is_zero()), None)
+    row = ExactMatrix(ctx, [v]) @ beta  # x -> beta(v, x)
+    j = next((j for j in range(n) if not row[0, j].is_zero()), None)
     if j is None:
         raise InternalDegenerate("socle functional vanished on a "
                                  "non-degenerate part")
     w = [ctx.zero()] * n
-    w[j] = row[j].inverse()
-    chain = _columns(nmat.krylov(v, r)) + _columns(nmat.krylov(w, r))
+    w[j] = row[0, j].inverse()
+    chain = nmat.krylov(v, r).columns() + nmat.krylov(w, r).columns()
     return _finish_split(gram, nmat, eps, "pair", r, chain)
 
 
@@ -149,7 +149,7 @@ def _finish_split(gram, nmat, eps, piece_kind, r, piece_basis):
 def _try_single_split(gram, nmat, eps, v, r):
     """Split a single block off at v, unless that strands an alternating
     remainder that still has order-r content (then None)."""
-    chain = _columns(nmat.krylov(v, r))
+    chain = nmat.krylov(v, r).columns()
     out = _finish_split(gram, nmat, eps, "single", r, chain)
     _piece, _comp, rem_gram, rem_nmat = out
     r_rem, top_rem = _nilpotency_index(rem_nmat)
@@ -164,17 +164,18 @@ def _try_single_split(gram, nmat, eps, v, r):
 def _orthogonal_complement(gram, vectors):
     """Basis of {x : f(u, x) = 0 = f(x, u) for every u in vectors}."""
     ut = ExactMatrix(gram.ctx, vectors)  # the vectors as rows
-    rows = (ut @ gram).rows + (ut @ gram.transpose()).rows
-    return inverse_or_rank(ExactMatrix(gram.ctx, rows), rank_only=True).kernel
+    both = ExactMatrix.blocks(gram.ctx, [[ut @ gram],
+                                         [ut @ gram.transpose()]])
+    return inverse_or_rank(both, rank_only=True).kernel
 
 
 def _repair_single_choice(gram, nmat, top, v, r):
     """Add a full-height vector orthogonal to v: the self-pairing value is
     unchanged while the eventual complement regains a non-alternating
     entry.  top is p^(r-1)."""
-    comp = _orthogonal_complement(gram, _columns(nmat.krylov(v, r)))
+    comp = _orthogonal_complement(gram, nmat.krylov(v, r).columns())
     images = top @ ExactMatrix.from_columns(gram.ctx, gram.nrows, comp)
-    for w, image in zip(comp, _columns(images)):
+    for w, image in zip(comp, images.columns()):
         if any(not e.is_zero() for e in image):
             return [a + b for a, b in zip(v, w)]
     raise InternalDegenerate("no full-height repair vector available")
@@ -201,15 +202,10 @@ def _self_pairing_vector(beta):
 
 def _height_vector(top):
     """The first unit vector of full height: top v != 0, top = p^(r-1)."""
-    for i, col in enumerate(_columns(top)):
+    for i, col in enumerate(top.columns()):
         if any(not e.is_zero() for e in col):
             return _unit(top.ctx, top.nrows, i)
     raise InternalDegenerate("no vector of full height")
-
-
-def _columns(mat):
-    """The columns of a matrix, as lists."""
-    return [list(col) for col in mat.transpose().rows]
 
 
 def peel_all(gram, nmat, eps):
@@ -224,8 +220,8 @@ def peel_all(gram, nmat, eps):
             cur_gram, cur_nmat, eps)
         # translate piece basis and the new complement into original coords
         k = cur_gram.nrows
-        abs_basis = _columns(
-            base @ ExactMatrix.from_columns(ctx, k, piece.basis))
+        abs_basis = (
+            base @ ExactMatrix.from_columns(ctx, k, piece.basis)).columns()
         pieces.append(UnipotentPiece(piece.kind, eps, piece.order,
                                      abs_basis, piece.gram))
         base = base @ ExactMatrix.from_columns(ctx, k, comp)
@@ -276,14 +272,11 @@ def canonical_cyclic_gram(ctx, eps, n):
     rho[1] = (one - eps) * rho[0]
     for j in range(1, n - 1):
         rho[j + 1] = -eps * sub[j - 1, 0]
-    rows = [[zero] * n for _ in range(n)]
-    rows[0] = list(rho)
+    rows = [rho]
     for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            rows[i][j] = sub[i - 1, j - 1]
-    for j in range(1, n - 1):
-        rows[j][0] = eps * rho[j] + rho[j + 1]
-    rows[n - 1][0] = eps * rho[n - 1]
+        rows.append([eps * rho[i] + rho[i + 1]]
+                    + [sub[i - 1, j] for j in range(n - 2)] + [zero])
+    rows.append([eps * rho[n - 1]] + [zero] * (n - 1))
     cg = ExactMatrix(ctx, rows)
     s = ExactMatrix.jordan_block(ctx, n, eps)
     if cg @ s != cg.transpose():
@@ -364,12 +357,9 @@ def _canon_single_step(g, eps, n, policy):
     rho0 = cg[0, 0]
 
     # solve f(u, p^j v1) = cg[0, j] for j = solve_from..n-1
-    rows = []
-    rhs = []
-    for j in range(solve_from, n):
-        rows.append([g1[i, j] for i in range(n)])
-        rhs.append(cg[0, j])
-    part, hom = solve(ExactMatrix(ctx, rows), rhs)
+    later = range(solve_from, n)
+    part, hom = solve(g1.submatrix(range(n), later).transpose(),
+                      [cg[0, j] for j in later])
     if part is None:
         raise InternalDegenerate("cyclic row system inconsistent")
     # adjust f(u,u) = rho0 within the homogeneous freedom
@@ -378,11 +368,11 @@ def _canon_single_step(g, eps, n, policy):
     cols = [u]
     if solve_from == 2:
         # z = p v1 + s p^{n-1} v1 fixing f(u, z) = cg[0, 1]
-        fu = (ExactMatrix(ctx, [u]) @ g1).rows[0]  # x -> f(u, x)
-        if fu[n - 1].is_zero():
+        fu = ExactMatrix(ctx, [u]) @ g1  # x -> f(u, x)
+        if fu[0, n - 1].is_zero():
             raise InternalDegenerate("lost the skew-diagonal entry")
         z = _unit(ctx, n, 1)
-        z[n - 1] = (cg[0, 1] - fu[1]) / fu[n - 1]
+        z[n - 1] = (cg[0, 1] - fu[0, 1]) / fu[0, n - 1]
         cols.append(z)
         start = 2
     else:
@@ -427,26 +417,21 @@ def _adjust_self_value(g1, part, hom, rho0):
 # -- Gamma block matrices and the single-block congruence ---------------------
 
 def gamma_matrix(ctx, n):
-    """Gamma_n: the anti-diagonal staircase block (characteristic != 2)."""
-    rows = [[ctx.zero()] * n for _ in range(n)]
-    for i in range(n):
-        v = ctx.scalar((-1) ** (n - 1 - i))
-        rows[i][n - 1 - i] = v
-        if i >= 1:
-            rows[i][n - i] = v
-    return ExactMatrix(ctx, rows)
+    """Gamma_n: the anti-diagonal staircase block (characteristic != 2):
+    row i holds (-1)^(n-1-i) on the anti-diagonal and, for i >= 1, next
+    to it on the right."""
+    return ExactMatrix(ctx, [[(-1) ** (n - 1 - i) if j == n - 1 - i
+                              or (i and j == n - i) else 0 for j in range(n)]
+                             for i in range(n)])
 
 
 def gamma0_matrix(ctx, n):
     """Gamma_n^0: the characteristic-2 staircase block (n odd)."""
     if n % 2 == 0:
         raise HypothesisViolation("Gamma_n^0 needs odd n")
-    rows = [[ctx.zero()] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1 - i] = ctx.one()
-        if i > (n - 1) // 2:
-            rows[i][n - i] = ctx.one()
-    return ExactMatrix(ctx, rows)
+    return ExactMatrix(ctx, [[int(j == n - 1 - i
+                                  or (i > (n - 1) // 2 and j == n - i))
+                              for j in range(n)] for i in range(n)])
 
 
 def gamma_block(ctx, n):
@@ -507,8 +492,7 @@ def pair_canon(g, eps, m, policy=EXTEND):
         if a != eps * b:
             raise InternalDegenerate("pair base asymmetry mismatch")
         binv = b.inverse()
-        x = ExactMatrix(ctx, [[ctx.one(), ctx.zero()],
-                              [ctx.zero(), binv]])
+        x = ExactMatrix(ctx, [[1, 0], [0, binv]])
         out = x.transpose() @ g @ x
         if out != hyperbolic_block_matrix(ctx, 1, eps):
             raise InternalDegenerate("pair base normalization failed")
@@ -523,13 +507,9 @@ def pair_canon(g, eps, m, policy=EXTEND):
         _xs, vg_sub, wg_sub = pair_canon(g.submatrix(sub_idx, sub_idx), eps,
                                          m - 2, policy)
         # strip one p: sub slot j of the v part is p^{j+1} v
-        v1 = [ctx.zero()] * (2 * m)
-        w1 = [ctx.zero()] * (2 * m)
-        for j in range(m - 2):
-            v1[j] = vg_sub[j]
-            w1[j] = wg_sub[j]
-            v1[m + j] = vg_sub[m - 2 + j]
-            w1[m + j] = wg_sub[m - 2 + j]
+        two = [ctx.zero()] * 2
+        v1, w1 = ([*u[:m - 2], *two, *u[m - 2:], *two]
+                  for u in (vg_sub, wg_sub))
 
     shift = ExactMatrix.block_diag(ctx, [ExactMatrix.jordan_block(ctx, m)] * 2)
     # repair the v side to a totally isotropic module generator, then the w
@@ -543,7 +523,7 @@ def pair_canon(g, eps, m, policy=EXTEND):
     _assert_isotropic(g, shift, v1, m)
     _assert_isotropic(g, shift, w1, m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
-    svecs = _columns(shift.krylov(v1, m))[::-1]
+    svecs = shift.krylov(v1, m).columns()[::-1]
     tvecs = _module_duals(g, shift, w1,
                           ExactMatrix.from_columns(ctx, 2 * m, svecs))
     x = ExactMatrix.from_columns(ctx, 2 * m, svecs + tvecs)
@@ -560,7 +540,7 @@ def _module_duals(g, shift, gen, targets):
     pinv = inverse_or_rank(chain.transpose() @ g @ targets).inverse
     if pinv is None:
         raise InternalDegenerate("module pairing is degenerate")
-    return _columns(chain @ pinv.transpose())
+    return (chain @ pinv.transpose()).columns()
 
 
 def _repair_generator(g, shift, gen, duals, m, policy):
@@ -570,7 +550,7 @@ def _repair_generator(g, shift, gen, duals, m, policy):
     delta_ij); the ansatz is gen' = gen + x0 d_0 + x1 d_1 + x2 p gen.
     Conditions f(gen', p^j gen') = 0 live only at j = 0, 1.
     """
-    dirs = duals[:2] + [_columns(shift.krylov(gen, 2))[1]]
+    dirs = duals[:2] + [shift.krylov(gen, 2).columns()[1]]
     consts, lins, quads = _expand_conditions(g, shift, gen, dirs, m)
     live = [j for j in range(m)
             if not (consts[j].is_zero()

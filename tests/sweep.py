@@ -14,7 +14,9 @@ the same lines.  Run from the repository root:
     PYTHONPATH=src python tests/sweep.py --count 500 > digests.txt
 
 and compare the outputs of two trees with diff.  Each line is
-"index name digest"; the last line is a digest of all of them.
+"index name digest"; the last line is a digest of all of them.  With
+--expect DIGEST the sweep exits 1 when that digest differs, so a pinned
+digest fails a run whose answers changed.
 """
 
 import argparse
@@ -119,6 +121,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--expect", metavar="DIGEST",
+                        help="exit 1 unless the last line's digest is this")
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     for index, name, digest in digests(args.seed, args.count):
@@ -126,6 +130,10 @@ def main(argv=None):
         total.update(line.encode() + b"\n")
         print(line, flush=True)
     print("all %s" % total.hexdigest())
+    if args.expect is not None and args.expect != total.hexdigest():
+        sys.stderr.write("sweep: digest %s, expected %s\n"
+                         % (total.hexdigest(), args.expect))
+        return 1
     return 0
 
 

@@ -7,7 +7,8 @@ from matcanon import (Block, ExactMatrix, NotSplit, canonical_block_matrix,
                       canonical_form_matrix, canonicalize, equivalent,
                       invariants, inverse_or_rank, prime_field, rationals,
                       transpose_witness)
-from matcanon.errors import InvalidDescriptor, NoRootStrictPolicy
+from matcanon.errors import (HypothesisViolation, InvalidDescriptor,
+                             NoRootStrictPolicy)
 from matcanon.field import EXTEND, STRICT
 from matcanon.spectral import hyperbolic_block_matrix, asymmetry
 from matcanon.unipotent import gamma0_matrix, gamma_matrix
@@ -198,6 +199,21 @@ def test_equivalent_dimension_mismatch():
     q = rationals()
     res = equivalent(ExactMatrix(q, [[1]]), ExactMatrix.identity(q, 2))
     assert not res.equivalent
+
+
+def test_non_square_matrices_are_hypothesis_violations():
+    """A non-square matrix is refused on every path, with the message of
+    gabriel_decompose, before any comparison of dimensions."""
+    q = rationals()
+    rect = ExactMatrix(q, [[1, 2, 3], [4, 5, 6]])
+    square = ExactMatrix.identity(q, 3)
+    calls = [(equivalent, rect, square), (equivalent, square, rect),
+             (equivalent, rect, rect), (transpose_witness, rect),
+             (canonicalize, rect)]
+    for call, *args in calls:
+        with pytest.raises(HypothesisViolation, match="congruence needs a "
+                           "square matrix, not 2 x 3"):
+            call(*args)
 
 
 def test_transpose_witness():

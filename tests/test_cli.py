@@ -228,6 +228,20 @@ def test_non_square_input_is_an_input_error_for_canon_and_gabriel(tmp_path):
         assert "needs a square matrix, not 2 x 3" in err
 
 
+def test_non_square_input_is_an_input_error_for_equiv_and_transpose(tmp_path):
+    """A 2 x 3 matrix is refused as input (exit 4): equiv against a 3 x 3
+    matrix gives no false verdict, and transpose no internal error."""
+    rect = write_matrix(tmp_path, "rect.json", {"kind": "rational"},
+                        [["1", "2", "3"], ["4", "5", "6"]])
+    square = write_matrix(tmp_path, "square.json", {"kind": "rational"},
+                          [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    for args in (["equiv", rect, square], ["equiv", square, rect],
+                 ["transpose", rect]):
+        code, out, err = run_cli(args)
+        assert code == 4, (args, out, err)
+        assert "needs a square matrix, not 2 x 3" in err, args
+
+
 def test_huge_split_quadratic_over_q(tmp_path):
     # the asymmetry's minimal polynomial (X - n)(X - 1/n) is solved by one
     # integer square root of its discriminant, not by trial division of n

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from matcanon.errors import DimensionMismatch
+from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import (CongruenceWitness, ExactMatrix, WitnessError,
                                inverse_or_rank, solve)
-from matcanon.field import prime_field, rationals
+from matcanon.field import (Scalar, artin_schreier_root_or_adjoin, gf4,
+                            prime_field, rationals)
 
 from elementary import (AddSym, IndexOutOfRange, ScaleSym, SwapSym, ZeroScale,
                         elementary_congruence)
@@ -198,3 +199,119 @@ def test_empty_matrix():
     assert e.is_square()
     assert (e @ e) == e
     assert inverse_or_rank(e).rank == 0
+
+
+# -- the raw-row representation -----------------------------------------------
+
+def _towers():
+    """(name, base, extension) on each kind of raw value: normalized
+    integer vectors (Q), ints then tables (GF(3)), tables (GF(4), whose
+    entries may be given as coordinate tuples) and vectors mod p above the
+    table cap (GF(65521))."""
+    q, f3, f4, big = rationals(), prime_field(3), gf4(), prime_field(65521)
+    _r, f4_as = artin_schreier_root_or_adjoin(f4.base_element((0, 1)))
+    return [("Q", q, q.adjoin_sqrt(q.scalar(2))),
+            ("GF(3)", f3, f3.adjoin_sqrt(f3.scalar(-1))),
+            ("GF(4)", f4, f4_as),
+            ("GF(65521)", big, big.adjoin_sqrt(big.scalar(17)))]
+
+
+TOWERS = _towers()
+
+
+def _entries(base, ext):
+    """Rows mixing ints, Fractions, base elements, Scalars of the base (a
+    prefix of ext) and Scalars of ext."""
+    g = ext.generator(1)
+    first = (0, 1) if base.kind == "gfq" else Fraction(-2, 5)
+    return [[3, first, base.scalar(7)], [g, g * g + 1, -1]]
+
+
+@pytest.mark.parametrize("name, base, ext", TOWERS, ids=[t[0] for t in TOWERS])
+def test_mixed_entries_give_the_promoted_matrix(name, base, ext):
+    rows = _entries(base, ext)
+    got = ExactMatrix(base, rows)
+    want = ExactMatrix(ext, [[ext.scalar(e) for e in row] for row in rows])
+    assert got.ctx == ext and (got.nrows, got.ncols) == (2, 3)
+    assert got == want and got.raw == want.raw
+    assert ExactMatrix(ext, got.rows) == want
+
+
+@pytest.mark.parametrize("name, base, ext", TOWERS, ids=[t[0] for t in TOWERS])
+def test_promotion_keeps_equality_and_hash(name, base, ext):
+    a = ExactMatrix(base, [[1, 2, 0], [5, 0, base.scalar(3)]])
+    up = a.promote(ext)
+    assert up.ctx == ext and up == a and a == up
+    assert hash(up) == hash(a)
+    assert up.trim() == a and up.trim().ctx == base
+    assert a.promote(base) is a
+
+
+@pytest.mark.parametrize("name, base, ext", TOWERS, ids=[t[0] for t in TOWERS])
+def test_entries_read_out_as_scalars(name, base, ext):
+    a = ExactMatrix(base, _entries(base, ext))
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            e = a[i, j]
+            assert isinstance(e, Scalar) and e.ctx == ext
+            assert a.rows[i][j] == e and a.rows[i][j].coords == e.coords
+            assert a.columns()[j][i] == e
+            assert len(e.coords) == ext.dim
+    assert isinstance(a.rows, tuple) and all(isinstance(r, tuple)
+                                             for r in a.rows)
+    assert a.rows[1][0].coords == ext.generator(1).coords
+
+
+def test_promotion_off_the_tower_raises():
+    q = rationals()
+    sqrt2 = q.adjoin_sqrt(q.scalar(2))
+    sqrt3 = q.adjoin_sqrt(q.scalar(3))
+    a = ExactMatrix(sqrt2, [[sqrt2.generator(1), 1]])
+    for ctx in (sqrt3, q, prime_field(3)):
+        with pytest.raises(ContextMismatch):
+            a.promote(ctx)
+    with pytest.raises(ContextMismatch):
+        ExactMatrix(prime_field(3), [[1]]).promote(prime_field(5))
+    assert a != ExactMatrix(sqrt3, [[sqrt3.generator(1), 1]])
+
+
+@pytest.mark.parametrize("name, base, ext", TOWERS, ids=[t[0] for t in TOWERS])
+def test_empty_shapes_survive_the_kernels(name, base, ext):
+    rng = random.Random("empty " + name)
+    full = ExactMatrix(base, [[rng.randrange(5) for _ in range(3)]
+                              for _ in range(2)])
+    for r, c in ((0, 3), (3, 0), (0, 0)):
+        e = ExactMatrix.zeros(base, r, c)
+        t = e.transpose()
+        assert (t.nrows, t.ncols) == (c, r) and t.transpose() == e
+        assert e.columns() == [[]] * c
+    top = ExactMatrix.zeros(base, 0, 3) @ full.transpose()
+    assert (top.nrows, top.ncols) == (0, 2)
+    left = ExactMatrix.zeros(base, 2, 0) @ ExactMatrix.zeros(base, 0, 4)
+    assert (left.nrows, left.ncols) == (2, 4) and left.is_zero()
+    assert (full @ ExactMatrix.zeros(base, 3, 0)).ncols == 0
+    d = ExactMatrix.block_diag(base, [ExactMatrix.zeros(base, 0, 2), full,
+                                      ExactMatrix.zeros(base, 1, 0)])
+    assert (d.nrows, d.ncols) == (3, 5)
+    assert d.submatrix(range(2), range(2, 5)) == full
+    assert d.submatrix([2], range(5)).is_zero()
+    assert d.submatrix(range(2), range(2)).is_zero()
+    assert ExactMatrix.block_diag(ext, []) == ExactMatrix.zeros(ext, 0, 0)
+
+
+def test_blocks_tile_and_check_their_shapes():
+    q = rationals()
+    sqrt2 = q.adjoin_sqrt(q.scalar(2))
+    a = ExactMatrix(q, [[1, 2], [3, 4]])
+    g = ExactMatrix(sqrt2, [[sqrt2.generator(1)], [0]])
+    m = ExactMatrix.blocks(q, [[a, g], [ExactMatrix.zeros(q, 1, 2),
+                                        ExactMatrix.identity(q, 1)]])
+    assert m.ctx == sqrt2
+    assert m == ExactMatrix(q, [[1, 2, sqrt2.generator(1)], [3, 4, 0],
+                                [0, 0, 1]])
+    assert ExactMatrix.blocks(q, [[a], [a.transpose()]]) == \
+        ExactMatrix(q, [[1, 2], [3, 4], [1, 3], [2, 4]])
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.blocks(q, [[a, ExactMatrix.identity(q, 1)]])
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix.blocks(q, [[a], [ExactMatrix.identity(q, 1)]])

@@ -18,3 +18,14 @@ def test_sweep_digests_repeat(capsys):
     # every random field and every tower of the block sums is met
     assert {n.split("-")[1] for n in names} == \
         {name for name, _ctx in sweep.RANDOM_FIELDS + sweep.TOWERS}
+
+
+def test_sweep_expect_checks_the_last_digest(capsys):
+    assert sweep.main(["--count", "3"]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()[1]
+    assert sweep.main(["--count", "3", "--expect", total]) == 0
+    capsys.readouterr()
+    assert sweep.main(["--count", "3", "--expect", "0" * 64]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "all " + total
+    assert "expected " + "0" * 64 in err
