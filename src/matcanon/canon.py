@@ -152,8 +152,8 @@ def _canonicalize(a, policy):
     pending = []    # (descriptors, x_local) per class
     offset = 0
     for cl in split.classes:
-        dim = (len(cl.basis) if isinstance(cl, UnipotentClass)
-               else len(cl.basis_lam) + len(cl.basis_inv))
+        dim = (cl.basis.ncols if isinstance(cl, UnipotentClass)
+               else cl.basis_lam.ncols + cl.basis_inv.ncols)
         idx = list(range(offset, offset + dim))
         class_gram = split.gram.submatrix(idx, idx).promote(ctx)
         if isinstance(cl, UnipotentClass):
@@ -230,18 +230,16 @@ def _reduce_unipotent_class(class_gram, eps, policy):
             raise InternalDegenerate(
                 "no family has a %s of order %d at eigenvalue %d in "
                 "characteristic %d" % (piece.kind, piece.order, sign, char))
-        descs.append(Block(fam, len(piece.basis)))
+        descs.append(Block(fam, piece.basis.ncols))
         xs.append(x)
-    basis_cols = [v for piece in pieces for v in piece.basis]
-    x_peel = ExactMatrix.from_columns(class_gram.ctx, class_gram.nrows,
-                                      basis_cols)
+    x_peel = ExactMatrix.blocks(class_gram.ctx, [[p.basis for p in pieces]])
     return descs, x_peel @ ExactMatrix.block_diag(ctx, xs)
 
 
 def _reduce_pair_class(class_gram, cl):
     """Reduce one hyperbolic pair class to G blocks."""
     res = hyperbolic_canonical(class_gram, asymmetry_matrix(class_gram),
-                               cl.lam, len(cl.basis_lam))
+                               cl.lam, cl.basis_lam.ncols)
     return [Block("G", 2 * m, cl.lam) for m in res.blocks], res.x
 
 

@@ -3,7 +3,9 @@
 Kernel.  An ExactMatrix holds rows of raw values (Scalar.raw), the values
 its context's ctx.ops (field._raw_ops) computes on, and every constructor,
 comparison and kernel here works on them; a Scalar is built only where an
-entry is read out (A[i, j], rows, columns, kernel and solution vectors).
+entry is read out (A[i, j], rows, first_dependence's coefficients).  A set
+of vectors is a matrix, one vector per column: a kernel basis, the
+solutions of solve (one per right-hand side column), a Krylov chain.
 Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan elimination
 (_rref, behind inverse_or_rank and solve; first_dependence is its
 incremental form) are written once against the ops' row interface (neg,
@@ -24,20 +26,21 @@ it needs.
 
 Two product helpers are built on it: ExactMatrix.power (field.power's
 square and multiply) and ExactMatrix.krylov (the columns v, Mv, ...,
-M^(k-1) v).  The pipeline stages reach the kernel only through @,
-inverse_or_rank, solve, first_dependence and these two, and the raw rows
-not at all: they tile (blocks, block_diag), cut (submatrix, columns) and
-read (A[i, j]) matrices here.  A product with an empty side is the zero
-matrix of its shape, without the kernel.  A reorder of a basis is a column
+M^(k-1) v of an n x 1 matrix v).  The pipeline stages reach the kernel
+only through @, inverse_or_rank, solve, first_dependence and these two,
+and the raw rows not at all: they tile (blocks, block_diag), cut
+(submatrix), combine (@, +, scale) and read (A[i, j]) matrices here; a
+unit vector is a column of the identity.  A product with an empty side is
+the zero matrix of its shape, without the kernel.  A reorder of a basis is a column
 order, X.submatrix(range(n), order), with Gram matrix G.submatrix(order,
 order); no permutation matrix is multiplied.
 
 Contexts meet here.  A matrix lives in one FieldContext, and the arithmetic
 lifts: @, +, scale, minus_scalar and == work in the common context of their
 operands (the longer of two prefix-compatible towers), and ExactMatrix(ctx,
-rows) (so from_columns), block_diag, blocks and krylov build in the common
-context of ctx and of all the entries, never in the context of the first
-entry, which may lie lower.  promote only goes up a tower, trim down to
+rows), block_diag, blocks, krylov and solve build in the common context of
+ctx and of all the entries, never in the context of the first entry, which
+may lie lower.  promote only goes up a tower, trim down to
 the least level holding every entry.  So a value computed from an
 extension carries it, and no caller passes a context beside a value that
 has one.
@@ -87,8 +90,8 @@ class ExactMatrix:
     ExactMatrix(ctx, rows) takes ints, Fractions, base elements and
     Scalars, and lives in the common context of ctx and of all its Scalar
     entries (ints and Fractions are read in ctx), so rows that mix a field
-    and its extensions need no promotion first.  A[i, j], rows and columns
-    read entries out as Scalars.
+    and its extensions need no promotion first.  A[i, j] and rows read
+    entries out as Scalars.
     """
 
     __slots__ = ("ctx", "nrows", "ncols", "raw")
@@ -160,16 +163,6 @@ class ExactMatrix:
                        in zip(*[b.promote(ctx).raw for b in row]))
         return _trusted(ctx, tuple(raw), ncols)
 
-    @staticmethod
-    def from_columns(ctx, nrows, cols):
-        """The nrows x len(cols) matrix with these columns, also when nrows
-        or len(cols) is 0."""
-        if any(len(col) != nrows for col in cols):
-            raise DimensionMismatch("columns must have %d entries" % nrows)
-        if not nrows or not cols:
-            return ExactMatrix.zeros(ctx, nrows, len(cols))
-        return ExactMatrix(ctx, zip(*cols))
-
     # -- basics -------------------------------------------------------------
 
     def _moved(self, ctx):
@@ -202,10 +195,6 @@ class ExactMatrix:
         """The entries as a tuple of rows, each a tuple of Scalars."""
         new = functools.partial(Scalar, self.ctx)
         return tuple(tuple(map(new, row)) for row in self.raw)
-
-    def columns(self):
-        """The entries as a list of columns, each a list of Scalars."""
-        return [list(col) for col in self.transpose().rows]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -302,15 +291,19 @@ class ExactMatrix:
                      ExactMatrix.identity(self.ctx, self.nrows))
 
     def krylov(self, v, length):
-        """The columns v, Mv, ..., M^(length-1) v, as an n x length matrix
-        in the common context of M and of all the entries of v."""
-        row = ExactMatrix(self.ctx, [v])
+        """The columns v, Mv, ..., M^(length-1) v of an n x 1 matrix v, as
+        an n x length matrix in the common context of M and v."""
+        if (v.nrows, v.ncols) != (self.ncols, 1):
+            raise DimensionMismatch("krylov of a %dx%d vector" % (v.nrows,
+                                                                 v.ncols))
+        ctx = self.ctx.common(v.ctx)
+        row = v.transpose().promote(ctx)
         raw = [row.raw[0]][:length]
-        mt = self.transpose().promote(row.ctx)
+        mt = self.transpose().promote(ctx)
         for _ in range(length - 1):
             row = row @ mt
             raw.append(row.raw[0])
-        return _trusted(row.ctx, tuple(raw), len(v)).transpose()
+        return _trusted(ctx, tuple(raw), v.nrows).transpose()
 
     def transpose(self):
         if self.nrows == 0 or self.ncols == 0:
@@ -329,14 +322,14 @@ InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots transform")
 def inverse_or_rank(a, transform=False, rank_only=False):
     """Exact inverse when full rank, else rank and a right-kernel basis.
 
-    Returns InverseRank(inverse or None, rank, kernel basis as a list of
-    column vectors, pivot columns, transform).  Pivots are the first nonzero
-    entry in column order, so results are deterministic.  transform is the
-    invertible T with T @ A in reduced row echelon form; it is computed for
-    a square A (it is the inverse when A has full rank), and for any shape
-    when transform=True, else it is None.  rank_only=True is for callers
-    that read only rank, kernel and pivots: A is reduced alone, with no
-    identity appended, and inverse and transform are None.
+    Returns InverseRank(inverse or None, rank, kernel basis as the columns
+    of an m x (m - rank) matrix, pivot columns, transform).  Pivots are the
+    first nonzero entry in column order, so results are deterministic.
+    transform is the invertible T with T @ A in reduced row echelon form; it
+    is computed for a square A (it is the inverse when A has full rank), and
+    for any shape when transform=True, else it is None.  rank_only=True is
+    for callers that read only rank, kernel and pivots: A is reduced alone,
+    with no identity appended, and inverse and transform are None.
     """
     ctx = a.ctx
     ops = ctx.ops
@@ -353,27 +346,33 @@ def inverse_or_rank(a, transform=False, rank_only=False):
     if augment and (transform or rank == n == m):
         t = _trusted(ctx, tuple(tuple(row[m:]) for row in work), n)
     return InverseRank(t if rank == n == m else None, rank,
-                       _kernel(ops, work, pivots, m), tuple(pivots), t)
+                       _kernel(ctx, work, pivots, m), tuple(pivots), t)
 
 
 def solve(a, b):
-    """Solve a x = b exactly: (particular solution or None, kernel basis).
+    """Solve a x = b exactly for every column of b at once, in the common
+    context of a and b: (particular solution or None, kernel basis).
 
-    b is a list of scalars (one per row of a).
+    b has a.nrows rows; the particular solution is an a.ncols x b.ncols
+    matrix, None if any column has no solution, and the kernel basis is
+    inverse_or_rank's.
     """
-    ctx = a.ctx
+    if b.nrows != a.nrows:
+        raise DimensionMismatch("solve: %d right-hand side rows for %d "
+                                "equations" % (b.nrows, a.nrows))
+    a, b, ctx = a._common(b)
     ops = ctx.ops
     n, m = a.nrows, a.ncols
-    rhs = [ctx.scalar(b[i]).raw for i in range(n)]
-    work = [[*row, v] for row, v in zip(a.raw, rhs)]
+    work = [[*row, *rhs] for row, rhs in zip(a.raw, b.raw)]
     pivots = _rref(ops, work, m)
-    kernel = _kernel(ops, work, pivots, m)
-    if any(work[i][m] != ops.zero for i in range(len(pivots), n)):
+    kernel = _kernel(ctx, work, pivots, m)
+    if any(x != ops.zero for row in work[len(pivots):] for x in row[m:]):
         return None, kernel
-    particular = [ops.zero] * m
+    zeros = (ops.zero,) * b.ncols
+    particular = [zeros] * m
     for row_i, pc in enumerate(pivots):
-        particular[pc] = work[row_i][m]
-    return [Scalar(ctx, v) for v in particular], kernel
+        particular[pc] = tuple(work[row_i][m:])
+    return _trusted(ctx, tuple(particular), b.ncols), kernel
 
 
 # -- the raw kernel ---------------------------------------------------------------
@@ -430,17 +429,22 @@ def first_dependence(matrices):
     return None
 
 
-def _kernel(ops, work, pivots, m):
-    """Right-kernel basis (lists of scalars) read off reduced raw rows."""
+def _kernel(ctx, work, pivots, m):
+    """Right-kernel basis read off reduced raw rows, as the columns of an
+    m x (m - rank) matrix, one per free column: 1 in its own row, minus the
+    reduced entries of that column in the pivot rows."""
+    ops = ctx.ops
     piv_set = set(pivots)
-    vectors = []
-    for fcol in (j for j in range(m) if j not in piv_set):
-        vec = [ops.zero] * m
-        vec[fcol] = ops.one
-        for row_i, pc in enumerate(pivots):
-            vec[pc] = ops.neg(work[row_i][fcol])
-        vectors.append(vec)
-    return [[Scalar(ops.ctx, v) for v in vec] for vec in vectors]
+    free = [j for j in range(m) if j not in piv_set]
+    if not free:
+        return _trusted(ctx, ((),) * m, 0)
+    rows = [None] * m
+    for c, fcol in enumerate(free):
+        rows[fcol] = tuple(ops.one if d == c else ops.zero
+                           for d in range(len(free)))
+    for row, pc in zip(work, pivots):
+        rows[pc] = tuple([ops.neg(row[fcol]) for fcol in free])
+    return _trusted(ctx, tuple(rows), len(free))
 
 
 class WitnessError(MatcanonError):

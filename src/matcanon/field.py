@@ -1432,11 +1432,12 @@ def _artin_schreier_root(a):
         e = from_bits([int(i == j) for i in range(n)])
         cols.append(to_bits(e * e + e))
     from .exactmat import ExactMatrix, solve  # exactmat imports this module
-    sol, _kernel = solve(ExactMatrix.from_columns(prime_field(2), n, cols),
-                         to_bits(a))
+    gf2 = prime_field(2)
+    sol, _kernel = solve(ExactMatrix(gf2, cols).transpose(),
+                         ExactMatrix(gf2, [to_bits(a)]).transpose())
     if sol is None:
         return None
-    return from_bits([b.raw for b in sol])
+    return from_bits([sol[i, 0].raw for i in range(n)])
 
 
 # The two kinds of record, indexed by c1: the name in JSON towers and in

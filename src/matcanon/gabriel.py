@@ -61,11 +61,10 @@ def _decompose(a):
     # 1. split the radical: rows and columns annihilated both ways
     stacked = ExactMatrix.blocks(ctx, [[a], [a.transpose()]])
     rad = inverse_or_rank(stacked, rank_only=True).kernel
-    if rad:
-        basis = _extend_to_basis(ctx, rad, n)
-        x0 = ExactMatrix.from_columns(ctx, n, basis)
+    if rad.ncols:
+        x0 = _extend_to_basis(rad)
         a1 = x0.transpose() @ a @ x0
-        r0 = len(rad)
+        r0 = rad.ncols
         if not a1.submatrix(range(r0), range(n)).is_zero() or \
            not a1.submatrix(range(n), range(r0)).is_zero():
             raise InternalDegenerate("radical split failed")
@@ -85,12 +84,11 @@ def _decompose(a):
         return [], a, ident
 
     # 2. singular with zero radical: build the (P, Q, K) state
-    k = len(res.kernel)
+    k = res.kernel.ncols
     d = n - 2 * k
     if d < 0:
         raise InternalDegenerate("kernel too large for a zero-radical matrix")
-    basis = _extend_to_basis(ctx, res.kernel, n, kernel_last=True)
-    x_acc = ExactMatrix.from_columns(ctx, n, basis)
+    x_acc = _extend_to_basis(res.kernel, kernel_last=True)
     g = x_acc.transpose() @ a @ x_acc
 
     # column-reduce the K-row block N (k x (n-k)) to [0 | I_k]
@@ -123,12 +121,11 @@ def _decompose(a):
     ends = [run[-1] for run in chains]
     m2 = g.submatrix(p_idx, p_idx)
     e_block = g.submatrix(q_idx, p_idx)
-    t_rows = _split_off_rowspace(m2, e_block, ends)
-    if t_rows is not None:
-        # q_i += t_i[a] p_a (columns of X are new basis vectors)
+    t = _split_off_rowspace(m2, e_block, ends)
+    if t is not None:
+        # q_i += t[a, i] p_a (columns of X are new basis vectors)
         x_step = ExactMatrix.blocks(ctx, [
-            [ExactMatrix.identity(ctx, d), ExactMatrix.from_columns(
-                ctx, d, t_rows), ExactMatrix.zeros(ctx, d, k)],
+            [ExactMatrix.identity(ctx, d), t, ExactMatrix.zeros(ctx, d, k)],
             [ExactMatrix.zeros(ctx, 2 * k, d),
              ExactMatrix.identity(ctx, 2 * k)]])
         x_acc = x_acc @ x_step
@@ -162,29 +159,29 @@ def _decompose(a):
     return sizes, core_m, x_acc.submatrix(range(n), order)
 
 
-def _extend_to_basis(ctx, cols, n, kernel_last=False):
-    """Extend independent columns to a basis with unit vectors (greedy).
+def _extend_to_basis(cols, kernel_last=False):
+    """Extend the independent columns of an n x r matrix to a basis of
+    unit vectors (greedy), as an n x n matrix: cols first, or last.
 
     The unit vectors chosen are the pivot columns of [cols | I_n].
     """
-    units = ExactMatrix.identity(ctx, n).columns()
-    pivots = inverse_or_rank(
-        ExactMatrix.from_columns(ctx, n, list(cols) + units),
-        rank_only=True).pivots
-    extension = [units[p - len(cols)] for p in pivots if p >= len(cols)]
-    if len(cols) + len(extension) != n:
+    ctx, n, r = cols.ctx, cols.nrows, cols.ncols
+    units = ExactMatrix.identity(ctx, n)
+    pivots = inverse_or_rank(ExactMatrix.blocks(ctx, [[cols, units]]),
+                             rank_only=True).pivots
+    extension = units.submatrix(range(n), [p - r for p in pivots if p >= r])
+    if r + extension.ncols != n:
         raise InternalDegenerate("could not extend to a basis")
-    if kernel_last:
-        return extension + [list(c) for c in cols]
-    return [list(c) for c in cols] + extension
+    parts = [extension, cols] if kernel_last else [cols, extension]
+    return ExactMatrix.blocks(ctx, [parts])
 
 
 def _reduce_columns(nb):
     """R with NB @ R = [0 | I_k]; NB is k x m with full row rank k.
 
     One elimination T @ NB = reduced gives it: the kernel vectors fill the
-    first m - k columns, and the columns of T = NB[:, pivots]^-1, placed on
-    the pivot rows, the last k.
+    first m - k columns, and T = NB[:, pivots]^-1, placed on the pivot rows
+    by the unit columns of the pivots, the last k.
     """
     ctx = nb.ctx
     k, m = nb.nrows, nb.ncols
@@ -192,13 +189,8 @@ def _reduce_columns(nb):
     if res.rank != k:
         raise InternalDegenerate("kernel rows are not full rank "
                                  "(radical was nonzero?)")
-    cols = list(res.kernel)
-    for j in range(k):
-        v = [ctx.zero()] * m
-        for i, pj in enumerate(res.pivots):
-            v[pj] = res.transform[i, j]
-        cols.append(v)
-    return ExactMatrix.from_columns(ctx, m, cols)
+    units = ExactMatrix.identity(ctx, m).submatrix(range(m), res.pivots)
+    return ExactMatrix.blocks(ctx, [[res.kernel, units @ res.transform]])
 
 
 def _clear_pq_qq(g, d, k):
@@ -225,7 +217,8 @@ def _check_state(g, d, k):
 
 
 def _split_off_rowspace(m2, e_block, ends):
-    """Rows t_i with e_i - t_i M2 supported on the end columns, or None."""
+    """The d x k matrix T whose column t_i makes e_i + t_i' M2 supported on
+    the end columns, for the rows e_i of E, or None."""
     ctx = m2.ctx
     d = m2.nrows
     k = e_block.nrows
@@ -233,16 +226,13 @@ def _split_off_rowspace(m2, e_block, ends):
         return None
     # unknowns: t (d coefficients) plus residues on end columns
     # equations: t' M2 + r . ends = e_i  as row vectors, so the system is
-    # [M2' | the unit columns of the ends]
+    # [M2' | the unit columns of the ends], one right-hand side per row e_i
     units = ExactMatrix.identity(ctx, d).submatrix(range(d), ends)
     sys_matrix = ExactMatrix.blocks(ctx, [[m2.transpose(), units]])
-    t_rows = []
-    for rhs in e_block.transpose().columns():  # the rows e_i of E
-        part, _hom = solve(sys_matrix, rhs)
-        if part is None:
-            raise InternalDegenerate("row space split failed")
-        t_rows.append([-part[a] for a in range(d)])
-    return t_rows
+    part, _hom = solve(sys_matrix, e_block.transpose())
+    if part is None:
+        raise InternalDegenerate("row space split failed")
+    return -part.submatrix(range(d), range(k))
 
 
 def _full_column_rank_reducer(e_hat):

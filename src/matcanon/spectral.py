@@ -24,6 +24,7 @@ Factors with no root are quadratics or palindromes, reached by adjunction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -380,17 +381,15 @@ def eigen_split(a, asym):
         classes.append(PairClass(rep, other,
                                  gen_eigenspace(rep), gen_eigenspace(other)))
 
-    cols, spans = [], []
-    for cl in classes:
-        vecs = (cl.basis if isinstance(cl, UnipotentClass)
-                else cl.basis_lam + cl.basis_inv)
-        spans.append((len(cols), len(vecs)))
-        cols.extend(vecs)
-    if len(cols) != n:
+    bases = [[cl.basis] if isinstance(cl, UnipotentClass)
+             else [cl.basis_lam, cl.basis_inv] for cl in classes]
+    x = ExactMatrix.blocks(ctx, [[b for bs in bases for b in bs]])
+    if x.ncols != n:
         raise NotSplit("generalized eigenspaces do not fill the space")
-    x = ExactMatrix.from_columns(ctx, n, cols)
     gram = x.transpose() @ a @ x
-    diag = [gram.submatrix(range(o, o + k), range(o, o + k)) for o, k in spans]
+    ends = list(itertools.accumulate(sum(b.ncols for b in bs) for bs in bases))
+    diag = [gram.submatrix(range(o, e), range(o, e))
+            for o, e in zip([0] + ends, ends)]
     if gram != ExactMatrix.block_diag(ctx, diag):
         raise InternalDegenerate("eigen classes failed to be orthogonal")
     return EigenSplit(classes, x, gram)
@@ -398,14 +397,13 @@ def eigen_split(a, asym):
 
 # -- restricted operators and Jordan structure -----------------------------------------
 
-def restrict_operator(s, basis_cols):
-    """Matrix of S on the span of the given independent columns B.
+def restrict_operator(s, bmat):
+    """Matrix of S on the span of the independent columns of B.
 
     One elimination T B = [I; 0] gives the coordinates T S B, whose rows
     below the first m must vanish.
     """
-    m = len(basis_cols)
-    bmat = ExactMatrix.from_columns(s.ctx, s.nrows, basis_cols)
+    m = bmat.ncols
     coords = inverse_or_rank(bmat, transform=True).transform @ (s @ bmat)
     if not coords.submatrix(range(m, s.nrows), range(m)).is_zero():
         raise InternalDegenerate("operator does not preserve the span")
@@ -413,19 +411,19 @@ def restrict_operator(s, basis_cols):
 
 
 def nilpotent_jordan_chains(nmat):
-    """Jordan chains of a nilpotent matrix: list of [v, Nv, ...] columns,
-    heights descending; deterministic."""
+    """Jordan chains of a nilpotent matrix: a list of matrices with the
+    columns v, Nv, ..., heights descending; deterministic."""
     ctx = nmat.ctx
     m = nmat.nrows
     if m == 0:
         return []
-    kernels = [[]]  # kernels[j] = basis of ker N^j
+    kernels = [ExactMatrix.zeros(ctx, m, 0)]  # kernels[j]: a basis of ker N^j
     power = nmat
     heights = 0
     while True:
         ker = inverse_or_rank(power, rank_only=True).kernel
         kernels.append(ker)
-        if len(ker) == m:
+        if ker.ncols == m:
             heights = len(kernels) - 1
             break
         power = power @ nmat
@@ -436,17 +434,18 @@ def nilpotent_jordan_chains(nmat):
         # new chain tops: the vectors of ker N^h independent of ker N^{h-1},
         # of the existing chains' elements of height h (chain[len - h]) and
         # of the tops already taken, i.e. the pivot columns among them
-        below = kernels[h - 1] + [c[len(c) - h] for c in chains
-                                  if len(c) >= h]
-        pivots = inverse_or_rank(ExactMatrix.from_columns(
-            ctx, m, below + kernels[h]), rank_only=True).pivots
+        below = [kernels[h - 1], *(c.submatrix(range(m), [c.ncols - h])
+                                   for c in chains if c.ncols >= h)]
+        r = sum(b.ncols for b in below)
+        pivots = inverse_or_rank(ExactMatrix.blocks(
+            ctx, [[*below, kernels[h]]]), rank_only=True).pivots
         for p in pivots:
-            if p >= len(below):
-                top = kernels[h][p - len(below)]
-                chains.append(nmat.krylov(top, h).columns())
-    if sum(len(c) for c in chains) != m:
+            if p >= r:
+                top = kernels[h].submatrix(range(m), [p - r])
+                chains.append(nmat.krylov(top, h))
+    if sum(c.ncols for c in chains) != m:
         raise InternalDegenerate("Jordan chains do not span")
-    chains.sort(key=lambda c: -len(c))
+    chains.sort(key=lambda c: -c.ncols)
     return chains
 
 
@@ -473,15 +472,13 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
     s_lam = s_class.submatrix(range(m), range(m))
     nmat = s_lam.minus_scalar(lam)
     chains = nilpotent_jordan_chains(nmat)
-    svecs = []   # reversed chains: highest power of N first
-    sizes = []
-    for chain in chains:
-        sizes.append(len(chain))
-        svecs.extend(reversed(chain))
-    # duals on the inverse-eigenvalue side: f(t_j, s_i) = delta_ij; with
-    # P = (f(c_l, s_i)) for the inverse-side unit vectors c_l, the
-    # coordinates of t_j are row j of P^{-1}
-    smat = ExactMatrix.from_columns(ctx, m, svecs)
+    sizes = [c.ncols for c in chains]
+    # reversed chains, highest power of N first; duals on the
+    # inverse-eigenvalue side: f(t_j, s_i) = delta_ij; with P = (f(c_l, s_i))
+    # for the inverse-side unit vectors c_l, the coordinates of t_j are row j
+    # of P^{-1}
+    smat = ExactMatrix.blocks(ctx, [[
+        c.submatrix(range(m), range(c.ncols - 1, -1, -1)) for c in chains]])
     pinv = inverse_or_rank(
         class_gram.submatrix(range(m, n2), range(m)) @ smat).inverse
     if pinv is None:

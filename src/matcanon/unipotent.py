@@ -117,39 +117,36 @@ def split_off_indecomposable(gram, nmat, eps):
         raise InternalDegenerate("could not keep the remainder "
                                  "non-alternating")
     v = _height_vector(top)
-    row = ExactMatrix(ctx, [v]) @ beta  # x -> beta(v, x)
-    j = next((j for j in range(n) if not row[0, j].is_zero()), None)
+    row = v.transpose() @ beta  # x -> beta(v, x)
+    j = _nonzero_column(row)
     if j is None:
         raise InternalDegenerate("socle functional vanished on a "
                                  "non-degenerate part")
-    w = [ctx.zero()] * n
-    w[j] = row[0, j].inverse()
-    chain = nmat.krylov(v, r).columns() + nmat.krylov(w, r).columns()
+    w = ExactMatrix.identity(ctx, n).submatrix(range(n), [j]).scale(
+        row[0, j].inverse())
+    chain = ExactMatrix.blocks(ctx, [[nmat.krylov(v, r), nmat.krylov(w, r)]])
     return _finish_split(gram, nmat, eps, "pair", r, chain)
 
 
-def _finish_split(gram, nmat, eps, piece_kind, r, piece_basis):
-    """Build the piece and its two-sided orthogonal complement."""
-    ctx = gram.ctx
-    n = gram.nrows
-    bmat = ExactMatrix.from_columns(ctx, n, piece_basis)
+def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
+    """Build the piece on the columns of bmat and its two-sided orthogonal
+    complement."""
     piece_gram = bmat.transpose() @ gram @ bmat
     if inverse_or_rank(piece_gram, rank_only=True).rank != piece_gram.nrows:
         raise InternalDegenerate("peeled piece is degenerate")
-    comp = _orthogonal_complement(gram, piece_basis)
-    if len(comp) + len(piece_basis) != n:
+    comp = _orthogonal_complement(gram, bmat)
+    if comp.ncols + bmat.ncols != gram.nrows:
         raise InternalDegenerate("complement dimension mismatch")
-    cmat = ExactMatrix.from_columns(ctx, n, comp)
-    rem_gram = cmat.transpose() @ gram @ cmat
+    rem_gram = comp.transpose() @ gram @ comp
     rem_nmat = restrict_operator(nmat, comp)
-    piece = UnipotentPiece(piece_kind, eps, r, piece_basis, piece_gram)
+    piece = UnipotentPiece(piece_kind, eps, r, bmat, piece_gram)
     return piece, comp, rem_gram, rem_nmat
 
 
 def _try_single_split(gram, nmat, eps, v, r):
     """Split a single block off at v, unless that strands an alternating
     remainder that still has order-r content (then None)."""
-    chain = nmat.krylov(v, r).columns()
+    chain = nmat.krylov(v, r)
     out = _finish_split(gram, nmat, eps, "single", r, chain)
     _piece, _comp, rem_gram, rem_nmat = out
     r_rem, top_rem = _nilpotency_index(rem_nmat)
@@ -161,9 +158,9 @@ def _try_single_split(gram, nmat, eps, v, r):
     return out
 
 
-def _orthogonal_complement(gram, vectors):
-    """Basis of {x : f(u, x) = 0 = f(x, u) for every u in vectors}."""
-    ut = ExactMatrix(gram.ctx, vectors)  # the vectors as rows
+def _orthogonal_complement(gram, bmat):
+    """Basis of {x : f(u, x) = 0 = f(x, u) for every column u of bmat}."""
+    ut = bmat.transpose()
     both = ExactMatrix.blocks(gram.ctx, [[ut @ gram],
                                          [ut @ gram.transpose()]])
     return inverse_or_rank(both, rank_only=True).kernel
@@ -173,12 +170,11 @@ def _repair_single_choice(gram, nmat, top, v, r):
     """Add a full-height vector orthogonal to v: the self-pairing value is
     unchanged while the eventual complement regains a non-alternating
     entry.  top is p^(r-1)."""
-    comp = _orthogonal_complement(gram, nmat.krylov(v, r).columns())
-    images = top @ ExactMatrix.from_columns(gram.ctx, gram.nrows, comp)
-    for w, image in zip(comp, images.columns()):
-        if any(not e.is_zero() for e in image):
-            return [a + b for a, b in zip(v, w)]
-    raise InternalDegenerate("no full-height repair vector available")
+    comp = _orthogonal_complement(gram, nmat.krylov(v, r))
+    j = _nonzero_column(top @ comp)
+    if j is None:
+        raise InternalDegenerate("no full-height repair vector available")
+    return v + comp.submatrix(range(comp.nrows), [j])
 
 
 def _self_pairing_vector(beta):
@@ -187,25 +183,32 @@ def _self_pairing_vector(beta):
     With a zero diagonal, beta(e_i + e_j, e_i + e_j) = b_ij + b_ji; in
     characteristic 2 that is nonzero exactly when b_ij != b_ji.
     """
-    ctx, n = beta.ctx, beta.nrows
+    n = beta.nrows
+    units = ExactMatrix.identity(beta.ctx, n)
     for i in range(n):
         if not beta[i, i].is_zero():
-            return _unit(ctx, n, i)
+            return units.submatrix(range(n), [i])
     for i in range(n):
         for j in range(i + 1, n):
             if not (beta[i, j] + beta[j, i]).is_zero():
-                v = _unit(ctx, n, i)
-                v[j] = ctx.one()
-                return v
+                return (units.submatrix(range(n), [i])
+                        + units.submatrix(range(n), [j]))
     return None
+
+
+def _nonzero_column(m):
+    """The index of the first nonzero column of m, or None."""
+    return next((j for j in range(m.ncols)
+                 if not m.submatrix(range(m.nrows), [j]).is_zero()), None)
 
 
 def _height_vector(top):
     """The first unit vector of full height: top v != 0, top = p^(r-1)."""
-    for i, col in enumerate(top.columns()):
-        if any(not e.is_zero() for e in col):
-            return _unit(top.ctx, top.nrows, i)
-    raise InternalDegenerate("no vector of full height")
+    i = _nonzero_column(top)
+    if i is None:
+        raise InternalDegenerate("no vector of full height")
+    return ExactMatrix.identity(top.ctx, top.nrows).submatrix(
+        range(top.nrows), [i])
 
 
 def peel_all(gram, nmat, eps):
@@ -219,20 +222,10 @@ def peel_all(gram, nmat, eps):
         piece, comp, rem_gram, rem_nmat = split_off_indecomposable(
             cur_gram, cur_nmat, eps)
         # translate piece basis and the new complement into original coords
-        k = cur_gram.nrows
-        abs_basis = (
-            base @ ExactMatrix.from_columns(ctx, k, piece.basis)).columns()
-        pieces.append(UnipotentPiece(piece.kind, eps, piece.order,
-                                     abs_basis, piece.gram))
-        base = base @ ExactMatrix.from_columns(ctx, k, comp)
+        pieces.append(piece._replace(basis=base @ piece.basis))
+        base = base @ comp
         cur_gram, cur_nmat = rem_gram, rem_nmat
     return pieces
-
-
-def _unit(ctx, n, i):
-    v = [ctx.zero()] * n
-    v[i] = ctx.one()
-    return v
 
 
 # -- the cyclic (single elementary divisor) reduction ----------------------------
@@ -329,7 +322,8 @@ def _canon_single_char2_n3(g, policy):
     # v' = v + x p v with x^2 + x + g1[0,0] = 0
     one = g1.ctx.one()
     xval = quadratic_roots(one, one, g1[0, 0], policy)[0]
-    x2 = ExactMatrix.jordan_block(g1.ctx, 3).krylov([one, xval, 0], 3)
+    x2 = ExactMatrix.jordan_block(g1.ctx, 3).krylov(
+        ExactMatrix(g1.ctx, [[one], [xval], [0]]), 3)
     g2 = x2.transpose() @ g1 @ x2
     if g2 != ExactMatrix(g.ctx, [[0, 0, 1], [1, 1, 0], [1, 0, 0]]):
         raise InternalDegenerate("char-2 n=3 normal form mismatch")
@@ -344,7 +338,8 @@ def _canon_single_step(g, eps, n, policy):
                               policy)
     # lift the new sub cyclic vector: coordinates j of the sub basis mean
     # p^{j+1} v, so stripping one p gives sum_j xs[j,0] p^j v
-    vcoord = [xs[j, 0] for j in range(n - 2)] + [0, 0]
+    vcoord = ExactMatrix.blocks(g.ctx, [[xs.submatrix(range(n - 2), [0])],
+                                        [ExactMatrix.zeros(g.ctx, 2, 1)]])
     b1 = ExactMatrix.jordan_block(g.ctx, n).krylov(vcoord, n)
     g1 = b1.transpose() @ g @ b1
     ctx = g1.ctx
@@ -359,27 +354,24 @@ def _canon_single_step(g, eps, n, policy):
     # solve f(u, p^j v1) = cg[0, j] for j = solve_from..n-1
     later = range(solve_from, n)
     part, hom = solve(g1.submatrix(range(n), later).transpose(),
-                      [cg[0, j] for j in later])
+                      cg.submatrix([0], later).transpose())
     if part is None:
         raise InternalDegenerate("cyclic row system inconsistent")
     # adjust f(u,u) = rho0 within the homogeneous freedom
     u = _adjust_self_value(g1, part, hom, rho0)
 
+    units = ExactMatrix.identity(ctx, n)
     cols = [u]
     if solve_from == 2:
         # z = p v1 + s p^{n-1} v1 fixing f(u, z) = cg[0, 1]
-        fu = ExactMatrix(ctx, [u]) @ g1  # x -> f(u, x)
+        fu = u.transpose() @ g1  # x -> f(u, x)
         if fu[0, n - 1].is_zero():
             raise InternalDegenerate("lost the skew-diagonal entry")
-        z = _unit(ctx, n, 1)
-        z[n - 1] = (cg[0, 1] - fu[0, 1]) / fu[0, n - 1]
-        cols.append(z)
-        start = 2
-    else:
-        start = 1
-    for j in range(start, n):
-        cols.append(_unit(ctx, n, j))
-    x2 = ExactMatrix.from_columns(ctx, n, cols)
+        cols.append(units.submatrix(range(n), [1])
+                    + units.submatrix(range(n), [n - 1]).scale(
+                        (cg[0, 1] - fu[0, 1]) / fu[0, n - 1]))
+    cols.append(units.submatrix(range(n), range(len(cols), n)))
+    x2 = ExactMatrix.blocks(ctx, [cols])
     out = x2.transpose() @ g1 @ x2
     if out != cg:
         raise InternalDegenerate("single-block normalization mismatch")
@@ -387,30 +379,34 @@ def _canon_single_step(g, eps, n, policy):
 
 
 def _adjust_self_value(g1, part, hom, rho0):
-    """u in part + span(hom) with f(u, u) = rho0."""
-    vmat = ExactMatrix.from_columns(g1.ctx, g1.nrows, [part] + hom)
-    f = vmat.transpose() @ g1 @ vmat  # the form on part, hom[0], ...
-    k = len(hom)
+    """u in part + span(hom) with f(u, u) = rho0, for the n x 1 part and
+    the columns of hom."""
+    vmat = ExactMatrix.blocks(g1.ctx, [[part, hom]])
+    f = vmat.transpose() @ g1 @ vmat  # the form on part, hom's columns
+    k = hom.ncols
+
+    def along(i, t):
+        return part + hom.submatrix(range(hom.nrows), [i]).scale(t)
+
     base = f[0, 0]
     lin = [f[0, i + 1] + f[i + 1, 0] for i in range(k)]
-    quad = [[f[i + 1, j + 1] for j in range(k)] for i in range(k)]
+    quad = [f[i + 1, i + 1] for i in range(k)]
     # try pure-linear solutions first: one coefficient at a time
     for i, li in enumerate(lin):
-        if not li.is_zero() and quad[i][i].is_zero():
-            t = (rho0 - base) / li
-            return [a + t * b for a, b in zip(part, hom[i])]
+        if not li.is_zero() and quad[i].is_zero():
+            return along(i, (rho0 - base) / li)
     if base == rho0:
-        return list(part)
+        return part
     # general single-variable quadratic attempts, in ctx itself
     for i, li in enumerate(lin):
-        qa = quad[i][i]
+        qa = quad[i]
         if li.is_zero() and qa.is_zero():
             continue
         try:
             t = quadratic_roots(qa, li, base - rho0, STRICT)[0]
         except NoRootStrictPolicy:
             continue
-        return [a + t * b for a, b in zip(part, hom[i])]
+        return along(i, t)
     raise InternalDegenerate("cannot reach the canonical diagonal value")
 
 
@@ -496,20 +492,23 @@ def pair_canon(g, eps, m, policy=EXTEND):
         out = x.transpose() @ g @ x
         if out != hyperbolic_block_matrix(ctx, 1, eps):
             raise InternalDegenerate("pair base normalization failed")
-        return x, _unit(ctx, 2, 0), [ctx.zero(), binv]
+        return x, ExactMatrix.identity(ctx, 2).submatrix(range(2), [0]), \
+            x.submatrix(range(2), [1])
 
+    units = ExactMatrix.identity(ctx, 2 * m)
     if m == 2:
-        v1 = _unit(ctx, 4, 0)
-        w1 = _unit(ctx, 4, 2)
+        v1 = units.submatrix(range(4), [0])
+        w1 = units.submatrix(range(4), [2])
     else:
         sub_idx = (list(range(1, m - 1))
                    + list(range(m + 1, 2 * m - 1)))
         _xs, vg_sub, wg_sub = pair_canon(g.submatrix(sub_idx, sub_idx), eps,
                                          m - 2, policy)
-        # strip one p: sub slot j of the v part is p^{j+1} v
-        two = [ctx.zero()] * 2
-        v1, w1 = ([*u[:m - 2], *two, *u[m - 2:], *two]
-                  for u in (vg_sub, wg_sub))
+        # strip one p: sub slot j of the v part is p^{j+1} v, so the sub
+        # coordinates go to slots 0..m-3 of each part
+        pad = units.submatrix(range(2 * m),
+                              [*range(m - 2), *range(m, 2 * m - 2)])
+        v1, w1 = pad @ vg_sub, pad @ wg_sub
 
     shift = ExactMatrix.block_diag(ctx, [ExactMatrix.jordan_block(ctx, m)] * 2)
     # repair the v side to a totally isotropic module generator, then the w
@@ -523,10 +522,10 @@ def pair_canon(g, eps, m, policy=EXTEND):
     _assert_isotropic(g, shift, v1, m)
     _assert_isotropic(g, shift, w1, m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
-    svecs = shift.krylov(v1, m).columns()[::-1]
-    tvecs = _module_duals(g, shift, w1,
-                          ExactMatrix.from_columns(ctx, 2 * m, svecs))
-    x = ExactMatrix.from_columns(ctx, 2 * m, svecs + tvecs)
+    svecs = shift.krylov(v1, m).submatrix(range(2 * m),
+                                          range(m - 1, -1, -1))
+    x = ExactMatrix.blocks(ctx, [[svecs,
+                                  _module_duals(g, shift, w1, svecs)]])
     out = x.transpose() @ g @ x
     if out != hyperbolic_block_matrix(ctx, m, eps):
         raise InternalDegenerate("pair normalization mismatch")
@@ -540,17 +539,21 @@ def _module_duals(g, shift, gen, targets):
     pinv = inverse_or_rank(chain.transpose() @ g @ targets).inverse
     if pinv is None:
         raise InternalDegenerate("module pairing is degenerate")
-    return (chain @ pinv.transpose()).columns()
+    return chain @ pinv.transpose()
 
 
 def _repair_generator(g, shift, gen, duals, m, policy):
     """gen corrected so that its p-module is totally isotropic.
 
-    duals are d_0, d_1, ... from the other module (f(d_i, p^j gen) =
-    delta_ij); the ansatz is gen' = gen + x0 d_0 + x1 d_1 + x2 p gen.
-    Conditions f(gen', p^j gen') = 0 live only at j = 0, 1.
+    duals are the columns d_0, d_1, ... from the other module
+    (f(d_i, p^j gen) = delta_ij); the ansatz is gen' = gen + x0 d_0 + x1 d_1
+    + x2 p gen.  Conditions f(gen', p^j gen') = 0 live only at j = 0, 1.
+    The first candidate, in _corner_candidates' order, whose gen' spans a
+    totally isotropic module is taken.
     """
-    dirs = duals[:2] + [shift.krylov(gen, 2).columns()[1]]
+    n = gen.nrows
+    dirs = ExactMatrix.blocks(g.ctx, [[duals.submatrix(range(n), range(2)),
+                                       shift @ gen]])
     consts, lins, quads = _expand_conditions(g, shift, gen, dirs, m)
     live = [j for j in range(m)
             if not (consts[j].is_zero()
@@ -560,23 +563,23 @@ def _repair_generator(g, shift, gen, duals, m, policy):
         return gen
     if any(j > 1 for j in live):
         raise InternalDegenerate("isotropy defect beyond the corner")
-    coeffs = _solve_corner_system(consts, lins, quads, len(dirs), policy)
-    if coeffs is None:
-        raise InternalDegenerate("corner repair found no solution")
-    new = list(gen)
-    for c, d in zip(coeffs, dirs):
-        new = [a + c * b for a, b in zip(new, d)]
-    _assert_isotropic(g, shift, new, m)
-    return new
+    for xs in _corner_candidates(consts, lins, quads, dirs.ncols, policy):
+        new = gen + dirs @ ExactMatrix(gen.ctx, [[x] for x in xs])
+        if _is_isotropic(g, shift, new, m):
+            return new
+    raise InternalDegenerate("corner repair found no solution")
 
 
 def _expand_conditions(g, shift, gen, dirs, m):
-    """Exact coefficients of f(gen + sum x_i d_i, p^j (same)) in the x_i."""
-    k = len(dirs)
-    left = ExactMatrix(g.ctx, [gen] + dirs) @ g  # rows: x -> f(u, x)
+    """Exact coefficients of f(gen + sum x_i d_i, p^j (same)) in the x_i,
+    for the columns d_i of dirs."""
+    k = dirs.ncols
+    vecs = ExactMatrix.blocks(g.ctx, [[gen, dirs]])
+    left = vecs.transpose() @ g  # rows: x -> f(u, x)
     # pg[a, j] = f(u_a, p^j gen) and pd[i][a, j] = f(u_a, p^j d_i) for the
     # vectors u = gen, d_0, d_1, ...
-    pg, *pd = [left @ shift.krylov(u, m) for u in [gen] + dirs]
+    pg, *pd = [left @ shift.krylov(vecs.submatrix(range(vecs.nrows), [a]), m)
+               for a in range(k + 1)]
     consts = [pg[0, j] for j in range(m)]
     lins = [[pg[i + 1, j] + pd[i][0, j] for i in range(k)] for j in range(m)]
     quads = [[[pd[l][i + 1, j] for l in range(k)] for i in range(k)]
@@ -584,50 +587,35 @@ def _expand_conditions(g, shift, gen, dirs, m):
     return consts, lins, quads
 
 
-def _solve_corner_system(consts, lins, quads, k, policy):
-    """Coefficients solving the j = 0 and j = 1 corner equations, or None."""
-
-    def eval_cond(j, xs):
-        acc = consts[j]
-        for i in range(k):
-            acc = acc + lins[j][i] * xs[i]
-        for i in range(k):
-            for l in range(k):
-                acc = acc + quads[j][i][l] * xs[i] * xs[l]
-        return acc
-
+def _corner_candidates(consts, lins, quads, k, policy):
+    """Candidate coefficients for the j = 0 and j = 1 corner equations, one
+    at a time: each quadratic is solved only when its candidates are due."""
     zero = consts[0].ctx.zero()
-    candidates = []
     # strategy 1: single-direction solutions for each direction
     for i in range(k):
         for t in _single_var_solutions(quads[0][i][i], lins[0][i], consts[0],
                                        policy):
             xs = [zero] * k
             xs[i] = t
-            candidates.append(xs)
+            yield xs
     # strategy 2: solve condition 1 for one direction, then condition 0
     # with another
     if len(consts) > 1:
         for i in range(k):
             for t in _single_var_solutions(quads[1][i][i], lins[1][i],
                                            consts[1], policy):
+                # condition 0 at x_i = t, the others 0
+                c0 = consts[0] + lins[0][i] * t + quads[0][i][i] * t * t
                 for l in range(k):
                     if l == i:
                         continue
-                    xs0 = [zero] * k
-                    xs0[i] = t
                     # condition 0 as a polynomial in x_l given x_i = t
-                    c0 = eval_cond(0, xs0)
                     lin = lins[0][l] + (quads[0][i][l] + quads[0][l][i]) * t
                     for t0 in _single_var_solutions(quads[0][l][l], lin, c0,
                                                     policy):
-                        xs = list(xs0)
-                        xs[l] = t0
-                        candidates.append(xs)
-    for xs in candidates:
-        if all(eval_cond(j, xs).is_zero() for j in range(len(consts))):
-            return xs
-    return None
+                        xs = [zero] * k
+                        xs[i], xs[l] = t, t0
+                        yield xs
 
 
 def _single_var_solutions(qa, qb, qc, policy):
@@ -640,9 +628,14 @@ def _single_var_solutions(qa, qb, qc, policy):
         return []
 
 
-def _assert_isotropic(g, shift, gen, m):
+def _is_isotropic(g, shift, gen, m):
+    """Whether the p-module of gen is totally isotropic."""
     chain = shift.krylov(gen, m)
-    if not (chain.transpose() @ g @ chain).is_zero():
+    return (chain.transpose() @ g @ chain).is_zero()
+
+
+def _assert_isotropic(g, shift, gen, m):
+    if not _is_isotropic(g, shift, gen, m):
         raise InternalDegenerate("module is not totally isotropic")
 
 

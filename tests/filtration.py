@@ -38,9 +38,8 @@ def filtration(gram, nmat, eps):
     comps = []
     for m in sorted(by_order, reverse=True):
         group = by_order[m]
-        basis = [v for p in group for v in p.basis]
-        bmat = ExactMatrix.from_columns(ctx, gram.nrows, basis)
-        cgram = bmat.transpose() @ gram @ bmat
+        basis = ExactMatrix.blocks(ctx, [[p.basis for p in group]])
+        cgram = basis.transpose() @ gram @ basis
         hat = hat_form_from_pieces(gram, nmat, group, m)
         comps.append(FreeModuleComponent(eps, m, basis, cgram, hat, group))
     return comps
@@ -52,15 +51,10 @@ def hat_form_from_pieces(gram, nmat, group, m):
     Generators: the cyclic vector of each single piece, both generators of
     each pair piece.  f_hat(u, v) = f(p^{m-1} u, v).
     """
-    ctx = gram.ctx
-    gens = []
-    for p in group:
-        if p.kind == "single":
-            gens.append(p.basis[0])
-        else:
-            gens.append(p.basis[0])
-            gens.append(p.basis[m])
-    umat = ExactMatrix.from_columns(ctx, gram.nrows, gens)
+    n = gram.nrows
+    umat = ExactMatrix.blocks(gram.ctx, [[
+        p.basis.submatrix(range(n), [0] if p.kind == "single" else [0, m])
+        for p in group]])
     hat = (nmat.power(m - 1) @ umat).transpose() @ gram @ umat
     if inverse_or_rank(hat, rank_only=True).rank != hat.nrows:
         raise InternalDegenerate("hat form is degenerate")

@@ -62,15 +62,15 @@ def test_rank_kernel_j3():
     assert res.inverse is None
     assert res.rank == 2
     # kernel of J_3 (columns e_i -> e_{i+1}) is spanned by e_3
-    assert len(res.kernel) == 1
-    assert res.kernel[0] == [q.zero(), q.zero(), q.one()]
+    assert res.kernel.ncols == 1
+    assert res.kernel == ExactMatrix(q, [[0], [0], [1]])
 
 
 def test_rank_zero_matrix():
     q = rationals()
     z = ExactMatrix.zeros(q, 4, 4)
     assert inverse_or_rank(z).rank == 0
-    assert len(inverse_or_rank(z).kernel) == 4
+    assert inverse_or_rank(z).kernel.ncols == 4
 
 
 def test_rank_nullity_random():
@@ -80,31 +80,50 @@ def test_rank_nullity_random():
         n = rng.randint(1, 5)
         a = rand_matrix(f, rng, n)
         res = inverse_or_rank(a)
-        assert res.rank + len(res.kernel) == n
+        assert res.rank + res.kernel.ncols == n
 
 
 def test_solve_identity():
     q = rationals()
     i = ExactMatrix.identity(q, 3)
-    b = [q.scalar(5), q.scalar(-1), q.scalar(Fraction(1, 2))]
+    b = ExactMatrix(q, [[5], [-1], [Fraction(1, 2)]])
     part, hom = solve(i, b)
     assert part == b
-    assert hom == []
+    assert hom == ExactMatrix.zeros(q, 3, 0)
 
 
 def test_solve_underdetermined_gf2():
     f = prime_field(2)
     a = ExactMatrix(f, [[1, 1]])
-    part, hom = solve(a, [f.one()])
-    assert part == [f.one(), f.zero()]
-    assert hom == [[f.one(), f.one()]]
+    part, hom = solve(a, ExactMatrix(f, [[1]]))
+    assert part == ExactMatrix(f, [[1], [0]])
+    assert hom == ExactMatrix(f, [[1], [1]])
 
 
 def test_solve_inconsistent():
     q = rationals()
     a = ExactMatrix(q, [[1], [1]])
-    part, hom = solve(a, [q.one(), q.zero()])
+    part, hom = solve(a, ExactMatrix(q, [[1], [0]]))
     assert part is None
+
+
+def test_solve_checks_and_lifts_its_right_hand_side():
+    """A right-hand side with the wrong row count is a DimensionMismatch,
+    shorter or longer; one over an extension of a's field is solved there,
+    and so are several columns at once."""
+    q = rationals()
+    a = ExactMatrix(q, [[1, 1], [0, 1]])
+    for rows in (1, 3):
+        with pytest.raises(DimensionMismatch):
+            solve(a, ExactMatrix.zeros(q, rows, 1))
+    ext = q.adjoin_sqrt(q.scalar(2))
+    r = ext.generator(1)
+    b = ExactMatrix(ext, [[r, 1], [2, r]])
+    part, hom = solve(a, b)
+    assert part.ctx == ext and hom.ctx == ext
+    assert part == ExactMatrix(ext, [[r - 2, 1 - r], [2, r]])
+    assert a @ part == b
+    assert hom == ExactMatrix.zeros(q, 2, 0)
 
 
 def test_elementary_swap():
@@ -255,7 +274,7 @@ def test_entries_read_out_as_scalars(name, base, ext):
             e = a[i, j]
             assert isinstance(e, Scalar) and e.ctx == ext
             assert a.rows[i][j] == e and a.rows[i][j].coords == e.coords
-            assert a.columns()[j][i] == e
+            assert a.transpose()[j, i] == e
             assert len(e.coords) == ext.dim
     assert isinstance(a.rows, tuple) and all(isinstance(r, tuple)
                                              for r in a.rows)
@@ -284,7 +303,16 @@ def test_empty_shapes_survive_the_kernels(name, base, ext):
         e = ExactMatrix.zeros(base, r, c)
         t = e.transpose()
         assert (t.nrows, t.ncols) == (c, r) and t.transpose() == e
-        assert e.columns() == [[]] * c
+        # a zero matrix has the unit kernel basis, c x c, also with no rows
+        assert inverse_or_rank(e, rank_only=True).kernel == \
+            ExactMatrix.identity(base, c)
+        part, hom = solve(e, ExactMatrix.zeros(ext, r, 2))
+        assert part == ExactMatrix.zeros(ext, c, 2) and part.ctx == ext
+        assert hom == ExactMatrix.identity(ext, c)
+    kernel = inverse_or_rank(ExactMatrix.identity(base, 3)).kernel
+    assert (kernel.nrows, kernel.ncols) == (3, 0)
+    part, _hom = solve(full, ExactMatrix.zeros(base, 2, 0))
+    assert (part.nrows, part.ncols) == (3, 0)
     top = ExactMatrix.zeros(base, 0, 3) @ full.transpose()
     assert (top.nrows, top.ncols) == (0, 2)
     left = ExactMatrix.zeros(base, 2, 0) @ ExactMatrix.zeros(base, 0, 4)

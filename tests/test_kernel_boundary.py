@@ -9,6 +9,9 @@ submatrix, blocks, ...): it reads no `.rows` attribute but an object's own
 matrix's `.raw` cannot be told from a Scalar's there, so a probe on the
 slot records the module of every read while the entry points run over
 each kind of raw value, singular inputs and extensions included.
+
+The eliminations return matrices: inverse_or_rank and solve build their
+kernel bases, transforms and solutions from raw values, and no Scalar.
 """
 
 import ast
@@ -18,8 +21,10 @@ import sys
 import pytest
 
 import matcanon
-from matcanon import (ExactMatrix, canonicalize, equivalent, gf4, prime_field,
-                      rationals, transpose_witness)
+from matcanon import (ExactMatrix, Scalar, canonicalize, equivalent, gf4,
+                      inverse_or_rank, prime_field, rationals, solve,
+                      transpose_witness)
+from matcanon.field import artin_schreier_root_or_adjoin
 from matcanon.unipotent import gamma_matrix
 
 import sweep
@@ -114,3 +119,38 @@ def test_raw_probe_flags_a_stage_that_reads_raw_rows(raw_readers):
     exec(stage, space)
     space["first"](ExactMatrix.identity(rationals(), 2))
     assert raw_readers == {"gabriel.py"}
+
+
+def test_eliminations_build_no_scalar(monkeypatch):
+    """inverse_or_rank in its three modes and solve, on singular, wide,
+    tall and empty systems over each kind of raw value and with right-hand
+    sides over an extension, construct no Scalar."""
+    q, f3 = rationals(), prime_field(3)
+    big = prime_field(65521)
+    extensions = {q: q.adjoin_sqrt(q.scalar(2)),
+                  f3: f3.adjoin_sqrt(f3.scalar(-1)),
+                  gf4(): artin_schreier_root_or_adjoin(
+                      gf4().base_element((0, 1)))[1],
+                  big: big.adjoin_sqrt(big.scalar(17))}
+    cases = []
+    for a in [*_singular_inputs(), gamma_matrix(extensions[big], 4)]:
+        n, ext = a.nrows, extensions.get(a.ctx, a.ctx)
+        wide = a.submatrix(range(2), range(n))
+        cases += [(a, ExactMatrix.jordan_block(ext, n, 1).submatrix(
+                      range(n), range(2))),
+                  (wide, ExactMatrix.identity(a.ctx, 2)),
+                  (wide.transpose(), ExactMatrix.zeros(ext, n, 0)),
+                  (a.submatrix([], range(n)), ExactMatrix.zeros(ext, 0, 1))]
+    built = []
+    init = Scalar.__init__
+
+    def counting(self, ctx, raw):
+        built.append(ctx)
+        init(self, ctx, raw)
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    for a, b in cases:
+        for flags in ({}, {"transform": True}, {"rank_only": True}):
+            inverse_or_rank(a, **flags)
+        solve(a, b)
+    assert not built

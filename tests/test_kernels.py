@@ -7,9 +7,9 @@ paths: ints mod p (GF(p) itself), exp/log tables (finite fields of at most
 256 elements), normalized integer vectors (Q and its towers, up to a
 height-3 tower whose last records lie at level 1) and integer vectors mod p
 (larger finite fields: towers over GF(p) and GF(4) up to height 3, and a
-GF(p^2) base).  The kernel builds its result Scalars on raw values without
-the checks of ExactMatrix(), so every returned entry is also checked to be
-a Scalar of the right context with canonical coordinates.  The raw value
+GF(p^2) base).  The kernel builds its result matrices on raw values without
+the checks of ExactMatrix(), so every returned entry is also read out and
+checked to be a Scalar of the right context with canonical coordinates.  The raw value
 of an int and the building of ops once per context instance are checked
 here too.
 """
@@ -259,6 +259,13 @@ def singular_square(ctx, rng, n):
     return ExactMatrix(ctx, rows)
 
 
+def columns_matrix(ctx, nrows, cols):
+    """The nrows x len(cols) matrix with these columns of Scalars."""
+    if not nrows:
+        return ExactMatrix.zeros(ctx, 0, len(cols))
+    return ExactMatrix(ctx, [[col[i] for col in cols] for i in range(nrows)])
+
+
 def shapes(ctx, rng):
     """(label, matrix) pairs: square, singular, rectangular and empty."""
     return [("square", rand_matrix(ctx, rng, 4, 4)),
@@ -413,13 +420,14 @@ def test_inverse_or_rank_matches_reference(name):
             res = inverse_or_rank(a)
             rank = ref_rank(a.rows, m)
             assert res.rank == rank == len(res.pivots), label
-            assert len(res.kernel) == m - rank
-            for v in res.kernel:
-                assert len(v) == m
-                for e in v:
+            kernel = res.kernel
+            assert_matrix_canonical(kernel, ctx, m, m - rank)
+            for row in kernel.rows:
+                for e in row:
                     assert_canonical(e, ctx)
-                assert all(e.is_zero() for e in ref_matvec(a, v)), label
-            assert ref_rank(res.kernel, m) == len(res.kernel)
+            assert all(e.is_zero() for row in ref_matmul(a, kernel)
+                       for e in row), label
+            assert ref_rank(kernel.transpose().rows, m) == m - rank
             if n == m and rank == n:
                 inv = res.inverse
                 assert_matrix_canonical(inv, ctx, n, n)
@@ -442,39 +450,43 @@ def test_inverse_or_rank_matches_reference(name):
             light = inverse_or_rank(a, rank_only=True)
             assert light.inverse is None and light.transform is None, label
             assert light.rank == res.rank and light.pivots == res.pivots
-            for v in light.kernel:
-                for e in v:
-                    assert_canonical(e, ctx)
-            assert [coords([v]) for v in light.kernel] == \
-                [coords([v]) for v in res.kernel], label
+            assert_matrix_canonical(light.kernel, ctx, m, m - rank)
+            assert coords(light.kernel.rows) == coords(kernel.rows), label
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_solve_matches_reference(name):
+    """One right-hand side, several, none, and a mix of consistent and
+    inconsistent columns: the particular solution exists exactly when every
+    column is consistent, and its columns are the one-column solutions."""
     ctx = CONTEXTS[name]
     rng = random.Random("solve " + name)
     for _round in range(3):
         for label, a in shapes(ctx, rng):
             n, m = a.nrows, a.ncols
-            x0 = [rand_scalar(ctx, rng) for _ in range(m)]
-            for b in (ref_matvec(a, x0),
-                      [rand_scalar(ctx, rng) for _ in range(n)]):
+            rank = ref_rank(a.rows, m)
+            cols = [ref_matvec(a, [rand_scalar(ctx, rng) for _ in range(m)])
+                    for _ in range(2)]
+            cols.append([rand_scalar(ctx, rng) for _ in range(n)])
+            fits = [ref_rank([list(r) + [v] for r, v in zip(a.rows, col)],
+                             m + 1) == rank for col in cols]
+            for picked in ([0], [2], [0, 1], [1, 2, 0], []):
+                b = columns_matrix(ctx, n, [cols[j] for j in picked])
                 part, kernel = solve(a, b)
-                consistent = (ref_rank([list(r) + [v] for r, v
-                                        in zip(a.rows, b)], m + 1)
-                              == ref_rank(a.rows, m))
-                assert (part is not None) == consistent, label
+                assert (part is not None) == all(fits[j] for j in picked), \
+                    label
                 if part is not None:
-                    assert len(part) == m
-                    for e in part:
-                        assert_canonical(e, ctx)
-                    assert ([e.coords for e in ref_matvec(a, part)]
-                            == [e.coords for e in b])
-                assert len(kernel) == m - ref_rank(a.rows, m)
-                for v in kernel:
-                    for e in v:
-                        assert_canonical(e, ctx)
-                    assert all(e.is_zero() for e in ref_matvec(a, v))
+                    assert_matrix_canonical(part, ctx, m, len(picked))
+                    for row in part.rows:
+                        for e in row:
+                            assert_canonical(e, ctx)
+                    assert coords(ref_matmul(a, part)) == coords(b.rows)
+                    for c, j in enumerate(picked):
+                        one = solve(a, columns_matrix(ctx, n, [cols[j]]))[0]
+                        assert one == part.submatrix(range(m), [c]), label
+                assert_matrix_canonical(kernel, ctx, m, m - rank)
+                assert all(e.is_zero() for row in ref_matmul(a, kernel)
+                           for e in row)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -491,7 +503,7 @@ def test_zero_row_shapes(name):
     assert_matrix_canonical(rand_matrix(ctx, rng, 3, 4).submatrix([], [0, 2]),
                             ctx, 0, 2)
     assert_matrix_canonical(ExactMatrix(ctx, [[], []]) @ wide, ctx, 2, 5)
-    assert len(inverse_or_rank(wide).kernel) == 5
+    assert_matrix_canonical(inverse_or_rank(wide).kernel, ctx, 5, 5)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -519,19 +531,29 @@ def test_empty_products_skip_the_kernel(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_from_columns_keeps_its_shape(name):
-    """from_columns gives nrows x len(cols), also when either is 0."""
+    """Matrices made of columns keep their shape: a kernel basis is
+    m x (m - rank) and a particular solution m x k, also when m - rank, k
+    or the number of equations is 0; a right-hand side with another row
+    count is refused."""
     ctx = CONTEXTS[name]
     rng = random.Random("columns " + name)
-    assert_matrix_canonical(ExactMatrix.from_columns(ctx, 3, []), ctx, 3, 0)
-    assert_matrix_canonical(ExactMatrix.from_columns(ctx, 0, [[], []]),
-                            ctx, 0, 2)
-    a = rand_matrix(ctx, rng, 3, 2)
-    cols = a.transpose().rows
-    assert ExactMatrix.from_columns(ctx, 3, cols) == a
-    with pytest.raises(DimensionMismatch):
-        ExactMatrix.from_columns(ctx, 2, cols)
     ident = ExactMatrix.identity(ctx, 3)
-    assert_matrix_canonical(restrict_operator(ident, []), ctx, 0, 0)
+    assert_matrix_canonical(inverse_or_rank(ident).kernel, ctx, 3, 0)
+    none = ExactMatrix.zeros(ctx, 0, 3)
+    assert inverse_or_rank(none, rank_only=True).kernel == ident
+    part, kernel = solve(none, ExactMatrix.zeros(ctx, 0, 2))
+    assert_matrix_canonical(part, ctx, 3, 2)
+    assert part.is_zero() and kernel == ident
+    a = rand_matrix(ctx, rng, 3, 2)
+    part, kernel = solve(ident, a)
+    assert part == a
+    assert_matrix_canonical(kernel, ctx, 3, 0)
+    assert_matrix_canonical(solve(ident, ExactMatrix.zeros(ctx, 3, 0))[0],
+                            ctx, 3, 0)
+    with pytest.raises(DimensionMismatch):
+        solve(ExactMatrix.zeros(ctx, 2, 3), a)
+    assert_matrix_canonical(
+        restrict_operator(ident, ExactMatrix.zeros(ctx, 3, 0)), ctx, 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -642,8 +664,11 @@ def test_krylov_matches_reference(name):
         if not a.is_square():
             continue
         v = [rand_scalar(ctx, rng) for _ in range(n)]
+        for shape in ((n, 2), (n + 1, 1)):
+            with pytest.raises(DimensionMismatch):
+                a.krylov(ExactMatrix.zeros(ctx, *shape), 3)
         for length in range(6):
-            got = a.krylov(v, length)
+            got = a.krylov(columns_matrix(ctx, n, [v]), length)
             assert_matrix_canonical(got, ctx, n, length)
             col = v
             for j in range(length):
@@ -661,7 +686,7 @@ EXTENSIONS = [("Q", "Q(sqrt2)"), ("GF(3)", "GF(3)(sqrt-1)"),
 
 @pytest.mark.parametrize("base, ext", EXTENSIONS)
 def test_krylov_lives_in_the_common_context(base, ext):
-    """A vector over an extension of M's field, and one that mixes entries
+    """A vector over an extension of M's field, and one built from entries
     of both with a field entry first, give the columns over the extension,
     the same as with everything promoted first."""
     small, big = CONTEXTS[base], CONTEXTS[ext]
@@ -671,18 +696,20 @@ def test_krylov_lives_in_the_common_context(base, ext):
     mixed = [rand_scalar(small, rng), rand_scalar(big, rng), small.zero(),
              big.generator(len(big.tower))]
     for v in (wide, mixed):
+        col = columns_matrix(small, 4, [v])
         for length in (1, 4):
-            got = a.krylov(v, length)
+            got = a.krylov(col, length)
             assert_matrix_canonical(got, big, 4, length)
-            want = a.promote(big).krylov([e.promote(big) for e in v], length)
+            want = a.promote(big).krylov(
+                columns_matrix(big, 4, [[e.promote(big) for e in v]]), length)
             assert coords(got.rows) == coords(want.rows)
 
 
 @pytest.mark.parametrize("base, ext", EXTENSIONS)
 def test_constructors_live_in_the_common_context(base, ext):
-    """ExactMatrix(ctx, rows), from_columns and block_diag with entries
-    over an extension of ctx give the matrix over the extension; promote
-    still refuses to leave a context."""
+    """ExactMatrix(ctx, rows) and block_diag with entries over an extension
+    of ctx give the matrix over the extension, and solve with a right-hand
+    side there solves over it; promote still refuses to leave a context."""
     small, big = CONTEXTS[base], CONTEXTS[ext]
     rng = random.Random("construct " + ext)
     rows = [[rand_scalar(small, rng), 2, rand_scalar(big, rng)],
@@ -690,10 +717,10 @@ def test_constructors_live_in_the_common_context(base, ext):
     got = ExactMatrix(small, rows)
     assert_matrix_canonical(got, big, 2, 3)
     assert coords(got.rows) == coords(ExactMatrix(big, rows).rows)
-    cols = [list(col) for col in got.transpose().rows]
-    got = ExactMatrix.from_columns(small, 2, cols)
-    assert_matrix_canonical(got, big, 2, 3)
-    assert coords(got.rows) == coords(ExactMatrix(big, rows).rows)
+    part, kernel = solve(ExactMatrix.identity(small, 2), got)
+    assert_matrix_canonical(part, big, 2, 3)
+    assert coords(part.rows) == coords(ExactMatrix(big, rows).rows)
+    assert_matrix_canonical(kernel, big, 2, 0)
     blocks = [rand_matrix(small, rng, 2, 2), rand_matrix(big, rng, 1, 2)]
     got = ExactMatrix.block_diag(small, blocks)
     want = ExactMatrix.block_diag(big, [b.promote(big) for b in blocks])

@@ -3,13 +3,17 @@
 Every top-level function, class and constant of the package must be read
 somewhere in src/ outside its own definition, or be exported through
 matcanon.__all__.  A read is a name load or an attribute access; an import
-alone is not one.  A reference the tests alone need lives under tests/.
-Every exported name is documented: README.md names it in backticks.
+alone is not one.  Every method of a class (dunder methods aside) must be
+read in src/ outside its own body, or be named in README.md's code spans,
+where the public API of a context or a matrix is documented.  A reference
+the tests alone need lives under tests/.  Every exported name is
+documented: README.md names it in backticks.
 """
 
 import ast
 import collections
 import pathlib
+import re
 
 import matcanon
 
@@ -55,6 +59,34 @@ def dead_names(sources):
             if readers[name] == (name in r)}
 
 
+def dead_methods(sources, readme):
+    """Methods of the classes in {module: source text} that nothing there
+    reads outside the method's own body and no code span of the readme
+    text names, as "Class.method"."""
+    def reads_under(nodes):
+        return collections.Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) or (
+                isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)))
+
+    trees = [ast.parse(text) for text in sources.values()]
+    reads = reads_under(trees)
+    named = {word for span in re.findall(r"`([^`]*)`", readme)
+             for word in re.findall(r"\w+", span)}
+    dead = set()
+    for tree in trees:
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)) or \
+                        fn.name.startswith("__") or fn.name in named:
+                    continue
+                if reads[fn.name] == reads_under(fn.body)[fn.name]:
+                    dead.add("%s.%s" % (cls.name, fn.name))
+    return dead
+
+
 def _package_sources():
     return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -62,6 +94,10 @@ def _package_sources():
 def test_every_helper_has_a_reader():
     dead = dead_names(_package_sources()) - set(matcanon.__all__)
     assert not dead, sorted(dead)
+
+
+def test_every_method_has_a_reader():
+    assert not dead_methods(_package_sources(), README.read_text())
 
 
 def test_every_export_is_documented():
@@ -82,3 +118,23 @@ def test_rule_flags_a_helper_left_behind():
                       "    return submatrix(x)\n",
     }
     assert dead_names(sources) == {"permutation_matrix", "LIMIT", "reorder"}
+
+
+def test_rule_flags_a_method_left_behind():
+    sources = {
+        "exactmat.py": "class Matrix:\n"
+                       "    def __init__(self, rows):\n"
+                       "        self.rows = rows\n"
+                       "    def columns(self):\n"
+                       "        return self.transpose().columns()\n"
+                       "    def transpose(self):\n"
+                       "        return self\n"
+                       "    def documented(self):\n"
+                       "        return self\n"
+                       "    def shape(self):\n"
+                       "        return len(self.rows)\n",
+        "gabriel.py": "def size(m):\n"
+                      "    return m.shape()\n",
+    }
+    readme = "Call `m.documented()` for a copy; columns are vectors."
+    assert dead_methods(sources, readme) == {"Matrix.columns"}
