@@ -436,8 +436,6 @@ def _kernel(ctx, work, pivots, m):
     ops = ctx.ops
     piv_set = set(pivots)
     free = [j for j in range(m) if j not in piv_set]
-    if not free:
-        return _trusted(ctx, ((),) * m, 0)
     rows = [None] * m
     for c, fcol in enumerate(free):
         rows[fcol] = tuple(ops.one if d == c else ops.zero

@@ -422,9 +422,6 @@ def test_inverse_or_rank_matches_reference(name):
             assert res.rank == rank == len(res.pivots), label
             kernel = res.kernel
             assert_matrix_canonical(kernel, ctx, m, m - rank)
-            for row in kernel.rows:
-                for e in row:
-                    assert_canonical(e, ctx)
             assert all(e.is_zero() for row in ref_matmul(a, kernel)
                        for e in row), label
             assert ref_rank(kernel.transpose().rows, m) == m - rank
@@ -534,7 +531,8 @@ def test_from_columns_keeps_its_shape(name):
     """Matrices made of columns keep their shape: a kernel basis is
     m x (m - rank) and a particular solution m x k, also when m - rank, k
     or the number of equations is 0; a right-hand side with another row
-    count is refused."""
+    count is refused.  The name is that of the column constructor these
+    results replaced."""
     ctx = CONTEXTS[name]
     rng = random.Random("columns " + name)
     ident = ExactMatrix.identity(ctx, 3)

@@ -4,10 +4,10 @@ Every top-level function, class and constant of the package must be read
 somewhere in src/ outside its own definition, or be exported through
 matcanon.__all__.  A read is a name load or an attribute access; an import
 alone is not one.  Every method of a class (dunder methods aside) must be
-read in src/ outside its own body, or be named in README.md's code spans,
-where the public API of a context or a matrix is documented.  A reference
-the tests alone need lives under tests/.  Every exported name is
-documented: README.md names it in backticks.
+read in src/ outside its own body, or be named by a code span of README.md
+(outside fenced blocks), where the public API of a context or a matrix is
+documented.  A reference the tests alone need lives under tests/.  Every
+exported name is documented: README.md names it in backticks.
 """
 
 import ast
@@ -62,7 +62,9 @@ def dead_names(sources):
 def dead_methods(sources, readme):
     """Methods of the classes in {module: source text} that nothing there
     reads outside the method's own body and no code span of the readme
-    text names, as "Class.method"."""
+    text names, as "Class.method".  A span names a method when it is the
+    name alone, "x.name" or "x.name(...)"; fenced code blocks are no
+    spans."""
     def reads_under(nodes):
         return collections.Counter(
             n.id if isinstance(n, ast.Name) else n.attr
@@ -72,8 +74,11 @@ def dead_methods(sources, readme):
 
     trees = [ast.parse(text) for text in sources.values()]
     reads = reads_under(trees)
-    named = {word for span in re.findall(r"`([^`]*)`", readme)
-             for word in re.findall(r"\w+", span)}
+    spans = re.findall(r"`([^`]*)`",
+                       re.sub(r"```.*?```", "", readme, flags=re.S))
+    named = {m.group(1) for m in (
+        re.fullmatch(r"(?:\w+\.)*(\w+)(?:\(.*\))?", span) for span in spans)
+        if m}
     dead = set()
     for tree in trees:
         for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
@@ -136,5 +141,6 @@ def test_rule_flags_a_method_left_behind():
         "gabriel.py": "def size(m):\n"
                       "    return m.shape()\n",
     }
-    readme = "Call `m.documented()` for a copy; columns are vectors."
+    readme = ("Call `m.documented()` for a copy; `columns are vectors`.\n"
+              "```python\nm.columns()\n```\n")
     assert dead_methods(sources, readme) == {"Matrix.columns"}
