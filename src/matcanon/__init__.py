@@ -4,8 +4,8 @@ from .canon import (Block, CanonicalForm, EquivalenceResult, InvariantRecord,
                     blocks_from_record, canonical_block_matrix,
                     canonical_form_matrix, canonicalize, equivalent,
                     invariants, record_from_form, transpose_witness)
-from .errors import (BudgetExceeded, ContextMismatch, DivisionByZero,
-                     HypothesisViolation, InvalidDescriptor, MatcanonError,
+from .errors import (ContextMismatch, DivisionByZero, HypothesisViolation,
+                     InvalidDescriptor, MatcanonError,
                      NoArtinSchreierRootStrict, NoRootStrictPolicy, NotSplit,
                      ParseError, SingularInput, TowerCapExceeded,
                      WrongCharacteristic)
@@ -18,7 +18,7 @@ from .field import (EXTEND, STRICT, FieldContext, Scalar,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "BudgetExceeded", "CanonicalForm", "CongruenceWitness",
+    "Block", "CanonicalForm", "CongruenceWitness",
     "ContextMismatch", "DivisionByZero", "EXTEND", "EquivalenceResult",
     "ExactMatrix", "FieldContext", "HypothesisViolation",
     "InvalidDescriptor", "InvariantRecord", "MatcanonError",

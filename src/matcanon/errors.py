@@ -62,7 +62,3 @@ class HypothesisViolation(MatcanonError):
 
 class InvalidDescriptor(MatcanonError):
     pass
-
-
-class BudgetExceeded(MatcanonError):
-    pass

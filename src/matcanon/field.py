@@ -243,7 +243,7 @@ class FieldContext:
 
     def common(self, other):
         """The larger of two prefix-compatible contexts."""
-        if self.is_prefix_of(other):
+        if other is self or self.is_prefix_of(other):
             return other
         if other.is_prefix_of(self):
             return self

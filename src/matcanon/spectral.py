@@ -17,9 +17,18 @@ lists the roots until an adjunction changes q.  g is split into linear
 factors by Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1) for odd q, or
 gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1)) for q = 2^m,
 over shifts a drawn from field.random_elements.  The work is polynomial in
-log q, and the list is in iter_elements order whatever the draws.  Over Q,
-rational roots of degree >= 3 come from the rational-root theorem.
-Factors with no root are quadratics or palindromes, reached by adjunction.
+log q, and the list is in iter_elements order whatever the draws.
+
+Over Q the rational roots of f of degree >= 3 come from its roots mod a
+prime (Loos, SIAM J. Comput. 12, 1983).  The squarefree part of f, cleared
+to integers, has simple roots mod the least odd prime p dividing neither
+its leading coefficient nor its discriminant, and each rational root
+reduces to one of them.  No root mod p (the common case) means no rational
+root; otherwise each is Hensel-lifted past 2 |f_0| |f_n| (von zur Gathen
+and Gerhard, ch. 15), read back by rational reconstruction (ch. 5) and
+kept if it is a root in exact integers.  The least denominator wins, then
+the least |numerator|, + before -.  Factors with no root are quadratics or
+palindromes, reached by adjunction.
 """
 
 from __future__ import annotations
@@ -30,16 +39,15 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import (BudgetExceeded, DegenerateRestriction,
-                     InternalDegenerate, NoArtinSchreierRootStrict,
-                     NoRootStrictPolicy, NotSplit, SingularInput)
+from .errors import (DegenerateRestriction, InternalDegenerate,
+                     NoArtinSchreierRootStrict, NoRootStrictPolicy, NotSplit,
+                     SingularInput)
 from .exactmat import ExactMatrix, first_dependence, inverse_or_rank
-from .field import (EXTEND, Scalar, _poly_axpy, _poly_divmod, _poly_gcd,
-                    _poly_mulmod, _poly_powmod, _poly_trim, canonical_compare,
-                    enumeration_key, frobenius_gcd, quadratic_roots,
-                    random_elements)
+from .field import (EXTEND, Scalar, _is_prime, _poly_axpy, _poly_divmod,
+                    _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
+                    canonical_compare, enumeration_key, frobenius_gcd,
+                    prime_field, quadratic_roots, random_elements)
 
-_TRIAL_BUDGET = 2_000_000
 # a shift splits a factor with two or more roots with probability about 1/2
 # or better; 64 failures in a row mean the context is not a field
 _SPLIT_TRIES = 64
@@ -260,8 +268,9 @@ def _quadratic_roots(poly, policy):
 def _preferred_root(roots, ctx):
     """The root a search of ctx would pick among roots that lie in it: 1,
     else -1, else the least (in iter_elements order over GF(q); over Q, when
-    the roots are rational, in the order _rational_root tries them: least
-    denominator, then least |numerator|, + before -); otherwise roots[0]."""
+    the roots are rational, in the _rational_order that _rational_root
+    picks by: least denominator, then least |numerator|, + before -);
+    otherwise roots[0]."""
     if roots[0].ctx != ctx:
         return roots[0]  # adjoined
     for eps in (ctx.one(), -ctx.one()):
@@ -270,10 +279,7 @@ def _preferred_root(roots, ctx):
     if ctx.kind != "rational":
         return min(roots, key=enumeration_key)
     if all(not r.trim().ctx.tower for r in roots):
-        def tried(r):
-            x = r.coords[0]
-            return x.denominator, abs(x.numerator), x < 0
-        return min(roots, key=tried)
+        return min(roots, key=lambda r: _rational_order(r.coords[0]))
     return roots[0]
 
 
@@ -297,39 +303,107 @@ def _palindrome_transform(poly):
 
 
 def _rational_root(poly):
-    """A rational root of a monic poly with rational coefficients, or None."""
+    """The least rational root of a polynomial with rational coefficients in
+    _rational_order, or None, by lifting its roots mod a prime (see the
+    module docstring)."""
     ctx = poly[0].ctx
     # each raw value is (n, 0, ..., 0, den) with gcd(n, den) = 1
     lcm = math.lcm(*[c.raw[-1] for c in poly])
-    ints = [c.raw[0] * (lcm // c.raw[-1]) for c in poly]
-    a0, alead = ints[0], ints[-1]
-    if a0 == 0:
+    f = [c.raw[0] * (lcm // c.raw[-1]) for c in poly]
+    if f[0] == 0:
         return ctx.zero()
-    ps = _divisors(abs(a0))
-    qs = _divisors(abs(alead))
-    for q in qs:
-        for p in ps:
-            if math.gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                x = ctx.scalar(cand)
-                if poly_eval(poly, x).is_zero():
-                    return x
-    return None
+    f = _squarefree_part(ctx.truncated(0).ops, f)
+    df = _derivative(f)
+    gf = _unramified_field(f, df)
+    # a root a/b in lowest terms has |a| <= |f_0| and b <= |f_n|, so its
+    # residue mod any m > 2 |f_0| |f_n| gives it back
+    bound = abs(f[0])
+    lift_past = 2 * bound * abs(f[-1])
+    roots = []
+    for r in _finite_field_roots([gf.scalar(c) for c in f]):
+        x = _reconstruct(*_hensel_lift(f, df, r.raw, gf.p, lift_past), bound)
+        if _vanishes_at(f, x):
+            roots.append(x)
+    return ctx.scalar(min(roots, key=_rational_order)) if roots else None
 
 
-def _divisors(n):
-    if n > _TRIAL_BUDGET ** 2:
-        raise BudgetExceeded("integer too large for trial factoring")
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+def _rational_order(x):
+    """The order among rational roots: least denominator, then least
+    |numerator|, + before -."""
+    return x.denominator, abs(x.numerator), x < 0
+
+
+def _squarefree_part(ops, f):
+    """f / gcd(f, f') for an integer polynomial f, as a primitive integer
+    polynomial, computed on the raw values of ops (those of Q)."""
+    raw = [ops.from_int(c) for c in f]
+    d = _poly_gcd(ops, raw, [ops.from_int(c) for c in _derivative(f)])
+    if len(d) == 1:
+        return f
+    raw = _poly_divmod(ops, raw, d)[0]  # (numerator, denominator) pairs
+    lcm = math.lcm(*[den for _n, den in raw])
+    ints = [n * (lcm // den) for n, den in raw]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _unramified_field(f, df):
+    """GF(p) for the least odd prime p dividing neither the leading
+    coefficient of the squarefree integer polynomial f nor its
+    discriminant: f mod p keeps its degree and stays prime to f' mod p."""
+    for p in itertools.count(3, 2):
+        if not _is_prime(p) or f[-1] % p == 0:
+            continue
+        gf = prime_field(p)
+        fp, dfp = [c % p for c in f], [c % p for c in df]
+        if len(_poly_gcd(gf.ops, fp, dfp)) == 1:
+            return gf
+
+
+def _hensel_lift(f, df, r, p, bound):
+    """(r', m): the root r' mod m = p^(2^k) of the integer polynomial f
+    (derivative df) congruent to its simple root r mod p, for the least
+    such m > bound, by Newton steps r <- r - f(r) / f'(r), each squaring
+    the modulus."""
+    m = p
+    while m <= bound:
+        m *= m
+        r = (r - _horner(f, r, m) * pow(_horner(df, r, m), -1, m)) % m
+    return r, m
+
+
+def _horner(f, x, m):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _reconstruct(r, m, bound):
+    """The fraction a/b with a = b r mod m and |a| <= bound at which the
+    extended Euclidean algorithm on (m, r) stops.  When some a/b with
+    0 < b <= m / (bound + 1) has a = b r mod m, it is that fraction (von zur
+    Gathen and Gerhard, Theorem 5.26)."""
+    r0, t0, r1, t1 = m, 0, r, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return Fraction(r1, t1)  # |t1| grows from 1, so it is never 0
+
+
+def _vanishes_at(f, x):
+    """f(a/b) = 0, tested as b^n f(a/b) = 0 in integers."""
+    a, b = x.numerator, x.denominator
+    acc, b_power = 0, 1
+    for c in reversed(f):
+        acc = acc * a + c * b_power
+        b_power *= b
+    return acc == 0
 
 
 # -- eigen splitting -----------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from matcanon.errors import BudgetExceeded
 from matcanon.exactmat import ExactMatrix
 from matcanon.field import prime_field
 
@@ -18,6 +17,10 @@ DEFAULT_GL_BUDGET = 10 ** 6
 DEFAULT_ORBIT_BUDGET = 2 * 10 ** 6
 
 OrbitReport = namedtuple("OrbitReport", "p n classes sizes")
+
+
+class BudgetExceeded(Exception):
+    """A brute-force search would exceed its budget, or cannot run here."""
 
 
 def matrix_flat(a):

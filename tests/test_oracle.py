@@ -3,11 +3,10 @@ import random
 import pytest
 
 from matcanon import ExactMatrix, prime_field
-from matcanon.errors import BudgetExceeded
 from matcanon.gabriel import gabriel_decompose
 
-from oracle import (bruteforce_congruent, orbit_partition, _gl_elements,
-                    _gl_size)
+from oracle import (BudgetExceeded, bruteforce_congruent, orbit_partition,
+                    _gl_elements, _gl_size)
 
 
 def test_gl_sizes():

@@ -356,7 +356,7 @@ def test_split_min_poly_large_prime_fields(p, c, b2, c2):
 
 def test_congruence_invariance_fuzz_large_primes():
     # 3x3 to 8x8 over GF(65537) and GF(1000003): every form is answered or
-    # refused as NotSplit, never BudgetExceeded, and congruent inputs agree,
+    # refused as NotSplit, and congruent inputs agree,
     # within a wall-clock bound that root splitting by enumeration, or one
     # Frobenius power per root, would not keep at these sizes
     from matcanon.canon import canonicalize
