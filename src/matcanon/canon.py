@@ -10,11 +10,17 @@ assembled canonical matrix, where it leaves canonicalize or equivalent.
 
 The field travels on the values: a stage's result lives in the tower it
 reached, read off as x.ctx, and the arithmetic lifts whatever it meets, so
-no stage takes or returns a context beside its values.  The one choice made
-on purpose is where a reduction starts: each class, and each piece within a
-class, is promoted to the running tower the one before it reached, so a root
-that two reductions need is found the second time, not adjoined again at
-another height.
+no stage takes or returns a context beside its values.  Each stage runs in
+the least field that holds its values: Gabriel, the asymmetry and its
+minimal polynomial in the field of the input's entries (in equivalent's
+merge rounds, the inputs' own field, not the merged tower); the +-1
+eigenspaces in S's field; a unipotent class's asymmetry and peeling in the
+field of its Gram matrix, and a pair class's reduction in the field of its
+Gram matrix and lam.  The one choice made on purpose is where a root search
+or a reduction starts: the root search in the input's context, and each
+single or pair reduction in the running tower the one before it reached,
+which never shrinks, so a root that two reductions need is found the
+second time, not adjoined again at another height.
 """
 
 from __future__ import annotations
@@ -139,13 +145,14 @@ def canonicalize(a, policy=EXTEND):
 
 def _canonicalize(a, policy):
     """canonicalize without the certificate: (CanonicalForm, Congruence)."""
-    dec = gabriel_decompose(a)
+    dec = gabriel_decompose(a.trim())
     core = dec.core
     if core.nrows == 0:
         form = CanonicalForm(dec.jordan_sizes, [], a.ctx, [])
-        return form, dec.congruence
+        x, _source, target = dec.congruence
+        return form, Congruence(x.promote(a.ctx), a, target.promote(a.ctx))
 
-    asym = split_min_poly(asymmetry(core), policy)
+    asym = split_min_poly(asymmetry(core, a.ctx), policy)
     split = eigen_split(core, asym)
 
     ctx = asym.ctx  # the running tower: each class starts where the last ended
@@ -155,13 +162,13 @@ def _canonicalize(a, policy):
         dim = (cl.basis.ncols if isinstance(cl, UnipotentClass)
                else cl.basis_lam.ncols + cl.basis_inv.ncols)
         idx = list(range(offset, offset + dim))
-        class_gram = split.gram.submatrix(idx, idx).promote(ctx)
+        class_gram = split.gram.submatrix(idx, idx).trim()
         if isinstance(cl, UnipotentClass):
             descs, x_local = _reduce_unipotent_class(
-                class_gram, cl.eigenvalue, policy)
+                class_gram, cl.eigenvalue, policy, ctx)
         else:
             descs, x_local = _reduce_pair_class(class_gram, cl)
-        ctx = x_local.ctx
+        ctx = ctx.common(x_local.ctx)
         pending.append((descs, x_local))
         offset += dim
 
@@ -178,8 +185,8 @@ def _canonicalize(a, policy):
     # blocks following those of the Gabriel part
     cols = _runs(njord, [d.n for d in blocks])
     order = sorted(range(len(blocks)), key=lambda i: _block_key(blocks[i]))
-    x_total = x_total.submatrix(range(x_total.nrows), [
-        *range(njord), *(c for i in order for c in cols[i])])
+    x_total = x_total.columns([*range(njord),
+                               *(c for i in order for c in cols[i])])
 
     form = CanonicalForm(dec.jordan_sizes, [blocks[i] for i in order],
                          ctx, [])
@@ -211,11 +218,11 @@ def _extension_report(start_ctx, ctx):
             for c1, d in adjunctions(ctx, len(start_ctx.tower))]
 
 
-def _reduce_unipotent_class(class_gram, eps, policy):
+def _reduce_unipotent_class(class_gram, eps, policy, ctx):
     """Reduce one eigenvalue +-1 class; returns descriptors and local X,
-    over the context the reductions reached from class_gram's."""
-    ctx = class_gram.ctx
-    nmat = asymmetry_matrix(class_gram).minus_scalar(eps)
+    over the context the reductions reached from the running tower ctx.
+    The class is peeled in class_gram's field."""
+    nmat = asymmetry_matrix(class_gram).minus_scalar(eps.trim())
     pieces = peel_all(class_gram, nmat, eps)
     sign, char = eigen_sign(eps), ctx.characteristic
     descs = []
@@ -237,10 +244,13 @@ def _reduce_unipotent_class(class_gram, eps, policy):
 
 
 def _reduce_pair_class(class_gram, cl):
-    """Reduce one hyperbolic pair class to G blocks."""
+    """Reduce one hyperbolic pair class to G blocks, in the least field
+    that holds class_gram and lam."""
+    lam = cl.lam.trim()
+    class_gram = class_gram.promote(class_gram.ctx.common(lam.ctx))
     res = hyperbolic_canonical(class_gram, asymmetry_matrix(class_gram),
-                               cl.lam, cl.basis_lam.ncols)
-    return [Block("G", 2 * m, cl.lam) for m in res.blocks], res.x
+                               lam, cl.basis_lam.ncols)
+    return [Block("G", 2 * m, lam) for m in res.blocks], res.x
 
 
 # -- invariants and congruence decision --------------------------------------------

@@ -14,6 +14,11 @@ finding's polynomial layer share.  field.py has its four cases: Q towers
 on normalized integer vectors, GF(p) on ints reduced once per dot product
 (after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004), fields of at most 256
 elements on exp/log/Zech tables, larger finite fields on vectors mod p.
+The one elimination loop reduces rows in one of two forms, ops.work: the
+raw rows themselves, or over Q itself integer rows over one denominator,
+reduced fraction-free with one gcd per row operation and normalized entry
+by entry as they leave; both hold the same values, so pivots, reduced rows
+and transforms agree.
 
 An elimination builds only what its caller reads.  inverse_or_rank appends
 an identity, and so builds the row transform, only for a square input (for
@@ -29,11 +34,12 @@ square and multiply) and ExactMatrix.krylov (the columns v, Mv, ...,
 M^(k-1) v of an n x 1 matrix v).  The pipeline stages reach the kernel
 only through @, inverse_or_rank, solve, first_dependence and these two,
 and the raw rows not at all: they tile (blocks, block_diag), cut
-(submatrix), combine (@, +, scale) and read (A[i, j]) matrices here; a
-unit vector is a column of the identity.  A product with an empty side is
-the zero matrix of its shape, without the kernel.  A reorder of a basis is a column
-order, X.submatrix(range(n), order), with Gram matrix G.submatrix(order,
-order); no permutation matrix is multiplied.
+(submatrix, columns), combine (@, +, scale) and read (A[i, j]) matrices
+here; a unit vector is ExactMatrix.unit_column, a column of the identity.
+A product with an empty side is the zero matrix of its shape, without the
+kernel.  A reorder of a basis is a column order, X.columns(order), with
+Gram matrix G.submatrix(order, order); no permutation matrix is
+multiplied.
 
 Contexts meet here.  A matrix lives in one FieldContext, and the arithmetic
 lifts: @, +, scale, minus_scalar and == work in the common context of their
@@ -126,6 +132,12 @@ class ExactMatrix:
                                    for i in range(n)), n)
 
     @staticmethod
+    def unit_column(ctx, n, j):
+        """The n x 1 unit vector e_j, column j of the identity."""
+        z, o = ctx.ops.zero, ctx.ops.one
+        return _trusted(ctx, tuple((o if i == j else z,) for i in range(n)), 1)
+
+    @staticmethod
     def jordan_block(ctx, n, lam=None):
         """Lower-triangular Jordan block: lam on the diagonal, 1 below it."""
         z, o = ctx.ops.zero, ctx.ops.one
@@ -184,6 +196,8 @@ class ExactMatrix:
     def trim(self, height=0):
         """The same matrix in the least prefix of its context that holds
         every entry and has at least `height` adjunctions."""
+        if not self.ctx.tower:
+            return self
         ops = self.ctx.ops
         height = max(height, 0, *map(ops.height,
                                      itertools.chain.from_iterable(self.raw)))
@@ -315,6 +329,10 @@ class ExactMatrix:
         return _trusted(self.ctx, tuple(tuple([raw[i][j] for j in col_idx])
                                         for i in row_idx), len(col_idx))
 
+    def columns(self, col_idx):
+        """The columns at the given indices, in that order."""
+        return self.submatrix(range(self.nrows), col_idx)
+
 
 InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots transform")
 
@@ -382,8 +400,12 @@ def _rref(ops, work, m):
 
     Pivots are searched in the first m columns only, so columns beyond m (a
     right-hand side, an identity that becomes the transform) ride along.
+    The loop reduces the rows in the working form of ops.work, which holds
+    the same values, and leaves them as raw rows.
     """
-    zero = ops.zero
+    rows = ops.work
+    rows.enter(work)
+    zero = rows.zero
     n = len(work)
     pivots = []
     r = 0
@@ -394,12 +416,13 @@ def _rref(ops, work, m):
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        prow = work[r] = ops.scale(work[r], ops.inverse(work[r][c]))
+        prow = work[r] = rows.unit(work[r], c)
         for i in range(n):
             if i != r and work[i][c] != zero:
-                work[i] = ops.axpy(work[i], work[i][c], prow)
+                work[i] = rows.axpy(work[i], work[i][c], prow)
         pivots.append(c)
         r += 1
+    rows.leave(work)
     return pivots
 
 
@@ -412,20 +435,25 @@ def first_dependence(matrices):
     combination of the originals it equals, so nothing after M_d is read
     (the Krylov minimal polynomial of Keller-Gehrig, TCS 36, 1985).
     """
-    basis = []  # (pivot column, row scaled to 1 there)
+    basis = []  # (pivot column, working row scaled to 1 there)
     for k, mat in enumerate(matrices):
         ops = mat.ctx.ops
-        zero = ops.zero
-        row = [*itertools.chain.from_iterable(mat.raw), *[zero] * k, ops.one]
-        m = len(row) - k - 1
+        rows = ops.work
+        work = [[*itertools.chain.from_iterable(mat.raw), *[ops.zero] * k,
+                 ops.one]]
+        rows.enter(work)
+        row, zero = work[0], rows.zero
+        m = mat.nrows * mat.ncols
         for pc, prow in basis:
+            prow.insert(m + k, zero)  # the coordinate of M_k, zero so far
             if row[pc] != zero:
-                head = len(prow)
-                row[:head] = ops.axpy(row[:head], row[pc], prow)
+                row = rows.axpy(row, row[pc], prow)
         pc = next((j for j in range(m) if row[j] != zero), None)
         if pc is None:
-            return [Scalar(mat.ctx, v) for v in row[m:]]
-        basis.append((pc, ops.scale(row, ops.inverse(row[pc]))))
+            work[0] = row
+            rows.leave(work)
+            return [Scalar(mat.ctx, v) for v in work[0][m:]]
+        basis.append((pc, rows.unit(row, pc)))
     return None
 
 

@@ -512,9 +512,73 @@ def random_elements(ctx):
 # of ops, the ops of a prefix or an extension of this context.  indexed: raw
 # values are element indices, the same in every context of a tower that has
 # them, whose base-p digits, lowest first, are the coordinates over GF(p)
-# in the order of _ModOps.
+# in the order of _ModOps.  work is the form of the rows that the
+# eliminations reduce (exactmat._rref, first_dependence): the ops itself,
+# whose raw rows are reduced as they are (_RawRows), except over Q itself
+# (_IntRows).
 
-class _FlatOps:
+class _RawRows:
+    """Working rows that are the raw rows: enter and leave change nothing,
+    and unit scales a row to 1 at column c."""
+
+    @property
+    def work(self):
+        return self
+
+    @staticmethod
+    def enter(rows):
+        pass
+
+    leave = enter
+
+    def unit(self, row, c):
+        return self.scale(row, self.inverse(row[c]))
+
+
+class _IntRows:
+    """Working rows over Q itself: a row of raw values (n, d) is cleared to
+    integers over one positive row denominator, [n_0, ..., n_(k-1), den],
+    and reduced integer-preservingly, one content gcd per row operation
+    (Bareiss, Math. Comp. 22, 1968; Cohen, GTM 138, 2.2); leave normalizes
+    each entry once, where it is read back.  The coordinates come first, so
+    a zero inserted at a coordinate index lands before den."""
+
+    zero = 0
+
+    @staticmethod
+    def enter(rows):
+        """Clear each row of raw values, in place."""
+        for i, row in enumerate(rows):
+            den, nums = _cleared(row)
+            rows[i] = [*nums, den]
+
+    @staticmethod
+    def leave(rows):
+        """Each row back to normalized raw values, in place."""
+        for i, row in enumerate(rows):
+            den = row.pop()
+            rows[i] = [(n, 1) for n in row] if den == 1 else [
+                (n // (g := math.gcd(n, den)), den // g) for n in row]
+
+    @staticmethod
+    def unit(row, c):
+        """row scaled to 1 at column c: its numerators over row[c], signs
+        flipped to keep den positive."""
+        nums = row[:-1] if row[c] > 0 else [-n for n in row[:-1]]
+        nums.append(abs(row[c]))
+        return _content_free(nums)
+
+    @staticmethod
+    def axpy(row, f, prow):
+        """row - f prow, f the numerator of row at the pivot column of prow,
+        a unit row (so its den is its numerator there)."""
+        pd = prow[-1]
+        nums = [pd * x - f * y for x, y in zip(row, prow)]
+        nums[-1] = row[-1] * pd
+        return _content_free(nums)
+
+
+class _FlatOps(_RawRows):
     """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
     product is reduced mod p once, not once per operation."""
 
@@ -569,7 +633,7 @@ class _FlatOps:
                 for r in a_rows]
 
 
-class _TableOps:
+class _TableOps(_RawRows):
     """Finite contexts of at most _TABLE_MAX_ORDER elements other than GF(p)
     itself: raw values are element indices (see _Tables).  A product adds
     logarithms, a sum is XOR in characteristic 2 and one Zech logarithm
@@ -673,7 +737,7 @@ class _TableOps:
         return out
 
 
-class _RatOps:
+class _RatOps(_RawRows):
     """Q and its towers: a raw value is one normalized integer vector, the
     numerators of the coordinates followed by their common denominator,
     (n_0, ..., n_(dim-1), den) with den > 0 and gcd 1, so that equal
@@ -691,6 +755,10 @@ class _RatOps:
         self.one = (1,) + self.zero[1:]
         self.table = _monomial_table(ctx)
         self.below = None  # see inverse
+
+    @property
+    def work(self):
+        return self if self.level else _IntRows
 
     def from_int(self, n):
         return (int(n),) + self.zero[1:]
@@ -799,7 +867,13 @@ class _RatOps:
     def matmul(self, a_rows, b_cols):
         """Each row and each column is put over one denominator and split
         into integer coordinate vectors, so an entry is a sum over pairs of
-        coordinates of one integer dot product times g_S g_T."""
+        coordinates of one integer dot product times g_S g_T; over Q
+        itself, one integer dot product."""
+        if not self.level:
+            cols = list(map(_cleared, b_cols))
+            return [[_rat_normalized((sum(map(operator.mul, rn, cn)),),
+                                     rd * cd) for cd, cn in cols]
+                    for rd, rn in map(_cleared, a_rows)]
         mul = self.table.mul
         cols = [_rat_split(c) for c in b_cols]
         out = []
@@ -812,7 +886,7 @@ class _RatOps:
         return out
 
 
-class _ModOps:
+class _ModOps(_RawRows):
     """Finite contexts of more than _TABLE_MAX_ORDER elements: a raw value
     is the flat tuple of the element's coordinates over GF(p), ints in
     [0, p), one per monomial t^i g_S of the context's _MonomialTable, base
@@ -939,6 +1013,19 @@ def _rat_normalized(nums, den):
     if g == 1:
         return (*nums, den)
     return (*[n // g for n in nums], den // g)
+
+
+def _cleared(values):
+    """(den, [numerators over den]) for raw values of Q, den the lcm of
+    their denominators, so that den and the numerators have gcd 1."""
+    den = math.lcm(*[d for _n, d in values])
+    return den, [n if d == den else n * (den // d) for n, d in values]
+
+
+def _content_free(nums):
+    """An integer vector divided by its content, the gcd of its entries."""
+    g = math.gcd(*nums)
+    return nums if g == 1 else [n // g for n in nums]
 
 
 def _support(nums):

@@ -12,7 +12,7 @@ where K spans the right kernel.  Decomposing M recursively and clearing E
 against the row space of M leaves each (q_i, k_i) pair either attached to
 the end of one Jordan chain of M (growing it by two) or detached as a J_2
 block.  All steps are explicit congruences, and the final layouts are
-column orders of X (X.submatrix(range(n), order)).  Like the later
+column orders of X (X.columns(order)).  Like the later
 pipeline stages, gabriel_decompose returns a plain, unverified congruence.
 """
 
@@ -66,7 +66,7 @@ def _decompose(a):
         a1 = x0.transpose() @ a @ x0
         r0 = rad.ncols
         if not a1.submatrix(range(r0), range(n)).is_zero() or \
-           not a1.submatrix(range(n), range(r0)).is_zero():
+           not a1.columns(range(r0)).is_zero():
             raise InternalDegenerate("radical split failed")
         comp_idx = list(range(r0, n))
         a2 = a1.submatrix(comp_idx, comp_idx)
@@ -77,7 +77,7 @@ def _decompose(a):
         # current layout: r0 J_1 blocks, then sizes2 blocks, then core
         blocks = [[i] for i in range(r0)] + _runs(r0, sizes2)
         sizes, order = _sorted_layout(blocks, range(n - core2.nrows, n))
-        return sizes, core2, x_total.submatrix(range(n), order)
+        return sizes, core2, x_total.columns(order)
 
     res = inverse_or_rank(a, rank_only=True)
     if res.rank == n:
@@ -156,7 +156,7 @@ def _decompose(a):
     blocks = [run + [d + b, d + k + b] for b, run in enumerate(chains)]
     blocks += [[d + j, d + k + j] for j in range(s, k)]
     sizes, order = _sorted_layout(blocks, range(d - core_m.nrows, d))
-    return sizes, core_m, x_acc.submatrix(range(n), order)
+    return sizes, core_m, x_acc.columns(order)
 
 
 def _extend_to_basis(cols, kernel_last=False):
@@ -169,7 +169,7 @@ def _extend_to_basis(cols, kernel_last=False):
     units = ExactMatrix.identity(ctx, n)
     pivots = inverse_or_rank(ExactMatrix.blocks(ctx, [[cols, units]]),
                              rank_only=True).pivots
-    extension = units.submatrix(range(n), [p - r for p in pivots if p >= r])
+    extension = units.columns([p - r for p in pivots if p >= r])
     if r + extension.ncols != n:
         raise InternalDegenerate("could not extend to a basis")
     parts = [extension, cols] if kernel_last else [cols, extension]
@@ -189,7 +189,7 @@ def _reduce_columns(nb):
     if res.rank != k:
         raise InternalDegenerate("kernel rows are not full rank "
                                  "(radical was nonzero?)")
-    units = ExactMatrix.identity(ctx, m).submatrix(range(m), res.pivots)
+    units = ExactMatrix.identity(ctx, m).columns(res.pivots)
     return ExactMatrix.blocks(ctx, [[res.kernel, units @ res.transform]])
 
 
@@ -227,7 +227,7 @@ def _split_off_rowspace(m2, e_block, ends):
     # unknowns: t (d coefficients) plus residues on end columns
     # equations: t' M2 + r . ends = e_i  as row vectors, so the system is
     # [M2' | the unit columns of the ends], one right-hand side per row e_i
-    units = ExactMatrix.identity(ctx, d).submatrix(range(d), ends)
+    units = ExactMatrix.identity(ctx, d).columns(ends)
     sys_matrix = ExactMatrix.blocks(ctx, [[m2.transpose(), units]])
     part, _hom = solve(sys_matrix, e_block.transpose())
     if part is None:

@@ -67,10 +67,12 @@ class Asymmetry:
         self.split_roots = split_roots  # list of (root, multiplicity) or None
 
 
-def asymmetry(a):
-    """Asymmetry of an invertible Gram matrix, with exact minimal polynomial."""
+def asymmetry(a, ctx=None):
+    """Asymmetry of an invertible Gram matrix, with exact minimal polynomial,
+    both in a's field; ctx, a tower over it (a's own by default), is where
+    the root search starts."""
     s = asymmetry_matrix(a)
-    return Asymmetry(s, _minimal_polynomial(s), a.ctx)
+    return Asymmetry(s, _minimal_polynomial(s), a.ctx if ctx is None else ctx)
 
 
 def asymmetry_matrix(a):
@@ -124,7 +126,7 @@ def split_min_poly(asym, policy=EXTEND):
     (or Artin-Schreier) adjunctions or the policy forbids extending.
     """
     ctx = asym.ctx
-    work = list(asym.min_poly)
+    work = [c.promote(ctx) for c in asym.min_poly]
     roots = []
     # None, or the roots of work in its context not yet peeled, least first:
     # X^q mod work is computed once per context, not once per root
@@ -417,13 +419,15 @@ def eigen_split(a, asym):
     """Split into unipotent classes (eigenvalue +-1) and hyperbolic pairs.
 
     Returns EigenSplit(classes, x, gram) where gram = X'AX is the Gram
-    matrix in the new basis (block diagonal across classes).
+    matrix in the new basis (block diagonal across classes).  The +-1
+    eigenspaces are taken in S's field, each pair's in the field of S and
+    its root.
     """
     if asym.split_roots is None:
         raise InternalDegenerate("eigen_split needs split_roots")
     ctx = asym.ctx
     n = a.nrows
-    one = ctx.one()
+    one = asym.s.ctx.one()
     roots = [r for r, _m in asym.split_roots]
 
     def gen_eigenspace(lam):
@@ -508,14 +512,14 @@ def nilpotent_jordan_chains(nmat):
         # new chain tops: the vectors of ker N^h independent of ker N^{h-1},
         # of the existing chains' elements of height h (chain[len - h]) and
         # of the tops already taken, i.e. the pivot columns among them
-        below = [kernels[h - 1], *(c.submatrix(range(m), [c.ncols - h])
+        below = [kernels[h - 1], *(c.columns([c.ncols - h])
                                    for c in chains if c.ncols >= h)]
         r = sum(b.ncols for b in below)
         pivots = inverse_or_rank(ExactMatrix.blocks(
             ctx, [[*below, kernels[h]]]), rank_only=True).pivots
         for p in pivots:
             if p >= r:
-                top = kernels[h].submatrix(range(m), [p - r])
+                top = kernels[h].columns([p - r])
                 chains.append(nmat.krylov(top, h))
     if sum(c.ncols for c in chains) != m:
         raise InternalDegenerate("Jordan chains do not span")
@@ -552,7 +556,7 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
     # for the inverse-side unit vectors c_l, the coordinates of t_j are row j
     # of P^{-1}
     smat = ExactMatrix.blocks(ctx, [[
-        c.submatrix(range(m), range(c.ncols - 1, -1, -1)) for c in chains]])
+        c.columns(range(c.ncols - 1, -1, -1)) for c in chains]])
     pinv = inverse_or_rank(
         class_gram.submatrix(range(m, n2), range(m)) @ smat).inverse
     if pinv is None:
@@ -571,7 +575,7 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
         hyperbolic_block_matrix(ctx, sz, lam) for sz in sizes])
     if g2 != target:
         raise InternalDegenerate("hyperbolic normalization mismatch")
-    return HyperbolicResult(x1.submatrix(range(n2), order), sizes, g2)
+    return HyperbolicResult(x1.columns(order), sizes, g2)
 
 
 def hyperbolic_block_matrix(ctx, m, lam):

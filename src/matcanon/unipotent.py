@@ -122,8 +122,7 @@ def split_off_indecomposable(gram, nmat, eps):
     if j is None:
         raise InternalDegenerate("socle functional vanished on a "
                                  "non-degenerate part")
-    w = ExactMatrix.identity(ctx, n).submatrix(range(n), [j]).scale(
-        row[0, j].inverse())
+    w = ExactMatrix.unit_column(ctx, n, j).scale(row[0, j].inverse())
     chain = ExactMatrix.blocks(ctx, [[nmat.krylov(v, r), nmat.krylov(w, r)]])
     return _finish_split(gram, nmat, eps, "pair", r, chain)
 
@@ -174,7 +173,7 @@ def _repair_single_choice(gram, nmat, top, v, r):
     j = _nonzero_column(top @ comp)
     if j is None:
         raise InternalDegenerate("no full-height repair vector available")
-    return v + comp.submatrix(range(comp.nrows), [j])
+    return v + comp.columns([j])
 
 
 def _self_pairing_vector(beta):
@@ -183,23 +182,22 @@ def _self_pairing_vector(beta):
     With a zero diagonal, beta(e_i + e_j, e_i + e_j) = b_ij + b_ji; in
     characteristic 2 that is nonzero exactly when b_ij != b_ji.
     """
-    n = beta.nrows
-    units = ExactMatrix.identity(beta.ctx, n)
+    ctx, n = beta.ctx, beta.nrows
     for i in range(n):
         if not beta[i, i].is_zero():
-            return units.submatrix(range(n), [i])
+            return ExactMatrix.unit_column(ctx, n, i)
     for i in range(n):
         for j in range(i + 1, n):
             if not (beta[i, j] + beta[j, i]).is_zero():
-                return (units.submatrix(range(n), [i])
-                        + units.submatrix(range(n), [j]))
+                return (ExactMatrix.unit_column(ctx, n, i)
+                        + ExactMatrix.unit_column(ctx, n, j))
     return None
 
 
 def _nonzero_column(m):
     """The index of the first nonzero column of m, or None."""
     return next((j for j in range(m.ncols)
-                 if not m.submatrix(range(m.nrows), [j]).is_zero()), None)
+                 if not m.columns([j]).is_zero()), None)
 
 
 def _height_vector(top):
@@ -207,8 +205,7 @@ def _height_vector(top):
     i = _nonzero_column(top)
     if i is None:
         raise InternalDegenerate("no vector of full height")
-    return ExactMatrix.identity(top.ctx, top.nrows).submatrix(
-        range(top.nrows), [i])
+    return ExactMatrix.unit_column(top.ctx, top.nrows, i)
 
 
 def peel_all(gram, nmat, eps):
@@ -338,7 +335,7 @@ def _canon_single_step(g, eps, n, policy):
                               policy)
     # lift the new sub cyclic vector: coordinates j of the sub basis mean
     # p^{j+1} v, so stripping one p gives sum_j xs[j,0] p^j v
-    vcoord = ExactMatrix.blocks(g.ctx, [[xs.submatrix(range(n - 2), [0])],
+    vcoord = ExactMatrix.blocks(g.ctx, [[xs.columns([0])],
                                         [ExactMatrix.zeros(g.ctx, 2, 1)]])
     b1 = ExactMatrix.jordan_block(g.ctx, n).krylov(vcoord, n)
     g1 = b1.transpose() @ g @ b1
@@ -353,24 +350,23 @@ def _canon_single_step(g, eps, n, policy):
 
     # solve f(u, p^j v1) = cg[0, j] for j = solve_from..n-1
     later = range(solve_from, n)
-    part, hom = solve(g1.submatrix(range(n), later).transpose(),
+    part, hom = solve(g1.columns(later).transpose(),
                       cg.submatrix([0], later).transpose())
     if part is None:
         raise InternalDegenerate("cyclic row system inconsistent")
     # adjust f(u,u) = rho0 within the homogeneous freedom
     u = _adjust_self_value(g1, part, hom, rho0)
 
-    units = ExactMatrix.identity(ctx, n)
     cols = [u]
     if solve_from == 2:
         # z = p v1 + s p^{n-1} v1 fixing f(u, z) = cg[0, 1]
         fu = u.transpose() @ g1  # x -> f(u, x)
         if fu[0, n - 1].is_zero():
             raise InternalDegenerate("lost the skew-diagonal entry")
-        cols.append(units.submatrix(range(n), [1])
-                    + units.submatrix(range(n), [n - 1]).scale(
+        cols.append(ExactMatrix.unit_column(ctx, n, 1)
+                    + ExactMatrix.unit_column(ctx, n, n - 1).scale(
                         (cg[0, 1] - fu[0, 1]) / fu[0, n - 1]))
-    cols.append(units.submatrix(range(n), range(len(cols), n)))
+    cols.append(ExactMatrix.identity(ctx, n).columns(range(len(cols), n)))
     x2 = ExactMatrix.blocks(ctx, [cols])
     out = x2.transpose() @ g1 @ x2
     if out != cg:
@@ -386,7 +382,7 @@ def _adjust_self_value(g1, part, hom, rho0):
     k = hom.ncols
 
     def along(i, t):
-        return part + hom.submatrix(range(hom.nrows), [i]).scale(t)
+        return part + hom.columns([i]).scale(t)
 
     base = f[0, 0]
     lin = [f[0, i + 1] + f[i + 1, 0] for i in range(k)]
@@ -492,13 +488,11 @@ def pair_canon(g, eps, m, policy=EXTEND):
         out = x.transpose() @ g @ x
         if out != hyperbolic_block_matrix(ctx, 1, eps):
             raise InternalDegenerate("pair base normalization failed")
-        return x, ExactMatrix.identity(ctx, 2).submatrix(range(2), [0]), \
-            x.submatrix(range(2), [1])
+        return x, ExactMatrix.unit_column(ctx, 2, 0), x.columns([1])
 
-    units = ExactMatrix.identity(ctx, 2 * m)
     if m == 2:
-        v1 = units.submatrix(range(4), [0])
-        w1 = units.submatrix(range(4), [2])
+        v1 = ExactMatrix.unit_column(ctx, 4, 0)
+        w1 = ExactMatrix.unit_column(ctx, 4, 2)
     else:
         sub_idx = (list(range(1, m - 1))
                    + list(range(m + 1, 2 * m - 1)))
@@ -506,8 +500,8 @@ def pair_canon(g, eps, m, policy=EXTEND):
                                          m - 2, policy)
         # strip one p: sub slot j of the v part is p^{j+1} v, so the sub
         # coordinates go to slots 0..m-3 of each part
-        pad = units.submatrix(range(2 * m),
-                              [*range(m - 2), *range(m, 2 * m - 2)])
+        pad = ExactMatrix.identity(ctx, 2 * m).columns(
+            [*range(m - 2), *range(m, 2 * m - 2)])
         v1, w1 = pad @ vg_sub, pad @ wg_sub
 
     shift = ExactMatrix.block_diag(ctx, [ExactMatrix.jordan_block(ctx, m)] * 2)
@@ -522,8 +516,7 @@ def pair_canon(g, eps, m, policy=EXTEND):
     _assert_isotropic(g, shift, v1, m)
     _assert_isotropic(g, shift, w1, m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
-    svecs = shift.krylov(v1, m).submatrix(range(2 * m),
-                                          range(m - 1, -1, -1))
+    svecs = shift.krylov(v1, m).columns(range(m - 1, -1, -1))
     x = ExactMatrix.blocks(ctx, [[svecs,
                                   _module_duals(g, shift, w1, svecs)]])
     out = x.transpose() @ g @ x
@@ -552,7 +545,7 @@ def _repair_generator(g, shift, gen, duals, m, policy):
     totally isotropic module is taken.
     """
     n = gen.nrows
-    dirs = ExactMatrix.blocks(g.ctx, [[duals.submatrix(range(n), range(2)),
+    dirs = ExactMatrix.blocks(g.ctx, [[duals.columns(range(2)),
                                        shift @ gen]])
     consts, lins, quads = _expand_conditions(g, shift, gen, dirs, m)
     live = [j for j in range(m)
@@ -578,7 +571,7 @@ def _expand_conditions(g, shift, gen, dirs, m):
     left = vecs.transpose() @ g  # rows: x -> f(u, x)
     # pg[a, j] = f(u_a, p^j gen) and pd[i][a, j] = f(u_a, p^j d_i) for the
     # vectors u = gen, d_0, d_1, ...
-    pg, *pd = [left @ shift.krylov(vecs.submatrix(range(vecs.nrows), [a]), m)
+    pg, *pd = [left @ shift.krylov(vecs.columns([a]), m)
                for a in range(k + 1)]
     consts = [pg[0, j] for j in range(m)]
     lins = [[pg[i + 1, j] + pd[i][0, j] for i in range(k)] for j in range(m)]
