@@ -10,10 +10,10 @@ Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan elimination
 (_rref, behind inverse_or_rank and solve; first_dependence is its
 incremental form) are written once against the ops' row interface (neg,
 inverse, scale, axpy, matmul), which the Scalar operators and root
-finding's polynomial layer share.  field.py has its four cases: Q towers
-on normalized integer vectors, GF(p) on ints reduced once per dot product
-(after FFPACK, Dumas, Giorgi and Pernet, ISSAC 2004), fields of at most 256
-elements on exp/log/Zech tables, larger finite fields on vectors mod p.
+finding's polynomial layer share.  field.py has its three cases: GF(p) on
+ints reduced once per dot product (after FFPACK, Dumas, Giorgi and Pernet,
+ISSAC 2004), fields of at most 256 elements on exp/log/Zech tables, and Q
+towers and larger finite fields on integer vectors over one denominator.
 The one elimination loop reduces rows in one of two forms, ops.work: the
 raw rows themselves, or over Q itself integer rows over one denominator,
 reduced fraction-free with one gcd per row operation and normalized entry

@@ -24,15 +24,18 @@ ways:
     adds logarithms, a sum is XOR in characteristic 2 and one Zech
     logarithm otherwise (Givaro's GF(q), Dumas, Gautier and Pernet, ISSAC
     2002; Huber, IEEE Trans. Inf. Theory 36, 1990);
-  - Q and its towers (_RatOps), and larger finite fields (_ModOps): integer
-    vectors over the monomial basis t^i g_S (t the generator of a GF(p^k)
-    base), multiplied by one flat pass over the nonzero coordinate pairs
-    that reads the monomial products from a _MonomialTable, filled one pair
-    at a time by recurrence on the tower records (after Cohen, A Course in
-    Computational Algebraic Number Theory, GTM 138, ch. 2 and 4.2).  Over Q
-    a vector holds numerators over one denominator, and each result is
-    normalized by one gcd; over GF(p) each result entry is reduced mod p
-    once, also in a matrix product's dot products.
+  - Q and its towers, and larger finite fields (_VectorOps): integer
+    numerators over the monomial basis t^i g_S (t the generator of a
+    GF(p^k) base) followed by one denominator, multiplied by one flat pass
+    over the nonzero coordinate pairs that reads the monomial products
+    from a _MonomialTable, filled one pair at a time by recurrence on the
+    tower records, and inverted by norm descent down the tower (after
+    Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    ch. 2 and 4.2; von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 4).  The two kinds differ in the coefficient rule alone, applied
+    once to each result entry, a matrix product's dot products included:
+    over Q the vector is divided by its gcd, over GF(p) each numerator is
+    reduced mod p over the denominator 1.
 promote and trim move raw values directly.  The Scalar operators,
 exactmat's kernels and the polynomial layer (raw coefficients, low to high)
 all run on these ops: the products, division and gcd of root finding,
@@ -366,14 +369,14 @@ class FieldContext:
 class Scalar:
     """Immutable element of a FieldContext: the pair (ctx, raw), raw being
     the value that ctx.ops computes on:
-      - Q and its towers (_RatOps): the int tuple (n_0, ..., n_(dim-1),
-        den) of the coordinates' numerators over their positive common
-        denominator, with gcd 1;
       - GF(p) with no adjunction (_FlatOps): the int in [0, p);
       - other finite contexts of at most _TABLE_MAX_ORDER elements
         (_TableOps): the element's index in the context's tables;
-      - larger finite contexts (_ModOps): the flat int tuple of its
-        coordinates over GF(p), each in [0, p).
+      - Q and its towers, and larger finite contexts (_VectorOps): the int
+        tuple (n_0, ..., n_(N-1), den) of the numerators of its flat
+        coordinates over the prime field and their common denominator,
+        with den > 0 and gcd 1 over Q, and den = 1 and each n_i in [0, p)
+        over GF(p).
     An element has one raw value per context, which == compares and hash
     reads.  coords (Fractions, ints or GF(p^k) tuples) is derived from raw;
     ctx.element builds a scalar from coordinates, and ctx.scalar(n) builds
@@ -512,10 +515,10 @@ def random_elements(ctx):
 # of ops, the ops of a prefix or an extension of this context.  indexed: raw
 # values are element indices, the same in every context of a tower that has
 # them, whose base-p digits, lowest first, are the coordinates over GF(p)
-# in the order of _ModOps.  work is the form of the rows that the
-# eliminations reduce (exactmat._rref, first_dependence): the ops itself,
-# whose raw rows are reduced as they are (_RawRows), except over Q itself
-# (_IntRows).
+# in the order of the numerators of _VectorOps.  work is the form of the
+# rows that the eliminations reduce (exactmat._rref, first_dependence): the
+# ops itself, whose raw rows are reduced as they are (_RawRows), except over
+# Q itself (_IntRows).
 
 class _RawRows:
     """Working rows that are the raw rows: enter and leave change nothing,
@@ -737,189 +740,62 @@ class _TableOps(_RawRows):
         return out
 
 
-class _RatOps(_RawRows):
-    """Q and its towers: a raw value is one normalized integer vector, the
-    numerators of the coordinates followed by their common denominator,
-    (n_0, ..., n_(dim-1), den) with den > 0 and gcd 1, so that equal
-    elements have equal raw values.  A product is a flat multiply over the
-    nonzero coordinate pairs, reading g_S g_T from the context's
-    _MonomialTable; every result entry is normalized once (one gcd)."""
-
-    indexed = False
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.dim = ctx.dim
-        self.level = len(ctx.tower)
-        self.zero = (0,) * self.dim + (1,)
-        self.one = (1,) + self.zero[1:]
-        self.table = _monomial_table(ctx)
-        self.below = None  # see inverse
-
-    @property
-    def work(self):
-        return self if self.level else _IntRows
-
-    def from_int(self, n):
-        return (int(n),) + self.zero[1:]
-
-    @staticmethod
-    def from_coords(coords):
-        # over the lcm of the denominators of Fraction coordinates, the
-        # numerators already have gcd 1 with it
-        den = math.lcm(*[c.denominator for c in coords])
-        return (*[c.numerator * (den // c.denominator) for c in coords], den)
-
-    def to_coords(self, x):
-        den = x[-1]
-        if den == 1:
-            return tuple(map(Fraction, x[:-1]))
-        return tuple(Fraction(n, den) if n else _FRACTION_ZERO
-                     for n in x[:-1])
-
-    def height(self, x):
-        height = self.level
-        while height and not any(x[1 << (height - 1):1 << height]):
-            height -= 1
-        return height
-
-    def move(self, x, ops):
-        n = len(x) - 1  # zero numerators are added or dropped
-        return x[:min(n, self.dim)] + self.zero[n:-1] + x[-1:]
-
-    def add(self, x, y):
-        xd, yd = x[-1], y[-1]
-        if xd == yd:
-            return _rat_normalized([a + b for a, b in zip(x[:-1], y)], xd)
-        return _rat_normalized([a * yd + b * xd for a, b in zip(x[:-1], y)],
-                               xd * yd)
-
-    def neg(self, x):
-        return (*[-n for n in x[:-1]], x[-1])
-
-    def mul(self, x, y):
-        if self.dim == 1:
-            return _rat_normalized((x[0] * y[0],), x[1] * y[1])
-        acc, den = self.table.mul(_support(x[:-1]), _support(y[:-1]))
-        return _rat_normalized(acc, x[-1] * y[-1] * den)
-
-    def inverse(self, x):
-        """By norm descent: x = (a + b g)/den with integer vectors a, b one
-        level down has x^-1 = den (a - b g) / (a^2 - d b^2)."""
-        if x == self.zero:
-            raise DivisionByZero("scalar division by zero")
-        if not self.level:
-            n, d = x
-            return (d, n) if n > 0 else (-d, -n)
-        if self.below is None:  # the ops one level down, and d there
-            sub = self.ctx.truncated(self.level - 1).ops
-            self.below = sub, sub.from_coords(self.ctx.tower[-1][1])
-        sub, d = self.below
-        half = self.dim // 2
-        a, b, den = x[:half], x[half:-1], x[-1]
-        if not any(b):
-            inv = sub.inverse((*a, den))
-            return (*inv[:-1], *b, inv[-1])
-        mul = sub.table.mul
-        sa, sb = _support(a), _support(b)
-        aa, ta = mul(sa, sa)
-        bb, tb = mul(sb, sb)
-        dbb, tdbb = mul(_support(d[:-1]), _support(bb))
-        tdbb *= d[-1] * tb
-        norm = _rat_normalized([u * tdbb - v * ta for u, v in zip(aa, dbb)],
-                               ta * tdbb)
-        inv = sub.inverse(norm)
-        si = _support(inv[:-1])
-        lo, tlo = mul(sa, si)
-        hi, thi = mul(sb, si)
-        return _rat_normalized([den * thi * u for u in lo]
-                               + [-den * tlo * v for v in hi],
-                               tlo * thi * inv[-1])
-
-    def scale(self, row, c):
-        zero, mul = self.zero, self.mul
-        return [x if x == zero else mul(x, c) for x in row]
-
-    def axpy(self, row, f, prow):
-        """row - f * prow."""
-        zero, mul = self.zero, self.table.mul
-        if f == zero:
-            return list(row)
-        if self.dim == 1:
-            (fn, fd), out = f, []
-            for x, (yn, yd) in zip(row, prow):
-                if yn:
-                    (xn, xd), yd = x, yd * fd
-                    x = _rat_normalized((xn * yd - fn * yn * xd,), xd * yd)
-                out.append(x)
-            return out
-        fs, fd = _support(f[:-1]), f[-1]
-        out = []
-        for x, y in zip(row, prow):
-            if y != zero:
-                acc, den = mul(fs, _support(y[:-1]))
-                yd, xd = fd * y[-1] * den, x[-1]
-                x = _rat_normalized([a * yd - b * xd for a, b in zip(x, acc)],
-                                    xd * yd)
-            out.append(x)
-        return out
-
-    def matmul(self, a_rows, b_cols):
-        """Each row and each column is put over one denominator and split
-        into integer coordinate vectors, so an entry is a sum over pairs of
-        coordinates of one integer dot product times g_S g_T; over Q
-        itself, one integer dot product."""
-        if not self.level:
-            cols = list(map(_cleared, b_cols))
-            return [[_rat_normalized((sum(map(operator.mul, rn, cn)),),
-                                     rd * cd) for cd, cn in cols]
-                    for rd, rn in map(_cleared, a_rows)]
-        mul = self.table.mul
-        cols = [_rat_split(c) for c in b_cols]
-        out = []
-        for rd, rs in map(_rat_split, a_rows):
-            out_row = []
-            for cd, cs in cols:
-                acc, den = mul(rs, cs, _int_dot)
-                out_row.append(_rat_normalized(acc, rd * cd * den))
-            out.append(out_row)
-        return out
-
-
-class _ModOps(_RawRows):
-    """Finite contexts of more than _TABLE_MAX_ORDER elements: a raw value
-    is the flat tuple of the element's coordinates over GF(p), ints in
-    [0, p), one per monomial t^i g_S of the context's _MonomialTable, base
-    coordinates first (Scalar.coords flattened).  A product is one integer
-    accumulation over the nonzero coordinate pairs, and each entry of a
-    result, a matrix product's included, is reduced mod p once.  The tables
-    of smaller fields (_build_tables) take their powers with it too."""
+class _VectorOps(_RawRows):
+    """Q and its towers, and finite contexts of more than _TABLE_MAX_ORDER
+    elements: a raw value is one integer vector, the numerators of the
+    coordinates over the prime field, one per monomial t^i g_S of the
+    context's _MonomialTable (base coordinates first, Scalar.coords
+    flattened), followed by their common denominator, (n_0, ..., n_(N-1),
+    den).  The two kinds differ in the coefficient rule alone (reduced),
+    which gives each element one raw value: over Q den > 0 and the vector
+    has gcd 1, over GF(p) den is 1 and every numerator lies in [0, p).  A
+    product is one integer accumulation over the nonzero coordinate pairs,
+    reading the monomial products from the table, and each result entry, a
+    matrix product's included, is reduced once.  The tables of smaller
+    finite fields (_build_tables) take their powers with it too."""
 
     indexed = False
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.p, self.k = ctx.p, ctx.base_degree
-        self.flat = ctx.kind == "gfp"  # coordinates are ints, not tuples
         self.level = len(ctx.tower)
-        self.zero = (0,) * (ctx.dim * self.k)
+        self.zero = (0,) * (ctx.dim * self.k) + (1,)
         self.one = (1,) + self.zero[1:]
         self.table = _monomial_table(ctx)
         self.below = None  # see inverse
+        # the coefficient rule: the raw value of nums / den
+        self.reduced = (functools.partial(_mod_reduced, self.p) if self.p
+                        else _rat_normalized)
+
+    @property
+    def work(self):
+        return self if self.level or self.p else _IntRows
 
     def from_int(self, n):
-        return (n % self.p,) + self.zero[1:]
+        return (n % self.p if self.p else int(n),) + self.zero[1:]
 
-    def from_coords(self, coords):
-        if self.flat:
-            return tuple(coords)
-        return tuple(itertools.chain.from_iterable(coords))
+    @staticmethod
+    def from_coords(coords):
+        """The raw value of base coordinates: Fractions (or ints) over the
+        lcm of their denominators, with which the numerators already have
+        gcd 1; ints mod p, and GF(p^k) tuples of them flattened, over 1."""
+        if isinstance(coords[0], tuple):
+            coords = list(itertools.chain.from_iterable(coords))
+        den = math.lcm(*[c.denominator for c in coords])
+        return (*[c.numerator * (den // c.denominator) for c in coords], den)
 
     def to_coords(self, x):
-        if self.flat:
-            return x
-        k = self.k
-        return tuple(x[i:i + k] for i in range(0, len(x), k))
+        if self.ctx.kind == "gfq":  # GF(p^k) coordinates are tuples
+            k = self.k
+            return tuple(x[i:i + k] for i in range(0, len(x) - 1, k))
+        if self.p:
+            return x[:-1]
+        den = x[-1]
+        if den == 1:
+            return tuple(map(Fraction, x[:-1]))
+        return tuple(Fraction(n, den) if n else _FRACTION_ZERO
+                     for n in x[:-1])
 
     def height(self, x):
         height, k = self.level, self.k
@@ -928,96 +804,164 @@ class _ModOps(_RawRows):
         return height
 
     def move(self, x, ops):
-        if ops.indexed:  # the base-p digits of an index
+        if ops.indexed:  # the base-p digits of an index, over 1
             digits = []
             while x:
                 x, c = divmod(x, self.p)
                 digits.append(c)
-            x = tuple(digits)
-        return x[:len(self.zero)] + self.zero[len(x):]
+            x = (*digits, 1)
+        n, m = len(x), len(self.zero)
+        if n < m:  # zero numerators are added before den, or dropped
+            return x[:-1] + self.zero[n - 1:-1] + x[-1:]
+        return x[:m - 1] + x[-1:] if n > m else x
+
+    # add, neg, mul, scale, axpy and matmul apply the coefficient rule over
+    # GF(p) inline: a call per entry would cost more than the reduction
 
     def add(self, x, y):
-        p = self.p
-        return tuple([(a + b) % p for a, b in zip(x, y)])
+        p, xd, yd = self.p, x[-1], y[-1]
+        if p:
+            return (*[(a + b) % p for a, b in zip(x[:-1], y)], 1)
+        if xd == yd:
+            return _rat_normalized([a + b for a, b in zip(x[:-1], y)], xd)
+        return _rat_normalized([a * yd + b * xd for a, b in zip(x[:-1], y)],
+                               xd * yd)
 
     def neg(self, x):
         p = self.p
-        return tuple([-a % p for a in x])
+        if p:
+            return (*[-n % p for n in x[:-1]], 1)
+        return (*[-n for n in x[:-1]], x[-1])  # gcd and den unchanged
 
     def mul(self, x, y):
         p = self.p
-        return tuple([a % p for a in
-                      self.table.mul(_support(x), _support(y))[0]])
+        if p:
+            return (*[a % p for a in self.table.mul(
+                _support(x[:-1]), _support(y[:-1]))[0]], 1)
+        if len(x) == 2:  # Q itself: no table
+            return _rat_normalized((x[0] * y[0],), x[1] * y[1])
+        acc, den = self.table.mul(_support(x[:-1]), _support(y[:-1]))
+        return _rat_normalized(acc, x[-1] * y[-1] * den)
 
     def inverse(self, x):
-        """By norm descent: x = a + b g, g^2 = c1 g + d, with a and b one
-        level down, has x^-1 = ((a + c1 b) - b g) / (a (a + c1 b) - d b^2),
-        the norm inverted by the ops one level down.  A GF(p^k) base
-        inverts by x^(p^k - 2)."""
+        """By norm descent: x = (a + b g)/den, g^2 = c1 g + d, with integer
+        vectors a and b one level down, has x^-1 = den ((a + c1 b) - b g) /
+        (a (a + c1 b) - d b^2), the norm inverted one level down; at height
+        1 over Q or GF(p), a, b and d are ints.  Q itself swaps numerator
+        and denominator, and a GF(p^k) base inverts by x^(p^k - 2)."""
         if x == self.zero:
             raise DivisionByZero("scalar division by zero")
         if not self.level:
-            return power(x, self.p ** self.k - 2, self.mul, self.one)
-        if self.below is None:  # the ops one level down, and the record
-            sub = self.ctx.truncated(self.level - 1).ops
-            c1, d = self.ctx.tower[-1]
-            self.below = sub, c1, sub.from_coords(d)
-        sub, c1, d = self.below
+            if self.p:
+                return power(x, self.p ** self.k - 2, self.mul, self.one)
+            n, den = x
+            return (den, n) if n > 0 else (-den, -n)
+        table = self.table
+        c1, d, d_den = table.c1, table.d, table.d_den
+        if len(x) == 3:  # height 1 over one base coordinate
+            a, b, den = x
+            (_s, dn), = d
+            conj = a + c1 * b
+            norm = a * conj * d_den - dn * b * b
+            den *= d_den
+            if norm < 0:
+                den, norm = -den, -norm
+            return self.reduced((den * conj, -den * b), norm)
+        if self.below is None:  # the same arithmetic one level down
+            self.below = _VectorOps(self.ctx.truncated(self.level - 1))
+        sub = self.below
         half = len(x) // 2
-        a, b = sub.move(x[:half], self), sub.move(x[half:], self)
-        if b == sub.zero:
-            return self.move(sub.inverse(a), sub)
-        conj = sub.add(a, b) if c1 else a
-        norm = sub.add(sub.mul(a, conj), sub.neg(sub.mul(d, sub.mul(b, b))))
-        inv = sub.inverse(norm)
-        lo = self.move(sub.mul(conj, inv), sub)
-        hi = self.move(sub.neg(sub.mul(b, inv)), sub)
-        return lo[:half] + hi[:half]
+        a, b, den = x[:half], x[half:-1], x[-1]
+        if not any(b):
+            inv = sub.inverse((*a, den))
+            return (*inv[:-1], *b, inv[-1])
+        mul = sub.table.mul
+        sa, sb = _support(a), _support(b)
+        sc = _support([u + v for u, v in zip(a, b)]) if c1 else sa
+        aa, ta = mul(sa, sc)
+        bb, tb = mul(sb, sb)
+        dbb, tdbb = mul(d, _support(bb))
+        tdbb *= d_den * tb
+        inv = sub.inverse(sub.reduced(
+            [u * tdbb - v * ta for u, v in zip(aa, dbb)], ta * tdbb))
+        si = _support(inv[:-1])
+        lo, tlo = mul(sc, si)
+        hi, thi = mul(sb, si)
+        return self.reduced([den * thi * u for u in lo]
+                            + [-den * tlo * v for v in hi],
+                            tlo * thi * inv[-1])
 
     def scale(self, row, c):
-        p, mul, cs = self.p, self.table.mul, _support(c)
+        zero, p = self.zero, self.p
+        mul, cs, cd = self.table.mul, _support(c[:-1]), c[-1]
         out = []
         for x in row:
-            xs = _support(x)
-            if xs:
-                x = tuple([a % p for a in mul(xs, cs)[0]])
+            if x != zero:
+                acc, den = mul(_support(x[:-1]), cs)
+                x = (*[a % p for a in acc], 1) if p else \
+                    _rat_normalized(acc, x[-1] * cd * den)
             out.append(x)
         return out
 
     def axpy(self, row, f, prow):
         """row - f * prow."""
-        p, mul, fs = self.p, self.table.mul, _support(f)
-        if not fs:
+        zero, p = self.zero, self.p
+        if f == zero:
             return list(row)
+        mul, fs, fd = self.table.mul, _support(f[:-1]), f[-1]
         out = []
         for x, y in zip(row, prow):
-            ys = _support(y)
-            if ys:
-                acc = mul(fs, ys)[0]
-                x = tuple([(a - b) % p for a, b in zip(x, acc)])
+            if y != zero:
+                acc, den = mul(fs, _support(y[:-1]))
+                if p:
+                    x = (*[(a - b) % p for a, b in zip(x, acc)], 1)
+                else:
+                    yd, xd = fd * y[-1] * den, x[-1]
+                    x = _rat_normalized(
+                        [a * yd - b * xd for a, b in zip(x, acc)], xd * yd)
             out.append(x)
         return out
 
     def matmul(self, a_rows, b_cols):
-        """An entry is a sum over pairs of coordinates of one integer dot
-        product times the monomial product, reduced mod p once."""
-        p, mul = self.p, self.table.mul
-        cols = [_coordinate_split(c) for c in b_cols]
-        return [[tuple([a % p for a in mul(rs, cs, _int_dot)[0]])
-                 for cs in cols] for rs in map(_coordinate_split, a_rows)]
+        """Each row and each column is put over one denominator and split
+        into integer coordinate vectors, so an entry is a sum over pairs of
+        coordinates of one integer dot product times m_s m_t, reduced once;
+        with one coordinate, one integer dot product."""
+        p, reduced = self.p, self.reduced
+        if len(self.zero) == 2:
+            cols = list(map(_cleared, b_cols))
+            return [[reduced((sum(map(operator.mul, rn, cn)),), rd * cd)
+                     for cd, cn in cols] for rd, rn in map(_cleared, a_rows)]
+        mul = self.table.mul
+        cols = [_rat_split(c, p) for c in b_cols]
+        return [[(*[a % p for a in acc], 1) if p
+                 else _rat_normalized(acc, rd * cd * den)
+                 for cd, cs in cols for acc, den in [mul(rs, cs, _int_dot)]]
+                for rd, rs in (_rat_split(r, p) for r in a_rows)]
 
 
 def _rat_normalized(nums, den):
-    """The raw value nums / den (den > 0), divided by its gcd."""
+    """The coefficient rule over Q: the raw value nums / den (den > 0),
+    divided by its gcd."""
     g = math.gcd(den, *nums)
     if g == 1:
         return (*nums, den)
     return (*[n // g for n in nums], den // g)
 
 
+def _mod_reduced(p, nums, den):
+    """The coefficient rule over GF(p): the raw value nums / den (den prime
+    to p), each entry reduced mod p, over 1."""
+    if den != 1:
+        inv = pow(den, -1, p)
+        nums = [n * inv for n in nums]
+    return (*[n % p for n in nums], 1)
+
+
 def _cleared(values):
-    """(den, [numerators over den]) for raw values of Q, den the lcm of
-    their denominators, so that den and the numerators have gcd 1."""
+    """(den, [numerators over den]) for raw values of one coordinate, den
+    the lcm of their denominators, so that den and the numerators have
+    gcd 1."""
     den = math.lcm(*[d for _n, d in values])
     return den, [n if d == den else n * (den // d) for n, d in values]
 
@@ -1033,19 +977,17 @@ def _support(nums):
     return [(s, n) for s, n in enumerate(nums) if n]
 
 
-def _coordinate_split(vector):
-    """[(s, coordinate s of every entry)] for integer vectors of one
-    length, keeping the coordinates s that are nonzero in some entry."""
-    return [(s, v) for s, v in enumerate(zip(*vector)) if any(v)]
-
-
-def _rat_split(vector):
-    """(den, _coordinate_split of the numerators over den) for rational
-    raw values, den the lcm of their denominators."""
-    den = math.lcm(*[x[-1] for x in vector])
-    return den, _coordinate_split([
-        x[:-1] if x[-1] == den else [n * (den // x[-1]) for n in x[:-1]]
-        for x in vector])
+def _rat_split(vector, p):
+    """(den, [(s, coordinate s of every entry)]) for raw values of one
+    length over GF(p), or over Q for p = 0: their numerators over den, the
+    lcm of their denominators (1 over GF(p)), keeping the coordinates s
+    that are nonzero in some entry."""
+    den = 1 if p else math.lcm(*map(operator.itemgetter(-1), vector))
+    if den != 1:
+        vector = [x if x[-1] == den else [n * (den // x[-1]) for n in x]
+                  for x in vector]
+    # the last column, the denominators, is nonzero in every entry
+    return den, [(s, v) for s, v in enumerate(zip(*vector)) if any(v)][:-1]
 
 
 class _MonomialTable:
@@ -1078,12 +1020,7 @@ class _MonomialTable:
         if ctx.tower:
             self.below = _monomial_table(ctx.truncated(len(ctx.tower) - 1))
             self.c1, d = ctx.tower[-1]  # d on flat coordinates, over d_den
-            if not self.p:
-                *d, self.d_den = _RatOps.from_coords(d)
-            elif ctx.kind == "gfq":
-                d, self.d_den = itertools.chain.from_iterable(d), 1
-            else:
-                self.d_den = 1
+            *d, self.d_den = _VectorOps.from_coords(d)
             self.d = _support(d)
         elif ctx.kind == "gfq":  # t^n for n < 2k - 1, reduced
             x, self.base = (1,) + (0,) * (len(ctx.modulus) - 1), []
@@ -1125,16 +1062,16 @@ class _MonomialTable:
                     below.entry(s, t - half)
                 den = below.den
                 pairs = [(k + half, n) for k, n in low]
-        if not self.p:  # over Q: raise self.den to a multiple of den
-            g = math.gcd(den, *[n for _k, n in pairs])
-            den //= g
-            if self.den % den:
-                grow = den // math.gcd(self.den, den)
-                self.den *= grow
-                for row in filter(None, self.rows):
-                    row[:] = [e and tuple((k, n * grow) for k, n in e)
-                              for e in row]
-            pairs = [(k, n // g * (self.den // den)) for k, n in pairs]
+        # raise self.den to a multiple of den (over GF(p) both stay 1)
+        g = math.gcd(den, *[n for _k, n in pairs])
+        den //= g
+        if self.den % den:
+            grow = den // math.gcd(self.den, den)
+            self.den *= grow
+            for row in filter(None, self.rows):
+                row[:] = [e and tuple((k, n * grow) for k, n in e)
+                          for e in row]
+        pairs = [(k, n // g * (self.den // den)) for k, n in pairs]
         entry = tuple(pairs)
         for a, b in ((s, t), (t, s)):
             (self.rows[a] or self.row(a))[b] = entry
@@ -1144,7 +1081,7 @@ class _MonomialTable:
         """(numerators, den) of the sum of times(x, y) m_s m_t over the pairs
         (s, x) of xs and (t, y) of ys, as numerators / den: the product of
         two integer vectors given by their supports (_support), or with
-        _int_dot the dot product of two split vectors (_coordinate_split).
+        _int_dot the dot product of two split vectors (_rat_split).
         Over GF(p) den is 1 and the numerators are not reduced."""
         rows, fill = self.rows, self.fill
         while True:
@@ -1176,13 +1113,11 @@ def _monomial_table(ctx):
 
 
 def _raw_ops(ctx):
-    if ctx.kind == "rational":
-        return _RatOps(ctx)
     if ctx.kind == "gfp" and not ctx.tower:
         return _FlatOps(ctx)
-    if ctx.order() <= _TABLE_MAX_ORDER:
+    if ctx.kind != "rational" and ctx.order() <= _TABLE_MAX_ORDER:
         return _TableOps(ctx)
-    return _ModOps(ctx)
+    return _VectorOps(ctx)
 
 
 # The tables of a finite context with q elements and a primitive element g.
@@ -1211,14 +1146,15 @@ def _field_tables(ctx):
 
 def _build_tables(ctx):
     """The _Tables of a finite context: a primitive element is the first
-    index whose powers, taken on flat coordinates by _ModOps, reach q - 1
-    elements."""
+    index whose powers, taken by _VectorOps on its digits over the
+    denominator 1, reach q - 1 elements."""
     p, q, k = ctx.p, ctx.order(), ctx.base_degree
     units = q - 1
     # product() counts with its last digit fastest: reversed, the lowest
-    flat = [t[::-1] for t in itertools.product(range(p), repeat=ctx.dim * k)]
+    flat = [(*t[::-1], 1)
+            for t in itertools.product(range(p), repeat=ctx.dim * k)]
     digits = {d: i for i, d in enumerate(flat)}
-    ops = _ModOps(ctx)
+    ops = _VectorOps(ctx)
     one = flat[1]
     for g in flat[1:]:
         powers, x = [1], g

@@ -6,9 +6,9 @@ towers (promote, trim, == and hash).
 Elements are drawn coordinate by coordinate over the base field, so every
 element of each tower can occur.  Towers of height 1 to 4 are drawn record
 by record, each d at a random level of the tower below it: over Q, and over
-GF(3), GF(65521) and GF(4), where they cross the 256-element table cap.
-The settings are derandomized: each run draws the same examples, and the
-suite stays deterministic.
+GF(2), GF(3), GF(65521) and GF(4), where they cross the 256-element table
+cap.  The settings are derandomized: each run draws the same examples, and
+the suite stays deterministic.
 """
 
 from fractions import Fraction
@@ -19,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from matcanon.field import (_RatOps, _TABLE_MAX_ORDER,  # noqa: E402
+from matcanon.field import (_TABLE_MAX_ORDER, _VectorOps,  # noqa: E402
                             adjoin_record, artin_schreier_root_or_adjoin,
                             gf4, prime_field, rationals)
 
@@ -114,8 +114,8 @@ def rational_towers(draw):
     return ctx
 
 
-FINITE_BASES = {"GF(3)": prime_field(3), "GF(65521)": prime_field(65521),
-                "GF(4)": gf4()}
+FINITE_BASES = {"GF(2)": prime_field(2), "GF(3)": prime_field(3),
+                "GF(65521)": prime_field(65521), "GF(4)": gf4()}
 
 
 @st.composite
@@ -123,8 +123,8 @@ def finite_towers(draw, ctx):
     """A finite ctx with 1 to 4 records, square roots in odd characteristic
     and Artin-Schreier roots in characteristic 2, each d the first of eight
     elements drawn at random levels of the tower so far that has no root
-    there.  GF(3) and GF(4) cross the table cap at height 3, GF(65521) at
-    height 1."""
+    there.  GF(2) crosses the table cap at height 4, GF(3) and GF(4) at
+    height 3, GF(65521) at height 1."""
     c1 = int(ctx.p == 2)
     # sampled, so that the heights above the cap come up as often as 1
     for _ in range(draw(st.sampled_from([1, 2, 3, 4]))):
@@ -179,10 +179,10 @@ def check_raw_ops(ctx, x, y, f, c):
 @AXIOMS
 @given(st.data())
 def test_rational_raw_ops_match_tower_arithmetic(data):
-    """_RatOps on raw values gives the Fraction coordinates of tower_mul
-    and tower_inv."""
+    """_VectorOps on raw values of Q towers gives the Fraction coordinates
+    of tower_mul and tower_inv."""
     ctx = data.draw(rational_towers())
-    assert isinstance(ctx.ops, _RatOps)
+    assert isinstance(ctx.ops, _VectorOps)
     check_raw_ops(ctx, *(data.draw(lower_elements(ctx)) for _ in range(4)))
 
 

@@ -20,7 +20,7 @@ from matcanon import (Block, ExactMatrix, canonical_block_matrix,
                       inverse_or_rank, prime_field)
 from matcanon import field
 from matcanon.exactmat import CongruenceWitness
-from matcanon.field import (_FlatOps, _ModOps, _raw_ops, _TableOps,
+from matcanon.field import (_FlatOps, _raw_ops, _TableOps, _VectorOps,
                             artin_schreier_root_or_adjoin, finite_field,
                             sqrt_or_adjoin)
 
@@ -158,7 +158,7 @@ def test_routing_and_the_cache(empty_cache):
     for ctx in (big, f6561):
         assert ctx.order() > field._TABLE_MAX_ORDER
         ops = _raw_ops(ctx)
-        assert isinstance(ops, _ModOps)
+        assert isinstance(ops, _VectorOps)
         assert monomial_cache[ctx._key] is ops.table
         # the tables of its prefixes, keyed by prefix
         assert all(ctx.truncated(h)._key in monomial_cache

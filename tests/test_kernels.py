@@ -2,12 +2,12 @@
 polynomial layer.
 
 Every kernel result is compared with a naive reference written here on the
-Scalar operators, over base fields and towers, on each of the four raw
+Scalar operators, over base fields and towers, on each of the three raw
 paths: ints mod p (GF(p) itself), exp/log tables (finite fields of at most
-256 elements), normalized integer vectors (Q and its towers, up to a
-height-3 tower whose last records lie at level 1) and integer vectors mod p
-(larger finite fields: towers over GF(p) and GF(4) up to height 3, and a
-GF(p^2) base).  The kernel builds its result matrices on raw values without
+256 elements) and integer vectors over a denominator (Q and its towers, up
+to a height-3 tower whose last records lie at level 1, and the larger
+finite fields: towers over GF(p) and GF(4) up to height 3, and a GF(p^2)
+base).  The kernel builds its result matrices on raw values without
 the checks of ExactMatrix(), so every returned entry is also read out and
 checked to be a Scalar of the right context with canonical coordinates.  The raw value
 of an int and the building of ops once per context instance are checked
@@ -25,9 +25,9 @@ import pytest
 from matcanon import field
 from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
-from matcanon.field import (Scalar, _FlatOps, _ModOps, _poly_divmod,
-                            _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
-                            _RatOps, _TableOps, adjunctions,
+from matcanon.field import (Scalar, _FlatOps, _poly_divmod, _poly_gcd,
+                            _poly_mulmod, _poly_powmod, _poly_trim,
+                            _TableOps, _VectorOps, adjunctions,
                             artin_schreier_root_or_adjoin, finite_field,
                             frobenius_gcd, gf4, parse_scalar, prime_field,
                             rationals, sqrt_or_adjoin)
@@ -89,11 +89,9 @@ def test_contexts_cover_every_raw_path():
         {"GF(2)", "GF(3)", "GF(65521)"}
     assert {name for name, ops in paths.items() if ops is _TableOps} == \
         {"GF(4)", "GF(3)(sqrt-1)", "GF(4)+AS"}
-    assert {name for name, ops in paths.items() if ops is _RatOps} == \
-        {"Q", "Q(sqrt2)", "Q+3 adjunctions"}
-    assert {name for name, ops in paths.items() if ops is _ModOps} == \
-        {"GF(65521)(sqrt17)", "GF(65521) height 2", "GF(65521^2)",
-         "GF(3) height 3", "GF(4)+3 AS"}
+    assert {name for name, ops in paths.items() if ops is _VectorOps} == \
+        {"Q", "Q(sqrt2)", "Q+3 adjunctions", "GF(65521)(sqrt17)",
+         "GF(65521) height 2", "GF(65521^2)", "GF(3) height 3", "GF(4)+3 AS"}
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -147,20 +145,26 @@ def test_ops_are_built_once_per_context(monkeypatch):
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(CONTEXTS)
-                                  if CONTEXTS[n].kind == "rational"])
+                                  if type(CONTEXTS[n].ops) is _VectorOps])
 def test_rational_raw_values_are_normalized(name):
-    """A raw rational value is (n_0, ..., n_(dim-1), den) with den > 0 and
-    gcd 1, so each element has one raw value: the raw values of Scalars,
-    every kernel result and the zero of the ops agree with it, and there is
-    one raw zero."""
+    """A raw value of integer vectors is (n_0, ..., n_(N-1), den), one
+    numerator per coordinate over the prime field, normalized by the
+    coefficient rule: over Q den > 0 and gcd 1, over GF(p) den = 1 and every
+    numerator in [0, p).  So each element has one raw value: the raw values
+    of Scalars, every kernel result and the zero of the ops agree with it,
+    and there is one raw zero."""
     ctx = CONTEXTS[name]
     ops = ctx.ops
     rng = random.Random("normalized " + name)
 
     def check(x):
-        assert type(x) is tuple and len(x) == ctx.dim + 1
+        assert type(x) is tuple
+        assert len(x) == ctx.dim * ctx.base_degree + 1
         assert all(type(n) is int for n in x)
-        assert x[-1] > 0 and math.gcd(*x) == 1
+        if ctx.p:
+            assert x[-1] == 1 and all(0 <= n < ctx.p for n in x[:-1])
+        else:
+            assert x[-1] > 0 and math.gcd(*x) == 1
 
     a = rand_matrix(ctx, rng, 4, 4)
     raw = [[e.raw for e in row] for row in a.rows]
@@ -173,14 +177,16 @@ def test_rational_raw_values_are_normalized(name):
     for x in itertools.chain(*raw, *derived):
         check(x)
         # the raw value of the element x denotes, read back from its
-        # Fraction coordinates
+        # coordinates
         assert ops.from_coords(ops.to_coords(x)) == x
     check(ops.zero)
     check(ops.one)
-    zeros = {x for x in itertools.chain(*derived) if not any(ops.to_coords(x))}
+    # an element is zero when its numerators are
+    zeros = {x for x in itertools.chain(*derived) if not any(x[:-1])}
     assert zeros == {ops.zero}
+    zero = (0,) * ctx.base_degree if ctx.kind == "gfq" else 0
     assert [e.raw for e in (ctx.zero(), -ctx.zero(), ctx.one() - ctx.one(),
-                            ctx.element([0] * ctx.dim))] == [ops.zero] * 4
+                            ctx.element([zero] * ctx.dim))] == [ops.zero] * 4
 
 
 def test_rational_tables_live_in_one_cache():

@@ -59,36 +59,68 @@ def dead_names(sources):
             if readers[name] == (name in r)}
 
 
+def _reads(nodes, owner=None):
+    """(name, cls) for each read under the given nodes: cls is the name of
+    the innermost enclosing class for a read self.name, None for every
+    other read."""
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            on_self = isinstance(node.value, ast.Name) and \
+                node.value.id == "self"
+            yield node.attr, owner if on_self else None
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                           ast.Store):
+            yield node.id, None
+        yield from _reads(ast.iter_child_nodes(node),
+                          node.name if isinstance(node, ast.ClassDef)
+                          else owner)
+
+
 def dead_methods(sources, readme):
     """Methods of the classes in {module: source text} that nothing there
     reads outside the method's own body and no code span of the readme
-    text names, as "Class.method".  A span names a method when it is the
-    name alone, "x.name" or "x.name(...)"; fenced code blocks are no
-    spans."""
-    def reads_under(nodes):
-        return collections.Counter(
-            n.id if isinstance(n, ast.Name) else n.attr
-            for node in nodes for n in ast.walk(node)
-            if isinstance(n, ast.Attribute) or (
-                isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)))
-
+    text names, as "Class.method".  A read self.name inside a class counts
+    for the methods name of that class, its bases and its subclasses
+    only; any other read counts for every method of that name.  A span
+    names a method when it is the name alone, "x.name" or "x.name(...)";
+    fenced code blocks are no spans."""
     trees = [ast.parse(text) for text in sources.values()]
-    reads = reads_under(trees)
+    classes = [n for tree in trees for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef)]
+    bases = {cls.name: {b.id if isinstance(b, ast.Name) else b.attr
+                        for b in cls.bases
+                        if isinstance(b, (ast.Name, ast.Attribute))}
+             for cls in classes}
+
+    def ancestors(name):
+        seen, todo = set(), [name]
+        while todo:
+            for base in bases.get(todo.pop(), ()):
+                if base not in seen:
+                    seen.add(base)
+                    todo.append(base)
+        return seen
+
+    kin = {name: ancestors(name) | {name} | {
+        other for other in bases if name in ancestors(other)}
+        for name in bases}
+    reads = collections.Counter(_reads(trees))
     spans = re.findall(r"`([^`]*)`",
                        re.sub(r"```.*?```", "", readme, flags=re.S))
     named = {m.group(1) for m in (
         re.fullmatch(r"(?:\w+\.)*(\w+)(?:\(.*\))?", span) for span in spans)
         if m}
     dead = set()
-    for tree in trees:
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for fn in cls.body:
-                if not isinstance(fn, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)) or \
-                        fn.name.startswith("__") or fn.name in named:
-                    continue
-                if reads[fn.name] == reads_under(fn.body)[fn.name]:
-                    dead.add("%s.%s" % (cls.name, fn.name))
+    for cls in classes:
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name.startswith("__") or fn.name in named:
+                continue
+            own = collections.Counter(_reads(fn.body, cls.name))
+            if all(reads[read] == own[read] for read in reads
+                   if read[0] == fn.name
+                   and (read[1] is None or read[1] in kin[cls.name])):
+                dead.add("%s.%s" % (cls.name, fn.name))
     return dead
 
 
@@ -140,7 +172,26 @@ def test_rule_flags_a_method_left_behind():
                        "        return len(self.rows)\n",
         "gabriel.py": "def size(m):\n"
                       "    return m.shape()\n",
+        # self.scale in _Rows reads the scale of its subclass _Flat, and
+        # self.enter in _Mod the enter of its base _Rows, but neither
+        # reads the scale of _Rat, an unrelated class
+        "field.py": "class _Rows:\n"
+                    "    def unit(self, x):\n"
+                    "        return self.scale(x)\n"
+                    "    def enter(self, x):\n"
+                    "        return x\n"
+                    "class _Flat(_Rows):\n"
+                    "    def scale(self, x):\n"
+                    "        return x\n"
+                    "class _Rat:\n"
+                    "    def scale(self, x):\n"
+                    "        return x\n"
+                    "class _Mod(_Rows):\n"
+                    "    def scale(self, x):\n"
+                    "        return self.enter(x)\n"
+                    "def run(ops):\n"
+                    "    return ops.unit(1)\n",
     }
     readme = ("Call `m.documented()` for a copy; `columns are vectors`.\n"
               "```python\nm.columns()\n```\n")
-    assert dead_methods(sources, readme) == {"Matrix.columns"}
+    assert dead_methods(sources, readme) == {"Matrix.columns", "_Rat.scale"}
