@@ -18,8 +18,8 @@ import sys
 
 from .canon import (Block, canonical_block_matrix, canonicalize, equivalent,
                     invariants, transpose_witness)
-from .errors import (DegenerateRestriction, InternalDegenerate,
-                     MatcanonError, NoRootStrictPolicy, NotSplit, ParseError)
+from .errors import (DivisionByZero, InternalDegenerate, MatcanonError,
+                     NoRootStrictPolicy, NotSplit, ParseError)
 from .exactmat import CongruenceWitness, ExactMatrix, WitnessError
 from .field import (RECORD_KINDS, adjoin_record, adjunctions, finite_field,
                     format_scalar, parse_scalar, prime_field, rationals)
@@ -35,16 +35,27 @@ EXIT_INTERNAL = 5
 
 # -- field and matrix (de)serialization ---------------------------------------------
 
+_JSON_SHAPES = {dict: "an object", list: "an array", (int, str): "an integer"}
+
+
+def _json_shape(value, shape, what):
+    """value, if JSON gave it the shape it needs (a key of _JSON_SHAPES)."""
+    if not isinstance(value, shape):
+        raise ParseError("%s %s is not %s" % (what, json.dumps(value),
+                                              _JSON_SHAPES[shape]))
+    return value
+
+
 def _json_int(value, what):
     """An integer read from JSON; a float or a boolean is an input error,
     never rounded (write a fraction as a string such as "3/2")."""
     if isinstance(value, (bool, float)):
         raise ValueError("%s %s is not an integer" % (what, json.dumps(value)))
-    return int(value)
+    return int(_json_shape(value, (int, str), what))
 
 
 def context_from_json(obj, tower_cap=16):
-    kind = obj.get("kind")
+    kind = _json_shape(obj, dict, "field").get("kind")
     if kind == "rational":
         ctx = rationals(tower_cap)
     elif kind == "gfp":
@@ -52,11 +63,14 @@ def context_from_json(obj, tower_cap=16):
     elif kind == "gfq":
         ctx = finite_field(_json_int(obj["p"], "p"),
                            tuple(_json_int(c, "modulus coefficient")
-                                 for c in obj["modulus"]), tower_cap)
+                                 for c in _json_shape(obj["modulus"], list,
+                                                      "modulus")),
+                           tower_cap)
     else:
         raise ParseError("unknown field kind %r" % (kind,))
     names = [kind.json for kind in RECORD_KINDS]
-    for rec in obj.get("tower", ()):
+    for rec in _json_shape(obj.get("tower", []), list, "tower"):
+        _json_shape(rec, dict, "tower record")
         val = parse_scalar(rec["value"], ctx)
         if rec["kind"] not in names:
             raise ParseError("unknown adjunction kind %r" % (rec["kind"],))
@@ -90,11 +104,14 @@ def field_from_flag(text, tower_cap=16):
 
 
 def matrix_from_json(obj, tower_cap=16):
-    ctx = context_from_json(obj["field"], tower_cap)
+    ctx = context_from_json(_json_shape(obj, dict, "matrix file")["field"],
+                            tower_cap)
+    rows = _json_shape(obj["matrix"], list, "matrix")
     return ExactMatrix(ctx, [[_json_int(e, "matrix entry")
                               if isinstance(e, (int, float))
-                              else parse_scalar(str(e), ctx) for e in row]
-                             for row in obj["matrix"]])
+                              else parse_scalar(str(e), ctx)
+                              for e in _json_shape(row, list, "matrix row")]
+                             for row in rows])
 
 
 def matrix_text(m):
@@ -301,12 +318,18 @@ def main(argv=None):
             json.JSONDecodeError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
-    except (InternalDegenerate, WitnessError, DegenerateRestriction) as exc:
+    # input is parsed with ParseError for a zero denominator, so a
+    # division by zero comes from a stage
+    except (InternalDegenerate, WitnessError, DivisionByZero) as exc:
         sys.stderr.write("internal error: %s\n" % exc)
         return EXIT_INTERNAL
     except MatcanonError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
+    except Exception as exc:  # a defect, never a verdict (exit 1)
+        sys.stderr.write("internal error: %s: %s\n"
+                         % (type(exc).__name__, exc))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

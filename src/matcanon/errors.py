@@ -48,10 +48,6 @@ class NotSplit(MatcanonError):
     """Minimal polynomial of the asymmetry has a factor we cannot split."""
 
 
-class DegenerateRestriction(MatcanonError):
-    """Restricted form was degenerate where theory forbids it (internal bug)."""
-
-
 class InternalDegenerate(MatcanonError):
     """An orthogonal split failed in a mathematically impossible way."""
 

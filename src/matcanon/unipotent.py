@@ -16,6 +16,12 @@ block gets, the invariant record and the parity check of the single
 reduction.  The quadratic equations of the reductions are solved by
 field.quadratic_roots.
 
+The reductions do not check their results: a wrong congruence is caught
+once, where canon certifies the composed one (exactmat.CongruenceWitness).
+The raises left here guard what that certificate cannot see: a bounded
+search that ends without an answer, a missing solution, inverse or
+nonzero column, and a complement of the wrong size.
+
 The reductions take and return matrices and scalars, never a context: a
 root they adjoin (a square root in the single reduction, an Artin-Schreier
 root in a corner repair) lives on the values computed from it, the
@@ -104,8 +110,6 @@ def split_off_indecomposable(gram, nmat, eps):
     ctx = gram.ctx
     n = gram.nrows
     r, top = _nilpotency_index(nmat)
-    if r == 0:
-        raise InternalDegenerate("empty component")
     beta = top.transpose() @ gram  # (x, y) -> f(p^(r-1) x, y)
     v = _self_pairing_vector(beta)
     if v is not None:
@@ -131,8 +135,6 @@ def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
     """Build the piece on the columns of bmat and its two-sided orthogonal
     complement."""
     piece_gram = bmat.transpose() @ gram @ bmat
-    if inverse_or_rank(piece_gram, rank_only=True).rank != piece_gram.nrows:
-        raise InternalDegenerate("peeled piece is degenerate")
     comp = _orthogonal_complement(gram, bmat)
     if comp.ncols + bmat.ncols != gram.nrows:
         raise InternalDegenerate("complement dimension mismatch")
@@ -227,16 +229,6 @@ def peel_all(gram, nmat, eps):
 
 # -- the cyclic (single elementary divisor) reduction ----------------------------
 
-def _check_cyclic_gram(g, n):
-    for a in range(n):
-        for b in range(n):
-            if a + b >= n and not g[a, b].is_zero():
-                raise InternalDegenerate("cyclic gram not skew-triangular")
-    for a in range(n):
-        if g[a, n - 1 - a].is_zero():
-            raise InternalDegenerate("cyclic gram degenerate anti-diagonal")
-
-
 def canonical_cyclic_gram(ctx, eps, n):
     """The canonical cyclic-basis Gram matrix for one elementary divisor
     (X-eps)^n.
@@ -267,37 +259,22 @@ def canonical_cyclic_gram(ctx, eps, n):
         rows.append([eps * rho[i] + rho[i + 1]]
                     + [sub[i - 1, j] for j in range(n - 2)] + [zero])
     rows.append([eps * rho[n - 1]] + [zero] * (n - 1))
-    cg = ExactMatrix(ctx, rows)
-    s = ExactMatrix.jordan_block(ctx, n, eps)
-    if cg @ s != cg.transpose():
-        raise InternalDegenerate("canonical cyclic gram is inconsistent")
-    _check_cyclic_gram(cg, n)
-    return cg
+    return ExactMatrix(ctx, rows)
 
 
 def canon_single(g, eps, n, policy=EXTEND):
     """Reduce a cyclic-basis Gram matrix with single elementary divisor
     (X-eps)^n to the canonical cyclic normal form.
 
-    Returns (x, cg) with x' g x = cg exactly, both over x.ctx, the context
-    the reduction reached from g's.
+    Returns x with x' g x = canonical_cyclic_gram(x.ctx, eps, n), over
+    x.ctx, the context the reduction reached from g's.
     """
     char = g.ctx.characteristic
     _check_parity(eps, n, char)
-    _check_cyclic_gram(g, n)
-    if n == 1:
-        rinv = sqrt_or_adjoin(g[0, 0], policy)[0].inverse()
-        return ExactMatrix(g.ctx, [[rinv]]), ExactMatrix(rinv.ctx, [[1]])
-    if n == 2:
-        c = g[0, 0]
-        if c.is_zero():
-            raise InternalDegenerate("n=2 cyclic gram with zero corner")
-        rinv = sqrt_or_adjoin(c, policy)[0].inverse()
-        x = ExactMatrix.identity(g.ctx, 2).scale(rinv)
-        cg = x.transpose() @ g @ x
-        if cg != canonical_cyclic_gram(x.ctx, eps, 2):
-            raise InternalDegenerate("n=2 normal form mismatch")
-        return x, cg
+    if n <= 2:
+        # scale the corner f(v, v) to 1 (then f(v, pv) is 2 for n = 2)
+        return ExactMatrix.identity(g.ctx, n).scale(
+            sqrt_or_adjoin(g[0, 0], policy)[0].inverse())
     if char == 2 and n == 3:
         return _canon_single_char2_n3(g, policy)
     return _canon_single_step(g, eps, n, policy)
@@ -315,24 +292,20 @@ def _canon_single_char2_n3(g, policy):
     # scale the anti-diagonal to 1 (characteristic 2: unique square root)
     t = sqrt_or_adjoin(g[0, 2], policy)[0].inverse()
     x1 = ExactMatrix.identity(g.ctx, 3).scale(t)
-    g1 = x1.transpose() @ g @ x1
-    # v' = v + x p v with x^2 + x + g1[0,0] = 0
-    one = g1.ctx.one()
-    xval = quadratic_roots(one, one, g1[0, 0], policy)[0]
-    x2 = ExactMatrix.jordan_block(g1.ctx, 3).krylov(
-        ExactMatrix(g1.ctx, [[one], [xval], [0]]), 3)
-    g2 = x2.transpose() @ g1 @ x2
-    if g2 != ExactMatrix(g.ctx, [[0, 0, 1], [1, 1, 0], [1, 0, 0]]):
-        raise InternalDegenerate("char-2 n=3 normal form mismatch")
-    return x1 @ x2, g2
+    # v' = v + x p v with x^2 + x + c = 0, c = f(t v, t v)
+    c = t * t * g[0, 0]
+    one = c.ctx.one()
+    xval = quadratic_roots(one, one, c, policy)[0]
+    x2 = ExactMatrix.jordan_block(c.ctx, 3).krylov(
+        ExactMatrix(c.ctx, [[one], [xval], [0]]), 3)
+    return x1 @ x2
 
 
 def _canon_single_step(g, eps, n, policy):
     """Recursive case of the single reduction (n >= 3, not char-2 n=3)."""
     char = g.ctx.characteristic
     sub_idx = list(range(1, n - 1))
-    xs, cg_sub = canon_single(g.submatrix(sub_idx, sub_idx), eps, n - 2,
-                              policy)
+    xs = canon_single(g.submatrix(sub_idx, sub_idx), eps, n - 2, policy)
     # lift the new sub cyclic vector: coordinates j of the sub basis mean
     # p^{j+1} v, so stripping one p gives sum_j xs[j,0] p^j v
     vcoord = ExactMatrix.blocks(g.ctx, [[xs.columns([0])],
@@ -340,9 +313,6 @@ def _canon_single_step(g, eps, n, policy):
     b1 = ExactMatrix.jordan_block(g.ctx, n).krylov(vcoord, n)
     g1 = b1.transpose() @ g @ b1
     ctx = g1.ctx
-    if g1.submatrix(sub_idx, sub_idx) != cg_sub:
-        raise InternalDegenerate("sub-reduction did not embed")
-
     cg = canonical_cyclic_gram(ctx, eps, n)
     plus = (eps == ctx.one())
     solve_from = 1 if (char != 2 and plus) else 2
@@ -359,19 +329,14 @@ def _canon_single_step(g, eps, n, policy):
 
     cols = [u]
     if solve_from == 2:
-        # z = p v1 + s p^{n-1} v1 fixing f(u, z) = cg[0, 1]
-        fu = u.transpose() @ g1  # x -> f(u, x)
-        if fu[0, n - 1].is_zero():
-            raise InternalDegenerate("lost the skew-diagonal entry")
+        # z = p v1 + s p^{n-1} v1 fixing f(u, z) = cg[0, 1]; u solves the
+        # row system, so f(u, p^{n-1} v1) = cg[0, n-1], which is not 0
+        fu1 = (u.transpose() @ g1.columns([1]))[0, 0]  # f(u, p v1)
         cols.append(ExactMatrix.unit_column(ctx, n, 1)
                     + ExactMatrix.unit_column(ctx, n, n - 1).scale(
-                        (cg[0, 1] - fu[0, 1]) / fu[0, n - 1]))
+                        (cg[0, 1] - fu1) / cg[0, n - 1]))
     cols.append(ExactMatrix.identity(ctx, n).columns(range(len(cols), n)))
-    x2 = ExactMatrix.blocks(ctx, [cols])
-    out = x2.transpose() @ g1 @ x2
-    if out != cg:
-        raise InternalDegenerate("single-block normalization mismatch")
-    return b1 @ x2, cg
+    return b1 @ ExactMatrix.blocks(ctx, [cols])
 
 
 def _adjust_self_value(g1, part, hom, rho0):
@@ -438,8 +403,8 @@ _gamma_reduction_cache = {}
 
 
 def _gamma_cyclic_reduction(eps, n, policy):
-    """(X^-1, CG) for the witness columns (basis matrix) X with
-    X' Gamma X = CG, Gamma_n(^0) taken over eps's context."""
+    """X^-1 for the witness columns (basis matrix) X that take Gamma_n(^0),
+    over eps's context, to the canonical cyclic gram."""
     ctx = eps.ctx
     key = (ctx, eps, n)
     if key in _gamma_reduction_cache:
@@ -448,21 +413,18 @@ def _gamma_cyclic_reduction(eps, n, policy):
     nmat = asymmetry_matrix(gamma).minus_scalar(eps)
     v = _height_vector(nmat.power(n - 1))
     bmat = nmat.krylov(v, n)
-    x, cg = canon_single(bmat.transpose() @ gamma @ bmat, eps, n, policy)
-    result = (inverse_or_rank(bmat @ x).inverse, cg)
+    x = canon_single(bmat.transpose() @ gamma @ bmat, eps, n, policy)
+    result = inverse_or_rank(bmat @ x).inverse
     _gamma_reduction_cache[key] = result
     return result
 
 
 def reduce_single(g, eps, n, policy=EXTEND):
     """Congruence from a single-block cyclic Gram to Gamma_n(^0)."""
-    x1, cg1 = canon_single(g, eps, n, policy)
+    x1 = canon_single(g, eps, n, policy)
     # the Gamma side starts from the tower the input side reached, so a
     # root both sides need is adjoined once
-    xg_inv, cg2 = _gamma_cyclic_reduction(eps.promote(x1.ctx), n, policy)
-    if cg1 != cg2:
-        raise InternalDegenerate("input and Gamma reductions disagree")
-    x = x1 @ xg_inv
+    x = x1 @ _gamma_cyclic_reduction(eps.promote(x1.ctx), n, policy)
     return Congruence(x, g, gamma_block(x.ctx, n))
 
 
@@ -478,16 +440,7 @@ def pair_canon(g, eps, m, policy=EXTEND):
     """
     ctx = g.ctx
     if m == 1:
-        a, b = g[0, 1], g[1, 0]
-        if not g[0, 0].is_zero() or not g[1, 1].is_zero():
-            raise InternalDegenerate("pair base is not alternating")
-        if a != eps * b:
-            raise InternalDegenerate("pair base asymmetry mismatch")
-        binv = b.inverse()
-        x = ExactMatrix(ctx, [[1, 0], [0, binv]])
-        out = x.transpose() @ g @ x
-        if out != hyperbolic_block_matrix(ctx, 1, eps):
-            raise InternalDegenerate("pair base normalization failed")
+        x = ExactMatrix(ctx, [[1, 0], [0, g[1, 0].inverse()]])
         return x, ExactMatrix.unit_column(ctx, 2, 0), x.columns([1])
 
     if m == 2:
@@ -513,15 +466,10 @@ def pair_canon(g, eps, m, policy=EXTEND):
     w1 = _repair_generator(g, shift, w1,
                            _module_duals(g, shift, v1, shift.krylov(w1, m)),
                            m, policy)
-    _assert_isotropic(g, shift, v1, m)
-    _assert_isotropic(g, shift, w1, m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
     svecs = shift.krylov(v1, m).columns(range(m - 1, -1, -1))
     x = ExactMatrix.blocks(ctx, [[svecs,
                                   _module_duals(g, shift, w1, svecs)]])
-    out = x.transpose() @ g @ x
-    if out != hyperbolic_block_matrix(ctx, m, eps):
-        raise InternalDegenerate("pair normalization mismatch")
     return x, v1, w1
 
 
@@ -625,11 +573,6 @@ def _is_isotropic(g, shift, gen, m):
     """Whether the p-module of gen is totally isotropic."""
     chain = shift.krylov(gen, m)
     return (chain.transpose() @ g @ chain).is_zero()
-
-
-def _assert_isotropic(g, shift, gen, m):
-    if not _is_isotropic(g, shift, gen, m):
-        raise InternalDegenerate("module is not totally isotropic")
 
 
 def reduce_pair(g, eps, m, policy=EXTEND):

@@ -335,16 +335,60 @@ def test_tower_adjunction_with_root_exit_code(tmp_path):
 
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # an internal failure is not an input error: exit 5, not 4
-    from matcanon import cli
+    from matcanon import canon, cli
     from matcanon.errors import InternalDegenerate
 
     def broken(*_args, **_kwargs):
-        raise InternalDegenerate("eigen classes failed to be orthogonal")
+        raise InternalDegenerate("lam pairing is degenerate")
 
     monkeypatch.setattr(cli, "canonicalize", broken)
     p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
     assert cli.main(["canon", p]) == 5
     assert "internal error" in capsys.readouterr().err
+
+    # nor is an exception no stage should raise a false verdict (exit 1):
+    # it used to escape main
+    def index_error(*_args, **_kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(canon, "eigen_split", index_error)
+    assert cli.main(["equiv", p, p]) == 5
+    assert "internal error: IndexError" in capsys.readouterr().err
+
+
+GOOD_FIELD = {"kind": "rational"}
+MALFORMED_JSON = {
+    "top-level list": [GOOD_FIELD, [["1"]]],
+    "top-level string": "1",
+    "field not an object": {"field": "rational", "matrix": [["1"]]},
+    "matrix a number": {"field": GOOD_FIELD, "matrix": 5},
+    "matrix rows numbers": {"field": GOOD_FIELD, "matrix": [1, 2]},
+    "tower a number": {"field": {"kind": "rational", "tower": 5},
+                       "matrix": [["1"]]},
+    "tower record a number": {"field": {"kind": "rational", "tower": [5]},
+                              "matrix": [["1"]]},
+    "modulus a number": {"field": {"kind": "gfq", "p": 2, "modulus": 5},
+                         "matrix": [["1"]]},
+    "p a list": {"field": {"kind": "gfp", "p": [3]}, "matrix": [["1"]]},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_JSON))
+def test_malformed_json_exit_code(tmp_path, capsys, shape):
+    # each used to escape as a TypeError or AttributeError with exit 1, so
+    # that equiv A.json B.json read as "not congruent"
+    from matcanon import cli
+    from matcanon.errors import ParseError
+    obj = MALFORMED_JSON[shape]
+    with pytest.raises(ParseError):
+        matrix_from_json(obj)
+    good = write_matrix(tmp_path, "a.json", GOOD_FIELD, [["1"]])
+    bad = tmp_path / "b.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (["canon", str(bad)], ["equiv", good, str(bad)]):
+        assert cli.main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "input error" in captured.err
 
 
 def test_corrupt_stage_exit_code(tmp_path, monkeypatch, capsys):
@@ -364,6 +408,22 @@ def test_corrupt_stage_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["canon", p]) == 5
     err = capsys.readouterr().err
     assert "internal error" in err and "X'AX = B failed" in err
+
+    # a degenerate piece makes its reduction divide by zero before any
+    # certificate; a zero denominator in the input is a ParseError, so this
+    # is a defect too
+    peel = canon.peel_all
+
+    def degenerate(*args):
+        return [p._replace(gram=p.gram.scale(p.gram.ctx.zero()))
+                for p in peel(*args)]
+
+    monkeypatch.setattr(canon, "peel_all", degenerate)
+    p = write_matrix(tmp_path, "b3.json", {"kind": "gfp", "p": 2},
+                     [["0", "0", "1"], ["0", "1", "1"], ["1", "0", "0"]])
+    assert cli.main(["canon", p]) == 5
+    assert "internal error: scalar division by zero" in \
+        capsys.readouterr().err
 
 
 def test_equiv_false_verdict_reuses_records(tmp_path, monkeypatch, capsys):

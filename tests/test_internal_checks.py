@@ -1,0 +1,410 @@
+"""Every internal-error raise left in src/matcanon is reached by a test.
+
+The pipeline stages do not check their own results: a wrong congruence is
+caught once, where an answer leaves the package, by the certificate
+(exactmat.CongruenceWitness, exact X'AX = B with X invertible).  The
+raises of InternalDegenerate and WitnessError left in src/ guard what that
+certificate cannot see: the canonicity of a block list, the end of a
+bounded search, a missing solution, inverse or nonzero column, and a
+defect that would otherwise change its exit code.  Each test below makes
+one of them fire, mostly by monkeypatching a stage or helper to return a
+corrupt value, and checks the error's type and message.
+test_every_internal_raise_is_reached scans src/ for these raises: one
+added without a test here, or a test left for a raise that is gone, fails
+it.
+
+The canonical cyclic Gram matrices depend only on the characteristic, eps
+and n, so their laws are checked here over a range, not at every call.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+from matcanon import canon, exactmat, field, gabriel, spectral, unipotent
+from matcanon.canon import (Block, CanonicalForm, EquivalenceResult,
+                            InvariantRecord, blocks_from_record,
+                            canonical_block_matrix, canonicalize,
+                            equivalent, record_from_form, transpose_witness)
+from matcanon.errors import InternalDegenerate
+from matcanon.exactmat import Congruence, ExactMatrix, WitnessError
+from matcanon.field import prime_field, rationals
+from matcanon.unipotent import (canon_single, canonical_cyclic_gram,
+                                family_of, gamma_block)
+
+SRC = pathlib.Path(exactmat.__file__).resolve().parent
+INTERNAL_ERRORS = ("InternalDegenerate", "WitnessError")
+
+
+def _template(call):
+    """The message of a raise: its string, or the left side of a %."""
+    arg = call.args[0]
+    return (arg.left if isinstance(arg, ast.BinOp) else arg).value
+
+
+def internal_raises():
+    """{(module, message template): error class name} for every raise of
+    an internal error in src/matcanon."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) in INTERNAL_ERRORS):
+                found[(path.stem, _template(node.exc))] = node.exc.func.id
+    return found
+
+
+RAISES = internal_raises()
+ERRORS = {"InternalDegenerate": InternalDegenerate,
+          "WitnessError": WitnessError}
+
+
+def reaches(module, template):
+    """pytest.raises for the raise of template in module: its error type,
+    and its message with each %-field matching any text."""
+    pattern = re.sub(r"%[dsr]", ".+", re.escape(template))
+    return pytest.raises(ERRORS[RAISES[(module, template)]],
+                         match="^%s$" % pattern)
+
+
+def test_every_internal_raise_is_reached():
+    """The raises this file drives are exactly those in src/."""
+    tree = ast.parse(pathlib.Path(__file__).read_text())
+    driven = {tuple(a.value for a in node.args) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "reaches"}
+    assert driven == set(RAISES)
+
+
+@pytest.fixture(autouse=True)
+def fresh_gamma_cache(monkeypatch):
+    """A patched stage must not leave a Gamma reduction behind."""
+    monkeypatch.setattr(unipotent, "_gamma_reduction_cache", {})
+
+
+Q = rationals()
+
+
+def block(desc, ctx=Q):
+    return canonical_block_matrix(desc, ctx)
+
+
+def patch_result(monkeypatch, module, name, corrupt):
+    """Replace module.name by the original followed by corrupt(result)."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **k: corrupt(original(*a, **k)))
+
+
+def set_const(j):
+    """Corrupt _expand_conditions' result: condition j gets constant 1."""
+    def corrupt(result):
+        consts, lins, quads = result
+        consts = list(consts)
+        consts[j] = consts[j].ctx.one()
+        return consts, lins, quads
+    return corrupt
+
+
+# -- the canonical cyclic Gram matrices ------------------------------------------
+
+def single_orders():
+    """(ctx, eps, n) for each single of order n <= 10 at eps = +-1 in
+    characteristics 0, 2 and 3."""
+    for ctx in (Q, prime_field(2), prime_field(3)):
+        for eps in (ctx.one(), -ctx.one()):
+            for n in range(1, 11):
+                sign = 1 if eps == ctx.one() else -1
+                if family_of("single", sign, ctx.characteristic, n):
+                    yield ctx, eps, n
+
+
+def test_canonical_cyclic_gram_laws():
+    # G S = G' for the asymmetry S = J_n(eps) on a cyclic basis, zero below
+    # the anti-diagonal and nonzero on it
+    cases = list(single_orders())
+    assert len(cases) == 30
+    for ctx, eps, n in cases:
+        cg = canonical_cyclic_gram(ctx, eps, n)
+        assert cg @ ExactMatrix.jordan_block(ctx, n, eps) == cg.transpose()
+        for a in range(n):
+            assert not cg[a, n - 1 - a].is_zero(), (ctx, eps, n)
+            assert all(cg[a, b].is_zero() for b in range(n - a, n))
+
+
+def test_gamma_cyclic_gram_reduces_to_the_canonical_one():
+    # the single reduction of Gamma_n(^0) on its cyclic basis lands on
+    # canonical_cyclic_gram, which the stages do not check per call
+    for ctx, eps, n in single_orders():
+        gamma = gamma_block(ctx, n)
+        nmat = spectral.asymmetry_matrix(gamma).minus_scalar(eps)
+        bmat = nmat.krylov(unipotent._height_vector(nmat.power(n - 1)), n)
+        g = bmat.transpose() @ gamma @ bmat
+        x = canon_single(g, eps, n)
+        assert x.transpose() @ g @ x == \
+            canonical_cyclic_gram(x.ctx, eps, n), (ctx, eps, n)
+
+
+# -- canon: canonicity and the verdicts --------------------------------------------
+
+def test_piece_without_family(monkeypatch):
+    monkeypatch.setattr(canon, "family_of", lambda *args: None)
+    with reaches("canon", "no family has a %s of order %d at eigenvalue "
+                          "%d in characteristic %d"):
+        canonicalize(ExactMatrix(Q, [[1]]))
+
+
+def test_b_and_e_blocks_share_an_order():
+    f2 = prime_field(2)
+    form = CanonicalForm((), [Block("B", 3), Block("E", 6)], f2, [])
+    with reaches("canon", "B and E blocks share one order"):
+        record_from_form(form)
+
+
+def test_odd_pair_multiplicity():
+    # order 2 at eigenvalue 1 over Q is a D pair: its count must be even
+    record = InvariantRecord((), [(Q.one(), {2: 1}, {})], [], Q)
+    with reaches("canon", "odd pair multiplicity"):
+        blocks_from_record(record)
+
+
+def test_equivalent_with_a_singular_witness(monkeypatch):
+    patch_result(monkeypatch, canon, "_canonicalize", lambda res: (
+        res[0], res[1]._replace(x=res[1].x.scale(Q.zero()))))
+    a = ExactMatrix(Q, [[1]])
+    with reaches("canon", "witness matrix is singular"):
+        equivalent(a, a)
+
+
+def test_transpose_witness_on_a_false_verdict(monkeypatch):
+    monkeypatch.setattr(canon, "equivalent", lambda a, b, policy: (
+        EquivalenceResult(False, None, a.ctx, [])))
+    with reaches("canon", "a matrix failed to be congruent to its "
+                          "transpose"):
+        transpose_witness(ExactMatrix(Q, [[1]]))
+
+
+# -- exactmat: the certificate -------------------------------------------------------
+
+def _corrupt_gabriel(monkeypatch, x):
+    """gabriel_decompose answering the zero 1 x 1 matrix with witness x."""
+    def corrupt(dec):
+        return dec._replace(congruence=Congruence(
+            x, dec.congruence.source, dec.congruence.target))
+    patch_result(monkeypatch, canon, "gabriel_decompose", corrupt)
+
+
+def test_certificate_rejects_a_non_square_witness(monkeypatch):
+    _corrupt_gabriel(monkeypatch, ExactMatrix(Q, [[1, 0]]))
+    with reaches("exactmat", "witness parts must be square"):
+        canonicalize(ExactMatrix(Q, [[0]]))
+
+
+def test_certificate_rejects_a_false_relation(monkeypatch):
+    patch_result(monkeypatch, canon, "eigen_split", lambda res: res._replace(
+        x=res.x.scale(res.x.ctx.scalar(2))))
+    with reaches("exactmat", "congruence relation X'AX = B failed"):
+        canonicalize(ExactMatrix(Q, [[1, 2], [0, 1]]))
+
+
+def test_certificate_rejects_a_singular_witness(monkeypatch):
+    _corrupt_gabriel(monkeypatch, ExactMatrix(Q, [[0]]))
+    with reaches("exactmat", "witness matrix is singular"):
+        canonicalize(ExactMatrix(Q, [[0]]))
+
+
+# -- field: bounded searches ------------------------------------------------------------
+
+def test_no_primitive_element(monkeypatch):
+    # a product that never returns to 1 gives no element of order q - 1
+    monkeypatch.setattr(field._VectorOps, "mul", lambda self, a, b: a)
+    with reaches("field", "no primitive element in %r"):
+        field._build_tables(prime_field(3))
+
+
+def test_no_quadratic_non_residue(monkeypatch):
+    # draws of squares alone; 4 is a square mod 65537 whose root needs the
+    # non-residue correction (65537 - 1 = 2^16)
+    monkeypatch.setattr(field, "random_elements",
+                        lambda ctx: iter([ctx.one()] * 100))
+    with reaches("field", "no quadratic non-residue in %d draws"):
+        field._find_sqrt(prime_field(65537).scalar(4))
+
+
+# -- gabriel ----------------------------------------------------------------------------
+
+J3 = ExactMatrix.jordan_block(Q, 3)  # singular, with a zero radical
+
+
+def test_kernel_rows_lose_rank(monkeypatch):
+    # with the identity for the basis that ends in the kernel, the K row is
+    # the last row of J3', which is zero
+    monkeypatch.setattr(gabriel, "_extend_to_basis",
+                        lambda cols, kernel_last=False:
+                        ExactMatrix.identity(cols.ctx, cols.nrows))
+    with reaches("gabriel", "kernel rows are not full rank "
+                            "(radical was nonzero?)"):
+        gabriel.gabriel_decompose(J3.transpose())
+
+
+def test_row_space_split_without_a_solution(monkeypatch):
+    monkeypatch.setattr(gabriel, "solve", lambda a, b: (None, None))
+    with reaches("gabriel", "row space split failed"):
+        gabriel.gabriel_decompose(J3)
+
+
+# -- spectral ---------------------------------------------------------------------------
+
+G2 = block(Block("G", 2, Q.scalar(2)))  # eigenvalues 2 and 1/2
+
+
+def test_minimal_polynomial_without_a_dependence(monkeypatch):
+    monkeypatch.setattr(spectral, "first_dependence", lambda mats: None)
+    with reaches("spectral", "I, S, ..., S^n are independent"):
+        spectral.asymmetry(ExactMatrix(Q, [[1]]))
+
+
+def test_claimed_root_does_not_divide(monkeypatch):
+    monkeypatch.setattr(spectral, "_find_one_root",
+                        lambda poly, policy, listed=None:
+                        (poly[0].ctx.scalar(7), None))
+    with reaches("spectral", "claimed root does not divide"):
+        canonicalize(ExactMatrix(Q, [[1]]))
+
+
+def test_roots_not_closed_under_inversion(monkeypatch):
+    calls = []
+    original = spectral._extract_root
+
+    def miscount(work, root):
+        quotient, mult = original(work, root)
+        calls.append(root)
+        return quotient, mult + (len(calls) == 1)
+
+    monkeypatch.setattr(spectral, "_extract_root", miscount)
+    with reaches("spectral", "asymmetry roots are not closed under "
+                             "inversion"):
+        canonicalize(G2)
+
+
+def test_root_splitting_runs_out_of_shifts(monkeypatch):
+    # a constant splitting polynomial never separates two roots
+    gf7 = prime_field(7)
+    monkeypatch.setattr(spectral, "_splitting_poly",
+                        lambda ops, h, a, q: [ops.one])
+    poly = [gf7.scalar(c) for c in (-6, 11, -6, 1)]  # (X-1)(X-2)(X-3)
+    with reaches("spectral", "no shift split a degree-%d factor in %d "
+                             "tries"):
+        spectral._finite_field_roots(poly)
+
+
+def test_jordan_chains_of_a_wrong_eigenvalue():
+    # S - lam is not nilpotent on the lam side for a lam that is not its
+    # eigenvalue
+    s = spectral.asymmetry_matrix(G2)
+    with reaches("spectral", "matrix is not nilpotent"):
+        spectral.hyperbolic_canonical(G2, s, s[0, 0] + 1, 1)
+
+
+def test_lam_pairing_degenerate(monkeypatch):
+    monkeypatch.setattr(spectral, "nilpotent_jordan_chains", lambda nmat: [
+        ExactMatrix.zeros(nmat.ctx, nmat.nrows, nmat.nrows)])
+    with reaches("spectral", "lam pairing is degenerate"):
+        canonicalize(G2)
+
+
+# -- unipotent: peeling -------------------------------------------------------------------
+
+F2 = block(Block("F", 2))  # one pair of order 1 at eigenvalue -1
+
+
+def test_peeled_operator_not_nilpotent(monkeypatch):
+    # S - 1 for S = 2 I
+    monkeypatch.setattr(canon, "asymmetry_matrix",
+                        lambda a: ExactMatrix.identity(a.ctx, a.nrows)
+                        .scale(a.ctx.scalar(2)))
+    with reaches("unipotent", "operator is not nilpotent"):
+        canonicalize(ExactMatrix(Q, [[1]]))
+
+
+def test_single_split_tries_run_out(monkeypatch):
+    monkeypatch.setattr(unipotent, "_try_single_split", lambda *args: None)
+    monkeypatch.setattr(unipotent, "_repair_single_choice",
+                        lambda gram, nmat, top, v, r: v)
+    with reaches("unipotent", "could not keep the remainder "
+                              "non-alternating"):
+        canonicalize(ExactMatrix(Q, [[1]]))
+
+
+def test_no_full_height_repair_vector(monkeypatch):
+    # a 1 x 1 form has no vector orthogonal to the one it splits off
+    monkeypatch.setattr(unipotent, "_try_single_split", lambda *args: None)
+    with reaches("unipotent", "no full-height repair vector available"):
+        canonicalize(ExactMatrix(Q, [[1]]))
+
+
+def test_socle_functional_vanishes(monkeypatch):
+    monkeypatch.setattr(unipotent, "_height_vector",
+                        lambda top: ExactMatrix.zeros(top.ctx, top.nrows, 1))
+    with reaches("unipotent", "socle functional vanished on a "
+                              "non-degenerate part"):
+        canonicalize(F2)
+
+
+def test_no_vector_of_full_height(monkeypatch):
+    patch_result(monkeypatch, unipotent, "_nilpotency_index",
+                 lambda res: (res[0], res[1].scale(res[1].ctx.zero())))
+    with reaches("unipotent", "no vector of full height"):
+        canonicalize(F2)
+
+
+def test_complement_dimension_mismatch(monkeypatch):
+    monkeypatch.setattr(unipotent, "_orthogonal_complement",
+                        lambda gram, bmat:
+                        ExactMatrix.zeros(gram.ctx, gram.nrows, 0))
+    with reaches("unipotent", "complement dimension mismatch"):
+        canonicalize(ExactMatrix.identity(Q, 2))
+
+
+# -- unipotent: the single reduction ---------------------------------------------------
+
+def test_cyclic_row_system_without_a_solution(monkeypatch):
+    monkeypatch.setattr(unipotent, "solve", lambda a, b: (None, None))
+    with reaches("unipotent", "cyclic row system inconsistent"):
+        canonicalize(block(Block("A", 3)))
+
+
+def test_canonical_diagonal_value_out_of_reach():
+    # no homogeneous direction to move f(u, u) = 1 to 0
+    g1 = ExactMatrix(Q, [[1]])
+    with reaches("unipotent", "cannot reach the canonical diagonal value"):
+        unipotent._adjust_self_value(g1, g1, ExactMatrix.zeros(Q, 1, 0),
+                                     Q.zero())
+
+
+# -- unipotent: the pair reduction --------------------------------------------------
+
+def test_module_pairing_degenerate(monkeypatch):
+    monkeypatch.setattr(unipotent, "_repair_generator",
+                        lambda g, shift, gen, duals, m, policy:
+                        gen.scale(gen.ctx.zero()))
+    with reaches("unipotent", "module pairing is degenerate"):
+        canonicalize(block(Block("D", 4)))
+
+
+def test_isotropy_defect_beyond_the_corner(monkeypatch):
+    # F6 is a pair of order 3: a defect at j = 2 is out of the ansatz' reach
+    patch_result(monkeypatch, unipotent, "_expand_conditions", set_const(2))
+    with reaches("unipotent", "isotropy defect beyond the corner"):
+        canonicalize(block(Block("F", 6)))
+
+
+def test_corner_repair_without_candidates(monkeypatch):
+    patch_result(monkeypatch, unipotent, "_expand_conditions", set_const(0))
+    monkeypatch.setattr(unipotent, "_corner_candidates",
+                        lambda *args: iter(()))
+    with reaches("unipotent", "corner repair found no solution"):
+        canonicalize(block(Block("D", 4)))
