@@ -35,14 +35,16 @@ ways:
     ch. 4).  The two kinds differ in the coefficient rule alone, applied
     once to each result entry, a matrix product's dot products included:
     over Q the vector is divided by its gcd, over GF(p) each numerator is
-    reduced mod p over the denominator 1.
+    reduced mod p over the denominator 1.  At height 1 over GF(p) a
+    product is the record's closed form on ints mod p (_PairOps).
 promote and trim move raw values directly.  The Scalar operators,
 exactmat's kernels and the polynomial layer (raw coefficients, low to high)
 all run on these ops: the products, division and gcd of root finding,
 frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both root
 finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
-modulus (e = p^k and p^(k/r), over GF(p)), and the powers of square roots
-over GF(q) (Euler's criterion, Tonelli-Shanks).  Coordinates
+modulus (e = p^k and p^(k/r), over GF(p)), and square roots over GF(q):
+Euler's criterion by norm descent down the tower (_is_finite_square), then
+Tonelli-Shanks with one non-residue power per context.  Coordinates
 (Scalar.coords) are read off raw values for tower records, canonical order
 and printing.
 """
@@ -751,8 +753,10 @@ class _VectorOps(_RawRows):
     has gcd 1, over GF(p) den is 1 and every numerator lies in [0, p).  A
     product is one integer accumulation over the nonzero coordinate pairs,
     reading the monomial products from the table, and each result entry, a
-    matrix product's included, is reduced once.  The tables of smaller
-    finite fields (_build_tables) take their powers with it too."""
+    matrix product's included, is reduced once; at height 1 over GF(p) the
+    subclass _PairOps multiplies by the record's closed form instead.  The
+    tables of smaller finite fields (_build_tables) take their powers with
+    it too."""
 
     indexed = False
 
@@ -763,7 +767,6 @@ class _VectorOps(_RawRows):
         self.zero = (0,) * (ctx.dim * self.k) + (1,)
         self.one = (1,) + self.zero[1:]
         self.table = _monomial_table(ctx)
-        self.below = None  # see inverse
         # the coefficient rule: the raw value of nums / den
         self.reduced = (functools.partial(_mod_reduced, self.p) if self.p
                         else _rat_normalized)
@@ -771,6 +774,13 @@ class _VectorOps(_RawRows):
     @property
     def work(self):
         return self if self.level or self.p else _IntRows
+
+    @functools.cached_property
+    def below(self):
+        """The vector arithmetic one level down (inverse, norm): the prefix
+        context's own ops, unless they compute on ints or tables."""
+        prefix = self.ctx.truncated(self.level - 1)
+        return _VectorOps(prefix) if prefix.ops.indexed else prefix.ops
 
     def from_int(self, n):
         return (n % self.p if self.p else int(n),) + self.zero[1:]
@@ -867,8 +877,6 @@ class _VectorOps(_RawRows):
             if norm < 0:
                 den, norm = -den, -norm
             return self.reduced((den * conj, -den * b), norm)
-        if self.below is None:  # the same arithmetic one level down
-            self.below = _VectorOps(self.ctx.truncated(self.level - 1))
         sub = self.below
         half = len(x) // 2
         a, b, den = x[:half], x[half:-1], x[-1]
@@ -890,6 +898,18 @@ class _VectorOps(_RawRows):
         return self.reduced([den * thi * u for u in lo]
                             + [-den * tlo * v for v in hi],
                             tlo * thi * inv[-1])
+
+    def norm(self, x):
+        """(N, ops): the norm x x' = a^2 - d b^2 of x = a + b g, g^2 = d,
+        in a finite tower of odd characteristic, as a raw value N of ops,
+        the ops of the prefix context one level down."""
+        sub = self.below
+        half = len(x) // 2
+        a, b = (*x[:half], 1), (*x[half:-1], 1)
+        d = sub.from_coords(self.ctx.tower[-1][1])
+        n, = sub.axpy([sub.mul(a, a)], d, [sub.mul(b, b)])
+        down = self.ctx.truncated(self.level - 1).ops
+        return down.move(n, sub), down
 
     def scale(self, row, c):
         zero, p = self.zero, self.p
@@ -938,6 +958,55 @@ class _VectorOps(_RawRows):
                  else _rat_normalized(acc, rd * cd * den)
                  for cd, cs in cols for acc, den in [mul(rs, cs, _int_dot)]]
                 for rd, rs in (_rat_split(r, p) for r in a_rows)]
+
+
+class _PairOps(_VectorOps):
+    """GF(p) with one adjunction g^2 = d, above _TABLE_MAX_ORDER elements
+    (so p is odd and the record a square root): the raw values of
+    _VectorOps, (a, b, 1) for a + b g, multiplied by the record's closed
+    form on ints mod p, (a + b g)(c + e g) = (ac + d be) + (ae + bc) g,
+    without the monomial table; a matrix product takes four integer dot
+    products per entry, reduced once.  The norm is a^2 - d b^2 on ints, and
+    the inverse is _VectorOps's height-1 branch."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        (_c1, (self.d,)), = ctx.tower
+
+    def mul(self, x, y):
+        p = self.p
+        a, b, _ = x
+        c, e, _ = y
+        return ((a * c + self.d * b * e) % p, (a * e + b * c) % p, 1)
+
+    def norm(self, x):
+        a, b, _ = x
+        return (a * a - self.d * b * b) % self.p, self.ctx.truncated(0).ops
+
+    def scale(self, row, c):
+        return [self.mul(x, c) for x in row]
+
+    def axpy(self, row, f, prow):
+        """row - f * prow."""
+        p = self.p
+        c, e, _ = f
+        de = self.d * e
+        return [((a - c * u - de * v) % p, (b - c * v - e * u) % p, 1)
+                for (a, b, _), (u, v, _) in zip(row, prow)]
+
+    def matmul(self, a_rows, b_cols):
+        """Each row and column is split into its a and b coordinates, so an
+        entry is (A.C + d B.E) + (A.E + B.C) g."""
+        p, d = self.p, self.d
+
+        def split(vector):
+            return [x[0] for x in vector], [x[1] for x in vector]
+
+        cols = list(map(split, b_cols))
+        return [[((_int_dot(ra, ca) + d * _int_dot(rb, cb)) % p,
+                  (_int_dot(ra, cb) + _int_dot(rb, ca)) % p, 1)
+                 for ca, cb in cols]
+                for ra, rb in map(split, a_rows)]
 
 
 def _rat_normalized(nums, den):
@@ -1117,6 +1186,8 @@ def _raw_ops(ctx):
         return _FlatOps(ctx)
     if ctx.kind != "rational" and ctx.order() <= _TABLE_MAX_ORDER:
         return _TableOps(ctx)
+    if ctx.kind == "gfp" and len(ctx.tower) == 1:
+        return _PairOps(ctx)
     return _VectorOps(ctx)
 
 
@@ -1330,7 +1401,10 @@ def quadratic_roots(a, b, c, policy):
 
 
 def _find_sqrt(x):
-    """A square root of x in its own context, or None."""
+    """A square root of x in its own context, or None.
+
+    Over GF(q), q odd, Euler's criterion (_is_finite_square) decides first,
+    and Tonelli-Shanks takes the root of a square only."""
     ctx = x.ctx
     if x.is_zero():
         return x
@@ -1340,8 +1414,29 @@ def _find_sqrt(x):
     if ctx.characteristic == 2:
         # squaring is a bijection of GF(q): its inverse is x -> x^(q/2)
         return Scalar(ctx, power(x.raw, q // 2, ctx.ops.mul, ctx.ops.one))
-    root = _tonelli_shanks(ctx.ops, x.raw, q)
-    return None if root is None else Scalar(ctx, root)
+    if not _is_finite_square(ctx.ops, x.raw):
+        return None
+    return Scalar(ctx, _tonelli_shanks(ctx.ops, x.raw, q))
+
+
+def _is_finite_square(ops, x):
+    """Euler's criterion, x^((q-1)/2) = 1, for a nonzero raw value x of
+    ops, a finite field of odd order q.
+
+    In a tower above the table cap, x = a + b g with g^2 = d is a square
+    iff its norm a^2 - d b^2 is one, one level down: for q = r^2,
+    x^((q-1)/2) = (x^(r+1))^((r-1)/2) and x^(r+1) = x x^r is the norm.  So
+    the test descends to the first level that is GF(p), where it is
+    pow(x, (p-1)/2, p), a table field, where x is a square iff log x is
+    even, or a GF(p^k) base, where it is the power itself."""
+    while not ops.indexed and ops.level:
+        x, ops = ops.norm(x)
+    if not ops.indexed:
+        return power(x, (ops.p ** ops.k - 1) // 2, ops.mul,
+                     ops.one) == ops.one
+    if isinstance(ops, _TableOps):
+        return not ops.log[x] % 2
+    return pow(x, (ops.p - 1) // 2, ops.p) == 1
 
 
 def _rational_tower_sqrt(x):
@@ -1385,15 +1480,20 @@ def _rational_tower_sqrt(x):
     return None
 
 
+_nonresidue_cache = {}  # context key -> c = z^m of _tonelli_shanks
+
+
 def _tonelli_shanks(ops, x, q):
-    """Square root of the nonzero raw value x of ops, in an odd-characteristic
-    finite field of order q, or None when x is not a square.
+    """A square root of the nonzero square x, a raw value of ops, in a
+    finite field of odd order q; x must be a square (_is_finite_square).
 
     With q - 1 = 2^s m, m odd, u = x^((m-1)/2) gives the first guess
-    r = x^((m+1)/2) = u x and t = x^m = u r.  Euler's criterion
-    x^((q-1)/2) = 1 then reads t^(2^(s-1)) = 1, s - 1 squarings of t.  For
-    s = 1 the guess is the root x^((q+1)/4); otherwise a non-residue z,
-    tested the same way on c = z^m, corrects it.
+    r = x^((m+1)/2) = u x, and t = x^m = u r has order dividing 2^(s-1).
+    For s = 1 (t = 1) the guess is the root; otherwise c = z^m, z a
+    non-residue, corrects it.  c is computed once per context and kept in
+    _nonresidue_cache: z is the first non-square drawn from the seeded
+    random_elements stream, so c, and the root, do not depend on which
+    square root was taken first.
     """
     mul, one = ops.mul, ops.one
     m = q - 1
@@ -1404,20 +1504,12 @@ def _tonelli_shanks(ops, x, q):
     u = power(x, (m - 1) // 2, mul, one)
     r = mul(u, x)
     t = mul(u, r)
-    if power(t, 1 << (s - 1), mul, one) != one:
-        return None  # Euler's criterion
     if t == one:
         return r
-    # half the nonzero elements are non-residues: draw, do not scan (in
-    # GF(p^2) the first p elements in iter_elements order are all squares)
-    for z in itertools.islice(random_elements(ops.ctx), _NONRESIDUE_TRIES):
-        if z.raw != ops.zero:
-            c = power(z.raw, m, mul, one)
-            if power(c, 1 << (s - 1), mul, one) != one:
-                break
-    else:
-        raise InternalDegenerate("no quadratic non-residue in %d draws"
-                                 % _NONRESIDUE_TRIES)
+    c = _nonresidue_cache.get(ops.ctx._key)
+    if c is None:
+        c = _nonresidue_cache[ops.ctx._key] = power(_non_residue(ops), m,
+                                                    mul, one)
     while t != one:
         t2 = t
         i = 0
@@ -1430,6 +1522,18 @@ def _tonelli_shanks(ops, x, q):
         t = mul(t, c)
         s = i
     return r
+
+
+def _non_residue(ops):
+    """The first non-square of random_elements in the context of ops: half
+    the nonzero elements are non-residues, so it is drawn, not scanned for
+    (in GF(p^2) the first p elements in iter_elements order are all
+    squares)."""
+    for z in itertools.islice(random_elements(ops.ctx), _NONRESIDUE_TRIES):
+        if z.raw != ops.zero and not _is_finite_square(ops, z.raw):
+            return z.raw
+    raise InternalDegenerate("no quadratic non-residue in %d draws"
+                             % _NONRESIDUE_TRIES)
 
 
 def _artin_schreier_root(a):

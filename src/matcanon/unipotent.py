@@ -415,6 +415,8 @@ def _gamma_cyclic_reduction(eps, n, policy):
     bmat = nmat.krylov(v, n)
     x = canon_single(bmat.transpose() @ gamma @ bmat, eps, n, policy)
     result = inverse_or_rank(bmat @ x).inverse
+    if result is None:
+        raise InternalDegenerate("Gamma-side reduction basis is singular")
     _gamma_reduction_cache[key] = result
     return result
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import matcanon
+from matcanon import field
 from matcanon.errors import (ContextMismatch, DivisionByZero,
                              NoRootStrictPolicy, ParseError,
                              TowerCapExceeded, WrongCharacteristic)
@@ -216,10 +217,11 @@ def test_mul_inverse_property_random():
     (prime_field(3).adjoin_sqrt(prime_field(3).scalar(-1)), 3)],
     ids=["GF(7)", "GF(13)", "GF(17)", "GF(65537)", "GF(3)(sqrt-1)"])
 def test_tonelli_shanks_decides_squares(ctx, s):
-    """_tonelli_shanks returns a square root of every nonzero square and
-    None for every non-square, against the squares listed by brute force,
-    for q - 1 = 2^s m with s = 1, 2, 3, 4 and 16."""
-    from matcanon.field import _tonelli_shanks
+    """Euler's criterion (_is_finite_square) tells every nonzero square
+    from every non-square, against the squares listed by brute force, and
+    _tonelli_shanks returns a square root of each square, for q - 1 = 2^s m
+    with s = 1, 2, 3, 4 and 16; _find_sqrt returns None for the others."""
+    from matcanon.field import _find_sqrt, _is_finite_square, _tonelli_shanks
     q = ctx.order()
     assert (q - 1) % (1 << s) == 0 and (q - 1) >> s & 1
     if q < 100:
@@ -231,11 +233,35 @@ def test_tonelli_shanks_decides_squares(ctx, s):
     for x in pool:
         if x.is_zero():
             continue
-        r = _tonelli_shanks(ctx.ops, x.raw, q)
+        assert _is_finite_square(ctx.ops, x.raw) == (x in squares)
         if x in squares:
-            assert r is not None and Scalar(ctx, r) * Scalar(ctx, r) == x
+            r = Scalar(ctx, _tonelli_shanks(ctx.ops, x.raw, q))
+            assert r * r == x
         else:
-            assert r is None
+            assert _find_sqrt(x) is None
+
+
+@pytest.mark.parametrize("ctx", [
+    prime_field(65537),
+    prime_field(65521).adjoin_sqrt(prime_field(65521).scalar(17))],
+    ids=["GF(65537)", "GF(65521)(sqrt17)"])
+def test_sqrt_is_the_same_with_the_memo_cold_and_warm(ctx, monkeypatch):
+    """_tonelli_shanks keeps its non-residue power per context in
+    field._nonresidue_cache; _find_sqrt returns the same root whether the
+    memo is empty or already filled, by this or an earlier square."""
+    monkeypatch.setattr(field, "_nonresidue_cache", {})
+    rng = random.Random(ctx.order())
+    squares = [y * y for y in (ctx.element([rng.randrange(ctx.p)
+                                            for _ in range(ctx.dim)])
+                               for _ in range(12)) if not y.is_zero()]
+    cold = []
+    for x in squares:
+        field._nonresidue_cache.clear()
+        cold.append(field._find_sqrt(x))
+    assert list(field._nonresidue_cache) == [ctx._key]
+    warm = [field._find_sqrt(x) for x in reversed(squares)][::-1]
+    assert [r.raw for r in warm] == [r.raw for r in cold]
+    assert all(r * r == x for r, x in zip(cold, squares))
 
 
 def test_sqrt_squares_random_contexts():

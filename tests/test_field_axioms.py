@@ -1,7 +1,8 @@
 """Property tests of the field axioms in towers and large prime fields, of
 the raw arithmetic of towers against the coordinate arithmetic of
-tests/towerref.py (tower_mul, tower_inv), and of moving raw values along
-towers (promote, trim, == and hash).
+tests/towerref.py (tower_mul, tower_inv), the height-1 closed form over
+GF(p) included, of moving raw values along towers (promote, trim, == and
+hash), and of Euler's criterion by norm descent (_is_finite_square).
 
 Elements are drawn coordinate by coordinate over the base field, so every
 element of each tower can occur.  Towers of height 1 to 4 are drawn record
@@ -19,9 +20,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from matcanon.field import (_TABLE_MAX_ORDER, _VectorOps,  # noqa: E402
-                            adjoin_record, artin_schreier_root_or_adjoin,
-                            gf4, prime_field, rationals)
+from matcanon.field import (_TABLE_MAX_ORDER, _PairOps,  # noqa: E402
+                            _VectorOps, _is_finite_square, adjoin_record,
+                            artin_schreier_root_or_adjoin, finite_field, gf4,
+                            parse_scalar, prime_field, rationals)
 
 from towerref import badd, bneg, bzero, tower_inv, tower_mul  # noqa: E402
 
@@ -293,5 +295,72 @@ def test_promote_and_trim_move_raw_values(name):
             top, _padded(x, top), _padded(w, top), len(top.tower))
         assert (x + w).promote(top).coords == tuple(
             badd(top, u, v) for u, v in zip(_padded(x, top), _padded(w, top)))
+
+    check()
+
+
+# 3 is no square mod 65537 (65537 = 2 mod 3) and -1 none mod 1000003
+# (1000003 = 3 mod 4): fields of p^2 elements, far above the table cap
+PAIR_FIELDS = {"GF(65537)(sqrt3)": prime_field(65537).adjoin_sqrt(
+                   prime_field(65537).scalar(3)),
+               "GF(1000003)(sqrt-1)": prime_field(1000003).adjoin_sqrt(
+                   prime_field(1000003).scalar(-1))}
+MANY = settings(AXIOMS, max_examples=150)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FIELDS))
+def test_height_one_closed_form_matches_tower_arithmetic(name):
+    """mul, scale, axpy and matmul of GF(p)(sqrt d) by the record's closed
+    form (_PairOps) give the coordinates of tower_mul."""
+    ctx = PAIR_FIELDS[name]
+    assert type(ctx.ops) is _PairOps
+
+    @MANY
+    @given(st.lists(lower_elements(ctx), min_size=4, max_size=4))
+    def check(xyfc):
+        check_raw_ops(ctx, *xyfc)
+
+    check()
+
+
+def _square_towers():
+    """Finite towers above the table cap of height 0 to 3, square roots of
+    non-squares: the norm descends to GF(p), to a GF(p^2) base, or, in
+    GF(3^8), into GF(81) on tables."""
+    big = prime_field(65521)
+    big2 = big.adjoin_sqrt(big.scalar(17))  # 17: no square mod 65521
+    # t^2 = 17 and 65521 = 1 mod 4, so t has the norm -17, no square
+    base2 = finite_field(65521, (65521 - 17, 0))
+    f3 = prime_field(3)
+    f6561 = f3
+    for d in ("-1", "1+g1", "g2"):
+        f6561 = f6561.adjoin_sqrt(parse_scalar(d, f6561))
+    return {"GF(65521)(sqrt17)": big2,
+            "GF(65521) height 2": big2.adjoin_sqrt(big2.generator(1)),
+            "GF(65521^2)": base2,
+            "GF(65521^2)(sqrt t)": base2.adjoin_sqrt(
+                base2.base_element((0, 1))),
+            "GF(3^8)": f6561}
+
+
+SQUARE_TOWERS = _square_towers()
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_TOWERS))
+def test_norm_criterion_is_eulers(name):
+    """_is_finite_square, which descends the tower by norms, agrees with
+    x^((q-1)/2) = 1 on nonzero elements of every level, squares and their
+    multiples by a non-square alike."""
+    ctx = SQUARE_TOWERS[name]
+    assert ctx.order() > _TABLE_MAX_ORDER
+    half, one = (ctx.order() - 1) // 2, ctx.one()
+
+    @MANY
+    @given(lower_elements(ctx).filter(lambda x: not x.is_zero()),
+           st.booleans())
+    def check(x, square):
+        if square:
+            x = x * x
+        assert _is_finite_square(ctx.ops, x.raw) == (x ** half == one)
 
     check()

@@ -141,9 +141,10 @@ def test_base_products_read_the_tables(name, empty_cache):
 def test_routing_and_the_cache(empty_cache):
     """GF(p) itself stays on ints and builds no table; a finite context
     above the cap computes on integer vectors mod p with the monomial
-    tables of its tower and builds no _Tables; the tables live in the two
-    module dicts whose names end in _cache, which the bench empties before
-    each measured pass, and a context built after that refills them."""
+    tables of its tower and builds no _Tables; the tables live in module
+    dicts whose names end in _cache (with Tonelli-Shanks' non-residue
+    powers), which the bench empties before each measured pass, and a
+    context built after that refills them."""
     monomial_cache = field._monomial_tables_cache
     f7 = prime_field(7)
     assert isinstance(_raw_ops(f7), _FlatOps)
@@ -175,7 +176,8 @@ def test_routing_and_the_cache(empty_cache):
     assert list(empty_cache) == [SMALL_FIELDS["GF(9)"]._key]
     caches = sorted(name for name, value in vars(field).items()
                     if name.endswith("_cache") and isinstance(value, dict))
-    assert caches == ["_field_tables_cache", "_monomial_tables_cache"]
+    assert caches == ["_field_tables_cache", "_monomial_tables_cache",
+                      "_nonresidue_cache"]
     # emptied as the bench does, the caches are refilled by new contexts,
     # with the same products
     for name in caches:

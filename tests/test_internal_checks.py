@@ -227,7 +227,9 @@ def test_no_primitive_element(monkeypatch):
 
 def test_no_quadratic_non_residue(monkeypatch):
     # draws of squares alone; 4 is a square mod 65537 whose root needs the
-    # non-residue correction (65537 - 1 = 2^16)
+    # non-residue correction (65537 - 1 = 2^16).  The correction is kept
+    # per context, so an earlier root over GF(65537) must not have left one
+    monkeypatch.setattr(field, "_nonresidue_cache", {})
     monkeypatch.setattr(field, "random_elements",
                         lambda ctx: iter([ctx.one()] * 100))
     with reaches("field", "no quadratic non-residue in %d draws"):
@@ -375,6 +377,16 @@ def test_cyclic_row_system_without_a_solution(monkeypatch):
     monkeypatch.setattr(unipotent, "solve", lambda a, b: (None, None))
     with reaches("unipotent", "cyclic row system inconsistent"):
         canonicalize(block(Block("A", 3)))
+
+
+def test_singular_gamma_side_basis(monkeypatch):
+    # over GF(2) a step scaled by 2 is zero, and so is the Gamma side's
+    # reduction of B5, whose basis then has no inverse
+    f2 = prime_field(2)
+    patch_result(monkeypatch, unipotent, "_canon_single_step",
+                 lambda x: x.scale(f2.scalar(2)))
+    with reaches("unipotent", "Gamma-side reduction basis is singular"):
+        canonicalize(block(Block("B", 5), f2))
 
 
 def test_canonical_diagonal_value_out_of_reach():

@@ -7,7 +7,8 @@ paths: ints mod p (GF(p) itself), exp/log tables (finite fields of at most
 256 elements) and integer vectors over a denominator (Q and its towers, up
 to a height-3 tower whose last records lie at level 1, and the larger
 finite fields: towers over GF(p) and GF(4) up to height 3, and a GF(p^2)
-base).  The kernel builds its result matrices on raw values without
+base), whose height-1 towers over GF(p) multiply by the record's closed
+form.  The kernel builds its result matrices on raw values without
 the checks of ExactMatrix(), so every returned entry is also read out and
 checked to be a Scalar of the right context with canonical coordinates.  The raw value
 of an int and the building of ops once per context instance are checked
@@ -25,8 +26,8 @@ import pytest
 from matcanon import field
 from matcanon.errors import ContextMismatch, DimensionMismatch
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
-from matcanon.field import (Scalar, _FlatOps, _poly_divmod, _poly_gcd,
-                            _poly_mulmod, _poly_powmod, _poly_trim,
+from matcanon.field import (Scalar, _FlatOps, _PairOps, _poly_divmod,
+                            _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
                             _TableOps, _VectorOps, adjunctions,
                             artin_schreier_root_or_adjoin, finite_field,
                             frobenius_gcd, gf4, parse_scalar, prime_field,
@@ -89,9 +90,12 @@ def test_contexts_cover_every_raw_path():
         {"GF(2)", "GF(3)", "GF(65521)"}
     assert {name for name, ops in paths.items() if ops is _TableOps} == \
         {"GF(4)", "GF(3)(sqrt-1)", "GF(4)+AS"}
+    # the height-1 closed form over GF(p), on the raw values of _VectorOps
+    assert {name for name, ops in paths.items() if ops is _PairOps} == \
+        {"GF(65521)(sqrt17)"}
     assert {name for name, ops in paths.items() if ops is _VectorOps} == \
-        {"Q", "Q(sqrt2)", "Q+3 adjunctions", "GF(65521)(sqrt17)",
-         "GF(65521) height 2", "GF(65521^2)", "GF(3) height 3", "GF(4)+3 AS"}
+        {"Q", "Q(sqrt2)", "Q+3 adjunctions", "GF(65521) height 2",
+         "GF(65521^2)", "GF(3) height 3", "GF(4)+3 AS"}
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -145,7 +149,7 @@ def test_ops_are_built_once_per_context(monkeypatch):
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(CONTEXTS)
-                                  if type(CONTEXTS[n].ops) is _VectorOps])
+                                  if isinstance(CONTEXTS[n].ops, _VectorOps)])
 def test_rational_raw_values_are_normalized(name):
     """A raw value of integer vectors is (n_0, ..., n_(N-1), den), one
     numerator per coordinate over the prime field, normalized by the
