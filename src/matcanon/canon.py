@@ -30,7 +30,7 @@ from functools import cmp_to_key
 
 from .errors import InternalDegenerate, InvalidDescriptor, TowerCapExceeded
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
-                       WitnessError, inverse_or_rank)
+                       WitnessError, solve)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
                     format_scalar, merge_contexts)
 from .gabriel import _check_square, _runs, gabriel_decompose
@@ -379,11 +379,11 @@ def equivalent(a, b, policy=EXTEND):
         return EquivalenceResult(False, None, form_a.context, report,
                                  (rec_a, rec_b))
     ctx = form_a.context
-    xb_inv = inverse_or_rank(cong_b.x).inverse
-    if xb_inv is None:
+    # Y = X_a X_b^-1, the solution of X_b' Y' = X_a'
+    y_t, kernel = solve(cong_b.x.transpose(), cong_a.x.transpose())
+    if kernel.ncols:
         raise WitnessError("witness matrix is singular")
-    y = cong_a.x @ xb_inv
-    witness = CongruenceWitness(y, a, b)
+    witness = CongruenceWitness(y_t.transpose(), a, b)
     return EquivalenceResult(True, witness, ctx, report)
 
 

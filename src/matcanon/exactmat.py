@@ -17,14 +17,16 @@ towers and larger finite fields on integer vectors over one denominator.
 The one elimination loop reduces rows in one of two forms, ops.work: the
 raw rows themselves, or over Q itself integer rows over one denominator,
 reduced fraction-free with one gcd per row operation and normalized entry
-by entry as they leave; both hold the same values, so pivots, reduced rows
-and transforms agree.
+by entry as they leave; both hold the same values, so pivots, reduced rows,
+inverses and solutions agree.
 
-An elimination builds only what its caller reads.  inverse_or_rank appends
-an identity, and so builds the row transform, only for a square input (for
-its inverse) or with transform=True; with rank_only=True it never augments
-and returns rank, kernel and pivots alone, as every rank, kernel and
-invertibility test does (the witness check needs rank n, not X^-1).
+An elimination builds only what its caller reads.  inverse_or_rank has two
+modes: it appends an identity to a square input alone, for its inverse,
+and with rank_only=True it returns rank, kernel and pivots alone, as every
+rank, kernel and invertibility test does (the witness check needs rank n,
+not X^-1).  A product with an inverse is one solve: A^-1 B is solve(A, B),
+B A^-1 is solve(A', B')', one elimination of [A | B] with no inverse
+formed (as FFPACK solves rather than inverts; Higham, ch. 14).
 first_dependence reduces matrices, flattened, as they are read and stops
 at the first dependence, so the minimal polynomial forms only the powers
 it needs.
@@ -334,37 +336,35 @@ class ExactMatrix:
         return self.submatrix(range(self.nrows), col_idx)
 
 
-InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots transform")
+InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots")
 
 
-def inverse_or_rank(a, transform=False, rank_only=False):
+def inverse_or_rank(a, rank_only=False):
     """Exact inverse when full rank, else rank and a right-kernel basis.
 
     Returns InverseRank(inverse or None, rank, kernel basis as the columns
-    of an m x (m - rank) matrix, pivot columns, transform).  Pivots are the
-    first nonzero entry in column order, so results are deterministic.
-    transform is the invertible T with T @ A in reduced row echelon form; it
-    is computed for a square A (it is the inverse when A has full rank), and
-    for any shape when transform=True, else it is None.  rank_only=True is
-    for callers that read only rank, kernel and pivots: A is reduced alone,
-    with no identity appended, and inverse and transform are None.
+    of an m x (m - rank) matrix, pivot columns).  Pivots are the first
+    nonzero entry in column order, so results are deterministic.  A square
+    A is reduced beside an identity, which becomes its inverse when A has
+    full rank.  rank_only=True is for callers that read only rank, kernel
+    and pivots: A is reduced alone, and inverse is None.  A product with an
+    inverse, A^-1 B, is solve(A, B), not inverse then @.
     """
     ctx = a.ctx
     ops = ctx.ops
     n, m = a.nrows, a.ncols
     work = list(map(list, a.raw))
-    augment = not rank_only and (transform or n == m)
+    augment = n == m and not rank_only
     if augment:
         zero, one = ops.zero, ops.one
         for i, row in enumerate(work):
             row.extend(one if i == j else zero for j in range(n))
     pivots = _rref(ops, work, m)
     rank = len(pivots)
-    t = None
-    if augment and (transform or rank == n == m):
-        t = _trusted(ctx, tuple(tuple(row[m:]) for row in work), n)
-    return InverseRank(t if rank == n == m else None, rank,
-                       _kernel(ctx, work, pivots, m), tuple(pivots), t)
+    inv = (_trusted(ctx, tuple(tuple(row[m:]) for row in work), n)
+           if augment and rank == n else None)
+    return InverseRank(inv, rank, _kernel(ctx, work, pivots, m),
+                       tuple(pivots))
 
 
 def solve(a, b):
@@ -399,7 +399,7 @@ def _rref(ops, work, m):
     """Gauss-Jordan reduction of raw rows in place; returns the pivot columns.
 
     Pivots are searched in the first m columns only, so columns beyond m (a
-    right-hand side, an identity that becomes the transform) ride along.
+    right-hand side, an identity that becomes the inverse) ride along.
     The loop reduces the rows in the working form of ops.work, which holds
     the same values, and leaves them as raw rows.
     """

@@ -130,12 +130,15 @@ def _decompose(a):
         x_acc = x_acc @ x_step
         g = x_step.transpose() @ g @ x_step
 
-    # 5. row-reduce the end-column block E_hat of E (k x s, full column
-    #    rank) to [[I_s],[0]]: with T E_hat in reduced echelon form, S = T'
-    #    (paired with the inverse-transpose on K to keep the (K,Q) identity)
-    s_mat = inverse_or_rank(g.submatrix(range(d, d + k), ends),
-                            transform=True).transform.transpose()
-    s_inv_t = inverse_or_rank(s_mat.transpose()).inverse
+    # 5. reduce the end-column block E_hat of E (k x s, full column rank)
+    #    to [[I_s],[0]]: T E_hat = [[I_s],[0]] for T^-1 = [E_hat | units],
+    #    E_hat extended to a basis as in step 2, and S = T' (paired with
+    #    the inverse-transpose T^-1 on K to keep the (K,Q) identity)
+    s_inv_t = _extend_to_basis(g.submatrix(range(d, d + k), ends))
+    t_mat = inverse_or_rank(s_inv_t).inverse
+    if t_mat is None:
+        raise InternalDegenerate("end-column block lost column rank")
+    s_mat = t_mat.transpose()
     x_acc = x_acc @ ExactMatrix.block_diag(
         ctx, [ExactMatrix.identity(ctx, d), s_mat, s_inv_t])
 
@@ -165,18 +168,15 @@ def _extend_to_basis(cols, kernel_last=False):
 def _reduce_columns(nb):
     """R with NB @ R = [0 | I_k]; NB is k x m with full row rank k.
 
-    One elimination T @ NB = reduced gives it: the kernel vectors fill the
-    first m - k columns, and T = NB[:, pivots]^-1, placed on the pivot rows
-    by the unit columns of the pivots, the last k.
+    One solve NB X = I_k gives it: the kernel vectors fill the first m - k
+    columns, and X, NB[:, pivots]^-1 on the pivot rows, the last k.
     """
     ctx = nb.ctx
-    k, m = nb.nrows, nb.ncols
-    res = inverse_or_rank(nb, transform=True)
-    if res.rank != k:
+    x, kernel = solve(nb, ExactMatrix.identity(ctx, nb.nrows))
+    if x is None:
         raise InternalDegenerate("kernel rows are not full rank "
                                  "(radical was nonzero?)")
-    units = ExactMatrix.identity(ctx, m).columns(res.pivots)
-    return ExactMatrix.blocks(ctx, [[res.kernel, units @ res.transform]])
+    return ExactMatrix.blocks(ctx, [[kernel, x]])
 
 
 def _clear_pq_qq(g, d, k):

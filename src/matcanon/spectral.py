@@ -48,7 +48,7 @@ from functools import cmp_to_key
 
 from .errors import (InternalDegenerate, NoArtinSchreierRootStrict,
                      NoRootStrictPolicy, NotSplit, SingularInput)
-from .exactmat import ExactMatrix, first_dependence, inverse_or_rank
+from .exactmat import ExactMatrix, first_dependence, inverse_or_rank, solve
 from .field import (EXTEND, Scalar, _is_prime, _poly_axpy, _poly_divmod,
                     _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
                     canonical_compare, enumeration_key, frobenius_gcd,
@@ -82,11 +82,11 @@ def asymmetry(a, ctx=None):
 
 
 def asymmetry_matrix(a):
-    """S = A^{-1} A' for an invertible Gram matrix A."""
-    inv = inverse_or_rank(a).inverse
-    if inv is None:
+    """S = A^{-1} A', solving A S = A', for an invertible Gram matrix A."""
+    s, kernel = solve(a, a.transpose())
+    if kernel.ncols:
         raise SingularInput("asymmetry needs an invertible Gram matrix")
-    return inv @ a.transpose()
+    return s
 
 
 def _minimal_polynomial(s):
@@ -474,14 +474,13 @@ def eigen_split(a, asym):
 # -- restricted operators and Jordan structure -----------------------------------------
 
 def restrict_operator(s, bmat):
-    """Matrix of S on the span of the independent columns of B.
-
-    One elimination T B = [I; 0] gives the coordinates T S B, whose first
-    m rows are the matrix (the rows below vanish when S preserves the span).
-    """
-    m = bmat.ncols
-    coords = inverse_or_rank(bmat, transform=True).transform @ (s @ bmat)
-    return coords.submatrix(range(m), range(m))
+    """Matrix of S on the span of the independent columns of B: the
+    coordinates C with B C = S B, one solve."""
+    coords, _kernel = solve(bmat, s @ bmat)
+    if coords is None:
+        raise InternalDegenerate("the span is not invariant under the "
+                                 "operator")
+    return coords
 
 
 def nilpotent_jordan_chains(nmat):

@@ -93,12 +93,14 @@ def _nilpotency_index(nmat):
     raise InternalDegenerate("operator is not nilpotent")
 
 
-def split_off_indecomposable(gram, nmat, eps):
+def split_off_indecomposable(gram, nmat, eps, index=None):
     """Split one indecomposable of maximal order off a unipotent part.
 
     gram is the restricted Gram matrix (non-degenerate), nmat the nilpotent
-    p = sigma - eps on the same basis.  Returns (piece, rem_basis, rem_gram,
-    rem_nmat) where the piece's basis columns live in the same coordinates.
+    p = sigma - eps on the same basis and index its _nilpotency_index, if
+    known.  Returns (piece, rem_basis, rem_gram, rem_nmat, rem_index): the
+    piece's basis columns in the same coordinates, and rem_nmat's
+    _nilpotency_index if the split computed it, else None.
 
     When the hat form at the top order is non-alternating, the peeled block
     must be a single AND the remainder must stay non-alternating at that
@@ -109,15 +111,17 @@ def split_off_indecomposable(gram, nmat, eps):
     """
     ctx = gram.ctx
     n = gram.nrows
-    r, top = _nilpotency_index(nmat)
+    r, top = index or _nilpotency_index(nmat)
     beta = top.transpose() @ gram  # (x, y) -> f(p^(r-1) x, y)
     v = _self_pairing_vector(beta)
     if v is not None:
         for _attempt in range(n + 1):
-            out = _try_single_split(gram, nmat, eps, v, r)
-            if out is not None:
-                return out
-            v = _repair_single_choice(gram, nmat, top, v, r)
+            piece, comp, rem_gram, rem_nmat = _finish_split(
+                gram, nmat, eps, "single", r, nmat.krylov(v, r))
+            rem_index = _nilpotency_index(rem_nmat)
+            if not _strands_alternating(rem_gram, rem_index, r):
+                return piece, comp, rem_gram, rem_nmat, rem_index
+            v = _repair_single_choice(comp, top, v)
         raise InternalDegenerate("could not keep the remainder "
                                  "non-alternating")
     v = _height_vector(top)
@@ -128,7 +132,7 @@ def split_off_indecomposable(gram, nmat, eps):
                                  "non-degenerate part")
     w = ExactMatrix.unit_column(ctx, n, j).scale(row[0, j].inverse())
     chain = ExactMatrix.blocks(ctx, [[nmat.krylov(v, r), nmat.krylov(w, r)]])
-    return _finish_split(gram, nmat, eps, "pair", r, chain)
+    return (*_finish_split(gram, nmat, eps, "pair", r, chain), None)
 
 
 def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
@@ -144,19 +148,13 @@ def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
     return piece, comp, rem_gram, rem_nmat
 
 
-def _try_single_split(gram, nmat, eps, v, r):
-    """Split a single block off at v, unless that strands an alternating
-    remainder that still has order-r content (then None)."""
-    chain = nmat.krylov(v, r)
-    out = _finish_split(gram, nmat, eps, "single", r, chain)
-    _piece, _comp, rem_gram, rem_nmat = out
-    r_rem, top_rem = _nilpotency_index(rem_nmat)
-    if r_rem < r:
-        return out
-    beta_rem = top_rem.transpose() @ rem_gram
-    if _self_pairing_vector(beta_rem) is None:
-        return None
-    return out
+def _strands_alternating(rem_gram, rem_index, r):
+    """Whether a single split off at order r leaves an alternating remainder
+    that still has order-r content; rem_index is the remainder's
+    _nilpotency_index."""
+    r_rem, top_rem = rem_index
+    return r_rem >= r and _self_pairing_vector(
+        top_rem.transpose() @ rem_gram) is None
 
 
 def _orthogonal_complement(gram, bmat):
@@ -167,11 +165,11 @@ def _orthogonal_complement(gram, bmat):
     return inverse_or_rank(both, rank_only=True).kernel
 
 
-def _repair_single_choice(gram, nmat, top, v, r):
-    """Add a full-height vector orthogonal to v: the self-pairing value is
-    unchanged while the eventual complement regains a non-alternating
-    entry.  top is p^(r-1)."""
-    comp = _orthogonal_complement(gram, nmat.krylov(v, r))
+def _repair_single_choice(comp, top, v):
+    """Add a full-height vector orthogonal to v, a column of comp, the
+    complement of v's chain: the self-pairing value is unchanged while the
+    eventual complement regains a non-alternating entry.  top is
+    p^(r-1)."""
     j = _nonzero_column(top @ comp)
     if j is None:
         raise InternalDegenerate("no full-height repair vector available")
@@ -216,10 +214,10 @@ def peel_all(gram, nmat, eps):
     ctx = gram.ctx
     pieces = []
     base = ExactMatrix.identity(ctx, gram.nrows)  # columns: current basis
-    cur_gram, cur_nmat = gram, nmat
+    cur_gram, cur_nmat, index = gram, nmat, None
     while cur_gram.nrows:
-        piece, comp, rem_gram, rem_nmat = split_off_indecomposable(
-            cur_gram, cur_nmat, eps)
+        piece, comp, rem_gram, rem_nmat, index = split_off_indecomposable(
+            cur_gram, cur_nmat, eps, index)
         # translate piece basis and the new complement into original coords
         pieces.append(piece._replace(basis=base @ piece.basis))
         base = base @ comp
@@ -479,10 +477,12 @@ def _module_duals(g, shift, gen, targets):
     """Duals d_0, d_1, ... inside the p-module of gen with
     f(d_i, t_j) = delta_ij for the columns t_j of targets."""
     chain = shift.krylov(gen, targets.ncols)
-    pinv = inverse_or_rank(chain.transpose() @ g @ targets).inverse
-    if pinv is None:
+    # the duals are chain P'^-1 for the pairing P = chain' G targets
+    duals_t, kernel = solve(chain.transpose() @ g @ targets,
+                            chain.transpose())
+    if kernel.ncols:
         raise InternalDegenerate("module pairing is degenerate")
-    return chain @ pinv.transpose()
+    return duals_t.transpose()
 
 
 def _repair_generator(g, shift, gen, duals, m, policy):

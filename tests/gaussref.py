@@ -46,20 +46,17 @@ def kernel(work, pivots, m):
     return rows
 
 
-def inverse_or_rank(a, ncols, transform=False, rank_only=False):
-    """(inverse or None, rank, kernel rows, pivots, transform or None) of
-    the matrix a with ncols columns, as matcanon.inverse_or_rank."""
+def inverse_or_rank(a, ncols, rank_only=False):
+    """(inverse or None, rank, kernel rows, pivots) of the matrix a with
+    ncols columns, as matcanon.inverse_or_rank."""
     n = len(a)
-    augment = not rank_only and (transform or n == ncols)
+    augment = n == ncols and not rank_only
     work = [list(row) + ([Fraction(int(i == j)) for j in range(n)]
                          if augment else []) for i, row in enumerate(a)]
     pivots = rref(work, ncols)
     rank = len(pivots)
-    t = None
-    if augment and (transform or rank == n == ncols):
-        t = [row[ncols:] for row in work]
-    return (t if rank == n == ncols else None, rank,
-            kernel(work, pivots, ncols), pivots, t)
+    inv = [row[ncols:] for row in work] if augment and rank == n else None
+    return inv, rank, kernel(work, pivots, ncols), pivots
 
 
 def solve(a, ncols, b, bcols):

@@ -20,6 +20,7 @@ and n, so their laws are checked here over a range, not at every call.
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -252,8 +253,25 @@ def test_kernel_rows_lose_rank(monkeypatch):
         gabriel.gabriel_decompose(J3.transpose())
 
 
+def test_end_column_block_loses_rank(monkeypatch):
+    # step 5 extends E_hat to a basis; a zero matrix there has no inverse
+    extend = gabriel._extend_to_basis
+    monkeypatch.setattr(gabriel, "_extend_to_basis",
+                        lambda cols, kernel_last=False:
+                        extend(cols, kernel_last) if kernel_last else
+                        ExactMatrix.zeros(cols.ctx, cols.nrows, cols.nrows))
+    with reaches("gabriel", "end-column block lost column rank"):
+        gabriel.gabriel_decompose(J3)
+
+
 def test_row_space_split_without_a_solution(monkeypatch):
-    monkeypatch.setattr(gabriel, "solve", lambda a, b: (None, None))
+    # only the row-space system fails, not _reduce_columns' NB X = I_k
+    def solve(a, b):
+        if sys._getframe(1).f_code.co_name == "_split_off_rowspace":
+            return None, None
+        return exactmat.solve(a, b)
+
+    monkeypatch.setattr(gabriel, "solve", solve)
     with reaches("gabriel", "row space split failed"):
         gabriel.gabriel_decompose(J3)
 
@@ -311,6 +329,14 @@ def test_jordan_chains_of_a_wrong_eigenvalue():
         spectral.hyperbolic_canonical(G2, s, s[0, 0] + 1, 1)
 
 
+def test_restricted_span_not_invariant():
+    # e_0 is not invariant under the lower shift: J e_0 = e_1
+    with reaches("spectral", "the span is not invariant under the "
+                             "operator"):
+        spectral.restrict_operator(ExactMatrix.jordan_block(Q, 2),
+                                   ExactMatrix.unit_column(Q, 2, 0))
+
+
 def test_lam_pairing_degenerate(monkeypatch):
     monkeypatch.setattr(spectral, "nilpotent_jordan_chains", lambda nmat: [
         ExactMatrix.zeros(nmat.ctx, nmat.nrows, nmat.nrows)])
@@ -333,9 +359,9 @@ def test_peeled_operator_not_nilpotent(monkeypatch):
 
 
 def test_single_split_tries_run_out(monkeypatch):
-    monkeypatch.setattr(unipotent, "_try_single_split", lambda *args: None)
+    monkeypatch.setattr(unipotent, "_strands_alternating", lambda *args: True)
     monkeypatch.setattr(unipotent, "_repair_single_choice",
-                        lambda gram, nmat, top, v, r: v)
+                        lambda comp, top, v: v)
     with reaches("unipotent", "could not keep the remainder "
                               "non-alternating"):
         canonicalize(ExactMatrix(Q, [[1]]))
@@ -343,7 +369,7 @@ def test_single_split_tries_run_out(monkeypatch):
 
 def test_no_full_height_repair_vector(monkeypatch):
     # a 1 x 1 form has no vector orthogonal to the one it splits off
-    monkeypatch.setattr(unipotent, "_try_single_split", lambda *args: None)
+    monkeypatch.setattr(unipotent, "_strands_alternating", lambda *args: True)
     with reaches("unipotent", "no full-height repair vector available"):
         canonicalize(ExactMatrix(Q, [[1]]))
 

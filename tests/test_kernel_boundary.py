@@ -10,8 +10,9 @@ matrix's `.raw` cannot be told from a Scalar's there, so a probe on the
 slot records the module of every read while the entry points run over
 each kind of raw value, singular inputs and extensions included.
 
-The eliminations return matrices: inverse_or_rank and solve build their
-kernel bases, transforms and solutions from raw values, and no Scalar.
+The eliminations return matrices: inverse_or_rank, in both its modes, and
+solve build their kernel bases, inverses and solutions from raw values,
+and no Scalar.
 """
 
 import ast
@@ -122,7 +123,7 @@ def test_raw_probe_flags_a_stage_that_reads_raw_rows(raw_readers):
 
 
 def test_eliminations_build_no_scalar(monkeypatch):
-    """inverse_or_rank in its three modes and solve, on singular, wide,
+    """inverse_or_rank in its two modes and solve, on singular, wide,
     tall and empty systems over each kind of raw value and with right-hand
     sides over an extension, construct no Scalar."""
     q, f3 = rationals(), prime_field(3)
@@ -150,7 +151,7 @@ def test_eliminations_build_no_scalar(monkeypatch):
 
     monkeypatch.setattr(Scalar, "__init__", counting)
     for a, b in cases:
-        for flags in ({}, {"transform": True}, {"rank_only": True}):
+        for flags in ({}, {"rank_only": True}):
             inverse_or_rank(a, **flags)
         solve(a, b)
     assert not built

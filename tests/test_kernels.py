@@ -24,7 +24,8 @@ from fractions import Fraction
 import pytest
 
 from matcanon import field
-from matcanon.errors import ContextMismatch, DimensionMismatch
+from matcanon.errors import (ContextMismatch, DimensionMismatch,
+                             InternalDegenerate, SingularInput)
 from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
 from matcanon.field import (Scalar, _FlatOps, _PairOps, _poly_divmod,
                             _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
@@ -32,7 +33,8 @@ from matcanon.field import (Scalar, _FlatOps, _PairOps, _poly_divmod,
                             artin_schreier_root_or_adjoin, finite_field,
                             frobenius_gcd, gf4, parse_scalar, prime_field,
                             rationals, sqrt_or_adjoin)
-from matcanon.spectral import restrict_operator
+from matcanon.spectral import asymmetry_matrix, restrict_operator
+from matcanon.unipotent import _module_duals
 
 
 def _contexts():
@@ -443,19 +445,9 @@ def test_inverse_or_rank_matches_reference(name):
                 assert coords(ref_matmul(a, inv)) == coords(ident.rows)
             else:
                 assert res.inverse is None
-            # the transform reduces A to echelon form on the pivots
-            t = inverse_or_rank(a, transform=True).transform
-            assert_matrix_canonical(t, ctx, n, n)
-            assert ref_rank(t.rows, n) == n
-            reduced = ref_matmul(t, a)
-            for i, pc in enumerate(res.pivots):
-                column = [reduced[r][pc] for r in range(n)]
-                assert all(e == (1 if r == i else 0)
-                           for r, e in enumerate(column))
-            assert all(e.is_zero() for row in reduced[rank:] for e in row)
             # rank_only reduces A alone: the same rank, kernel and pivots
             light = inverse_or_rank(a, rank_only=True)
-            assert light.inverse is None and light.transform is None, label
+            assert light.inverse is None, label
             assert light.rank == res.rank and light.pivots == res.pivots
             assert_matrix_canonical(light.kernel, ctx, m, m - rank)
             assert coords(light.kernel.rows) == coords(kernel.rows), label
@@ -494,6 +486,60 @@ def test_solve_matches_reference(name):
                 assert_matrix_canonical(kernel, ctx, m, m - rank)
                 assert all(e.is_zero() for row in ref_matmul(a, kernel)
                            for e in row)
+
+
+def rand_invertible(ctx, rng, n):
+    while True:
+        a = rand_matrix(ctx, rng, n, n)
+        if inverse_or_rank(a, rank_only=True).rank == n:
+            return a
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_solves_match_invert_then_multiply(name):
+    """The stages' products with an inverse are one solve each: the
+    asymmetry A^-1 A', the operator on an invariant span and the pair
+    reduction's duals chain P'^-1 give the raw values of the inverse
+    formed and multiplied, on invertible systems; on a singular one the
+    asymmetry and the duals are refused."""
+    ctx = CONTEXTS[name]
+    rng = random.Random("invert then multiply " + name)
+    for _round in range(3):
+        a = rand_invertible(ctx, rng, 4)
+        s = asymmetry_matrix(a)
+        assert s.raw == (inverse_or_rank(a).inverse @ a.transpose()).raw
+        # a span invariant under S: a Krylov space, and the span of e_0,
+        # e_1 under a block upper triangular S, in a scrambled basis
+        tri = ExactMatrix.blocks(ctx, [
+            [rand_matrix(ctx, rng, 2, 4)],
+            [ExactMatrix.zeros(ctx, 2, 2), rand_matrix(ctx, rng, 2, 2)]])
+        v = rand_matrix(ctx, rng, 4, 1)
+        spans = [(s, s.krylov(v, inverse_or_rank(
+                     s.krylov(v, 4), rank_only=True).rank)),
+                 (tri, ExactMatrix.identity(ctx, 4).columns([0, 1])
+                  @ rand_invertible(ctx, rng, 2))]
+        for op, b in spans:
+            # B's independent rows give the coordinates B_rows^-1 (S B)_rows
+            rows = inverse_or_rank(b.transpose(), rank_only=True).pivots
+            cols = range(b.ncols)
+            old = inverse_or_rank(b.submatrix(rows, cols)).inverse @ (
+                op @ b).submatrix(rows, cols)
+            assert restrict_operator(op, b).raw == old.raw
+        g = rand_matrix(ctx, rng, 4, 4)
+        shift = rand_matrix(ctx, rng, 4, 4)
+        gen = rand_matrix(ctx, rng, 4, 1)
+        for k in (1, 2, 3):
+            targets = rand_matrix(ctx, rng, 4, k)
+            chain = shift.krylov(gen, k)
+            pinv = inverse_or_rank(chain.transpose() @ g @ targets).inverse
+            if pinv is None:
+                with pytest.raises(InternalDegenerate):
+                    _module_duals(g, shift, gen, targets)
+            else:
+                assert _module_duals(g, shift, gen, targets).raw == \
+                    (chain @ pinv.transpose()).raw
+    with pytest.raises(SingularInput):
+        asymmetry_matrix(singular_square(ctx, rng, 3))
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
