@@ -14,11 +14,17 @@ finding's polynomial layer share.  field.py has its three cases: GF(p) on
 ints reduced once per dot product (after FFPACK, Dumas, Giorgi and Pernet,
 ISSAC 2004), fields of at most 256 elements on exp/log/Zech tables, and Q
 towers and larger finite fields on integer vectors over one denominator.
-The one elimination loop reduces rows in one of two forms, ops.work: the
-raw rows themselves, or over Q itself integer rows over one denominator,
+Over GF(p) and GF(p^2) of at most 16 elements a product runs on byte
+lanes, one digit per byte of a Python int, a row of the product at a time,
+while no lane can reach 256 (k m (p - 1)^2 < 256 for k digit planes and
+inner dimension m) and the product is not tiny; otherwise the entry loops
+run.  The one elimination loop reduces rows in one of three forms, ops.work:
+the raw rows themselves; over Q itself integer rows over one denominator,
 reduced fraction-free with one gcd per row operation and normalized entry
-by entry as they leave; both hold the same values, so pivots, reduced rows,
-inverses and solutions agree.
+by entry as they leave; and over GF(p) for p <= 13 and the table fields of
+characteristic 2, bytes, one element per byte, scaled by one translate and
+reduced by one big-int operation per row.  All three hold the same values,
+so pivots, reduced rows, inverses, solutions and minimal polynomials agree.
 
 An elimination builds only what its caller reads.  inverse_or_rank has two
 modes: it appends an identity to a square input alone, for its inverse,
@@ -435,7 +441,7 @@ def first_dependence(matrices):
     combination of the originals it equals, so nothing after M_d is read
     (the Krylov minimal polynomial of Keller-Gehrig, TCS 36, 1985).
     """
-    basis = []  # (pivot column, working row scaled to 1 there)
+    pivots, basis = [], []  # pivot columns, working rows scaled to 1 there
     for k, mat in enumerate(matrices):
         ops = mat.ctx.ops
         rows = ops.work
@@ -444,8 +450,9 @@ def first_dependence(matrices):
         rows.enter(work)
         row, zero = work[0], rows.zero
         m = mat.nrows * mat.ncols
-        for pc, prow in basis:
-            prow.insert(m + k, zero)  # the coordinate of M_k, zero so far
+        # the coordinate of M_k, zero so far
+        basis = [rows.inserted(prow, m + k) for prow in basis]
+        for pc, prow in zip(pivots, basis):
             if row[pc] != zero:
                 row = rows.axpy(row, row[pc], prow)
         pc = next((j for j in range(m) if row[j] != zero), None)
@@ -453,7 +460,8 @@ def first_dependence(matrices):
             work[0] = row
             rows.leave(work)
             return [Scalar(mat.ctx, v) for v in work[0][m:]]
-        basis.append((pc, rows.unit(row, pc)))
+        pivots.append(pc)
+        basis.append(rows.unit(row, pc))
     return None
 
 

@@ -37,6 +37,11 @@ ways:
     over Q the vector is divided by its gcd, over GF(p) each numerator is
     reduced mod p over the denominator 1.  At height 1 over GF(p) a
     product is the record's closed form on ints mod p (_PairOps).
+Over GF(p) and GF(p^2) of at most 16 elements, matrix products run on byte
+lanes of Python ints (_lane_dots) while no lane can carry, and over GF(p)
+for p <= 13 and the table fields of characteristic 2 the eliminations
+reduce rows of bytes (_ByteRows), both with translate tables built once per
+context key (_lane_tables); the values are those of the entry loops.
 promote and trim move raw values directly.  The Scalar operators,
 exactmat's kernels and the polynomial layer (raw coefficients, low to high)
 all run on these ops: the products, division and gcd of root finding,
@@ -520,7 +525,8 @@ def random_elements(ctx):
 # in the order of the numerators of _VectorOps.  work is the form of the
 # rows that the eliminations reduce (exactmat._rref, first_dependence): the
 # ops itself, whose raw rows are reduced as they are (_RawRows), except over
-# Q itself (_IntRows).
+# Q itself (_IntRows) and over GF(p) for p <= 13 and the table fields of
+# characteristic 2, whose rows are bytes (_ByteRows).
 
 class _RawRows:
     """Working rows that are the raw rows: enter and leave change nothing,
@@ -538,6 +544,10 @@ class _RawRows:
 
     def unit(self, row, c):
         return self.scale(row, self.inverse(row[c]))
+
+    def inserted(self, row, i):
+        """row with a zero entry inserted at index i."""
+        return [*row[:i], self.zero, *row[i:]]
 
 
 class _IntRows:
@@ -582,17 +592,165 @@ class _IntRows:
         nums[-1] = row[-1] * pd
         return _content_free(nums)
 
+    @staticmethod
+    def inserted(row, i):
+        return [*row[:i], 0, *row[i:]]
 
-class _FlatOps(_RawRows):
-    """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
-    product is reduced mod p once, not once per operation."""
+
+class _ByteRows:
+    """The byte lanes of a finite context of q <= 256 elements, built once
+    per context key on first use (_lane_tables): translate tables, and the
+    working rows of one byte per element that GF(p) for p <= 13 and the
+    table fields of characteristic 2 reduce.  mod reduces a byte mod p,
+    mul[c] multiplies by c and inv[c] is the inverse of c; planes, for q =
+    p^2 alone, is (hi, t_lo, t_hi, p_mod): an index x = x_0 + x_1 t (t the
+    element p) has digits mod[x] and hi[x], t y has digits t_lo[y] and
+    t_hi[y], and p_mod[x] is p (x mod p).
+
+    A row is one bytes object, so unit is one translate by the multiply-by-
+    the-inverse-pivot table and axpy one big-int operation on the whole
+    row.  Over GF(p), row - f prow is row + (p - f) prow, each byte below
+    p (p - 1) < 256, so no lane carries, then one translate mod p; in
+    characteristic 2 it is row XOR (f prow), f prow one translate.
+    Indexing a row gives an int, so the loop's pivot tests and swaps read
+    the same values as on raw rows."""
+
+    zero = 0
+
+    def __init__(self, ctx):
+        ops, p, q = ctx.ops, ctx.p, ctx.order()
+        lanes = range(_LANE_BOUND)
+        self.p = p
+        self.mod = bytes([x % p for x in lanes])
+        self.mul = [bytes([ops.mul(c, x % q) for x in lanes])
+                    for c in range(q)]
+        self.inv = [0, *map(ops.inverse, range(1, q))]
+        self.planes = None
+        if q == p * p:
+            self.planes = (bytes([x // p % p for x in lanes]),
+                           bytes([y % p for y in self.mul[p]]),
+                           bytes([y // p for y in self.mul[p]]),
+                           bytes([x % p * p for x in lanes]))
+
+    @staticmethod
+    def enter(rows):
+        for i, row in enumerate(rows):
+            rows[i] = bytes(row)
+
+    @staticmethod
+    def leave(rows):
+        for i, row in enumerate(rows):
+            rows[i] = list(row)
+
+    def unit(self, row, c):
+        return row.translate(self.mul[self.inv[row[c]]])
+
+    def axpy(self, row, f, prow):
+        """row - f prow."""
+        n, p = len(row), self.p
+        if p == 2:
+            return (int.from_bytes(row, "big") ^ int.from_bytes(
+                prow.translate(self.mul[f]), "big")).to_bytes(n, "big")
+        return (int.from_bytes(row, "big") + (p - f) * int.from_bytes(
+            prow, "big")).to_bytes(n, "big").translate(self.mod)
+
+    @staticmethod
+    def inserted(row, i):
+        return row[:i] + b"\0" + row[i:]
+
+
+_lane_tables_cache = {}  # context key -> _ByteRows, built on first use
+
+
+def _lane_tables(ctx):
+    tables = _lane_tables_cache.get(ctx._key)
+    if tables is None:
+        tables = _lane_tables_cache[ctx._key] = _ByteRows(ctx)
+    return tables
+
+
+class _IndexedOps(_RawRows):
+    """The ops whose raw values are element indices, ints below q: GF(p)
+    (_FlatOps) and the table fields (_TableOps).  work is their byte lanes
+    (_ByteRows) where byte_rows holds.  The lanes are fetched on first use
+    into an attribute that __init__ sets: an attribute added to an instance
+    later (a functools.cached_property) slows every attribute read of it
+    in CPython, and these ops are read at every operation."""
 
     indexed = True
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, byte_rows):
         self.ctx = ctx
-        self.p = ctx.p
         self.zero, self.one = 0, 1
+        self.byte_rows, self._lanes = byte_rows, None
+
+    @property
+    def lanes(self):
+        if self._lanes is None:
+            self._lanes = _lane_tables(self.ctx)
+        return self._lanes
+
+    @property
+    def work(self):
+        return self.lanes if self.byte_rows else self
+
+
+# The byte-lane matrix product over fields of at most 16 elements holds
+# one digit per byte lane of a Python int.  For a small product each output
+# row is one big-int multiply (Kronecker substitution with packed
+# reduction: Dumas, Fousse and Salvy, J. Symb. Comput. 46, 2011): the row,
+# read in reverse, times B's columns packed at a stride of 2m - 1 lanes (m
+# the inner dimension) holds its dot product with column j in lane
+# (2m - 1) j + m - 1.  That multiply costs O(m^2 n) digit operations per
+# row, so from m n > _KRONECKER_MAX_WORK on an output row is instead the
+# sum of B's rows, each one int of n lanes, times the row's entries.
+# Either way a lane sums m products of digits below p, so it is exact
+# while m (p - 1)^2 < 256, and k m (p - 1)^2 < 256 for the k digit planes
+# of a field of p^k elements (_lane_depth); past the bound, and over
+# larger fields, the entry-by-entry loops run, as they do on products of
+# fewer than _LANE_MIN_WORK digit products, where packing costs more than
+# the loops (a 1 x 1 product, or the 1 x n rows of a Krylov chain).
+_LANE_BOUND = 256
+_LANE_MIN_WORK = 64
+_KRONECKER_MAX_WORK = 256
+
+
+def _lane_depth(k, p):
+    """The largest inner dimension m of a product on byte lanes over p^k
+    elements, k m (p - 1)^2 < 256; 0 for none."""
+    return (_LANE_BOUND - 1) // (k * (p - 1) ** 2)
+
+
+def _lane_dots(cols, m, tables):
+    """(dot, read) for B's columns of m digits, read through each
+    translate table in turn (None reads them as they are) and set side by
+    side: n = len(tables) len(cols) columns, column j through table i at
+    i len(cols) + j.  dot(r), r the bytes of a row, is an int holding the
+    row's n unreduced dot products in byte lanes, and read(dot(r)) gives
+    them as n bytes."""
+    n = len(cols) * len(tables)
+    if m * n <= _KRONECKER_MAX_WORK:
+        stride, pad = 2 * m - 1, bytes(m - 1)
+        packed = pad.join(map(bytes, cols)) + pad
+        packed = int.from_bytes(b"".join([packed.translate(t)
+                                          for t in tables]), "little")
+        return (lambda r: int.from_bytes(r, "big") * packed,
+                lambda x: x.to_bytes(stride * n, "little")[m - 1::stride])
+    rows = [int.from_bytes(b"".join([row.translate(t) for t in tables]),
+                           "little") for row in map(bytes, zip(*cols))]
+    return (lambda r: sum(map(operator.mul, r, rows)),
+            lambda x: x.to_bytes(n, "little"))
+
+
+class _FlatOps(_IndexedOps):
+    """GF(p) without adjunctions: raw values are ints in [0, p), and a dot
+    product is reduced mod p once, not once per operation.  Rows are
+    reduced on bytes while row + (p - f) prow stays below 256: p <= 13."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx, ctx.p * (ctx.p - 1) < _LANE_BOUND)
+        self.p = ctx.p
+        self.lane_depth = _lane_depth(1, ctx.p)
 
     def from_int(self, n):
         return n % self.p
@@ -633,30 +791,38 @@ class _FlatOps(_RawRows):
         return [(x - f * y) % p for x, y in zip(row, prow)]
 
     def matmul(self, a_rows, b_cols):
-        p = self.p
+        """One row of byte lanes (_lane_dots) and one translate mod p per
+        output row while the lanes hold, else a dot product per entry."""
+        p, m = self.p, len(b_cols[0])
+        if m <= self.lane_depth and \
+                m * len(a_rows) * len(b_cols) >= _LANE_MIN_WORK:
+            mod = self.lanes.mod
+            dot, read = _lane_dots(b_cols, m, (None,))
+            return [read(dot(bytes(r))).translate(mod) for r in a_rows]
         return [[sum(map(operator.mul, r, c)) % p for c in b_cols]
                 for r in a_rows]
 
 
-class _TableOps(_RawRows):
+class _TableOps(_IndexedOps):
     """Finite contexts of at most _TABLE_MAX_ORDER elements other than GF(p)
     itself: raw values are element indices (see _Tables).  A product adds
     logarithms, a sum is XOR in characteristic 2 and one Zech logarithm
-    otherwise; a zero factor reads the zero padding of exp, unbranched."""
-
-    indexed = True
+    otherwise; a zero factor reads the zero padding of exp, unbranched.
+    Rows are reduced on bytes in characteristic 2, where a sum is XOR."""
 
     def __init__(self, ctx):
+        super().__init__(ctx, ctx.p == 2)
         tables = _field_tables(ctx)
-        self.ctx = ctx
         self.from_coords = tables.index.__getitem__
         self.to_coords = tables.coords.__getitem__
         self.exp, self.log, self.zech = tables.exp, tables.log, tables.zech
         self.units, self.minus_one = tables.order - 1, tables.minus_one
-        self.zero, self.one = 0, 1
         # the indices below p^(k 2^h) are the elements of height h or less
         self.bounds = [ctx.p ** (ctx.base_degree << h)
                        for h in range(len(ctx.tower) + 1)]
+        # products on byte lanes over p^2 elements alone
+        self.lane_depth = (_lane_depth(2, ctx.p)
+                           if tables.order == ctx.p ** 2 else 0)
 
     def from_int(self, n):
         return n % self.ctx.p  # the lowest digit
@@ -714,6 +880,10 @@ class _TableOps(_RawRows):
         return out
 
     def matmul(self, a_rows, b_cols):
+        m = len(b_cols[0])
+        if m <= self.lane_depth and \
+                m * len(a_rows) * len(b_cols) >= _LANE_MIN_WORK:
+            return self._plane_matmul(a_rows, b_cols, m)
         exp, log, zech = self.exp, self.log, self.zech
         a_logs = [[log[x] for x in r] for r in a_rows]
         b_logs = [[log[y] for y in c] for c in b_cols]
@@ -739,6 +909,27 @@ class _TableOps(_RawRows):
                             acc = exp[t]
                 out_row.append(acc)
             out.append(out_row)
+        return out
+
+    def _plane_matmul(self, a_rows, b_cols, m):
+        """A product over p^2 elements on byte lanes.  With x = x_0 + x_1 t,
+        digit u of x y is x_0 (digit u of y) + x_1 (digit u of t y), so the
+        row's two digit planes, times B's columns read through those digit
+        tables (digits 0 and 1 side by side, 2n columns), give the lanes of
+        both digits of the n entries, below 2m (p - 1)^2; each is reduced
+        mod p and the index is digit 0 plus p times digit 1."""
+        mod = self.lanes.mod
+        hi, t_lo, t_hi, p_mod = self.lanes.planes
+        n = len(b_cols)
+        dot0, read = _lane_dots(b_cols, m, (mod, hi))
+        dot1, _read = _lane_dots(b_cols, m, (t_lo, t_hi))
+        out = []
+        for r in a_rows:
+            r = bytes(r)
+            lanes = read(dot0(r.translate(mod)) + dot1(r.translate(hi)))
+            out.append((int.from_bytes(lanes[:n].translate(mod), "little")
+                        + int.from_bytes(lanes[n:].translate(p_mod),
+                                         "little")).to_bytes(n, "little"))
         return out
 
 

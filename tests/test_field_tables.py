@@ -143,8 +143,9 @@ def test_routing_and_the_cache(empty_cache):
     above the cap computes on integer vectors mod p with the monomial
     tables of its tower and builds no _Tables; the tables live in module
     dicts whose names end in _cache (with Tonelli-Shanks' non-residue
-    powers), which the bench empties before each measured pass, and a
-    context built after that refills them."""
+    powers and the byte-lane translate tables), which the bench empties
+    before each measured pass, and a context built after that refills
+    them."""
     monomial_cache = field._monomial_tables_cache
     f7 = prime_field(7)
     assert isinstance(_raw_ops(f7), _FlatOps)
@@ -176,8 +177,8 @@ def test_routing_and_the_cache(empty_cache):
     assert list(empty_cache) == [SMALL_FIELDS["GF(9)"]._key]
     caches = sorted(name for name, value in vars(field).items()
                     if name.endswith("_cache") and isinstance(value, dict))
-    assert caches == ["_field_tables_cache", "_monomial_tables_cache",
-                      "_nonresidue_cache"]
+    assert caches == ["_field_tables_cache", "_lane_tables_cache",
+                      "_monomial_tables_cache", "_nonresidue_cache"]
     # emptied as the bench does, the caches are refilled by new contexts,
     # with the same products
     for name in caches:
@@ -189,6 +190,39 @@ def test_routing_and_the_cache(empty_cache):
         assert [[e.coords for e in row] for row in (a @ a).rows] == \
             [[e.coords for e in row] for row in before.rows]
     assert set(monomial_cache) >= {big._key, f6561._key}
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(13)", "GF(4)",
+                                  "GF(9)", "GF(16)", "GF(256)"])
+def test_lanes_are_the_same_with_the_tables_cold_and_warm(name, monkeypatch):
+    """The byte-lane products and eliminations read translate tables that
+    field._lane_tables_cache builds on first use, once per context key; a
+    fresh instance of the context gives the same products, inverses and
+    kernels whether the cache is empty or already filled, here by an
+    earlier instance."""
+    monkeypatch.setattr(field, "_lane_tables_cache", {})
+    ctx = SMALL_FIELDS.get(name) or prime_field(int(name[3:-1]))
+    rng = random.Random(name)
+    q = ctx.order()
+    raw = [[[rng.randrange(q) for _ in range(8)] for _ in range(8)]
+           for _ in range(3)]
+
+    def results():
+        fresh = field.FieldContext(ctx.kind, ctx.p, ctx.modulus,
+                                   tower=ctx.tower)
+        a, b, c = (ExactMatrix(fresh, [[field.Scalar(fresh, v) for v in row]
+                                       for row in m]) for m in raw)
+        res = inverse_or_rank(a @ b + c)
+        return [(a @ b).raw, res.rank, res.kernel.raw,
+                res.inverse and res.inverse.raw]
+
+    cold = []
+    for _ in range(2):
+        field._lane_tables_cache.clear()
+        cold.append(results())
+    assert ctx._key in field._lane_tables_cache
+    warm = results()
+    assert cold[0] == cold[1] == warm
 
 
 # -- congruence invariance on sums larger than the bench's ------------------

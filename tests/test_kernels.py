@@ -26,8 +26,10 @@ import pytest
 from matcanon import field
 from matcanon.errors import (ContextMismatch, DimensionMismatch,
                              InternalDegenerate, SingularInput)
-from matcanon.exactmat import ExactMatrix, inverse_or_rank, solve
-from matcanon.field import (Scalar, _FlatOps, _PairOps, _poly_divmod,
+from matcanon.exactmat import (ExactMatrix, first_dependence,
+                               inverse_or_rank, solve)
+from matcanon.field import (Scalar, _ByteRows, _FlatOps, _PairOps,
+                            _poly_divmod,
                             _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
                             _TableOps, _VectorOps, adjunctions,
                             artin_schreier_root_or_adjoin, finite_field,
@@ -98,6 +100,14 @@ def test_contexts_cover_every_raw_path():
     assert {name for name, ops in paths.items() if ops is _VectorOps} == \
         {"Q", "Q(sqrt2)", "Q+3 adjunctions", "GF(65521) height 2",
          "GF(65521^2)", "GF(3) height 3", "GF(4)+3 AS"}
+    # eliminations on bytes: GF(p) for p <= 13 and the table fields of
+    # characteristic 2; every other context reduces its raw rows, or over
+    # Q itself integer rows
+    assert {name for name, ctx in CONTEXTS.items()
+            if isinstance(ctx.ops.work, _ByteRows)} == \
+        {"GF(2)", "GF(3)", "GF(4)", "GF(4)+AS"}
+    assert all(ctx.ops.work is ctx.ops for name, ctx in CONTEXTS.items()
+               if name not in {"Q", "GF(2)", "GF(3)", "GF(4)", "GF(4)+AS"})
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -793,3 +803,138 @@ def test_minus_scalar_is_m_minus_c_identity(base, ext):
         want = a - ExactMatrix.identity(small, 3).scale(c)
         assert_matrix_canonical(a.minus_scalar(c), want.ctx, 3, 3)
         assert coords(a.minus_scalar(c).rows) == coords(want.rows)
+
+
+# -- byte lanes against the entry-by-entry loops ------------------------------
+
+def _lane_fields():
+    f3, f4 = prime_field(3), gf4()
+    _r, f16 = artin_schreier_root_or_adjoin(f4.base_element((0, 1)))
+    return {"GF(2)": prime_field(2), "GF(3)": f3, "GF(5)": prime_field(5),
+            "GF(13)": prime_field(13), "GF(4)": f4,
+            "GF(9)": f3.adjoin_sqrt(f3.scalar(-1)), "GF(16)": f16}
+
+
+LANE_FIELDS = _lane_fields()
+# the largest inner dimension m of a product on byte lanes, k m (p - 1)^2 <
+# 256 for a field of p^k elements; GF(16) has no lane product
+LANE_DEPTH = {"GF(2)": 255, "GF(3)": 63, "GF(5)": 15, "GF(13)": 1,
+              "GF(4)": 127, "GF(9)": 31, "GF(16)": 0}
+BYTE_ROWS = {"GF(2)", "GF(3)", "GF(5)", "GF(13)", "GF(4)", "GF(16)"}
+
+
+def on_loops(monkeypatch, compute):
+    """compute() on the entry-by-entry product loops and raw-row
+    eliminations that run where the byte lanes do not."""
+    with monkeypatch.context() as patch:
+        patch.setattr(field, "_LANE_MIN_WORK", math.inf)
+        for cls in (_FlatOps, _TableOps):
+            patch.setattr(cls, "work", property(lambda ops: ops))
+        return compute()
+
+
+def rand_raw(rng, q, n, m, zeros=1 / 3):
+    """n x m raw rows of a field whose raw values are indices below q."""
+    return tuple(tuple(0 if rng.random() < zeros else rng.randrange(q)
+                       for _ in range(m)) for _ in range(n))
+
+
+def lane_products(depth):
+    """(rows, m, n) products: each side of the lane bound, Kronecker and
+    row-sum sizes, 1 x m rows, m x 1 columns, inner dimension 1."""
+    shapes = [(2, depth + 1, 3), (3, depth + 1, 40), (1, 8, 8), (8, 8, 1),
+              (8, 1, 8), (6, 6, 6), (1, 1, 1)]
+    if depth:
+        shapes += [(2, depth, 3), (3, depth, 40), (1, depth, 64),
+                   (64, depth, 1)]
+    return shapes
+
+
+def raw_matrix(ctx, raw, ncols):
+    """The matrix of raw rows of an indexed context."""
+    if not raw:
+        return ExactMatrix.zeros(ctx, 0, ncols)
+    return ExactMatrix(ctx, [[Scalar(ctx, v) for v in row] for row in raw])
+
+
+@pytest.mark.parametrize("name", sorted(LANE_FIELDS))
+def test_lane_products_match_the_loops(name, monkeypatch):
+    """Every product on byte lanes gives the raw rows of the entry-by-entry
+    loop, on each side of the lane bound: an inner dimension at the bound
+    runs on lanes when the product is large enough, one past it never."""
+    ctx, depth = LANE_FIELDS[name], LANE_DEPTH[name]
+    ops, q = ctx.ops, ctx.order()
+    assert ops.lane_depth == depth
+    rng = random.Random("lanes " + name)
+    calls = []
+    lane_dots = field._lane_dots
+    monkeypatch.setattr(field, "_lane_dots",
+                        lambda *args: calls.append(args) or lane_dots(*args))
+    for rows, m, n in lane_products(depth):
+        for zeros in (0, 1 / 3, 1):
+            a = rand_raw(rng, q, rows, m, zeros)
+            b_cols = rand_raw(rng, q, n, m, zeros)
+            del calls[:]
+            got = [tuple(r) for r in ops.matmul(a, b_cols)]
+            assert bool(calls) == (
+                m <= depth and rows * m * n >= field._LANE_MIN_WORK), \
+                (rows, m, n)
+            want = on_loops(monkeypatch, lambda: [
+                tuple(r) for r in ops.matmul(a, b_cols)])
+            assert got == want, (rows, m, n, zeros)
+    # through ExactMatrix, the empty products among them
+    for n, k, m in ((8, 8, 8), (0, 4, 4), (4, 0, 4), (4, 4, 0)):
+        x = raw_matrix(ctx, rand_raw(rng, q, n, k), k)
+        y = raw_matrix(ctx, rand_raw(rng, q, k, m), m)
+        assert (x @ y).raw == on_loops(monkeypatch, lambda: (x @ y).raw)
+
+
+def _eliminated(a, b):
+    """The raw results of every elimination of a (and of a with b)."""
+    full, light = inverse_or_rank(a), inverse_or_rank(a, rank_only=True)
+    part, kernel = solve(a, b)
+    return [full.inverse and full.inverse.raw, full.rank, full.kernel.raw,
+            full.pivots, light.rank, light.kernel.raw, light.pivots,
+            part and part.raw, kernel.raw]
+
+
+@pytest.mark.parametrize("name", sorted(LANE_FIELDS))
+def test_byte_rows_match_raw_rows(name, monkeypatch):
+    """inverse_or_rank, solve and first_dependence on byte rows give the raw
+    rows, ranks, pivots and coefficients of the raw-row loop: square,
+    singular, 1 x m, m x 1, zero and empty matrices, consistent and
+    inconsistent right-hand sides, and minimal polynomials."""
+    ctx = LANE_FIELDS[name]
+    assert isinstance(ctx.ops.work, _ByteRows) == (name in BYTE_ROWS)
+    ops, q = ctx.ops, ctx.order()
+    rng = random.Random("byte rows " + name)
+    cases = []
+    for n, m in ((5, 5), (12, 12), (1, 7), (7, 1), (4, 9), (9, 4), (1, 1),
+                 (2, 2), (0, 4), (4, 0), (0, 0)):
+        for zeros in (0, 1 / 3, 1):
+            cases.append((rand_raw(rng, q, n, m, zeros), m))
+    for n in (4, 7):  # singular: the last row a combination of two others
+        raw = [list(r) for r in rand_raw(rng, q, n, n)]
+        c = rng.randrange(1, q)
+        raw[-1] = [ops.add(x, ops.mul(c, y)) for x, y in zip(raw[0], raw[1])]
+        cases.append((tuple(map(tuple, raw)), n))
+    for raw, m in cases:
+        a = raw_matrix(ctx, raw, m)
+        consistent = a @ raw_matrix(ctx, rand_raw(rng, q, m, 2), 2)
+        for b in (consistent, raw_matrix(ctx, rand_raw(rng, q, a.nrows, 3),
+                                          3)):
+            got = _eliminated(a, b)
+            assert got == on_loops(monkeypatch, lambda: _eliminated(a, b)), \
+                (raw, m)
+        if a.nrows == m and m:
+            def minimal():
+                return first_dependence(a.power(k) for k in range(m + 1))
+
+            want = on_loops(monkeypatch, minimal)
+            assert [s.raw for s in minimal()] == [s.raw for s in want]
+            # a dependence that stops before the last matrix
+            b = raw_matrix(ctx, rand_raw(rng, q, m, m), m)
+            mats = [a, b, a + b.scale(ctx.scalar(2)), a @ b]
+            got = first_dependence(mats)
+            want = on_loops(monkeypatch, lambda: first_dependence(mats))
+            assert [s.raw for s in got] == [s.raw for s in want]
