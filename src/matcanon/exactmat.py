@@ -14,11 +14,10 @@ finding's polynomial layer share.  field.py has its three cases: GF(p) on
 ints reduced once per dot product (after FFPACK, Dumas, Giorgi and Pernet,
 ISSAC 2004), fields of at most 256 elements on exp/log/Zech tables, and Q
 towers and larger finite fields on integer vectors over one denominator.
-Over GF(p) and GF(p^2) of at most 16 elements a product runs on byte
-lanes, one digit per byte of a Python int, a row of the product at a time,
-while no lane can reach 256 (k m (p - 1)^2 < 256 for k digit planes and
-inner dimension m) and the product is not tiny; otherwise the entry loops
-run.  The one elimination loop reduces rows in one of three forms, ops.work:
+Over GF(p) for p <= 13 and GF(p^2) for p <= 11 a product runs on byte
+lanes, one digit per byte of a Python int, one multiply per row of the
+product, while no lane can reach 256 (k m (p - 1)^2 < 256 for k digit
+planes and inner dimension m); otherwise the entry loops run.  The one elimination loop reduces rows in one of three forms, ops.work:
 the raw rows themselves; over Q itself integer rows over one denominator,
 reduced fraction-free with one gcd per row operation and normalized entry
 by entry as they leave; and over GF(p) for p <= 13 and the table fields of

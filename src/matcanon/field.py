@@ -37,8 +37,8 @@ ways:
     over Q the vector is divided by its gcd, over GF(p) each numerator is
     reduced mod p over the denominator 1.  At height 1 over GF(p) a
     product is the record's closed form on ints mod p (_PairOps).
-Over GF(p) and GF(p^2) of at most 16 elements, matrix products run on byte
-lanes of Python ints (_lane_dots) while no lane can carry, and over GF(p)
+Over GF(p) for p <= 13 and GF(p^2) for p <= 11, matrix products run on byte
+lanes of Python ints (_packed_columns) while no lane can carry, and over GF(p)
 for p <= 13 and the table fields of characteristic 2 the eliminations
 reduce rows of bytes (_ByteRows), both with translate tables built once per
 context key (_lane_tables); the values are those of the entry loops.
@@ -695,24 +695,17 @@ class _IndexedOps(_RawRows):
         return self.lanes if self.byte_rows else self
 
 
-# The byte-lane matrix product over fields of at most 16 elements holds
-# one digit per byte lane of a Python int.  For a small product each output
-# row is one big-int multiply (Kronecker substitution with packed
-# reduction: Dumas, Fousse and Salvy, J. Symb. Comput. 46, 2011): the row,
-# read in reverse, times B's columns packed at a stride of 2m - 1 lanes (m
-# the inner dimension) holds its dot product with column j in lane
-# (2m - 1) j + m - 1.  That multiply costs O(m^2 n) digit operations per
-# row, so from m n > _KRONECKER_MAX_WORK on an output row is instead the
-# sum of B's rows, each one int of n lanes, times the row's entries.
-# Either way a lane sums m products of digits below p, so it is exact
-# while m (p - 1)^2 < 256, and k m (p - 1)^2 < 256 for the k digit planes
-# of a field of p^k elements (_lane_depth); past the bound, and over
-# larger fields, the entry-by-entry loops run, as they do on products of
-# fewer than _LANE_MIN_WORK digit products, where packing costs more than
-# the loops (a 1 x 1 product, or the 1 x n rows of a Krylov chain).
+# The byte-lane matrix product holds one digit per byte lane of a Python
+# int, and each output row is one big-int multiply (Kronecker substitution
+# with packed reduction: Dumas, Fousse and Salvy, J. Symb. Comput. 46,
+# 2011): the row, read in reverse, times B's columns packed at a stride of
+# 2m - 1 lanes (m the inner dimension, _packed_columns) holds its dot
+# product with column j in lane (2m - 1) j + m - 1.  A lane sums at most m
+# products of digits below p, so it is exact while m (p - 1)^2 < 256, and
+# k m (p - 1)^2 < 256 for the k digit planes of a field of p^k elements
+# (_lane_depth): GF(p) for p <= 13 and GF(p^2) for p <= 11.  Past the
+# bound, and over larger fields, the entry-by-entry loops run.
 _LANE_BOUND = 256
-_LANE_MIN_WORK = 64
-_KRONECKER_MAX_WORK = 256
 
 
 def _lane_depth(k, p):
@@ -721,25 +714,15 @@ def _lane_depth(k, p):
     return (_LANE_BOUND - 1) // (k * (p - 1) ** 2)
 
 
-def _lane_dots(cols, m, tables):
-    """(dot, read) for B's columns of m digits, read through each
-    translate table in turn (None reads them as they are) and set side by
-    side: n = len(tables) len(cols) columns, column j through table i at
-    i len(cols) + j.  dot(r), r the bytes of a row, is an int holding the
-    row's n unreduced dot products in byte lanes, and read(dot(r)) gives
-    them as n bytes."""
-    n = len(cols) * len(tables)
-    if m * n <= _KRONECKER_MAX_WORK:
-        stride, pad = 2 * m - 1, bytes(m - 1)
-        packed = pad.join(map(bytes, cols)) + pad
-        packed = int.from_bytes(b"".join([packed.translate(t)
-                                          for t in tables]), "little")
-        return (lambda r: int.from_bytes(r, "big") * packed,
-                lambda x: x.to_bytes(stride * n, "little")[m - 1::stride])
-    rows = [int.from_bytes(b"".join([row.translate(t) for t in tables]),
-                           "little") for row in map(bytes, zip(*cols))]
-    return (lambda r: sum(map(operator.mul, r, rows)),
-            lambda x: x.to_bytes(n, "little"))
+def _packed_columns(cols, m, tables):
+    """B's columns of m digits as one int of byte lanes, column j at lane
+    (2m - 1) j, read through each translate table in turn (None reads them
+    as they are) and set side by side: column j through table i is column
+    i len(cols) + j."""
+    pad = bytes(m - 1)
+    packed = pad.join(map(bytes, cols)) + pad
+    return int.from_bytes(b"".join([packed.translate(t) for t in tables]),
+                          "little")
 
 
 class _FlatOps(_IndexedOps):
@@ -791,14 +774,16 @@ class _FlatOps(_IndexedOps):
         return [(x - f * y) % p for x, y in zip(row, prow)]
 
     def matmul(self, a_rows, b_cols):
-        """One row of byte lanes (_lane_dots) and one translate mod p per
-        output row while the lanes hold, else a dot product per entry."""
+        """One multiply on byte lanes (_packed_columns) and one translate
+        mod p per output row while the lanes hold, else a dot product per
+        entry."""
         p, m = self.p, len(b_cols[0])
-        if m <= self.lane_depth and \
-                m * len(a_rows) * len(b_cols) >= _LANE_MIN_WORK:
-            mod = self.lanes.mod
-            dot, read = _lane_dots(b_cols, m, (None,))
-            return [read(dot(bytes(r))).translate(mod) for r in a_rows]
+        if m <= self.lane_depth:
+            mod, stride = self.lanes.mod, 2 * m - 1
+            packed = _packed_columns(b_cols, m, (None,))
+            size = stride * len(b_cols)
+            return [(int.from_bytes(r, "big") * packed).to_bytes(
+                size, "little")[m - 1::stride].translate(mod) for r in a_rows]
         return [[sum(map(operator.mul, r, c)) % p for c in b_cols]
                 for r in a_rows]
 
@@ -881,8 +866,7 @@ class _TableOps(_IndexedOps):
 
     def matmul(self, a_rows, b_cols):
         m = len(b_cols[0])
-        if m <= self.lane_depth and \
-                m * len(a_rows) * len(b_cols) >= _LANE_MIN_WORK:
+        if m <= self.lane_depth:
             return self._plane_matmul(a_rows, b_cols, m)
         exp, log, zech = self.exp, self.log, self.zech
         a_logs = [[log[x] for x in r] for r in a_rows]
@@ -920,13 +904,15 @@ class _TableOps(_IndexedOps):
         mod p and the index is digit 0 plus p times digit 1."""
         mod = self.lanes.mod
         hi, t_lo, t_hi, p_mod = self.lanes.planes
-        n = len(b_cols)
-        dot0, read = _lane_dots(b_cols, m, (mod, hi))
-        dot1, _read = _lane_dots(b_cols, m, (t_lo, t_hi))
+        n, stride = len(b_cols), 2 * m - 1
+        low = _packed_columns(b_cols, m, (mod, hi))
+        high = _packed_columns(b_cols, m, (t_lo, t_hi))
         out = []
         for r in a_rows:
             r = bytes(r)
-            lanes = read(dot0(r.translate(mod)) + dot1(r.translate(hi)))
+            lanes = (int.from_bytes(r.translate(mod), "big") * low
+                     + int.from_bytes(r.translate(hi), "big") * high
+                     ).to_bytes(stride * 2 * n, "little")[m - 1::stride]
             out.append((int.from_bytes(lanes[:n].translate(mod), "little")
                         + int.from_bytes(lanes[n:].translate(p_mod),
                                          "little")).to_bytes(n, "little"))

@@ -808,26 +808,27 @@ def test_minus_scalar_is_m_minus_c_identity(base, ext):
 # -- byte lanes against the entry-by-entry loops ------------------------------
 
 def _lane_fields():
-    f3, f4 = prime_field(3), gf4()
+    f3, f4, f5 = prime_field(3), gf4(), prime_field(5)
     _r, f16 = artin_schreier_root_or_adjoin(f4.base_element((0, 1)))
-    return {"GF(2)": prime_field(2), "GF(3)": f3, "GF(5)": prime_field(5),
+    return {"GF(2)": prime_field(2), "GF(3)": f3, "GF(5)": f5,
             "GF(13)": prime_field(13), "GF(4)": f4,
-            "GF(9)": f3.adjoin_sqrt(f3.scalar(-1)), "GF(16)": f16}
+            "GF(9)": f3.adjoin_sqrt(f3.scalar(-1)), "GF(16)": f16,
+            "GF(25)": f5.adjoin_sqrt(f5.scalar(2))}
 
 
 LANE_FIELDS = _lane_fields()
 # the largest inner dimension m of a product on byte lanes, k m (p - 1)^2 <
 # 256 for a field of p^k elements; GF(16) has no lane product
 LANE_DEPTH = {"GF(2)": 255, "GF(3)": 63, "GF(5)": 15, "GF(13)": 1,
-              "GF(4)": 127, "GF(9)": 31, "GF(16)": 0}
+              "GF(4)": 127, "GF(9)": 31, "GF(16)": 0, "GF(25)": 7}
 BYTE_ROWS = {"GF(2)", "GF(3)", "GF(5)", "GF(13)", "GF(4)", "GF(16)"}
 
 
-def on_loops(monkeypatch, compute):
+def on_loops(monkeypatch, ops, compute):
     """compute() on the entry-by-entry product loops and raw-row
     eliminations that run where the byte lanes do not."""
     with monkeypatch.context() as patch:
-        patch.setattr(field, "_LANE_MIN_WORK", math.inf)
+        patch.setattr(ops, "lane_depth", 0)
         for cls in (_FlatOps, _TableOps):
             patch.setattr(cls, "work", property(lambda ops: ops))
         return compute()
@@ -840,8 +841,8 @@ def rand_raw(rng, q, n, m, zeros=1 / 3):
 
 
 def lane_products(depth):
-    """(rows, m, n) products: each side of the lane bound, Kronecker and
-    row-sum sizes, 1 x m rows, m x 1 columns, inner dimension 1."""
+    """(rows, m, n) products: each side of the lane bound, small and large,
+    1 x m rows, m x 1 columns, inner dimension 1."""
     shapes = [(2, depth + 1, 3), (3, depth + 1, 40), (1, 8, 8), (8, 8, 1),
               (8, 1, 8), (6, 6, 6), (1, 1, 1)]
     if depth:
@@ -861,32 +862,31 @@ def raw_matrix(ctx, raw, ncols):
 def test_lane_products_match_the_loops(name, monkeypatch):
     """Every product on byte lanes gives the raw rows of the entry-by-entry
     loop, on each side of the lane bound: an inner dimension at the bound
-    runs on lanes when the product is large enough, one past it never."""
+    runs on lanes, one past it never."""
     ctx, depth = LANE_FIELDS[name], LANE_DEPTH[name]
     ops, q = ctx.ops, ctx.order()
     assert ops.lane_depth == depth
     rng = random.Random("lanes " + name)
     calls = []
-    lane_dots = field._lane_dots
-    monkeypatch.setattr(field, "_lane_dots",
-                        lambda *args: calls.append(args) or lane_dots(*args))
+    packed_columns = field._packed_columns
+    monkeypatch.setattr(field, "_packed_columns", lambda *args: calls.append(
+        args) or packed_columns(*args))
     for rows, m, n in lane_products(depth):
         for zeros in (0, 1 / 3, 1):
             a = rand_raw(rng, q, rows, m, zeros)
             b_cols = rand_raw(rng, q, n, m, zeros)
             del calls[:]
             got = [tuple(r) for r in ops.matmul(a, b_cols)]
-            assert bool(calls) == (
-                m <= depth and rows * m * n >= field._LANE_MIN_WORK), \
-                (rows, m, n)
-            want = on_loops(monkeypatch, lambda: [
+            assert bool(calls) == (m <= depth), (rows, m, n)
+            want = on_loops(monkeypatch, ops, lambda: [
                 tuple(r) for r in ops.matmul(a, b_cols)])
             assert got == want, (rows, m, n, zeros)
     # through ExactMatrix, the empty products among them
     for n, k, m in ((8, 8, 8), (0, 4, 4), (4, 0, 4), (4, 4, 0)):
         x = raw_matrix(ctx, rand_raw(rng, q, n, k), k)
         y = raw_matrix(ctx, rand_raw(rng, q, k, m), m)
-        assert (x @ y).raw == on_loops(monkeypatch, lambda: (x @ y).raw)
+        assert (x @ y).raw == on_loops(monkeypatch, ops,
+                                       lambda: (x @ y).raw)
 
 
 def _eliminated(a, b):
@@ -924,17 +924,18 @@ def test_byte_rows_match_raw_rows(name, monkeypatch):
         for b in (consistent, raw_matrix(ctx, rand_raw(rng, q, a.nrows, 3),
                                           3)):
             got = _eliminated(a, b)
-            assert got == on_loops(monkeypatch, lambda: _eliminated(a, b)), \
-                (raw, m)
+            assert got == on_loops(monkeypatch, ops,
+                                   lambda: _eliminated(a, b)), (raw, m)
         if a.nrows == m and m:
             def minimal():
                 return first_dependence(a.power(k) for k in range(m + 1))
 
-            want = on_loops(monkeypatch, minimal)
+            want = on_loops(monkeypatch, ops, minimal)
             assert [s.raw for s in minimal()] == [s.raw for s in want]
             # a dependence that stops before the last matrix
             b = raw_matrix(ctx, rand_raw(rng, q, m, m), m)
             mats = [a, b, a + b.scale(ctx.scalar(2)), a @ b]
             got = first_dependence(mats)
-            want = on_loops(monkeypatch, lambda: first_dependence(mats))
+            want = on_loops(monkeypatch, ops,
+                            lambda: first_dependence(mats))
             assert [s.raw for s in got] == [s.raw for s in want]
