@@ -13,14 +13,24 @@ reached, read off as x.ctx, and the arithmetic lifts whatever it meets, so
 no stage takes or returns a context beside its values.  Each stage runs in
 the least field that holds its values: Gabriel, the asymmetry and its
 minimal polynomial in the field of the input's entries (in equivalent's
-merge rounds, the inputs' own field, not the merged tower); the +-1
-eigenspaces in S's field; a unipotent class's asymmetry and peeling in the
-field of its Gram matrix, and a pair class's reduction in the field of its
-Gram matrix and lam.  The one choice made on purpose is where a root search
+rerun in a merged tower, the inputs' own field); the +-1 eigenspaces in
+S's field; a unipotent class's asymmetry and peeling in the field of its
+Gram matrix, and a pair class's reduction in the field of its Gram matrix
+and lam.  The one choice made on purpose is where a root search
 or a reduction starts: the root search in the input's context, and each
 single or pair reduction in the running tower the one before it reached,
 which never shrinks, so a root that two reductions need is found the
 second time, not adjoined again at another height.
+
+equivalent canonicalizes each side once.  When the two sides settle in
+different towers, it merges them once into a field M and decides from that
+first round, since the normal form is unique: b's record and congruence are
+carried into M by the images of its generators (field.coordinate_map),
+which fix the inputs' own field.  Records that differ there give the false
+verdict; equal records whose canonical matrices agree compose into the
+witness Y = X_a X_b^-1, one solve in M.  Only if the mapped canonical
+matrices still differ are both sides canonicalized again in M, merging
+until they settle in one field (_merge_rounds).
 """
 
 from __future__ import annotations
@@ -32,11 +42,12 @@ from .errors import InternalDegenerate, InvalidDescriptor, TowerCapExceeded
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, solve)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
-                    format_scalar, merge_contexts)
+                    coordinate_map, embed_scalar, format_scalar,
+                    merge_contexts)
 from .gabriel import _check_square, _runs, gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
                        eigen_split, hyperbolic_block_matrix,
-                       hyperbolic_canonical, split_min_poly)
+                       hyperbolic_canonical, named_pair, split_min_poly)
 from .unipotent import (CHARACTERISTICS, FAMILIES, eigen_sign, exists_in,
                         family_of, gamma_block, peel_all, reduce_pair,
                         reduce_single)
@@ -352,39 +363,81 @@ def equivalent(a, b, policy=EXTEND):
     A false verdict carries both invariant records in `records`, and the
     two canonicalizations behind it are certified before it returns.
     Canonicalizing two matrices can demand different (but compatible)
-    towers, e.g. sqrt(2) on one side and sqrt(8) on the other; the loop
-    merges the contexts and re-canonicalizes until both sides settle in
-    one field.
+    towers, e.g. sqrt(2) on one side and sqrt(8) on the other.  Then the
+    two are merged once into a field M (merge_contexts), and b's side is
+    mapped into M through the images of its generators, which fix the
+    inputs' own field.  The normal form is unique, so the first round
+    decides: if the records differ in M the verdict is false, and if a's
+    target equals b's mapped target the two congruences compose into
+    Y = X_a X_b^-1, one solve in M.  Only when the targets still differ (a
+    G block named by the other eigenvalue of its pair, or blocks in another
+    order) are both sides canonicalized again in M, merging until they
+    settle in one field.
     """
     _check_square(a, b)
+    start_ctx = a.ctx.common(b.ctx)
     if a.nrows != b.nrows:
         return EquivalenceResult(False, None, a.ctx, [])
-    start_ctx = a.ctx.common(b.ctx)
-    ctx = start_ctx
-    for _ in range(_MERGE_ROUNDS):
-        form_a, cong_a = _canonicalize(a.promote(ctx), policy)
-        form_b, cong_b = _canonicalize(b.promote(ctx), policy)
-        if form_a.context == form_b.context:
-            break
-        ctx = merge_contexts(form_a.context, form_b.context, policy)
-    else:
-        raise TowerCapExceeded("context reconciliation did not converge")
-    rec_a = record_from_form(form_a)
-    rec_b = record_from_form(form_b)
-    report = _extension_report(start_ctx, form_a.context)
-    if rec_a != rec_b:
-        # the verdict rests on both canonical forms: certify them
-        CongruenceWitness(*cong_a)
-        CongruenceWitness(*cong_b)
-        return EquivalenceResult(False, None, form_a.context, report,
-                                 (rec_a, rec_b))
-    ctx = form_a.context
+    form_a, cong_a = _canonicalize(a.promote(start_ctx), policy)
+    form_b, cong_b = _canonicalize(b.promote(start_ctx), policy)
+    if form_a.context != form_b.context:
+        ctx, images = merge_contexts(form_a.context, form_b.context, policy)
+        records = (record_from_form(form_a._replace(context=ctx)),
+                   _mapped_record(form_b, ctx, images))
+        if records[0] != records[1]:
+            return _false_verdict(start_ctx, records, cong_a, cong_b)
+        embed = coordinate_map(form_b.context, ctx, images)
+        if cong_b.target.mapped(embed, ctx) == cong_a.target:
+            return _true_verdict(a, b, start_ctx, cong_a.x,
+                                 cong_b.x.mapped(embed, ctx))
+        (form_a, cong_a), (form_b, cong_b) = _merge_rounds(a, b, ctx, policy)
+    records = (record_from_form(form_a), record_from_form(form_b))
+    if records[0] != records[1]:
+        return _false_verdict(start_ctx, records, cong_a, cong_b)
+    return _true_verdict(a, b, start_ctx, cong_a.x, cong_b.x)
+
+
+def _mapped_record(form, ctx, images):
+    """The invariant record of form carried into ctx by the images of the
+    generators of form's context: each G block's eigenvalue is mapped, and
+    its pair named again as eigen_split names it."""
+    blocks = [d if d.lam is None else
+              Block(d.family, d.n, named_pair(embed_scalar(d.lam, ctx,
+                                                           images))[0])
+              for d in form.blocks]
+    return record_from_form(CanonicalForm(form.gabriel, blocks, ctx, []))
+
+
+def _merge_rounds(a, b, ctx, policy):
+    """Both sides canonicalized again in ctx, and in the merge of the
+    contexts they reach, until they settle in one field."""
+    for _ in range(_MERGE_ROUNDS - 1):
+        side_a = _canonicalize(a.promote(ctx), policy)
+        side_b = _canonicalize(b.promote(ctx), policy)
+        if side_a[0].context == side_b[0].context:
+            return side_a, side_b
+        ctx, _images = merge_contexts(side_a[0].context, side_b[0].context,
+                                      policy)
+    raise TowerCapExceeded("context reconciliation did not converge")
+
+
+def _false_verdict(start_ctx, records, cong_a, cong_b):
+    # the verdict rests on both canonical forms: certify them
+    CongruenceWitness(*cong_a)
+    CongruenceWitness(*cong_b)
+    ctx = records[0].context
+    return EquivalenceResult(False, None, ctx,
+                             _extension_report(start_ctx, ctx), records)
+
+
+def _true_verdict(a, b, start_ctx, x_a, x_b):
     # Y = X_a X_b^-1, the solution of X_b' Y' = X_a'
-    y_t, kernel = solve(cong_b.x.transpose(), cong_a.x.transpose())
+    y_t, kernel = solve(x_b.transpose(), x_a.transpose())
     if kernel.ncols:
         raise WitnessError("witness matrix is singular")
-    witness = CongruenceWitness(y_t.transpose(), a, b)
-    return EquivalenceResult(True, witness, ctx, report)
+    ctx = y_t.ctx
+    return EquivalenceResult(True, CongruenceWitness(y_t.transpose(), a, b),
+                             ctx, _extension_report(start_ctx, ctx))
 
 
 def transpose_witness(a, policy=EXTEND):

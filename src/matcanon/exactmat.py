@@ -184,6 +184,13 @@ class ExactMatrix:
 
     # -- basics -------------------------------------------------------------
 
+    def mapped(self, fmap, ctx):
+        """The matrix over ctx whose raw entries are self's sent through
+        fmap, a map of self.ctx's raw values to ctx's (field.coordinate_map),
+        a row at a time."""
+        return _trusted(ctx, tuple(tuple(map(fmap, row)) for row in self.raw),
+                        self.ncols)
+
     def _moved(self, ctx):
         """The same raw rows moved into ctx, a context of self.ctx's tower
         that holds every entry."""

@@ -1934,32 +1934,70 @@ def _parse_factor(s, pos, ctx):
 def merge_contexts(dst, src, policy=EXTEND):
     """Extend dst so that every adjunction of src has a root in it.
 
-    Both contexts must share the base field.  Returns the merged context;
-    the roots are located (or adjoined) in src's tower order, so merging is
-    deterministic.
+    Both contexts must share the base field.  Returns the merged context
+    and the images there of src's generators, one per record: a record the
+    two towers share (their common prefix) keeps its own generator, and the
+    roots of the others are located (or adjoined) in src's tower order, so
+    merging is deterministic.
     """
     if (dst.kind, dst.p, dst.modulus) != (src.kind, src.p, src.modulus):
         raise ContextMismatch("cannot merge towers over different bases")
+    shared = next((h for h, (r, s) in enumerate(zip(dst.tower, src.tower))
+                   if r != s), min(len(dst.tower), len(src.tower)))
     cur = dst
-    roots = []
-    for c1, d in adjunctions(src):
-        r = _root_or_adjoin(c1, embed_scalar(d, roots, cur), policy)
+    images = [dst.generator(i) for i in range(1, shared + 1)]
+    for c1, d in adjunctions(src, shared):
+        r = _root_or_adjoin(c1, embed_scalar(d, cur, images), policy)
         cur = r.ctx
-        roots.append(r)
-    return cur
+        images.append(r)
+    return cur, [g.promote(cur) for g in images]
 
 
-def embed_scalar(s, gen_images, ctx):
-    """Map a tower scalar through generator images into another context."""
-    total, zero = ctx.zero(), ctx._bzero()
-    for idx, c in enumerate(s.coords):
-        if c != zero:  # c g_S, S the bits of idx
-            term = ctx.base_element(c)
-            for bit in range(idx.bit_length()):
-                if idx >> bit & 1:
-                    term = term * gen_images[bit]
-            total = total + term
-    return total
+def coordinate_map(src, dst, images):
+    """The raw values of src mapped to dst's by the field map that fixes
+    the base field and sends src's generators to images (scalars of
+    prefixes of dst, one per record): sum c_S g_S goes to sum c_S g'_S, g'_S
+    the product of the images of the generators in S.  The images of the
+    monomials are formed once; an element index (at most 256 values) is
+    mapped once by the ops, and an integer vector by one integer linear
+    map, flat coordinate t^i g_S going to t^i g'_S over one denominator."""
+    ops, src_ops = dst.ops, src.ops
+    monomials = [ops.one]  # g'_S, S read as the bits of the index
+    for g in images:
+        monomials += [ops.mul(m, g.promote(dst).raw) for m in monomials]
+    if src_ops.indexed:
+        zero, pad = src._bzero(), (dst._bzero(),) * (dst.dim - 1)
+
+        @functools.cache
+        def mapped(x):
+            total = ops.zero
+            for c, m in zip(src_ops.to_coords(x), monomials):
+                if c != zero:
+                    total = ops.add(total,
+                                    ops.mul(ops.from_coords((c, *pad)), m))
+            return total
+        return mapped
+    # dst holds src, so both compute on integer vectors
+    one, zero = (1,), ops.zero
+    cols = [ops.mul(zero[:i] + one + zero[i + 1:], m) for m in monomials
+            for i in range(src.base_degree)]
+    den = math.lcm(*[c[-1] for c in cols])
+    cols = [[n * (den // c[-1]) for n in c[:-1]] for c in cols]
+
+    def mapped(x):
+        nums = [0] * len(cols[0])
+        for n, col in zip(x, cols):
+            if n:
+                nums = [a + n * b for a, b in zip(nums, col)]
+        return ops.reduced(nums, x[-1] * den)
+    return mapped
+
+
+def embed_scalar(s, ctx, images):
+    """s mapped into ctx by coordinate_map, images holding those of the
+    generators of a context whose prefix s lives in."""
+    src = s.ctx
+    return Scalar(ctx, coordinate_map(src, ctx, images[:len(src.tower)])(s.raw))
 
 
 # -- convenience constructors ---------------------------------------------------

@@ -421,6 +421,13 @@ PairClass = namedtuple("PairClass", "lam lam_inv basis_lam basis_inv")
 EigenSplit = namedtuple("EigenSplit", "classes x gram")
 
 
+def named_pair(lam):
+    """The pair {lam, 1/lam} as (rep, other): rep, the one that names the
+    pair, is the lesser by canonical_compare."""
+    inv = lam.inverse()
+    return (lam, inv) if canonical_compare(lam, inv) <= 0 else (inv, lam)
+
+
 def eigen_split(a, asym):
     """Split into unipotent classes (eigenvalue +-1) and hyperbolic pairs.
 
@@ -452,11 +459,9 @@ def eigen_split(a, asym):
     for r in roots:
         if r == one or r == -one or any(r == s_ for s_ in seen):
             continue
-        rinv = r.inverse()
-        rep = r if canonical_compare(r, rinv) <= 0 else rinv
-        other = rinv if rep == r else r
-        seen.extend([r, rinv])
-        paired.append((rep, other))
+        pair = named_pair(r)
+        seen.extend(pair)
+        paired.append(pair)
     paired.sort(key=lambda pr: cmp_to_key(canonical_compare)(pr[0]))
     classes = list(unipotent)
     for rep, other in paired:

@@ -5,10 +5,10 @@ import pytest
 
 from matcanon import (Block, ExactMatrix, NotSplit, canonical_block_matrix,
                       canonical_form_matrix, canonicalize, equivalent,
-                      invariants, inverse_or_rank, prime_field, rationals,
-                      transpose_witness)
-from matcanon.errors import (HypothesisViolation, InvalidDescriptor,
-                             NoRootStrictPolicy)
+                      gf4, invariants, inverse_or_rank, prime_field,
+                      rationals, transpose_witness)
+from matcanon.errors import (ContextMismatch, HypothesisViolation,
+                             InvalidDescriptor, NoRootStrictPolicy)
 from matcanon.field import EXTEND, STRICT
 from matcanon.spectral import hyperbolic_block_matrix, asymmetry
 from matcanon.unipotent import gamma0_matrix, gamma_matrix
@@ -417,3 +417,106 @@ def test_each_answer_is_certified_once():
         res, count = _certified(lambda: equivalent(a, b))
     assert not res.equivalent and len(rounds) == 2
     assert count == 2
+
+
+def test_equivalent_of_incompatible_fields_raises_whatever_the_sizes():
+    """The fields are reconciled before the sizes are compared: Q against
+    GF(3) is a ContextMismatch for a 2 x 2 and for a 3 x 3 partner alike."""
+    q, f3 = rationals(), prime_field(3)
+    for n in (2, 3):
+        with pytest.raises(ContextMismatch):
+            equivalent(ExactMatrix.identity(q, 2), ExactMatrix.identity(f3, n))
+
+
+def _merged_pairs():
+    """(a, b, verdict) pairs whose two sides first settle in different
+    towers, so that equivalent merges their contexts: one true and one
+    false pair over Q, GF(3), GF(4) and GF(13), and over GF(9) and Q(sqrt 2),
+    where the inputs already live in a tower."""
+    q, f3, f4, f13 = rationals(), prime_field(3), gf4(), prime_field(13)
+    t = f4.scalar((0, 1))
+    f9 = f3.adjoin_sqrt(f3.scalar(-1))
+    i = f9.generator(1)
+    q2 = q.adjoin_sqrt(q.scalar(2))
+    r = q2.generator(1)
+    pairs = [
+        (q, [[2, -2, -1], [-2, 1, 0], [-2, 1, 0]],
+         [[0, -3, -2], [-1, 3, 3], [-1, 6, 5]], True),
+        (q, [[2, -2], [0, -2]], [[1, 1], [1, 1]], False),
+        (f3, [[1, 1], [0, 1]], [[2, 2], [0, 2]], True),
+        (f3, [[2, 1, 1], [2, 2, 0], [0, 2, 1]],
+         [[2, 2, 0], [0, 1, 1], [0, 0, 2]], False),
+        (f4, [[1 + t, 1, 0], [1, 1 + t, 1], [1, 0, 1]],
+         [[1, 1, 1], [1, 1 + t, 1 + t], [1 + t, 0, t]], True),
+        (f4, [[t, t], [1 + t, 1]], [[t, t], [1, 1 + t]], False),
+        (f13, [[4, 10, 8], [10, 5, 2], [6, 0, 5]],
+         [[3, 5, 4], [9, 8, 7], [8, 7, 8]], True),
+        (f13, [[9, 12], [12, 1]], [[4, 1], [7, 12]], False),
+        (f9, [[0, 2 + i, 1 + i], [2 + i, 2 * i, i], [1, 2 * i, 1]],
+         [[0, 2 + i, 1], [2 + 2 * i, 2 + i, 1], [0, 2 + i, 2]], True),
+        (f9, [[2, 1], [1 + i, 1 + 2 * i]], [[1, i], [i, 1 + 2 * i]], False),
+        (q2, [[1, r, -2], [0, -r, 0], [-1, 2, -1]],
+         [[-3, -2 - r, -5 - r], [0, -r, -r], [-2, -2 - r, -3 - r]], True),
+        (q2, [[2, -2 * r], [1, 1]], [[-r, -2], [1, -2]], False),
+    ]
+    return [(ExactMatrix(ctx, a), ExactMatrix(ctx, b), verdict)
+            for ctx, a, b, verdict in pairs]
+
+
+def _decided_with_counts(a, b):
+    """equivalent(a, b) and the numbers of _canonicalize and merge_contexts
+    calls it made."""
+    from matcanon import canon
+    calls = {"canonicalize": 0, "merge": 0}
+    step, merge = canon._canonicalize, canon.merge_contexts
+
+    def counted_step(*args):
+        calls["canonicalize"] += 1
+        return step(*args)
+
+    def counted_merge(*args):
+        calls["merge"] += 1
+        return merge(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canon, "_canonicalize", counted_step)
+        patch.setattr(canon, "merge_contexts", counted_merge)
+        res = equivalent(a, b)
+    return res, calls
+
+
+def test_merged_pairs_are_decided_from_the_first_round():
+    """A pair whose sides reach different towers is merged once and
+    decided from the first round: each side is canonicalized once."""
+    for a, b, verdict in _merged_pairs():
+        res, calls = _decided_with_counts(a, b)
+        assert calls == {"canonicalize": 2, "merge": 1}, (a, b)
+        assert res.equivalent == verdict, (a, b)
+        assert res.context.tower
+        if verdict:
+            w = res.witness
+            assert w.source == a and w.target == b
+            assert w.x.transpose() @ a @ w.x == b
+        else:
+            assert res.witness is None
+            assert res.records[0] != res.records[1]
+            assert all(rec.context == res.context for rec in res.records)
+
+
+def test_unequal_mapped_targets_fall_back_to_the_merge_loop(monkeypatch):
+    """When b's canonical matrix, mapped into the merged field, differs
+    from a's, both sides are canonicalized again there, and the loop still
+    answers with a certified witness."""
+    from matcanon import canon
+
+    def to_zero(src, dst, images):
+        return lambda _raw: dst.ops.zero
+
+    monkeypatch.setattr(canon, "coordinate_map", to_zero)
+    for a, b, verdict in _merged_pairs():
+        if not verdict:
+            continue
+        res, calls = _decided_with_counts(a, b)
+        assert calls == {"canonicalize": 4, "merge": 1}, (a, b)
+        assert res.equivalent
+        assert res.witness.x.transpose() @ a @ res.witness.x == b

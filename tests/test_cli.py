@@ -242,6 +242,20 @@ def test_non_square_input_is_an_input_error_for_equiv_and_transpose(tmp_path):
         assert "needs a square matrix, not 2 x 3" in err, args
 
 
+def test_equiv_of_incompatible_fields_is_an_input_error(tmp_path):
+    """Q against GF(3) exits 4 whatever the sizes: a 3 x 3 partner gives no
+    false verdict ("dimensions differ")."""
+    q = write_matrix(tmp_path, "q.json", {"kind": "rational"},
+                     [["1", "0"], ["0", "1"]])
+    for n in (2, 3):
+        f3 = write_matrix(tmp_path, "f3.json", {"kind": "gfp", "p": 3},
+                          [["1" if i == j else "0" for j in range(n)]
+                           for i in range(n)])
+        code, out, err = run_cli(["equiv", q, f3])
+        assert code == 4, (n, out, err)
+        assert "prefix-compatible" in err
+
+
 def test_huge_split_quadratic_over_q(tmp_path):
     # the asymmetry's minimal polynomial (X - n)(X - 1/n) is solved by one
     # integer square root of its discriminant, not by trial division of n

@@ -442,3 +442,26 @@ def test_negative_matrix_power_raises_instead_of_hanging():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["negative exponent -1",
                                         "negative exponent -2"]
+
+
+def test_merge_maps_the_generators_the_towers_share_to_themselves():
+    """merge_contexts keeps each record dst and src share as its own
+    generator, over GF(3) and over Q, and maps each other record of src to
+    a root of the image of its d."""
+    f3 = prime_field(3)
+    f9 = f3.adjoin_sqrt(f3.scalar(-1))
+    f81 = f9.adjoin_sqrt(1 + f9.generator(1))
+    g1, g2 = f81.generator(1), f81.generator(2)
+    q = rationals()
+    q2 = q.adjoin_sqrt(q.scalar(2))
+    cases = [(f81.adjoin_sqrt(g2), f81.adjoin_sqrt(g1 + g2), 2),
+             (f81, f9.adjoin_sqrt(2 + f9.generator(1)), 1),
+             (q2.adjoin_sqrt(q2.scalar(3)), q2.adjoin_sqrt(q2.scalar(5)), 1),
+             (q2.adjoin_sqrt(q2.scalar(3)), q2, 1)]
+    for dst, src, shared in cases:
+        merged, images = field.merge_contexts(dst, src)
+        assert dst.is_prefix_of(merged) and len(images) == len(src.tower)
+        assert images[:shared] == [merged.generator(i)
+                                   for i in range(1, shared + 1)]
+        for g, (c1, d) in zip(images, field.adjunctions(src)):
+            assert g * g == c1 * g + field.embed_scalar(d, merged, images)
