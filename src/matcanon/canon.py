@@ -12,25 +12,22 @@ The field travels on the values: a stage's result lives in the tower it
 reached, read off as x.ctx, and the arithmetic lifts whatever it meets, so
 no stage takes or returns a context beside its values.  Each stage runs in
 the least field that holds its values: Gabriel, the asymmetry and its
-minimal polynomial in the field of the input's entries (in equivalent's
-rerun in a merged tower, the inputs' own field); the +-1 eigenspaces in
-S's field; a unipotent class's asymmetry and peeling in the field of its
-Gram matrix, and a pair class's reduction in the field of its Gram matrix
-and lam.  The one choice made on purpose is where a root search
+minimal polynomial in the field of the input's entries; the +-1
+eigenspaces in S's field; a unipotent class's asymmetry and peeling in the
+field of its Gram matrix, and a pair class's reduction in the field of its
+Gram matrix and lam.  The one choice made on purpose is where a root search
 or a reduction starts: the root search in the input's context, and each
 single or pair reduction in the running tower the one before it reached,
 which never shrinks, so a root that two reductions need is found the
 second time, not adjoined again at another height.
 
 equivalent canonicalizes each side once.  When the two sides settle in
-different towers, it merges them once into a field M and decides from that
-first round, since the normal form is unique: b's record and congruence are
-carried into M by the images of its generators (field.coordinate_map),
-which fix the inputs' own field.  Records that differ there give the false
-verdict; equal records whose canonical matrices agree compose into the
-witness Y = X_a X_b^-1, one solve in M.  Only if the mapped canonical
-matrices still differ are both sides canonicalized again in M, merging
-until they settle in one field (_merge_rounds).
+different towers, it merges them once into a field M, and b's form and
+congruence are carried into M by the images of its generators
+(field.coordinate_map), which fix the records the two towers share.  The
+normal form is unique, so the records decide: records that differ give
+the false verdict, and equal records compose into the witness
+Y = X_a X_b^-1, one solve in M.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cmp_to_key
 
-from .errors import InternalDegenerate, InvalidDescriptor, TowerCapExceeded
+from .errors import InternalDegenerate, InvalidDescriptor
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, solve)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
@@ -354,71 +351,52 @@ def invariants(a, policy=EXTEND):
     return record_from_form(form)
 
 
-_MERGE_ROUNDS = 8
-
-
 def equivalent(a, b, policy=EXTEND):
     """Decide congruence; verdict true carries an exactly verified witness.
 
     A false verdict carries both invariant records in `records`, and the
-    two canonicalizations behind it are certified before it returns.
-    Canonicalizing two matrices can demand different (but compatible)
-    towers, e.g. sqrt(2) on one side and sqrt(8) on the other.  Then the
-    two are merged once into a field M (merge_contexts), and b's side is
-    mapped into M through the images of its generators, which fix the
-    inputs' own field.  The normal form is unique, so the first round
-    decides: if the records differ in M the verdict is false, and if a's
-    target equals b's mapped target the two congruences compose into
-    Y = X_a X_b^-1, one solve in M.  Only when the targets still differ (a
-    G block named by the other eigenvalue of its pair, or blocks in another
-    order) are both sides canonicalized again in M, merging until they
-    settle in one field.
+    two canonicalizations behind it are certified before it returns.  Each
+    side is canonicalized once; when the two settle in different towers
+    (sqrt(2) on one side, sqrt(8) on the other), they are merged once into
+    a field M, and b's form and X_b are carried into M.  Records that
+    differ give the false verdict, equal ones the witness Y = X_a X_b^-1,
+    one solve in M.
+
+    Equal records mean equal canonical matrices in M: congruent inputs
+    have similar asymmetries, hence one minimal polynomial, which the same
+    deterministic root search splits in the same start context.  So the
+    eigenvalue records are the shared prefix of the two towers, which the
+    images fix, and every G block keeps its eigenvalue and its place.  The
+    witness is still certified, so a broken map raises WitnessError, never
+    a wrong verdict.
     """
     _check_square(a, b)
     start_ctx = a.ctx.common(b.ctx)
     if a.nrows != b.nrows:
-        return EquivalenceResult(False, None, a.ctx, [])
+        return EquivalenceResult(False, None, start_ctx, [])
     form_a, cong_a = _canonicalize(a.promote(start_ctx), policy)
     form_b, cong_b = _canonicalize(b.promote(start_ctx), policy)
+    x_b = cong_b.x
     if form_a.context != form_b.context:
         ctx, images = merge_contexts(form_a.context, form_b.context, policy)
-        records = (record_from_form(form_a._replace(context=ctx)),
-                   _mapped_record(form_b, ctx, images))
-        if records[0] != records[1]:
-            return _false_verdict(start_ctx, records, cong_a, cong_b)
-        embed = coordinate_map(form_b.context, ctx, images)
-        if cong_b.target.mapped(embed, ctx) == cong_a.target:
-            return _true_verdict(a, b, start_ctx, cong_a.x,
-                                 cong_b.x.mapped(embed, ctx))
-        (form_a, cong_a), (form_b, cong_b) = _merge_rounds(a, b, ctx, policy)
+        x_b = x_b.mapped(coordinate_map(form_b.context, ctx, images), ctx)
+        form_a = form_a._replace(context=ctx)
+        form_b = _mapped_form(form_b, ctx, images)
     records = (record_from_form(form_a), record_from_form(form_b))
     if records[0] != records[1]:
         return _false_verdict(start_ctx, records, cong_a, cong_b)
-    return _true_verdict(a, b, start_ctx, cong_a.x, cong_b.x)
+    return _true_verdict(a, b, start_ctx, cong_a.x, x_b)
 
 
-def _mapped_record(form, ctx, images):
-    """The invariant record of form carried into ctx by the images of the
-    generators of form's context: each G block's eigenvalue is mapped, and
-    its pair named again as eigen_split names it."""
+def _mapped_form(form, ctx, images):
+    """form carried into ctx by the images of the generators of form's
+    context: each G block's eigenvalue is mapped, and its pair named again
+    as eigen_split names it."""
     blocks = [d if d.lam is None else
               Block(d.family, d.n, named_pair(embed_scalar(d.lam, ctx,
                                                            images))[0])
               for d in form.blocks]
-    return record_from_form(CanonicalForm(form.gabriel, blocks, ctx, []))
-
-
-def _merge_rounds(a, b, ctx, policy):
-    """Both sides canonicalized again in ctx, and in the merge of the
-    contexts they reach, until they settle in one field."""
-    for _ in range(_MERGE_ROUNDS - 1):
-        side_a = _canonicalize(a.promote(ctx), policy)
-        side_b = _canonicalize(b.promote(ctx), policy)
-        if side_a[0].context == side_b[0].context:
-            return side_a, side_b
-        ctx, _images = merge_contexts(side_a[0].context, side_b[0].context,
-                                      policy)
-    raise TowerCapExceeded("context reconciliation did not converge")
+    return CanonicalForm(form.gabriel, blocks, ctx, [])
 
 
 def _false_verdict(start_ctx, records, cong_a, cong_b):

@@ -947,17 +947,22 @@ class _VectorOps(_RawRows):
         # the coefficient rule: the raw value of nums / den
         self.reduced = (functools.partial(_mod_reduced, self.p) if self.p
                         else _rat_normalized)
+        self._below = None
 
     @property
     def work(self):
         return self if self.level or self.p else _IntRows
 
-    @functools.cached_property
+    @property
     def below(self):
         """The vector arithmetic one level down (inverse, norm): the prefix
-        context's own ops, unless they compute on ints or tables."""
-        prefix = self.ctx.truncated(self.level - 1)
-        return _VectorOps(prefix) if prefix.ops.indexed else prefix.ops
+        context's own ops, unless they compute on ints or tables.  Fetched
+        on first use, as _IndexedOps.lanes is."""
+        if self._below is None:
+            prefix = self.ctx.truncated(self.level - 1)
+            self._below = (_VectorOps(prefix) if prefix.ops.indexed
+                           else prefix.ops)
+        return self._below
 
     def from_int(self, n):
         return (n % self.p if self.p else int(n),) + self.zero[1:]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -428,11 +429,25 @@ def test_equivalent_of_incompatible_fields_raises_whatever_the_sizes():
             equivalent(ExactMatrix.identity(q, 2), ExactMatrix.identity(f3, n))
 
 
+def test_a_false_verdict_on_sizes_does_not_depend_on_argument_order():
+    """Inputs of different sizes are not congruent, and the verdict is
+    reported in the inputs' common field whichever comes first."""
+    q = rationals()
+    q2 = q.adjoin_sqrt(q.scalar(2))
+    one = ExactMatrix(q2, [[q2.generator(1)]])
+    ident = ExactMatrix.identity(q, 2)
+    for a, b in ((one, ident), (ident, one)):
+        res = equivalent(a, b)
+        assert not res.equivalent and res.context == q2
+
+
 def _merged_pairs():
     """(a, b, verdict) pairs whose two sides first settle in different
     towers, so that equivalent merges their contexts: one true and one
     false pair over Q, GF(3), GF(4) and GF(13), and over GF(9) and Q(sqrt 2),
-    where the inputs already live in a tower."""
+    where the inputs already live in a tower; a true pair over GF(13) built
+    from G2(2) on one side and G2(1/2) on the other; and a true pair whose
+    b is a over Q scrambled by a matrix over Q(sqrt 2)."""
     q, f3, f4, f13 = rationals(), prime_field(3), gf4(), prime_field(13)
     t = f4.scalar((0, 1))
     f9 = f3.adjoin_sqrt(f3.scalar(-1))
@@ -459,8 +474,19 @@ def _merged_pairs():
          [[-3, -2 - r, -5 - r], [0, -r, -r], [-2, -2 - r, -3 - r]], True),
         (q2, [[2, -2 * r], [1, 1]], [[-r, -2], [1, -2]], False),
     ]
-    return [(ExactMatrix(ctx, a), ExactMatrix(ctx, b), verdict)
-            for ctx, a, b, verdict in pairs]
+    merged = [(ExactMatrix(ctx, a), ExactMatrix(ctx, b), verdict)
+              for ctx, a, b, verdict in pairs]
+    # G2(2) + (2) against G2(1/2) + (5) scrambled: sqrt(2) on one side,
+    # sqrt(5) on the other
+    p = ExactMatrix(f13, [[1, 1, 2], [12, 0, 0], [12, 2, 1]])
+    b = ExactMatrix(f13, [[0, 7, 0], [1, 0, 0], [0, 0, 5]])
+    merged.append((ExactMatrix(f13, [[0, 2, 0], [1, 0, 0], [0, 0, 2]]),
+                   p.transpose() @ b @ p, True))
+    # G2(2) + (3) over Q against its scramble by P over Q(sqrt 2)
+    a = ExactMatrix(q, [[0, 2, 0], [1, 0, 0], [0, 0, 3]])
+    p = ExactMatrix(q2, [[r, r, 0], [0, 0, 1], [1 + r, 0, 1]])
+    merged.append((a, p.transpose() @ a @ p, True))
+    return merged
 
 
 def _decided_with_counts(a, b):
@@ -503,20 +529,28 @@ def test_merged_pairs_are_decided_from_the_first_round():
             assert all(rec.context == res.context for rec in res.records)
 
 
-def test_unequal_mapped_targets_fall_back_to_the_merge_loop(monkeypatch):
-    """When b's canonical matrix, mapped into the merged field, differs
-    from a's, both sides are canonicalized again there, and the loop still
-    answers with a certified witness."""
-    from matcanon import canon
+def test_a_broken_coordinate_map_raises_witness_error(monkeypatch,
+                                                       tmp_path):
+    """A coordinate map that sends everything to zero breaks X_b in the
+    merged field: the one certification refuses the composed witness, so
+    equivalent raises WitnessError and matcanon equiv exits 5, never
+    answering a merged true pair with a verdict."""
+    from matcanon import canon, cli
+    from matcanon.exactmat import WitnessError
 
     def to_zero(src, dst, images):
         return lambda _raw: dst.ops.zero
 
     monkeypatch.setattr(canon, "coordinate_map", to_zero)
-    for a, b, verdict in _merged_pairs():
+    for k, (a, b, verdict) in enumerate(_merged_pairs()):
         if not verdict:
             continue
-        res, calls = _decided_with_counts(a, b)
-        assert calls == {"canonicalize": 4, "merge": 1}, (a, b)
-        assert res.equivalent
-        assert res.witness.x.transpose() @ a @ res.witness.x == b
+        with pytest.raises(WitnessError):
+            equivalent(a, b)
+        paths = []
+        for name, m in (("a", a), ("b", b)):
+            path = tmp_path / ("%s%d.json" % (name, k))
+            path.write_text(json.dumps({"field": cli.context_to_json(m.ctx),
+                                        "matrix": cli.matrix_text(m)}))
+            paths.append(str(path))
+        assert cli.main(["equiv", *paths]) == 5, (a, b)

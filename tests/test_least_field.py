@@ -2,11 +2,11 @@
 
 Over Q every answer is built in a tower of square roots, and tower
 arithmetic is the slow kind.  So the stages that need no root run below the
-tower: equivalent's merge rounds decompose and take the minimal polynomial
-in the inputs' own field (only the root search starts in the merged tower),
-the +-1 eigenspaces are taken in S's field, and a unipotent class is peeled
-in the field of its Gram matrix.  Each test records the contexts a stage
-sees by monkeypatching the name its caller looks up.
+tower: equivalent decomposes both sides and takes their minimal
+polynomials in the inputs' own field, also for a pair it then merges into
+one tower, the +-1 eigenspaces are taken in S's field, and a unipotent
+class is peeled in the field of its Gram matrix.  Each test records the
+contexts a stage sees by monkeypatching the name its caller looks up.
 """
 
 from matcanon import (ExactMatrix, canonicalize, equivalent, inverse_or_rank,
@@ -22,10 +22,10 @@ PAIR = ExactMatrix(Q, [[-2, -2], [-1, -2]])
 WITH_ONE = ExactMatrix.block_diag(Q, [ExactMatrix(Q, [[1]]), PAIR])
 
 
-def test_merge_rounds_decompose_in_the_inputs_field(monkeypatch):
-    """A scrambled 3 x 3 pair whose two sides first settle in different
-    towers: the rerun in the merged tower still runs Gabriel and the
-    minimal polynomial over Q."""
+def test_a_merged_pair_decomposes_in_the_inputs_field(monkeypatch):
+    """A scrambled 3 x 3 pair whose two sides settle in different towers,
+    which equivalent merges: both sides run Gabriel and the minimal
+    polynomial over Q."""
     a = ExactMatrix(Q, [[2, -1, -2], [0, -2, -2], [-2, 2, 2]])
     p = ExactMatrix(Q, [[-2, -1, 1], [0, 2, 0], [-1, -2, 0]])
     seen, merges = [], []

@@ -106,8 +106,8 @@ def test_scrambled_d8_char2():
 
 
 def test_merge_loop_non_congruent_different_towers():
-    # (2) needs sqrt(2); (3) needs sqrt(3): the reconciliation loop must
-    # settle in one field and still answer false (1x1 forms with distinct
+    # (2) needs sqrt(2); (3) needs sqrt(3): the two sides settle in
+    # different towers, which equivalent merges (1x1 forms with distinct
     # square classes stay distinct only over the base; over the merged
     # tower they become congruent)
     q = rationals()
@@ -124,7 +124,7 @@ def test_merge_loop_non_congruent_different_towers():
 
 def test_rational_quadratic_forms_over_extension():
     # diag(1, 6) and diag(2, 3): same determinant class, congruent over a
-    # quadratic tower; the merge loop must find one field for both
+    # quadratic tower; equivalent must find one field for both
     q = rationals()
     a = ExactMatrix(q, [[1, 0], [0, 6]])
     b = ExactMatrix(q, [[2, 0], [0, 3]])
