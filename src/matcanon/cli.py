@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .canon import (Block, canonical_block_matrix, canonicalize, equivalent,
@@ -128,13 +129,14 @@ def block_from_text(text, ctx):
     text = text.strip()
     if not text:
         raise ParseError("empty block descriptor")
-    fam = text[0]
-    if fam == "G":
-        open_idx = text.index("(")
-        n = int(text[1:open_idx])
-        lam = parse_scalar(text[open_idx + 1:-1], ctx)
-        return Block("G", n, lam)
-    return Block(fam, int(text[1:]))
+    match = re.fullmatch(r"G(-?\d+)\((.*)\)|([^G\d])(-?\d+)", text)
+    if match is None:
+        raise ParseError("block descriptor %r is not a family letter and a "
+                         "size, with the eigenvalue in parentheses for G "
+                         "(e.g. A3 or G4(1/2))" % text)
+    if match[1]:
+        return Block("G", int(match[1]), parse_scalar(match[2], ctx))
+    return Block(match[3], int(match[4]))
 
 
 def form_to_json(form):

@@ -1925,8 +1925,9 @@ def _parse_factor(s, pos, ctx):
             if k == j + 1:
                 raise ParseError("denominator expected", j)
             den = int(s[j + 1:k])
-            if not den:
-                raise ParseError("zero denominator in %r" % s[pos:k], j + 1)
+            if ctx.scalar(den).is_zero():
+                raise ParseError("zero denominator %d in %r over %r"
+                                 % (den, s[pos:k], ctx), j + 1)
             if ctx.kind == "rational":
                 return ctx.scalar(Fraction(num, den)), k
             return ctx.scalar(num) / ctx.scalar(den), k

@@ -51,8 +51,9 @@ from .errors import (InternalDegenerate, NoArtinSchreierRootStrict,
 from .exactmat import ExactMatrix, first_dependence, inverse_or_rank, solve
 from .field import (EXTEND, Scalar, _is_prime, _poly_axpy, _poly_divmod,
                     _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
-                    canonical_compare, enumeration_key, frobenius_gcd,
-                    prime_field, quadratic_roots, random_elements)
+                    canonical_compare, coordinate_map, enumeration_key,
+                    frobenius_gcd, prime_field, quadratic_roots,
+                    random_elements)
 
 # a shift splits a factor with two or more roots with probability about 1/2
 # or better; 64 failures in a row mean the context is not a field
@@ -434,7 +435,11 @@ def eigen_split(a, asym):
     Returns EigenSplit(classes, x, gram) where gram = X'AX is the Gram
     matrix in the new basis (block diagonal across classes).  The +-1
     eigenspaces are taken in S's field, each pair's in the field of S and
-    its root.
+    its root.  A pair's space V_lam is eliminated for its rep lam; V_1/lam
+    is its conjugate (_conjugate_eigenspace) when the top record of that
+    field lies above S's and its conjugation sends lam to 1/lam, as it does
+    when lam was adjoined as a root of X^2 - mu X + 1, and is eliminated
+    otherwise.
     """
     ctx = asym.ctx
     n = a.nrows
@@ -465,8 +470,11 @@ def eigen_split(a, asym):
     paired.sort(key=lambda pr: cmp_to_key(canonical_compare)(pr[0]))
     classes = list(unipotent)
     for rep, other in paired:
-        classes.append(PairClass(rep, other,
-                                 gen_eigenspace(rep), gen_eigenspace(other)))
+        basis_lam = gen_eigenspace(rep)
+        basis_inv = _conjugate_eigenspace(basis_lam, rep, other, asym.s.ctx)
+        if basis_inv is None:
+            basis_inv = gen_eigenspace(other)
+        classes.append(PairClass(rep, other, basis_lam, basis_inv))
 
     bases = [[cl.basis] if isinstance(cl, UnipotentClass)
              else [cl.basis_lam, cl.basis_inv] for cl in classes]
@@ -474,6 +482,32 @@ def eigen_split(a, asym):
     if x.ncols != n:
         raise NotSplit("generalized eigenspaces do not fill the space")
     return EigenSplit(classes, x, x.transpose() @ a @ x)
+
+
+def top_conjugation(ctx):
+    """The raw map of the automorphism of ctx over the level below its top
+    record g^2 = c1 g + d: it fixes g_1, ..., g_(h-1) and sends g = g_h to
+    the other root c1 - g."""
+    h = len(ctx.tower)
+    c1 = ctx.tower[-1][0]
+    images = [ctx.generator(i) for i in range(1, h)]
+    return coordinate_map(ctx, ctx, images + [c1 - ctx.generator(h)])
+
+
+def _conjugate_eigenspace(basis, lam, lam_inv, s_ctx):
+    """The basis of V_lam_inv as the conjugate of basis, that of V_lam, when
+    basis.ctx has its top record above s_ctx and the record's conjugation
+    sigma sends lam to lam_inv; else None.  sigma fixes S, so it sends
+    ker (S - lam)^m to ker (S - lam_inv)^m, and the elimination reads each
+    entry only as zero or nonzero, so the mapped basis holds the raw values
+    that eliminating for lam_inv gives."""
+    ctx = basis.ctx
+    if len(ctx.tower) <= len(s_ctx.tower):
+        return None
+    sigma = top_conjugation(ctx)
+    if Scalar(ctx, sigma(lam.promote(ctx).raw)) != lam_inv:
+        return None
+    return basis.mapped(sigma, ctx)
 
 
 # -- restricted operators and Jordan structure -----------------------------------------

@@ -302,6 +302,28 @@ def test_zero_denominator_in_a_matrix_entry_exit_code(tmp_path):
         assert out == "" and "zero denominator" in err, args
 
 
+def test_a_denominator_that_is_zero_in_the_field_exit_code(tmp_path):
+    # "1/3" over GF(3) passed the parser and exited 5 on the division, as
+    # an internal error
+    gf3, gf5 = {"kind": "gfp", "p": 3}, {"kind": "gfp", "p": 5}
+    entry = write_matrix(tmp_path, "entry.json", gf3, [["1/3", "0"],
+                                                       ["0", "1"]])
+    good = write_matrix(tmp_path, "good.json", gf5, [["1", "0"], ["0", "1"]])
+    bad = write_matrix(tmp_path, "bad.json", gf5, [["2/10", "0"], ["0", "1"]])
+    tower = write_matrix(tmp_path, "tower.json",
+                         dict(gf3, tower=[{"kind": "sqrt", "value": "2/3"}]),
+                         [["1", "g1"], ["0", "1"]])
+    for args, text, field in (
+            (["canon", entry], "'1/3'", "GF(3)"),
+            (["equiv", good, bad], "'2/10'", "GF(5)"),
+            (["canon", tower], "'2/3'", "GF(3)"),
+            (["block", "G2(1/3)", "--field", "gf3"], "'1/3'", "GF(3)")):
+        code, out, err = run_cli(args)
+        assert code == 4, args
+        assert out == "" and "zero denominator" in err, args
+        assert text in err and field in err, args
+
+
 def test_zero_denominator_in_a_tower_value_exit_code(tmp_path):
     for field in ({"kind": "rational",
                    "tower": [{"kind": "sqrt", "value": "2/0"}]},
@@ -316,9 +338,14 @@ def test_zero_denominator_in_a_tower_value_exit_code(tmp_path):
 
 def test_block_descriptor_input_errors():
     # "G4(1/0)" used to exit 1 with a ZeroDivisionError and "" with an
-    # IndexError
+    # IndexError; "G2" and "A" printed Python's "substring not found" and
+    # "invalid literal for int()"
+    shape = "e.g. A3 or G4(1/2)"
     for descriptor, message in (("G4(1/0)", "zero denominator"),
-                                ("", "empty block descriptor")):
+                                ("", "empty block descriptor"),
+                                ("G2", "'G2' is not a family letter"),
+                                ("A", "'A' is not a family letter"),
+                                ("G2", shape), ("A", shape)):
         code, out, err = run_cli(["block", descriptor, "--field", "q"])
         assert code == 4, descriptor
         assert out == "" and message in err, descriptor

@@ -69,8 +69,9 @@ def test_plus_minus_one_eigenspaces_stay_in_the_field_of_s(monkeypatch):
 
     monkeypatch.setattr(spectral, "inverse_or_rank", recording)
     eigen_split(WITH_ONE, asym)
-    # the eigenvalue-1 space first, then the two of the pair
-    assert [ctx == Q for ctx in seen] == [True, False, False]
+    # the eigenvalue-1 space first, then the pair's rep; the other space
+    # of the pair is the rep's conjugate, with no elimination
+    assert [ctx == Q for ctx in seen] == [True, False]
 
 
 def test_a_unipotent_class_is_peeled_in_the_field_of_its_gram(monkeypatch):

@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from matcanon import spectral
 from matcanon.errors import NotSplit, SingularInput
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
-from matcanon.field import EXTEND, STRICT, prime_field, rationals
+from matcanon.field import EXTEND, STRICT, Scalar, gf4, prime_field, rationals
 from matcanon.spectral import (Asymmetry, PairClass,
                                UnipotentClass, asymmetry, eigen_split,
                                hyperbolic_block_matrix, hyperbolic_canonical,
                                _minimal_polynomial, nilpotent_jordan_chains,
-                               poly_eval, restrict_operator, split_min_poly)
+                               poly_eval, restrict_operator, split_min_poly,
+                               top_conjugation)
 
 from filtration import elementary_divisor_multiplicities
 
@@ -163,6 +165,104 @@ def test_eigen_split_mixed_block_diagonal():
     # cross blocks exactly zero
     assert g[0, 1] == q.zero() and g[0, 2] == q.zero()
     assert g[1, 0] == q.zero() and g[2, 0] == q.zero()
+
+
+def _unipotent_2x2(ctx, a):
+    # S = A^-1 A' has X^2 - (2 - a^2) X + 1 as its characteristic polynomial
+    return ExactMatrix(ctx, [[1, a], [0, 1]])
+
+
+# (name, matrix, for each pair class in eigen_split's order: the height of
+# its field and whether V_1/lam is the conjugate of V_lam)
+CONJUGATE_CASES = [
+    # Q(sqrt -3), then sqrt 5 and sqrt 3 above it: S stays over Q
+    ("q-height-1", _unipotent_2x2(rationals(), 1), [(1, True)]),
+    ("q-height-2", ExactMatrix.block_diag(rationals(), [
+        _unipotent_2x2(rationals(), a) for a in (1, 3)]),
+     [(2, True), (1, True)]),
+    ("q-height-3", ExactMatrix.block_diag(rationals(), [
+        _unipotent_2x2(rationals(), a) for a in (1, 3, 4)]),
+     [(3, True), (2, True), (1, True)]),
+    # GF(9) and GF(81), table fields over GF(3)
+    ("gf9", ExactMatrix(prime_field(3), [[1, 0], [1, 2]]), [(1, True)]),
+    ("gf81", ExactMatrix(prime_field(3), [[1, 1, 2, 2], [2, 1, 2, 2],
+                                          [1, 2, 2, 0], [0, 2, 1, 2]]),
+     [(2, True), (2, True)]),
+    # a palindromic quartic over GF(3) that is q(X) q*(X), q* the
+    # reciprocal of an irreducible quadratic q: 1/lam is a root of q*, not
+    # the conjugate of lam, so V_1/lam is eliminated
+    ("gf9-reciprocal-pair", ExactMatrix(prime_field(3), [
+        [2, 0, 0, 1], [2, 2, 1, 2], [0, 0, 2, 0], [1, 1, 2, 2]]),
+     [(1, False), (1, False)]),
+    # GF(65521)(sqrt d), a record in closed form; GF(65537) at height 2,
+    # integer vectors through the monomial table
+    ("gf65521-height-1", ExactMatrix(prime_field(65521), [[-2, 2], [3, -1]]),
+     [(1, True)]),
+    ("gf65537-height-2", ExactMatrix(prime_field(65537), [
+        [2, 0, 1, 1], [2, -2, 3, 2], [1, 3, 2, 3], [2, 0, -1, -1]]),
+     [(2, True), (2, True)]),
+]
+
+
+@pytest.mark.parametrize("name, a, expected", CONJUGATE_CASES,
+                         ids=[c[0] for c in CONJUGATE_CASES])
+def test_conjugated_eigenspace_is_the_eliminated_one(name, a, expected,
+                                                     monkeypatch):
+    asym = split_min_poly(asymmetry(a))
+    assert asym.s.ctx == a.ctx
+    eliminated = []
+
+    def recording(m, **kwargs):
+        eliminated.append(m)
+        return inverse_or_rank(m, **kwargs)
+
+    monkeypatch.setattr(spectral, "inverse_or_rank", recording)
+    classes = eigen_split(a, asym).classes
+    monkeypatch.undo()
+    pairs = [cl for cl in classes if isinstance(cl, PairClass)]
+    assert [len(cl.basis_lam.ctx.tower) for cl in pairs] == [
+        h for h, _conjugated in expected]
+    # one elimination per unipotent class and per pair, one more for each
+    # pair whose 1/lam space is not a conjugate
+    assert len(eliminated) == len(classes) + sum(
+        not conjugated for _h, conjugated in expected)
+    for cl in pairs:
+        mult = next(m for r, m in asym.split_roots if r == cl.lam_inv)
+        power = asym.s.minus_scalar(cl.lam_inv).power(mult)
+        kernel = inverse_or_rank(power, rank_only=True).kernel
+        assert cl.basis_inv.ctx == kernel.ctx
+        assert cl.basis_inv.raw == kernel.raw  # raw tuple for raw tuple
+
+
+def _gf81():
+    f9 = prime_field(3).adjoin_sqrt(prime_field(3).scalar(-1))
+    return f9.adjoin_sqrt(1 + f9.generator(1))
+
+
+@pytest.mark.parametrize("ctx", [
+    gf4().adjoin_artin_schreier(gf4().base_element((0, 1))),  # g^2 + g = t
+    prime_field(3).adjoin_sqrt(prime_field(3).scalar(-1)),
+    _gf81(),
+], ids=["gf4-artin-schreier", "gf9", "gf81"])
+def test_top_conjugation_is_an_involutive_automorphism(ctx):
+    sigma = top_conjugation(ctx)
+
+    def conj(x):
+        return Scalar(ctx, sigma(x.raw))
+
+    h = len(ctx.tower)
+    c1 = ctx.tower[-1][0]
+    g = ctx.generator(h)
+    assert conj(g) == c1 - g != g  # g + 1 for an Artin-Schreier record
+    below = ctx.truncated(h - 1)
+    for x in below.iter_elements():
+        assert conj(x.promote(ctx)) == x
+    elements = list(ctx.iter_elements())
+    for x in elements:
+        assert conj(conj(x)) == x
+        for y in elements[::7]:
+            assert conj(x + y) == conj(x) + conj(y)
+            assert conj(x * y) == conj(x) * conj(y)
 
 
 def test_nilpotent_jordan_chains():
