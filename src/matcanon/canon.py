@@ -27,7 +27,8 @@ congruence are carried into M by the images of its generators
 (field.coordinate_map), which fix the records the two towers share.  The
 normal form is unique, so the records decide: records that differ give
 the false verdict, and equal records compose into the witness
-Y = X_a X_b^-1, one solve in M.
+Y = X_a X_b^-1, one solve in M.  transpose_witness canonicalizes once: a
+fixed Z'BZ = B' per canonical block gives Y = X Z X^-1 in A's form's field.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, solve)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
                     coordinate_map, embed_scalar, format_scalar,
-                    merge_contexts)
+                    merge_contexts, prime_field)
 from .gabriel import _check_square, _runs, gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
                        eigen_split, hyperbolic_block_matrix,
                        hyperbolic_canonical, named_pair, split_min_poly)
 from .unipotent import (CHARACTERISTICS, FAMILIES, eigen_sign, exists_in,
-                        family_of, gamma_block, peel_all, reduce_pair,
-                        reduce_single)
+                        family_of, gamma0_matrix, gamma_block, peel_all,
+                        reduce_pair, reduce_single)
 
 
 class Block:
@@ -120,6 +121,34 @@ def canonical_block_matrix(desc, ctx):
     if kind == "single":
         return gamma_block(ctx, n)
     return hyperbolic_block_matrix(ctx, n // 2, ctx.scalar(sign))
+
+
+_gamma0_transpose_cache = {}  # n -> 0/1 rows of Gamma_n^0's Z
+
+
+def _block_transpose(desc, ctx):
+    """Z with Z'BZ = B' for the canonical block B of desc: the reversal
+    for a hyperbolic cell ((0, J_m(lam)), (I, 0)), which every pair and G
+    block is, diag(1, -1, 1, ...) for Gamma_n, and for Gamma_n^0, which has
+    no closed form known here, the 0/1 witness equivalent finds in GF(2),
+    once per n."""
+    n = desc.n
+    if desc.family == "G" or FAMILIES[desc.family][1] == "pair":
+        return _reversal(ctx, n)
+    if ctx.characteristic != 2:
+        return ExactMatrix(ctx, [[(-1) ** i * (i == j) for j in range(n)]
+                                 for i in range(n)])
+    if n not in _gamma0_transpose_cache:
+        g = gamma0_matrix(prime_field(2), n)
+        z = equivalent(g, g.transpose()).witness.x
+        _gamma0_transpose_cache[n] = [[int(not z[i, j].is_zero())
+                                       for j in range(n)] for i in range(n)]
+    return ExactMatrix(ctx, _gamma0_transpose_cache[n])
+
+
+def _reversal(ctx, n):
+    """F_n, the reversal: F J_n F = J_n' for any Jordan block J_n(lam)."""
+    return ExactMatrix.identity(ctx, n).columns(range(n - 1, -1, -1))
 
 
 def canonical_form_matrix(form):
@@ -419,9 +448,11 @@ def _true_verdict(a, b, start_ctx, x_a, x_b):
 
 
 def transpose_witness(a, policy=EXTEND):
-    """Y with Y' A Y = A'; succeeds whenever canonicalize does."""
-    res = equivalent(a, a.transpose(), policy)
-    if not res.equivalent:
-        raise InternalDegenerate("a matrix failed to be congruent to its "
-                                 "transpose")
-    return res.witness
+    """Y with Y' A Y = A'; succeeds whenever canonicalize does.  One
+    canonicalization X'AX = B gives X'A'X = B', so with Z'BZ = B' block by
+    block, Y = X Z X^-1: one solve in A's canonical field, certified."""
+    form, cong = _canonicalize(a, policy)
+    z = ExactMatrix.block_diag(form.context, [
+        *(_reversal(form.context, s) for s in form.gabriel),
+        *(_block_transpose(d, form.context) for d in form.blocks)])
+    return _true_verdict(a, a.transpose(), a.ctx, cong.x @ z, cong.x).witness

@@ -47,6 +47,14 @@ def _json_shape(value, shape, what):
     return value
 
 
+def _json_key(obj, key, what, shape=None):
+    """obj[key], of the given shape if one is named; a missing key is a
+    ParseError that names it and the object (what) it is missing from."""
+    if key not in obj:
+        raise ParseError("%s has no key %r" % (what, key))
+    return obj[key] if shape is None else _json_shape(obj[key], shape, key)
+
+
 def _json_int(value, what):
     """An integer read from JSON; a float or a boolean is an input error,
     never rounded (write a fraction as a string such as "3/2")."""
@@ -60,22 +68,23 @@ def context_from_json(obj, tower_cap=16):
     if kind == "rational":
         ctx = rationals(tower_cap)
     elif kind == "gfp":
-        ctx = prime_field(_json_int(obj["p"], "p"), tower_cap)
+        ctx = prime_field(_json_int(_json_key(obj, "p", "field"), "p"),
+                          tower_cap)
     elif kind == "gfq":
-        ctx = finite_field(_json_int(obj["p"], "p"),
-                           tuple(_json_int(c, "modulus coefficient")
-                                 for c in _json_shape(obj["modulus"], list,
-                                                      "modulus")),
+        ctx = finite_field(_json_int(_json_key(obj, "p", "field"), "p"),
+                           tuple(_json_int(c, "modulus coefficient") for c in
+                                 _json_key(obj, "modulus", "field", list)),
                            tower_cap)
     else:
         raise ParseError("unknown field kind %r" % (kind,))
     names = [kind.json for kind in RECORD_KINDS]
     for rec in _json_shape(obj.get("tower", []), list, "tower"):
         _json_shape(rec, dict, "tower record")
-        val = parse_scalar(rec["value"], ctx)
-        if rec["kind"] not in names:
-            raise ParseError("unknown adjunction kind %r" % (rec["kind"],))
-        ctx = adjoin_record(ctx, names.index(rec["kind"]), val)
+        val = parse_scalar(_json_key(rec, "value", "tower record"), ctx)
+        rec_kind = _json_key(rec, "kind", "tower record")
+        if rec_kind not in names:
+            raise ParseError("unknown adjunction kind %r" % (rec_kind,))
+        ctx = adjoin_record(ctx, names.index(rec_kind), val)
     return ctx
 
 
@@ -105,9 +114,9 @@ def field_from_flag(text, tower_cap=16):
 
 
 def matrix_from_json(obj, tower_cap=16):
-    ctx = context_from_json(_json_shape(obj, dict, "matrix file")["field"],
-                            tower_cap)
-    rows = _json_shape(obj["matrix"], list, "matrix")
+    obj = _json_shape(obj, dict, "matrix file")
+    ctx = context_from_json(_json_key(obj, "field", "matrix file"), tower_cap)
+    rows = _json_key(obj, "matrix", "matrix file", list)
     return ExactMatrix(ctx, [[_json_int(e, "matrix entry")
                               if isinstance(e, (int, float))
                               else parse_scalar(str(e), ctx)
@@ -316,8 +325,7 @@ def main(argv=None):
     except NoRootStrictPolicy as exc:
         sys.stderr.write("no root under strict policy: %s\n" % exc)
         return EXIT_NO_ROOT
-    except (ParseError, OSError, KeyError, ValueError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     # input is parsed with ParseError for a zero denominator, so a

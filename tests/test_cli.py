@@ -432,6 +432,53 @@ def test_malformed_json_exit_code(tmp_path, capsys, shape):
         assert captured.out == "" and "input error" in captured.err
 
 
+MISSING_KEYS = {
+    "p of a gfp field": ({"field": {"kind": "gfp"}, "matrix": [["1"]]},
+                         "field has no key 'p'"),
+    "modulus of a gfq field": ({"field": {"kind": "gfq", "p": 2},
+                                "matrix": [["1"]]},
+                               "field has no key 'modulus'"),
+    "value of a tower record": ({"field": {"kind": "rational",
+                                           "tower": [{"kind": "sqrt"}]},
+                                 "matrix": [["1"]]},
+                                "tower record has no key 'value'"),
+    "kind of a tower record": ({"field": {"kind": "rational",
+                                          "tower": [{"value": "2"}]},
+                                "matrix": [["1"]]},
+                               "tower record has no key 'kind'"),
+    "field": ({"matrix": [["1"]]}, "matrix file has no key 'field'"),
+    "matrix": ({"field": GOOD_FIELD}, "matrix file has no key 'matrix'"),
+}
+
+
+@pytest.mark.parametrize("missing", sorted(MISSING_KEYS))
+def test_missing_json_key_names_the_key(tmp_path, capsys, missing):
+    # a missing key used to escape as a bare KeyError: "input error: 'p'"
+    from matcanon import cli
+    from matcanon.errors import ParseError
+    obj, message = MISSING_KEYS[missing]
+    with pytest.raises(ParseError, match="^%s$" % message):
+        matrix_from_json(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert cli.main(["canon", str(bad)]) == 4
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+def test_stage_key_error_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # input is read with ParseError for a missing key, so a KeyError comes
+    # from a stage: exit 5, not the input-error exit 4
+    from matcanon import canon, cli
+
+    def key_error(*_args, **_kwargs):
+        raise KeyError("lam")
+
+    monkeypatch.setattr(canon, "eigen_split", key_error)
+    p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
+    assert cli.main(["canon", p]) == 5
+    assert "internal error: KeyError" in capsys.readouterr().err
+
+
 def test_corrupt_stage_exit_code(tmp_path, monkeypatch, capsys):
     # a wrong stage fails the one certification of the answer; that is a
     # defect in matcanon, not an input error: exit 5

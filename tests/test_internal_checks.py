@@ -18,17 +18,19 @@ and n, so their laws are checked here over a range, not at every call.
 """
 
 import ast
+import json
 import pathlib
 import re
 import sys
 
 import pytest
 
-from matcanon import canon, exactmat, field, gabriel, spectral, unipotent
-from matcanon.canon import (Block, CanonicalForm, EquivalenceResult,
-                            InvariantRecord, blocks_from_record,
-                            canonical_block_matrix, canonicalize,
-                            equivalent, record_from_form, transpose_witness)
+from matcanon import (canon, cli, exactmat, field, gabriel, spectral,
+                      unipotent)
+from matcanon.canon import (Block, CanonicalForm, InvariantRecord,
+                            blocks_from_record, canonical_block_matrix,
+                            canonicalize, equivalent, record_from_form,
+                            transpose_witness)
 from matcanon.errors import InternalDegenerate
 from matcanon.exactmat import Congruence, ExactMatrix, WitnessError
 from matcanon.field import prime_field, rationals
@@ -180,12 +182,21 @@ def test_equivalent_with_a_singular_witness(monkeypatch):
         equivalent(a, a)
 
 
-def test_transpose_witness_on_a_false_verdict(monkeypatch):
-    monkeypatch.setattr(canon, "equivalent", lambda a, b, policy: (
-        EquivalenceResult(False, None, a.ctx, [])))
-    with reaches("canon", "a matrix failed to be congruent to its "
-                          "transpose"):
-        transpose_witness(ExactMatrix(Q, [[1]]))
+def test_transpose_witness_with_a_wrong_block_witness(monkeypatch, tmp_path,
+                                                     capsys):
+    # the identity for a Gamma_n block is no Z with Z'BZ = B': the one
+    # certificate of the witness catches it, and the CLI exits 5
+    monkeypatch.setattr(canon, "_block_transpose",
+                        lambda desc, ctx: ExactMatrix.identity(ctx, desc.n))
+    a = unipotent.gamma_matrix(Q, 3)
+    with reaches("exactmat", "congruence relation X'AX = B failed"):
+        transpose_witness(a)
+    path = tmp_path / "gamma3.json"
+    path.write_text(json.dumps({"field": {"kind": "rational"},
+                                "matrix": [["0", "0", "1"], ["0", "-1", "-1"],
+                                           ["1", "1", "0"]]}))
+    assert cli.main(["transpose", str(path)]) == 5
+    assert "internal error: congruence relation" in capsys.readouterr().err
 
 
 # -- exactmat: the certificate -------------------------------------------------------
