@@ -41,14 +41,14 @@ from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, solve)
 from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
                     coordinate_map, embed_scalar, format_scalar,
-                    merge_contexts, prime_field)
+                    merge_contexts)
 from .gabriel import _check_square, _runs, gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
                        eigen_split, hyperbolic_block_matrix,
                        hyperbolic_canonical, named_pair, split_min_poly)
 from .unipotent import (CHARACTERISTICS, FAMILIES, eigen_sign, exists_in,
-                        family_of, gamma0_matrix, gamma_block, peel_all,
-                        reduce_pair, reduce_single)
+                        family_of, gamma_block, peel_all, reduce_pair,
+                        reduce_single)
 
 
 class Block:
@@ -123,27 +123,19 @@ def canonical_block_matrix(desc, ctx):
     return hyperbolic_block_matrix(ctx, n // 2, ctx.scalar(sign))
 
 
-_gamma0_transpose_cache = {}  # n -> 0/1 rows of Gamma_n^0's Z
-
-
 def _block_transpose(desc, ctx):
     """Z with Z'BZ = B' for the canonical block B of desc: the reversal
     for a hyperbolic cell ((0, J_m(lam)), (I, 0)), which every pair and G
     block is, diag(1, -1, 1, ...) for Gamma_n, and for Gamma_n^0, which has
-    no closed form known here, the 0/1 witness equivalent finds in GF(2),
-    once per n."""
+    no closed form known here, the witness equivalent finds for B and B'."""
     n = desc.n
     if desc.family == "G" or FAMILIES[desc.family][1] == "pair":
         return _reversal(ctx, n)
     if ctx.characteristic != 2:
         return ExactMatrix(ctx, [[(-1) ** i * (i == j) for j in range(n)]
                                  for i in range(n)])
-    if n not in _gamma0_transpose_cache:
-        g = gamma0_matrix(prime_field(2), n)
-        z = equivalent(g, g.transpose()).witness.x
-        _gamma0_transpose_cache[n] = [[int(not z[i, j].is_zero())
-                                       for j in range(n)] for i in range(n)]
-    return ExactMatrix(ctx, _gamma0_transpose_cache[n])
+    b = canonical_block_matrix(desc, ctx)
+    return equivalent(b, b.transpose()).witness.x
 
 
 def _reversal(ctx, n):

@@ -4,10 +4,6 @@ transpose_witness canonicalizes A once, X'AX = B, and composes X with a
 fixed Z per canonical block, Z'BZ = B'.  These tests check each block's Z
 exactly, for every family in each characteristic where it exists, and that
 one canonicalization is all a transpose witness costs.
-
-The Gamma_n^0 witnesses are memoized per n (canon._gamma0_transpose_cache);
-CI runs this file again in a fresh process, so a memo warmed by another
-test cannot hide a wrong one.
 """
 
 import pytest
