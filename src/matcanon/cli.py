@@ -109,7 +109,10 @@ def field_from_flag(text, tower_cap=16):
     if text == "gf4":
         return finite_field(2, (1, 1), tower_cap)
     if text.startswith("gf"):
-        return prime_field(int(text[2:]), tower_cap)
+        try:
+            return prime_field(int(text[2:]), tower_cap)
+        except ValueError as exc:  # not an integer, or not a prime
+            raise ParseError(str(exc)) from exc
     raise ParseError("cannot parse field flag %r" % (text,))
 
 
@@ -130,8 +133,11 @@ def matrix_text(m):
 
 
 def load_matrix(path, tower_cap=16):
-    with open(path) as handle:
-        return matrix_from_json(json.load(handle), tower_cap)
+    try:
+        with open(path) as handle:
+            return matrix_from_json(json.load(handle), tower_cap)
+    except ValueError as exc:  # the JSON, an integer, a field: input
+        raise ParseError(str(exc)) from exc
 
 
 def block_from_text(text, ctx):
@@ -143,9 +149,12 @@ def block_from_text(text, ctx):
         raise ParseError("block descriptor %r is not a family letter and a "
                          "size, with the eigenvalue in parentheses for G "
                          "(e.g. A3 or G4(1/2))" % text)
-    if match[1]:
-        return Block("G", int(match[1]), parse_scalar(match[2], ctx))
-    return Block(match[3], int(match[4]))
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        if match[1]:
+            return Block("G", int(match[1]), parse_scalar(match[2], ctx))
+        return Block(match[3], int(match[4]))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def form_to_json(form):
@@ -325,7 +334,7 @@ def main(argv=None):
     except NoRootStrictPolicy as exc:
         sys.stderr.write("no root under strict policy: %s\n" % exc)
         return EXIT_NO_ROOT
-    except (ParseError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     # input is parsed with ParseError for a zero denominator, so a

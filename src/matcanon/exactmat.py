@@ -60,8 +60,11 @@ has one.
 
 Certification.  A Congruence (x, source, target) is a plain, unverified
 claim that x' * source * x == target, such as a pipeline stage returns.
-CongruenceWitness(*c) certifies one: it checks X'AX = B and the
-invertibility of X exactly when it is built.  Answers are certified once,
+CongruenceWitness(*c) certifies one when it is built: it checks X'AX = B
+exactly at full size, and X invertible by rank B = n (rank X >= rank X'AX,
+and a rank survives field extension, so B is reduced in the least field
+holding it, B.trim()), or by X's own rank when B is singular (a form with
+Gabriel blocks).  Answers are certified once,
 where they leave the library: in canonicalize, equivalent and
 transpose_witness, and in the CLI's gabriel subcommand, which prints the
 Gabriel congruence.  One check of the composed X of a chain of stages
@@ -506,7 +509,8 @@ class CongruenceWitness:
             raise WitnessError("witness parts must be square")
         if x.transpose() @ source @ x != target:
             raise WitnessError("congruence relation X'AX = B failed")
-        if inverse_or_rank(x, rank_only=True).rank != x.nrows:
+        if (inverse_or_rank(target.trim(), rank_only=True).rank != x.nrows
+                and inverse_or_rank(x, rank_only=True).rank != x.nrows):
             raise WitnessError("witness matrix is singular")
         self.x = x
         self.source = source

@@ -12,11 +12,12 @@ where K spans the right kernel.  Decomposing M recursively and clearing E
 against the row space of M leaves each (q_i, k_i) pair either attached to
 the end of one Jordan chain of M (growing it by two) or detached as a J_2
 block.  All steps are explicit congruences, and the final layouts are
-column orders of X (X.columns(order)).  Like the later
-pipeline stages, gabriel_decompose returns a plain, unverified congruence,
-and no step re-checks the state it built: a wrong step fails the one
-certificate of the answer.  The raises left guard a missing solution and a
-rank the layout's shapes rest on.
+column orders of X (X.columns(order)).  A non-singular matrix has a zero
+radical, so its rank test, one elimination, comes first and returns it as
+the core.  Like the later pipeline stages, gabriel_decompose returns a
+plain, unverified congruence, and no step re-checks the state it built: a
+wrong step fails the one certificate of the answer.  The raises left guard
+a missing solution and a rank the layout's shapes rest on.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ def _decompose(a):
     if n == 0:
         return [], a, ident
 
+    res = inverse_or_rank(a, rank_only=True)
+    if res.rank == n:
+        return [], a, ident
+
     # 1. split the radical: rows and columns annihilated both ways
     stacked = ExactMatrix.blocks(ctx, [[a], [a.transpose()]])
     rad = inverse_or_rank(stacked, rank_only=True).kernel
@@ -77,10 +82,6 @@ def _decompose(a):
         blocks = [[i] for i in range(r0)] + _runs(r0, sizes2)
         sizes, order = _sorted_layout(blocks, range(n - core2.nrows, n))
         return sizes, core2, x_total.columns(order)
-
-    res = inverse_or_rank(a, rank_only=True)
-    if res.rank == n:
-        return [], a, ident
 
     # 2. singular with zero radical: build the (P, Q, K) state
     k = res.kernel.ncols

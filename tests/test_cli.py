@@ -479,6 +479,54 @@ def test_stage_key_error_is_an_internal_error(tmp_path, monkeypatch, capsys):
     assert "internal error: KeyError" in capsys.readouterr().err
 
 
+def test_stage_value_error_is_an_internal_error(tmp_path, monkeypatch,
+                                                capsys):
+    # input is read with ParseError for a bad integer, field or file, so a
+    # ValueError comes from a stage: exit 5, not the input-error exit 4
+    from matcanon import canon, cli
+
+    def value_error(*_args, **_kwargs):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(canon, "eigen_split", value_error)
+    p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
+    assert cli.main(["canon", p]) == 5
+    assert capsys.readouterr().err == \
+        "internal error: ValueError: math domain error\n"
+
+
+def test_input_value_errors_stay_input_errors(tmp_path, capsys):
+    # an integer that does not parse, a non-prime p and bytes that are not
+    # UTF-8 exit 4 with Python's own message, now carried by a ParseError
+    from matcanon import cli
+    not_int = "invalid literal for int() with base 10: 'x'"
+    cases = [
+        (["canon", write_matrix(tmp_path, "px.json",
+                                {"kind": "gfp", "p": "x"}, [["1"]])],
+         not_int),
+        (["canon", write_matrix(tmp_path, "p4.json",
+                                {"kind": "gfp", "p": 4}, [["1"]])],
+         "characteristic must be prime, got 4"),
+        (["block", "A1", "--field", "gfx"], not_int),
+        (["block", "A1", "--field", "gf1"],
+         "characteristic must be prime, got 1"),
+    ]
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    cases.append((["canon", str(binary)], "'utf-8' codec can't decode byte "
+                  "0xff in position 0: invalid start byte"))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # a longer integer is a ValueError from int()
+        digits = "1" * (limit + 1)
+        cases += [(["block", "G2(%s)" % digits], "Exceeds the limit"),
+                  (["block", "A" + digits], "Exceeds the limit")]
+    for argv, message in cases:
+        assert cli.main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("input error: " + message), argv
+
+
 def test_corrupt_stage_exit_code(tmp_path, monkeypatch, capsys):
     # a wrong stage fails the one certification of the answer; that is a
     # defect in matcanon, not an input error: exit 5

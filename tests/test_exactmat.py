@@ -175,6 +175,70 @@ def test_witness_soundness_structural():
                           ExactMatrix.zeros(q, 2, 2))  # singular
 
 
+def _witness_eliminations(monkeypatch, x, a, b):
+    """The matrices CongruenceWitness(x, a, b) eliminates, in order."""
+    from matcanon import exactmat
+    seen = []
+    original = exactmat.inverse_or_rank
+
+    def recording(m, rank_only=False):
+        seen.append(m)
+        return original(m, rank_only)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactmat, "inverse_or_rank", recording)
+        CongruenceWitness(x, a, b)
+    return seen
+
+
+def test_a_non_singular_target_proves_the_witness_invertible(monkeypatch):
+    # rank X >= rank X'AX = rank B: a non-singular B is the one elimination,
+    # and X is never reduced
+    rng = random.Random(5)
+    q = rationals()
+    sqrt2 = q.adjoin_sqrt(q.scalar(2))
+    g1 = sqrt2.generator(1)
+    checked = 0
+    for ctx in (q, prime_field(5), sqrt2):
+        for _ in range(5):
+            a = rand_matrix(ctx, rng, 3)
+            x = rand_matrix(ctx, rng, 3)
+            if ctx is sqrt2:
+                x = x + ExactMatrix.identity(ctx, 3).scale(g1)
+            b = x.transpose() @ a @ x
+            if inverse_or_rank(b).inverse is None:
+                continue
+            assert b != x
+            assert _witness_eliminations(monkeypatch, x, a, b) == [b]
+            checked += 1
+    assert checked >= 10
+
+
+def test_a_target_below_the_witness_field_is_reduced_in_its_own_field(
+        monkeypatch):
+    # X = diag(g1, 1/g1) over Q(sqrt 2) takes I to diag(2, 1/2), over Q
+    q = rationals()
+    g1 = q.adjoin_sqrt(q.scalar(2)).generator(1)
+    x = ExactMatrix(g1.ctx, [[g1, 0], [0, 1 / g1]])
+    a = ExactMatrix.identity(q, 2)
+    b = ExactMatrix(q, [[2, 0], [0, Fraction(1, 2)]])
+    seen = _witness_eliminations(monkeypatch, x, a, b)
+    assert seen == [b] and not seen[0].ctx.tower
+    wit = CongruenceWitness(x, a, b)
+    assert wit.x.ctx == g1.ctx and wit.target == b
+
+
+def test_a_singular_target_falls_back_to_the_witness_rank(monkeypatch):
+    # B's rank 1 proves nothing about X; X's own rank 2 does
+    q = rationals()
+    a = ExactMatrix(q, [[1, 0], [0, 0]])
+    x = ExactMatrix(q, [[1, 2], [0, 3]])
+    b = x.transpose() @ a @ x
+    assert b == ExactMatrix(q, [[1, 2], [2, 4]])
+    assert _witness_eliminations(monkeypatch, x, a, b) == [b, x]
+    assert CongruenceWitness(x, a, b).x == x
+
+
 def test_witness_composition_random():
     rng = random.Random(3)
     f = prime_field(5)

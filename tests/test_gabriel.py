@@ -42,6 +42,28 @@ def test_invertible_passthrough():
     assert dec.core == a
 
 
+def test_a_full_rank_input_takes_one_elimination(monkeypatch):
+    # a non-singular A has a zero radical: its rank test is the only
+    # elimination, with no stacked [A; A'] reduction
+    from matcanon import gabriel
+    seen = []
+    original = gabriel.inverse_or_rank
+
+    def recording(m, rank_only=False):
+        seen.append(m)
+        return original(m, rank_only)
+
+    monkeypatch.setattr(gabriel, "inverse_or_rank", recording)
+    rng = random.Random(7)
+    for ctx in (rationals(), prime_field(3)):
+        for n in (1, 2, 4):
+            a = rand_invertible(ctx, rng, n)
+            seen.clear()
+            dec = gabriel_decompose(a)
+            assert seen == [a]
+            assert dec.jordan_sizes == [] and dec.core == a
+
+
 def test_scrambled_j2_plus_unit_gf3():
     f = prime_field(3)
     base = ExactMatrix.block_diag(f, [ExactMatrix.jordan_block(f, 2),
