@@ -15,12 +15,11 @@ Arithmetic shared by the package is written here once.  power is its one
 square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers,
 square roots and ExactMatrix.power all call it.  An element has one
 representation, its raw value (see Scalar), and ctx.ops, built once per
-context instance by _raw_ops, computes on it an element at a time (add,
-neg, mul, inverse) or a row at a time (scale, axpy, matmul), in one of three
-ways:
+field by _raw_ops, computes on it an element at a time (add, neg, mul,
+inverse) or a row at a time (scale, axpy, matmul), in one of three ways:
   - GF(p) with no adjunction: ints mod p (_FlatOps);
   - any other finite field of at most 256 elements: element indices, with
-    exp/log tables built once per context (_TableOps, _Tables): a product
+    exp/log tables built once per field (_TableOps, _Tables): a product
     adds logarithms, a sum is XOR in characteristic 2 and one Zech
     logarithm otherwise (Givaro's GF(q), Dumas, Gautier and Pernet, ISSAC
     2002; Huber, IEEE Trans. Inf. Theory 36, 1990);
@@ -41,7 +40,7 @@ Over GF(p) for p <= 13 and GF(p^2) for p <= 11, matrix products run on byte
 lanes of Python ints (_packed_columns) while no lane can carry, and over GF(p)
 for p <= 13 and the table fields of characteristic 2 the eliminations
 reduce rows of bytes (_ByteRows), both with translate tables built once per
-context key (_lane_tables); the values are those of the entry loops.
+field; the values are those of the entry loops.
 promote and trim move raw values directly.  The Scalar operators,
 exactmat's kernels and the polynomial layer (raw coefficients, low to high)
 all run on these ops: the products, division and gcd of root finding,
@@ -49,9 +48,15 @@ frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both root
 finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
 modulus (e = p^k and p^(k/r), over GF(p)), and square roots over GF(q):
 Euler's criterion by norm descent down the tower (_is_finite_square), then
-Tonelli-Shanks with one non-residue power per context.  Coordinates
+Tonelli-Shanks with one non-residue power per field.  Coordinates
 (Scalar.coords) are read off raw values for tower records, canonical order
 and printing.
+
+A field is one FieldContext instance, interned in _fields_cache, the one
+memo here, and everything derived from it is kept on that instance: its
+ops (with their exp/log tables and byte lanes), its _MonomialTable and its
+non-residue power.  So a field is checked, and its tables built, once
+however many calls reach it, and emptying _fields_cache empties them all.
 """
 
 from __future__ import annotations
@@ -137,6 +142,10 @@ def power(x, e, mul, one):
     return one if result is None else result
 
 
+# (kind, p, modulus, tower, tower_cap) -> the one FieldContext of that field
+_fields_cache = {}
+
+
 class FieldContext:
     """Immutable exact field: base kind plus a tower of quadratic adjunctions.
 
@@ -146,10 +155,16 @@ class FieldContext:
     are the coordinates of d in the context existing before the adjunction.
     The constructor reads coords as scalar() does and checks each record
     as _adjoin does: x^2 = c1 x + d must have no root one level down, or
-    the result has zero divisors.  Elsewhere read them with adjunctions().
+    the result has zero divisors; a gfq modulus must be irreducible over
+    GF(p) (Rabin's test), for the same reason.  Elsewhere read the records
+    with adjunctions().
+
+    Every construction, here or by _adjoin, returns the field's one
+    instance (_fields_cache), checked once.  Equality and hash are by key,
+    so a field built again after the memo is emptied equals the old one.
     """
 
-    def __init__(self, kind, p=0, modulus=None, tower=(), tower_cap=16):
+    def __new__(cls, kind, p=0, modulus=None, tower=(), tower_cap=16):
         if kind not in ("rational", "gfp", "gfq"):
             raise ValueError("unknown field kind %r" % (kind,))
         if kind in ("gfp", "gfq") and not _is_prime(p):
@@ -160,43 +175,27 @@ class FieldContext:
                 raise ValueError("gfq modulus must have degree >= 1")
         else:
             modulus = None
-        self.kind = kind
-        self.p = p if kind != "rational" else 0
-        self.modulus = modulus
-        self.tower = ()
-        self.tower_cap = tower_cap
-        self._key = (self.kind, self.p, self.modulus, ())
-        self._ops = None
-        self._prefixes = ()
+        p = p if kind != "rational" else 0
+        base = _fields_cache.get((kind, p, modulus, (), tower_cap))
+        if base is None:
+            if kind == "gfq" and not _modulus_is_irreducible(p, modulus):
+                raise ValueError("gfq modulus %s (low coefficients of a "
+                                 "monic degree-%d polynomial) is reducible "
+                                 "over GF(%d)" % (list(modulus),
+                                                  len(modulus), p))
+            base = _interned(kind, p, modulus, (), tower_cap, ())
         tower = tuple(tower)
         if any(c1 not in (0, 1) for c1, _d in tower):
             raise ValueError("a tower record (c1, d) needs c1 = 0 (a square "
                              "root) or c1 = 1 (an Artin-Schreier root)")
-        if self.p != 2 and any(c1 for c1, _d in tower):
+        if p != 2 and any(c1 for c1, _d in tower):
             raise WrongCharacteristic(
                 "Artin-Schreier adjunction outside characteristic 2")
-        # the base field reads each coordinate (self has no ops before its
-        # tower is final)
-        base = level = self._with_tower(())
+        level = base  # the base field reads each coordinate
         for c1, d in tower:
             d = level.element([base.scalar(c).coords[0] for c in d])
             level = level._adjoin(c1, d, False)
-        self.tower, self._key = level.tower, level._key
-        self._prefixes = level._prefixes
-
-    def _with_tower(self, tower, prefixes=()):
-        """This base field with the given records, unchecked: they must be
-        a checked context's records or one just checked (_adjoin), with the
-        instances of its proper prefixes, lowest first (see truncated)."""
-        ctx = object.__new__(FieldContext)
-        # the attributes in __init__'s order, so that instances share one
-        # layout and attribute reads stay on CPython's fast path
-        ctx.kind, ctx.p, ctx.modulus = self.kind, self.p, self.modulus
-        ctx.tower, ctx.tower_cap = tower, self.tower_cap
-        ctx._key = (self.kind, self.p, self.modulus, tower)
-        ctx._ops = None
-        ctx._prefixes = prefixes
-        return ctx
+        return level
 
     # -- identity ---------------------------------------------------------
 
@@ -356,21 +355,49 @@ class FieldContext:
         return self._adjoin(1, a, rootless)
 
     def _adjoin(self, c1, d, rootless):
-        """The context with one more record (c1, d), g^2 = c1 g + d."""
+        """The context with one more record (c1, d), g^2 = c1 g + d: its
+        interned instance, or a new one once the record is checked."""
         if len(self.tower) >= self.tower_cap:
             raise TowerCapExceeded("tower height cap %d reached"
                                    % self.tower_cap)
         d = d.promote(self)
-        kind = RECORD_KINDS[c1]
-        if not rootless and kind.find_root(d) is not None:
-            raise ValueError(kind.has_root % (format_scalar(d), self))
-        return self._with_tower(self.tower + ((c1, d.coords),),
-                                self._prefixes + (self,))
+        tower = self.tower + ((c1, d.coords),)
+        ctx = _fields_cache.get((self.kind, self.p, self.modulus, tower,
+                                  self.tower_cap))
+        if ctx is None:
+            kind = RECORD_KINDS[c1]
+            if not rootless and kind.find_root(d) is not None:
+                raise ValueError(kind.has_root % (format_scalar(d), self))
+            ctx = _interned(self.kind, self.p, self.modulus, tower,
+                            self.tower_cap, self._prefixes + (self,))
+        return ctx
 
     def truncated(self, height):
         """The prefix context with the first `height` adjunctions: the same
         instance at each call, so that its ops are built once."""
         return self._prefixes[height] if height < len(self.tower) else self
+
+    @property
+    def monomials(self):
+        """The _MonomialTable of this field, built on first use."""
+        if self._monomials is None:
+            self._monomials = _MonomialTable(self)
+        return self._monomials
+
+
+def _interned(kind, p, modulus, tower, tower_cap, prefixes):
+    """A new FieldContext of a checked field, entered in _fields_cache, with
+    the instances of its proper prefixes, lowest first (see truncated)."""
+    ctx = object.__new__(FieldContext)
+    # every instance sets its attributes in this order, so that instances
+    # share one layout and attribute reads stay on CPython's fast path
+    ctx.kind, ctx.p, ctx.modulus = kind, p, modulus
+    ctx.tower, ctx.tower_cap = tower, tower_cap
+    ctx._key = (kind, p, modulus, tower)
+    ctx._ops = ctx._monomials = ctx._nonresidue = None
+    ctx._prefixes = prefixes
+    _fields_cache[(kind, p, modulus, tower, tower_cap)] = ctx
+    return ctx
 
 
 class Scalar:
@@ -598,14 +625,14 @@ class _IntRows:
 
 
 class _ByteRows:
-    """The byte lanes of a finite context of q <= 256 elements, built once
-    per context key on first use (_lane_tables): translate tables, and the
-    working rows of one byte per element that GF(p) for p <= 13 and the
-    table fields of characteristic 2 reduce.  mod reduces a byte mod p,
-    mul[c] multiplies by c and inv[c] is the inverse of c; planes, for q =
-    p^2 alone, is (hi, t_lo, t_hi, p_mod): an index x = x_0 + x_1 t (t the
-    element p) has digits mod[x] and hi[x], t y has digits t_lo[y] and
-    t_hi[y], and p_mod[x] is p (x mod p).
+    """The byte lanes of a finite context of q <= 256 elements, built on
+    first use and kept by its ops (_IndexedOps.lanes): translate tables,
+    and the working rows of one byte per element that GF(p) for p <= 13
+    and the table fields of characteristic 2 reduce.  mod reduces a byte
+    mod p, mul[c] multiplies by c and inv[c] is the inverse of c; planes,
+    for q = p^2 alone, is (hi, t_lo, t_hi, p_mod): an index x = x_0 + x_1 t
+    (t the element p) has digits mod[x] and hi[x], t y has digits t_lo[y]
+    and t_hi[y], and p_mod[x] is p (x mod p).
 
     A row is one bytes object, so unit is one translate by the multiply-by-
     the-inverse-pivot table and axpy one big-int operation on the whole
@@ -659,16 +686,6 @@ class _ByteRows:
         return row[:i] + b"\0" + row[i:]
 
 
-_lane_tables_cache = {}  # context key -> _ByteRows, built on first use
-
-
-def _lane_tables(ctx):
-    tables = _lane_tables_cache.get(ctx._key)
-    if tables is None:
-        tables = _lane_tables_cache[ctx._key] = _ByteRows(ctx)
-    return tables
-
-
 class _IndexedOps(_RawRows):
     """The ops whose raw values are element indices, ints below q: GF(p)
     (_FlatOps) and the table fields (_TableOps).  work is their byte lanes
@@ -687,7 +704,7 @@ class _IndexedOps(_RawRows):
     @property
     def lanes(self):
         if self._lanes is None:
-            self._lanes = _lane_tables(self.ctx)
+            self._lanes = _ByteRows(self.ctx)
         return self._lanes
 
     @property
@@ -797,7 +814,7 @@ class _TableOps(_IndexedOps):
 
     def __init__(self, ctx):
         super().__init__(ctx, ctx.p == 2)
-        tables = _field_tables(ctx)
+        self.tables = tables = _build_tables(ctx)
         self.from_coords = tables.index.__getitem__
         self.to_coords = tables.coords.__getitem__
         self.exp, self.log, self.zech = tables.exp, tables.log, tables.zech
@@ -943,7 +960,7 @@ class _VectorOps(_RawRows):
         self.level = len(ctx.tower)
         self.zero = (0,) * (ctx.dim * self.k) + (1,)
         self.one = (1,) + self.zero[1:]
-        self.table = _monomial_table(ctx)
+        self.table = ctx.monomials
         # the coefficient rule: the raw value of nums / den
         self.reduced = (functools.partial(_mod_reduced, self.p) if self.p
                         else _rat_normalized)
@@ -1253,8 +1270,8 @@ class _MonomialTable:
 
     A pair is filled on first use, by recurrence on the top generator g of
     the tower, g^2 = c1 g + d: a pair of monomials below g is read from the
-    prefix's table (_monomial_table, keyed by context key, so contexts that
-    share a prefix share its products); if one monomial has g, the product
+    prefix's table (its context's monomials, so towers that share a prefix
+    share its products); if one monomial has g, the product
     is the one without g shifted up one half; if both have g, it is the
     product E without g times c1 g + d, that is, E d (one product one level
     down) plus c1 E shifted up.  At the base, t^i t^j is read off the
@@ -1269,7 +1286,7 @@ class _MonomialTable:
         self.rows = [None] * (ctx.dim * ctx.base_degree)
         self.below = None
         if ctx.tower:
-            self.below = _monomial_table(ctx.truncated(len(ctx.tower) - 1))
+            self.below = ctx.truncated(len(ctx.tower) - 1).monomials
             self.c1, d = ctx.tower[-1]  # d on flat coordinates, over d_den
             *d, self.d_den = _VectorOps.from_coords(d)
             self.d = _support(d)
@@ -1353,16 +1370,6 @@ def _int_dot(xv, yv):
     return sum(map(operator.mul, xv, yv))
 
 
-_monomial_tables_cache = {}  # context key -> _MonomialTable, filled lazily
-
-
-def _monomial_table(ctx):
-    table = _monomial_tables_cache.get(ctx._key)
-    if table is None:
-        table = _monomial_tables_cache[ctx._key] = _MonomialTable(ctx)
-    return table
-
-
 def _raw_ops(ctx):
     if ctx.kind == "gfp" and not ctx.tower:
         return _FlatOps(ctx)
@@ -1386,16 +1393,6 @@ def _raw_ops(ctx):
 # 2, where sums are XOR.  minus_one is the logarithm of -1.  Every table
 # has O(q) entries.
 _Tables = namedtuple("_Tables", "order coords index exp log zech minus_one")
-
-_field_tables_cache = {}  # context key -> _Tables, built once per context
-
-
-def _field_tables(ctx):
-    tables = _field_tables_cache.get(ctx._key)
-    if tables is None:
-        tables = _field_tables_cache[ctx._key] = _build_tables(ctx)
-    return tables
-
 
 def _build_tables(ctx):
     """The _Tables of a finite context: a primitive element is the first
@@ -1662,9 +1659,6 @@ def _rational_tower_sqrt(x):
     return None
 
 
-_nonresidue_cache = {}  # context key -> c = z^m of _tonelli_shanks
-
-
 def _tonelli_shanks(ops, x, q):
     """A square root of the nonzero square x, a raw value of ops, in a
     finite field of odd order q; x must be a square (_is_finite_square).
@@ -1672,8 +1666,8 @@ def _tonelli_shanks(ops, x, q):
     With q - 1 = 2^s m, m odd, u = x^((m-1)/2) gives the first guess
     r = x^((m+1)/2) = u x, and t = x^m = u r has order dividing 2^(s-1).
     For s = 1 (t = 1) the guess is the root; otherwise c = z^m, z a
-    non-residue, corrects it.  c is computed once per context and kept in
-    _nonresidue_cache: z is the first non-square drawn from the seeded
+    non-residue, corrects it.  c is computed once per field and kept on
+    its context: z is the first non-square drawn from the seeded
     random_elements stream, so c, and the root, do not depend on which
     square root was taken first.
     """
@@ -1688,10 +1682,10 @@ def _tonelli_shanks(ops, x, q):
     t = mul(u, r)
     if t == one:
         return r
-    c = _nonresidue_cache.get(ops.ctx._key)
+    ctx = ops.ctx
+    c = ctx._nonresidue
     if c is None:
-        c = _nonresidue_cache[ops.ctx._key] = power(_non_residue(ops), m,
-                                                    mul, one)
+        c = ctx._nonresidue = power(_non_residue(ops), m, mul, one)
     while t != one:
         t2 = t
         i = 0
@@ -2023,19 +2017,14 @@ def finite_field(p, modulus, tower_cap=16):
     The modulus must be irreducible over GF(p) (ValueError otherwise), or
     the quotient ring has zero divisors.
     """
-    ctx = FieldContext("gfq", p, tuple(modulus), tower_cap=tower_cap)
-    if not _modulus_is_irreducible(ctx):
-        raise ValueError("gfq modulus %s (low coefficients of a monic "
-                         "degree-%d polynomial) is reducible over GF(%d)"
-                         % (list(ctx.modulus), len(ctx.modulus), p))
-    return ctx
+    return FieldContext("gfq", p, tuple(modulus), tower_cap=tower_cap)
 
 
-def _modulus_is_irreducible(ctx):
+def _modulus_is_irreducible(p, modulus):
     """Rabin's test of the degree-k modulus f over GF(p) (frobenius_gcd)."""
-    p, k = ctx.p, len(ctx.modulus)
+    k = len(modulus)
     ops = prime_field(p).ops
-    f = list(ctx.modulus) + [1]  # reduced ints: raw GF(p) coefficients
+    f = list(modulus) + [1]  # reduced ints: raw GF(p) coefficients
     return (frobenius_gcd(ops, f, p ** k) == f
             and all(len(frobenius_gcd(ops, f, p ** (k // r))) == 1
                     for r in range(2, k + 1) if k % r == 0 and _is_prime(r)))

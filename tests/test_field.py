@@ -246,22 +246,28 @@ def test_tonelli_shanks_decides_squares(ctx, s):
     prime_field(65521).adjoin_sqrt(prime_field(65521).scalar(17))],
     ids=["GF(65537)", "GF(65521)(sqrt17)"])
 def test_sqrt_is_the_same_with_the_memo_cold_and_warm(ctx, monkeypatch):
-    """_tonelli_shanks keeps its non-residue power per context in
-    field._nonresidue_cache; _find_sqrt returns the same root whether the
-    memo is empty or already filled, by this or an earlier square."""
-    monkeypatch.setattr(field, "_nonresidue_cache", {})
+    """_tonelli_shanks keeps its non-residue power on the field's one
+    instance; _find_sqrt returns the same root on a new instance (with
+    field._fields_cache emptied, as the bench empties it before each
+    measured pass) and on one whose power an earlier square already set."""
+    monkeypatch.setattr(field, "_fields_cache", {})
     rng = random.Random(ctx.order())
-    squares = [y * y for y in (ctx.element([rng.randrange(ctx.p)
-                                            for _ in range(ctx.dim)])
-                               for _ in range(12)) if not y.is_zero()]
-    cold = []
+    squares = [(y * y).raw for y in (ctx.element([rng.randrange(ctx.p)
+                                                  for _ in range(ctx.dim)])
+                                     for _ in range(12)) if not y.is_zero()]
+    cold, fresh = [], []
     for x in squares:
-        field._nonresidue_cache.clear()
-        cold.append(field._find_sqrt(x))
-    assert list(field._nonresidue_cache) == [ctx._key]
-    warm = [field._find_sqrt(x) for x in reversed(squares)][::-1]
+        field._fields_cache.clear()
+        fresh.append(field.FieldContext(ctx.kind, ctx.p, tower=ctx.tower))
+        assert fresh[-1] == ctx and fresh[-1]._nonresidue is None
+        cold.append(field._find_sqrt(Scalar(fresh[-1], x)))
+    assert len({id(f) for f in fresh}) == len(squares)
+    warm_ctx = fresh[-1]
+    assert warm_ctx._nonresidue is not None
+    warm = [field._find_sqrt(Scalar(warm_ctx, x))
+            for x in reversed(squares)][::-1]
     assert [r.raw for r in warm] == [r.raw for r in cold]
-    assert all(r * r == x for r, x in zip(cold, squares))
+    assert all(r * r == Scalar(ctx, x) for r, x in zip(cold, squares))
 
 
 def test_sqrt_squares_random_contexts():
@@ -378,6 +384,25 @@ def test_finite_field_rejects_reducible_modulus():
                         finite_field(p, modulus)
                 else:
                     assert finite_field(p, modulus).order() == p ** k
+
+
+def test_the_constructor_rejects_reducible_modulus(monkeypatch):
+    """The public constructor runs Rabin's test as finite_field does, once
+    per field: t^2 over GF(17) used to give t t = 0, so that canonicalize
+    died with DivisionByZero, and t^2 + t over GF(2) raised
+    InternalDegenerate at first use."""
+    for p, modulus in ((17, (0, 0)), (2, (0, 1))):
+        with pytest.raises(ValueError, match="reducible"):
+            field.FieldContext("gfq", p, modulus)
+    tests = []
+    rabin = field._modulus_is_irreducible
+    monkeypatch.setattr(field, "_modulus_is_irreducible",
+                        lambda p, f: tests.append((p, f)) or rabin(p, f))
+    monkeypatch.setattr(field, "_fields_cache", {})
+    fields = [field.FieldContext("gfq", 3, (1, 0)), finite_field(3, (4, 3)),
+              field.FieldContext("gfq", 3, (1, 0), tower=())]
+    assert fields[1] is fields[0] is fields[2]
+    assert tests == [(3, (1, 0))]
 
 
 def _divides_mod_p(g, f, p):

@@ -6,8 +6,8 @@ sum, difference, negation and inverse of each such field met below, by the
 element and the row operations alike, is compared with the coordinate
 arithmetic of tests/towerref.py: tower_mul and the coordinatewise sum, and,
 for a GF(p^k) base, the polynomial product.  The routing of _raw_ops and
-the table caches are checked too, and congruence invariance on scrambled
-block sums larger than the bench draws.
+the tables each field keeps on its one instance are checked too, and
+congruence invariance on scrambled block sums larger than the bench draws.
 """
 
 import random
@@ -57,22 +57,38 @@ SMALL_FIELDS = _small_fields()
 
 
 @pytest.fixture
-def empty_cache(monkeypatch):
-    """Fresh table caches for the test, so that what it builds is seen:
-    the _Tables cache is returned, and the monomial tables' is patched
-    too."""
-    cache = {}
-    monkeypatch.setattr(field, "_field_tables_cache", cache)
-    monkeypatch.setattr(field, "_monomial_tables_cache", {})
-    return cache
+def rebuilt(monkeypatch):
+    """A function that empties the field memo, as the bench empties it
+    before each measured pass, and builds a field again: a new instance,
+    equal to it, so that what the test builds is seen.  The memo is patched,
+    so the other tests keep theirs."""
+    monkeypatch.setattr(field, "_fields_cache", {})
+
+    def rebuild(ctx):
+        field._fields_cache.clear()
+        fresh = field.FieldContext(ctx.kind, ctx.p, ctx.modulus, ctx.tower,
+                                   ctx.tower_cap)
+        assert fresh == ctx and fresh is not ctx
+        return fresh
+    return rebuild
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The contexts whose _Tables are built during the test."""
+    builds = []
+    build = field._build_tables
+    monkeypatch.setattr(field, "_build_tables",
+                        lambda ctx: builds.append(ctx) or build(ctx))
+    return builds
 
 
 @pytest.mark.parametrize("name", list(SMALL_FIELDS))
-def test_tables_match_coordinate_arithmetic(name, empty_cache):
-    ctx = SMALL_FIELDS[name]
+def test_tables_match_coordinate_arithmetic(name, rebuilt, table_builds):
+    ctx = rebuilt(SMALL_FIELDS[name])
     q = int(name[3:-1])
     assert ctx.order() == q
-    ops = _raw_ops(ctx)
+    ops = ctx.ops
     assert isinstance(ops, _TableOps)
     elements = list(ctx.iter_elements())
     raw = [ops.from_coords(x.coords) for x in elements]
@@ -113,19 +129,20 @@ def test_tables_match_coordinate_arithmetic(name, empty_cache):
         assert [ops.to_coords(s) for s in row] == [
             tuple(badd(ctx, u, v) for u, v in zip(a.coords, b.coords))
             for b in elements]
-    # every table has O(q) entries
-    tables = empty_cache[ctx._key]
+    # the tables, built once, have O(q) entries each
+    assert [c for c in table_builds if c is ctx] == [ctx]
+    tables = ops.tables
     for part in (tables.coords, tables.index, tables.exp, tables.log,
                  tables.zech or ()):
         assert len(part) <= 4 * q
 
 
 @pytest.mark.parametrize("name", ["GF(4)", "GF(8)", "GF(27)"])
-def test_base_products_read_the_tables(name, empty_cache):
+def test_base_products_read_the_tables(name, rebuilt, table_builds):
     """The products and inverses of a GF(p^k) base read its tables, built
     once, and agree with the polynomial product on every pair."""
-    ctx = SMALL_FIELDS[name]
-    ops = _raw_ops(ctx)
+    ctx = rebuilt(SMALL_FIELDS[name])
+    ops = ctx.ops
     assert isinstance(ops, _TableOps)
     base = [x.coords[0] for x in ctx.iter_elements()]
     for x in base:
@@ -135,18 +152,17 @@ def test_base_products_read_the_tables(name, empty_cache):
         if any(x):
             inv = ops.inverse(ops.from_coords((x,)))
             assert ops.to_coords(inv) == (binv(ctx, x),)
-    assert list(empty_cache) == [ctx._key]
+    assert [c for c in table_builds if c is ctx] == [ctx] and ctx.ops is ops
 
 
-def test_routing_and_the_cache(empty_cache):
+def test_routing_and_the_fields(rebuilt, table_builds):
     """GF(p) itself stays on ints and builds no table; a finite context
     above the cap computes on integer vectors mod p with the monomial
-    tables of its tower and builds no _Tables; the tables live in module
-    dicts whose names end in _cache (with Tonelli-Shanks' non-residue
-    powers and the byte-lane translate tables), which the bench empties
-    before each measured pass, and a context built after that refills
-    them."""
-    monomial_cache = field._monomial_tables_cache
+    tables of its tower, each kept on its own field, and builds no _Tables.
+    Every table lives on its field's one instance, held by the field memo,
+    field._fields_cache: the module's one dict whose name ends in _cache,
+    which the bench empties before each measured pass.  A field built after
+    that is a new instance, whose tables give the same products."""
     f7 = prime_field(7)
     assert isinstance(_raw_ops(f7), _FlatOps)
     assert isinstance(_raw_ops(prime_field(65521)), _FlatOps)
@@ -154,62 +170,56 @@ def test_routing_and_the_cache(empty_cache):
     f81 = SMALL_FIELDS["GF(81)"]
     f6561 = f81.adjoin_sqrt(_first(
         f81, lambda x: not x.is_zero() and field._find_sqrt(x) is None))
-    empty_cache.clear()
-    monomial_cache.clear()
+    table_builds.clear()
     products = []
     for ctx in (big, f6561):
         assert ctx.order() > field._TABLE_MAX_ORDER
-        ops = _raw_ops(ctx)
+        ops = ctx.ops
         assert isinstance(ops, _VectorOps)
-        assert monomial_cache[ctx._key] is ops.table
-        # the tables of its prefixes, keyed by prefix
-        assert all(ctx.truncated(h)._key in monomial_cache
+        assert ops.table is ctx.monomials
+        # the tables of its prefixes, each on its own field
+        assert all(ctx.truncated(h + 1).monomials.below
+                   is ctx.truncated(h).monomials
                    for h in range(len(ctx.tower)))
         a = ExactMatrix(ctx, [[1, ctx.generator(1)], [0, 1]])
         assert inverse_or_rank(a @ a).rank == 2
         products.append(a @ a)
-    assert not empty_cache
-    monomial_cache.clear()
+    assert not table_builds
     a = ExactMatrix(f7, [[1, 2], [3, 4]])
     assert inverse_or_rank(a @ a).rank == 2
-    assert not empty_cache and not monomial_cache
-    _raw_ops(SMALL_FIELDS["GF(9)"])
-    assert list(empty_cache) == [SMALL_FIELDS["GF(9)"]._key]
-    caches = sorted(name for name, value in vars(field).items()
-                    if name.endswith("_cache") and isinstance(value, dict))
-    assert caches == ["_field_tables_cache", "_lane_tables_cache",
-                      "_monomial_tables_cache", "_nonresidue_cache"]
-    # emptied as the bench does, the caches are refilled by new contexts,
-    # with the same products
-    for name in caches:
-        getattr(field, name).clear()
+    assert not table_builds and f7._monomials is None
+    assert not hasattr(f7.ops, "tables")
+    f9 = rebuilt(SMALL_FIELDS["GF(9)"])
+    assert isinstance(f9.ops, _TableOps) and table_builds == [f9]
+    assert field.FieldContext("gfp", 3, tower=f9.tower).ops is f9.ops
+    assert table_builds == [f9]
+    caches = [name for name, value in vars(field).items()
+              if name.endswith("_cache") and isinstance(value, dict)]
+    assert caches == ["_fields_cache"]
+    # emptied as the bench does, the memo gives new fields, which build
+    # their own tables with the same products
     for ctx, before in zip((big, f6561), products):
-        fresh = field.FieldContext(ctx.kind, ctx.p, tower=ctx.tower)
-        assert fresh == ctx and fresh.ops.table is not ctx.ops.table
+        fresh = rebuilt(ctx)
+        assert fresh.ops.table is not ctx.ops.table
         a = ExactMatrix(fresh, [[1, fresh.generator(1)], [0, 1]])
         assert [[e.coords for e in row] for row in (a @ a).rows] == \
             [[e.coords for e in row] for row in before.rows]
-    assert set(monomial_cache) >= {big._key, f6561._key}
 
 
 @pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(13)", "GF(4)",
                                   "GF(9)", "GF(16)", "GF(256)"])
-def test_lanes_are_the_same_with_the_tables_cold_and_warm(name, monkeypatch):
+def test_lanes_are_the_same_with_the_tables_cold_and_warm(name, rebuilt):
     """The byte-lane products and eliminations read translate tables that
-    field._lane_tables_cache builds on first use, once per context key; a
-    fresh instance of the context gives the same products, inverses and
-    kernels whether the cache is empty or already filled, here by an
-    earlier instance."""
-    monkeypatch.setattr(field, "_lane_tables_cache", {})
+    a field's ops build on first use and keep; a new instance of the field
+    (after the field memo is emptied) gives the same products, inverses and
+    kernels as one whose lanes an earlier product already built."""
     ctx = SMALL_FIELDS.get(name) or prime_field(int(name[3:-1]))
     rng = random.Random(name)
     q = ctx.order()
     raw = [[[rng.randrange(q) for _ in range(8)] for _ in range(8)]
            for _ in range(3)]
 
-    def results():
-        fresh = field.FieldContext(ctx.kind, ctx.p, ctx.modulus,
-                                   tower=ctx.tower)
+    def results(fresh):
         a, b, c = (ExactMatrix(fresh, [[field.Scalar(fresh, v) for v in row]
                                        for row in m]) for m in raw)
         res = inverse_or_rank(a @ b + c)
@@ -218,10 +228,11 @@ def test_lanes_are_the_same_with_the_tables_cold_and_warm(name, monkeypatch):
 
     cold = []
     for _ in range(2):
-        field._lane_tables_cache.clear()
-        cold.append(results())
-    assert ctx._key in field._lane_tables_cache
-    warm = results()
+        fresh = rebuilt(ctx)
+        assert fresh.ops._lanes is None
+        cold.append(results(fresh))
+    assert fresh.ops._lanes is not None
+    warm = results(fresh)
     assert cold[0] == cold[1] == warm
 
 

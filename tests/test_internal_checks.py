@@ -239,9 +239,10 @@ def test_no_primitive_element(monkeypatch):
 
 def test_no_quadratic_non_residue(monkeypatch):
     # draws of squares alone; 4 is a square mod 65537 whose root needs the
-    # non-residue correction (65537 - 1 = 2^16).  The correction is kept
-    # per context, so an earlier root over GF(65537) must not have left one
-    monkeypatch.setattr(field, "_nonresidue_cache", {})
+    # non-residue correction (65537 - 1 = 2^16).  The correction is kept on
+    # the field's one instance, so with the field memo empty GF(65537) is a
+    # new instance, on which no earlier root can have left one
+    monkeypatch.setattr(field, "_fields_cache", {})
     monkeypatch.setattr(field, "random_elements",
                         lambda ctx: iter([ctx.one()] * 100))
     with reaches("field", "no quadratic non-residue in %d draws"):

@@ -133,7 +133,9 @@ def test_ops_are_built_once_per_context(monkeypatch):
     """truncated returns the same prefix instance at every call, so along a
     tower of height 3 over Q and over GF(65521) trimming, hashing, inverses,
     promotion and reading the records build the ops of each of the four
-    contexts once."""
+    contexts once.  The field memo starts empty, so that every field of the
+    towers is new."""
+    monkeypatch.setattr(field, "_fields_cache", {})
     builds = []
     build = field._raw_ops
     monkeypatch.setattr(field, "_raw_ops",
@@ -205,28 +207,56 @@ def test_rational_raw_values_are_normalized(name):
                             ctx.element([zero] * ctx.dim))] == [ops.zero] * 4
 
 
-def test_rational_tables_live_in_one_cache():
-    """The monomial tables of the rational ops live in one module dict of
-    field whose name ends in _cache, keyed by context key, which the bench
-    empties before each measured pass; a context built after that refills
-    them, with the same products."""
+def test_rational_tables_live_on_the_field(monkeypatch):
+    """The monomial table of the rational ops is kept on the field's one
+    instance, which the field memo, field._fields_cache, holds: the one
+    module dict of field whose name ends in _cache, which the bench empties
+    before each measured pass.  A field built after that is a new instance
+    with a table of its own, and the same products."""
     ctx = CONTEXTS["Q+3 adjunctions"]
     ops = ctx.ops
+    assert ops.table is ctx.monomials
+    assert ops.table.below is ctx.truncated(2).monomials
     assert [name for name, value in vars(field).items()
             if name.endswith("_cache") and isinstance(value, dict)
-            and value.get(ctx._key) is ops.table] == ["_monomial_tables_cache"]
+            and ctx in value.values()] == ["_fields_cache"]
     a = rand_matrix(ctx, random.Random("cache"), 3, 3)
     before = coords((a @ a).rows)
-    field._monomial_tables_cache.clear()
-    fresh = ctx.truncated(0)
+    monkeypatch.setattr(field, "_fields_cache", {})
+    fresh = rationals()
     for c1, d in field.adjunctions(ctx):
         fresh = field.adjoin_record(fresh, c1, d.promote(fresh), rootless=True)
     assert fresh == ctx and fresh is not ctx
+    assert fresh._monomials is None
     b = ExactMatrix(fresh, [[fresh.element(e.coords) for e in row]
                             for row in a.rows])
     assert coords((b @ b).rows) == before
-    assert field._monomial_tables_cache[ctx._key] is fresh.ops.table
-    assert fresh.ops.table is not ops.table
+    assert fresh.ops.table is fresh.monomials is not ops.table
+
+
+def test_two_calls_build_each_field_once(monkeypatch):
+    """Two calls that adjoin the same records reach the same instances: the
+    ops of each field are built once, in the first call, and the second
+    builds none."""
+    from matcanon import canonicalize
+    monkeypatch.setattr(field, "_fields_cache", {})
+    builds = []
+    build = field._raw_ops
+    monkeypatch.setattr(field, "_raw_ops",
+                        lambda ctx: builds.append(ctx) or build(ctx))
+    for base, rows in ((rationals(), [[1, 1], [-1, 1]]),
+                       (prime_field(3), [[1, 1], [-1, 1]]),
+                       (prime_field(65521), [[1, 12], [3, 1]])):
+        a = ExactMatrix(base, rows)
+        builds.clear()
+        form, _wit = canonicalize(a)
+        assert form.context.tower, base
+        first = list(builds)
+        assert len({ctx._key for ctx in first}) == len(first)
+        assert form.context in first
+        again, _wit = canonicalize(a)
+        assert builds == first
+        assert again.context is form.context
 
 
 def test_rational_tables_grow_by_use():
