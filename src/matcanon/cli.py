@@ -19,12 +19,14 @@ import sys
 
 from .canon import (Block, canonical_block_matrix, canonicalize, equivalent,
                     invariants, transpose_witness)
-from .errors import (DivisionByZero, InternalDegenerate, MatcanonError,
-                     NoRootStrictPolicy, NotSplit, ParseError)
-from .exactmat import CongruenceWitness, ExactMatrix, WitnessError
+from .errors import (ContextMismatch, DimensionMismatch, HypothesisViolation,
+                     InvalidDescriptor, MatcanonError, NoRootStrictPolicy,
+                     NotSplit, ParseError, TowerCapExceeded,
+                     WrongCharacteristic)
+from .exactmat import CongruenceWitness, ExactMatrix
 from .field import (RECORD_KINDS, adjoin_record, adjunctions, finite_field,
                     format_scalar, parse_scalar, prime_field, rationals)
-from .gabriel import gabriel_decompose
+from .gabriel import _check_square, gabriel_decompose
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -133,11 +135,17 @@ def matrix_text(m):
 
 
 def load_matrix(path, tower_cap=16):
+    """The square matrix of a JSON file; every fault of the file (the JSON,
+    an integer, a field, a tower record, ragged rows, a shape that is not
+    square) is a ParseError."""
     try:
         with open(path) as handle:
-            return matrix_from_json(json.load(handle), tower_cap)
-    except ValueError as exc:  # the JSON, an integer, a field: input
+            a = matrix_from_json(json.load(handle), tower_cap)
+        _check_square(a)
+    except (ValueError, DimensionMismatch, HypothesisViolation,
+            WrongCharacteristic) as exc:
         raise ParseError(str(exc)) from exc
+    return a
 
 
 def block_from_text(text, ctx):
@@ -193,6 +201,10 @@ def _cmd_canon(args):
 def _cmd_equiv(args):
     a = load_matrix(args.left, args.tower_cap)
     b = load_matrix(args.right, args.tower_cap)
+    try:
+        a.ctx.common(b.ctx)
+    except ContextMismatch as exc:  # two fields that no tower joins
+        raise ParseError(str(exc)) from exc
     res = equivalent(a, b, args.policy)
     payload = {"equivalent": res.equivalent,
                "extensions": list(res.extensions),
@@ -337,14 +349,16 @@ def main(argv=None):
     except (ParseError, OSError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
-    # input is parsed with ParseError for a zero denominator, so a
-    # division by zero comes from a stage
-    except (InternalDegenerate, WitnessError, DivisionByZero) as exc:
-        sys.stderr.write("internal error: %s\n" % exc)
-        return EXIT_INTERNAL
-    except MatcanonError as exc:
+    # the tower cap and a block descriptor are the caller's choices
+    except (TowerCapExceeded, InvalidDescriptor) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
+    # input is read with ParseError for every fault of its own (a zero
+    # denominator, a shape, fields that share no tower), so any other
+    # error comes from a stage
+    except MatcanonError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_INTERNAL
     except Exception as exc:  # a defect, never a verdict (exit 1)
         sys.stderr.write("internal error: %s: %s\n"
                          % (type(exc).__name__, exc))

@@ -479,6 +479,44 @@ def test_stage_key_error_is_an_internal_error(tmp_path, monkeypatch, capsys):
     assert "internal error: KeyError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", ["ContextMismatch", "DimensionMismatch",
+                                   "SingularInput", "WrongCharacteristic",
+                                   "HypothesisViolation"])
+def test_stage_matcanon_error_is_an_internal_error(tmp_path, monkeypatch,
+                                                   capsys, error):
+    # input is read with ParseError for every fault of its own, so any
+    # other package error comes from a stage: exit 5, not the input-error
+    # exit 4 it used to give
+    from matcanon import canon, cli, errors
+
+    def stage_error(*_args, **_kwargs):
+        raise getattr(errors, error)("contexts are not prefix-compatible")
+
+    monkeypatch.setattr(canon, "eigen_split", stage_error)
+    p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
+    assert cli.main(["canon", p]) == 5
+    assert capsys.readouterr().err == \
+        "internal error: contexts are not prefix-compatible\n"
+
+
+def test_input_faults_are_input_errors(tmp_path, capsys):
+    # ragged rows and an Artin-Schreier record outside characteristic 2
+    # are faults of the file, read as input errors with their own messages
+    from matcanon import cli
+    ragged = write_matrix(tmp_path, "ragged.json", {"kind": "rational"},
+                          [["1", "2"], ["3"]])
+    as_over_q = write_matrix(tmp_path, "as.json", {
+        "kind": "rational", "tower": [{"kind": "as", "value": "1"}]},
+        [["1"]])
+    for argv, message in ((["canon", ragged], "ragged rows"),
+                          (["equiv", ragged, ragged], "ragged rows"),
+                          (["canon", as_over_q],
+                           "Artin-Schreier adjunction requires "
+                           "characteristic 2")):
+        assert cli.main(argv) == 4, argv
+        assert capsys.readouterr().err == "input error: %s\n" % message
+
+
 def test_stage_value_error_is_an_internal_error(tmp_path, monkeypatch,
                                                 capsys):
     # input is read with ParseError for a bad integer, field or file, so a
