@@ -167,18 +167,16 @@ class FieldContext:
     def __new__(cls, kind, p=0, modulus=None, tower=(), tower_cap=16):
         if kind not in ("rational", "gfp", "gfq"):
             raise ValueError("unknown field kind %r" % (kind,))
-        if kind in ("gfp", "gfq") and not _is_prime(p):
+        if kind == "rational":
+            p = 0
+        elif not _is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
-        if kind == "gfq":
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) < 1:
-                raise ValueError("gfq modulus must have degree >= 1")
-        else:
-            modulus = None
-        p = p if kind != "rational" else 0
+        modulus = tuple(c % p for c in modulus) if kind == "gfq" else None
+        if modulus == ():
+            raise ValueError("gfq modulus must have degree >= 1")
         base = _fields_cache.get((kind, p, modulus, (), tower_cap))
         if base is None:
-            if kind == "gfq" and not _modulus_is_irreducible(p, modulus):
+            if modulus and not _modulus_is_irreducible(p, modulus):
                 raise ValueError("gfq modulus %s (low coefficients of a "
                                  "monic degree-%d polynomial) is reducible "
                                  "over GF(%d)" % (list(modulus),
@@ -206,14 +204,6 @@ class FieldContext:
 
     def __hash__(self):
         return hash(self._key)
-
-    @property
-    def ops(self):
-        """The arithmetic of raw values (_raw_ops), kept on the instance:
-        a lookup by _key would hash the tower records at every operation."""
-        if self._ops is None:
-            self._ops = _raw_ops(self)
-        return self._ops
 
     def __repr__(self):
         if self.kind == "rational":
@@ -374,7 +364,7 @@ class FieldContext:
 
     def truncated(self, height):
         """The prefix context with the first `height` adjunctions: the same
-        instance at each call, so that its ops are built once."""
+        instance at each call."""
         return self._prefixes[height] if height < len(self.tower) else self
 
     @property
@@ -386,16 +376,18 @@ class FieldContext:
 
 
 def _interned(kind, p, modulus, tower, tower_cap, prefixes):
-    """A new FieldContext of a checked field, entered in _fields_cache, with
-    the instances of its proper prefixes, lowest first (see truncated)."""
+    """The FieldContext of a checked field, with the instances of its proper
+    prefixes, lowest first (see truncated), and its arithmetic of raw
+    values, ops (_raw_ops), entered in _fields_cache."""
     ctx = object.__new__(FieldContext)
     # every instance sets its attributes in this order, so that instances
     # share one layout and attribute reads stay on CPython's fast path
     ctx.kind, ctx.p, ctx.modulus = kind, p, modulus
     ctx.tower, ctx.tower_cap = tower, tower_cap
     ctx._key = (kind, p, modulus, tower)
-    ctx._ops = ctx._monomials = ctx._nonresidue = None
     ctx._prefixes = prefixes
+    ctx.ops = ctx._monomials = ctx._nonresidue = None
+    ctx.ops = _raw_ops(ctx)
     _fields_cache[(kind, p, modulus, tower, tower_cap)] = ctx
     return ctx
 

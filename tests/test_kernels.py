@@ -140,10 +140,11 @@ def test_ops_are_built_once_per_context(monkeypatch):
     build = field._raw_ops
     monkeypatch.setattr(field, "_raw_ops",
                         lambda ctx: builds.append(ctx) or build(ctx))
-    for base, records in ((rationals(), ("2", "3", "5")),
-                          (prime_field(65521), ("17", "g1", "g2"))):
+    for field_of, records in ((rationals, ("2", "3", "5")),
+                              (lambda: prime_field(65521),
+                               ("17", "g1", "g2"))):
         builds.clear()
-        tower = [base]
+        tower = [field_of()]
         for d in records:
             tower.append(sqrt_or_adjoin(parse_scalar(d, tower[-1]))[1])
         top = tower[-1]
@@ -227,7 +228,6 @@ def test_rational_tables_live_on_the_field(monkeypatch):
     for c1, d in field.adjunctions(ctx):
         fresh = field.adjoin_record(fresh, c1, d.promote(fresh), rootless=True)
     assert fresh == ctx and fresh is not ctx
-    assert fresh._monomials is None
     b = ExactMatrix(fresh, [[fresh.element(e.coords) for e in row]
                             for row in a.rows])
     assert coords((b @ b).rows) == before
