@@ -367,18 +367,12 @@ class FieldContext:
         instance at each call."""
         return self._prefixes[height] if height < len(self.tower) else self
 
-    @property
-    def monomials(self):
-        """The _MonomialTable of this field, built on first use."""
-        if self._monomials is None:
-            self._monomials = _MonomialTable(self)
-        return self._monomials
-
 
 def _interned(kind, p, modulus, tower, tower_cap, prefixes):
     """The FieldContext of a checked field, with the instances of its proper
-    prefixes, lowest first (see truncated), and its arithmetic of raw
-    values, ops (_raw_ops), entered in _fields_cache."""
+    prefixes, lowest first (see truncated), the products of its monomial
+    basis (monomials) and its arithmetic of raw values (ops), entered in
+    _fields_cache."""
     ctx = object.__new__(FieldContext)
     # every instance sets its attributes in this order, so that instances
     # share one layout and attribute reads stay on CPython's fast path
@@ -386,8 +380,9 @@ def _interned(kind, p, modulus, tower, tower_cap, prefixes):
     ctx.tower, ctx.tower_cap = tower, tower_cap
     ctx._key = (kind, p, modulus, tower)
     ctx._prefixes = prefixes
-    ctx.ops = ctx._monomials = ctx._nonresidue = None
+    ctx.monomials = _MonomialTable(ctx)
     ctx.ops = _raw_ops(ctx)
+    ctx._nonresidue = None
     _fields_cache[(kind, p, modulus, tower, tower_cap)] = ctx
     return ctx
 
@@ -956,22 +951,17 @@ class _VectorOps(_RawRows):
         # the coefficient rule: the raw value of nums / den
         self.reduced = (functools.partial(_mod_reduced, self.p) if self.p
                         else _rat_normalized)
-        self._below = None
+        # the vector arithmetic one level down (inverse, norm): the prefix
+        # context's own ops, unless they compute on ints or tables
+        self.below = None
+        if self.level:
+            prefix = ctx.truncated(self.level - 1)
+            self.below = (_VectorOps(prefix) if prefix.ops.indexed
+                          else prefix.ops)
 
     @property
     def work(self):
         return self if self.level or self.p else _IntRows
-
-    @property
-    def below(self):
-        """The vector arithmetic one level down (inverse, norm): the prefix
-        context's own ops, unless they compute on ints or tables.  Fetched
-        on first use, as _IndexedOps.lanes is."""
-        if self._below is None:
-            prefix = self.ctx.truncated(self.level - 1)
-            self._below = (_VectorOps(prefix) if prefix.ops.indexed
-                           else prefix.ops)
-        return self._below
 
     def from_int(self, n):
         return (n % self.p if self.p else int(n),) + self.zero[1:]

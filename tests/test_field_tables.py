@@ -187,7 +187,7 @@ def test_routing_and_the_fields(rebuilt, table_builds):
     assert not table_builds
     a = ExactMatrix(f7, [[1, 2], [3, 4]])
     assert inverse_or_rank(a @ a).rank == 2
-    assert not table_builds and f7._monomials is None
+    assert not table_builds and f7.monomials.rows == [None]
     assert not hasattr(f7.ops, "tables")
     f9 = rebuilt(SMALL_FIELDS["GF(9)"])
     assert isinstance(f9.ops, _TableOps) and table_builds == [f9]
