@@ -402,9 +402,11 @@ _gamma_reduction_cache = {}
 
 def _gamma_cyclic_reduction(eps, n, policy):
     """X^-1 for the witness columns (basis matrix) X that take Gamma_n(^0),
-    over eps's context, to the canonical cyclic gram."""
+    over eps's context, to the canonical cyclic gram.  The memo is keyed
+    by policy too: a reduction that adjoined a root under the extend policy
+    is no answer under the strict one."""
     ctx = eps.ctx
-    key = (ctx, eps, n)
+    key = (ctx, eps, n, policy)
     if key in _gamma_reduction_cache:
         return _gamma_reduction_cache[key]
     gamma = gamma_block(ctx, n)
