@@ -155,7 +155,7 @@ def test_base_products_read_the_tables(name, rebuilt, table_builds):
     assert [c for c in table_builds if c is ctx] == [ctx] and ctx.ops is ops
 
 
-def test_routing_and_the_fields(rebuilt, table_builds):
+def test_routing_and_the_cache(rebuilt, table_builds):
     """GF(p) itself stays on ints and builds no table; a finite context
     above the cap computes on integer vectors mod p with the monomial
     tables of its tower, each kept on its own field, and builds no _Tables.

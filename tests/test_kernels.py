@@ -208,7 +208,7 @@ def test_rational_raw_values_are_normalized(name):
                             ctx.element([zero] * ctx.dim))] == [ops.zero] * 4
 
 
-def test_rational_tables_live_on_the_field(monkeypatch):
+def test_rational_tables_live_in_one_cache(monkeypatch):
     """The monomial table of the rational ops is kept on the field's one
     instance, which the field memo, field._fields_cache, holds: the one
     module dict of field whose name ends in _cache, which the bench empties
