@@ -1,12 +1,18 @@
 """Full canonicalization under congruence and the complete invariant.
 
 The pipeline: Gabriel decomposition, asymmetry of the invertible core,
-splitting of its minimal polynomial (extending the field when the policy
-allows), the eigenvalue splitting, and per-class reduction to the canonical
+splitting of its minimal polynomial (extending the field where needed),
+the eigenvalue splitting, and per-class reduction to the canonical
 indecomposable blocks, named by the family table unipotent.FAMILIES.  Every
 stage returns a plain, unverified congruence (exactmat.Congruence).  Only
 the composed congruence is an answer, and it is certified once, against the
 assembled canonical matrix, where it leaves canonicalize or equivalent.
+
+Every stage extends the field where a root is missing.  The strict
+policy, an answer in the input's field only, is decided once, in
+_canonicalize: a split or an answer beyond the input's field is refused,
+naming the first record beyond it.  Under strict both sides of equivalent
+answer in the input's field, so only the extend policy merges towers.
 
 The field travels on the values: a stage's result lives in the tower it
 reached, read off as x.ctx, and the arithmetic lifts whatever it meets, so
@@ -36,12 +42,13 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cmp_to_key
 
-from .errors import InternalDegenerate, InvalidDescriptor
+from .errors import (InternalDegenerate, InvalidDescriptor,
+                     NoArtinSchreierRootStrict, NoRootStrictPolicy, NotSplit)
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, solve)
-from .field import (EXTEND, RECORD_KINDS, adjunctions, canonical_compare,
-                    coordinate_map, embed_scalar, format_scalar,
-                    merge_contexts)
+from .field import (EXTEND, RECORD_KINDS, STRICT, adjunctions,
+                    canonical_compare, coordinate_map, embed_scalar,
+                    format_scalar, merge_contexts)
 from .gabriel import _check_square, _runs, gabriel_decompose
 from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
                        eigen_split, hyperbolic_block_matrix,
@@ -181,7 +188,12 @@ def _canonicalize(a, policy):
         x, _source, target = dec.congruence
         return form, Congruence(x.promote(a.ctx), a, target.promote(a.ctx))
 
-    asym = split_min_poly(asymmetry(core, a.ctx), policy)
+    asym = split_min_poly(asymmetry(core, a.ctx))
+    if policy == STRICT and asym.ctx != a.ctx:
+        c1, _d = adjunctions(asym.ctx, len(a.ctx.tower))[0]
+        raise NotSplit("quadratic factor %s under strict policy" % (
+            "has non-square discriminant",
+            "needs an Artin-Schreier extension")[c1])
     split = eigen_split(core, asym)
 
     ctx = asym.ctx  # the running tower: each class starts where the last ended
@@ -194,7 +206,7 @@ def _canonicalize(a, policy):
         class_gram = split.gram.submatrix(idx, idx).trim()
         if isinstance(cl, UnipotentClass):
             descs, x_local = _reduce_unipotent_class(
-                class_gram, cl.eigenvalue, policy, ctx)
+                class_gram, cl.eigenvalue, ctx)
         else:
             descs, x_local = _reduce_pair_class(class_gram, cl)
         ctx = ctx.common(x_local.ctx)
@@ -220,7 +232,12 @@ def _canonicalize(a, policy):
     form = CanonicalForm(dec.jordan_sizes, [blocks[i] for i in order],
                          ctx, [])
     target = canonical_form_matrix(form)
-    return _trim_result(form, Congruence(x_total, a, target))
+    form, cong = _trim_result(form, Congruence(x_total, a, target))
+    if policy == STRICT and form.extension_report:
+        c1, d = adjunctions(form.context, len(a.ctx.tower))[0]
+        raise (NoRootStrictPolicy, NoArtinSchreierRootStrict)[c1](
+            RECORD_KINDS[c1].no_root % (format_scalar(d), d.ctx))
+    return form, cong
 
 
 def _trim_result(form, cong):
@@ -247,7 +264,7 @@ def _extension_report(start_ctx, ctx):
             for c1, d in adjunctions(ctx, len(start_ctx.tower))]
 
 
-def _reduce_unipotent_class(class_gram, eps, policy, ctx):
+def _reduce_unipotent_class(class_gram, eps, ctx):
     """Reduce one eigenvalue +-1 class; returns descriptors and local X,
     over the context the reductions reached from the running tower ctx.
     The class is peeled in class_gram's field."""
@@ -259,7 +276,7 @@ def _reduce_unipotent_class(class_gram, eps, policy, ctx):
     for piece in pieces:
         reduce = reduce_single if piece.kind == "single" else reduce_pair
         # each piece starts from the tower the piece before it reached
-        x = reduce(piece.gram.promote(ctx), eps, piece.order, policy).x
+        x = reduce(piece.gram.promote(ctx), eps, piece.order).x
         ctx = x.ctx
         fam = family_of(piece.kind, sign, char, piece.order)
         if fam is None:
@@ -399,7 +416,7 @@ def equivalent(a, b, policy=EXTEND):
     form_b, cong_b = _canonicalize(b.promote(start_ctx), policy)
     x_b = cong_b.x
     if form_a.context != form_b.context:
-        ctx, images = merge_contexts(form_a.context, form_b.context, policy)
+        ctx, images = merge_contexts(form_a.context, form_b.context)
         x_b = x_b.mapped(coordinate_map(form_b.context, ctx, images), ctx)
         form_a = form_a._replace(context=ctx)
         form_b = _mapped_form(form_b, ctx, images)

@@ -346,12 +346,10 @@ def main(argv=None):
     except NoRootStrictPolicy as exc:
         sys.stderr.write("no root under strict policy: %s\n" % exc)
         return EXIT_NO_ROOT
-    except (ParseError, OSError) as exc:
+    # a fault of the input, or of the caller's choice of tower cap or
+    # block descriptor
+    except (ParseError, OSError, TowerCapExceeded, InvalidDescriptor) as exc:
         sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
-    # the tower cap and a block descriptor are the caller's choices
-    except (TowerCapExceeded, InvalidDescriptor) as exc:
-        sys.stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
     # input is read with ParseError for every fault of its own (a zero
     # denominator, a shape, fields that share no tower), so any other

@@ -22,7 +22,8 @@ class NoRootStrictPolicy(MatcanonError):
 
 
 class NoArtinSchreierRootStrict(NoRootStrictPolicy):
-    """Characteristic-2 pair reduction needed x^2+x+a=0 under strict policy."""
+    """Under strict policy: the answer's first record beyond the input's
+    field is an Artin-Schreier root, of x^2+x=a."""
 
 
 class TowerCapExceeded(MatcanonError):

@@ -71,8 +71,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (ContextMismatch, DivisionByZero, InternalDegenerate,
-                     NoArtinSchreierRootStrict, NoRootStrictPolicy,
-                     ParseError, TowerCapExceeded, WrongCharacteristic)
+                     NoRootStrictPolicy, ParseError, TowerCapExceeded,
+                     WrongCharacteristic)
 
 STRICT = "strict"
 EXTEND = "extend"
@@ -1541,8 +1541,7 @@ def quadratic_roots(a, b, c, policy):
     substitution X = b Y/a).  For a = 0 the linear root, and for a = b = 0
     [0] when c = 0 and no root otherwise.  A root lives in the context its
     arithmetic gives, extended when a root had to be adjoined.  Under the
-    strict policy a missing square root raises NoRootStrictPolicy and a
-    missing Artin-Schreier root NoArtinSchreierRootStrict.
+    strict policy a missing root raises NoRootStrictPolicy.
     """
     if a.is_zero():
         if b.is_zero():
@@ -1551,10 +1550,7 @@ def quadratic_roots(a, b, c, policy):
     if a.ctx.characteristic == 2:
         if b.is_zero():
             return [_root_or_adjoin(0, c / a, policy)]
-        try:
-            y = _root_or_adjoin(1, a * c / (b * b), policy)
-        except NoRootStrictPolicy as exc:
-            raise NoArtinSchreierRootStrict(str(exc))
+        y = _root_or_adjoin(1, a * c / (b * b), policy)
         return [b * y / a]
     r = _root_or_adjoin(0, b * b - 4 * a * c, policy)
     two_a = a + a
@@ -1913,7 +1909,7 @@ def _parse_factor(s, pos, ctx):
 
 # -- context merging -----------------------------------------------------------
 
-def merge_contexts(dst, src, policy=EXTEND):
+def merge_contexts(dst, src):
     """Extend dst so that every adjunction of src has a root in it.
 
     Both contexts must share the base field.  Returns the merged context
@@ -1929,7 +1925,7 @@ def merge_contexts(dst, src, policy=EXTEND):
     cur = dst
     images = [dst.generator(i) for i in range(1, shared + 1)]
     for c1, d in adjunctions(src, shared):
-        r = _root_or_adjoin(c1, embed_scalar(d, cur, images), policy)
+        r = _root_or_adjoin(c1, embed_scalar(d, cur, images), EXTEND)
         cur = r.ctx
         images.append(r)
     return cur, [g.promote(cur) for g in images]

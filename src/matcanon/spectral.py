@@ -1,10 +1,12 @@
 """Asymmetry of a non-degenerate form and its eigenvalue-based splitting.
 
 For invertible A the asymmetry is S = A^{-1} A'.  Its minimal polynomial is
-split into linear factors (extending the field by quadratic or
-Artin-Schreier adjunctions when allowed); the space then decomposes into
+split into linear factors, extending the field by quadratic or
+Artin-Schreier adjunctions where needed; the space then decomposes into
 generalized eigenspaces, orthogonal except for the pairing of V_lam with
 V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
+The search always extends: whether an answer beyond the input's field is
+refused is decided once, in canon, on the split's and the answer's field.
 
 Roots are taken one at a time: 1, else -1, else the least in the field.
 A quadratic goes straight to field.quadratic_roots, one square root (or
@@ -46,8 +48,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .errors import (InternalDegenerate, NoArtinSchreierRootStrict,
-                     NoRootStrictPolicy, NotSplit, SingularInput)
+from .errors import InternalDegenerate, NotSplit, SingularInput
 from .exactmat import ExactMatrix, first_dependence, inverse_or_rank, solve
 from .field import (EXTEND, Scalar, _is_prime, _poly_axpy, _poly_divmod,
                     _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
@@ -124,13 +125,13 @@ def poly_eval(p, x):
 
 # -- root finding ------------------------------------------------------------------
 
-def split_min_poly(asym, policy=EXTEND):
-    """Factor the minimal polynomial into linear factors, extending if allowed.
+def split_min_poly(asym):
+    """Factor the minimal polynomial into linear factors, extending the field.
 
     Returns a new Asymmetry with split_roots filled and a possibly larger
     context; each root is searched for in the tower the one before it
     reached.  Raises NotSplit when a factor cannot be reached by quadratic
-    (or Artin-Schreier) adjunctions or the policy forbids extending.
+    (or Artin-Schreier) adjunctions.
     """
     ctx = asym.ctx
     work = [c.promote(ctx) for c in asym.min_poly]
@@ -139,7 +140,7 @@ def split_min_poly(asym, policy=EXTEND):
     # X^q mod work is computed once per context, not once per root
     listed = None
     while len(work) >= 2:
-        root, listed = _find_one_root(work, policy, listed)
+        root, listed = _find_one_root(work, listed)
         ctx = root.ctx
         work = [c.promote(ctx) for c in work]
         work, mult = _extract_root(work, root)
@@ -181,7 +182,7 @@ def _check_inverse_closed(roots):
                 "asymmetry roots are not closed under inversion")
 
 
-def _find_one_root(poly, policy, listed=None):
+def _find_one_root(poly, listed=None):
     """One root of a monic polynomial whose coefficients share one context:
     1, else -1, else the least in that context, else one adjoined to it.
     listed, None or poly's roots there (least first), is returned with the
@@ -201,13 +202,13 @@ def _find_one_root(poly, policy, listed=None):
     if listed:  # made when 1 and -1 were not roots, so neither is listed
         return listed[0], listed
     if len(poly) == 3:
-        return _preferred_root(_quadratic_roots(poly, policy), ctx), None
+        return _preferred_root(_quadratic_roots(poly), ctx), None
     pal = _palindrome_transform(poly)
     if pal is not None:
-        mu, _ = _find_one_root(pal, policy)
+        mu, _ = _find_one_root(pal)
         # X^2 - mu X + 1 = 0
         one = mu.ctx.one()
-        return _quadratic_roots([one, -mu, one], policy)[0], None
+        return _quadratic_roots([one, -mu, one])[0], None
     raise NotSplit("irreducible factor of degree %d is not reachable by "
                    "quadratic adjunctions" % (len(poly) - 1))
 
@@ -254,20 +255,13 @@ def _splitting_poly(ops, h, a, q):
     return trace
 
 
-def _quadratic_roots(poly, policy):
+def _quadratic_roots(poly):
     """The roots of a quadratic, made monic (X^2 + c1 X + c0) first, by
     field.quadratic_roots: both when they lie in poly's context, else the
     one adjoined to it (a square or Artin-Schreier root).  In characteristic
     2 the other root of r is r + c1, and r is double when c1 = 0."""
     c0, c1 = poly[0] / poly[2], poly[1] / poly[2]
-    try:
-        roots = quadratic_roots(c1.ctx.one(), c1, c0, policy)
-    except NoArtinSchreierRootStrict:
-        raise NotSplit("quadratic factor needs an Artin-Schreier "
-                       "extension under strict policy")
-    except NoRootStrictPolicy:
-        raise NotSplit("quadratic factor has non-square discriminant "
-                       "under strict policy")
+    roots = quadratic_roots(c1.ctx.one(), c1, c0, EXTEND)
     r = roots[0]
     if c1.ctx.characteristic == 2 and r.ctx == c1.ctx and not c1.is_zero():
         roots.append(r + c1)

@@ -27,7 +27,8 @@ root they adjoin (a square root in the single reduction, an Artin-Schreier
 root in a corner repair) lives on the values computed from it, the
 arithmetic lifts every operand to the common context, and the result's
 context is x.ctx.  A reduction starts from its input's context, which the
-caller sets to the running tower.
+caller sets to the running tower.  The reductions always extend: canon
+refuses, under the strict policy, an answer beyond the input's field.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import (HypothesisViolation, InternalDegenerate,
-                     NoArtinSchreierRootStrict, NoRootStrictPolicy)
+                     NoRootStrictPolicy)
 from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
 from .field import EXTEND, STRICT, quadratic_roots, sqrt_or_adjoin
 from .spectral import (asymmetry_matrix, hyperbolic_block_matrix,
@@ -260,7 +261,7 @@ def canonical_cyclic_gram(ctx, eps, n):
     return ExactMatrix(ctx, rows)
 
 
-def canon_single(g, eps, n, policy=EXTEND):
+def canon_single(g, eps, n):
     """Reduce a cyclic-basis Gram matrix with single elementary divisor
     (X-eps)^n to the canonical cyclic normal form.
 
@@ -272,10 +273,10 @@ def canon_single(g, eps, n, policy=EXTEND):
     if n <= 2:
         # scale the corner f(v, v) to 1 (then f(v, pv) is 2 for n = 2)
         return ExactMatrix.identity(g.ctx, n).scale(
-            sqrt_or_adjoin(g[0, 0], policy)[0].inverse())
+            sqrt_or_adjoin(g[0, 0])[0].inverse())
     if char == 2 and n == 3:
-        return _canon_single_char2_n3(g, policy)
-    return _canon_single_step(g, eps, n, policy)
+        return _canon_single_char2_n3(g)
+    return _canon_single_step(g, eps, n)
 
 
 def _check_parity(eps, n, char):
@@ -286,24 +287,24 @@ def _check_parity(eps, n, char):
             "characteristic %d" % (n, sign, char))
 
 
-def _canon_single_char2_n3(g, policy):
+def _canon_single_char2_n3(g):
     # scale the anti-diagonal to 1 (characteristic 2: unique square root)
-    t = sqrt_or_adjoin(g[0, 2], policy)[0].inverse()
+    t = sqrt_or_adjoin(g[0, 2])[0].inverse()
     x1 = ExactMatrix.identity(g.ctx, 3).scale(t)
     # v' = v + x p v with x^2 + x + c = 0, c = f(t v, t v)
     c = t * t * g[0, 0]
     one = c.ctx.one()
-    xval = quadratic_roots(one, one, c, policy)[0]
+    xval = quadratic_roots(one, one, c, EXTEND)[0]
     x2 = ExactMatrix.jordan_block(c.ctx, 3).krylov(
         ExactMatrix(c.ctx, [[one], [xval], [0]]), 3)
     return x1 @ x2
 
 
-def _canon_single_step(g, eps, n, policy):
+def _canon_single_step(g, eps, n):
     """Recursive case of the single reduction (n >= 3, not char-2 n=3)."""
     char = g.ctx.characteristic
     sub_idx = list(range(1, n - 1))
-    xs = canon_single(g.submatrix(sub_idx, sub_idx), eps, n - 2, policy)
+    xs = canon_single(g.submatrix(sub_idx, sub_idx), eps, n - 2)
     # lift the new sub cyclic vector: coordinates j of the sub basis mean
     # p^{j+1} v, so stripping one p gives sum_j xs[j,0] p^j v
     vcoord = ExactMatrix.blocks(g.ctx, [[xs.columns([0])],
@@ -400,20 +401,20 @@ def gamma_block(ctx, n):
 _gamma_reduction_cache = {}
 
 
-def _gamma_cyclic_reduction(eps, n, policy):
+def _gamma_cyclic_reduction(eps, n):
     """X^-1 for the witness columns (basis matrix) X that take Gamma_n(^0),
-    over eps's context, to the canonical cyclic gram.  The memo is keyed
-    by policy too: a reduction that adjoined a root under the extend policy
-    is no answer under the strict one."""
+    over eps's context, to the canonical cyclic gram.  Every reduction
+    extends, so the result depends on eps's context, eps and n alone: the
+    memo's key."""
     ctx = eps.ctx
-    key = (ctx, eps, n, policy)
+    key = (ctx, eps, n)
     if key in _gamma_reduction_cache:
         return _gamma_reduction_cache[key]
     gamma = gamma_block(ctx, n)
     nmat = asymmetry_matrix(gamma).minus_scalar(eps)
     v = _height_vector(nmat.power(n - 1))
     bmat = nmat.krylov(v, n)
-    x = canon_single(bmat.transpose() @ gamma @ bmat, eps, n, policy)
+    x = canon_single(bmat.transpose() @ gamma @ bmat, eps, n)
     result = inverse_or_rank(bmat @ x).inverse
     if result is None:
         raise InternalDegenerate("Gamma-side reduction basis is singular")
@@ -421,18 +422,18 @@ def _gamma_cyclic_reduction(eps, n, policy):
     return result
 
 
-def reduce_single(g, eps, n, policy=EXTEND):
+def reduce_single(g, eps, n):
     """Congruence from a single-block cyclic Gram to Gamma_n(^0)."""
-    x1 = canon_single(g, eps, n, policy)
+    x1 = canon_single(g, eps, n)
     # the Gamma side starts from the tower the input side reached, so a
     # root both sides need is adjoined once
-    x = x1 @ _gamma_cyclic_reduction(eps.promote(x1.ctx), n, policy)
+    x = x1 @ _gamma_cyclic_reduction(eps.promote(x1.ctx), n)
     return Congruence(x, g, gamma_block(x.ctx, n))
 
 
 # -- the pair (two equal elementary divisors) reduction --------------------------
 
-def pair_canon(g, eps, m, policy=EXTEND):
+def pair_canon(g, eps, m):
     """Reduce a pair-block Gram matrix (basis v, pv, ..., w, pw, ...) to
     ((0, J_m(eps)), (I_m, 0)).
 
@@ -452,7 +453,7 @@ def pair_canon(g, eps, m, policy=EXTEND):
         sub_idx = (list(range(1, m - 1))
                    + list(range(m + 1, 2 * m - 1)))
         _xs, vg_sub, wg_sub = pair_canon(g.submatrix(sub_idx, sub_idx), eps,
-                                         m - 2, policy)
+                                         m - 2)
         # strip one p: sub slot j of the v part is p^{j+1} v, so the sub
         # coordinates go to slots 0..m-3 of each part
         pad = ExactMatrix.identity(ctx, 2 * m).columns(
@@ -464,10 +465,10 @@ def pair_canon(g, eps, m, policy=EXTEND):
     # side symmetrically
     v1 = _repair_generator(g, shift, v1,
                            _module_duals(g, shift, w1, shift.krylov(v1, m)),
-                           m, policy)
+                           m)
     w1 = _repair_generator(g, shift, w1,
                            _module_duals(g, shift, v1, shift.krylov(w1, m)),
-                           m, policy)
+                           m)
     # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
     svecs = shift.krylov(v1, m).columns(range(m - 1, -1, -1))
     x = ExactMatrix.blocks(ctx, [[svecs,
@@ -487,7 +488,7 @@ def _module_duals(g, shift, gen, targets):
     return duals_t.transpose()
 
 
-def _repair_generator(g, shift, gen, duals, m, policy):
+def _repair_generator(g, shift, gen, duals, m):
     """gen corrected so that its p-module is totally isotropic.
 
     duals are the columns d_0, d_1, ... from the other module
@@ -508,7 +509,7 @@ def _repair_generator(g, shift, gen, duals, m, policy):
         return gen
     if any(j > 1 for j in live):
         raise InternalDegenerate("isotropy defect beyond the corner")
-    for xs in _corner_candidates(consts, lins, quads, dirs.ncols, policy):
+    for xs in _corner_candidates(consts, lins, quads, dirs.ncols):
         new = gen + dirs @ ExactMatrix(gen.ctx, [[x] for x in xs])
         if _is_isotropic(g, shift, new, m):
             return new
@@ -532,14 +533,14 @@ def _expand_conditions(g, shift, gen, dirs, m):
     return consts, lins, quads
 
 
-def _corner_candidates(consts, lins, quads, k, policy):
+def _corner_candidates(consts, lins, quads, k):
     """Candidate coefficients for the j = 0 and j = 1 corner equations, one
     at a time: each quadratic is solved only when its candidates are due."""
     zero = consts[0].ctx.zero()
     # strategy 1: single-direction solutions for each direction
     for i in range(k):
-        for t in _single_var_solutions(quads[0][i][i], lins[0][i], consts[0],
-                                       policy):
+        for t in quadratic_roots(quads[0][i][i], lins[0][i], consts[0],
+                                 EXTEND):
             xs = [zero] * k
             xs[i] = t
             yield xs
@@ -547,8 +548,8 @@ def _corner_candidates(consts, lins, quads, k, policy):
     # with another
     if len(consts) > 1:
         for i in range(k):
-            for t in _single_var_solutions(quads[1][i][i], lins[1][i],
-                                           consts[1], policy):
+            for t in quadratic_roots(quads[1][i][i], lins[1][i], consts[1],
+                                     EXTEND):
                 # condition 0 at x_i = t, the others 0
                 c0 = consts[0] + lins[0][i] * t + quads[0][i][i] * t * t
                 for l in range(k):
@@ -556,21 +557,11 @@ def _corner_candidates(consts, lins, quads, k, policy):
                         continue
                     # condition 0 as a polynomial in x_l given x_i = t
                     lin = lins[0][l] + (quads[0][i][l] + quads[0][l][i]) * t
-                    for t0 in _single_var_solutions(quads[0][l][l], lin, c0,
-                                                    policy):
+                    for t0 in quadratic_roots(quads[0][l][l], lin, c0,
+                                              EXTEND):
                         xs = [zero] * k
                         xs[i], xs[l] = t, t0
                         yield xs
-
-
-def _single_var_solutions(qa, qb, qc, policy):
-    """The roots of qa x^2 + qb x + qc = 0, possibly extending."""
-    try:
-        return quadratic_roots(qa, qb, qc, policy)
-    except NoArtinSchreierRootStrict:
-        raise
-    except NoRootStrictPolicy:
-        return []
 
 
 def _is_isotropic(g, shift, gen, m):
@@ -579,7 +570,7 @@ def _is_isotropic(g, shift, gen, m):
     return (chain.transpose() @ g @ chain).is_zero()
 
 
-def reduce_pair(g, eps, m, policy=EXTEND):
+def reduce_pair(g, eps, m):
     """Congruence from a pair-block Gram to ((0, J_m(eps)), (I, 0))."""
-    x = pair_canon(g, eps, m, policy)[0]
+    x = pair_canon(g, eps, m)[0]
     return Congruence(x, g, hyperbolic_block_matrix(x.ctx, m, eps))

@@ -305,6 +305,22 @@ def test_strict_policy_gf2_counterexample_pair():
     assert res.extensions  # certified only over the extension
 
 
+@pytest.mark.parametrize("desc,field", [
+    (d, f) for d in ("A3", "A7", "C4", "C8") for f in ("gf3", "gf7", "gf11")
+] + [(d, "q") for d in ("A3", "A7", "C4")])
+def test_strict_answers_a_canonical_block(desc, field):
+    # the single reduction of these blocks adjoins a square root (of 2 over
+    # GF(3), of -4 over Q) that cancels in the composed witness: the extend
+    # answer is over the input field, so strict gives it too
+    ctx = rationals() if field == "q" else prime_field(int(field[2:]))
+    a = canonical_block_matrix(Block(desc[0], int(desc[1:])), ctx)
+    form, _wit = canonicalize(a, EXTEND)
+    strict, _wit = canonicalize(a, STRICT)
+    assert strict.context == ctx == form.context
+    assert (strict.gabriel, strict.blocks) == (form.gabriel, form.blocks)
+    assert strict.blocks == [Block(desc[0], int(desc[1:]))]
+
+
 def test_extension_report():
     q = rationals()
     a = ExactMatrix(q, [[2]])  # needs sqrt(2)

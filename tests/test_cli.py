@@ -517,6 +517,22 @@ def test_input_faults_are_input_errors(tmp_path, capsys):
         assert capsys.readouterr().err == "input error: %s\n" % message
 
 
+def test_tower_cap_and_descriptor_faults_are_input_errors(tmp_path, capsys):
+    # exit 4 printed "error: ..." for these and "input error: ..." for
+    # every other input fault
+    from matcanon import cli
+    needs_sqrt2 = write_matrix(tmp_path, "a.json", {"kind": "rational"},
+                               [["2"]])
+    for argv, message in ((["block", "C0", "--field", "q"],
+                           "C_n needs n >= 1"),
+                          (["canon", needs_sqrt2, "--tower-cap", "0"],
+                           "tower height cap 0 reached")):
+        assert cli.main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("input error: " + message), argv
+
+
 def test_stage_value_error_is_an_internal_error(tmp_path, monkeypatch,
                                                 capsys):
     # input is read with ParseError for a bad integer, field or file, so a

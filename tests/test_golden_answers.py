@@ -22,9 +22,10 @@ import random
 import pytest
 
 from matcanon import (Block, ExactMatrix, MatcanonError, NoRootStrictPolicy,
-                      canonical_block_matrix, canonicalize, equivalent,
-                      format_scalar, gf4, inverse_or_rank, prime_field,
-                      rationals, record_from_form, transpose_witness)
+                      NotSplit, canonical_block_matrix, canonicalize,
+                      equivalent, format_scalar, gf4, inverse_or_rank,
+                      prime_field, rationals, record_from_form,
+                      transpose_witness)
 from matcanon.cli import form_to_json
 from matcanon.field import EXTEND, STRICT
 
@@ -219,7 +220,7 @@ DIGESTS = {
     'random-gf3-n2-s3':
         '5fabcd892e6d49c0827cc1f449bfc2ae214cfa78b151072896df85db342caa92',
     'random-gf3-n3-s1':
-        '857e0e22a2058bafe55ed30676cd5fec71716efbabfa392c91acd6a5c557a5a6',
+        'c2b9201349a2b49b12a4c638737f0dbb15a5cd16e36db3e9fbf51657deeda564',
     'random-gf3-n3-s2':
         '694eb8979e624e8f839ae2930ccfab47c7edde995c31d7140100fc16136b66b8',
     'random-gf3-n3-s3':
@@ -297,17 +298,17 @@ DIGESTS = {
     'random-gf13-n5-s3':
         '2ca7cb1c772f9b10f477d6e15abfa055ad1a959a53b5ac4052cfcf08bab14caa',
     'sum-A1+A3-gf3':
-        '453712c6b58d1dd915384febaad892ff6f980b48ad7ca84aea09230a8aee9e37',
+        '14355b9bfc71ce220c623d61e9ca5a94032621b0d68656a58f93ce5e756c880b',
     'sum-A1+A3-q':
-        'a549b9c77834308ced3bf3d5932f314c8a36b749360147067fb1c2e59012345a',
+        'bb4915d3fe86dfb3d8ff96186b5b190ae05d287edd0c7e7738a8649efefe2677',
     'sum-A3+A3-gf3':
         'c39c0961f76cbb1247e5ffb616598c7f7bd71741bf5de602910c9442dbf59b1c',
     'sum-A3+A3-q':
-        '0526f9545d7f24a51d746677735ce19356feb0c3033e64f7ffd9a90b4ad5a9bb',
+        'fb8c42f4e28ee92ba79c274aa18361238d66a30a9b847f6c20d41feb18e8a6f7',
     'sum-C2+C4-gf3':
-        '8d06d98deb7d55b95eca93e64574d4f5a2d99e5ab797ebd8b1666877eceddc63',
+        '0cc74e8a48e455af01ffed84fb3622d297bac2df30c7e7b127a295764aee36ab',
     'sum-C2+C4-q':
-        '93c27d11035f2df09752b9251e515451a138b109b716629f3b44ae6fea82896b',
+        '14a74aad1d5c6eefeea51d3b9d5b1314c8b72482b4f2c9c1a19cbf9aa42b55f1',
     'sum-C2+C2-gf3':
         'a27e6926c2e3f8daf053f89039f62e16a91abb7b4235a9da560776cce8b0e2a1',
     'sum-C2+C2-q':
@@ -361,15 +362,38 @@ def test_golden_answer(index):
 
 
 def test_strict_answer_does_not_depend_on_an_earlier_extend_call():
-    """After an extend call has kept a Gamma-side reduction that adjoined
-    sqrt(2), the strict call on the same GF(3) input refuses, as it does
-    with no earlier call; it used to answer over GF(3)(sqrt 2)."""
+    """The strict call runs the extend computation, served by the same
+    memo of Gamma-side reductions as the extend call before it, and is
+    refused at the boundary: the answer lies over GF(3)(sqrt 2), and the
+    refusal names sqrt(2), the first record beyond GF(3)."""
     a = dict(CASES)["sum-A3+A3-gf3"]
     form, _wit = canonicalize(a, EXTEND)
     assert form.extension_report == ["sqrt(2)"]
     with pytest.raises(NoRootStrictPolicy,
                        match=r"^no square root of 2 in GF\(3\)$"):
         canonicalize(a, STRICT)
+
+
+def _form_json(a, policy):
+    """The form JSON of a's answer under policy, or None for a refusal."""
+    try:
+        return form_to_json(canonicalize(a, policy)[0])
+    except (NotSplit, NoRootStrictPolicy):
+        return None
+
+
+def test_strict_answers_exactly_when_extend_stays_in_the_input_field():
+    """Strict is the extend computation refused at the boundary: it gives
+    the extend form when that form's field is the input's, and refuses
+    otherwise."""
+    wrong = []
+    for name, a in CASES:
+        extend = _form_json(a, EXTEND)
+        want = extend if extend is not None and not extend["extensions"] \
+            else None
+        if _form_json(a, STRICT) != want:
+            wrong.append(name)
+    assert wrong == []
 
 
 def test_every_case_is_pinned():

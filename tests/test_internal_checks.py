@@ -301,7 +301,7 @@ def test_minimal_polynomial_without_a_dependence(monkeypatch):
 
 def test_claimed_root_does_not_divide(monkeypatch):
     monkeypatch.setattr(spectral, "_find_one_root",
-                        lambda poly, policy, listed=None:
+                        lambda poly, listed=None:
                         (poly[0].ctx.scalar(7), None))
     with reaches("spectral", "claimed root does not divide"):
         canonicalize(ExactMatrix(Q, [[1]]))
@@ -439,7 +439,7 @@ def test_canonical_diagonal_value_out_of_reach():
 
 def test_module_pairing_degenerate(monkeypatch):
     monkeypatch.setattr(unipotent, "_repair_generator",
-                        lambda g, shift, gen, duals, m, policy:
+                        lambda g, shift, gen, duals, m:
                         gen.scale(gen.ctx.zero()))
     with reaches("unipotent", "module pairing is degenerate"):
         canonicalize(block(Block("D", 4)))

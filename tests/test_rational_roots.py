@@ -22,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from matcanon import (Block, ExactMatrix, NotSplit,  # noqa: E402
                       canonicalize)
-from matcanon.field import EXTEND, rationals  # noqa: E402
+from matcanon.field import rationals  # noqa: E402
 from matcanon.spectral import (_find_one_root, _rational_root,  # noqa: E402
                                asymmetry, split_min_poly)
 
@@ -77,10 +77,10 @@ def test_cubic_with_20_digit_root_splits():
     r = 12345678901234567891
     poly = _monic(_integer_poly([(Fraction(-r, 7), 1)], [1, 1, 1]))
     assert _rational_root(poly) == Q.scalar(Fraction(-r, 7))
-    root, _listed = _find_one_root(poly, EXTEND)
+    root, _listed = _find_one_root(poly)
     assert root == Q.scalar(Fraction(-r, 7))
     rest = _monic([1, 1, 1])
-    other, _listed = _find_one_root(rest, EXTEND)
+    other, _listed = _find_one_root(rest)
     assert other.ctx.tower and (other * other + other + 1).is_zero()
 
 

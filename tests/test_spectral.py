@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from matcanon import spectral
+from matcanon.canon import canonicalize
 from matcanon.errors import NotSplit, SingularInput
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import EXTEND, STRICT, Scalar, gf4, prime_field, rationals
@@ -104,14 +105,18 @@ def test_split_x2_plus_1_extends():
     q = rationals()
     asym = Asymmetry(ExactMatrix.identity(q, 0),
                      [q.one(), q.zero(), q.one()], q)
-    out = split_min_poly(asym, EXTEND)
+    out = split_min_poly(asym)
     assert len(out.split_roots) == 2
     ctx = out.ctx
     for r, m in out.split_roots:
         assert m == 1
         assert r * r == ctx.scalar(-1)
-    with pytest.raises(NotSplit):
-        split_min_poly(asym, STRICT)
+    # the asymmetry of [[1, 1], [-1, 1]] has minimal polynomial X^2 + 1
+    a = ExactMatrix(q, [[1, 1], [-1, 1]])
+    assert asymmetry(a).min_poly == [q.one(), q.zero(), q.one()]
+    with pytest.raises(NotSplit, match="^quadratic factor has non-square "
+                       "discriminant under strict policy$"):
+        canonicalize(a, STRICT)
 
 
 def test_split_cubic_not_split():
@@ -127,7 +132,7 @@ def test_split_palindromic_quartic():
     q = rationals()
     poly = [q.one(), q.scalar(-7), q.scalar(14), q.scalar(-7), q.one()]
     asym = Asymmetry(ExactMatrix.identity(q, 0), poly, q)
-    out = split_min_poly(asym, EXTEND)
+    out = split_min_poly(asym)
     assert sum(m for _r, m in out.split_roots) == 4
     for r, _m in out.split_roots:
         assert poly_eval([c.promote(out.ctx) for c in poly], r).is_zero()
@@ -411,7 +416,7 @@ def test_finite_field_roots_match_enumeration():
             one = ctx.one()
             expect = next(r for r in (one, -one) + tuple(brute)
                           if poly_eval(poly, r).is_zero())
-            root, listed = _find_one_root(poly, EXTEND)
+            root, listed = _find_one_root(poly)
             ctx2 = root.ctx
             assert ctx2 == ctx and root == expect
             assert listed is None or listed == brute
@@ -459,7 +464,6 @@ def test_congruence_invariance_fuzz_large_primes():
     # refused as NotSplit, and congruent inputs agree,
     # within a wall-clock bound that root splitting by enumeration, or one
     # Frobenius power per root, would not keep at these sizes
-    from matcanon.canon import canonicalize
     rng = random.Random(61)
     start = time.perf_counter()
     answered = 0

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from matcanon.canon import canonicalize
 from matcanon.errors import NoArtinSchreierRootStrict
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
-from matcanon.field import (EXTEND, STRICT, gf4, prime_field, rationals)
+from matcanon.field import STRICT, gf4, prime_field, rationals
 from matcanon.spectral import asymmetry, hyperbolic_block_matrix
 from matcanon.unipotent import (gamma0_matrix, gamma_matrix, peel_all,
                                 reduce_pair, reduce_single)
@@ -214,12 +215,12 @@ def test_case3_matrix_over_gf4():
     nmat = asym.s - ExactMatrix.identity(f4, 3)
     pieces = peel_all(a, nmat, f4.one())
     assert [p.kind for p in pieces] == ["single"]
-    w = reduce_single(pieces[0].gram, f4.one(), 3, EXTEND)
+    w = reduce_single(pieces[0].gram, f4.one(), 3)
     ctx = w.x.ctx
     assert len(ctx.tower) == 1  # one Artin-Schreier adjunction
     assert w.target == gamma0_matrix(ctx, 3)
     with pytest.raises(NoArtinSchreierRootStrict):
-        reduce_single(pieces[0].gram, f4.one(), 3, STRICT)
+        canonicalize(a, STRICT)
 
 
 def paper_pair_m2(ctx, a, b):
@@ -267,8 +268,8 @@ def test_pair_m2_char2_needs_artin_schreier():
     c = paper_pair_m2(f2, f2.one(), f2.one())
     piece = peel_one_pair(c, f2.one(), 2)
     with pytest.raises(NoArtinSchreierRootStrict):
-        reduce_pair(piece.gram, f2.one(), 2, STRICT)
-    w = reduce_pair(piece.gram, f2.one(), 2, EXTEND)
+        canonicalize(c, STRICT)
+    w = reduce_pair(piece.gram, f2.one(), 2)
     ctx = w.x.ctx
     assert len(ctx.tower) == 1
     assert w.target == hyperbolic_block_matrix(ctx, 2, f2.one())
@@ -280,9 +281,9 @@ def test_pair_m2_char2_one_zero_corner():
                  (f2.zero(), f2.zero())):
         c = paper_pair_m2(f2, a, b)
         piece = peel_one_pair(c, f2.one(), 2)
-        w = reduce_pair(piece.gram, f2.one(), 2, STRICT)
-        ctx = w.x.ctx
-        assert ctx == f2
+        assert reduce_pair(piece.gram, f2.one(), 2).x.ctx == f2
+        form, _wit = canonicalize(c, STRICT)
+        assert form.context == f2
 
 
 def test_hyperbolic_j1_plus_decomposes_over_q():
@@ -333,7 +334,7 @@ def test_pair_scrambled_char2():
             nmat = asymmetry(a).s - ExactMatrix.identity(f2, n)
             pieces = peel_all(a, nmat, f2.one())
             assert [p.kind for p in pieces] == ["pair"], m
-            w = reduce_pair(pieces[0].gram, f2.one(), m, EXTEND)
+            w = reduce_pair(pieces[0].gram, f2.one(), m)
             ctx = w.x.ctx
             assert w.target == hyperbolic_block_matrix(ctx, m, f2.one())
 
