@@ -11,7 +11,9 @@ assembled canonical matrix, where it leaves canonicalize or equivalent.
 Every stage extends the field where a root is missing.  The strict
 policy, an answer in the input's field only, is decided once, in
 _canonicalize: a split or an answer beyond the input's field is refused,
-naming the first record beyond it.  Under strict both sides of equivalent
+naming the first record beyond it.  A tower cap that stops the split is
+that refusal too; one that stops a reduction is not, as the reduction's
+record may cancel in the answer.  Under strict both sides of equivalent
 answer in the input's field, so only the extend policy merges towers.
 
 The field travels on the values: a stage's result lives in the tower it
@@ -20,12 +22,13 @@ no stage takes or returns a context beside its values.  Each stage runs in
 the least field that holds its values: Gabriel, the asymmetry and its
 minimal polynomial in the field of the input's entries; the +-1
 eigenspaces in S's field; a unipotent class's asymmetry and peeling in the
-field of its Gram matrix, and a pair class's reduction in the field of its
-Gram matrix and lam.  The one choice made on purpose is where a root search
-or a reduction starts: the root search in the input's context, and each
-single or pair reduction in the running tower the one before it reached,
-which never shrinks, so a root that two reductions need is found the
-second time, not adjoined again at another height.
+field of its Gram matrix, a pair class's reduction in the field of its
+Gram matrix and lam, and a class's columns B x_local in its own field (an
+image class, see spectral, maps its source's).  The one choice made on
+purpose is where a root search or a reduction starts: the root search in
+the input's context, and each single or pair reduction in the running
+tower the one before it reached, which never shrinks, so a root two
+reductions need is found the second time, not adjoined again elsewhere.
 
 equivalent canonicalizes each side once.  When the two sides settle in
 different towers, it merges them once into a field M, and b's form and
@@ -43,7 +46,8 @@ from collections import namedtuple
 from functools import cmp_to_key
 
 from .errors import (InternalDegenerate, InvalidDescriptor,
-                     NoArtinSchreierRootStrict, NoRootStrictPolicy, NotSplit)
+                     NoArtinSchreierRootStrict, NoRootStrictPolicy, NotSplit,
+                     TowerCapExceeded)
 from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
                        WitnessError, solve)
 from .field import (EXTEND, RECORD_KINDS, STRICT, adjunctions,
@@ -182,45 +186,48 @@ def canonicalize(a, policy=EXTEND):
 def _canonicalize(a, policy):
     """canonicalize without the certificate: (CanonicalForm, Congruence)."""
     dec = gabriel_decompose(a.trim())
-    core = dec.core
-    if core.nrows == 0:
+    if dec.core.nrows == 0:
         form = CanonicalForm(dec.jordan_sizes, [], a.ctx, [])
         x, _source, target = dec.congruence
         return form, Congruence(x.promote(a.ctx), a, target.promote(a.ctx))
 
-    asym = split_min_poly(asymmetry(core, a.ctx))
+    height = len(a.ctx.tower)
+    try:
+        asym = split_min_poly(asymmetry(dec.core, a.ctx))
+    except TowerCapExceeded as exc:
+        # strict refuses a split that needs any record, the capped one too
+        if policy != STRICT:
+            raise
+        raise _split_refusal(exc.records[height][0]) from None
     if policy == STRICT and asym.ctx != a.ctx:
-        c1, _d = adjunctions(asym.ctx, len(a.ctx.tower))[0]
-        raise NotSplit("quadratic factor %s under strict policy" % (
-            "has non-square discriminant",
-            "needs an Artin-Schreier extension")[c1])
-    split = eigen_split(core, asym)
+        raise _split_refusal(adjunctions(asym.ctx, height)[0][0])
 
-    ctx = asym.ctx  # the running tower: each class starts where the last ended
-    pending = []    # (descriptors, x_local) per class
-    offset = 0
-    for cl in split.classes:
-        dim = (cl.basis.ncols if isinstance(cl, UnipotentClass)
-               else cl.basis_lam.ncols + cl.basis_inv.ncols)
-        idx = list(range(offset, offset + dim))
-        class_gram = split.gram.submatrix(idx, idx).trim()
+    ctx = asym.ctx  # running tower: a class starts where the last ended
+    pending = []    # (descriptors, columns) per class
+    for cl in eigen_split(dec.core, asym).classes:
         if isinstance(cl, UnipotentClass):
-            descs, x_local = _reduce_unipotent_class(
-                class_gram, cl.eigenvalue, ctx)
-        else:
-            descs, x_local = _reduce_pair_class(class_gram, cl)
-        ctx = ctx.common(x_local.ctx)
-        pending.append((descs, x_local))
-        offset += dim
+            descs, x = _reduce_unipotent_class(cl, ctx)
+            ctx = ctx.common(x.ctx)
+        elif cl.image is None:  # in the least field of its gram and lam
+            lam, gram = cl.lam.trim(), cl.gram.trim()
+            res = hyperbolic_canonical(
+                gram.promote(gram.ctx.common(lam.ctx)), lam)
+            descs = [Block("G", 2 * m, lam) for m in res.blocks]
+            x = cl.basis @ res.x
+        else:  # an image class: its source's blocks and columns mapped
+            j, f = cl.image
+            descs = [Block("G", d.n, cl.lam) for d in pending[j][0]]
+            x = f(pending[j][1])
+        pending.append((descs, x))
 
-    # assemble the class reductions in the final context
+    # the class columns side by side, in the final context; with no
+    # Gabriel part, the Gabriel congruence's X is the identity
     njord = sum(dec.jordan_sizes)
     blocks = [d for descs, _x in pending for d in descs]
-    x_classes = ExactMatrix.block_diag(ctx, [x for _d, x in pending])
-
-    # witness so far: A -> jordan + core -> jordan + eigen gram -> ...
-    x_total = dec.congruence.x @ ExactMatrix.block_diag(ctx, [
-        ExactMatrix.identity(ctx, njord), split.x @ x_classes])
+    x_total = ExactMatrix.blocks(ctx, [[x for _d, x in pending]])
+    if njord:
+        x_total = dec.congruence.x @ ExactMatrix.block_diag(ctx, [
+            ExactMatrix.identity(ctx, njord), x_total])
 
     # order the blocks canonically: a column order, the columns of the
     # blocks following those of the Gabriel part
@@ -234,10 +241,18 @@ def _canonicalize(a, policy):
     target = canonical_form_matrix(form)
     form, cong = _trim_result(form, Congruence(x_total, a, target))
     if policy == STRICT and form.extension_report:
-        c1, d = adjunctions(form.context, len(a.ctx.tower))[0]
+        c1, d = adjunctions(form.context, height)[0]
         raise (NoRootStrictPolicy, NoArtinSchreierRootStrict)[c1](
             RECORD_KINDS[c1].no_root % (format_scalar(d), d.ctx))
     return form, cong
+
+
+def _split_refusal(c1):
+    """The strict policy's refusal of a split whose first record beyond the
+    input's field has kind c1."""
+    return NotSplit("quadratic factor %s under strict policy" % (
+        "has non-square discriminant",
+        "needs an Artin-Schreier extension")[c1])
 
 
 def _trim_result(form, cong):
@@ -264,10 +279,11 @@ def _extension_report(start_ctx, ctx):
             for c1, d in adjunctions(ctx, len(start_ctx.tower))]
 
 
-def _reduce_unipotent_class(class_gram, eps, ctx):
-    """Reduce one eigenvalue +-1 class; returns descriptors and local X,
-    over the context the reductions reached from the running tower ctx.
-    The class is peeled in class_gram's field."""
+def _reduce_unipotent_class(cl, ctx):
+    """Reduce one eigenvalue +-1 class; returns descriptors and its columns
+    B X, over the context the reductions reached from the running tower
+    ctx.  The class is peeled in the field of its Gram matrix."""
+    class_gram, eps = cl.gram.trim(), cl.eigenvalue
     nmat = asymmetry_matrix(class_gram).minus_scalar(eps.trim())
     pieces = peel_all(class_gram, nmat, eps)
     sign, char = eigen_sign(eps), ctx.characteristic
@@ -286,17 +302,7 @@ def _reduce_unipotent_class(class_gram, eps, ctx):
         descs.append(Block(fam, piece.basis.ncols))
         xs.append(x)
     x_peel = ExactMatrix.blocks(class_gram.ctx, [[p.basis for p in pieces]])
-    return descs, x_peel @ ExactMatrix.block_diag(ctx, xs)
-
-
-def _reduce_pair_class(class_gram, cl):
-    """Reduce one hyperbolic pair class to G blocks, in the least field
-    that holds class_gram and lam."""
-    lam = cl.lam.trim()
-    class_gram = class_gram.promote(class_gram.ctx.common(lam.ctx))
-    res = hyperbolic_canonical(class_gram, asymmetry_matrix(class_gram),
-                               lam, cl.basis_lam.ncols)
-    return [Block("G", 2 * m, lam) for m in res.blocks], res.x
+    return descs, cl.basis @ x_peel @ ExactMatrix.block_diag(ctx, xs)
 
 
 # -- invariants and congruence decision --------------------------------------------

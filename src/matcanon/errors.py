@@ -27,7 +27,8 @@ class NoArtinSchreierRootStrict(NoRootStrictPolicy):
 
 
 class TowerCapExceeded(MatcanonError):
-    pass
+    """records: the (c1, d) records of the tower the refused adjunction
+    would have made, that adjunction's last."""
 
 
 class ParseError(MatcanonError):

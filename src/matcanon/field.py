@@ -347,10 +347,12 @@ class FieldContext:
     def _adjoin(self, c1, d, rootless):
         """The context with one more record (c1, d), g^2 = c1 g + d: its
         interned instance, or a new one once the record is checked."""
-        if len(self.tower) >= self.tower_cap:
-            raise TowerCapExceeded("tower height cap %d reached"
-                                   % self.tower_cap)
         d = d.promote(self)
+        if len(self.tower) >= self.tower_cap:
+            exc = TowerCapExceeded("tower height cap %d reached"
+                                   % self.tower_cap)
+            exc.records = adjunctions(self) + [(c1, d)]
+            raise exc
         tower = self.tower + ((c1, d.coords),)
         ctx = _fields_cache.get((self.kind, self.p, self.modulus, tower,
                                   self.tower_cap))

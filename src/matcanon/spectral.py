@@ -5,6 +5,11 @@ split into linear factors, extending the field by quadratic or
 Artin-Schreier adjunctions where needed; the space then decomposes into
 generalized eigenspaces, orthogonal except for the pairing of V_lam with
 V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
+An automorphism sigma over S's field (that of A) sends ker (S - lam)^m onto
+ker (S - sigma(lam))^m raw value for raw value, as elimination reads an
+entry only as zero or nonzero; so one space is eliminated per orbit found,
+over Q under the signed generator permutations that respect the records,
+over GF(q) under the top record's conjugation.
 The search always extends: whether an answer beyond the input's field is
 refused is decided once, in canon, on the split's and the answer's field.
 
@@ -46,15 +51,15 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key, partial
 
 from .errors import InternalDegenerate, NotSplit, SingularInput
 from .exactmat import ExactMatrix, first_dependence, inverse_or_rank, solve
 from .field import (EXTEND, Scalar, _is_prime, _poly_axpy, _poly_divmod,
                     _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
-                    canonical_compare, coordinate_map, enumeration_key,
-                    frobenius_gcd, prime_field, quadratic_roots,
-                    random_elements)
+                    adjunctions, canonical_compare, coordinate_map,
+                    enumeration_key, frobenius_gcd, prime_field,
+                    quadratic_roots, random_elements)
 
 # a shift splits a factor with two or more roots with probability about 1/2
 # or better; 64 failures in a row mean the context is not a field
@@ -411,8 +416,10 @@ def _vanishes_at(f, x):
 
 # -- eigen splitting -----------------------------------------------------------------
 
-UnipotentClass = namedtuple("UnipotentClass", "eigenvalue basis")
-PairClass = namedtuple("PairClass", "lam lam_inv basis_lam basis_inv")
+UnipotentClass = namedtuple("UnipotentClass", "eigenvalue basis gram")
+# basis spans V_lam (its first half) and V_1/lam; image is None, or (j, f)
+# when the class is the image of classes[j], f the automorphism's matrix map
+PairClass = namedtuple("PairClass", "lam lam_inv basis gram image")
 EigenSplit = namedtuple("EigenSplit", "classes x gram")
 
 
@@ -426,19 +433,17 @@ def named_pair(lam):
 def eigen_split(a, asym):
     """Split into unipotent classes (eigenvalue +-1) and hyperbolic pairs.
 
-    Returns EigenSplit(classes, x, gram) where gram = X'AX is the Gram
-    matrix in the new basis (block diagonal across classes).  The +-1
-    eigenspaces are taken in S's field, each pair's in the field of S and
-    its root.  A pair's space V_lam is eliminated for its rep lam; V_1/lam
-    is its conjugate (_conjugate_eigenspace) when the top record of that
-    field lies above S's and its conjugation sends lam to 1/lam, as it does
-    when lam was adjoined as a root of X^2 - mu X + 1, and is eliminated
-    otherwise.
+    Returns EigenSplit(classes, x, gram): x the class bases B side by side,
+    gram = X'AX the block diagonal of the classes' B'AB, each in B's field.
+    The +-1 eigenspaces are taken in S's field, each pair's in the field of
+    S and its root: a pair class whose rep is sigma of an earlier class's
+    rep takes sigma of its basis, V_1/lam is sigma of V_lam when sigma(lam)
+    = 1/lam, and the other spaces are eliminated (_automorphisms).
     """
-    ctx = asym.ctx
-    n = a.nrows
-    one = asym.s.ctx.one()
+    ctx, n, s_ctx = asym.ctx, a.nrows, asym.s.ctx
+    one = s_ctx.one()
     roots = [r for r, _m in asym.split_roots]
+    automorphisms = cache(lambda level: _automorphisms(level, s_ctx))
 
     def gen_eigenspace(lam):
         # the min-poly multiplicity bounds the nilpotency index on V_lam
@@ -446,36 +451,73 @@ def eigen_split(a, asym):
         m = asym.s.minus_scalar(lam)
         return inverse_or_rank(m.power(expo), rank_only=True).kernel
 
-    unipotent = []
-    for eps in (one, -one):
-        if any(r == eps for r in roots):
-            basis = gen_eigenspace(eps)
-            unipotent.append(UnipotentClass(eps, basis))
-            if ctx.characteristic == 2:
-                break  # +1 and -1 coincide
-    paired = []
-    seen = []
-    for r in roots:
-        if r == one or r == -one or any(r == s_ for s_ in seen):
-            continue
-        pair = named_pair(r)
-        seen.extend(pair)
-        paired.append(pair)
-    paired.sort(key=lambda pr: cmp_to_key(canonical_compare)(pr[0]))
-    classes = list(unipotent)
-    for rep, other in paired:
-        basis_lam = gen_eigenspace(rep)
-        basis_inv = _conjugate_eigenspace(basis_lam, rep, other, asym.s.ctx)
-        if basis_inv is None:
-            basis_inv = gen_eigenspace(other)
-        classes.append(PairClass(rep, other, basis_lam, basis_inv))
+    def image(x, y):
+        # the matrix map of a sigma of the field of x and y with sigma(x) = y
+        level = x.ctx.common(y.ctx)
+        x, y = x.promote(level).raw, y.promote(level).raw
+        sigma = next((f for f in automorphisms(level) if f(x) == y), None)
+        return sigma and (lambda m: m.promote(level).mapped(sigma, level))
 
-    bases = [[cl.basis] if isinstance(cl, UnipotentClass)
-             else [cl.basis_lam, cl.basis_inv] for cl in classes]
-    x = ExactMatrix.blocks(ctx, [[b for bs in bases for b in bs]])
+    classes = []
+    for eps in dict.fromkeys((one, -one)):  # one entry in characteristic 2
+        if eps in roots:
+            basis = gen_eigenspace(eps)
+            classes.append(UnipotentClass(eps, basis,
+                                          basis.transpose() @ a @ basis))
+    paired = []
+    for r in roots:
+        if r not in (one, -one) and not any(r in pr for pr in paired):
+            paired.append(named_pair(r))
+    paired.sort(key=lambda pr: cmp_to_key(canonical_compare)(pr[0]))
+    for rep, other in paired:
+        height = len(s_ctx.common(rep.ctx).tower)  # where it is eliminated
+        found = next(((j, f) for j, cl in enumerate(classes)
+                      if isinstance(cl, PairClass)
+                      for f in [image(cl.lam, rep)] if f), None)
+        if found:
+            src = classes[found[0]]
+            basis, gram = (found[1](m).trim(height)
+                           for m in (src.basis, src.gram))
+        else:
+            basis, f = gen_eigenspace(rep), image(rep, other)
+            basis = ExactMatrix.blocks(basis.ctx, [[basis, (
+                f(basis).trim(height) if f else gen_eigenspace(other))]])
+            gram = basis.transpose() @ a @ basis
+        classes.append(PairClass(rep, other, basis, gram, found))
+
+    x = ExactMatrix.blocks(ctx, [[cl.basis for cl in classes]])
     if x.ncols != n:
         raise NotSplit("generalized eigenspaces do not fill the space")
-    return EigenSplit(classes, x, x.transpose() @ a @ x)
+    return EigenSplit(classes, x, ExactMatrix.block_diag(
+        ctx, [cl.gram for cl in classes]))
+
+
+def _automorphisms(ctx, s_ctx):
+    """The automorphisms of ctx over s_ctx that eigen_split tries, as raw
+    maps: over a finite field the top record's conjugation, if above
+    s_ctx; over Q each that sends every generator g_i above s_ctx to +-g_j,
+    found generator by generator, j where the image of d_i is d_j (a ring
+    map from a field is one to one, so no j is taken twice)."""
+    h0, h = len(s_ctx.tower), len(ctx.tower)
+    if ctx.kind != "rational":
+        return [top_conjugation(ctx)] if h > h0 else []
+    records = [d.promote(ctx).raw for _c1, d in adjunctions(ctx)]
+    tables = [[(t, 1) for t in range(1 << h0)]]  # S's field is fixed
+    for i in range(h0, h):
+        tables = [table + [(t | 1 << j, s * sign) for t, s in table]
+                  for table in tables for j in range(h0, h)
+                  if _signed(table, records[i]) == records[j]
+                  for sign in (1, -1)]
+    return [partial(_signed, table) for table in tables]
+
+
+def _signed(table, x):
+    """x, a raw value of a Q tower, with g_S sent to sign g_T for (T, sign)
+    = table[S]: a signed permutation of its numerators."""
+    out = [0] * (len(x) - 1)
+    for (t, sign), c in zip(table, x):
+        out[t] = sign * c
+    return (*out, x[-1])
 
 
 def top_conjugation(ctx):
@@ -486,22 +528,6 @@ def top_conjugation(ctx):
     c1 = ctx.tower[-1][0]
     images = [ctx.generator(i) for i in range(1, h)]
     return coordinate_map(ctx, ctx, images + [c1 - ctx.generator(h)])
-
-
-def _conjugate_eigenspace(basis, lam, lam_inv, s_ctx):
-    """The basis of V_lam_inv as the conjugate of basis, that of V_lam, when
-    basis.ctx has its top record above s_ctx and the record's conjugation
-    sigma sends lam to lam_inv; else None.  sigma fixes S, so it sends
-    ker (S - lam)^m to ker (S - lam_inv)^m, and the elimination reads each
-    entry only as zero or nonzero, so the mapped basis holds the raw values
-    that eliminating for lam_inv gives."""
-    ctx = basis.ctx
-    if len(ctx.tower) <= len(s_ctx.tower):
-        return None
-    sigma = top_conjugation(ctx)
-    if Scalar(ctx, sigma(lam.promote(ctx).raw)) != lam_inv:
-        return None
-    return basis.mapped(sigma, ctx)
 
 
 # -- restricted operators and Jordan structure -----------------------------------------
@@ -558,22 +584,24 @@ def nilpotent_jordan_chains(nmat):
 HyperbolicResult = namedtuple("HyperbolicResult", "x blocks gram")
 
 
-def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
+def hyperbolic_canonical(class_gram, lam):
     """Reduce one paired class to a direct sum of ((0, J_m(lam)), (I, 0)).
 
-    class_gram is the Gram matrix on (basis_lam, basis_inv); s_class the
-    asymmetry restricted to the class in the same basis; lam the chosen
-    eigenvalue whose side is Jordan-reduced; m_lam = dim V_lam.  Returns X
-    with X' class_gram X the canonical matrix, the list of block sizes m
-    (Jordan sizes on the lam side), and the canonical matrix itself.
+    class_gram is the Gram matrix on bases of V_lam and V_1/lam, ((0, U),
+    (W, 0)) as both are isotropic; lam the chosen eigenvalue, whose side is
+    Jordan-reduced by S = W^-1 U' on V_lam.  Returns X with X' class_gram X
+    the canonical matrix, the list of block sizes m (Jordan sizes on the
+    lam side), and the canonical matrix itself.
     """
     ctx = class_gram.ctx
-    n2 = class_gram.nrows
-    m = m_lam
+    n2, m = class_gram.nrows, class_gram.nrows // 2
+    pairing = class_gram.submatrix(range(m, n2), range(m))  # W
     # Jordan-reduce the lam side
-    s_lam = s_class.submatrix(range(m), range(m))
-    nmat = s_lam.minus_scalar(lam)
-    chains = nilpotent_jordan_chains(nmat)
+    s_lam, kernel = solve(pairing, class_gram.submatrix(
+        range(m), range(m, n2)).transpose())
+    if kernel.ncols:
+        raise InternalDegenerate("lam pairing is degenerate")
+    chains = nilpotent_jordan_chains(s_lam.minus_scalar(lam))
     sizes = [c.ncols for c in chains]
     # reversed chains, highest power of N first; duals on the
     # inverse-eigenvalue side: f(t_j, s_i) = delta_ij; with P = (f(c_l, s_i))
@@ -581,8 +609,7 @@ def hyperbolic_canonical(class_gram, s_class, lam, m_lam):
     # of P^{-1}
     smat = ExactMatrix.blocks(ctx, [[
         c.columns(range(c.ncols - 1, -1, -1)) for c in chains]])
-    pinv = inverse_or_rank(
-        class_gram.submatrix(range(m, n2), range(m)) @ smat).inverse
+    pinv = inverse_or_rank(pairing @ smat).inverse
     if pinv is None:
         raise InternalDegenerate("lam pairing is degenerate")
     x1 = ExactMatrix.block_diag(ctx, [smat, pinv.transpose()])

@@ -109,6 +109,31 @@ def test_strict_no_root_exit_code(tmp_path):
     assert json.loads(out)["blocks"] == ["A1"]
 
 
+def test_strict_refusal_under_a_tower_cap(tmp_path, capsys):
+    # strict refuses a split that needs any record, so a tower cap that
+    # stops the split's adjunction gives that refusal (exit 2), as the
+    # uncapped run does, not an input error (exit 4).  A reduction's record
+    # can cancel in the answer: a canonical A3 over GF(3) is answered under
+    # strict though its reduction adjoins sqrt 2, so a cap that stops a
+    # reduction is still the input error
+    from matcanon import cli
+    split = write_matrix(tmp_path, "u.json", {"kind": "rational"},
+                         [["1", "1"], ["0", "1"]])
+    a3 = write_matrix(tmp_path, "a3.json", {"kind": "gfp", "p": 3},
+                      [["0", "0", "1"], ["0", "2", "2"], ["1", "1", "0"]])
+    refusal = ("not split: quadratic factor has non-square discriminant "
+               "under strict policy\n")
+    for cap in ([], ["--tower-cap", "0"], ["--tower-cap", "1"]):
+        assert cli.main(["canon", split, "--policy", "strict", *cap]) == 2
+        assert capsys.readouterr().err == refusal
+    assert cli.main(["canon", a3, "--policy", "strict"]) == 0
+    capsys.readouterr()
+    assert cli.main(["canon", a3, "--policy", "strict",
+                     "--tower-cap", "0"]) == 4
+    assert capsys.readouterr().err == "input error: tower height cap 0 " \
+                                      "reached\n"
+
+
 def test_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -589,8 +614,11 @@ def test_corrupt_stage_exit_code(tmp_path, monkeypatch, capsys):
     original = canon.eigen_split
 
     def corrupt(*args, **kwargs):
+        # the one class's basis doubled, its Gram matrix kept
         res = original(*args, **kwargs)
-        return res._replace(x=res.x.scale(res.x.ctx.scalar(2)))
+        cl, = res.classes
+        return res._replace(classes=[cl._replace(
+            basis=cl.basis.scale(cl.basis.ctx.scalar(2)))])
 
     monkeypatch.setattr(canon, "eigen_split", corrupt)
     p = write_matrix(tmp_path, "a.json", {"kind": "rational"},

@@ -215,9 +215,16 @@ def test_certificate_rejects_a_non_square_witness(monkeypatch):
         canonicalize(ExactMatrix(Q, [[0]]))
 
 
+def _doubled_basis(split):
+    # the one class's basis doubled, its Gram matrix kept: canon builds X
+    # from the bases and reduces the Gram matrices
+    cl, = split.classes
+    return split._replace(classes=[cl._replace(
+        basis=cl.basis.scale(cl.basis.ctx.scalar(2)))])
+
+
 def test_certificate_rejects_a_false_relation(monkeypatch):
-    patch_result(monkeypatch, canon, "eigen_split", lambda res: res._replace(
-        x=res.x.scale(res.x.ctx.scalar(2))))
+    patch_result(monkeypatch, canon, "eigen_split", _doubled_basis)
     with reaches("exactmat", "congruence relation X'AX = B failed"):
         canonicalize(ExactMatrix(Q, [[1, 2], [0, 1]]))
 
@@ -336,9 +343,9 @@ def test_root_splitting_runs_out_of_shifts(monkeypatch):
 def test_jordan_chains_of_a_wrong_eigenvalue():
     # S - lam is not nilpotent on the lam side for a lam that is not its
     # eigenvalue
-    s = spectral.asymmetry_matrix(G2)
+    lam = spectral.asymmetry_matrix(G2)[0, 0]
     with reaches("spectral", "matrix is not nilpotent"):
-        spectral.hyperbolic_canonical(G2, s, s[0, 0] + 1, 1)
+        spectral.hyperbolic_canonical(G2, lam + 1)
 
 
 def test_restricted_span_not_invariant():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -14,7 +15,7 @@ from matcanon.spectral import (Asymmetry, PairClass,
                                UnipotentClass, asymmetry, eigen_split,
                                hyperbolic_block_matrix, hyperbolic_canonical,
                                _minimal_polynomial, nilpotent_jordan_chains,
-                               poly_eval, restrict_operator, split_min_poly,
+                               poly_eval, split_min_poly,
                                top_conjugation)
 
 from filtration import elementary_divisor_multiplicities
@@ -177,35 +178,62 @@ def _unipotent_2x2(ctx, a):
     return ExactMatrix(ctx, [[1, a], [0, 1]])
 
 
+def _q(rows):
+    return ExactMatrix(rationals(), rows)
+
+
+# a 4 x 4 over Q whose pair classes split at height 3, {lam, 1/lam} over
+# Q(g1, g3) first and its image under g1 -> -g1, g2 <-> g3 over Q(g1, g2)
+_Q_HEIGHT_3 = _q([[1, 3, 3, 3], [-3, -1, -3, 0], [3, 0, 0, 2],
+                  [0, 3, -2, -3]])
+
 # (name, matrix, for each pair class in eigen_split's order: the height of
-# its field and whether V_1/lam is the conjugate of V_lam)
+# its field and its eliminations: 2 for V_lam and V_1/lam, 1 when V_1/lam is
+# V_lam's image, 0 when the class is an earlier class's image)
 CONJUGATE_CASES = [
     # Q(sqrt -3), then sqrt 5 and sqrt 3 above it: S stays over Q
-    ("q-height-1", _unipotent_2x2(rationals(), 1), [(1, True)]),
+    ("q-height-1", _unipotent_2x2(rationals(), 1), [(1, 1)]),
     ("q-height-2", ExactMatrix.block_diag(rationals(), [
         _unipotent_2x2(rationals(), a) for a in (1, 3)]),
-     [(2, True), (1, True)]),
+     [(2, 1), (1, 1)]),
     ("q-height-3", ExactMatrix.block_diag(rationals(), [
         _unipotent_2x2(rationals(), a) for a in (1, 3, 4)]),
-     [(3, True), (2, True), (1, True)]),
+     [(3, 1), (2, 1), (1, 1)]),
+    # the second class is the image of the first under g1 -> -g1, which
+    # respects the records g1^2 = -16 and g2^2 = -8
+    ("q-image-height-2", _q([[-1, -3, -3, 2], [-3, -1, -1, -2],
+                             [-1, 1, -3, -1], [-3, -3, -2, 0]]),
+     [(2, 1), (2, 0)]),
+    # the first class lies above its image (Q(g1, g3) and Q(g1, g2)); the
+    # second case is case 8 of the small-batch bench workload, A1 + G2(lam)
+    # + G2(lam') with lam' the image of lam; in the third a Q(sqrt -3)
+    # class below them lifts the split to height 4
+    ("q-image-height-3", _Q_HEIGHT_3, [(3, 1), (2, 0)]),
+    ("q-image-a1", _q([[-2, -3, -3, 0, 3], [-2, 2, 2, -2, -2],
+                       [-2, -1, -2, -1, 1], [2, -1, 1, -1, 0],
+                       [-1, -1, -1, 2, -3]]), [(3, 1), (2, 0)]),
+    ("q-image-height-4", ExactMatrix.block_diag(rationals(), [
+        _Q_HEIGHT_3, _unipotent_2x2(rationals(), 1)]),
+     [(4, 1), (3, 0), (1, 1)]),
     # GF(9) and GF(81), table fields over GF(3)
-    ("gf9", ExactMatrix(prime_field(3), [[1, 0], [1, 2]]), [(1, True)]),
+    ("gf9", ExactMatrix(prime_field(3), [[1, 0], [1, 2]]), [(1, 1)]),
     ("gf81", ExactMatrix(prime_field(3), [[1, 1, 2, 2], [2, 1, 2, 2],
                                           [1, 2, 2, 0], [0, 2, 1, 2]]),
-     [(2, True), (2, True)]),
+     [(2, 1), (2, 1)]),
     # a palindromic quartic over GF(3) that is q(X) q*(X), q* the
     # reciprocal of an irreducible quadratic q: 1/lam is a root of q*, not
-    # the conjugate of lam, so V_1/lam is eliminated
+    # the conjugate of lam, so V_1/lam is eliminated, and the second class
+    # is the conjugate of the first
     ("gf9-reciprocal-pair", ExactMatrix(prime_field(3), [
         [2, 0, 0, 1], [2, 2, 1, 2], [0, 0, 2, 0], [1, 1, 2, 2]]),
-     [(1, False), (1, False)]),
+     [(1, 2), (1, 0)]),
     # GF(65521)(sqrt d), a record in closed form; GF(65537) at height 2,
     # integer vectors through the monomial table
     ("gf65521-height-1", ExactMatrix(prime_field(65521), [[-2, 2], [3, -1]]),
-     [(1, True)]),
+     [(1, 1)]),
     ("gf65537-height-2", ExactMatrix(prime_field(65537), [
         [2, 0, 1, 1], [2, -2, 3, 2], [1, 3, 2, 3], [2, 0, -1, -1]]),
-     [(2, True), (2, True)]),
+     [(2, 1), (2, 1)]),
 ]
 
 
@@ -225,18 +253,43 @@ def test_conjugated_eigenspace_is_the_eliminated_one(name, a, expected,
     classes = eigen_split(a, asym).classes
     monkeypatch.undo()
     pairs = [cl for cl in classes if isinstance(cl, PairClass)]
-    assert [len(cl.basis_lam.ctx.tower) for cl in pairs] == [
-        h for h, _conjugated in expected]
-    # one elimination per unipotent class and per pair, one more for each
-    # pair whose 1/lam space is not a conjugate
-    assert len(eliminated) == len(classes) + sum(
-        not conjugated for _h, conjugated in expected)
+    assert [(len(cl.basis.ctx.tower), cl.image is None)
+            for cl in pairs] == [(h, k > 0) for h, k in expected]
+    # one elimination per unipotent class, and those of each pair class
+    assert len(eliminated) == len(classes) - len(pairs) + sum(
+        k for _h, k in expected)
     for cl in pairs:
-        mult = next(m for r, m in asym.split_roots if r == cl.lam_inv)
-        power = asym.s.minus_scalar(cl.lam_inv).power(mult)
-        kernel = inverse_or_rank(power, rank_only=True).kernel
-        assert cl.basis_inv.ctx == kernel.ctx
-        assert cl.basis_inv.raw == kernel.raw  # raw tuple for raw tuple
+        m = cl.basis.ncols // 2  # dim V_lam = dim V_1/lam
+        for lam, cols in ((cl.lam, range(m)), (cl.lam_inv, range(m, 2 * m))):
+            mult = next(k for r, k in asym.split_roots if r == lam)
+            power = asym.s.minus_scalar(lam).power(mult)
+            kernel = inverse_or_rank(power, rank_only=True).kernel
+            assert cl.basis.ctx == kernel.ctx
+            # raw tuple for raw tuple
+            assert cl.basis.columns(cols).raw == kernel.raw
+
+
+def test_a_signed_permutation_that_breaks_a_record_is_rejected():
+    # over Q(sqrt 2, sqrt 3, sqrt 5), g2 <-> g3 sends 1 + g2 to 1 + g3 on
+    # coordinates, but g3^2 = 5 is not the image of g2^2 = 3: the only
+    # automorphisms tried are the eight sign changes
+    q = rationals()
+    ctx = q.adjoin_sqrt(q.scalar(2))
+    ctx = ctx.adjoin_sqrt(ctx.scalar(3))
+    ctx = ctx.adjoin_sqrt(ctx.scalar(5))
+    g1, g2, g3 = (ctx.generator(i) for i in (1, 2, 3))
+    x, y = 1 + g2, 1 + g3
+    swap = functools.partial(spectral._signed, [
+        (t & 1 | (t & 2) << 1 | (t & 4) >> 1, 1) for t in range(8)])
+    assert swap(x.raw) == y.raw
+    autos = spectral._automorphisms(ctx, q)
+    assert len(autos) == 8
+    assert all(f(x.raw) != y.raw for f in autos)
+    assert {Scalar(ctx, f((g1 + 2 * g2 + 3 * g3).raw)) for f in autos} == {
+        s1 * g1 + 2 * s2 * g2 + 3 * s3 * g3
+        for s1, s2, s3 in itertools.product((1, -1), repeat=3)}
+    # over Q(sqrt 2), the field of S: g1 is fixed too
+    assert len(spectral._automorphisms(ctx, ctx.truncated(1))) == 4
 
 
 def _gf81():
@@ -292,8 +345,7 @@ def test_hyperbolic_identity_case():
     q = rationals()
     lam = q.scalar(2)
     a = g_block(q, 1, 2)
-    s = ExactMatrix(q, [[2, 0], [0, Fraction(1, 2)]])
-    res = hyperbolic_canonical(a, s, lam, 1)
+    res = hyperbolic_canonical(a, lam)
     assert res.blocks == [1]
     assert res.gram == a
 
@@ -311,10 +363,7 @@ def test_hyperbolic_scrambled_g2():
         out = eigen_split(a, asym)
         assert len(out.classes) == 1
         cl = out.classes[0]
-        sc = restrict_operator(asym.s, ExactMatrix.blocks(
-            q, [[cl.basis_lam, cl.basis_inv]]))
-        cg = out.gram
-        res = hyperbolic_canonical(cg, sc, cl.lam, cl.basis_lam.ncols)
+        res = hyperbolic_canonical(out.gram, cl.lam)
         assert res.blocks == [1]
         assert res.gram == g_block(q, 1, Fraction(1, 2))
 
@@ -329,9 +378,7 @@ def test_hyperbolic_4x4_jordan_pair():
         asym = split_min_poly(asymmetry(a))
         out = eigen_split(a, asym)
         cl = out.classes[0]
-        sc = restrict_operator(asym.s, ExactMatrix.blocks(
-            q, [[cl.basis_lam, cl.basis_inv]]))
-        res = hyperbolic_canonical(out.gram, sc, cl.lam, cl.basis_lam.ncols)
+        res = hyperbolic_canonical(out.gram, cl.lam)
         assert res.blocks == [2]
         assert res.gram == g_block(q, 2, Fraction(1, 2))
 
