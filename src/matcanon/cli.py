@@ -7,12 +7,13 @@ the monic modulus), optionally with "tower": [{"kind": "sqrt"|"as",
 "value": "<scalar in the context below>"}, ...].
 
 Exit codes: 0 success, 1 equivalence verdict false, 2 not split,
-3 no root under strict policy, 4 input error, 5 internal error.
+3 no root under strict policy, 4 input or usage error, 5 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -286,8 +287,22 @@ def _cmd_block(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an input error (4), not argparse's exit 2
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
+def _tower_cap(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("tower cap %r is not an integer "
+                                         ">= 0" % text)
+    return int(text)
+
+
+@functools.cache  # built on first use, once per process
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matcanon",
         description="exact canonical forms of square matrices under "
                     "congruence")
@@ -296,7 +311,7 @@ def build_parser():
     def common(p):
         p.add_argument("--policy", choices=("strict", "extend"),
                        default="extend")
-        p.add_argument("--tower-cap", type=int, default=16)
+        p.add_argument("--tower-cap", type=_tower_cap, default=16)
         p.add_argument("--machine", action="store_true",
                        help="machine-readable JSON output")
 
@@ -336,9 +351,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotSplit as exc:
         sys.stderr.write("not split: %s\n" % exc)
@@ -346,7 +360,7 @@ def main(argv=None):
     except NoRootStrictPolicy as exc:
         sys.stderr.write("no root under strict policy: %s\n" % exc)
         return EXIT_NO_ROOT
-    # a fault of the input, or of the caller's choice of tower cap or
+    # a fault of the input, or of the caller's arguments, tower cap or
     # block descriptor
     except (ParseError, OSError, TowerCapExceeded, InvalidDescriptor) as exc:
         sys.stderr.write("input error: %s\n" % exc)

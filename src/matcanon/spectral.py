@@ -7,9 +7,11 @@ generalized eigenspaces, orthogonal except for the pairing of V_lam with
 V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
 An automorphism sigma over S's field (that of A) sends ker (S - lam)^m onto
 ker (S - sigma(lam))^m raw value for raw value, as elimination reads an
-entry only as zero or nonzero; so one space is eliminated per orbit found,
+entry only as zero or nonzero; so one space is computed per orbit found,
 over Q under the signed generator permutations that respect the records,
-over GF(q) under the top record's conjugation.
+over GF(q) under the top record's conjugation.  For a simple root lam of
+a cyclic S above S's field, V_lam = q(S) F^n, q = min_poly / (X - lam),
+is read off S's Krylov matrices (Giesbrecht 1995); the rest is eliminated.
 The search always extends: whether an answer beyond the input's field is
 refused is decided once, in canon, on the split's and the answer's field.
 
@@ -438,16 +440,21 @@ def eigen_split(a, asym):
     The +-1 eigenspaces are taken in S's field, each pair's in the field of
     S and its root: a pair class whose rep is sigma of an earlier class's
     rep takes sigma of its basis, V_1/lam is sigma of V_lam when sigma(lam)
-    = 1/lam, and the other spaces are eliminated (_automorphisms).
+    = 1/lam, and the other spaces are computed (_automorphisms, _eigenline).
     """
     ctx, n, s_ctx = asym.ctx, a.nrows, asym.s.ctx
     one = s_ctx.one()
     roots = [r for r, _m in asym.split_roots]
     automorphisms = cache(lambda level: _automorphisms(level, s_ctx))
+    krylov = cache(lambda j: asym.s.krylov(
+        ExactMatrix.unit_column(s_ctx, n, j), n))
 
     def gen_eigenspace(lam):
         # the min-poly multiplicity bounds the nilpotency index on V_lam
         expo = next((m for r, m in asym.split_roots if r == lam), n)
+        if expo == 1 and len(asym.min_poly) == n + 1 \
+                and len(lam.trim().ctx.tower) > len(s_ctx.tower):
+            return _eigenline(asym.min_poly, lam, krylov)
         m = asym.s.minus_scalar(lam)
         return inverse_or_rank(m.power(expo), rank_only=True).kernel
 
@@ -490,6 +497,21 @@ def eigen_split(a, asym):
         raise NotSplit("generalized eigenspaces do not fill the space")
     return EigenSplit(classes, x, ExactMatrix.block_diag(
         ctx, [cl.gram for cl in classes]))
+
+
+def _eigenline(min_poly, lam, krylov):
+    """ker (S - lam), lam a simple root of cyclic S's minimal polynomial: the
+    first nonzero q(S) e_j = krylov(j) q, 1 at its last nonzero entry."""
+    q = [lam.ctx.one()]  # by synthetic division, highest term first
+    for c in reversed(min_poly[1:-1]):
+        q.append(c + lam * q[-1])
+    q = ExactMatrix(lam.ctx, [[c] for c in reversed(q)])
+    v = next((v for j in range(q.nrows) for v in [krylov(j) @ q]
+              if not v.is_zero()), None)
+    if v is None:
+        raise InternalDegenerate("q(S) e_j = 0 for every j")
+    last = max(i for i in range(v.nrows) if not v[i, 0].is_zero())
+    return v.scale(v[last, 0].inverse())
 
 
 def _automorphisms(ctx, s_ctx):
@@ -595,6 +617,9 @@ def hyperbolic_canonical(class_gram, lam):
     """
     ctx = class_gram.ctx
     n2, m = class_gram.nrows, class_gram.nrows // 2
+    if m == 1:  # one G2(lam): the X the chains below give
+        x = ExactMatrix(ctx, [[1, 0], [0, class_gram[1, 0].inverse()]])
+        return HyperbolicResult(x, [1], hyperbolic_block_matrix(ctx, 1, lam))
     pairing = class_gram.submatrix(range(m, n2), range(m))  # W
     # Jordan-reduce the lam side
     s_lam, kernel = solve(pairing, class_gram.submatrix(

@@ -212,9 +212,10 @@ def _height_vector(top):
 def peel_all(gram, nmat, eps):
     """Peel a unipotent part completely; returns pieces with bases in the
     original coordinates."""
-    ctx = gram.ctx
+    base = ExactMatrix.identity(gram.ctx, gram.nrows)  # the current basis
+    if gram.nrows == 1:  # one single of order 1, as the split would find
+        return [UnipotentPiece("single", eps, 1, base, gram)]
     pieces = []
-    base = ExactMatrix.identity(ctx, gram.nrows)  # columns: current basis
     cur_gram, cur_nmat, index = gram, nmat, None
     while cur_gram.nrows:
         piece, comp, rem_gram, rem_nmat, index = split_off_indecomposable(

@@ -164,13 +164,13 @@ def test_non_integer_json_number_exit_code(tmp_path):
 
 
 def test_only_the_promise_subcommands():
-    # oracle and fuzz are test aids, not commands: argparse's usage error
+    # oracle and fuzz are test aids, not commands: a usage error, exit 4
     code, out, _ = run_cli(["--help"])
     assert code == 0
     assert "{canon,equiv,invariants,gabriel,transpose,block}" in out
     for command in ("oracle", "fuzz"):
         code, out, err = run_cli([command])
-        assert code == 2, command
+        assert code == 4, command
         assert out == "" and err.startswith("usage: matcanon"), command
         assert "invalid choice: '%s'" % command in err, command
 
@@ -556,6 +556,45 @@ def test_tower_cap_and_descriptor_faults_are_input_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("input error: " + message), argv
+
+
+def test_usage_errors_are_input_errors(tmp_path, capsys):
+    # argparse exits 2, NotSplit's code: a usage error exits 4 instead, with
+    # the usage text and "input error: ..." on stderr.  A negative tower cap
+    # is one, not a cap reached
+    from matcanon import cli
+    p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
+    for argv, message in (
+            (["canon"], "the following arguments are required: matrix"),
+            (["equiv", p], "the following arguments are required: right"),
+            (["canon", p, "--tower-cap", "x"],
+             "argument --tower-cap: tower cap 'x' is not an integer >= 0"),
+            (["canon", p, "--tower-cap", "-1"],
+             "argument --tower-cap: tower cap '-1' is not an integer >= 0"),
+            (["block", "A1", "--tower-cap", "1.5"],
+             "argument --tower-cap: tower cap '1.5' is not an integer >= 0"),
+            (["canon", p, "--policy", "lax"],
+             "argument --policy: invalid choice: 'lax'")):
+        assert cli.main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        usage = "usage: matcanon %s " % argv[0]
+        assert captured.err.startswith(usage), argv
+        assert "\ninput error: %s" % message in captured.err, argv
+    assert cli.main(["canon", p, "--tower-cap", "0", "--machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["blocks"] == ["A1"]
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys):
+    # argparse's parser costs about as much to build as a small answer, so
+    # main builds it on its first call only, and importing cli builds none
+    from matcanon import cli
+    cli.build_parser.cache_clear()
+    p = write_matrix(tmp_path, "a.json", {"kind": "rational"}, [["1"]])
+    for argv in (["canon", p], ["invariants", p], ["canon"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_stage_value_error_is_an_internal_error(tmp_path, monkeypatch,

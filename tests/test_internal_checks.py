@@ -298,6 +298,8 @@ def test_row_space_split_without_a_solution(monkeypatch):
 # -- spectral ---------------------------------------------------------------------------
 
 G2 = block(Block("G", 2, Q.scalar(2)))  # eigenvalues 2 and 1/2
+# a class of order 2: a G2 class has its X in closed form, with no chains
+G4 = block(Block("G", 4, Q.scalar(2)))
 
 
 def test_minimal_polynomial_without_a_dependence(monkeypatch):
@@ -343,9 +345,18 @@ def test_root_splitting_runs_out_of_shifts(monkeypatch):
 def test_jordan_chains_of_a_wrong_eigenvalue():
     # S - lam is not nilpotent on the lam side for a lam that is not its
     # eigenvalue
-    lam = spectral.asymmetry_matrix(G2)[0, 0]
+    lam = spectral.asymmetry_matrix(G4)[0, 0]
     with reaches("spectral", "matrix is not nilpotent"):
-        spectral.hyperbolic_canonical(G2, lam + 1)
+        spectral.hyperbolic_canonical(G4, lam + 1)
+
+
+def test_eigenline_of_a_vanishing_krylov_matrix():
+    # with Krylov matrices of zeros, q(S) e_j is 0 for every j
+    asym = spectral.split_min_poly(spectral.asymmetry(G2))
+    lam = asym.split_roots[0][0]
+    with reaches("spectral", "q(S) e_j = 0 for every j"):
+        spectral._eigenline(asym.min_poly, lam,
+                            lambda j: ExactMatrix.zeros(Q, 2, 2))
 
 
 def test_restricted_span_not_invariant():
@@ -360,12 +371,14 @@ def test_lam_pairing_degenerate(monkeypatch):
     monkeypatch.setattr(spectral, "nilpotent_jordan_chains", lambda nmat: [
         ExactMatrix.zeros(nmat.ctx, nmat.nrows, nmat.nrows)])
     with reaches("spectral", "lam pairing is degenerate"):
-        canonicalize(G2)
+        canonicalize(G4)
 
 
 # -- unipotent: peeling -------------------------------------------------------------------
 
 F2 = block(Block("F", 2))  # one pair of order 1 at eigenvalue -1
+# a 1 x 1 class is one single of order 1 without a peel, so these peel a
+# class of dimension 2 or 3
 
 
 def test_peeled_operator_not_nilpotent(monkeypatch):
@@ -374,7 +387,7 @@ def test_peeled_operator_not_nilpotent(monkeypatch):
                         lambda a: ExactMatrix.identity(a.ctx, a.nrows)
                         .scale(a.ctx.scalar(2)))
     with reaches("unipotent", "operator is not nilpotent"):
-        canonicalize(ExactMatrix(Q, [[1]]))
+        canonicalize(ExactMatrix.identity(Q, 2))
 
 
 def test_single_split_tries_run_out(monkeypatch):
@@ -383,14 +396,15 @@ def test_single_split_tries_run_out(monkeypatch):
                         lambda comp, top, v: v)
     with reaches("unipotent", "could not keep the remainder "
                               "non-alternating"):
-        canonicalize(ExactMatrix(Q, [[1]]))
+        canonicalize(ExactMatrix.identity(Q, 2))
 
 
 def test_no_full_height_repair_vector(monkeypatch):
-    # a 1 x 1 form has no vector orthogonal to the one it splits off
+    # an A3 block is one single: no vector is orthogonal to the one it
+    # splits off
     monkeypatch.setattr(unipotent, "_strands_alternating", lambda *args: True)
     with reaches("unipotent", "no full-height repair vector available"):
-        canonicalize(ExactMatrix(Q, [[1]]))
+        canonicalize(block(Block("A", 3)))
 
 
 def test_socle_functional_vanishes(monkeypatch):

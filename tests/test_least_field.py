@@ -62,16 +62,23 @@ def test_plus_minus_one_eigenspaces_stay_in_the_field_of_s(monkeypatch):
     asym = split_min_poly(asymmetry(WITH_ONE))
     assert asym.ctx.tower and asym.s.ctx == Q
     seen = []
+    eigenline = spectral._eigenline
 
-    def recording(m, **kwargs):
-        seen.append(m.ctx)
+    def eliminating(m, **kwargs):
+        seen.append(("elimination", m.ctx == Q))
         return inverse_or_rank(m, **kwargs)
 
-    monkeypatch.setattr(spectral, "inverse_or_rank", recording)
+    def recording(min_poly, lam, krylov):
+        seen.append(("eigenline", lam.ctx == Q))
+        return eigenline(min_poly, lam, krylov)
+
+    monkeypatch.setattr(spectral, "inverse_or_rank", eliminating)
+    monkeypatch.setattr(spectral, "_eigenline", recording)
     eigen_split(WITH_ONE, asym)
-    # the eigenvalue-1 space first, then the pair's rep; the other space
-    # of the pair is the rep's conjugate, with no elimination
-    assert [ctx == Q for ctx in seen] == [True, False]
+    # the eigenvalue-1 space first, eliminated in Q, then the pair's rep,
+    # a simple root of the cyclic S, as an eigenline in the tower; the other
+    # space of the pair is the rep's conjugate, computed neither way
+    assert seen == [("elimination", True), ("eigenline", False)]
 
 
 def test_a_unipotent_class_is_peeled_in_the_field_of_its_gram(monkeypatch):

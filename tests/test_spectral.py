@@ -1,6 +1,9 @@
+import ast
 import functools
+import inspect
 import itertools
 import random
+import textwrap
 import time
 from fractions import Fraction
 
@@ -10,7 +13,8 @@ from matcanon import spectral
 from matcanon.canon import canonicalize
 from matcanon.errors import NotSplit, SingularInput
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
-from matcanon.field import EXTEND, STRICT, Scalar, gf4, prime_field, rationals
+from matcanon.field import (EXTEND, STRICT, Scalar, finite_field, gf4,
+                            prime_field, rationals)
 from matcanon.spectral import (Asymmetry, PairClass,
                                UnipotentClass, asymmetry, eigen_split,
                                hyperbolic_block_matrix, hyperbolic_canonical,
@@ -188,8 +192,9 @@ _Q_HEIGHT_3 = _q([[1, 3, 3, 3], [-3, -1, -3, 0], [3, 0, 0, 2],
                   [0, 3, -2, -3]])
 
 # (name, matrix, for each pair class in eigen_split's order: the height of
-# its field and its eliminations: 2 for V_lam and V_1/lam, 1 when V_1/lam is
-# V_lam's image, 0 when the class is an earlier class's image)
+# its field and the eigenspaces it computes, by elimination or as an
+# eigenline: 2 for V_lam and V_1/lam, 1 when V_1/lam is V_lam's image, 0
+# when the class is an earlier class's image)
 CONJUGATE_CASES = [
     # Q(sqrt -3), then sqrt 5 and sqrt 3 above it: S stays over Q
     ("q-height-1", _unipotent_2x2(rationals(), 1), [(1, 1)]),
@@ -243,21 +248,29 @@ def test_conjugated_eigenspace_is_the_eliminated_one(name, a, expected,
                                                      monkeypatch):
     asym = split_min_poly(asymmetry(a))
     assert asym.s.ctx == a.ctx
-    eliminated = []
+    computed = []  # per eigenspace, in order: how it was computed
+    eigenline = spectral._eigenline
 
-    def recording(m, **kwargs):
-        eliminated.append(m)
+    def eliminating(m, **kwargs):
+        computed.append("elimination")
         return inverse_or_rank(m, **kwargs)
 
-    monkeypatch.setattr(spectral, "inverse_or_rank", recording)
+    def recording(min_poly, lam, krylov):
+        computed.append("eigenline")
+        return eigenline(min_poly, lam, krylov)
+
+    monkeypatch.setattr(spectral, "inverse_or_rank", eliminating)
+    monkeypatch.setattr(spectral, "_eigenline", recording)
     classes = eigen_split(a, asym).classes
     monkeypatch.undo()
     pairs = [cl for cl in classes if isinstance(cl, PairClass)]
     assert [(len(cl.basis.ctx.tower), cl.image is None)
             for cl in pairs] == [(h, k > 0) for h, k in expected]
-    # one elimination per unipotent class, and those of each pair class
-    assert len(eliminated) == len(classes) - len(pairs) + sum(
-        k for _h, k in expected)
+    # one elimination per unipotent class, in S's field, then the spaces of
+    # each pair class
+    unipotent = len(classes) - len(pairs)
+    assert computed[:unipotent] == ["elimination"] * unipotent
+    assert len(computed) == unipotent + sum(k for _h, k in expected)
     for cl in pairs:
         m = cl.basis.ncols // 2  # dim V_lam = dim V_1/lam
         for lam, cols in ((cl.lam, range(m)), (cl.lam_inv, range(m, 2 * m))):
@@ -267,6 +280,74 @@ def test_conjugated_eigenspace_is_the_eliminated_one(name, a, expected,
             assert cl.basis.ctx == kernel.ctx
             # raw tuple for raw tuple
             assert cl.basis.columns(cols).raw == kernel.raw
+
+
+def _krylov(s):
+    """S's Krylov matrices on the unit vectors, as eigen_split builds them."""
+    n = s.nrows
+    return functools.cache(lambda j: s.krylov(
+        ExactMatrix.unit_column(s.ctx, n, j), n))
+
+
+@pytest.mark.parametrize("name, height", [
+    ("q-height-1", 1), ("q-height-2", 2), ("q-height-3", 3),
+    ("q-image-height-4", 4), ("gf81", 2), ("gf65537-height-2", 2)])
+def test_an_eigenline_is_the_eliminated_kernel(name, height):
+    # every root of these cyclic S is simple and above S's field, V_1/lam
+    # too, which eigen_split takes as V_lam's image
+    a = next(case[1] for case in CONJUGATE_CASES if case[0] == name)
+    asym = split_min_poly(asymmetry(a))
+    s, krylov = asym.s, _krylov(asym.s)
+    assert len(asym.min_poly) == s.nrows + 1
+    assert {m for _r, m in asym.split_roots} == {1}
+    assert max(len(r.trim().ctx.tower) for r, _m in asym.split_roots) \
+        == height
+    for lam, _m in asym.split_roots:
+        assert lam.trim().ctx.tower
+        line = spectral._eigenline(asym.min_poly, lam, krylov)
+        kernel = inverse_or_rank(s.minus_scalar(lam), rank_only=True).kernel
+        assert (line.ctx, line.raw) == (kernel.ctx, kernel.raw)
+
+
+# A1 + G2(lam) over Q, unscrambled: lam = 3/4 + sqrt(-7)/4
+_PAIR = _q([[-2, -2], [-1, -2]])
+_A1_G2 = ExactMatrix.block_diag(rationals(), [_q([[1]]), _PAIR])
+
+
+def test_an_eigenline_skips_a_unit_vector_that_q_of_s_kills():
+    # e_0 spans V_1, so q(S) e_0 = q(1) e_0 = 0 for q = min_poly / (X - lam)
+    asym = split_min_poly(asymmetry(_A1_G2))
+    s, krylov = asym.s, _krylov(asym.s)
+    asked = []
+
+    def recording(j):
+        asked.append(j)
+        return krylov(j)
+
+    pair = [lam for lam, _m in asym.split_roots if lam.trim().ctx.tower]
+    assert len(pair) == 2
+    for lam in pair:
+        asked.clear()
+        line = spectral._eigenline(asym.min_poly, lam, recording)
+        assert asked == [0, 1]
+        kernel = inverse_or_rank(s.minus_scalar(lam), rank_only=True).kernel
+        assert (line.ctx, line.raw) == (kernel.ctx, kernel.raw)
+
+
+def test_a_non_cyclic_s_still_eliminates(monkeypatch):
+    # G2(lam) + G2(lam): lam is a simple root of a minimal polynomial of
+    # degree 2 < 4, and V_lam is a plane
+    a = ExactMatrix.block_diag(rationals(), [_PAIR, _PAIR])
+    asym = split_min_poly(asymmetry(a))
+    assert len(asym.min_poly) == 3
+    assert {m for _r, m in asym.split_roots} == {1}
+    monkeypatch.setattr(spectral, "_eigenline", lambda *args: pytest.fail(
+        "an eigenline for a non-cyclic S"))
+    cl, = eigen_split(a, asym).classes
+    kernel = inverse_or_rank(asym.s.minus_scalar(cl.lam),
+                             rank_only=True).kernel
+    assert kernel.ncols == 2
+    assert cl.basis.columns(range(2)).raw == kernel.raw
 
 
 def test_a_signed_permutation_that_breaks_a_record_is_rejected():
@@ -381,6 +462,45 @@ def test_hyperbolic_4x4_jordan_pair():
         res = hyperbolic_canonical(out.gram, cl.lam)
         assert res.blocks == [2]
         assert res.gram == g_block(q, 2, Fraction(1, 2))
+
+
+def _general_hyperbolic_canonical():
+    """hyperbolic_canonical with its closed form for a 2 x 2 class taken
+    out of its source: the solve, Jordan chains and pairing inverse that
+    larger classes take, run on any class."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(hyperbolic_canonical)))
+    body = tree.body[0].body
+    closed = [st for st in body
+              if isinstance(st, ast.If) and ast.unparse(st.test) == "m == 1"]
+    assert len(closed) == 1
+    body.remove(closed[0])
+    namespace = dict(vars(spectral))
+    exec(compile(tree, spectral.__file__, "exec"), namespace)
+    return namespace["hyperbolic_canonical"]
+
+
+def _g2_classes():
+    """(ctx, lam, w) for a G2(lam) class gram ((0, lam w), (w, 0))."""
+    q, f3 = rationals(), prime_field(3)
+    f3_sqrt2 = f3.adjoin_sqrt(f3.scalar(2))
+    gf9 = finite_field(3, (1, 0))  # t^2 + 1
+    g, t = f3_sqrt2.generator(1), gf9.base_element((0, 1))
+    return [(q, q.scalar(Fraction(-2, 3)), q.scalar(Fraction(5, 7))),
+            (f3_sqrt2, 1 + g, g), (gf9, 1 + t, t),
+            (prime_field(65521), prime_field(65521).scalar(3),
+             prime_field(65521).scalar(1000))]
+
+
+@pytest.mark.parametrize("ctx, lam, w", _g2_classes(),
+                         ids=["q", "gf3-sqrt2", "gf9", "gf65521"])
+def test_a_g2_class_in_closed_form_is_the_general_answer(ctx, lam, w):
+    g = ExactMatrix(ctx, [[0, lam * w], [w, 0]])
+    res = hyperbolic_canonical(g, lam)
+    general = _general_hyperbolic_canonical()(g, lam)
+    assert (res.x.ctx, res.x.raw) == (general.x.ctx, general.x.raw)
+    assert res.blocks == general.blocks == [1]
+    assert res.gram == general.gram == g_block(ctx, 1, lam)
+    assert res.x.transpose() @ g @ res.x == res.gram
 
 
 def test_roots_closed_under_inversion_random():

@@ -9,7 +9,8 @@ from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import STRICT, gf4, prime_field, rationals
 from matcanon.spectral import asymmetry, hyperbolic_block_matrix
 from matcanon.unipotent import (gamma0_matrix, gamma_matrix, peel_all,
-                                reduce_pair, reduce_single)
+                                reduce_pair, reduce_single,
+                                split_off_indecomposable)
 
 from filtration import alternating_flag, filtration
 
@@ -77,6 +78,23 @@ def test_peel_single_1x1():
     pieces = peel_all(a, nil_of(a), q.one())
     assert len(pieces) == 1
     assert pieces[0].kind == "single" and pieces[0].order == 1
+
+
+@pytest.mark.parametrize("gram", [
+    ExactMatrix(rationals(), [[Fraction(5, 2)]]),
+    ExactMatrix(prime_field(2), [[1]]),
+    ExactMatrix(gf4(), [[gf4().base_element((0, 1))]]),
+], ids=["q", "gf2", "gf4"])
+def test_a_1x1_class_is_the_single_a_split_finds(gram):
+    # peel_all answers a 1 x 1 class without a split; the split gives the
+    # same piece, raw value for raw value, and an empty complement
+    eps = gram.ctx.one()
+    piece, = peel_all(gram, nil_of(gram), eps)
+    split, comp, *_rest = split_off_indecomposable(gram, nil_of(gram), eps)
+    assert comp.ncols == 0
+    assert piece[:3] == split[:3] == ("single", eps, 1)
+    for got, want in zip(piece[3:], split[3:]):  # basis and gram
+        assert (got.ctx, got.raw) == (want.ctx, want.raw)
 
 
 def test_peel_identity_gf2_singles():
