@@ -284,7 +284,8 @@ def _reduce_unipotent_class(cl, ctx):
     B X, over the context the reductions reached from the running tower
     ctx.  The class is peeled in the field of its Gram matrix."""
     class_gram, eps = cl.gram.trim(), cl.eigenvalue
-    nmat = asymmetry_matrix(class_gram).minus_scalar(eps.trim())
+    nmat = (asymmetry_matrix(class_gram).minus_scalar(eps.trim())
+            if class_gram.nrows > 1 else None)
     pieces = peel_all(class_gram, nmat, eps)
     sign, char = eigen_sign(eps), ctx.characteristic
     descs = []

@@ -38,15 +38,16 @@ it needs.
 
 Two product helpers are built on it: ExactMatrix.power (field.power's
 square and multiply) and ExactMatrix.krylov (the columns v, Mv, ...,
-M^(k-1) v of an n x 1 matrix v).  The pipeline stages reach the kernel
-only through @, inverse_or_rank, solve, first_dependence and these two,
-and the raw rows not at all: they tile (blocks, block_diag), cut
-(submatrix, columns), combine (@, +, scale) and read (A[i, j]) matrices
-here; a unit vector is ExactMatrix.unit_column, a column of the identity.
-A product with an empty side is the zero matrix of its shape, without the
-kernel.  A reorder of a basis is a column order, X.columns(order), with
-Gram matrix G.submatrix(order, order); no permutation matrix is
-multiplied.
+M^(k-1) v of an n x 1 matrix v); v.shift_chain is krylov of a sum of
+Jordan blocks J_m(0), its entries moved down with no product.  The stages
+reach the kernel only through @, inverse_or_rank, solve, first_dependence
+and these three, and the raw rows not at all: they tile (blocks,
+block_diag), cut (submatrix, columns), combine (@, +, scale) and read
+(A[i, j]) matrices here; a unit vector is ExactMatrix.unit_column, a column
+of the identity.  A product with an empty side is the zero matrix of its
+shape, without the kernel.  A reorder of a basis is a column order,
+X.columns(order), with Gram matrix G.submatrix(order, order); no
+permutation matrix is multiplied.
 
 Contexts meet here.  A matrix lives in one FieldContext, and the arithmetic
 lifts: @, +, scale, minus_scalar and == work in the common context of their
@@ -335,6 +336,18 @@ class ExactMatrix:
             row = row @ mt
             raw.append(row.raw[0])
         return _trusted(ctx, tuple(raw), v.nrows).transpose()
+
+    def shift_chain(self, m, length):
+        """krylov(self, length) of N, the sum of lower Jordan blocks J_m(0),
+        for n x 1 self, m | n: row i of N^j v is v's row i - j if i mod m >=
+        j, else 0, so no product is formed."""
+        if self.ncols != 1 or self.nrows % m:
+            raise DimensionMismatch("krylov of a %dx%d vector"
+                                    % (self.nrows, self.ncols))
+        v, zero = [row[0] for row in self.raw], self.ctx.ops.zero
+        return _trusted(self.ctx, tuple(tuple(v[i - j] if i % m >= j else zero
+                                              for j in range(length))
+                                        for i in range(len(v))), length)
 
     def transpose(self):
         if self.nrows == 0 or self.ncols == 0:

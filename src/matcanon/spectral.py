@@ -169,15 +169,22 @@ def split_min_poly(asym):
 def _extract_root(work, root):
     """work / (X - root)^m for the largest such m, and m (one context)."""
     ctx = root.ctx
-    ops = ctx.ops
-    raw, linear = [c.raw for c in work], [ops.neg(root.raw), ops.one]
-    mult = 0
+    raw, mult = [c.raw for c in work], 0
     while len(raw) > 1:
-        quot, rem = _poly_divmod(ops, raw, linear)
-        if rem != [ops.zero]:
+        quot, rem = _deflated(ctx.ops, raw, root.raw)
+        if rem != ctx.ops.zero:
             break
         raw, mult = quot, mult + 1
     return [Scalar(ctx, c) for c in raw], mult
+
+
+def _deflated(ops, raw, root):
+    """(quotient, remainder) of a polynomial by X - root, by synthetic
+    division: raw values of ops, coefficients low to high."""
+    acc = [raw[-1]]  # the quotient, highest term first, then the remainder
+    for c in reversed(raw[:-1]):
+        acc.append(ops.add(c, ops.mul(root, acc[-1])))
+    return acc[-2::-1], acc[-1]
 
 
 def _check_inverse_closed(roots):
@@ -501,11 +508,11 @@ def eigen_split(a, asym):
 
 def _eigenline(min_poly, lam, krylov):
     """ker (S - lam), lam a simple root of cyclic S's minimal polynomial: the
-    first nonzero q(S) e_j = krylov(j) q, 1 at its last nonzero entry."""
-    q = [lam.ctx.one()]  # by synthetic division, highest term first
-    for c in reversed(min_poly[1:-1]):
-        q.append(c + lam * q[-1])
-    q = ExactMatrix(lam.ctx, [[c] for c in reversed(q)])
+    first nonzero q(S) e_j = krylov(j) q, 1 at its last nonzero entry, for
+    q = min_poly / (X - lam)."""
+    ctx = lam.ctx
+    q = _deflated(ctx.ops, [c.promote(ctx).raw for c in min_poly], lam.raw)[0]
+    q = ExactMatrix(ctx, [[Scalar(ctx, c)] for c in q])
     v = next((v for j in range(q.nrows) for v in [krylov(j) @ q]
               if not v.is_zero()), None)
     if v is None:
@@ -552,17 +559,7 @@ def top_conjugation(ctx):
     return coordinate_map(ctx, ctx, images + [c1 - ctx.generator(h)])
 
 
-# -- restricted operators and Jordan structure -----------------------------------------
-
-def restrict_operator(s, bmat):
-    """Matrix of S on the span of the independent columns of B: the
-    coordinates C with B C = S B, one solve."""
-    coords, _kernel = solve(bmat, s @ bmat)
-    if coords is None:
-        raise InternalDegenerate("the span is not invariant under the "
-                                 "operator")
-    return coords
-
+# -- Jordan structure ---------------------------------------------------------------
 
 def nilpotent_jordan_chains(nmat):
     """Jordan chains of a nilpotent matrix: a list of matrices with the

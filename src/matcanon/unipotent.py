@@ -39,8 +39,7 @@ from .errors import (HypothesisViolation, InternalDegenerate,
                      NoRootStrictPolicy)
 from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
 from .field import EXTEND, STRICT, quadratic_roots, sqrt_or_adjoin
-from .spectral import (asymmetry_matrix, hyperbolic_block_matrix,
-                       restrict_operator)
+from .spectral import asymmetry_matrix, hyperbolic_block_matrix
 
 UnipotentPiece = namedtuple("UnipotentPiece", "kind eps order basis gram")
 
@@ -90,7 +89,7 @@ def _nilpotency_index(nmat):
     for k in range(nmat.nrows + 1):
         if power.is_zero():
             return k, top
-        top, power = power, power @ nmat
+        top, power = power, power @ nmat if k else nmat  # I p is p
     raise InternalDegenerate("operator is not nilpotent")
 
 
@@ -113,7 +112,8 @@ def split_off_indecomposable(gram, nmat, eps, index=None):
     ctx = gram.ctx
     n = gram.nrows
     r, top = index or _nilpotency_index(nmat)
-    beta = top.transpose() @ gram  # (x, y) -> f(p^(r-1) x, y)
+    # (x, y) -> f(p^(r-1) x, y), the form itself at r = 1, where top is I
+    beta = gram if r == 1 else top.transpose() @ gram
     v = _self_pairing_vector(beta)
     if v is not None:
         for _attempt in range(n + 1):
@@ -139,14 +139,13 @@ def split_off_indecomposable(gram, nmat, eps, index=None):
 def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
     """Build the piece on the columns of bmat and its two-sided orthogonal
     complement."""
-    piece_gram = bmat.transpose() @ gram @ bmat
-    comp = _orthogonal_complement(gram, bmat)
+    bg = bmat.transpose() @ gram  # x -> f(u, x) for the columns u of bmat
+    comp, free = _orthogonal_complement(gram, bmat, bg)
     if comp.ncols + bmat.ncols != gram.nrows:
         raise InternalDegenerate("complement dimension mismatch")
     rem_gram = comp.transpose() @ gram @ comp
-    rem_nmat = restrict_operator(nmat, comp)
-    piece = UnipotentPiece(piece_kind, eps, r, bmat, piece_gram)
-    return piece, comp, rem_gram, rem_nmat
+    piece = UnipotentPiece(piece_kind, eps, r, bmat, bg @ bmat)
+    return piece, comp, rem_gram, _restricted(nmat, comp, free)
 
 
 def _strands_alternating(rem_gram, rem_index, r):
@@ -155,15 +154,27 @@ def _strands_alternating(rem_gram, rem_index, r):
     _nilpotency_index."""
     r_rem, top_rem = rem_index
     return r_rem >= r and _self_pairing_vector(
-        top_rem.transpose() @ rem_gram) is None
+        rem_gram if r_rem == 1 else top_rem.transpose() @ rem_gram) is None
 
 
-def _orthogonal_complement(gram, bmat):
-    """Basis of {x : f(u, x) = 0 = f(x, u) for every column u of bmat}."""
-    ut = bmat.transpose()
-    both = ExactMatrix.blocks(gram.ctx, [[ut @ gram],
-                                         [ut @ gram.transpose()]])
-    return inverse_or_rank(both, rank_only=True).kernel
+def _orthogonal_complement(gram, bmat, bg):
+    """Basis of {x : f(u, x) = 0 = f(x, u) for every column u of bmat},
+    for bg = bmat' gram, and its free rows, where the basis is I."""
+    both = ExactMatrix.blocks(gram.ctx, [[bg],
+                                         [bmat.transpose() @ gram.transpose()]])
+    ker = inverse_or_rank(both, rank_only=True)
+    return ker.kernel, [i for i in range(gram.nrows) if i not in ker.pivots]
+
+
+def _restricted(nmat, comp, free):
+    """nmat on the span of comp's columns: nmat comp at comp's free rows,
+    where comp is I, with one product to check that the span is invariant."""
+    image = nmat @ comp
+    coords = image.submatrix(free, range(comp.ncols))
+    if comp @ coords != image:
+        raise InternalDegenerate("the span is not invariant under the "
+                                 "operator")
+    return coords
 
 
 def _repair_single_choice(comp, top, v):
@@ -211,19 +222,19 @@ def _height_vector(top):
 
 def peel_all(gram, nmat, eps):
     """Peel a unipotent part completely; returns pieces with bases in the
-    original coordinates."""
-    base = ExactMatrix.identity(gram.ctx, gram.nrows)  # the current basis
+    original coordinates.  A 1 x 1 part reads no nmat."""
     if gram.nrows == 1:  # one single of order 1, as the split would find
-        return [UnipotentPiece("single", eps, 1, base, gram)]
-    pieces = []
+        return [UnipotentPiece("single", eps, 1,
+                               ExactMatrix.identity(gram.ctx, 1), gram)]
+    pieces, base = [], None  # the current basis, None while it is I
     cur_gram, cur_nmat, index = gram, nmat, None
     while cur_gram.nrows:
-        piece, comp, rem_gram, rem_nmat, index = split_off_indecomposable(
+        piece, comp, cur_gram, cur_nmat, index = split_off_indecomposable(
             cur_gram, cur_nmat, eps, index)
-        # translate piece basis and the new complement into original coords
-        pieces.append(piece._replace(basis=base @ piece.basis))
-        base = base @ comp
-        cur_gram, cur_nmat = rem_gram, rem_nmat
+        if base is not None:  # into the original coordinates
+            piece, comp = piece._replace(basis=base @ piece.basis), base @ comp
+        pieces.append(piece)
+        base = comp
     return pieces
 
 
@@ -269,48 +280,51 @@ def canon_single(g, eps, n):
     Returns x with x' g x = canonical_cyclic_gram(x.ctx, eps, n), over
     x.ctx, the context the reduction reached from g's.
     """
-    char = g.ctx.characteristic
-    _check_parity(eps, n, char)
-    if n <= 2:
-        # scale the corner f(v, v) to 1 (then f(v, pv) is 2 for n = 2)
-        return ExactMatrix.identity(g.ctx, n).scale(
-            sqrt_or_adjoin(g[0, 0])[0].inverse())
-    if char == 2 and n == 3:
-        return _canon_single_char2_n3(g)
-    return _canon_single_step(g, eps, n)
-
-
-def _check_parity(eps, n, char):
-    sign = eigen_sign(eps)
+    sign, char = eigen_sign(eps), g.ctx.characteristic
     if family_of("single", sign, char, n) is None:
         raise HypothesisViolation(
             "no family has a single of order %d at eigenvalue %d in "
             "characteristic %d" % (n, sign, char))
+    if n <= 2 or char == 2 and n == 3:
+        return _canon_single_base(g, n)
+    b1, cols = _canon_single_step(g, eps, n)
+    return b1 @ ExactMatrix.blocks(b1.ctx, [cols])
 
 
-def _canon_single_char2_n3(g):
+def _single_vector(g, eps, n):
+    """canon_single(g, eps, n)'s first column, all that its recursion reads."""
+    if n <= 2 or g.ctx.characteristic == 2 and n == 3:
+        return _canon_single_base(g, n).columns([0])
+    b1, cols = _canon_single_step(g, eps, n)
+    return b1 @ cols[0]
+
+
+def _canon_single_base(g, n):
+    """canon_single for n <= 2, and for n = 3 in characteristic 2."""
+    if n <= 2:
+        # scale the corner f(v, v) to 1 (then f(v, pv) is 2 for n = 2)
+        return ExactMatrix.identity(g.ctx, n).scale(
+            sqrt_or_adjoin(g[0, 0])[0].inverse())
     # scale the anti-diagonal to 1 (characteristic 2: unique square root)
     t = sqrt_or_adjoin(g[0, 2])[0].inverse()
-    x1 = ExactMatrix.identity(g.ctx, 3).scale(t)
     # v' = v + x p v with x^2 + x + c = 0, c = f(t v, t v)
     c = t * t * g[0, 0]
     one = c.ctx.one()
     xval = quadratic_roots(one, one, c, EXTEND)[0]
-    x2 = ExactMatrix.jordan_block(c.ctx, 3).krylov(
-        ExactMatrix(c.ctx, [[one], [xval], [0]]), 3)
-    return x1 @ x2
+    return ExactMatrix(c.ctx, [[one], [xval], [0]]).shift_chain(3, 3).scale(t)
 
 
 def _canon_single_step(g, eps, n):
-    """Recursive case of the single reduction (n >= 3, not char-2 n=3)."""
+    """Recursive case of canon_single (n >= 3, not char-2 n=3): b1 and the
+    columns of x = b1 [cols], u first."""
     char = g.ctx.characteristic
     sub_idx = list(range(1, n - 1))
-    xs = canon_single(g.submatrix(sub_idx, sub_idx), eps, n - 2)
-    # lift the new sub cyclic vector: coordinates j of the sub basis mean
-    # p^{j+1} v, so stripping one p gives sum_j xs[j,0] p^j v
-    vcoord = ExactMatrix.blocks(g.ctx, [[xs.columns([0])],
-                                        [ExactMatrix.zeros(g.ctx, 2, 1)]])
-    b1 = ExactMatrix.jordan_block(g.ctx, n).krylov(vcoord, n)
+    # lift the new sub cyclic vector x: coordinates j of the sub basis mean
+    # p^{j+1} v, so stripping one p gives sum_j x[j] p^j v
+    vcoord = ExactMatrix.blocks(g.ctx, [
+        [_single_vector(g.submatrix(sub_idx, sub_idx), eps, n - 2)],
+        [ExactMatrix.zeros(g.ctx, 2, 1)]])
+    b1 = vcoord.shift_chain(n, n)
     g1 = b1.transpose() @ g @ b1
     ctx = g1.ctx
     cg = canonical_cyclic_gram(ctx, eps, n)
@@ -336,7 +350,7 @@ def _canon_single_step(g, eps, n):
                     + ExactMatrix.unit_column(ctx, n, n - 1).scale(
                         (cg[0, 1] - fu1) / cg[0, n - 1]))
     cols.append(ExactMatrix.identity(ctx, n).columns(range(len(cols), n)))
-    return b1 @ ExactMatrix.blocks(ctx, [cols])
+    return b1, cols
 
 
 def _adjust_self_value(g1, part, hom, rho0):
@@ -434,53 +448,54 @@ def reduce_single(g, eps, n):
 
 # -- the pair (two equal elementary divisors) reduction --------------------------
 
-def pair_canon(g, eps, m):
+def pair_canon(g, m):
     """Reduce a pair-block Gram matrix (basis v, pv, ..., w, pw, ...) to
     ((0, J_m(eps)), (I_m, 0)).
 
-    Returns (x, v_gen, w_gen): x columns are the new basis, over x.ctx, the
-    context the reduction reached from g's; the generators are coordinates
-    of the repaired module generators in the input basis.
+    Returns x, whose columns are the new basis, over x.ctx, the context the
+    reduction reached from g's.
     """
+    v1, w1 = _pair_generators(g, m)
+    if m == 1:  # the generators are the basis
+        return ExactMatrix.blocks(g.ctx, [[v1, w1]])
+    # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
+    svecs = v1.shift_chain(m, m).columns(range(m - 1, -1, -1))
+    return ExactMatrix.blocks(g.ctx, [[
+        svecs, _module_duals(g, w1.shift_chain(m, m), svecs)]])
+
+
+def _pair_generators(g, m):
+    """The repaired module generators v', w' of pair_canon(g, m), as
+    coordinates in g's basis: all that its recursion reads."""
     ctx = g.ctx
     if m == 1:
-        x = ExactMatrix(ctx, [[1, 0], [0, g[1, 0].inverse()]])
-        return x, ExactMatrix.unit_column(ctx, 2, 0), x.columns([1])
-
+        return (ExactMatrix.unit_column(ctx, 2, 0),
+                ExactMatrix(ctx, [[0], [g[1, 0].inverse()]]))
     if m == 2:
         v1 = ExactMatrix.unit_column(ctx, 4, 0)
         w1 = ExactMatrix.unit_column(ctx, 4, 2)
     else:
         sub_idx = (list(range(1, m - 1))
                    + list(range(m + 1, 2 * m - 1)))
-        _xs, vg_sub, wg_sub = pair_canon(g.submatrix(sub_idx, sub_idx), eps,
-                                         m - 2)
         # strip one p: sub slot j of the v part is p^{j+1} v, so the sub
-        # coordinates go to slots 0..m-3 of each part
-        pad = ExactMatrix.identity(ctx, 2 * m).columns(
-            [*range(m - 2), *range(m, 2 * m - 2)])
-        v1, w1 = pad @ vg_sub, pad @ wg_sub
-
-    shift = ExactMatrix.block_diag(ctx, [ExactMatrix.jordan_block(ctx, m)] * 2)
+        # coordinates go to slots 0..m-3 of each part, above two zeros
+        two = ExactMatrix.zeros(ctx, 2, 1)
+        v1, w1 = (ExactMatrix.blocks(ctx, [
+            [x.submatrix(range(m - 2), [0])], [two],
+            [x.submatrix(range(m - 2, 2 * m - 4), [0])], [two]])
+            for x in _pair_generators(g.submatrix(sub_idx, sub_idx), m - 2))
     # repair the v side to a totally isotropic module generator, then the w
     # side symmetrically
-    v1 = _repair_generator(g, shift, v1,
-                           _module_duals(g, shift, w1, shift.krylov(v1, m)),
-                           m)
-    w1 = _repair_generator(g, shift, w1,
-                           _module_duals(g, shift, v1, shift.krylov(w1, m)),
-                           m)
-    # final basis: s_i = p^{m-1-i} v', t_j the duals inside the w' module
-    svecs = shift.krylov(v1, m).columns(range(m - 1, -1, -1))
-    x = ExactMatrix.blocks(ctx, [[svecs,
-                                  _module_duals(g, shift, w1, svecs)]])
-    return x, v1, w1
+    v1 = _repair_generator(g, v1, _module_duals(
+        g, w1.shift_chain(m, m), v1.shift_chain(m, m)), m)
+    w1 = _repair_generator(g, w1, _module_duals(
+        g, v1.shift_chain(m, m), w1.shift_chain(m, m)), m)
+    return v1, w1
 
 
-def _module_duals(g, shift, gen, targets):
-    """Duals d_0, d_1, ... inside the p-module of gen with
-    f(d_i, t_j) = delta_ij for the columns t_j of targets."""
-    chain = shift.krylov(gen, targets.ncols)
+def _module_duals(g, chain, targets):
+    """Duals d_0, d_1, ... in the span of chain, a p-chain as long as targets
+    is wide, with f(d_i, t_j) = delta_ij for the columns t_j of targets."""
     # the duals are chain P'^-1 for the pairing P = chain' G targets
     duals_t, kernel = solve(chain.transpose() @ g @ targets,
                             chain.transpose())
@@ -489,7 +504,7 @@ def _module_duals(g, shift, gen, targets):
     return duals_t.transpose()
 
 
-def _repair_generator(g, shift, gen, duals, m):
+def _repair_generator(g, gen, duals, m):
     """gen corrected so that its p-module is totally isotropic.
 
     duals are the columns d_0, d_1, ... from the other module
@@ -498,10 +513,9 @@ def _repair_generator(g, shift, gen, duals, m):
     The first candidate, in _corner_candidates' order, whose gen' spans a
     totally isotropic module is taken.
     """
-    n = gen.nrows
     dirs = ExactMatrix.blocks(g.ctx, [[duals.columns(range(2)),
-                                       shift @ gen]])
-    consts, lins, quads = _expand_conditions(g, shift, gen, dirs, m)
+                                       gen.shift_chain(m, 2).columns([1])]])
+    consts, lins, quads = _expand_conditions(g, gen, dirs, m)
     live = [j for j in range(m)
             if not (consts[j].is_zero()
                     and all(c.is_zero() for c in lins[j])
@@ -512,25 +526,26 @@ def _repair_generator(g, shift, gen, duals, m):
         raise InternalDegenerate("isotropy defect beyond the corner")
     for xs in _corner_candidates(consts, lins, quads, dirs.ncols):
         new = gen + dirs @ ExactMatrix(gen.ctx, [[x] for x in xs])
-        if _is_isotropic(g, shift, new, m):
+        chain = new.shift_chain(m, m)
+        if (chain.transpose() @ g @ chain).is_zero():
             return new
     raise InternalDegenerate("corner repair found no solution")
 
 
-def _expand_conditions(g, shift, gen, dirs, m):
+def _expand_conditions(g, gen, dirs, m):
     """Exact coefficients of f(gen + sum x_i d_i, p^j (same)) in the x_i,
     for the columns d_i of dirs."""
     k = dirs.ncols
     vecs = ExactMatrix.blocks(g.ctx, [[gen, dirs]])
-    left = vecs.transpose() @ g  # rows: x -> f(u, x)
-    # pg[a, j] = f(u_a, p^j gen) and pd[i][a, j] = f(u_a, p^j d_i) for the
-    # vectors u = gen, d_0, d_1, ...
-    pg, *pd = [left @ shift.krylov(vecs.columns([a]), m)
-               for a in range(k + 1)]
-    consts = [pg[0, j] for j in range(m)]
-    lins = [[pg[i + 1, j] + pd[i][0, j] for i in range(k)] for j in range(m)]
-    quads = [[[pd[l][i + 1, j] for l in range(k)] for i in range(k)]
-             for j in range(m)]
+    # f[a, b m + j] = f(u_a, p^j u_b) for the vectors u = gen, d_0, d_1,
+    # ...: one product with all their chains
+    f = vecs.transpose() @ g @ ExactMatrix.blocks(g.ctx, [[
+        vecs.columns([a]).shift_chain(m, m) for a in range(k + 1)]])
+    consts = [f[0, j] for j in range(m)]
+    lins = [[f[i + 1, j] + f[0, (i + 1) * m + j] for i in range(k)]
+            for j in range(m)]
+    quads = [[[f[i + 1, (l + 1) * m + j] for l in range(k)]
+              for i in range(k)] for j in range(m)]
     return consts, lins, quads
 
 
@@ -565,13 +580,7 @@ def _corner_candidates(consts, lins, quads, k):
                         yield xs
 
 
-def _is_isotropic(g, shift, gen, m):
-    """Whether the p-module of gen is totally isotropic."""
-    chain = shift.krylov(gen, m)
-    return (chain.transpose() @ g @ chain).is_zero()
-
-
 def reduce_pair(g, eps, m):
     """Congruence from a pair-block Gram to ((0, J_m(eps)), (I, 0))."""
-    x = pair_canon(g, eps, m)[0]
+    x = pair_canon(g, m)
     return Congruence(x, g, hyperbolic_block_matrix(x.ctx, m, eps))

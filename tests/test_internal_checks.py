@@ -359,14 +359,6 @@ def test_eigenline_of_a_vanishing_krylov_matrix():
                             lambda j: ExactMatrix.zeros(Q, 2, 2))
 
 
-def test_restricted_span_not_invariant():
-    # e_0 is not invariant under the lower shift: J e_0 = e_1
-    with reaches("spectral", "the span is not invariant under the "
-                             "operator"):
-        spectral.restrict_operator(ExactMatrix.jordan_block(Q, 2),
-                                   ExactMatrix.unit_column(Q, 2, 0))
-
-
 def test_lam_pairing_degenerate(monkeypatch):
     monkeypatch.setattr(spectral, "nilpotent_jordan_chains", lambda nmat: [
         ExactMatrix.zeros(nmat.ctx, nmat.nrows, nmat.nrows)])
@@ -424,10 +416,19 @@ def test_no_vector_of_full_height(monkeypatch):
 
 def test_complement_dimension_mismatch(monkeypatch):
     monkeypatch.setattr(unipotent, "_orthogonal_complement",
-                        lambda gram, bmat:
-                        ExactMatrix.zeros(gram.ctx, gram.nrows, 0))
+                        lambda gram, bmat, bg:
+                        (ExactMatrix.zeros(gram.ctx, gram.nrows, 0), []))
     with reaches("unipotent", "complement dimension mismatch"):
         canonicalize(ExactMatrix.identity(Q, 2))
+
+
+def test_restricted_span_not_invariant():
+    # e_0, I on its free row 0, spans no invariant line of the lower shift:
+    # J e_0 = e_1
+    with reaches("unipotent", "the span is not invariant under the "
+                              "operator"):
+        unipotent._restricted(ExactMatrix.jordan_block(Q, 2),
+                              ExactMatrix.unit_column(Q, 2, 0), [0])
 
 
 # -- unipotent: the single reduction ---------------------------------------------------
@@ -439,10 +440,10 @@ def test_cyclic_row_system_without_a_solution(monkeypatch):
 
 
 def test_singular_gamma_side_basis(monkeypatch):
-    # over GF(2) a step scaled by 2 is zero, and so is the Gamma side's
-    # reduction of B5, whose basis then has no inverse
+    # over GF(2) a reduction scaled by 2 is zero, and so is the Gamma
+    # side's reduction of B5, whose basis then has no inverse
     f2 = prime_field(2)
-    patch_result(monkeypatch, unipotent, "_canon_single_step",
+    patch_result(monkeypatch, unipotent, "canon_single",
                  lambda x: x.scale(f2.scalar(2)))
     with reaches("unipotent", "Gamma-side reduction basis is singular"):
         canonicalize(block(Block("B", 5), f2))
@@ -460,8 +461,7 @@ def test_canonical_diagonal_value_out_of_reach():
 
 def test_module_pairing_degenerate(monkeypatch):
     monkeypatch.setattr(unipotent, "_repair_generator",
-                        lambda g, shift, gen, duals, m:
-                        gen.scale(gen.ctx.zero()))
+                        lambda g, gen, duals, m: gen.scale(gen.ctx.zero()))
     with reaches("unipotent", "module pairing is degenerate"):
         canonicalize(block(Block("D", 4)))
 

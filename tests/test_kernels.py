@@ -35,8 +35,8 @@ from matcanon.field import (Scalar, _ByteRows, _FlatOps, _PairOps,
                             artin_schreier_root_or_adjoin, finite_field,
                             frobenius_gcd, gf4, parse_scalar, prime_field,
                             rationals, sqrt_or_adjoin)
-from matcanon.spectral import asymmetry_matrix, restrict_operator
-from matcanon.unipotent import _module_duals
+from matcanon.spectral import asymmetry_matrix
+from matcanon.unipotent import _module_duals, _restricted
 
 
 def _contexts():
@@ -538,10 +538,11 @@ def rand_invertible(ctx, rng, n):
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_solves_match_invert_then_multiply(name):
     """The stages' products with an inverse are one solve each: the
-    asymmetry A^-1 A', the operator on an invariant span and the pair
-    reduction's duals chain P'^-1 give the raw values of the inverse
-    formed and multiplied, on invertible systems; on a singular one the
-    asymmetry and the duals are refused."""
+    asymmetry A^-1 A' and the pair reduction's duals chain P'^-1 give the
+    raw values of the inverse formed and multiplied, on invertible
+    systems; on a singular one both are refused.  The operator on an
+    invariant span with a kernel basis, I on its free rows, is read off
+    those rows of S B with no inverse, and gives the same raw values."""
     ctx = CONTEXTS[name]
     rng = random.Random("invert then multiply " + name)
     for _round in range(3):
@@ -558,13 +559,19 @@ def test_solves_match_invert_then_multiply(name):
                      s.krylov(v, 4), rank_only=True).rank)),
                  (tri, ExactMatrix.identity(ctx, 4).columns([0, 1])
                   @ rand_invertible(ctx, rng, 2))]
-        for op, b in spans:
+        for op, span in spans:
+            # the span as the kernel basis B of its annihilator, as the
+            # complements of the unipotent peel are, with its free rows
+            ker = inverse_or_rank(inverse_or_rank(
+                span.transpose(), rank_only=True).kernel.transpose(),
+                rank_only=True)
+            b, free = ker.kernel, [i for i in range(4) if i not in ker.pivots]
             # B's independent rows give the coordinates B_rows^-1 (S B)_rows
             rows = inverse_or_rank(b.transpose(), rank_only=True).pivots
             cols = range(b.ncols)
             old = inverse_or_rank(b.submatrix(rows, cols)).inverse @ (
                 op @ b).submatrix(rows, cols)
-            assert restrict_operator(op, b).raw == old.raw
+            assert _restricted(op, b, free).raw == old.raw
         g = rand_matrix(ctx, rng, 4, 4)
         shift = rand_matrix(ctx, rng, 4, 4)
         gen = rand_matrix(ctx, rng, 4, 1)
@@ -574,9 +581,9 @@ def test_solves_match_invert_then_multiply(name):
             pinv = inverse_or_rank(chain.transpose() @ g @ targets).inverse
             if pinv is None:
                 with pytest.raises(InternalDegenerate):
-                    _module_duals(g, shift, gen, targets)
+                    _module_duals(g, chain, targets)
             else:
-                assert _module_duals(g, shift, gen, targets).raw == \
+                assert _module_duals(g, chain, targets).raw == \
                     (chain @ pinv.transpose()).raw
     with pytest.raises(SingularInput):
         asymmetry_matrix(singular_square(ctx, rng, 3))
@@ -647,7 +654,7 @@ def test_from_columns_keeps_its_shape(name):
     with pytest.raises(DimensionMismatch):
         solve(ExactMatrix.zeros(ctx, 2, 3), a)
     assert_matrix_canonical(
-        restrict_operator(ident, ExactMatrix.zeros(ctx, 3, 0)), ctx, 0, 0)
+        _restricted(ident, ExactMatrix.zeros(ctx, 3, 0), []), ctx, 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
@@ -769,6 +776,36 @@ def test_krylov_matches_reference(name):
                 assert ([got[i, j].coords for i in range(n)]
                         == [e.coords for e in col]), (label, length, j)
                 col = ref_matvec(a, col)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_shift_chain_is_the_krylov_chain_of_the_shift(name):
+    """v.shift_chain(m, length) is the Krylov chain of the sum of k lower
+    Jordan blocks J_m(0), raw value for raw value, for block sizes 1-4,
+    k = 0 (n = 0), 1 and 2 blocks and lengths 0 to m + 1; a wrong shape is
+    krylov's DimensionMismatch."""
+    ctx = CONTEXTS[name]
+    rng = random.Random("shift chain " + name)
+    for m in range(1, 5):
+        for k in range(3):
+            shift = ExactMatrix.block_diag(
+                ctx, [ExactMatrix.jordan_block(ctx, m)] * k)
+            v = columns_matrix(ctx, m * k,
+                               [[rand_scalar(ctx, rng) for _ in range(m * k)]])
+            for length in range(m + 2):
+                got, want = v.shift_chain(m, length), shift.krylov(v, length)
+                assert (got.ctx, got.nrows, got.ncols, got.raw) == \
+                    (want.ctx, want.nrows, want.ncols, want.raw)
+            # m k + 1 rows are a wrong shape for the shift chain only when
+            # m > 1: for m = 1 they are one more block
+            wrong = [(m * k, 2)] + ([(m * k + 1, 1)] if m > 1 else [])
+            for shape in wrong:
+                w = ExactMatrix.zeros(ctx, *shape)
+                with pytest.raises(DimensionMismatch) as want:
+                    shift.krylov(w, 2)
+                with pytest.raises(DimensionMismatch) as got:
+                    w.shift_chain(m, 2)
+                assert str(got.value) == str(want.value)
 
 
 # -- the context rule: contexts meet in the arithmetic -------------------------

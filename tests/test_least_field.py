@@ -86,10 +86,14 @@ def test_a_unipotent_class_is_peeled_in_the_field_of_its_gram(monkeypatch):
     original = canon.peel_all
 
     def peel_all(gram, nmat, eps):
-        seen.append((gram.ctx, nmat.ctx))
+        seen.append((gram.ctx, None if nmat is None else nmat.ctx))
         return original(gram, nmat, eps)
 
     monkeypatch.setattr(canon, "peel_all", peel_all)
-    form, _witness = canonicalize(WITH_ONE)
-    assert form.context.tower  # the answer still lives in the tower
-    assert seen == [(Q, Q)]
+    # a 1 x 1 class forms no operator; a 2 x 2 class forms it in Q
+    with_two = ExactMatrix.block_diag(Q, [ExactMatrix.identity(Q, 2), PAIR])
+    for a, want in ((WITH_ONE, [(Q, None)]), (with_two, [(Q, Q)])):
+        seen.clear()
+        form, _witness = canonicalize(a)
+        assert form.context.tower  # the answer still lives in the tower
+        assert seen == want

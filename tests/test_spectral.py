@@ -106,6 +106,51 @@ def test_split_cubed_unipotent():
     assert out.split_roots == [(q.one(), 3)]
 
 
+def _tower_q():
+    q = rationals()
+    return q.adjoin_sqrt(q.scalar(2))
+
+
+@pytest.mark.parametrize("ctx", [rationals(), prime_field(3),
+                                 prime_field(65521), _tower_q()],
+                         ids=["Q", "GF(3)", "GF(65521)", "Q(sqrt2)"])
+def test_extracting_a_root_is_the_repeated_division(ctx):
+    # (X - r)^m c(X) with c(r) != 0, for m = 0..3: synthetic division gives
+    # the quotient and multiplicity of the general division by X - r,
+    # repeated until a remainder is left, raw value for raw value
+    from matcanon.field import _poly_divmod
+    rng = random.Random("extract " + repr(ctx))
+    ops = ctx.ops
+
+    def element():  # a + b sqrt2 in the tower
+        x = ctx.scalar(rng.randint(-5, 5))
+        return (x + ctx.scalar(rng.randint(-5, 5)) * ctx.generator(1)
+                if ctx.tower else x)
+
+    for mult in range(4):
+        for _ in range(4):
+            root = element()
+            cofactor = [element() for _ in range(rng.randint(0, 3))]
+            cofactor.append(ctx.one())
+            if poly_eval(cofactor, root).is_zero():
+                continue
+            poly = cofactor
+            for _ in range(mult):  # times X - root
+                poly = [a - root * b for a, b in
+                        zip([ctx.zero()] + poly, poly + [ctx.zero()])]
+            quotient, got = spectral._extract_root(poly, root)
+            raw, want = [c.raw for c in poly], 0
+            while len(raw) > 1:
+                quot, rem = _poly_divmod(ops, raw, [ops.neg(root.raw),
+                                                    ops.one])
+                if rem != [ops.zero]:
+                    break
+                raw, want = quot, want + 1
+            assert got == want == mult
+            assert [c.raw for c in quotient] == raw
+            assert all(c.ctx is ctx for c in quotient)
+
+
 def test_split_x2_plus_1_extends():
     q = rationals()
     asym = Asymmetry(ExactMatrix.identity(q, 0),

@@ -1,13 +1,16 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from matcanon.canon import canonicalize
+from matcanon import canon, exactmat, unipotent
+from matcanon.canon import Block, canonical_block_matrix, canonicalize
 from matcanon.errors import NoArtinSchreierRootStrict
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import STRICT, gf4, prime_field, rationals
-from matcanon.spectral import asymmetry, hyperbolic_block_matrix
+from matcanon.spectral import (asymmetry, asymmetry_matrix,
+                               hyperbolic_block_matrix)
 from matcanon.unipotent import (gamma0_matrix, gamma_matrix, peel_all,
                                 reduce_pair, reduce_single,
                                 split_off_indecomposable)
@@ -95,6 +98,44 @@ def test_a_1x1_class_is_the_single_a_split_finds(gram):
     assert piece[:3] == split[:3] == ("single", eps, 1)
     for got, want in zip(piece[3:], split[3:]):  # basis and gram
         assert (got.ctx, got.raw) == (want.ctx, want.raw)
+
+
+def block_sum(ctx, blocks):
+    return ExactMatrix.block_diag(
+        ctx, [canonical_block_matrix(b, ctx) for b in blocks])
+
+
+@pytest.mark.parametrize("a, formed", [
+    (ExactMatrix(rationals(), [[Fraction(5, 2)]]), 0),
+    (ExactMatrix(prime_field(2), [[1]]), 0),
+    # a 1 x 1 class at 1, a pair class {2, 1/2} and a 2 x 2 class at -1
+    (ExactMatrix.block_diag(rationals(), [
+        ExactMatrix(rationals(), [[3]]),
+        block_sum(rationals(), [Block("G", 2, rationals().scalar(2)),
+                                Block("F", 2)])]), 1),
+], ids=["q", "gf2", "q-three-classes"])
+def test_a_1x1_class_forms_no_asymmetry(a, formed, monkeypatch):
+    # the reduction of the +-1 classes forms the asymmetry of the classes
+    # larger than 1 x 1 alone, and answers as when a 1 x 1 class is split
+    # on the asymmetry it has
+    calls = []
+    monkeypatch.setattr(canon, "asymmetry_matrix",
+                        lambda g: calls.append(g) or asymmetry_matrix(g))
+    form, witness = canonicalize(a)
+    assert len(calls) == formed
+
+    def split_peel(gram, nmat, eps):
+        if gram.nrows > 1:
+            return peel_all(gram, nmat, eps)
+        assert nmat is None
+        nmat = asymmetry_matrix(gram).minus_scalar(eps)
+        return [split_off_indecomposable(gram, nmat, eps)[0]]
+
+    monkeypatch.setattr(canon, "peel_all", split_peel)
+    want_form, want = canonicalize(a)
+    assert form == want_form
+    for got, ref in ((witness.x, want.x), (witness.target, want.target)):
+        assert (got.ctx, got.raw) == (ref.ctx, ref.raw)
 
 
 def test_peel_identity_gf2_singles():
@@ -374,3 +415,66 @@ def test_gamma0_even_order_rejected():
     f2 = prime_field(2)
     with pytest.raises(HypothesisViolation):
         gamma0_matrix(f2, 4)
+
+
+def scrambled(blocks, ctx, seed):
+    """Y' B Y for the block sum B and a random invertible Y over ctx."""
+    base = block_sum(ctx, blocks)
+    n, rng = base.nrows, random.Random(seed)
+    elements = list(ctx.iter_elements())
+    while True:
+        y = ExactMatrix(ctx, [[rng.choice(elements) for _ in range(n)]
+                              for _ in range(n)])
+        if inverse_or_rank(y, rank_only=True).rank == n:
+            return y.transpose() @ base @ y
+
+
+# (field, blocks, the most products and eliminations the +-1 reduction may
+# make) for scrambled sums of the bench's blocksum-gfp families
+BUDGETS = [
+    (prime_field(2), "B1 B3 D4 E2", 99),
+    (prime_field(3), "A3 C2 D8 F2", 125),
+    (gf4(), "B1 D4 E6", 88),
+]
+
+
+@pytest.mark.parametrize("ctx, blocks, budget", BUDGETS,
+                         ids=["gf2", "gf3", "gf4"])
+def test_the_unipotent_reduction_keeps_its_kernel_budget(ctx, blocks, budget,
+                                                         monkeypatch):
+    # products and eliminations made inside canon._reduce_unipotent_class,
+    # the kernels wrapped by attribute in every matcanon module that holds
+    # them, as the bench's tracer does; a fresh Gamma-side memo
+    a = scrambled([Block(b[0], int(b[1:])) for b in blocks.split()], ctx,
+                  blocks)
+    monkeypatch.setattr(unipotent, "_gamma_reduction_cache", {})
+    depth, calls = [0], [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += depth[0] > 0
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        counted(ExactMatrix.__matmul__))
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("matcanon") and m is not None]
+    for name in ("inverse_or_rank", "solve"):
+        original = getattr(exactmat, name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted(original))
+    reduce_class = canon._reduce_unipotent_class
+
+    def reduce(*args):
+        depth[0] += 1
+        try:
+            return reduce_class(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(canon, "_reduce_unipotent_class", reduce)
+    canonicalize(a)
+    assert calls[0] <= budget
