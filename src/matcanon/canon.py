@@ -220,14 +220,16 @@ def _canonicalize(a, policy):
             x = f(pending[j][1])
         pending.append((descs, x))
 
-    # the class columns side by side, in the final context; with no
-    # Gabriel part, the Gabriel congruence's X is the identity
+    # the class columns side by side, in the final context; with a
+    # Gabriel part, after its Jordan columns, on its core columns
     njord = sum(dec.jordan_sizes)
     blocks = [d for descs, _x in pending for d in descs]
     x_total = ExactMatrix.blocks(ctx, [[x for _d, x in pending]])
     if njord:
-        x_total = dec.congruence.x @ ExactMatrix.block_diag(ctx, [
-            ExactMatrix.identity(ctx, njord), x_total])
+        x = dec.congruence.x
+        x_total = ExactMatrix.blocks(ctx, [[
+            x.columns(range(njord)),
+            x.columns(range(njord, x.ncols)) @ x_total]])
 
     # order the blocks canonically: a column order, the columns of the
     # blocks following those of the Gabriel part

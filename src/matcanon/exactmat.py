@@ -46,8 +46,9 @@ block_diag), cut (submatrix, columns), combine (@, +, scale) and read
 (A[i, j]) matrices here; a unit vector is ExactMatrix.unit_column, a column
 of the identity.  A product with an empty side is the zero matrix of its
 shape, without the kernel.  A reorder of a basis is a column order,
-X.columns(order), with Gram matrix G.submatrix(order, order); no
-permutation matrix is multiplied.
+X.columns(order), with Gram matrix G.submatrix(order, order), and the unit
+columns at given rows times M are M.scattered(rows, n); no permutation or
+unit-column matrix is multiplied.
 
 Contexts meet here.  A matrix lives in one FieldContext, and the arithmetic
 lifts: @, +, scale, minus_scalar and == work in the common context of their
@@ -362,6 +363,15 @@ class ExactMatrix:
     def columns(self, col_idx):
         """The columns at the given indices, in that order."""
         return self.submatrix(range(self.nrows), col_idx)
+
+    def scattered(self, row_idx, nrows):
+        """The nrows-row matrix with self's rows at the given indices and
+        zero rows elsewhere: the unit columns at row_idx times self, with
+        no product."""
+        raw = [(self.ctx.ops.zero,) * self.ncols] * nrows
+        for i, row in zip(row_idx, self.raw):
+            raw[i] = row
+        return _trusted(self.ctx, tuple(raw), self.ncols)
 
 
 InverseRank = namedtuple("InverseRank", "inverse rank kernel pivots")

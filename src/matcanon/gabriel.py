@@ -11,13 +11,20 @@ reduces a singular zero-radical matrix to a three-block state
 where K spans the right kernel.  Decomposing M recursively and clearing E
 against the row space of M leaves each (q_i, k_i) pair either attached to
 the end of one Jordan chain of M (growing it by two) or detached as a J_2
-block.  All steps are explicit congruences, and the final layouts are
-column orders of X (X.columns(order)).  A non-singular matrix has a zero
-radical, so its rank test, one elimination, comes first and returns it as
-the core.  Like the later pipeline stages, gabriel_decompose returns a
-plain, unverified congruence, and no step re-checks the state it built: a
-wrong step fails the one certificate of the answer.  The raises left guard
-a missing solution and a rank the layout's shapes rest on.
+block.  A non-singular matrix has a zero radical, so its rank test, one
+elimination, comes first and returns it as the core.  The state is held
+as its blocks (x_P, x_Q, K; M, E), each step updates only those it
+changes, and no identity-padded step is multiplied.  A kernel basis read
+off an elimination is the identity on its free rows, so the units at the
+pivots, ext, extend it to a basis, with Gram matrix A[ext, ext].  The
+radical, the part of K that A' kills, is nonzero exactly when K'A[:, ext]
+(of A'K's rank) lacks full row rank; only then is the stacked [A; A']
+elimination run.  The recursion's target is taken as the new M, and the
+layouts are column orders of X (X.columns(order)).  Like the later
+pipeline stages, gabriel_decompose returns a plain, unverified congruence,
+and no step re-checks the state it built: a wrong step fails the one
+certificate of the answer.  The raises left guard a missing solution and
+a rank the layout's shapes rest on.
 """
 
 from __future__ import annotations
@@ -56,92 +63,59 @@ def _assemble_target(sizes, core):
 
 def _decompose(a):
     """Worker: returns (sizes desc-sorted, core, X) with X'AX in block form."""
-    ctx = a.ctx
-    n = a.nrows
-    ident = ExactMatrix.identity(ctx, n)
-    if n == 0:
-        return [], a, ident
+    ctx, n = a.ctx, a.nrows
+    res = inverse_or_rank(a, rank_only=True) if n else None
+    if not n or res.rank == n:
+        return [], a, ExactMatrix.identity(ctx, n)
 
-    res = inverse_or_rank(a, rank_only=True)
-    if res.rank == n:
-        return [], a, ident
+    # 1. the radical, {K w : A'K w = 0}, is nonzero exactly when
+    #    K'A[:, ext] (of A'K's rank, as AK = 0 and the units at the
+    #    pivots, ext, extend K to a basis) lacks full row rank k: when no
+    #    column reduction R sends it to [0 | I_k]
+    kernel, ext = res.kernel, list(res.pivots)
+    red = _reduce_columns(kernel.transpose() @ a.columns(ext))
+    if red is None:
+        return _split_radical(a)
 
-    # 1. split the radical: rows and columns annihilated both ways
-    stacked = ExactMatrix.blocks(ctx, [[a], [a.transpose()]])
-    rad = inverse_or_rank(stacked, rank_only=True).kernel
-    if rad.ncols:
-        x0 = _extend_to_basis(rad)
-        r0 = rad.ncols
-        comp = x0.columns(range(r0, n))
-        a2 = comp.transpose() @ a @ comp
-        sizes2, core2, x2 = _decompose(a2)
-        lifted = ExactMatrix.block_diag(ctx, [ExactMatrix.identity(ctx, r0),
-                                              x2])
-        x_total = x0 @ lifted
-        # current layout: r0 J_1 blocks, then sizes2 blocks, then core
-        blocks = [[i] for i in range(r0)] + _runs(r0, sizes2)
-        sizes, order = _sorted_layout(blocks, range(n - core2.nrows, n))
-        return sizes, core2, x_total.columns(order)
-
-    # 2. singular with zero radical: build the (P, Q, K) state
-    k = res.kernel.ncols
+    # 2. singular with zero radical: on the basis (P, Q, K) = ([ext] R, K)
+    #    G is [[R'A[ext, ext]R, 0], [[0 | I_k], 0]]; clear its (P,Q) and
+    #    (Q,Q) blocks against K, as (K,Q) = I: p_a -= sum_j G[p_a, q_j] k_j
+    #    and q_i -= sum_l G[q_i, q_l] k_l
+    k = kernel.ncols
     d = n - 2 * k
-    x_acc = _extend_to_basis(res.kernel, kernel_last=True)
-    g = x_acc.transpose() @ a @ x_acc
+    p_idx, q_idx = range(d), range(d, d + k)
+    g = red.transpose() @ a.submatrix(ext, ext) @ red
+    x_pq = red.scattered(ext, n) - kernel @ g.columns(q_idx).transpose()
+    x_p, x_q = x_pq.columns(p_idx), x_pq.columns(q_idx)
+    e_block = g.submatrix(q_idx, p_idx)
 
-    # column-reduce the K-row block N (k x (n-k)) to [0 | I_k]
-    nb = g.submatrix(range(n - k, n), range(n - k))
-    r0 = _reduce_columns(nb)
-    x_step = ExactMatrix.block_diag(ctx, [r0, ExactMatrix.identity(ctx, k)])
-    x_acc = x_acc @ x_step
-    g = x_step.transpose() @ g @ x_step
-
-    p_idx = list(range(d))
-    q_idx = list(range(d, d + k))
-
-    # clear the (P,Q) block by subtracting K-vectors from P-vectors,
-    # and the (Q,Q) block by adding K-vectors to Q-vectors
-    x_step = _clear_pq_qq(g, d, k)
-    x_acc = x_acc @ x_step
-    g = x_step.transpose() @ g @ x_step
-
-    # 3. recurse on M = (P,P)
-    m = g.submatrix(p_idx, p_idx)
-    sizes_m, core_m, xm = _decompose(m)
-    x_step = ExactMatrix.block_diag(ctx, [xm, ExactMatrix.identity(ctx, 2 * k)])
-    x_acc = x_acc @ x_step
-    g = x_step.transpose() @ g @ x_step
+    # 3. recurse on M = (P,P); its target M2 is the new (P,P) block
+    sizes_m, core_m, xm = _decompose(g.submatrix(p_idx, p_idx))
+    m2 = _assemble_target(sizes_m, core_m)
+    x_p, e_block = x_p @ xm, e_block @ xm
 
     # 4. clear E = (Q,P) down to end-of-chain columns via q_i += t_i . P,
-    #    then restore the (P,Q)/(Q,Q) zeros
+    #    which makes (P,Q) M2 t and (Q,P) E + t'M2, zero but for E_hat, the
+    #    split's residues on the end columns, so (Q,Q) is t'M2t + E t =
+    #    E_hat t[ends]; then restore the (P,Q)/(Q,Q) zeros as in step 2
     chains = _runs(0, sizes_m)
     ends = [run[-1] for run in chains]
-    m2 = g.submatrix(p_idx, p_idx)
-    e_block = g.submatrix(q_idx, p_idx)
-    t = _split_off_rowspace(m2, e_block, ends)
+    t, e_hat = _split_off_rowspace(m2, e_block, ends)
     if t is not None:
-        # q_i += t[a, i] p_a (columns of X are new basis vectors)
-        x_step = ExactMatrix.blocks(ctx, [
-            [ExactMatrix.identity(ctx, d), t, ExactMatrix.zeros(ctx, d, k)],
-            [ExactMatrix.zeros(ctx, 2 * k, d),
-             ExactMatrix.identity(ctx, 2 * k)]])
-        x_acc = x_acc @ x_step
-        g = x_step.transpose() @ g @ x_step
-        x_step = _clear_pq_qq(g, d, k)
-        x_acc = x_acc @ x_step
-        g = x_step.transpose() @ g @ x_step
+        qq = e_hat @ t.submatrix(ends, range(k))
+        x_q = x_q + x_p @ t - kernel @ qq.transpose()
+        x_p = x_p - kernel @ (m2 @ t).transpose()
 
     # 5. reduce the end-column block E_hat of E (k x s, full column rank)
     #    to [[I_s],[0]]: T E_hat = [[I_s],[0]] for T^-1 = [E_hat | units],
-    #    E_hat extended to a basis as in step 2, and S = T' (paired with
+    #    E_hat extended to a basis of unit vectors, and S = T' (paired with
     #    the inverse-transpose T^-1 on K to keep the (K,Q) identity)
-    s_inv_t = _extend_to_basis(g.submatrix(range(d, d + k), ends))
+    s_inv_t = _extend_to_basis(e_hat)
     t_mat = inverse_or_rank(s_inv_t).inverse
     if t_mat is None:
         raise InternalDegenerate("end-column block lost column rank")
-    s_mat = t_mat.transpose()
-    x_acc = x_acc @ ExactMatrix.block_diag(
-        ctx, [ExactMatrix.identity(ctx, d), s_mat, s_inv_t])
+    x_acc = ExactMatrix.blocks(ctx, [[x_p, x_q @ t_mat.transpose(),
+                                      kernel @ s_inv_t]])
 
     # 6. reorder into chains (each grown by its q_b and k_b) + detached
     #    (q_j, k_j) pairs + core, the blocks in descending size
@@ -151,9 +125,29 @@ def _decompose(a):
     return sizes, core_m, x_acc.columns(order)
 
 
-def _extend_to_basis(cols, kernel_last=False):
+def _split_radical(a):
+    """_decompose of an A with a nonzero radical: the rows and columns
+    annihilated both ways, as J_1 blocks, extended by the units at the
+    pivots, ext, and A[ext, ext] decomposed on their span."""
+    ctx, n = a.ctx, a.nrows
+    stacked = ExactMatrix.blocks(ctx, [[a], [a.transpose()]])
+    rad = inverse_or_rank(stacked, rank_only=True)
+    r0 = rad.kernel.ncols
+    if not r0:  # A[ext, ext] would be A itself
+        raise InternalDegenerate("kernel rows lost rank, but the radical "
+                                 "is zero")
+    ext = list(rad.pivots)
+    sizes2, core2, x2 = _decompose(a.submatrix(ext, ext))
+    x_total = ExactMatrix.blocks(ctx, [[rad.kernel, x2.scattered(ext, n)]])
+    # current layout: r0 J_1 blocks, then sizes2 blocks, then core
+    blocks = [[i] for i in range(r0)] + _runs(r0, sizes2)
+    sizes, order = _sorted_layout(blocks, range(n - core2.nrows, n))
+    return sizes, core2, x_total.columns(order)
+
+
+def _extend_to_basis(cols):
     """Extend the independent columns of an n x r matrix to a basis of
-    unit vectors (greedy), as an n x n matrix: cols first, or last.
+    unit vectors (greedy), as the n x n matrix [cols | units].
 
     The unit vectors chosen are the pivot columns of [cols | I_n].
     """
@@ -162,44 +156,28 @@ def _extend_to_basis(cols, kernel_last=False):
     pivots = inverse_or_rank(ExactMatrix.blocks(ctx, [[cols, units]]),
                              rank_only=True).pivots
     extension = units.columns([p - r for p in pivots if p >= r])
-    parts = [extension, cols] if kernel_last else [cols, extension]
-    return ExactMatrix.blocks(ctx, [parts])
+    return ExactMatrix.blocks(ctx, [[cols, extension]])
 
 
 def _reduce_columns(nb):
-    """R with NB @ R = [0 | I_k]; NB is k x m with full row rank k.
+    """R with NB @ R = [0 | I_k] for a k x m NB, or None unless NB has
+    full row rank k.
 
     One solve NB X = I_k gives it: the kernel vectors fill the first m - k
     columns, and X, NB[:, pivots]^-1 on the pivot rows, the last k.
     """
     ctx = nb.ctx
     x, kernel = solve(nb, ExactMatrix.identity(ctx, nb.nrows))
-    if x is None:
-        raise InternalDegenerate("kernel rows are not full rank "
-                                 "(radical was nonzero?)")
-    return ExactMatrix.blocks(ctx, [[kernel, x]])
-
-
-def _clear_pq_qq(g, d, k):
-    """One congruence clearing the (P,Q) and (Q,Q) blocks against K, for P,
-    Q and K the first d, the next k and the last k basis vectors: the
-    identity with -(G[P+Q, Q])' in its (K, P+Q) block, that is p_a -= sum_j
-    G[p_a, q_j] k_j and q_i -= sum_l G[q_i, q_l] k_l."""
-    ctx = g.ctx
-    clear = (-g.submatrix(range(d + k), range(d, d + k))).transpose()
-    return ExactMatrix.blocks(ctx, [
-        [ExactMatrix.identity(ctx, d + k), ExactMatrix.zeros(ctx, d + k, k)],
-        [clear, ExactMatrix.identity(ctx, k)]])
+    return None if x is None else ExactMatrix.blocks(ctx, [[kernel, x]])
 
 
 def _split_off_rowspace(m2, e_block, ends):
-    """The d x k matrix T whose column t_i makes e_i + t_i' M2 supported on
-    the end columns, for the rows e_i of E, or None."""
-    ctx = m2.ctx
-    d = m2.nrows
-    k = e_block.nrows
-    if d == 0 or k == 0:
-        return None
+    """(T, E_hat): the d x k matrix T whose column t_i makes e_i + t_i' M2
+    supported on the end columns, for the rows e_i of E, or None when d is
+    0, and the k x s block of E + T'M2 on the end columns, the residues."""
+    ctx, d, k = m2.ctx, m2.nrows, e_block.nrows
+    if d == 0:
+        return None, e_block.columns(ends)
     # unknowns: t (d coefficients) plus residues on end columns
     # equations: t' M2 + r . ends = e_i  as row vectors, so the system is
     # [M2' | the unit columns of the ends], one right-hand side per row e_i
@@ -208,7 +186,8 @@ def _split_off_rowspace(m2, e_block, ends):
     part, _hom = solve(sys_matrix, e_block.transpose())
     if part is None:
         raise InternalDegenerate("row space split failed")
-    return -part.submatrix(range(d), range(k))
+    return (-part.submatrix(range(d), range(k)),
+            part.submatrix(range(d, d + len(ends)), range(k)).transpose())
 
 
 def _runs(start, sizes):

@@ -143,8 +143,11 @@ def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
     comp, free = _orthogonal_complement(gram, bmat, bg)
     if comp.ncols + bmat.ncols != gram.nrows:
         raise InternalDegenerate("complement dimension mismatch")
-    rem_gram = comp.transpose() @ gram @ comp
     piece = UnipotentPiece(piece_kind, eps, r, bmat, bg @ bmat)
+    if not comp.ncols:  # the last piece: an empty remainder
+        empty = ExactMatrix.zeros(gram.ctx, 0, 0)
+        return piece, comp, empty, empty
+    rem_gram = comp.transpose() @ gram @ comp
     return piece, comp, rem_gram, _restricted(nmat, comp, free)
 
 
@@ -232,9 +235,9 @@ def peel_all(gram, nmat, eps):
         piece, comp, cur_gram, cur_nmat, index = split_off_indecomposable(
             cur_gram, cur_nmat, eps, index)
         if base is not None:  # into the original coordinates
-            piece, comp = piece._replace(basis=base @ piece.basis), base @ comp
+            piece = piece._replace(basis=base @ piece.basis)
         pieces.append(piece)
-        base = comp
+        base = comp if base is None or not comp.ncols else base @ comp
     return pieces
 
 

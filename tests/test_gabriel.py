@@ -1,21 +1,27 @@
+import hashlib
 import random
 
 from matcanon.exactmat import CongruenceWitness, ExactMatrix, inverse_or_rank
-from matcanon.field import prime_field, rationals
+from matcanon.field import gf4, prime_field, rationals
 from matcanon.gabriel import gabriel_decompose
 
 
-def rand_matrix(ctx, rng, n, lo=-3, hi=3):
+def _entry(ctx, rng):
     if ctx.kind == "rational":
-        return ExactMatrix(ctx, [[rng.randint(lo, hi) for _ in range(n)]
-                                 for _ in range(n)])
-    return ExactMatrix(ctx, [[rng.randrange(ctx.p) for _ in range(n)]
+        return rng.randint(-3, 3)
+    if ctx.kind == "gfq":  # GF(4): two coordinates over GF(2)
+        return ctx.scalar((rng.randrange(2), rng.randrange(2)))
+    return rng.randrange(ctx.p)
+
+
+def rand_matrix(ctx, rng, n):
+    return ExactMatrix(ctx, [[_entry(ctx, rng) for _ in range(n)]
                              for _ in range(n)])
 
 
-def rand_invertible(ctx, rng, n, lo=-3, hi=3):
+def rand_invertible(ctx, rng, n):
     while True:
-        y = rand_matrix(ctx, rng, n, lo, hi)
+        y = rand_matrix(ctx, rng, n)
         if inverse_or_rank(y).inverse is not None:
             return y
 
@@ -62,6 +68,32 @@ def test_a_full_rank_input_takes_one_elimination(monkeypatch):
             dec = gabriel_decompose(a)
             assert seen == [a]
             assert dec.jordan_sizes == [] and dec.core == a
+
+
+def test_the_radical_elimination_runs_only_when_there_is_a_radical(
+        monkeypatch):
+    # a singular A with a zero radical makes no 2n x n stacked [A; A']
+    # elimination, and no input, radical or not, a [K | I_n] basis
+    # extension, n columns wider than K; a radical (a planted J_1) makes
+    # exactly one stacked elimination
+    from matcanon import gabriel
+    shapes = []
+    original = gabriel.inverse_or_rank
+
+    def recording(m, rank_only=False):
+        shapes.append((m.nrows, m.ncols))
+        return original(m, rank_only)
+
+    monkeypatch.setattr(gabriel, "inverse_or_rank", recording)
+    kinds = set()
+    for sizes, a in _planted_singular_inputs(40):
+        n = a.nrows
+        shapes.clear()
+        gabriel_decompose(a)
+        assert shapes.count((2 * n, n)) == (1 in sizes)
+        assert all(ncols <= n for _nrows, ncols in shapes)
+        kinds.add(1 in sizes)
+    assert kinds == {False, True}
 
 
 def test_scrambled_j2_plus_unit_gf3():
@@ -188,3 +220,46 @@ def test_sizes_partition_dimension_random():
         dec = gabriel_decompose(a)
         assert sum(dec.jordan_sizes) + dec.core.nrows == n
         assert dec.jordan_sizes == sorted(dec.jordan_sizes, reverse=True)
+
+
+# the first block planted in each kind of case, and the sizes drawn after
+# it: J_1 gives a radical, J_2 alone a zero radical and an invertible M,
+# J_3 and J_4 a zero radical and an M that is singular again
+_PLANTED_KINDS = (((1,), (1, 2, 3, 4)), ((2,), (2,)),
+                  ((3, 4), (2, 3, 4)), ((1, 2, 3, 4), (1, 2, 3, 4)))
+
+
+def _planted_singular_inputs(count=200):
+    """(planted sizes, Y' (J_k1 + ... + core) Y) for seeded random Y and
+    invertible cores, n from 6 to 12 over GF(2), GF(3), GF(4), GF(13) and
+    Q, the kinds of _PLANTED_KINDS in turn."""
+    rng = random.Random(38)
+    fields = (prime_field(2), prime_field(3), gf4(), prime_field(13),
+              rationals())
+    for i in range(count):
+        ctx = fields[i % len(fields)]
+        first, pool = _PLANTED_KINDS[i // len(fields) % len(_PLANTED_KINDS)]
+        n = rng.randint(6, 12)
+        sizes = [rng.choice(first)]
+        while rng.random() < 0.6:
+            s = rng.choice(pool)
+            if sum(sizes) + s > n:
+                break
+            sizes.append(s)
+        blocks = [ExactMatrix.jordan_block(ctx, s) for s in sizes]
+        blocks.append(rand_invertible(ctx, rng, n - sum(sizes)))
+        y = rand_invertible(ctx, rng, n)
+        yield sizes, y.transpose() @ ExactMatrix.block_diag(ctx, blocks) @ y
+
+
+def test_planted_singular_decompositions_are_pinned():
+    # one digest over sizes, core and X of every decomposition: a rewrite
+    # of the steps must reproduce the same bases, not only a valid answer
+    digest = hashlib.sha256()
+    for sizes, a in _planted_singular_inputs():
+        dec = gabriel_decompose(a)
+        assert dec.jordan_sizes == sorted(sizes, reverse=True)
+        digest.update(repr((dec.jordan_sizes, dec.core.raw,
+                            dec.congruence.x.raw)).encode())
+    assert digest.hexdigest() == \
+        "4d86b079282bf551ea15c520468244be62a6e91c02d782fbae6b7e7d79a83981"

@@ -153,6 +153,29 @@ def test_peel_antidiagonal_gf2_pair():
     assert pieces[0].kind == "pair" and pieces[0].order == 1
 
 
+@pytest.mark.parametrize("gram", [
+    ExactMatrix.identity(prime_field(2), 2),
+    ExactMatrix(prime_field(2), [[0, 1], [1, 0]]),
+    ExactMatrix.block_diag(rationals(), [gamma_matrix(rationals(), 1),
+                                         gamma_matrix(rationals(), 3)]),
+    gamma_matrix(prime_field(3), 5),
+], ids=["gf2-singles", "gf2-pair", "q-gamma1-gamma3", "gf3-gamma5"])
+def test_a_peel_forms_no_empty_product(gram, monkeypatch):
+    # the last split leaves an empty complement: its Gram matrix, its
+    # operator and its basis in the original coordinates take no product
+    nmat = nil_of(gram)
+    shapes, matmul = [], ExactMatrix.__matmul__
+
+    def recording(a, b):
+        shapes.append((a.nrows, a.ncols, b.ncols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", recording)
+    pieces = peel_all(gram, nmat, gram.ctx.one())
+    assert sum(p.basis.ncols for p in pieces) == gram.nrows
+    assert shapes and all(all(shape) for shape in shapes), shapes
+
+
 def test_filtration_gamma1_plus_gamma3():
     q = rationals()
     a = ExactMatrix.block_diag(q, [gamma_matrix(q, 1), gamma_matrix(q, 3)])
