@@ -97,13 +97,16 @@ def _decompose(a):
     # 4. clear E = (Q,P) down to end-of-chain columns via q_i += t_i . P,
     #    which makes (P,Q) M2 t and (Q,P) E + t'M2, zero but for E_hat, the
     #    split's residues on the end columns, so (Q,Q) is t'M2t + E t =
-    #    E_hat t[ends]; then restore the (P,Q)/(Q,Q) zeros as in step 2
+    #    E_hat t[ends], zero when M has no chain; then restore the
+    #    (P,Q)/(Q,Q) zeros as in step 2
     chains = _runs(0, sizes_m)
     ends = [run[-1] for run in chains]
     t, e_hat = _split_off_rowspace(m2, e_block, ends)
     if t is not None:
-        qq = e_hat @ t.submatrix(ends, range(k))
-        x_q = x_q + x_p @ t - kernel @ qq.transpose()
+        x_q = x_q + x_p @ t
+        if ends:
+            qq = e_hat @ t.submatrix(ends, range(k))
+            x_q = x_q - kernel @ qq.transpose()
         x_p = x_p - kernel @ (m2 @ t).transpose()
 
     # 5. reduce the end-column block E_hat of E (k x s, full column rank)

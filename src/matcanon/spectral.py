@@ -19,14 +19,20 @@ Roots are taken one at a time: 1, else -1, else the least in the field.
 A quadratic goes straight to field.quadratic_roots, one square root (or
 Artin-Schreier root) whatever the field, and the preference picks among
 the roots it returns.  Over GF(q) (a tower included) the roots of f of
-degree >= 3 in the field are those of g = gcd(f, X^q - X), which
-field.frobenius_gcd computes on raw values (the routine of Rabin's
-irreducibility test, with another exponent) once per context: one search
-lists the roots until an adjunction changes q.  g is split into linear
-factors by Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2) - 1) for odd q, or
-gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... + Y^(2^(m-1)) for q = 2^m,
-over shifts a drawn from field.random_elements.  The work is polynomial in
-log q, and the list is in iter_elements order whatever the draws.
+degree >= 3 in the field are listed once per context: one search lists
+them until an adjunction changes q.  S is similar to S^-1, so once 1 and
+-1 are peeled f is usually a palindrome of degree 2k, f = X^k h(X + 1/X);
+its roots are then those in the field of X^2 - mu X + 1 (square or
+Artin-Schreier roots, under the strict policy) over the roots mu of h in
+the field, which a quadratic h gives the same way.  The roots of h of
+degree >= 3, or of f when it is no palindrome, are those of
+g = gcd(h, X^q - X), which field.frobenius_gcd computes on raw values
+(the routine of Rabin's irreducibility test, with another exponent).  g is
+split into linear factors by Cantor-Zassenhaus: gcd(g, (X + a)^((q-1)/2)
+- 1) for odd q, or gcd(g, Tr(aX) mod g) with Tr(Y) = Y + Y^2 + ... +
+Y^(2^(m-1)) for q = 2^m, over shifts a drawn from field.random_elements.
+The work is polynomial in log q, and the list is in iter_elements order
+whatever the draws.
 
 Over Q the rational roots of f of degree >= 3 come from its roots mod a
 prime (Loos, SIAM J. Comput. 12, 1983).  The squarefree part of f, cleared
@@ -55,13 +61,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cmp_to_key, partial
 
-from .errors import InternalDegenerate, NotSplit, SingularInput
+from .errors import (InternalDegenerate, NoRootStrictPolicy, NotSplit,
+                     SingularInput)
 from .exactmat import ExactMatrix, first_dependence, inverse_or_rank, solve
-from .field import (EXTEND, Scalar, _is_prime, _poly_axpy, _poly_divmod,
-                    _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
-                    adjunctions, canonical_compare, coordinate_map,
-                    enumeration_key, frobenius_gcd, prime_field,
-                    quadratic_roots, random_elements)
+from .field import (EXTEND, STRICT, Scalar, _is_prime, _poly_axpy,
+                    _poly_divmod, _poly_gcd, _poly_mulmod, _poly_powmod,
+                    _poly_trim, adjunctions, canonical_compare,
+                    coordinate_map, enumeration_key, frobenius_gcd,
+                    prime_field, quadratic_roots, random_elements)
 
 # a shift splits a factor with two or more roots with probability about 1/2
 # or better; 64 failures in a row mean the context is not a field
@@ -216,13 +223,13 @@ def _find_one_root(poly, listed=None):
     if listed:  # made when 1 and -1 were not roots, so neither is listed
         return listed[0], listed
     if len(poly) == 3:
-        return _preferred_root(_quadratic_roots(poly), ctx), None
+        return _preferred_root(_quadratic_roots(poly, EXTEND), ctx), None
     pal = _palindrome_transform(poly)
     if pal is not None:
         mu, _ = _find_one_root(pal)
         # X^2 - mu X + 1 = 0
         one = mu.ctx.one()
-        return _quadratic_roots([one, -mu, one])[0], None
+        return _quadratic_roots([one, -mu, one], EXTEND)[0], None
     raise NotSplit("irreducible factor of degree %d is not reachable by "
                    "quadratic adjunctions" % (len(poly) - 1))
 
@@ -230,7 +237,22 @@ def _find_one_root(poly, listed=None):
 def _finite_field_roots(poly):
     """The distinct roots of a polynomial in the finite field ctx of its
     coefficients, in iter_elements order (see the module docstring for the
-    method)."""
+    method): through h with poly = X^k h(X + 1/X) when poly is a
+    palindrome of degree 2k >= 4, each root mu of h giving the roots of
+    X^2 - mu X + 1 in the field."""
+    pal = _palindrome_transform(poly) if len(poly) > 4 else None
+    if pal is None:
+        return _frobenius_roots(poly)
+    mus = (_quadratic_roots(pal, STRICT) if len(pal) == 3
+           else _frobenius_roots(pal))
+    one = poly[0].ctx.one()
+    roots = {r for mu in mus for r in _quadratic_roots([one, -mu, one],
+                                                        STRICT)}
+    return sorted(roots, key=enumeration_key)  # mu = +-2 gives +-1 twice
+
+
+def _frobenius_roots(poly):
+    """_finite_field_roots by gcd(poly, X^q - X) and Cantor-Zassenhaus."""
     ctx = poly[0].ctx
     ops = ctx.ops
     q = ctx.order()
@@ -269,13 +291,17 @@ def _splitting_poly(ops, h, a, q):
     return trace
 
 
-def _quadratic_roots(poly):
+def _quadratic_roots(poly, policy):
     """The roots of a quadratic, made monic (X^2 + c1 X + c0) first, by
     field.quadratic_roots: both when they lie in poly's context, else the
-    one adjoined to it (a square or Artin-Schreier root).  In characteristic
-    2 the other root of r is r + c1, and r is double when c1 = 0."""
+    one adjoined to it (a square or Artin-Schreier root), or none under the
+    strict policy.  In characteristic 2 the other root of r is r + c1, and
+    r is double when c1 = 0."""
     c0, c1 = poly[0] / poly[2], poly[1] / poly[2]
-    roots = quadratic_roots(c1.ctx.one(), c1, c0, EXTEND)
+    try:
+        roots = quadratic_roots(c1.ctx.one(), c1, c0, policy)
+    except NoRootStrictPolicy:
+        return []
     r = roots[0]
     if c1.ctx.characteristic == 2 and r.ctx == c1.ctx and not c1.is_zero():
         roots.append(r + c1)

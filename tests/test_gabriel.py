@@ -96,6 +96,38 @@ def test_the_radical_elimination_runs_only_when_there_is_a_radical(
     assert kinds == {False, True}
 
 
+def test_a_middle_block_with_no_chain_forms_no_zero_product(monkeypatch):
+    # when M, the recursion's (P,P) block, is invertible it has no Jordan
+    # chain, and step 4's (Q,Q) correction E_hat t[ends] is zero: it is not
+    # formed, so scrambled core + J_2 (+ J_2 or J_1) inputs make no
+    # product with an empty side or a zero factor
+    products = []
+    matmul = ExactMatrix.__matmul__
+
+    def recording(x, y):
+        products.append((x.nrows, x.ncols, y.ncols, x.is_zero(),
+                         y.is_zero()))
+        return matmul(x, y)
+
+    rng = random.Random(5)
+    for ctx in (rationals(), prime_field(13)):
+        for core in ([[1]], [[1, 2], [0, 3]]):
+            for sizes in ([2], [2, 2], [2, 1]):
+                a = ExactMatrix.block_diag(ctx, [ExactMatrix(ctx, core)] + [
+                    ExactMatrix.jordan_block(ctx, s) for s in sizes])
+                y = rand_invertible(ctx, rng, a.nrows)
+                b = y.transpose() @ a @ y
+                products.clear()
+                monkeypatch.setattr(ExactMatrix, "__matmul__", recording)
+                dec = gabriel_decompose(b)
+                monkeypatch.undo()
+                assert dec.jordan_sizes == sizes
+                assert dec.core.nrows == len(core)
+                assert products and all(
+                    m and k and n and not zx and not zy
+                    for m, k, n, zx, zy in products), products
+
+
 def test_scrambled_j2_plus_unit_gf3():
     f = prime_field(3)
     base = ExactMatrix.block_diag(f, [ExactMatrix.jordan_block(f, 2),

@@ -1,5 +1,6 @@
 import ast
 import functools
+import hashlib
 import inspect
 import itertools
 import random
@@ -13,8 +14,8 @@ from matcanon import spectral
 from matcanon.canon import canonicalize
 from matcanon.errors import NotSplit, SingularInput
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
-from matcanon.field import (EXTEND, STRICT, Scalar, finite_field, gf4,
-                            prime_field, rationals)
+from matcanon.field import (EXTEND, STRICT, Scalar, enumeration_key,
+                            finite_field, gf4, prime_field, rationals)
 from matcanon.spectral import (Asymmetry, PairClass,
                                UnipotentClass, asymmetry, eigen_split,
                                hyperbolic_block_matrix, hyperbolic_canonical,
@@ -594,12 +595,17 @@ def _monic_from_roots(ctx, roots, extra=()):
     if extra:
         factors.append([ctx.scalar(c) for c in extra] + [ctx.one()])
     for fac in factors:
-        out = [ctx.zero()] * (len(poly) + len(fac) - 1)
-        for i, x in enumerate(poly):
-            for j, y in enumerate(fac):
-                out[i + j] = out[i + j] + x * y
-        poly = out
+        poly = _times(poly, fac)
     return poly
+
+
+def _times(a, b):
+    """The product of two polynomials, coefficients low to high."""
+    out = [a[0].ctx.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 def test_finite_field_roots_match_enumeration():
@@ -702,10 +708,11 @@ def test_congruence_invariance_fuzz_large_primes():
 
 
 def test_frobenius_power_once_per_context(monkeypatch):
-    """split_min_poly computes X^q mod f once per context it passes
-    through, and takes the further roots from the list that gave the
-    first: 1, else -1, else the least left, each partner 1/r peeled with
-    it."""
+    """split_min_poly lists the roots once per context it passes through,
+    and takes the further roots from the list that gave the first: 1, else
+    -1, else the least left, each partner 1/r peeled with it.  A palindrome
+    f = X^k g(X + 1/X) is listed through g: X^q mod g, of half f's
+    degree, is the one power computed."""
     from matcanon import spectral
     calls = []
     real = spectral.frobenius_gcd
@@ -718,8 +725,9 @@ def test_frobenius_power_once_per_context(monkeypatch):
     p = 65537
     ctx = prime_field(p)
     two, three, five = (ctx.scalar(v) for v in (2, 3, 5))
-    # six distinct roots in GF(p) besides -1: one computation, of degree 6
-    # once -1 (a cheap candidate, no computation) is peeled
+    # six distinct roots in GF(p) besides -1: once -1 (a cheap candidate,
+    # no computation) is peeled, one computation on the cubic g whose roots
+    # are 2 + 1/2, 3 + 1/3 and 5 + 1/5
     roots = [two, two.inverse(), three, three.inverse(), five,
              five.inverse(), -ctx.one(), -ctx.one()]
     poly = _monic_from_roots(ctx, roots)
@@ -728,11 +736,13 @@ def test_frobenius_power_once_per_context(monkeypatch):
     assert out.split_roots == [(-ctx.one(), 2), (two, 1), (two.inverse(), 1),
                                (three, 1), (three.inverse(), 1),
                                (five, 1), (five.inverse(), 1)]
-    assert calls == [(p, 6)]
-    # two irreducible palindromic quadratics besides 2 and 1/2: one
-    # computation in GF(p), none more there; the palindrome's quadratic in
-    # Y = X + 1/X and the quadratic left in GF(p^2) after the adjunction
-    # are solved by a square root each, with no computation
+    assert calls == [(p, 3)]
+    # two irreducible palindromic quadratics, X^2 - 3X + 1 and
+    # X^2 - cX + 1, besides 2 and 1/2: one computation in GF(p), on the
+    # cubic g with roots 2 + 1/2, 3 and c, none more there; the
+    # palindrome's quadratic in Y = X + 1/X and the quadratic left in
+    # GF(p^2) after the adjunction are solved by a square root each, with
+    # no computation
     c = next(c for c in range(4, p)
              if pow(c * c - 4, (p - 1) // 2, p) == p - 1)
     assert pow(3 * 3 - 4, (p - 1) // 2, p) == p - 1
@@ -742,7 +752,174 @@ def test_frobenius_power_once_per_context(monkeypatch):
     out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
     assert len(out.ctx.tower) == 1
     assert len(out.split_roots) == 6
-    assert calls == [(p, 6)]
+    assert out.split_roots[:2] == [(two, 1), (two.inverse(), 1)]
+    assert calls == [(p, 3)]
+
+
+def _palindromes(ctx, k):
+    """Every monic palindrome of degree 2k over a small field ctx."""
+    one = ctx.one()
+    for mid in itertools.product(list(ctx.iter_elements()), repeat=k):
+        yield [one, *mid, *mid[-2::-1], one]
+
+
+def _small_fields():
+    f3 = prime_field(3)
+    return [("GF(2)", prime_field(2)), ("GF(3)", f3), ("GF(4)", gf4()),
+            ("GF(9)", finite_field(3, (1, 0))),
+            ("GF(3)(sqrt-1)", f3.adjoin_sqrt(f3.scalar(-1)))]
+
+
+def _large_fields():
+    big = prime_field(65521)
+    return [("GF(65521)", big), ("GF(65537)", prime_field(65537)),
+            ("GF(1000003)", prime_field(1000003)),
+            ("GF(65521)(sqrt17)", big.adjoin_sqrt(big.scalar(17)))]
+
+
+@pytest.mark.parametrize("name, ctx", _small_fields(),
+                         ids=[name for name, _ in _small_fields()])
+def test_palindromic_roots_match_enumeration(name, ctx):
+    """Every monic palindromic quartic and sextic, and a multiple of each
+    (the integer polynomials of the rational-root search need not be
+    monic), lists exactly the roots enumeration finds, in iter_elements
+    order: g of degree 2 or 3 with roots or none, mu = +-2 (a double +-1)
+    and a mu in the field whose X^2 - mu X + 1 has no root there."""
+    from matcanon.spectral import _finite_field_roots, _palindrome_transform
+    pool = list(ctx.iter_elements())
+    one, two = ctx.one(), ctx.scalar(2)
+    seen = set()
+    for k in (2, 3):
+        for poly in _palindromes(ctx, k):
+            brute = [x for x in pool if poly_eval(poly, x).is_zero()]
+            for c in dict.fromkeys([one, pool[-1]]):
+                assert _finite_field_roots([c * a for a in poly]) == brute, \
+                    [str(a) for a in poly]
+            g = _palindrome_transform(poly)
+            mus = [mu for mu in pool if poly_eval(g, mu).is_zero()]
+            seen.add((k, len(mus) > 0, len(brute) > 0))
+            for mu in mus:
+                quad = [one, -mu, one]
+                seen.add("+-2" if mu in (two, -two) else "other")
+                if not any(poly_eval(quad, x).is_zero() for x in pool):
+                    seen.add("irreducible")
+    assert seen == {(2, False, False), (2, True, False), (2, True, True),
+                    (3, False, False), (3, True, False), (3, True, True),
+                    "+-2", "other", "irreducible"}
+
+
+def _nonsquare(x):
+    """x is not a square in its finite field of odd order q (Euler)."""
+    return x ** ((x.ctx.order() - 1) // 2) == -x.ctx.one()
+
+
+def _planted_palindromes(ctx, rng, count):
+    """(poly, roots): monic palindromes of degree 4 to 8 over a field too
+    large to enumerate, products of (X - a)(X - 1/a) for drawn a,
+    (X -+ 1)^2 (mu = +-2) and X^2 - mu X + 1 for mu with mu^2 - 4 not a
+    square (no root in the field), with the distinct planted roots."""
+    one = ctx.one()
+    draws = (ctx.scalar(rng.randrange(1, ctx.p)) + ctx.scalar(
+        rng.randrange(ctx.p)) * (ctx.generator(1) if ctx.tower else 0)
+        for _ in itertools.count())
+    mus = []
+    while len(mus) < 8:
+        mu = next(draws)
+        if _nonsquare(mu * mu - 4):
+            mus.append(mu)
+    for i in range(count):
+        roots, extra = [], []
+        for _ in range(2 + i % 3):
+            kind = rng.randrange(4)
+            if kind == 0:
+                a = next(draws)
+                roots += [a, a.inverse()]
+            elif kind == 1:
+                sign = rng.choice([one, -one])
+                roots += [sign, sign]
+            else:
+                extra.append(rng.choice(mus))
+        poly = _monic_from_roots(ctx, roots)
+        for mu in extra:
+            poly = _times(poly, [one, -mu, one])
+        yield poly, sorted(set(roots), key=enumeration_key)
+
+
+@pytest.mark.parametrize("name, ctx", _large_fields(),
+                         ids=[name for name, _ in _large_fields()])
+def test_planted_palindromic_roots(name, ctx):
+    """Over fields too large to enumerate, a palindrome lists exactly its
+    planted roots in iter_elements order, and none of the roots of an
+    irreducible X^2 - mu X + 1."""
+    from matcanon.spectral import _finite_field_roots
+    rng = random.Random(name)
+    kinds = set()
+    for poly, roots in _planted_palindromes(ctx, rng, 60):
+        assert _finite_field_roots(poly) == roots
+        assert all(poly_eval(poly, r).is_zero() for r in roots)
+        kinds.add((len(poly) - 1, len(roots)))
+    assert {4, 6, 8} <= {d for d, _ in kinds}
+    assert (4, 0) in kinds and (6, 0) in kinds
+
+
+@pytest.mark.parametrize("ctx", [prime_field(65521), gf4()],
+                         ids=["GF(65521)", "GF(4)"])
+def test_a_palindromic_quartic_takes_no_frobenius_power(ctx, monkeypatch):
+    """A palindromic quartic's g is a quadratic: its roots, and those of
+    X^2 - mu X + 1 for each, are square (or Artin-Schreier) roots, and
+    neither listing nor splitting computes X^q mod anything."""
+    from matcanon.spectral import _finite_field_roots
+
+    def refuse(*args):
+        raise AssertionError("a palindromic quartic took a Frobenius power")
+
+    monkeypatch.setattr(spectral, "frobenius_gcd", refuse)
+    a, b = itertools.islice(ctx.iter_elements(), 2, 4)  # 2, 3 or t, t + 1
+    roots = [a, a.inverse(), b, b.inverse()]
+    poly = _monic_from_roots(ctx, roots)
+    assert _finite_field_roots(poly) == sorted(set(roots),
+                                               key=enumeration_key)
+    out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
+    assert out.ctx == ctx
+    assert sorted((r for r, _m in out.split_roots), key=enumeration_key) \
+        == sorted(set(roots), key=enumeration_key)
+
+
+def _split_digest_inputs(count=300):
+    """Seeded random invertible n x n matrices, n 2 to 8, over
+    GF(2), GF(3), GF(4), GF(13), GF(65521), GF(65537) and GF(1000003)."""
+    contexts = [prime_field(2), prime_field(3), gf4(), prime_field(13),
+                prime_field(65521), prime_field(65537), prime_field(1000003)]
+    rng = random.Random(3901)
+    for i in range(count):
+        ctx = contexts[i % len(contexts)]
+        pool = list(ctx.iter_elements()) if ctx.order() <= 13 else None
+        n = rng.randint(2, 8)
+        while True:
+            a = ExactMatrix(ctx, [[rng.choice(pool) if pool
+                                   else rng.randrange(ctx.p)
+                                   for _ in range(n)] for _ in range(n)])
+            if inverse_or_rank(a, rank_only=True).rank == n:
+                break
+        yield a
+
+
+def test_split_answers_are_pinned():
+    """One digest over split_min_poly's context, roots and multiplicities,
+    or the NotSplit message, of 300 random forms up to 8 x 8: minimal
+    polynomials whose palindromes have cubic and quartic g, beyond the
+    sweeps' n <= 5 (n <= 4 over the large primes)."""
+    digest = hashlib.sha256()
+    for a in _split_digest_inputs():
+        try:
+            out = split_min_poly(asymmetry(a))
+            text = repr((out.ctx, [(r.ctx, r.raw, m)
+                                   for r, m in out.split_roots]))
+        except NotSplit as exc:
+            text = "NotSplit: %s" % exc
+        digest.update(text.encode())
+    assert digest.hexdigest() == \
+        "6cf5f5834f05ad846b39ba251e7e56e127162bae4f7b86edfc4aebb34d27eac0"
 
 
 def _listed_root(poly):
