@@ -21,7 +21,7 @@ reached, read off as x.ctx, and the arithmetic lifts whatever it meets, so
 no stage takes or returns a context beside its values.  Each stage runs in
 the least field that holds its values: Gabriel, the asymmetry and its
 minimal polynomial in the field of the input's entries; the +-1
-eigenspaces in S's field; a unipotent class's asymmetry and peeling in the
+eigenspaces in S's field; a unipotent class's operator and peeling in the
 field of its Gram matrix, a pair class's reduction in the field of its
 Gram matrix and lam, and a class's columns B x_local in its own field (an
 image class, see spectral, maps its source's).  The one choice made on
@@ -54,9 +54,9 @@ from .field import (EXTEND, RECORD_KINDS, STRICT, adjunctions,
                     canonical_compare, coordinate_map, embed_scalar,
                     format_scalar, merge_contexts)
 from .gabriel import _check_square, _runs, gabriel_decompose
-from .spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
-                       eigen_split, hyperbolic_block_matrix,
-                       hyperbolic_canonical, named_pair, split_min_poly)
+from .spectral import (UnipotentClass, asymmetry, eigen_split,
+                       hyperbolic_block_matrix, hyperbolic_canonical,
+                       named_pair, split_min_poly)
 from .unipotent import (CHARACTERISTICS, FAMILIES, eigen_sign, exists_in,
                         family_of, gamma_block, peel_all, reduce_pair,
                         reduce_single)
@@ -284,14 +284,12 @@ def _extension_report(start_ctx, ctx):
 def _reduce_unipotent_class(cl, ctx):
     """Reduce one eigenvalue +-1 class; returns descriptors and its columns
     B X, over the context the reductions reached from the running tower
-    ctx.  The class is peeled in the field of its Gram matrix."""
-    class_gram, eps = cl.gram.trim(), cl.eigenvalue
-    nmat = (asymmetry_matrix(class_gram).minus_scalar(eps.trim())
-            if class_gram.nrows > 1 else None)
-    pieces = peel_all(class_gram, nmat, eps)
+    ctx, peeled on the split's Gram matrix and operator; B = I is not
+    multiplied."""
+    eps = cl.eigenvalue
+    pieces = peel_all(cl.gram, cl.operator, eps)
     sign, char = eigen_sign(eps), ctx.characteristic
-    descs = []
-    xs = []
+    descs, xs = [], []
     for piece in pieces:
         reduce = reduce_single if piece.kind == "single" else reduce_pair
         # each piece starts from the tower the piece before it reached
@@ -304,8 +302,9 @@ def _reduce_unipotent_class(cl, ctx):
                 "characteristic %d" % (piece.kind, piece.order, sign, char))
         descs.append(Block(fam, piece.basis.ncols))
         xs.append(x)
-    x_peel = ExactMatrix.blocks(class_gram.ctx, [[p.basis for p in pieces]])
-    return descs, cl.basis @ x_peel @ ExactMatrix.block_diag(ctx, xs)
+    x = ExactMatrix.blocks(cl.gram.ctx, [[p.basis for p in pieces]]) \
+        @ ExactMatrix.block_diag(ctx, xs)
+    return descs, x if cl.basis.is_square() else cl.basis @ x
 
 
 # -- invariants and congruence decision --------------------------------------------

@@ -1,10 +1,12 @@
 """Asymmetry of a non-degenerate form and its eigenvalue-based splitting.
 
 For invertible A the asymmetry is S = A^{-1} A'.  Its minimal polynomial is
-split into linear factors, extending the field by quadratic or
-Artin-Schreier adjunctions where needed; the space then decomposes into
-generalized eigenspaces, orthogonal except for the pairing of V_lam with
-V_{1/lam}.  Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).
+split into linear factors, extending the field by quadratic or Artin-Schreier
+adjunctions where needed; the space then decomposes into generalized
+eigenspaces, orthogonal except for the pairing of V_lam with V_{1/lam}.
+Paired classes reduce to hyperbolic blocks ((0, J_m(lam)), (I, 0)).  A +-1
+class carries S - eps on its basis B, I on its free rows, so S B is B times
+its free rows; when eps is the only root B = I, and none is formed.
 An automorphism sigma over S's field (that of A) sends ker (S - lam)^m onto
 ker (S - sigma(lam))^m raw value for raw value, as elimination reads an
 entry only as zero or nonzero; so one space is computed per orbit found,
@@ -208,14 +210,14 @@ def _find_one_root(poly, listed=None):
     1, else -1, else the least in that context, else one adjoined to it.
     listed, None or poly's roots there (least first), is returned with the
     root: found here if needed, None after an adjunction (q has changed)."""
-    ctx = poly[0].ctx
+    ctx, mus = poly[0].ctx, None  # mus: the roots in ctx of h, if listed
     if len(poly) == 2:
         return -poly[0] / poly[1], listed
     if listed is None and len(poly) > 3:
         cand = next((c for c in (ctx.one(), -ctx.one())
                      if poly_eval(poly, c).is_zero()), None)
         if cand is None and ctx.kind != "rational":
-            listed = _finite_field_roots(poly)
+            listed, mus = _listing(poly)
         elif cand is None and all(not c.trim().ctx.tower for c in poly):
             cand = _rational_root(poly)
         if cand is not None:
@@ -226,7 +228,7 @@ def _find_one_root(poly, listed=None):
         return _preferred_root(_quadratic_roots(poly, EXTEND), ctx), None
     pal = _palindrome_transform(poly)
     if pal is not None:
-        mu, _ = _find_one_root(pal)
+        mu = _preferred_root(mus, ctx) if mus else _find_one_root(pal)[0]
         # X^2 - mu X + 1 = 0
         one = mu.ctx.one()
         return _quadratic_roots([one, -mu, one], EXTEND)[0], None
@@ -240,15 +242,20 @@ def _finite_field_roots(poly):
     method): through h with poly = X^k h(X + 1/X) when poly is a
     palindrome of degree 2k >= 4, each root mu of h giving the roots of
     X^2 - mu X + 1 in the field."""
+    return _listing(poly)[0]
+
+
+def _listing(poly):
+    """(_finite_field_roots(poly), the roots mu of h it read or None)."""
     pal = _palindrome_transform(poly) if len(poly) > 4 else None
     if pal is None:
-        return _frobenius_roots(poly)
+        return _frobenius_roots(poly), None
     mus = (_quadratic_roots(pal, STRICT) if len(pal) == 3
            else _frobenius_roots(pal))
     one = poly[0].ctx.one()
     roots = {r for mu in mus for r in _quadratic_roots([one, -mu, one],
                                                         STRICT)}
-    return sorted(roots, key=enumeration_key)  # mu = +-2 gives +-1 twice
+    return sorted(roots, key=enumeration_key), mus  # mu = +-2: +-1 twice
 
 
 def _frobenius_roots(poly):
@@ -451,7 +458,8 @@ def _vanishes_at(f, x):
 
 # -- eigen splitting -----------------------------------------------------------------
 
-UnipotentClass = namedtuple("UnipotentClass", "eigenvalue basis gram")
+# gram B'AB and operator S - eps on B (None when 1 x 1), in gram's field
+UnipotentClass = namedtuple("UnipotentClass", "eigenvalue basis gram operator")
 # basis spans V_lam (its first half) and V_1/lam; image is None, or (j, f)
 # when the class is the image of classes[j], f the automorphism's matrix map
 PairClass = namedtuple("PairClass", "lam lam_inv basis gram image")
@@ -469,7 +477,7 @@ def eigen_split(a, asym):
     """Split into unipotent classes (eigenvalue +-1) and hyperbolic pairs.
 
     Returns EigenSplit(classes, x, gram): x the class bases B side by side,
-    gram = X'AX the block diagonal of the classes' B'AB, each in B's field.
+    gram = X'AX the block diagonal of the classes' B'AB (trimmed at +-1).
     The +-1 eigenspaces are taken in S's field, each pair's in the field of
     S and its root: a pair class whose rep is sigma of an earlier class's
     rep takes sigma of its basis, V_1/lam is sigma of V_lam when sigma(lam)
@@ -487,9 +495,10 @@ def eigen_split(a, asym):
         expo = next((m for r, m in asym.split_roots if r == lam), n)
         if expo == 1 and len(asym.min_poly) == n + 1 \
                 and len(lam.trim().ctx.tower) > len(s_ctx.tower):
-            return _eigenline(asym.min_poly, lam, krylov)
+            return _eigenline(asym.min_poly, lam, krylov), None
         m = asym.s.minus_scalar(lam)
-        return inverse_or_rank(m.power(expo), rank_only=True).kernel
+        ker = inverse_or_rank(m.power(expo), rank_only=True)
+        return ker.kernel, [i for i in range(n) if i not in ker.pivots]
 
     def image(x, y):
         # the matrix map of a sigma of the field of x and y with sigma(x) = y
@@ -500,10 +509,17 @@ def eigen_split(a, asym):
 
     classes = []
     for eps in dict.fromkeys((one, -one)):  # one entry in characteristic 2
-        if eps in roots:
-            basis = gen_eigenspace(eps)
-            classes.append(UnipotentClass(eps, basis,
-                                          basis.transpose() @ a @ basis))
+        if eps not in roots:
+            continue
+        if roots == [eps]:  # the class fills the core: basis I, Gram A
+            basis, gram, op = ExactMatrix.identity(s_ctx, n), a.trim(), asym.s
+        else:  # S B = B (S B)[free], as B is I on its free rows
+            basis, free = gen_eigenspace(eps)
+            gram = (basis.transpose() @ a @ basis).trim()
+            op = (asym.s.submatrix(free, range(n)) @ basis
+                  if len(free) > 1 else None)
+        classes.append(UnipotentClass(eps, basis, gram, op.minus_scalar(
+            eps).trim(len(gram.ctx.tower)) if gram.nrows > 1 else None))
     paired = []
     for r in roots:
         if r not in (one, -one) and not any(r in pr for pr in paired):
@@ -519,9 +535,9 @@ def eigen_split(a, asym):
             basis, gram = (found[1](m).trim(height)
                            for m in (src.basis, src.gram))
         else:
-            basis, f = gen_eigenspace(rep), image(rep, other)
+            basis, f = gen_eigenspace(rep)[0], image(rep, other)
             basis = ExactMatrix.blocks(basis.ctx, [[basis, (
-                f(basis).trim(height) if f else gen_eigenspace(other))]])
+                f(basis).trim(height) if f else gen_eigenspace(other)[0])]])
             gram = basis.transpose() @ a @ basis
         classes.append(PairClass(rep, other, basis, gram, found))
 

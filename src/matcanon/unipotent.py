@@ -6,7 +6,9 @@ cyclic "single" blocks (one elementary divisor p^n, found through a vector v
 with f(p^{n-1}v, v) != 0) and "pair" blocks (two elementary divisors p^m,
 found through a hyperbolic-like pair v, w).  Singles reduce recursively to
 the cyclic normal form shared with the Gamma matrices; pairs reduce to
-((0, J_m(eps)), (I_m, 0)) via totally isotropic generator repair.
+((0, J_m(eps)), (I_m, 0)) via totally isotropic generator repair.  A piece's
+complement {x : f(u, x) = 0} is two-sided: sigma, an isometry keeping the
+piece's span, keeps it too, and f(x, u) = f(u, sigma x).
 
 FAMILIES is the classification of these blocks (Riehm; arXiv 1311.0565):
 which of A..F a single or a pair is depends only on the sign of eps, the
@@ -140,7 +142,7 @@ def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
     """Build the piece on the columns of bmat and its two-sided orthogonal
     complement."""
     bg = bmat.transpose() @ gram  # x -> f(u, x) for the columns u of bmat
-    comp, free = _orthogonal_complement(gram, bmat, bg)
+    comp, free = _orthogonal_complement(bg)
     if comp.ncols + bmat.ncols != gram.nrows:
         raise InternalDegenerate("complement dimension mismatch")
     piece = UnipotentPiece(piece_kind, eps, r, bmat, bg @ bmat)
@@ -160,13 +162,11 @@ def _strands_alternating(rem_gram, rem_index, r):
         rem_gram if r_rem == 1 else top_rem.transpose() @ rem_gram) is None
 
 
-def _orthogonal_complement(gram, bmat, bg):
-    """Basis of {x : f(u, x) = 0 = f(x, u) for every column u of bmat},
-    for bg = bmat' gram, and its free rows, where the basis is I."""
-    both = ExactMatrix.blocks(gram.ctx, [[bg],
-                                         [bmat.transpose() @ gram.transpose()]])
-    ker = inverse_or_rank(both, rank_only=True)
-    return ker.kernel, [i for i in range(gram.nrows) if i not in ker.pivots]
+def _orthogonal_complement(bg):
+    """Basis of {x : f(u, x) = 0 = f(x, u) for the columns u of bmat}, the
+    kernel of bg = bmat' gram alone, and its free rows, where it is I."""
+    ker = inverse_or_rank(bg, rank_only=True)
+    return ker.kernel, [i for i in range(bg.ncols) if i not in ker.pivots]
 
 
 def _restricted(nmat, comp, free):

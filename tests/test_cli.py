@@ -653,15 +653,17 @@ def test_corrupt_stage_exit_code(tmp_path, monkeypatch, capsys):
     original = canon.eigen_split
 
     def corrupt(*args, **kwargs):
-        # the one class's basis doubled, its Gram matrix kept
+        # each class's basis doubled, its Gram matrix kept (a class that
+        # fills the core has basis I, which canon does not multiply by)
         res = original(*args, **kwargs)
-        cl, = res.classes
         return res._replace(classes=[cl._replace(
-            basis=cl.basis.scale(cl.basis.ctx.scalar(2)))])
+            basis=cl.basis.scale(cl.basis.ctx.scalar(2)))
+            for cl in res.classes])
 
     monkeypatch.setattr(canon, "eigen_split", corrupt)
+    # a class at 1 and a class at -1
     p = write_matrix(tmp_path, "a.json", {"kind": "rational"},
-                     [["1", "2"], ["0", "1"]])
+                     [["1", "0", "0"], ["0", "1", "2"], ["0", "0", "1"]])
     assert cli.main(["canon", p]) == 5
     err = capsys.readouterr().err
     assert "internal error" in err and "X'AX = B failed" in err

@@ -216,17 +216,19 @@ def test_certificate_rejects_a_non_square_witness(monkeypatch):
 
 
 def _doubled_basis(split):
-    # the one class's basis doubled, its Gram matrix kept: canon builds X
-    # from the bases and reduces the Gram matrices
-    cl, = split.classes
+    # each class's basis doubled, its Gram matrix kept: canon builds X from
+    # the bases (but for a class that fills the core, whose basis is I) and
+    # reduces the Gram matrices
     return split._replace(classes=[cl._replace(
-        basis=cl.basis.scale(cl.basis.ctx.scalar(2)))])
+        basis=cl.basis.scale(cl.basis.ctx.scalar(2))) for cl in split.classes])
 
 
 def test_certificate_rejects_a_false_relation(monkeypatch):
     patch_result(monkeypatch, canon, "eigen_split", _doubled_basis)
     with reaches("exactmat", "congruence relation X'AX = B failed"):
-        canonicalize(ExactMatrix(Q, [[1, 2], [0, 1]]))
+        # a class at 1 and a class at -1
+        canonicalize(ExactMatrix.block_diag(Q, [
+            ExactMatrix(Q, [[1]]), ExactMatrix(Q, [[1, 2], [0, 1]])]))
 
 
 def test_certificate_rejects_a_singular_witness(monkeypatch):
@@ -370,10 +372,11 @@ F2 = block(Block("F", 2))  # one pair of order 1 at eigenvalue -1
 
 
 def test_peeled_operator_not_nilpotent(monkeypatch):
-    # S - 1 for S = 2 I
-    monkeypatch.setattr(canon, "asymmetry_matrix",
-                        lambda a: ExactMatrix.identity(a.ctx, a.nrows)
-                        .scale(a.ctx.scalar(2)))
+    # the class operator S - 1 for S = 2 I
+    operator = ExactMatrix.identity(Q, 2).scale(2).minus_scalar(1)
+    patch_result(monkeypatch, canon, "eigen_split",
+                 lambda split: split._replace(classes=[
+                     cl._replace(operator=operator) for cl in split.classes]))
     with reaches("unipotent", "operator is not nilpotent"):
         canonicalize(ExactMatrix.identity(Q, 2))
 
@@ -412,8 +415,8 @@ def test_no_vector_of_full_height(monkeypatch):
 
 def test_complement_dimension_mismatch(monkeypatch):
     monkeypatch.setattr(unipotent, "_orthogonal_complement",
-                        lambda gram, bmat, bg:
-                        (ExactMatrix.zeros(gram.ctx, gram.nrows, 0), []))
+                        lambda bg:
+                        (ExactMatrix.zeros(bg.ctx, bg.ncols, 0), []))
     with reaches("unipotent", "complement dimension mismatch"):
         canonicalize(ExactMatrix.identity(Q, 2))
 

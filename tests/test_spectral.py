@@ -885,6 +885,83 @@ def test_a_palindromic_quartic_takes_no_frobenius_power(ctx, monkeypatch):
         == sorted(set(roots), key=enumeration_key)
 
 
+def _irreducible_mus(p, count, start=2):
+    """The first count mu >= start with X^2 - mu X + 1 irreducible over
+    GF(p): mu^2 - 4 is no square."""
+    return list(itertools.islice(
+        (mu for mu in itertools.count(start)
+         if pow(mu * mu - 4, (p - 1) // 2, p) == p - 1), count))
+
+
+def _product_of_quadratics(ctx, mus):
+    """prod (X^2 - mu X + 1), coefficients low to high."""
+    poly = [ctx.one()]
+    for mu in mus:
+        poly = _times(poly, [ctx.one(), -ctx.scalar(mu), ctx.one()])
+    return poly
+
+
+def _root_through_h(poly):
+    """The root _find_one_root takes for a palindrome with no root in its
+    field, found the old way: mu = _find_one_root(h), then the root of
+    X^2 - mu X + 1 adjoined."""
+    mu, _ = spectral._find_one_root(spectral._palindrome_transform(poly))
+    one = mu.ctx.one()
+    return spectral._quadratic_roots([one, -mu, one], EXTEND)[0]
+
+
+@pytest.mark.parametrize("extra", [[], [-1, 1]],
+                         ids=["least-mu", "one-and-minus-one"])
+def test_a_rootless_palindrome_reads_h_once(extra, monkeypatch):
+    """A palindrome whose listing finds no root in GF(q), every X^2 - mu X
+    + 1 irreducible, takes mu from the roots of h that listing found (1,
+    else -1, else the least), with no second Frobenius power of h."""
+    calls = []
+    real = spectral.frobenius_gcd
+
+    def counted(ops, f, e):
+        calls.append(len(f) - 1)
+        return real(ops, f, e)
+
+    p = 65537  # p = 2 mod 3: X^2 -+ X + 1 are irreducible
+    ctx = prime_field(p)
+    mus = _irreducible_mus(p, 3 - len(extra), start=3) + extra
+    poly = _product_of_quadratics(ctx, mus)
+    want = _root_through_h(poly)
+    monkeypatch.setattr(spectral, "frobenius_gcd", counted)
+    root, listed = spectral._find_one_root(poly)
+    assert (root.ctx, root.raw) == (want.ctx, want.raw)
+    assert listed is None and len(root.ctx.tower) == 1
+    if not extra:
+        assert calls == [3]  # the listing of h, not a second one
+    del calls[:]
+    out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
+    assert out.split_roots[0][0] == want and len(out.split_roots) == 6
+    assert calls == [3]
+
+
+def test_a_rootless_palindromic_quartic_solves_h_once(monkeypatch):
+    """A quartic over GF(65521) whose h splits while no X^2 - mu X + 1
+    does: the square root of h's discriminant is taken once."""
+    p = 65521
+    ctx = prime_field(p)
+    mus = _irreducible_mus(p, 2, start=3)
+    poly = _product_of_quadratics(ctx, mus)
+    h = spectral._palindrome_transform(poly)
+    want = _root_through_h(poly)
+    solved = []
+    real = spectral.quadratic_roots
+    monkeypatch.setattr(spectral, "quadratic_roots",
+                        lambda a, b, c, policy: solved.append((b, c))
+                        or real(a, b, c, policy))
+    root, _listed = spectral._find_one_root(poly)
+    assert (root.ctx, root.raw) == (want.ctx, want.raw)
+    assert solved.count((h[1] / h[2], h[0] / h[2])) == 1
+    # the listing's two strict solves of X^2 - mu X + 1, and the one that
+    # adjoins the root
+    assert len(solved) == 4
+
+
 def _split_digest_inputs(count=300):
     """Seeded random invertible n x n matrices, n 2 to 8, over
     GF(2), GF(3), GF(4), GF(13), GF(65521), GF(65537) and GF(1000003)."""

@@ -1,18 +1,20 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from matcanon import canon, exactmat, unipotent
+from matcanon import canon, exactmat, spectral, unipotent
 from matcanon.canon import Block, canonical_block_matrix, canonicalize
 from matcanon.errors import NoArtinSchreierRootStrict
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import STRICT, gf4, prime_field, rationals
-from matcanon.spectral import (asymmetry, asymmetry_matrix,
-                               hyperbolic_block_matrix)
-from matcanon.unipotent import (gamma0_matrix, gamma_matrix, peel_all,
-                                reduce_pair, reduce_single,
+from matcanon.spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
+                               eigen_split, hyperbolic_block_matrix,
+                               split_min_poly)
+from matcanon.unipotent import (FAMILIES, gamma0_matrix, gamma_matrix,
+                                peel_all, reduce_pair, reduce_single,
                                 split_off_indecomposable)
 
 from filtration import alternating_flag, filtration
@@ -105,24 +107,38 @@ def block_sum(ctx, blocks):
         ctx, [canonical_block_matrix(b, ctx) for b in blocks])
 
 
-@pytest.mark.parametrize("a, formed", [
+@pytest.mark.parametrize("a, products", [
     (ExactMatrix(rationals(), [[Fraction(5, 2)]]), 0),
     (ExactMatrix(prime_field(2), [[1]]), 0),
-    # a 1 x 1 class at 1, a pair class {2, 1/2} and a 2 x 2 class at -1
+    # a 1 x 1 class at 1, a pair class {2, 1/2} and a 2 x 2 class at -1:
+    # B'AB for each class and S's free rows times B for the 2 x 2 one
     (ExactMatrix.block_diag(rationals(), [
         ExactMatrix(rationals(), [[3]]),
         block_sum(rationals(), [Block("G", 2, rationals().scalar(2)),
-                                Block("F", 2)])]), 1),
+                                Block("F", 2)])]), 7),
 ], ids=["q", "gf2", "q-three-classes"])
-def test_a_1x1_class_forms_no_asymmetry(a, formed, monkeypatch):
-    # the reduction of the +-1 classes forms the asymmetry of the classes
-    # larger than 1 x 1 alone, and answers as when a 1 x 1 class is split
-    # on the asymmetry it has
-    calls = []
-    monkeypatch.setattr(canon, "asymmetry_matrix",
+def test_a_1x1_class_forms_no_asymmetry(a, products, monkeypatch):
+    # the asymmetry is formed once, for the core: each +-1 class is peeled
+    # on the operator the split gives it, and a 1 x 1 class carries none
+    # and has no product formed for one; it answers as when a 1 x 1 class
+    # is split on the asymmetry it has
+    calls, peeled, formed = [], [], [0]
+    monkeypatch.setattr(spectral, "asymmetry_matrix",
                         lambda g: calls.append(g) or asymmetry_matrix(g))
+    monkeypatch.setattr(canon, "peel_all", lambda gram, nmat, eps: (
+        peeled.append((gram.nrows, nmat)) or peel_all(gram, nmat, eps)))
+    matmul = ExactMatrix.__matmul__
+    monkeypatch.setattr(ExactMatrix, "__matmul__", lambda x, y: (
+        formed.__setitem__(0, formed[0] + (depth[0] > 0)) or matmul(x, y)))
+    depth = depth_of(monkeypatch, canon, "eigen_split")
     form, witness = canonicalize(a)
-    assert len(calls) == formed
+    monkeypatch.setattr(ExactMatrix, "__matmul__", matmul)
+    assert formed[0] == products
+    assert len(calls) == 1
+    assert "asymmetry_matrix" not in vars(canon)
+    assert peeled and all((nmat is None) == (size == 1)
+                          for size, nmat in peeled)
+    assert 1 in [size for size, _nmat in peeled]
 
     def split_peel(gram, nmat, eps):
         if gram.nrows > 1:
@@ -440,11 +456,12 @@ def test_gamma0_even_order_rejected():
         gamma0_matrix(f2, 4)
 
 
-def scrambled(blocks, ctx, seed):
-    """Y' B Y for the block sum B and a random invertible Y over ctx."""
+def scrambled(blocks, ctx, seed, elements=None):
+    """Y' B Y for the block sum B and a random invertible Y over ctx, with
+    entries drawn from elements (by default every element of ctx)."""
     base = block_sum(ctx, blocks)
     n, rng = base.nrows, random.Random(seed)
-    elements = list(ctx.iter_elements())
+    elements = elements or list(ctx.iter_elements())
     while True:
         y = ExactMatrix(ctx, [[rng.choice(elements) for _ in range(n)]
                               for _ in range(n)])
@@ -471,33 +488,184 @@ def test_the_unipotent_reduction_keeps_its_kernel_budget(ctx, blocks, budget,
     a = scrambled([Block(b[0], int(b[1:])) for b in blocks.split()], ctx,
                   blocks)
     monkeypatch.setattr(unipotent, "_gamma_reduction_cache", {})
-    depth, calls = [0], [0]
+    calls = [0]
 
-    def counted(fn):
+    def counted(_name, fn):
         def wrapper(*args, **kwargs):
             calls[0] += depth[0] > 0
             return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(ExactMatrix, "__matmul__",
-                        counted(ExactMatrix.__matmul__))
+                        counted("matmul", ExactMatrix.__matmul__))
+    wrap_kernels(monkeypatch, ("inverse_or_rank", "solve"), counted)
+    depth = depth_of(monkeypatch, canon, "_reduce_unipotent_class")
+    canonicalize(a)
+    assert calls[0] <= budget
+
+
+def wrap_kernels(monkeypatch, names, counted):
+    """Replace each exactmat kernel named by counted(name, kernel) in every
+    matcanon module that holds it, by attribute, as the bench's tracer
+    does."""
     modules = [m for name, m in sorted(sys.modules.items())
                if name.startswith("matcanon") and m is not None]
-    for name in ("inverse_or_rank", "solve"):
+    for name in names:
         original = getattr(exactmat, name)
         for module in modules:
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted(original))
-    reduce_class = canon._reduce_unipotent_class
+                    monkeypatch.setattr(module, attr, counted(name, original))
 
-    def reduce(*args):
+
+def depth_of(monkeypatch, module, attr):
+    """[d], d the number of calls of module.attr running, kept by a wrapper
+    put in its place."""
+    depth, original = [0], getattr(module, attr)
+
+    def wrapper(*args):
         depth[0] += 1
         try:
-            return reduce_class(*args)
+            return original(*args)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(canon, "_reduce_unipotent_class", reduce)
-    canonicalize(a)
-    assert calls[0] <= budget
+    monkeypatch.setattr(module, attr, wrapper)
+    return depth
+
+
+Q2 = rationals().adjoin_sqrt(rationals().scalar(2))
+F9 = prime_field(3).adjoin_sqrt(prime_field(3).scalar(-1))
+
+
+def blocks_of(names, ctx):
+    """Blocks named as "A3 D4 G2(2)", a G block's eigenvalue an int of ctx
+    or g for its top generator."""
+    out = []
+    for name in names.split():
+        fam, rest = name[0], name[1:]
+        n, _, lam = rest.partition("(")
+        lam = lam.rstrip(")")
+        out.append(Block(fam, int(n), None if not lam else
+                         ctx.generator(len(ctx.tower)) if lam == "g"
+                         else ctx.scalar(int(lam))))
+    return out
+
+
+# (field, blocks, the entries of Y, whether one +-1 class fills the core)
+CLASS_CASES = [
+    (Q2, "A1 A3 C2 F2 G2(2)", [0, 1, -1, 2, Q2.generator(1)], False),
+    (Q2, "A1 A3 D4", [0, 1, -1, 2, Q2.generator(1)], True),
+    (Q2, "C2 C4 F2", [0, 1, -1, 2], True),  # Gram matrices trim to Q
+    (prime_field(2), "B1 B3 D4 E2", None, True),
+    (prime_field(3), "A3 C2 D8 F2", None, False),
+    (prime_field(3), "C2 F6", None, True),
+    (prime_field(3), "A1 C2 F2", None, False),  # a 1 x 1 class at 1
+    (gf4(), "B1 D4 E6", None, True),
+    (F9, "A1 C2 D4 F2 G2(g)", None, False),
+]
+CLASS_IDS = ["q2-mixed", "q2-whole", "q2-trims-to-q", "gf2", "gf3",
+             "gf3-minus-one", "gf3-1x1", "gf4", "gf9"]
+
+
+def unipotent_classes(ctx, names, pool):
+    a = scrambled(blocks_of(names, ctx), ctx, names, pool)
+    asym = split_min_poly(asymmetry(a))
+    return a, asym, [cl for cl in eigen_split(a, asym).classes
+                     if isinstance(cl, UnipotentClass)]
+
+
+@pytest.mark.parametrize("ctx, names, pool, whole", CLASS_CASES,
+                         ids=CLASS_IDS)
+def test_a_class_carries_its_gram_and_operator(ctx, names, pool, whole):
+    # raw value for raw value and context for context: the basis is the
+    # eliminated kernel of (S - eps)^n (I for a class that fills the core),
+    # the Gram matrix B'AB trimmed, and the operator the class Gram
+    # matrix's asymmetry minus eps, in that Gram matrix's field
+    a, asym, classes = unipotent_classes(ctx, names, pool)
+    assert classes and (len(classes) == 1) == whole
+    for cl in classes:
+        eps = cl.eigenvalue
+        kernel = inverse_or_rank(asym.s.minus_scalar(eps).power(a.nrows),
+                                 rank_only=True).kernel
+        gram = (kernel.transpose() @ a @ kernel).trim()
+        for got, want in ((cl.basis, kernel), (cl.gram, gram)):
+            assert (got.ctx, got.raw) == (want.ctx, want.raw)
+        if whole:
+            ident = ExactMatrix.identity(asym.s.ctx, a.nrows)
+            assert (cl.basis.ctx, cl.basis.raw) == (ident.ctx, ident.raw)
+            assert (cl.gram.ctx, cl.gram.raw) == (a.trim().ctx, a.trim().raw)
+        if cl.gram.nrows == 1:
+            assert cl.operator is None
+            continue
+        want = asymmetry_matrix(cl.gram.trim()).minus_scalar(eps.trim())
+        assert (cl.operator.ctx, cl.operator.raw) == (want.ctx, want.raw)
+
+
+@pytest.mark.parametrize("ctx, names, pool, whole", CLASS_CASES,
+                         ids=CLASS_IDS)
+def test_the_one_sided_complement_is_the_two_sided_one(ctx, names, pool,
+                                                        whole, monkeypatch):
+    # on every peel step of every +-1 class, the elimination of B'G alone
+    # gives the kernel and free rows of the stacked [B'G; B'G']
+    steps = []
+    finish = unipotent._finish_split
+
+    def recording(gram, nmat, eps, kind, r, bmat):
+        steps.append((gram, bmat))
+        return finish(gram, nmat, eps, kind, r, bmat)
+
+    monkeypatch.setattr(unipotent, "_finish_split", recording)
+    for cl in unipotent_classes(ctx, names, pool)[2]:
+        peel_all(cl.gram, cl.operator, cl.eigenvalue)
+    assert steps
+    for gram, bmat in steps:
+        bg = bmat.transpose() @ gram
+        both = inverse_or_rank(ExactMatrix.blocks(gram.ctx, [
+            [bg], [bmat.transpose() @ gram.transpose()]]), rank_only=True)
+        comp, free = unipotent._orthogonal_complement(bg)
+        assert (comp.ctx, comp.raw) == (both.kernel.ctx, both.kernel.raw)
+        assert free == [i for i in range(gram.nrows)
+                        if i not in both.pivots]
+
+
+# (field, blocks, the most inverse_or_rank, solve and ExactMatrix.power
+# calls canonicalize makes, with a fresh Gamma-side memo)
+KERNEL_CALLS = [
+    (prime_field(2), "B1 B3 D4 E2",
+     {"inverse_or_rank": 9, "solve": 8, "power": 2}),
+    (prime_field(3), "A3 C2 D8 F2",
+     {"inverse_or_rank": 10, "solve": 10, "power": 4}),
+]
+
+
+@pytest.mark.parametrize("ctx, names, budget", KERNEL_CALLS,
+                         ids=["gf2-whole-core", "gf3-two-classes"])
+def test_canonicalize_keeps_its_kernel_call_budget(ctx, names, budget,
+                                                   monkeypatch):
+    # the kernels wrapped by attribute, a fresh Gamma-side memo; a class
+    # that fills the core makes no power and no elimination in eigen_split
+    a = scrambled(blocks_of(names, ctx), ctx, names)
+    monkeypatch.setattr(unipotent, "_gamma_reduction_cache", {})
+    calls, in_split = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if depth[0]:
+                in_split[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ExactMatrix, "power",
+                        counted("power", ExactMatrix.power))
+    wrap_kernels(monkeypatch, ("inverse_or_rank", "solve"), counted)
+    depth = depth_of(monkeypatch, canon, "eigen_split")
+    form, _witness = canonicalize(a)
+    classes = {FAMILIES[b.family][0] for b in form.blocks}
+    if len(classes) == 1:
+        assert not in_split
+    else:
+        assert in_split == {"power": len(classes),
+                            "inverse_or_rank": len(classes)}
+    assert all(calls[name] <= most for name, most in budget.items())
