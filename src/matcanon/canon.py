@@ -3,10 +3,13 @@
 The pipeline: Gabriel decomposition, asymmetry of the invertible core,
 splitting of its minimal polynomial (extending the field where needed),
 the eigenvalue splitting, and per-class reduction to the canonical
-indecomposable blocks, named by the family table unipotent.FAMILIES.  Every
-stage returns a plain, unverified congruence (exactmat.Congruence).  Only
-the composed congruence is an answer, and it is certified once, against the
-assembled canonical matrix, where it leaves canonicalize or equivalent.
+indecomposable blocks, named by the family table unipotent.FAMILIES.  It
+opens with one elimination of [A | A']: its solution is S when A is
+invertible, and else its kernel stands in for Gabriel's first rank test.
+Every stage returns a plain, unverified congruence (exactmat.Congruence).
+Only the composed congruence is an answer, and it is certified once,
+against the assembled canonical matrix, where it leaves canonicalize or
+equivalent.
 
 Every stage extends the field where a root is missing.  The strict
 policy, an answer in the input's field only, is decided once, in
@@ -30,8 +33,11 @@ the input's context, and each single or pair reduction in the running
 tower the one before it reached, which never shrinks, so a root two
 reductions need is found the second time, not adjoined again elsewhere.
 
-equivalent canonicalizes each side once.  When the two sides settle in
-different towers, it merges them once into a field M, and b's form and
+equivalent canonicalizes each side once and splits a minimal polynomial
+the two share once: the same deterministic search from the same start
+context would find the same roots and tower, so the second side takes the
+first's (_split).  When the two sides settle in different towers, it
+merges them once into a field M, and b's form and
 congruence are carried into M by the images of its generators
 (field.coordinate_map), which fix the records the two towers share.  The
 normal form is unique, so the records decide: records that differ give
@@ -54,7 +60,8 @@ from .field import (EXTEND, RECORD_KINDS, STRICT, adjunctions,
                     canonical_compare, coordinate_map, embed_scalar,
                     format_scalar, merge_contexts)
 from .gabriel import _check_square, _runs, gabriel_decompose
-from .spectral import (UnipotentClass, asymmetry, eigen_split,
+from .spectral import (Asymmetry, UnipotentClass, asymmetry,
+                       asymmetry_or_kernel, eigen_split,
                        hyperbolic_block_matrix, hyperbolic_canonical,
                        named_pair, split_min_poly)
 from .unipotent import (CHARACTERISTICS, FAMILIES, eigen_sign, exists_in,
@@ -183,9 +190,13 @@ def canonicalize(a, policy=EXTEND):
     return form, CongruenceWitness(*cong)
 
 
-def _canonicalize(a, policy):
-    """canonicalize without the certificate: (CanonicalForm, Congruence)."""
-    dec = gabriel_decompose(a.trim())
+def _canonicalize(a, policy, splits=None):
+    """canonicalize without the certificate: (CanonicalForm, Congruence);
+    splits is _split's."""
+    _check_square(a)
+    trimmed = a.trim()
+    s, kernel = asymmetry_or_kernel(trimmed)  # the one elimination of A
+    dec = gabriel_decompose(trimmed, kernel)
     if dec.core.nrows == 0:
         form = CanonicalForm(dec.jordan_sizes, [], a.ctx, [])
         x, _source, target = dec.congruence
@@ -193,7 +204,7 @@ def _canonicalize(a, policy):
 
     height = len(a.ctx.tower)
     try:
-        asym = split_min_poly(asymmetry(dec.core, a.ctx))
+        asym = _split(asymmetry(dec.core, a.ctx, s), splits)
     except TowerCapExceeded as exc:
         # strict refuses a split that needs any record, the capped one too
         if policy != STRICT:
@@ -247,6 +258,20 @@ def _canonicalize(a, policy):
         raise (NoRootStrictPolicy, NoArtinSchreierRootStrict)[c1](
             RECORD_KINDS[c1].no_root % (format_scalar(d), d.ctx))
     return form, cong
+
+
+def _split(asym, splits):
+    """split_min_poly(asym), or the roots and tower of a split in splits of
+    the same minimal polynomial, which the same deterministic search from
+    the same start context (equivalent's, for both sides) would find again.
+    A split made joins splits, a list or None."""
+    for done in splits or ():
+        if done.min_poly == asym.min_poly:
+            return Asymmetry(asym.s, asym.min_poly, done.ctx, done.split_roots)
+    done = split_min_poly(asym)
+    if splits is not None:
+        splits.append(done)
+    return done
 
 
 def _split_refusal(c1):
@@ -402,7 +427,8 @@ def equivalent(a, b, policy=EXTEND):
 
     A false verdict carries both invariant records in `records`, and the
     two canonicalizations behind it are certified before it returns.  Each
-    side is canonicalized once; when the two settle in different towers
+    side is canonicalized once, and a minimal polynomial the two share is
+    split once; when the two settle in different towers
     (sqrt(2) on one side, sqrt(8) on the other), they are merged once into
     a field M, and b's form and X_b are carried into M.  Records that
     differ give the false verdict, equal ones the witness Y = X_a X_b^-1,
@@ -420,8 +446,9 @@ def equivalent(a, b, policy=EXTEND):
     start_ctx = a.ctx.common(b.ctx)
     if a.nrows != b.nrows:
         return EquivalenceResult(False, None, start_ctx, [])
-    form_a, cong_a = _canonicalize(a.promote(start_ctx), policy)
-    form_b, cong_b = _canonicalize(b.promote(start_ctx), policy)
+    splits = []
+    form_a, cong_a = _canonicalize(a.promote(start_ctx), policy, splits)
+    form_b, cong_b = _canonicalize(b.promote(start_ctx), policy, splits)
     x_b = cong_b.x
     if form_a.context != form_b.context:
         ctx, images = merge_contexts(form_a.context, form_b.context)

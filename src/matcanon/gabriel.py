@@ -12,7 +12,9 @@ where K spans the right kernel.  Decomposing M recursively and clearing E
 against the row space of M leaves each (q_i, k_i) pair either attached to
 the end of one Jordan chain of M (growing it by two) or detached as a J_2
 block.  A non-singular matrix has a zero radical, so its rank test, one
-elimination, comes first and returns it as the core.  The state is held
+elimination, comes first and returns it as the core; a caller that has
+eliminated A already, as canon eliminates [A | A'], passes its kernel
+instead, and the pivots are read off that (_pivots).  The state is held
 as its blocks (x_P, x_Q, K; M, E), each step updates only those it
 changes, and no identity-padded step is multiplied.  A kernel basis read
 off an elimination is the identity on its free rows, so the units at the
@@ -38,10 +40,12 @@ GabrielDecomposition = namedtuple("GabrielDecomposition",
                                   "jordan_sizes core congruence")
 
 
-def gabriel_decompose(a):
-    """Decompose A up to congruence as (0-Jordan blocks) + invertible core."""
+def gabriel_decompose(a, kernel=None):
+    """Decompose A up to congruence as (0-Jordan blocks) + invertible core;
+    kernel, A's right kernel read off an elimination, stands in for the
+    first rank test."""
     _check_square(a)
-    sizes, core, x = _decompose(a)
+    sizes, core, x = _decompose(a, kernel)
     target = _assemble_target(sizes, core)
     return GabrielDecomposition(sizes, core, Congruence(x, a, target))
 
@@ -61,18 +65,20 @@ def _assemble_target(sizes, core):
     return ExactMatrix.block_diag(core.ctx, blocks)
 
 
-def _decompose(a):
-    """Worker: returns (sizes desc-sorted, core, X) with X'AX in block form."""
+def _decompose(a, kernel=None):
+    """Worker: returns (sizes desc-sorted, core, X) with X'AX in block form;
+    kernel, A's right kernel or None, as for gabriel_decompose."""
     ctx, n = a.ctx, a.nrows
-    res = inverse_or_rank(a, rank_only=True) if n else None
-    if not n or res.rank == n:
+    if n and kernel is None:
+        kernel = inverse_or_rank(a, rank_only=True).kernel
+    if not n or not kernel.ncols:
         return [], a, ExactMatrix.identity(ctx, n)
 
     # 1. the radical, {K w : A'K w = 0}, is nonzero exactly when
     #    K'A[:, ext] (of A'K's rank, as AK = 0 and the units at the
     #    pivots, ext, extend K to a basis) lacks full row rank k: when no
     #    column reduction R sends it to [0 | I_k]
-    kernel, ext = res.kernel, list(res.pivots)
+    ext = _pivots(kernel)
     red = _reduce_columns(kernel.transpose() @ a.columns(ext))
     if red is None:
         return _split_radical(a)
@@ -146,6 +152,16 @@ def _split_radical(a):
     blocks = [[i] for i in range(r0)] + _runs(r0, sizes2)
     sizes, order = _sorted_layout(blocks, range(n - core2.nrows, n))
     return sizes, core2, x_total.columns(order)
+
+
+def _pivots(kernel):
+    """The pivot columns of the elimination a kernel basis was read off:
+    all but each basis vector's last nonzero entry, its free row, as a
+    reduced row's entries left of its pivot are zero."""
+    n = kernel.nrows
+    free = {next(i for i in range(n - 1, -1, -1) if not kernel[i, j].is_zero())
+            for j in range(kernel.ncols)}
+    return [i for i in range(n) if i not in free]
 
 
 def _extend_to_basis(cols):

@@ -91,20 +91,41 @@ class Asymmetry:
         self.split_roots = split_roots  # list of (root, multiplicity) or None
 
 
-def asymmetry(a, ctx=None):
+def asymmetry(a, ctx=None, s=None):
     """Asymmetry of an invertible Gram matrix, with exact minimal polynomial,
     both in a's field; ctx, a tower over it (a's own by default), is where
-    the root search starts."""
-    s = asymmetry_matrix(a)
+    the root search starts; s, if given, is S (asymmetry_or_kernel)."""
+    if s is None:
+        s = asymmetry_matrix(a)
     return Asymmetry(s, _minimal_polynomial(s), a.ctx if ctx is None else ctx)
 
 
 def asymmetry_matrix(a):
-    """S = A^{-1} A', solving A S = A', for an invertible Gram matrix A."""
+    """S = A^{-1} A', solving A S = A', for an invertible Gram matrix A.  A
+    singular A raises SingularInput with A's right kernel as its .kernel:
+    the pivots are searched in A's columns alone, so it is A's own."""
     s, kernel = solve(a, a.transpose())
     if kernel.ncols:
-        raise SingularInput("asymmetry needs an invertible Gram matrix")
+        raise _singular(kernel)
     return s
+
+
+def _singular(kernel):
+    # made here, not in the raising frame, which would then hold it in a
+    # reference cycle with its traceback
+    exc = SingularInput("asymmetry needs an invertible Gram matrix")
+    exc.kernel = kernel
+    return exc
+
+
+def asymmetry_or_kernel(a):
+    """(S, A's right kernel) for a square A from asymmetry_matrix's one
+    elimination of [A | A']: S and an empty kernel when A is invertible,
+    else None and the kernel."""
+    try:
+        return asymmetry_matrix(a), ExactMatrix.zeros(a.ctx, a.nrows, 0)
+    except SingularInput as exc:
+        return None, exc.kernel
 
 
 def _minimal_polynomial(s):
@@ -210,14 +231,15 @@ def _find_one_root(poly, listed=None):
     1, else -1, else the least in that context, else one adjoined to it.
     listed, None or poly's roots there (least first), is returned with the
     root: found here if needed, None after an adjunction (q has changed)."""
-    ctx, mus = poly[0].ctx, None  # mus: the roots in ctx of h, if listed
+    # h and mus, the roots in ctx of h, as the listing read them
+    ctx, pal, mus = poly[0].ctx, None, None
     if len(poly) == 2:
         return -poly[0] / poly[1], listed
     if listed is None and len(poly) > 3:
         cand = next((c for c in (ctx.one(), -ctx.one())
                      if poly_eval(poly, c).is_zero()), None)
         if cand is None and ctx.kind != "rational":
-            listed, mus = _listing(poly)
+            listed, pal, mus = _listing(poly)
         elif cand is None and all(not c.trim().ctx.tower for c in poly):
             cand = _rational_root(poly)
         if cand is not None:
@@ -226,7 +248,7 @@ def _find_one_root(poly, listed=None):
         return listed[0], listed
     if len(poly) == 3:
         return _preferred_root(_quadratic_roots(poly, EXTEND), ctx), None
-    pal = _palindrome_transform(poly)
+    pal = pal or _palindrome_transform(poly)
     if pal is not None:
         mu = _preferred_root(mus, ctx) if mus else _find_one_root(pal)[0]
         # X^2 - mu X + 1 = 0
@@ -246,16 +268,17 @@ def _finite_field_roots(poly):
 
 
 def _listing(poly):
-    """(_finite_field_roots(poly), the roots mu of h it read or None)."""
+    """(_finite_field_roots(poly), h and the roots mu of h it read, or None
+    and None)."""
     pal = _palindrome_transform(poly) if len(poly) > 4 else None
     if pal is None:
-        return _frobenius_roots(poly), None
+        return _frobenius_roots(poly), None, None
     mus = (_quadratic_roots(pal, STRICT) if len(pal) == 3
            else _frobenius_roots(pal))
     one = poly[0].ctx.one()
     roots = {r for mu in mus for r in _quadratic_roots([one, -mu, one],
                                                         STRICT)}
-    return sorted(roots, key=enumeration_key), mus  # mu = +-2: +-1 twice
+    return sorted(roots, key=enumeration_key), pal, mus  # mu = +-2: +-1 twice
 
 
 def _frobenius_roots(poly):

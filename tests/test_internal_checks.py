@@ -329,6 +329,16 @@ def test_roots_not_closed_under_inversion(monkeypatch):
         canonicalize(G2)
 
 
+def test_roots_of_a_polynomial_not_closed_under_inversion():
+    # (X - 2)(X - 5) over Q: no asymmetry has it, as 1/2 and 1/5 are not
+    # roots, and the split refuses it unpatched
+    poly = [Q.scalar(c) for c in (10, -7, 1)]
+    asym = spectral.Asymmetry(ExactMatrix(Q, [[2, 0], [0, 5]]), poly, Q)
+    with reaches("spectral", "asymmetry roots are not closed under "
+                             "inversion"):
+        spectral.split_min_poly(asym)
+
+
 def test_root_splitting_runs_out_of_shifts(monkeypatch):
     # a constant splitting polynomial never separates two roots
     gf7 = prime_field(7)

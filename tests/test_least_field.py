@@ -34,9 +34,9 @@ def test_a_merged_pair_decomposes_in_the_inputs_field(monkeypatch):
     first_dependence = spectral.first_dependence
     merge_contexts = canon.merge_contexts
 
-    def decompose(m):
+    def decompose(m, *args):
         seen.append(m.ctx)
-        return gabriel_decompose(m)
+        return gabriel_decompose(m, *args)
 
     def dependence(mats):
         def recorded():

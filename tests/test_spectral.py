@@ -940,6 +940,22 @@ def test_a_rootless_palindrome_reads_h_once(extra, monkeypatch):
     assert calls == [3]
 
 
+def test_a_rootless_palindrome_is_transformed_once(monkeypatch):
+    """The listing returns h with the roots it read: a palindrome with no
+    root in GF(q) takes its adjunction through that h, not a second
+    transform."""
+    ctx = prime_field(65537)
+    poly = _product_of_quadratics(ctx, [3, 4, 7])  # each irreducible
+    want = _root_through_h(poly)
+    degrees = []
+    real = spectral._palindrome_transform
+    monkeypatch.setattr(spectral, "_palindrome_transform", lambda f: (
+        degrees.append(len(f) - 1) or real(f)))
+    root, listed = spectral._find_one_root(poly)
+    assert (root.ctx, root.raw) == (want.ctx, want.raw) and listed is None
+    assert degrees == [6]
+
+
 def test_a_rootless_palindromic_quartic_solves_h_once(monkeypatch):
     """A quartic over GF(65521) whose h splits while no X^2 - mu X + 1
     does: the square root of h's discriminant is taken once."""
