@@ -6,10 +6,12 @@ the eigenvalue splitting, and per-class reduction to the canonical
 indecomposable blocks, named by the family table unipotent.FAMILIES.  It
 opens with one elimination of [A | A']: its solution is S when A is
 invertible, and else its kernel stands in for Gabriel's first rank test.
-Every stage returns a plain, unverified congruence (exactmat.Congruence).
-Only the composed congruence is an answer, and it is certified once,
-against the assembled canonical matrix, where it leaves canonicalize or
-equivalent.
+Gabriel returns a plain, unverified congruence (exactmat.Congruence); the
+later stages return X alone, the columns that take their input to their
+blocks.  The blocks of a normal form fit together one way only, so the
+block list fixes the canonical matrix, and canon assembles it once, as the
+target of the composed congruence.  That congruence alone is an answer,
+and it is certified once, where it leaves canonicalize or equivalent.
 
 Every stage extends the field where a root is missing.  The strict
 policy, an answer in the input's field only, is decided once, in
@@ -215,16 +217,16 @@ def _canonicalize(a, policy, splits=None):
 
     ctx = asym.ctx  # running tower: a class starts where the last ended
     pending = []    # (descriptors, columns) per class
-    for cl in eigen_split(dec.core, asym).classes:
+    for cl in eigen_split(dec.core, asym):
         if isinstance(cl, UnipotentClass):
             descs, x = _reduce_unipotent_class(cl, ctx)
             ctx = ctx.common(x.ctx)
         elif cl.image is None:  # in the least field of its gram and lam
             lam, gram = cl.lam.trim(), cl.gram.trim()
-            res = hyperbolic_canonical(
+            x, sizes = hyperbolic_canonical(
                 gram.promote(gram.ctx.common(lam.ctx)), lam)
-            descs = [Block("G", 2 * m, lam) for m in res.blocks]
-            x = cl.basis @ res.x
+            descs = [Block("G", 2 * m, lam) for m in sizes]
+            x = cl.basis @ x
         else:  # an image class: its source's blocks and columns mapped
             j, f = cl.image
             descs = [Block("G", d.n, cl.lam) for d in pending[j][0]]
@@ -312,13 +314,14 @@ def _reduce_unipotent_class(cl, ctx):
     ctx, peeled on the split's Gram matrix and operator; B = I is not
     multiplied."""
     eps = cl.eigenvalue
-    pieces = peel_all(cl.gram, cl.operator, eps)
+    pieces = peel_all(cl.gram, cl.operator)
     sign, char = eigen_sign(eps), ctx.characteristic
     descs, xs = [], []
     for piece in pieces:
-        reduce = reduce_single if piece.kind == "single" else reduce_pair
         # each piece starts from the tower the piece before it reached
-        x = reduce(piece.gram.promote(ctx), eps, piece.order).x
+        g = piece.gram.promote(ctx)
+        x = (reduce_single(g, eps, piece.order) if piece.kind == "single"
+             else reduce_pair(g, piece.order))
         ctx = x.ctx
         fam = family_of(piece.kind, sign, char, piece.order)
         if fam is None:

@@ -61,7 +61,8 @@ extension carries it, and no caller passes a context beside a value that
 has one.
 
 Certification.  A Congruence (x, source, target) is a plain, unverified
-claim that x' * source * x == target, such as a pipeline stage returns.
+claim that x' * source * x == target, such as Gabriel's decomposition and
+canon's composed answer are (the later stages return their X alone).
 CongruenceWitness(*c) certifies one when it is built: it checks X'AX = B
 exactly at full size, and X invertible by rank B = n (rank X >= rank X'AX,
 and a rank survives field extension, so B is reduced in the least field

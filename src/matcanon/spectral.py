@@ -47,12 +47,13 @@ kept if it is a root in exact integers.  The least denominator wins, then
 the least |numerator|, + before -.  Factors with no root are quadratics or
 palindromes, reached by adjunction.
 
-The splitting stages do not check their results (the eigen classes'
-orthogonality, the Jordan chains, the hyperbolic normal form): a wrong
-congruence is caught where canon certifies the composed one.  The raises
-left stop a bounded search, report a missing dependence or inverse, and
-keep the roots closed under inversion, without which a defect would be
-refused as NotSplit.
+The splitting stages return bases and X, not the matrices these reach,
+and do not check them (the eigen classes' orthogonality, the Jordan chains,
+the hyperbolic normal form): a wrong one is caught where canon certifies
+the composed congruence, against the canonical matrix it assembles once.
+The raises left stop a bounded search, report a missing dependence or
+inverse, and keep the roots closed under inversion, without which a defect
+would be refused as NotSplit.
 """
 
 from __future__ import annotations
@@ -101,31 +102,21 @@ def asymmetry(a, ctx=None, s=None):
 
 
 def asymmetry_matrix(a):
-    """S = A^{-1} A', solving A S = A', for an invertible Gram matrix A.  A
-    singular A raises SingularInput with A's right kernel as its .kernel:
-    the pivots are searched in A's columns alone, so it is A's own."""
-    s, kernel = solve(a, a.transpose())
-    if kernel.ncols:
-        raise _singular(kernel)
+    """S = A^{-1} A' for an invertible Gram matrix A; a singular A raises
+    SingularInput."""
+    s, _kernel = asymmetry_or_kernel(a)
+    if s is None:
+        raise SingularInput("asymmetry needs an invertible Gram matrix")
     return s
 
 
-def _singular(kernel):
-    # made here, not in the raising frame, which would then hold it in a
-    # reference cycle with its traceback
-    exc = SingularInput("asymmetry needs an invertible Gram matrix")
-    exc.kernel = kernel
-    return exc
-
-
 def asymmetry_or_kernel(a):
-    """(S, A's right kernel) for a square A from asymmetry_matrix's one
-    elimination of [A | A']: S and an empty kernel when A is invertible,
-    else None and the kernel."""
-    try:
-        return asymmetry_matrix(a), ExactMatrix.zeros(a.ctx, a.nrows, 0)
-    except SingularInput as exc:
-        return None, exc.kernel
+    """(S, A's right kernel) for a square A from the one elimination of
+    [A | A'], solving A S = A': S and an empty kernel when A is invertible,
+    else None and the kernel, A's own, as the pivots are searched in A's
+    columns alone."""
+    s, kernel = solve(a, a.transpose())
+    return None if kernel.ncols else s, kernel
 
 
 def _minimal_polynomial(s):
@@ -486,7 +477,6 @@ UnipotentClass = namedtuple("UnipotentClass", "eigenvalue basis gram operator")
 # basis spans V_lam (its first half) and V_1/lam; image is None, or (j, f)
 # when the class is the image of classes[j], f the automorphism's matrix map
 PairClass = namedtuple("PairClass", "lam lam_inv basis gram image")
-EigenSplit = namedtuple("EigenSplit", "classes x gram")
 
 
 def named_pair(lam):
@@ -499,14 +489,15 @@ def named_pair(lam):
 def eigen_split(a, asym):
     """Split into unipotent classes (eigenvalue +-1) and hyperbolic pairs.
 
-    Returns EigenSplit(classes, x, gram): x the class bases B side by side,
-    gram = X'AX the block diagonal of the classes' B'AB (trimmed at +-1).
-    The +-1 eigenspaces are taken in S's field, each pair's in the field of
-    S and its root: a pair class whose rep is sigma of an earlier class's
-    rep takes sigma of its basis, V_1/lam is sigma of V_lam when sigma(lam)
-    = 1/lam, and the other spaces are computed (_automorphisms, _eigenline).
+    Returns the classes: their bases B side by side are X, and X'AX is the
+    block diagonal of their Gram matrices B'AB (trimmed at +-1); canon tiles
+    X, in its final context.  The +-1 eigenspaces are taken in S's field,
+    each pair's in the field of S and its root: a pair class whose rep is
+    sigma of an earlier class's rep takes sigma of its basis, V_1/lam is
+    sigma of V_lam when sigma(lam) = 1/lam, and the other spaces are
+    computed (_automorphisms, _eigenline).
     """
-    ctx, n, s_ctx = asym.ctx, a.nrows, asym.s.ctx
+    n, s_ctx = a.nrows, asym.s.ctx
     one = s_ctx.one()
     roots = [r for r, _m in asym.split_roots]
     automorphisms = cache(lambda level: _automorphisms(level, s_ctx))
@@ -564,11 +555,9 @@ def eigen_split(a, asym):
             gram = basis.transpose() @ a @ basis
         classes.append(PairClass(rep, other, basis, gram, found))
 
-    x = ExactMatrix.blocks(ctx, [[cl.basis for cl in classes]])
-    if x.ncols != n:
+    if sum(cl.basis.ncols for cl in classes) != n:
         raise NotSplit("generalized eigenspaces do not fill the space")
-    return EigenSplit(classes, x, ExactMatrix.block_diag(
-        ctx, [cl.gram for cl in classes]))
+    return classes
 
 
 def _eigenline(min_poly, lam, krylov):
@@ -665,23 +654,21 @@ def nilpotent_jordan_chains(nmat):
 
 # -- hyperbolic classes -------------------------------------------------------------
 
-HyperbolicResult = namedtuple("HyperbolicResult", "x blocks gram")
-
-
 def hyperbolic_canonical(class_gram, lam):
     """Reduce one paired class to a direct sum of ((0, J_m(lam)), (I, 0)).
 
     class_gram is the Gram matrix on bases of V_lam and V_1/lam, ((0, U),
     (W, 0)) as both are isotropic; lam the chosen eigenvalue, whose side is
-    Jordan-reduced by S = W^-1 U' on V_lam.  Returns X with X' class_gram X
-    the canonical matrix, the list of block sizes m (Jordan sizes on the
-    lam side), and the canonical matrix itself.
+    Jordan-reduced by S = W^-1 U' on V_lam.  Returns (X, blocks): the
+    block sizes m (Jordan sizes on the lam side) and X with X' class_gram X
+    the block diagonal of hyperbolic_block_matrix(ctx, m, lam) over them,
+    which canon builds once, as the target of its certificate.
     """
     ctx = class_gram.ctx
     n2, m = class_gram.nrows, class_gram.nrows // 2
     if m == 1:  # one G2(lam): the X the chains below give
-        x = ExactMatrix(ctx, [[1, 0], [0, class_gram[1, 0].inverse()]])
-        return HyperbolicResult(x, [1], hyperbolic_block_matrix(ctx, 1, lam))
+        return ExactMatrix(ctx, [[1, 0],
+                                 [0, class_gram[1, 0].inverse()]]), [1]
     pairing = class_gram.submatrix(range(m, n2), range(m))  # W
     # Jordan-reduce the lam side
     s_lam, kernel = solve(pairing, class_gram.submatrix(
@@ -707,9 +694,7 @@ def hyperbolic_canonical(class_gram, lam):
     for sz in sizes:
         order += [*range(off, off + sz), *range(m + off, m + off + sz)]
         off += sz
-    target = ExactMatrix.block_diag(ctx, [
-        hyperbolic_block_matrix(ctx, sz, lam) for sz in sizes])
-    return HyperbolicResult(x1.columns(order), sizes, target)
+    return x1.columns(order), sizes
 
 
 def hyperbolic_block_matrix(ctx, m, lam):

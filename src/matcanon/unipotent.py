@@ -18,11 +18,13 @@ block gets, the invariant record and the parity check of the single
 reduction.  The quadratic equations of the reductions are solved by
 field.quadratic_roots.
 
-The reductions do not check their results: a wrong congruence is caught
-once, where canon certifies the composed one (exactmat.CongruenceWitness).
-The raises left here guard what that certificate cannot see: a bounded
-search that ends without an answer, a missing solution, inverse or
-nonzero column, and a complement of the wrong size.
+The reductions return X alone, not the block it reaches, which canon
+builds once, as the target of its certificate.  They do not check X: a
+wrong one is caught once, where canon certifies the composed congruence
+(exactmat.CongruenceWitness).  The raises left here guard what that
+certificate cannot see: a bounded search that ends without an answer, a
+missing solution, inverse or nonzero column, and a complement of the wrong
+size.
 
 The reductions take and return matrices and scalars, never a context: a
 root they adjoin (a square root in the single reduction, an Artin-Schreier
@@ -39,11 +41,11 @@ from collections import namedtuple
 
 from .errors import (HypothesisViolation, InternalDegenerate,
                      NoRootStrictPolicy)
-from .exactmat import Congruence, ExactMatrix, inverse_or_rank, solve
+from .exactmat import ExactMatrix, inverse_or_rank, solve
 from .field import EXTEND, STRICT, quadratic_roots, sqrt_or_adjoin
-from .spectral import asymmetry_matrix, hyperbolic_block_matrix
+from .spectral import asymmetry_matrix
 
-UnipotentPiece = namedtuple("UnipotentPiece", "kind eps order basis gram")
+UnipotentPiece = namedtuple("UnipotentPiece", "kind order basis gram")
 
 # The indecomposables at one eigenvalue eps = +-1: family -> (sign of eps,
 # "single" (one elementary divisor (X - eps)^n, the block is n x n) or
@@ -95,7 +97,7 @@ def _nilpotency_index(nmat):
     raise InternalDegenerate("operator is not nilpotent")
 
 
-def split_off_indecomposable(gram, nmat, eps, index=None):
+def split_off_indecomposable(gram, nmat, index=None):
     """Split one indecomposable of maximal order off a unipotent part.
 
     gram is the restricted Gram matrix (non-degenerate), nmat the nilpotent
@@ -120,7 +122,7 @@ def split_off_indecomposable(gram, nmat, eps, index=None):
     if v is not None:
         for _attempt in range(n + 1):
             piece, comp, rem_gram, rem_nmat = _finish_split(
-                gram, nmat, eps, "single", r, nmat.krylov(v, r))
+                gram, nmat, "single", r, nmat.krylov(v, r))
             rem_index = _nilpotency_index(rem_nmat)
             if not _strands_alternating(rem_gram, rem_index, r):
                 return piece, comp, rem_gram, rem_nmat, rem_index
@@ -135,17 +137,17 @@ def split_off_indecomposable(gram, nmat, eps, index=None):
                                  "non-degenerate part")
     w = ExactMatrix.unit_column(ctx, n, j).scale(row[0, j].inverse())
     chain = ExactMatrix.blocks(ctx, [[nmat.krylov(v, r), nmat.krylov(w, r)]])
-    return (*_finish_split(gram, nmat, eps, "pair", r, chain), None)
+    return (*_finish_split(gram, nmat, "pair", r, chain), None)
 
 
-def _finish_split(gram, nmat, eps, piece_kind, r, bmat):
+def _finish_split(gram, nmat, piece_kind, r, bmat):
     """Build the piece on the columns of bmat and its two-sided orthogonal
     complement."""
     bg = bmat.transpose() @ gram  # x -> f(u, x) for the columns u of bmat
     comp, free = _orthogonal_complement(bg)
     if comp.ncols + bmat.ncols != gram.nrows:
         raise InternalDegenerate("complement dimension mismatch")
-    piece = UnipotentPiece(piece_kind, eps, r, bmat, bg @ bmat)
+    piece = UnipotentPiece(piece_kind, r, bmat, bg @ bmat)
     if not comp.ncols:  # the last piece: an empty remainder
         empty = ExactMatrix.zeros(gram.ctx, 0, 0)
         return piece, comp, empty, empty
@@ -223,17 +225,17 @@ def _height_vector(top):
     return ExactMatrix.unit_column(top.ctx, top.nrows, i)
 
 
-def peel_all(gram, nmat, eps):
+def peel_all(gram, nmat):
     """Peel a unipotent part completely; returns pieces with bases in the
     original coordinates.  A 1 x 1 part reads no nmat."""
     if gram.nrows == 1:  # one single of order 1, as the split would find
-        return [UnipotentPiece("single", eps, 1,
+        return [UnipotentPiece("single", 1,
                                ExactMatrix.identity(gram.ctx, 1), gram)]
     pieces, base = [], None  # the current basis, None while it is I
     cur_gram, cur_nmat, index = gram, nmat, None
     while cur_gram.nrows:
         piece, comp, cur_gram, cur_nmat, index = split_off_indecomposable(
-            cur_gram, cur_nmat, eps, index)
+            cur_gram, cur_nmat, index)
         if base is not None:  # into the original coordinates
             piece = piece._replace(basis=base @ piece.basis)
         pieces.append(piece)
@@ -441,21 +443,22 @@ def _gamma_cyclic_reduction(eps, n):
 
 
 def reduce_single(g, eps, n):
-    """Congruence from a single-block cyclic Gram to Gamma_n(^0)."""
+    """X with X' g X = gamma_block(X.ctx, n), Gamma_n(^0), for a
+    single-block cyclic Gram matrix g."""
     x1 = canon_single(g, eps, n)
     # the Gamma side starts from the tower the input side reached, so a
     # root both sides need is adjoined once
-    x = x1 @ _gamma_cyclic_reduction(eps.promote(x1.ctx), n)
-    return Congruence(x, g, gamma_block(x.ctx, n))
+    return x1 @ _gamma_cyclic_reduction(eps.promote(x1.ctx), n)
 
 
 # -- the pair (two equal elementary divisors) reduction --------------------------
 
-def pair_canon(g, m):
-    """Reduce a pair-block Gram matrix (basis v, pv, ..., w, pw, ...) to
-    ((0, J_m(eps)), (I_m, 0)).
+def reduce_pair(g, m):
+    """Reduce a pair-block Gram matrix (basis v, pv, ..., w, pw, ...) at
+    eigenvalue eps to ((0, J_m(eps)), (I_m, 0)), which is
+    spectral.hyperbolic_block_matrix(X.ctx, m, eps).
 
-    Returns x, whose columns are the new basis, over x.ctx, the context the
+    Returns X, whose columns are the new basis, over X.ctx, the context the
     reduction reached from g's.
     """
     v1, w1 = _pair_generators(g, m)
@@ -468,7 +471,7 @@ def pair_canon(g, m):
 
 
 def _pair_generators(g, m):
-    """The repaired module generators v', w' of pair_canon(g, m), as
+    """The repaired module generators v', w' of reduce_pair(g, m), as
     coordinates in g's basis: all that its recursion reads."""
     ctx = g.ctx
     if m == 1:
@@ -581,9 +584,3 @@ def _corner_candidates(consts, lins, quads, k):
                         xs = [zero] * k
                         xs[i], xs[l] = t, t0
                         yield xs
-
-
-def reduce_pair(g, eps, m):
-    """Congruence from a pair-block Gram to ((0, J_m(eps)), (I, 0))."""
-    x = pair_canon(g, m)
-    return Congruence(x, g, hyperbolic_block_matrix(x.ctx, m, eps))

@@ -30,7 +30,7 @@ def alternating_flag(gram):
 
 def filtration(gram, nmat, eps):
     """Group the peeled pieces by order into orthogonal free components."""
-    pieces = peel_all(gram, nmat, eps)
+    pieces = peel_all(gram, nmat)
     ctx = gram.ctx
     by_order = {}
     for p in pieces:

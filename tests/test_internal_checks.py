@@ -215,12 +215,12 @@ def test_certificate_rejects_a_non_square_witness(monkeypatch):
         canonicalize(ExactMatrix(Q, [[0]]))
 
 
-def _doubled_basis(split):
+def _doubled_basis(classes):
     # each class's basis doubled, its Gram matrix kept: canon builds X from
     # the bases (but for a class that fills the core, whose basis is I) and
     # reduces the Gram matrices
-    return split._replace(classes=[cl._replace(
-        basis=cl.basis.scale(cl.basis.ctx.scalar(2))) for cl in split.classes])
+    return [cl._replace(basis=cl.basis.scale(cl.basis.ctx.scalar(2)))
+            for cl in classes]
 
 
 def test_certificate_rejects_a_false_relation(monkeypatch):
@@ -384,9 +384,8 @@ F2 = block(Block("F", 2))  # one pair of order 1 at eigenvalue -1
 def test_peeled_operator_not_nilpotent(monkeypatch):
     # the class operator S - 1 for S = 2 I
     operator = ExactMatrix.identity(Q, 2).scale(2).minus_scalar(1)
-    patch_result(monkeypatch, canon, "eigen_split",
-                 lambda split: split._replace(classes=[
-                     cl._replace(operator=operator) for cl in split.classes]))
+    patch_result(monkeypatch, canon, "eigen_split", lambda classes: [
+        cl._replace(operator=operator) for cl in classes])
     with reaches("unipotent", "operator is not nilpotent"):
         canonicalize(ExactMatrix.identity(Q, 2))
 

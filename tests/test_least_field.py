@@ -85,9 +85,9 @@ def test_a_unipotent_class_is_peeled_in_the_field_of_its_gram(monkeypatch):
     seen = []
     original = canon.peel_all
 
-    def peel_all(gram, nmat, eps):
+    def peel_all(gram, nmat):
         seen.append((gram.ctx, None if nmat is None else nmat.ctx))
-        return original(gram, nmat, eps)
+        return original(gram, nmat)
 
     monkeypatch.setattr(canon, "peel_all", peel_all)
     # a 1 x 1 class forms no operator; a 2 x 2 class forms it in Q

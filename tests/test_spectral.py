@@ -192,9 +192,9 @@ def test_split_palindromic_quartic():
 def test_eigen_split_identity_asymmetry():
     q = rationals()
     a = ExactMatrix(q, [[1, 0], [0, 5]])
-    out = eigen_split(a, split_min_poly(asymmetry(a)))
-    assert len(out.classes) == 1
-    cl = out.classes[0]
+    classes = eigen_split(a, split_min_poly(asymmetry(a)))
+    assert len(classes) == 1
+    cl = classes[0]
     assert isinstance(cl, UnipotentClass)
     assert cl.eigenvalue == q.one()
     assert cl.basis.ncols == 2
@@ -203,9 +203,9 @@ def test_eigen_split_identity_asymmetry():
 def test_eigen_split_g2_pair():
     q = rationals()
     a = g_block(q, 1, 2)
-    out = eigen_split(a, split_min_poly(asymmetry(a)))
-    assert len(out.classes) == 1
-    cl = out.classes[0]
+    classes = eigen_split(a, split_min_poly(asymmetry(a)))
+    assert len(classes) == 1
+    cl = classes[0]
     assert isinstance(cl, PairClass)
     assert cl.lam == q.scalar(Fraction(1, 2))  # compare-smaller of {2, 1/2}
     assert cl.lam_inv == q.scalar(2)
@@ -214,10 +214,12 @@ def test_eigen_split_g2_pair():
 def test_eigen_split_mixed_block_diagonal():
     q = rationals()
     a = ExactMatrix.block_diag(q, [ExactMatrix(q, [[1]]), g_block(q, 1, 3)])
-    out = eigen_split(a, split_min_poly(asymmetry(a)))
-    kinds = [type(c).__name__ for c in out.classes]
+    classes = eigen_split(a, split_min_poly(asymmetry(a)))
+    kinds = [type(c).__name__ for c in classes]
     assert kinds == ["UnipotentClass", "PairClass"]
-    g = out.gram
+    x = ExactMatrix.blocks(q, [[cl.basis for cl in classes]])
+    g = x.transpose() @ a @ x
+    assert g == ExactMatrix.block_diag(q, [cl.gram for cl in classes])
     # cross blocks exactly zero
     assert g[0, 1] == q.zero() and g[0, 2] == q.zero()
     assert g[1, 0] == q.zero() and g[2, 0] == q.zero()
@@ -307,7 +309,7 @@ def test_conjugated_eigenspace_is_the_eliminated_one(name, a, expected,
 
     monkeypatch.setattr(spectral, "inverse_or_rank", eliminating)
     monkeypatch.setattr(spectral, "_eigenline", recording)
-    classes = eigen_split(a, asym).classes
+    classes = eigen_split(a, asym)
     monkeypatch.undo()
     pairs = [cl for cl in classes if isinstance(cl, PairClass)]
     assert [(len(cl.basis.ctx.tower), cl.image is None)
@@ -389,7 +391,7 @@ def test_a_non_cyclic_s_still_eliminates(monkeypatch):
     assert {m for _r, m in asym.split_roots} == {1}
     monkeypatch.setattr(spectral, "_eigenline", lambda *args: pytest.fail(
         "an eigenline for a non-cyclic S"))
-    cl, = eigen_split(a, asym).classes
+    cl, = eigen_split(a, asym)
     kernel = inverse_or_rank(asym.s.minus_scalar(cl.lam),
                              rank_only=True).kernel
     assert kernel.ncols == 2
@@ -472,9 +474,9 @@ def test_hyperbolic_identity_case():
     q = rationals()
     lam = q.scalar(2)
     a = g_block(q, 1, 2)
-    res = hyperbolic_canonical(a, lam)
-    assert res.blocks == [1]
-    assert res.gram == a
+    x, blocks = hyperbolic_canonical(a, lam)
+    assert blocks == [1]
+    assert x.transpose() @ a @ x == g_block(q, 1, 2)
 
 
 def test_hyperbolic_scrambled_g2():
@@ -487,12 +489,10 @@ def test_hyperbolic_scrambled_g2():
         if inverse_or_rank(a).inverse is None:
             continue
         asym = split_min_poly(asymmetry(a))
-        out = eigen_split(a, asym)
-        assert len(out.classes) == 1
-        cl = out.classes[0]
-        res = hyperbolic_canonical(out.gram, cl.lam)
-        assert res.blocks == [1]
-        assert res.gram == g_block(q, 1, Fraction(1, 2))
+        cl, = eigen_split(a, asym)
+        x, blocks = hyperbolic_canonical(cl.gram, cl.lam)
+        assert blocks == [1]
+        assert x.transpose() @ cl.gram @ x == g_block(q, 1, Fraction(1, 2))
 
 
 def test_hyperbolic_4x4_jordan_pair():
@@ -503,11 +503,10 @@ def test_hyperbolic_4x4_jordan_pair():
         y = rand_invertible(q, rng, 4, -2, 2)
         a = y.transpose() @ base @ y
         asym = split_min_poly(asymmetry(a))
-        out = eigen_split(a, asym)
-        cl = out.classes[0]
-        res = hyperbolic_canonical(out.gram, cl.lam)
-        assert res.blocks == [2]
-        assert res.gram == g_block(q, 2, Fraction(1, 2))
+        cl, = eigen_split(a, asym)
+        x, blocks = hyperbolic_canonical(cl.gram, cl.lam)
+        assert blocks == [2]
+        assert x.transpose() @ cl.gram @ x == g_block(q, 2, Fraction(1, 2))
 
 
 def _general_hyperbolic_canonical():
@@ -541,12 +540,11 @@ def _g2_classes():
                          ids=["q", "gf3-sqrt2", "gf9", "gf65521"])
 def test_a_g2_class_in_closed_form_is_the_general_answer(ctx, lam, w):
     g = ExactMatrix(ctx, [[0, lam * w], [w, 0]])
-    res = hyperbolic_canonical(g, lam)
-    general = _general_hyperbolic_canonical()(g, lam)
-    assert (res.x.ctx, res.x.raw) == (general.x.ctx, general.x.raw)
-    assert res.blocks == general.blocks == [1]
-    assert res.gram == general.gram == g_block(ctx, 1, lam)
-    assert res.x.transpose() @ g @ res.x == res.gram
+    x, blocks = hyperbolic_canonical(g, lam)
+    general_x, general_blocks = _general_hyperbolic_canonical()(g, lam)
+    assert (x.ctx, x.raw) == (general_x.ctx, general_x.raw)
+    assert blocks == general_blocks == [1]
+    assert x.transpose() @ g @ x == g_block(ctx, 1, lam)
 
 
 def test_roots_closed_under_inversion_random():

@@ -1,38 +1,56 @@
-"""Each pipeline stage's plain congruence holds on its own.
+"""Each pipeline stage's congruence holds on its own.
 
-The stages return unverified congruences and canonicalize certifies only
-the composed one, which fails whenever a stage is wrong but cannot say
-which.  These tests wrap the stages where canon looks them up, certify
-every (x, source, target) a stage returns, and name the stage that broke.
+Gabriel returns an unverified congruence and the later stages their X
+alone; canonicalize builds each canonical block once, as the target of
+the composed congruence, and certifies only that one, which fails whenever
+a stage is wrong but cannot say which.  These tests wrap the stages where
+canon looks them up, build the target each stage's X must reach, certify
+every (x, source, target), and name the stage that broke.
 """
 
 import random
 
 import pytest
 
-from matcanon import canon
+from matcanon import canon, spectral, unipotent
 from matcanon.canon import (Block, canonical_block_matrix, canonicalize,
                             equivalent)
 from matcanon.errors import NotSplit
 from matcanon.exactmat import (CongruenceWitness, ExactMatrix, WitnessError,
                                inverse_or_rank)
 from matcanon.field import gf4, prime_field, rationals, sqrt_or_adjoin
+from matcanon.spectral import asymmetry_matrix, hyperbolic_block_matrix
+from matcanon.unipotent import gamma_block
 
 STAGES = ("gabriel_decompose", "eigen_split", "hyperbolic_canonical",
           "reduce_single", "reduce_pair")
 
 
 def _stage_congruence(name, args, result):
-    """(x, source, target) of one stage call; source is the stage's input."""
+    """(x, source, target) of one stage call; source is the stage's input,
+    and the target, but for Gabriel's, is built here."""
+    if name == "gabriel_decompose":
+        cong = result.congruence
+        if cong.source != args[0].promote(cong.source.ctx):
+            pytest.fail("%s: congruence source is not the stage input" % name)
+        return cong
     if name == "eigen_split":
+        # the class bases side by side, onto their Gram matrices' diagonal
         a, asym = args[:2]
-        return result.x, a.promote(asym.ctx), result.gram
+        return (ExactMatrix.blocks(asym.ctx, [[cl.basis for cl in result]]),
+                a.promote(asym.ctx),
+                ExactMatrix.block_diag(asym.ctx, [cl.gram for cl in result]))
     if name == "hyperbolic_canonical":
-        return result.x, args[0], result.gram
-    cong = result.congruence if name == "gabriel_decompose" else result
-    if cong.source != args[0].promote(cong.source.ctx):
-        pytest.fail("%s: congruence source is not the stage input" % name)
-    return cong
+        (x, sizes), (gram, lam) = result, args
+        return x, gram, ExactMatrix.block_diag(x.ctx, [
+            hyperbolic_block_matrix(x.ctx, m, lam) for m in sizes])
+    x, g = result, args[0]
+    if name == "reduce_single":
+        return x, g, gamma_block(x.ctx, args[2])
+    # eps is the one eigenvalue of g's asymmetry, whose first column on the
+    # basis v, pv, ..., w, pw, ... is eps v + pv
+    eps = asymmetry_matrix(g)[0, 0]
+    return x, g, hyperbolic_block_matrix(x.ctx, args[1], eps)
 
 
 @pytest.fixture
@@ -150,8 +168,8 @@ def test_a_corrupt_stage_fails_the_answer(monkeypatch):
     original = canon.reduce_single
 
     def corrupt(*args, **kwargs):
-        cong = original(*args, **kwargs)
-        return cong._replace(x=cong.x.scale(cong.x.ctx.scalar(2)))
+        x = original(*args, **kwargs)
+        return x.scale(x.ctx.scalar(2))
 
     monkeypatch.setattr(canon, "reduce_single", corrupt)
     q = rationals()
@@ -162,3 +180,45 @@ def test_a_corrupt_stage_fails_the_answer(monkeypatch):
         canonicalize(a)
     with pytest.raises(WitnessError):
         equivalent(a, b)  # a false verdict is certified too
+
+
+# (name, context, block sum): between them a G block whose class is in
+# closed form and one that is not, +-1 singles and +-1 pairs
+BUILD_CASES = [
+    ("Q", rationals, [Block("A", 3), Block("F", 2),
+                      lambda c: _g(c, 4, lambda c: c.scalar(2))]),
+    ("GF(3)", lambda: prime_field(3), [Block("A", 1), Block("C", 2),
+                                       Block("D", 4), Block("F", 2)]),
+    ("GF(4)", gf4, [Block("B", 3), Block("E", 2),
+                    lambda c: _g(c, 2, lambda c: c.base_element((0, 1)))]),
+]
+
+
+@pytest.mark.parametrize("name, make_ctx, blocks", BUILD_CASES,
+                         ids=[case[0] for case in BUILD_CASES])
+def test_each_canonical_block_is_built_once(name, make_ctx, blocks,
+                                            monkeypatch):
+    # the stages return X alone, and canon builds each block once, for the
+    # target of its certificate; a first call fills the Gamma-side memo,
+    # whose misses build Gamma_n for its own reduction
+    ctx = make_ctx()
+    blocks = [b(ctx) if callable(b) else b for b in blocks]
+    a = _scrambled(ctx, random.Random("built-" + name), blocks)
+    canonicalize(a)
+    built = [0]
+
+    def counted(builder):
+        def build(*args):
+            built[0] += 1
+            return builder(*args)
+        return build
+
+    for module in (canon, spectral, unipotent):
+        for attr in ("gamma_block", "hyperbolic_block_matrix"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr,
+                                    counted(getattr(module, attr)))
+    form, _witness = canonicalize(a)
+    assert sorted((b.family, b.n) for b in form.blocks) == \
+        sorted((b.family, b.n) for b in blocks)
+    assert built[0] == len(form.blocks)

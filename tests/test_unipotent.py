@@ -11,8 +11,8 @@ from matcanon.errors import NoArtinSchreierRootStrict
 from matcanon.exactmat import ExactMatrix, inverse_or_rank
 from matcanon.field import STRICT, gf4, prime_field, rationals
 from matcanon.spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
-                               eigen_split, hyperbolic_block_matrix,
-                               split_min_poly)
+                               asymmetry_or_kernel, eigen_split,
+                               hyperbolic_block_matrix, split_min_poly)
 from matcanon.unipotent import (FAMILIES, gamma0_matrix, gamma_matrix,
                                 peel_all, reduce_pair, reduce_single,
                                 split_off_indecomposable)
@@ -80,7 +80,7 @@ def test_gamma_elementary_divisor_claims():
 def test_peel_single_1x1():
     q = rationals()
     a = ExactMatrix(q, [[1]])
-    pieces = peel_all(a, nil_of(a), q.one())
+    pieces = peel_all(a, nil_of(a))
     assert len(pieces) == 1
     assert pieces[0].kind == "single" and pieces[0].order == 1
 
@@ -93,12 +93,11 @@ def test_peel_single_1x1():
 def test_a_1x1_class_is_the_single_a_split_finds(gram):
     # peel_all answers a 1 x 1 class without a split; the split gives the
     # same piece, raw value for raw value, and an empty complement
-    eps = gram.ctx.one()
-    piece, = peel_all(gram, nil_of(gram), eps)
-    split, comp, *_rest = split_off_indecomposable(gram, nil_of(gram), eps)
+    piece, = peel_all(gram, nil_of(gram))
+    split, comp, *_rest = split_off_indecomposable(gram, nil_of(gram))
     assert comp.ncols == 0
-    assert piece[:3] == split[:3] == ("single", eps, 1)
-    for got, want in zip(piece[3:], split[3:]):  # basis and gram
+    assert piece[:2] == split[:2] == ("single", 1)
+    for got, want in zip(piece[2:], split[2:]):  # basis and gram
         assert (got.ctx, got.raw) == (want.ctx, want.raw)
 
 
@@ -121,12 +120,16 @@ def test_a_1x1_class_forms_no_asymmetry(a, products, monkeypatch):
     # the asymmetry is formed once, for the core: each +-1 class is peeled
     # on the operator the split gives it, and a 1 x 1 class carries none
     # and has no product formed for one; it answers as when a 1 x 1 class
-    # is split on the asymmetry it has
+    # is split on the asymmetry it has.  A first call fills the Gamma-side
+    # memo, whose misses form the asymmetry of Gamma_n; S is counted where
+    # canon and spectral look up the one elimination that forms it
+    canonicalize(a)
     calls, peeled, formed = [], [], [0]
-    monkeypatch.setattr(spectral, "asymmetry_matrix",
-                        lambda g: calls.append(g) or asymmetry_matrix(g))
-    monkeypatch.setattr(canon, "peel_all", lambda gram, nmat, eps: (
-        peeled.append((gram.nrows, nmat)) or peel_all(gram, nmat, eps)))
+    for module in (canon, spectral):
+        monkeypatch.setattr(module, "asymmetry_or_kernel", lambda g: (
+            calls.append(g) or asymmetry_or_kernel(g)))
+    monkeypatch.setattr(canon, "peel_all", lambda gram, nmat: (
+        peeled.append((gram.nrows, nmat)) or peel_all(gram, nmat)))
     matmul = ExactMatrix.__matmul__
     monkeypatch.setattr(ExactMatrix, "__matmul__", lambda x, y: (
         formed.__setitem__(0, formed[0] + (depth[0] > 0)) or matmul(x, y)))
@@ -140,12 +143,12 @@ def test_a_1x1_class_forms_no_asymmetry(a, products, monkeypatch):
                           for size, nmat in peeled)
     assert 1 in [size for size, _nmat in peeled]
 
-    def split_peel(gram, nmat, eps):
+    def split_peel(gram, nmat):
         if gram.nrows > 1:
-            return peel_all(gram, nmat, eps)
+            return peel_all(gram, nmat)
         assert nmat is None
-        nmat = asymmetry_matrix(gram).minus_scalar(eps)
-        return [split_off_indecomposable(gram, nmat, eps)[0]]
+        nmat = asymmetry_matrix(gram).minus_scalar(gram.ctx.one())
+        return [split_off_indecomposable(gram, nmat)[0]]
 
     monkeypatch.setattr(canon, "peel_all", split_peel)
     want_form, want = canonicalize(a)
@@ -157,14 +160,14 @@ def test_a_1x1_class_forms_no_asymmetry(a, products, monkeypatch):
 def test_peel_identity_gf2_singles():
     f2 = prime_field(2)
     a = ExactMatrix.identity(f2, 2)
-    pieces = peel_all(a, nil_of(a), f2.one())
+    pieces = peel_all(a, nil_of(a))
     assert [p.kind for p in pieces] == ["single", "single"]
 
 
 def test_peel_antidiagonal_gf2_pair():
     f2 = prime_field(2)
     a = ExactMatrix(f2, [[0, 1], [1, 0]])
-    pieces = peel_all(a, nil_of(a), f2.one())
+    pieces = peel_all(a, nil_of(a))
     assert len(pieces) == 1
     assert pieces[0].kind == "pair" and pieces[0].order == 1
 
@@ -187,7 +190,7 @@ def test_a_peel_forms_no_empty_product(gram, monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(ExactMatrix, "__matmul__", recording)
-    pieces = peel_all(gram, nmat, gram.ctx.one())
+    pieces = peel_all(gram, nmat)
     assert sum(p.basis.ncols for p in pieces) == gram.nrows
     assert shapes and all(all(shape) for shape in shapes), shapes
 
@@ -248,11 +251,10 @@ def test_hat_form_scalar_asymmetry_signs():
 def test_reduce_single_scalar_九():
     q = rationals()
     g = ExactMatrix(q, [[9]])
-    w = reduce_single(g, q.one(), 1)
-    ctx = w.x.ctx
-    assert ctx == q
-    assert w.x == ExactMatrix(q, [[Fraction(1, 3)]])
-    assert w.target == ExactMatrix(q, [[1]])
+    x = reduce_single(g, q.one(), 1)
+    assert x.ctx == q
+    assert x == ExactMatrix(q, [[Fraction(1, 3)]])
+    assert x.transpose() @ g @ x == ExactMatrix(q, [[1]])
 
 
 def test_reduce_single_gamma_self():
@@ -262,11 +264,11 @@ def test_reduce_single_gamma_self():
         gm = gamma_matrix(q, n)
         asym = asymmetry(gm)
         nmat = asym.s - ExactMatrix.identity(q, n).scale(eps)
-        pieces = peel_all(gm, nmat, eps)
+        pieces = peel_all(gm, nmat)
         assert len(pieces) == 1 and pieces[0].kind == "single"
-        w = reduce_single(pieces[0].gram, eps, n)
-        ctx = w.x.ctx
-        assert w.target == gamma_matrix(ctx, n)
+        g = pieces[0].gram
+        x = reduce_single(g, eps, n)
+        assert x.transpose() @ g @ x == gamma_matrix(x.ctx, n)
 
 
 def test_reduce_single_scrambled_gamma5():
@@ -282,11 +284,11 @@ def test_reduce_single_scrambled_gamma5():
         a = y.transpose() @ base @ y
         asym = asymmetry(a)
         nmat = asym.s - ExactMatrix.identity(q, 5)
-        pieces = peel_all(a, nmat, q.one())
+        pieces = peel_all(a, nmat)
         assert len(pieces) == 1
-        w = reduce_single(pieces[0].gram, q.one(), 5)
-        ctx = w.x.ctx
-        assert w.target == gamma_matrix(ctx, 5)
+        g = pieces[0].gram
+        x = reduce_single(g, q.one(), 5)
+        assert x.transpose() @ g @ x == gamma_matrix(x.ctx, 5)
 
 
 def test_reduce_single_char2_gamma3():
@@ -294,11 +296,11 @@ def test_reduce_single_char2_gamma3():
     g30 = gamma0_matrix(f2, 3)
     asym = asymmetry(g30)
     nmat = asym.s - ExactMatrix.identity(f2, 3)
-    pieces = peel_all(g30, nmat, f2.one())
+    pieces = peel_all(g30, nmat)
     assert [p.kind for p in pieces] == ["single"]
-    w = reduce_single(pieces[0].gram, f2.one(), 3)
-    ctx = w.x.ctx
-    assert w.target == gamma0_matrix(ctx, 3)
+    g = pieces[0].gram
+    x = reduce_single(g, f2.one(), 3)
+    assert x.transpose() @ g @ x == gamma0_matrix(x.ctx, 3)
 
 
 def test_case3_matrix_over_gf4():
@@ -311,12 +313,12 @@ def test_case3_matrix_over_gf4():
                          [f4.one(), f4.zero(), f4.zero()]])
     asym = asymmetry(a)
     nmat = asym.s - ExactMatrix.identity(f4, 3)
-    pieces = peel_all(a, nmat, f4.one())
+    pieces = peel_all(a, nmat)
     assert [p.kind for p in pieces] == ["single"]
-    w = reduce_single(pieces[0].gram, f4.one(), 3)
-    ctx = w.x.ctx
-    assert len(ctx.tower) == 1  # one Artin-Schreier adjunction
-    assert w.target == gamma0_matrix(ctx, 3)
+    g = pieces[0].gram
+    x = reduce_single(g, f4.one(), 3)
+    assert len(x.ctx.tower) == 1  # one Artin-Schreier adjunction
+    assert x.transpose() @ g @ x == gamma0_matrix(x.ctx, 3)
     with pytest.raises(NoArtinSchreierRootStrict):
         canonicalize(a, STRICT)
 
@@ -333,14 +335,13 @@ def test_pair_m1_bases():
     for eps in (q.one(), -q.one()):
         g = ExactMatrix(q, [[q.zero(), eps * q.scalar(3)],
                             [q.scalar(3), q.zero()]])
-        w = reduce_pair(g, eps, 1)
-        ctx = w.x.ctx
-        assert w.target == hyperbolic_block_matrix(ctx, 1, eps)
+        x = reduce_pair(g, 1)
+        assert x.transpose() @ g @ x == hyperbolic_block_matrix(x.ctx, 1, eps)
 
 
 def peel_one_pair(a, eps, m):
     nmat = asymmetry(a).s - ExactMatrix.identity(a.ctx, a.nrows).scale(eps)
-    pieces = peel_all(a, nmat, eps)
+    pieces = peel_all(a, nmat)
     assert [p.kind for p in pieces] == ["pair"]
     assert pieces[0].order == m
     return pieces[0]
@@ -349,28 +350,26 @@ def peel_one_pair(a, eps, m):
 def test_pair_m2_paper_matrix_rational():
     q = rationals()
     c = paper_pair_m2(q, q.scalar(1), q.scalar(1))
-    piece = peel_one_pair(c, q.one(), 2)
-    w = reduce_pair(piece.gram, q.one(), 2)
-    ctx = w.x.ctx
-    assert w.target == hyperbolic_block_matrix(ctx, 2, q.one())
+    g = peel_one_pair(c, q.one(), 2).gram
+    x = reduce_pair(g, 2)
+    assert x.transpose() @ g @ x == hyperbolic_block_matrix(x.ctx, 2, q.one())
     c = paper_pair_m2(q, q.zero(), q.zero())
-    piece = peel_one_pair(c, q.one(), 2)
-    w = reduce_pair(piece.gram, q.one(), 2)
-    ctx = w.x.ctx
-    assert ctx == q
-    assert w.target == hyperbolic_block_matrix(q, 2, q.one())
+    g = peel_one_pair(c, q.one(), 2).gram
+    x = reduce_pair(g, 2)
+    assert x.ctx == q
+    assert x.transpose() @ g @ x == hyperbolic_block_matrix(q, 2, q.one())
 
 
 def test_pair_m2_char2_needs_artin_schreier():
     f2 = prime_field(2)
     c = paper_pair_m2(f2, f2.one(), f2.one())
-    piece = peel_one_pair(c, f2.one(), 2)
+    g = peel_one_pair(c, f2.one(), 2).gram
     with pytest.raises(NoArtinSchreierRootStrict):
         canonicalize(c, STRICT)
-    w = reduce_pair(piece.gram, f2.one(), 2)
-    ctx = w.x.ctx
-    assert len(ctx.tower) == 1
-    assert w.target == hyperbolic_block_matrix(ctx, 2, f2.one())
+    x = reduce_pair(g, 2)
+    assert len(x.ctx.tower) == 1
+    assert x.transpose() @ g @ x == hyperbolic_block_matrix(x.ctx, 2,
+                                                           f2.one())
 
 
 def test_pair_m2_char2_one_zero_corner():
@@ -379,7 +378,7 @@ def test_pair_m2_char2_one_zero_corner():
                  (f2.zero(), f2.zero())):
         c = paper_pair_m2(f2, a, b)
         piece = peel_one_pair(c, f2.one(), 2)
-        assert reduce_pair(piece.gram, f2.one(), 2).x.ctx == f2
+        assert reduce_pair(piece.gram, 2).ctx == f2
         form, _wit = canonicalize(c, STRICT)
         assert form.context == f2
 
@@ -390,7 +389,7 @@ def test_hyperbolic_j1_plus_decomposes_over_q():
     q = rationals()
     a = hyperbolic_block_matrix(q, 1, q.one())
     nmat = asymmetry(a).s - ExactMatrix.identity(q, 2)
-    pieces = peel_all(a, nmat, q.one())
+    pieces = peel_all(a, nmat)
     assert [p.kind for p in pieces] == ["single", "single"]
 
 
@@ -409,11 +408,12 @@ def test_pair_scrambled_blocks():
                     break
             a = y.transpose() @ base @ y
             nmat = asymmetry(a).s - ExactMatrix.identity(q, n).scale(eps)
-            pieces = peel_all(a, nmat, eps)
+            pieces = peel_all(a, nmat)
             assert [p.kind for p in pieces] == ["pair"], (m, eps)
-            w = reduce_pair(pieces[0].gram, eps, m)
-            ctx = w.x.ctx
-            assert w.target == hyperbolic_block_matrix(ctx, m, eps)
+            g = pieces[0].gram
+            x = reduce_pair(g, m)
+            assert x.transpose() @ g @ x == hyperbolic_block_matrix(
+                x.ctx, m, eps)
 
 
 def test_pair_scrambled_char2():
@@ -430,11 +430,12 @@ def test_pair_scrambled_char2():
                     break
             a = y.transpose() @ base @ y
             nmat = asymmetry(a).s - ExactMatrix.identity(f2, n)
-            pieces = peel_all(a, nmat, f2.one())
+            pieces = peel_all(a, nmat)
             assert [p.kind for p in pieces] == ["pair"], m
-            w = reduce_pair(pieces[0].gram, f2.one(), m)
-            ctx = w.x.ctx
-            assert w.target == hyperbolic_block_matrix(ctx, m, f2.one())
+            g = pieces[0].gram
+            x = reduce_pair(g, m)
+            assert x.transpose() @ g @ x == hyperbolic_block_matrix(
+                x.ctx, m, f2.one())
 
 
 def test_reduce_single_parity_violations():
@@ -571,7 +572,7 @@ CLASS_IDS = ["q2-mixed", "q2-whole", "q2-trims-to-q", "gf2", "gf3",
 def unipotent_classes(ctx, names, pool):
     a = scrambled(blocks_of(names, ctx), ctx, names, pool)
     asym = split_min_poly(asymmetry(a))
-    return a, asym, [cl for cl in eigen_split(a, asym).classes
+    return a, asym, [cl for cl in eigen_split(a, asym)
                      if isinstance(cl, UnipotentClass)]
 
 
@@ -611,13 +612,13 @@ def test_the_one_sided_complement_is_the_two_sided_one(ctx, names, pool,
     steps = []
     finish = unipotent._finish_split
 
-    def recording(gram, nmat, eps, kind, r, bmat):
+    def recording(gram, nmat, kind, r, bmat):
         steps.append((gram, bmat))
-        return finish(gram, nmat, eps, kind, r, bmat)
+        return finish(gram, nmat, kind, r, bmat)
 
     monkeypatch.setattr(unipotent, "_finish_split", recording)
     for cl in unipotent_classes(ctx, names, pool)[2]:
-        peel_all(cl.gram, cl.operator, cl.eigenvalue)
+        peel_all(cl.gram, cl.operator)
     assert steps
     for gram, bmat in steps:
         bg = bmat.transpose() @ gram
