@@ -1803,7 +1803,14 @@ def _format_base(ctx, c):
 
 
 def parse_scalar(text, ctx):
-    """Parse the scalar grammar in the given context."""
+    """Parse the scalar grammar in the given context.  Spaces are dropped,
+    except inside a number or a generator name: "1 2" and "g 1" are
+    refused, not read as 12 and g1."""
+    words = [w for w in text.split(" ") if w]
+    for left, right in zip(words, words[1:]):
+        if right[0].isdigit() and (left[-1].isdigit() or left[-1] == "g"):
+            raise ParseError("space inside a number or generator name in %r"
+                             % text)
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty scalar text", 0)

@@ -6,9 +6,11 @@ cyclic "single" blocks (one elementary divisor p^n, found through a vector v
 with f(p^{n-1}v, v) != 0) and "pair" blocks (two elementary divisors p^m,
 found through a hyperbolic-like pair v, w).  Singles reduce recursively to
 the cyclic normal form shared with the Gamma matrices; pairs reduce to
-((0, J_m(eps)), (I_m, 0)) via totally isotropic generator repair.  A piece's
-complement {x : f(u, x) = 0} is two-sided: sigma, an isometry keeping the
-piece's span, keeps it too, and f(x, u) = f(u, sigma x).
+((0, J_m(eps)), (I_m, 0)) once their two generators span totally isotropic
+modules.  The module structure fixes the one correction each step of
+either reduction needs, in closed form.  A piece's complement
+{x : f(u, x) = 0} is two-sided: sigma, an isometry keeping the piece's
+span, keeps it too, and f(x, u) = f(u, sigma x).
 
 FAMILIES is the classification of these blocks (Riehm; arXiv 1311.0565):
 which of A..F a single or a pair is depends only on the sign of eps, the
@@ -22,13 +24,13 @@ The reductions return X alone, not the block it reaches, which canon
 builds once, as the target of its certificate.  They do not check X: a
 wrong one is caught once, where canon certifies the composed congruence
 (exactmat.CongruenceWitness).  The raises left here guard what that
-certificate cannot see: a bounded search that ends without an answer, a
-missing solution, inverse or nonzero column, and a complement of the wrong
-size.
+certificate cannot see: the end of the bounded search for a peel that
+leaves a non-alternating remainder, a missing solution, inverse or nonzero
+column, and a complement of the wrong size.
 
 The reductions take and return matrices and scalars, never a context: a
 root they adjoin (a square root in the single reduction, an Artin-Schreier
-root in a corner repair) lives on the values computed from it, the
+root in a pair repair) lives on the values computed from it, the
 arithmetic lifts every operand to the common context, and the result's
 context is x.ctx.  A reduction starts from its input's context, which the
 caller sets to the running tower.  The reductions always extend: canon
@@ -39,10 +41,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import (HypothesisViolation, InternalDegenerate,
-                     NoRootStrictPolicy)
+from .errors import HypothesisViolation, InternalDegenerate
 from .exactmat import ExactMatrix, inverse_or_rank, solve
-from .field import EXTEND, STRICT, quadratic_roots, sqrt_or_adjoin
+from .field import EXTEND, quadratic_roots, sqrt_or_adjoin
 from .spectral import asymmetry_matrix
 
 UnipotentPiece = namedtuple("UnipotentPiece", "kind order basis gram")
@@ -359,35 +360,21 @@ def _canon_single_step(g, eps, n):
 
 
 def _adjust_self_value(g1, part, hom, rho0):
-    """u in part + span(hom) with f(u, u) = rho0, for the n x 1 part and
-    the columns of hom."""
-    vmat = ExactMatrix.blocks(g1.ctx, [[part, hom]])
-    f = vmat.transpose() @ g1 @ vmat  # the form on part, hom's columns
-    k = hom.ncols
+    """u in part + span(hom) with f(u, u) = rho0, on the cyclic basis
+    v1, p v1, ..., p^{n-1} v1 of g1, for the solution part and the kernel
+    hom of the row system f(., p^j v1) = cg[0, j], j >= s (s = 1, or 2).
 
-    def along(i, t):
-        return part + hom.columns([i]).scale(t)
-
-    base = f[0, 0]
-    lin = [f[0, i + 1] + f[i + 1, 0] for i in range(k)]
-    quad = [f[i + 1, i + 1] for i in range(k)]
-    # try pure-linear solutions first: one coefficient at a time
-    for i, li in enumerate(lin):
-        if not li.is_zero() and quad[i].is_zero():
-            return along(i, (rho0 - base) / li)
-    if base == rho0:
-        return part
-    # general single-variable quadratic attempts, in ctx itself
-    for i, li in enumerate(lin):
-        qa = quad[i]
-        if li.is_zero() and qa.is_zero():
-            continue
-        try:
-            t = quadratic_roots(qa, li, base - rho0, STRICT)[0]
-        except NoRootStrictPolicy:
-            continue
-        return along(i, t)
-    raise InternalDegenerate("cannot reach the canonical diagonal value")
+    f(p^a v1, p^b v1) = 0 for a + b >= n, so hom is ker p^s, and its first
+    column h is p^{n-s} v1, e_{n-1} or e_{n-2}: f(h, h) = 0 (n >= 2s).
+    f(h, part) = f(part, sigma h) = eps f(part, h) + f(part, p h), and part
+    solves the system, so f(part, h) + f(h, part) is 2 cg[0, n-1] (s = 1,
+    eps = 1 outside characteristic 2) or cg[0, n-1] (s = 2, where 1 + eps
+    = 0): never zero.  Along h, f(u, u) is linear, and this u reaches rho0.
+    """
+    h = hom.columns([0])
+    vmat = ExactMatrix.blocks(g1.ctx, [[part, h]])
+    f = vmat.transpose() @ g1 @ vmat  # the form on part and h
+    return part + h.scale((rho0 - f[0, 0]) / (f[0, 1] + f[1, 0]))
 
 
 # -- Gamma block matrices and the single-block congruence ---------------------
@@ -511,76 +498,26 @@ def _module_duals(g, chain, targets):
 
 
 def _repair_generator(g, gen, duals, m):
-    """gen corrected so that its p-module is totally isotropic.
+    """gen corrected so that its p-module is totally isotropic (m >= 2).
 
-    duals are the columns d_0, d_1, ... from the other module
-    (f(d_i, p^j gen) = delta_ij); the ansatz is gen' = gen + x0 d_0 + x1 d_1
-    + x2 p gen.  Conditions f(gen', p^j gen') = 0 live only at j = 0, 1.
-    The first candidate, in _corner_candidates' order, whose gen' spans a
-    totally isotropic module is taken.
+    duals are d_0, d_1, ... in the chain of the other generator w, with
+    f(d_i, p^j gen) = delta_ij.  The conditions are f(x, p^j x) = 0, j < m,
+    for the new generator x.  p = sigma - eps, sigma an isometry with
+    f(x, y) = f(y, sigma x), so f(p^a y, p^b z) = 0 whenever a + b >= m:
+    - d_0 lies in span(p^{m-1} w) and d_1 in span(p^{m-2} w, p^{m-1} w);
+    - so f(d_0, d_0) = 0, and as f(gen, d) = f(d, eps gen + p gen),
+      f(gen, d_0) + f(d_0, gen) = 1 + eps and f(gen, d_1) + f(d_1, gen) = 1;
+    - adding t d_0 or t d_1 leaves each condition j >= 2 as it is, and
+      these hold: p's adjoint is -eps sigma^-1 p, so f(gen, p^j gen) pairs
+      vectors of the module of p gen, which the recursion made isotropic;
+    - f(x, p x) = (1 - eps) f(x, x), so condition 1 follows from 0.
+    So x is gen + t d_0, t the first root of condition 0 along d_0, or,
+    when there is none, gen + t d_1, t its first root along d_1.
     """
-    dirs = ExactMatrix.blocks(g.ctx, [[duals.columns(range(2)),
-                                       gen.shift_chain(m, 2).columns([1])]])
-    consts, lins, quads = _expand_conditions(g, gen, dirs, m)
-    live = [j for j in range(m)
-            if not (consts[j].is_zero()
-                    and all(c.is_zero() for c in lins[j])
-                    and all(c.is_zero() for row in quads[j] for c in row))]
-    if not live:
-        return gen
-    if any(j > 1 for j in live):
-        raise InternalDegenerate("isotropy defect beyond the corner")
-    for xs in _corner_candidates(consts, lins, quads, dirs.ncols):
-        new = gen + dirs @ ExactMatrix(gen.ctx, [[x] for x in xs])
-        chain = new.shift_chain(m, m)
-        if (chain.transpose() @ g @ chain).is_zero():
-            return new
-    raise InternalDegenerate("corner repair found no solution")
-
-
-def _expand_conditions(g, gen, dirs, m):
-    """Exact coefficients of f(gen + sum x_i d_i, p^j (same)) in the x_i,
-    for the columns d_i of dirs."""
-    k = dirs.ncols
-    vecs = ExactMatrix.blocks(g.ctx, [[gen, dirs]])
-    # f[a, b m + j] = f(u_a, p^j u_b) for the vectors u = gen, d_0, d_1,
-    # ...: one product with all their chains
-    f = vecs.transpose() @ g @ ExactMatrix.blocks(g.ctx, [[
-        vecs.columns([a]).shift_chain(m, m) for a in range(k + 1)]])
-    consts = [f[0, j] for j in range(m)]
-    lins = [[f[i + 1, j] + f[0, (i + 1) * m + j] for i in range(k)]
-            for j in range(m)]
-    quads = [[[f[i + 1, (l + 1) * m + j] for l in range(k)]
-              for i in range(k)] for j in range(m)]
-    return consts, lins, quads
-
-
-def _corner_candidates(consts, lins, quads, k):
-    """Candidate coefficients for the j = 0 and j = 1 corner equations, one
-    at a time: each quadratic is solved only when its candidates are due."""
-    zero = consts[0].ctx.zero()
-    # strategy 1: single-direction solutions for each direction
-    for i in range(k):
-        for t in quadratic_roots(quads[0][i][i], lins[0][i], consts[0],
-                                 EXTEND):
-            xs = [zero] * k
-            xs[i] = t
-            yield xs
-    # strategy 2: solve condition 1 for one direction, then condition 0
-    # with another
-    if len(consts) > 1:
-        for i in range(k):
-            for t in quadratic_roots(quads[1][i][i], lins[1][i], consts[1],
-                                     EXTEND):
-                # condition 0 at x_i = t, the others 0
-                c0 = consts[0] + lins[0][i] * t + quads[0][i][i] * t * t
-                for l in range(k):
-                    if l == i:
-                        continue
-                    # condition 0 as a polynomial in x_l given x_i = t
-                    lin = lins[0][l] + (quads[0][i][l] + quads[0][l][i]) * t
-                    for t0 in quadratic_roots(quads[0][l][l], lin, c0,
-                                              EXTEND):
-                        xs = [zero] * k
-                        xs[i], xs[l] = t, t0
-                        yield xs
+    vecs = ExactMatrix.blocks(g.ctx, [[gen, duals.columns(range(2))]])
+    f = vecs.transpose() @ g @ vecs  # the form on gen, d_0, d_1
+    roots = quadratic_roots(f[1, 1], f[1, 0] + f[0, 1], f[0, 0], EXTEND)
+    if roots:
+        return gen + duals.columns([0]).scale(roots[0])
+    t = quadratic_roots(f[2, 2], f[2, 0] + f[0, 2], f[0, 0], EXTEND)[0]
+    return gen + duals.columns([1]).scale(t)

@@ -376,6 +376,28 @@ def test_block_descriptor_input_errors():
         assert out == "" and message in err, descriptor
 
 
+def test_a_space_inside_a_number_exit_code(tmp_path, capsys):
+    # "1 2" used to read as 12, so canon printed sqrt(12) and exited 0; a
+    # tower value, a generator name and a G block's eigenvalue read alike
+    from matcanon import cli
+    q = {"kind": "rational"}
+    root2 = {"kind": "rational", "tower": [{"kind": "sqrt", "value": "2"}]}
+    root17 = {"kind": "rational", "tower": [{"kind": "sqrt", "value": "1 7"}]}
+    spaced = (write_matrix(tmp_path, "a.json", q, [["1 2", "0"], ["0", "1"]]),
+              write_matrix(tmp_path, "t.json", root17, [["1"]]),
+              write_matrix(tmp_path, "g.json", root2, [["g 1"]]))
+    for argv in (*(["canon", path] for path in spaced),
+                 ["block", "G2(1 2)", "--field", "q"]):
+        assert cli.main(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "space inside a number" in \
+            captured.err, argv
+    # spaces around operators and parentheses stay allowed
+    p = write_matrix(tmp_path, "ops.json", root2,
+                     [[" 1 + g1 ", "0"], ["0", "( 3 ) * 2 / 5"]])
+    assert cli.main(["canon", p]) == 0
+
+
 def test_reducible_gfq_modulus_exit_code(tmp_path):
     # t^2+1 over GF(2) used to end in "minimal polynomial search ran away"
     f = {"kind": "gfq", "p": 2, "modulus": [1, 0]}

@@ -179,6 +179,21 @@ def test_parse_format_round_trip_random():
         assert parse_scalar(format_scalar(x), ctx) == x
 
 
+def test_a_space_inside_a_number_is_refused():
+    # the parser used to drop every space: "1 2" read as 12, "g 1" as g1
+    g, ctx = sqrt_or_adjoin(rationals().scalar(2))
+    for text in ("1 2", "-3/1 0", "g 1", "1 + g  1", "(2 5)"):
+        with pytest.raises(ParseError, match="space inside a number"):
+            parse_scalar(text, ctx)
+    f4 = gf4()
+    with pytest.raises(ParseError, match="space inside a number"):
+        parse_scalar("t^1 0", f4)
+    # around operators and parentheses a space is no part of a number
+    assert parse_scalar(" - 1 / 2 + ( g1 ) * 3 ", ctx) == \
+        ctx.scalar(Fraction(-1, 2)) + g * 3
+    assert parse_scalar("t ^ 2 + 1", f4) == parse_scalar("t^2+1", f4)
+
+
 def test_parse_format_gf4():
     f4 = gf4()
     om = f4.base_element((0, 1))

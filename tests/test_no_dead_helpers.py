@@ -7,7 +7,9 @@ alone is not one.  Every method of a class (dunder methods aside) must be
 read in src/ outside its own body, or be named by a code span of README.md
 (outside fenced blocks), where the public API of a context or a matrix is
 documented.  A reference the tests alone need lives under tests/.  Every
-exported name is documented: README.md names it in backticks.
+exported name is documented: README.md names it in backticks.  Every name
+a module imports is read in that module, except the re-exports of
+__init__.py and __future__'s annotations.
 """
 
 import ast
@@ -124,6 +126,25 @@ def dead_methods(sources, readme):
     return dead
 
 
+def unread_imports(sources):
+    """(module, name) for each name a module of {module: source text}
+    imports and never loads; __init__.py, whose imports are re-exports,
+    and __future__'s annotations aside."""
+    unread = set()
+    for module, text in sources.items():
+        if module == "__init__.py":
+            continue
+        nodes = list(ast.walk(ast.parse(text)))
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in nodes
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names} - {"annotations"}
+        loaded = {node.id for node in nodes if isinstance(node, ast.Name)
+                  and not isinstance(node.ctx, ast.Store)}
+        unread |= {(module, name) for name in bound - loaded}
+    return unread
+
+
 def _package_sources():
     return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -135,6 +156,10 @@ def test_every_helper_has_a_reader():
 
 def test_every_method_has_a_reader():
     assert not dead_methods(_package_sources(), README.read_text())
+
+
+def test_every_import_is_read():
+    assert not unread_imports(_package_sources())
 
 
 def test_every_export_is_documented():
@@ -195,3 +220,20 @@ def test_rule_flags_a_method_left_behind():
     readme = ("Call `m.documented()` for a copy; `columns are vectors`.\n"
               "```python\nm.columns()\n```\n")
     assert dead_methods(sources, readme) == {"Matrix.columns", "_Rat.scale"}
+
+
+def test_rule_flags_an_import_left_behind():
+    sources = {
+        "__init__.py": "from .field import EXTEND, STRICT\n",
+        "unipotent.py": "from __future__ import annotations\n"
+                        "import itertools\n"
+                        "import os.path\n"
+                        "from .errors import NoRootStrictPolicy as Refused\n"
+                        "from .field import EXTEND, STRICT\n"
+                        "def roots(c):\n"
+                        "    from .field import quadratic_roots\n"
+                        "    return os.path, quadratic_roots(c, EXTEND)\n",
+    }
+    assert unread_imports(sources) == {("unipotent.py", "itertools"),
+                                       ("unipotent.py", "Refused"),
+                                       ("unipotent.py", "STRICT")}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from collections import Counter
@@ -7,15 +9,16 @@ import pytest
 
 from matcanon import canon, exactmat, spectral, unipotent
 from matcanon.canon import Block, canonical_block_matrix, canonicalize
+from matcanon.cli import form_to_json
 from matcanon.errors import NoArtinSchreierRootStrict
-from matcanon.exactmat import ExactMatrix, inverse_or_rank
+from matcanon.exactmat import ExactMatrix, WitnessError, inverse_or_rank
 from matcanon.field import STRICT, gf4, prime_field, rationals
 from matcanon.spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
                                asymmetry_or_kernel, eigen_split,
                                hyperbolic_block_matrix, split_min_poly)
-from matcanon.unipotent import (FAMILIES, gamma0_matrix, gamma_matrix,
-                                peel_all, reduce_pair, reduce_single,
-                                split_off_indecomposable)
+from matcanon.unipotent import (FAMILIES, exists_in, gamma0_matrix,
+                                gamma_matrix, peel_all, reduce_pair,
+                                reduce_single, split_off_indecomposable)
 
 from filtration import alternating_flag, filtration
 
@@ -471,11 +474,12 @@ def scrambled(blocks, ctx, seed, elements=None):
 
 
 # (field, blocks, the most products and eliminations the +-1 reduction may
-# make) for scrambled sums of the bench's blocksum-gfp families
+# make) for scrambled sums of the bench's blocksum-gfp families: a pair
+# repair forms only the 3 x 3 form on gen, d_0 and d_1
 BUDGETS = [
-    (prime_field(2), "B1 B3 D4 E2", 99),
-    (prime_field(3), "A3 C2 D8 F2", 125),
-    (gf4(), "B1 D4 E6", 88),
+    (prime_field(2), "B1 B3 D4 E2", 81),
+    (prime_field(3), "A3 C2 D8 F2", 97),
+    (gf4(), "B1 D4 E6", 66),
 ]
 
 
@@ -670,3 +674,82 @@ def test_canonicalize_keeps_its_kernel_call_budget(ctx, names, budget,
         assert in_split == {"power": len(classes),
                             "inverse_or_rank": len(classes)}
     assert all(calls[name] <= most for name, most in budget.items())
+
+
+# (name, field, the entries of Y) for the +-1 sums below: every family of
+# FAMILIES the characteristic has, singles of order <= 9 and pairs of order
+# <= 6
+PM1_FIELDS = [("q", rationals(), [0, 1, -1, 2]), ("gf2", prime_field(2), None),
+              ("gf3", prime_field(3), None), ("gf4", gf4(), None),
+              ("gf5", prime_field(5), None), ("gf9", F9, None)]
+
+
+def plus_minus_one_cases(fields=PM1_FIELDS):
+    """(label, field, blocks, entries of Y): each +-1 block of the field's
+    characteristic summed with three others, for scrambled()."""
+    for name, ctx, pool in fields:
+        blocks = []
+        for fam, (_sign, kind, where, parity) in FAMILIES.items():
+            if exists_in(where, ctx.characteristic):
+                size = 1 if kind == "single" else 2
+                blocks += [Block(fam, size * order) for order in
+                           range(1, 10 if kind == "single" else 7)
+                           if order % 2 == parity]
+        for i, b in enumerate(blocks):
+            for step in (1, 4, 7):
+                other = blocks[(i + step) % len(blocks)]
+                yield ("%s %s%d %s%d" % (name, b.family, b.n, other.family,
+                                         other.n), ctx, [b, other], pool)
+
+
+def test_plus_minus_one_reductions_are_pinned():
+    # form, context and witness raw values of 246 scrambled sums: the
+    # sweeps plant no pair of order >= 2, so this digest is what pins the
+    # pair repairs and the single reductions of higher order
+    total = hashlib.sha256()
+    for label, ctx, blocks, pool in plus_minus_one_cases():
+        form, wit = canonicalize(scrambled(blocks, ctx, label, pool))
+        total.update("\n".join([
+            label, json.dumps(form_to_json(form), sort_keys=True),
+            repr(form.context), repr(wit.x.raw)]).encode())
+    assert total.hexdigest() == ("bdbdd0ec140102bcb4e7f87616af3a8a"
+                                 "d956630cbfd63de0fcb20a0d0d98c7d5")
+
+
+@pytest.mark.parametrize("field", PM1_FIELDS, ids=[f[0] for f in PM1_FIELDS])
+def test_the_repairs_reach_their_conditions(field, monkeypatch):
+    # each repaired pair generator spans a totally isotropic module, and
+    # each single's first vector u has f(u, u) = rho0
+    repaired, adjusted = [], []
+    repair, adjust = unipotent._repair_generator, unipotent._adjust_self_value
+
+    def repair_spy(g, gen, duals, m):
+        new = repair(g, gen, duals, m)
+        chain = new.shift_chain(m, m)
+        repaired.append(chain.transpose() @ g @ chain)
+        return new
+
+    def adjust_spy(g1, part, hom, rho0):
+        u = adjust(g1, part, hom, rho0)
+        adjusted.append(((u.transpose() @ g1 @ u)[0, 0], rho0))
+        return u
+
+    monkeypatch.setattr(unipotent, "_repair_generator", repair_spy)
+    monkeypatch.setattr(unipotent, "_adjust_self_value", adjust_spy)
+    monkeypatch.setattr(unipotent, "_gamma_reduction_cache", {})
+    for label, ctx, blocks, pool in plus_minus_one_cases([field]):
+        canonicalize(scrambled(blocks, ctx, label, pool))
+    assert repaired and adjusted
+    assert all(form.is_zero() for form in repaired)
+    assert all(value == rho0 for value, rho0 in adjusted)
+
+
+def test_a_wrong_repair_fails_the_certificate(monkeypatch):
+    # one more d_0 than the root: the module is no longer isotropic, which
+    # no check in the stage sees, and the one certificate refuses the answer
+    repair = unipotent._repair_generator
+    monkeypatch.setattr(unipotent, "_repair_generator",
+                        lambda g, gen, duals, m: repair(g, gen, duals, m)
+                        + duals.columns([0]))
+    with pytest.raises(WitnessError, match="congruence relation"):
+        canonicalize(block_sum(rationals(), [Block("D", 4)]))
