@@ -137,14 +137,15 @@ def matrix_text(m):
 
 def load_matrix(path, tower_cap=16):
     """The square matrix of a JSON file; every fault of the file (the JSON,
-    an integer, a field, a tower record, ragged rows, a shape that is not
-    square) is a ParseError."""
+    arrays nested deeper than json reads or prints, an integer, a field, a
+    tower record, ragged rows, a shape that is not square) is a
+    ParseError."""
     try:
         with open(path) as handle:
             a = matrix_from_json(json.load(handle), tower_cap)
         _check_square(a)
-    except (ValueError, DimensionMismatch, HypothesisViolation,
-            WrongCharacteristic) as exc:
+    except (ValueError, RecursionError, DimensionMismatch,
+            HypothesisViolation, WrongCharacteristic) as exc:
         raise ParseError(str(exc)) from exc
     return a
 

@@ -50,7 +50,9 @@ modulus (e = p^k and p^(k/r), over GF(p)), and square roots over GF(q):
 Euler's criterion by norm descent down the tower (_is_finite_square), then
 Tonelli-Shanks with one non-residue power per field.  Coordinates
 (Scalar.coords) are read off raw values for tower records, canonical order
-and printing.
+and printing.  format_scalar writes the text grammar, and parse_scalar
+reads it in one pass over its tokens, the sums around open parentheses on
+a stack, so nesting depth is unbounded.
 
 A field is one FieldContext instance, interned in _fields_cache, the one
 memo here, and everything derived from it is kept on that instance: its
@@ -67,6 +69,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -248,22 +251,6 @@ class FieldContext:
             return self
         raise ContextMismatch("contexts are not prefix-compatible")
 
-    # -- base field element helpers ----------------------------------------
-
-    def _bzero(self):
-        if self.kind == "rational":
-            return _FRACTION_ZERO
-        if self.kind == "gfp":
-            return 0
-        return (0,) * len(self.modulus)
-
-    def _bone(self):
-        if self.kind == "rational":
-            return Fraction(1)
-        if self.kind == "gfp":
-            return 1
-        return (1,) + (0,) * (len(self.modulus) - 1)
-
     # -- scalar constructors -----------------------------------------------
 
     def zero(self):
@@ -299,15 +286,14 @@ class FieldContext:
         """The index-th (1-based) tower generator as a scalar."""
         if not 1 <= index <= len(self.tower):
             raise ValueError("no generator g%d in this context" % index)
-        coords = [self._bzero()] * self.dim
-        coords[1 << (index - 1)] = self._bone()
+        base = self.truncated(0)
+        coords = [base.zero().coords[0]] * self.dim
+        coords[1 << (index - 1)] = base.one().coords[0]
         return self.element(coords)
 
     def base_element(self, value):
         """A scalar whose only nonzero coordinate is the given base element."""
-        coords = [self._bzero()] * self.dim
-        coords[0] = value
-        return self.element(coords)
+        return self.truncated(0).element((value,)).promote(self)
 
     def iter_elements(self):
         """Deterministic enumeration of all elements (finite fields only)."""
@@ -1759,18 +1745,13 @@ def adjoin_record(ctx, c1, d, rootless=False):
 def format_scalar(x):
     """Canonical text form; format_scalar and parse_scalar round-trip."""
     ctx = x.ctx
-    zero = ctx._bzero()
+    zero = ctx.zero().coords[0]
     terms = []
     for idx, c in enumerate(x.coords):
-        if c == zero:
-            continue
-        coef = _format_base(ctx, c)
-        gens = [i + 1 for i in range(len(ctx.tower)) if idx & (1 << i)]
-        if gens:
-            term = coef + "".join("*g%d" % g for g in gens)
-        else:
-            term = coef
-        terms.append(term)
+        if c != zero:
+            terms.append(_format_base(ctx, c) + "".join(
+                "*g%d" % (i + 1) for i in range(len(ctx.tower))
+                if idx & (1 << i)))
     if not terms:
         return "0"
     out = terms[0]
@@ -1802,10 +1783,20 @@ def _format_base(ctx, c):
     return "(%s)" % body if len(parts) > 1 or ctx.tower else body
 
 
+# a token of space-free scalar text: n or n/d, g<i>, t or t^e, or one
+# character
+_TOKEN = re.compile(r"(\d+)(?:/(\d*))?|g(\d*)|t(?:\^(\d*))?|.", re.S)
+_SIGNS = {"+": 1, "-": -1}
+
+
 def parse_scalar(text, ctx):
-    """Parse the scalar grammar in the given context.  Spaces are dropped,
-    except inside a number or a generator name: "1 2" and "g 1" are
-    refused, not read as 12 and g1."""
+    """Parse the scalar grammar in the given context: signed terms, a term
+    factors joined by '*', a factor n or n/d, g<i>, t or t^e over GF(p^k),
+    or a sum in parentheses; a sign may open the text or a parenthesis.
+    One pass over the tokens keeps the sum around each open parenthesis on
+    a stack, so nesting depth is unbounded.  Spaces are dropped, except
+    inside a number or a generator name: "1 2" and "g 1" are refused, not
+    read as 12 and g1."""
     words = [w for w in text.split(" ") if w]
     for left, right in zip(words, words[1:]):
         if right[0].isdigit() and (left[-1].isdigit() or left[-1] == "g"):
@@ -1814,106 +1805,72 @@ def parse_scalar(text, ctx):
     s = text.replace(" ", "")
     if not s:
         raise ParseError("empty scalar text", 0)
-    pos = 0
-    total = ctx.zero()
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    while pos <= len(s):
-        if pos == len(s):
-            raise ParseError("dangling sign in %r" % text, pos)
-        term, pos = _parse_term(s, pos, ctx)
-        total = total + (term if sign == 1 else -term)
-        if pos == len(s):
-            return total
-        if s[pos] not in "+-":
+    # state: "(" after an opening, where a sign may come, "*" where a factor
+    # must, and "f" after a factor
+    outer = []  # (total, term, sign, position) around each open parenthesis
+    total, term, sign, state = ctx.zero(), None, 1, "("
+    for tok in _TOKEN.finditer(s):
+        ch, pos = tok[0], tok.start()
+        if state != "f":
+            if ch == "(":
+                outer.append((total, term, sign, pos))
+                total, term, sign, state = ctx.zero(), None, 1, "("
+            elif state == "(" and ch in _SIGNS:
+                sign, state = _SIGNS[ch], "*"
+            else:
+                value = _factor(tok, ctx)
+                term, state = value if term is None else term * value, "f"
+        elif ch == "*":
+            state = "*"
+        elif ch in _SIGNS:
+            total = total + (term if sign == 1 else -term)
+            term, sign, state = None, _SIGNS[ch], "*"
+        elif ch == ")" and outer:
+            value = total + (term if sign == 1 else -term)
+            total, term, sign, _ = outer.pop()
+            term = value if term is None else term * value
+        else:
             raise ParseError("expected '+' or '-' in %r" % text, pos)
-        sign = -1 if s[pos] == "-" else 1
-        pos += 1
-    return total
+    if outer:
+        raise ParseError("unbalanced parenthesis", outer[-1][3])
+    if state != "f":
+        raise ParseError("unexpected end of scalar text", len(s))
+    return total + (term if sign == 1 else -term)
 
 
-def _parse_term(s, pos, ctx):
-    factors = []
-    while True:
-        f, pos = _parse_factor(s, pos, ctx)
-        factors.append(f)
-        if pos < len(s) and s[pos] == "*":
-            pos += 1
-            continue
-        break
-    term = ctx.one()
-    for f in factors:
-        term = term * f
-    return term, pos
-
-
-def _parse_factor(s, pos, ctx):
-    if pos >= len(s):
-        raise ParseError("unexpected end of scalar text", pos)
-    ch = s[pos]
-    if ch == "(":
-        depth = 1
-        j = pos + 1
-        while j < len(s) and depth:
-            if s[j] == "(":
-                depth += 1
-            elif s[j] == ")":
-                depth -= 1
-            j += 1
-        if depth:
-            raise ParseError("unbalanced parenthesis", pos)
-        inner = parse_scalar(s[pos + 1:j - 1], ctx)
-        return inner, j
-    if ch == "g":
-        j = pos + 1
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        if j == pos + 1:
-            raise ParseError("generator needs an index", pos)
-        idx = int(s[pos + 1:j])
-        if idx < 1 or idx > len(ctx.tower):
-            raise ParseError("no generator g%d in context" % idx, pos)
-        return ctx.generator(idx), j
-    if ch == "t":
-        if ctx.kind != "gfq":
-            raise ParseError("'t' only valid over GF(p^k)", pos)
-        j = pos + 1
-        power = 1
-        if j < len(s) and s[j] == "^":
-            j += 1
-            k = j
-            while k < len(s) and s[k].isdigit():
-                k += 1
-            if k == j:
-                raise ParseError("exponent expected after '^'", j)
-            power = int(s[j:k])
-            j = k
-        if len(ctx.modulus) < 2:
-            raise ParseError("'t' needs extension degree >= 2", pos)
-        t = ctx.base_element((0, 1) + (0,) * (len(ctx.modulus) - 2))
-        return t ** power, j
-    if ch.isdigit():
-        j = pos
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        num = int(s[pos:j])
-        if j < len(s) and s[j] == "/":
-            k = j + 1
-            while k < len(s) and s[k].isdigit():
-                k += 1
-            if k == j + 1:
-                raise ParseError("denominator expected", j)
-            den = int(s[j + 1:k])
-            if ctx.scalar(den).is_zero():
-                raise ParseError("zero denominator %d in %r over %r"
-                                 % (den, s[pos:k], ctx), j + 1)
-            if ctx.kind == "rational":
-                return ctx.scalar(Fraction(num, den)), k
-            return ctx.scalar(num) / ctx.scalar(den), k
-        return ctx.scalar(num), j
-    raise ParseError("unexpected character %r" % ch, pos)
+def _factor(tok, ctx):
+    """The scalar of a factor token of parse_scalar; a token that is none
+    is an unexpected character."""
+    num, den, index, exp = tok.groups()
+    pos = tok.start()
+    if num is not None:
+        num = int(num)  # int() refuses more than its digit limit
+        if den is None:
+            return ctx.scalar(num)
+        if not den:
+            raise ParseError("denominator expected", tok.start(2))
+        den = int(den)
+        if ctx.scalar(den).is_zero():
+            raise ParseError("zero denominator %d in %r over %r"
+                             % (den, tok[0], ctx), tok.start(2))
+        return ctx.scalar(Fraction(num, den))
+    if index == "":
+        raise ParseError("generator needs an index", pos)
+    if index is not None:
+        index = int(index)
+        if not 1 <= index <= len(ctx.tower):
+            raise ParseError("no generator g%d in context" % index, pos)
+        return ctx.generator(index)
+    if tok[0][0] != "t":
+        raise ParseError("unexpected character %r" % tok[0], pos)
+    if ctx.kind != "gfq":
+        raise ParseError("'t' only valid over GF(p^k)", pos)
+    if exp == "":
+        raise ParseError("exponent expected after '^'", tok.start(4))
+    power, k = 1 if exp is None else int(exp), len(ctx.modulus)
+    if k < 2:
+        raise ParseError("'t' needs extension degree >= 2", pos)
+    return ctx.base_element((0, 1) + (0,) * (k - 2)) ** power
 
 
 # -- context merging -----------------------------------------------------------
@@ -1953,7 +1910,7 @@ def coordinate_map(src, dst, images):
     for g in images:
         monomials += [ops.mul(m, g.promote(dst).raw) for m in monomials]
     if src_ops.indexed:
-        zero, pad = src._bzero(), (dst._bzero(),) * (dst.dim - 1)
+        zero, pad = src.zero().coords[0], dst.zero().coords[1:]
 
         @functools.cache
         def mapped(x):

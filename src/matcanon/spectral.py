@@ -556,7 +556,8 @@ def eigen_split(a, asym):
         classes.append(PairClass(rep, other, basis, gram, found))
 
     if sum(cl.basis.ncols for cl in classes) != n:
-        raise NotSplit("generalized eigenspaces do not fill the space")
+        raise InternalDegenerate("generalized eigenspaces do not fill the "
+                                 "space")
     return classes
 
 

@@ -479,10 +479,8 @@ def _pair_generators(g, m):
             for x in _pair_generators(g.submatrix(sub_idx, sub_idx), m - 2))
     # repair the v side to a totally isotropic module generator, then the w
     # side symmetrically
-    v1 = _repair_generator(g, v1, _module_duals(
-        g, w1.shift_chain(m, m), v1.shift_chain(m, m)), m)
-    w1 = _repair_generator(g, w1, _module_duals(
-        g, v1.shift_chain(m, m), w1.shift_chain(m, m)), m)
+    v1 = _repair_generator(g, v1, w1, m)
+    w1 = _repair_generator(g, w1, v1, m)
     return v1, w1
 
 
@@ -497,15 +495,18 @@ def _module_duals(g, chain, targets):
     return duals_t.transpose()
 
 
-def _repair_generator(g, gen, duals, m):
+def _repair_generator(g, gen, other, m):
     """gen corrected so that its p-module is totally isotropic (m >= 2).
 
-    duals are d_0, d_1, ... in the chain of the other generator w, with
-    f(d_i, p^j gen) = delta_ij.  The conditions are f(x, p^j x) = 0, j < m,
-    for the new generator x.  p = sigma - eps, sigma an isometry with
-    f(x, y) = f(y, sigma x), so f(p^a y, p^b z) = 0 whenever a + b >= m:
-    - d_0 lies in span(p^{m-1} w) and d_1 in span(p^{m-2} w, p^{m-1} w);
-    - so f(d_0, d_0) = 0, and as f(gen, d) = f(d, eps gen + p gen),
+    p = sigma - eps, sigma an isometry with f(x, y) = f(y, sigma x), so
+    f(p^a y, p^b z) = 0 whenever a + b >= m.  The duals d_0, d_1 in the
+    chain of the other generator w, with f(d_i, p^j gen) = delta_ij, are
+    therefore d_0 = p^{m-1} w / alpha and d_1 = (p^{m-2} w - beta d_0) /
+    gamma, for alpha = f(p^{m-1} w, gen), beta = f(p^{m-2} w, gen) and
+    gamma = f(p^{m-2} w, p gen); the form on gen, d_0 and d_1 is read off
+    the one on gen, p gen, p^{m-2} w and p^{m-1} w.  The conditions are
+    f(x, p^j x) = 0, j < m, for the new generator x:
+    - f(d_0, d_0) = 0, and as f(gen, d) = f(d, eps gen + p gen),
       f(gen, d_0) + f(d_0, gen) = 1 + eps and f(gen, d_1) + f(d_1, gen) = 1;
     - adding t d_0 or t d_1 leaves each condition j >= 2 as it is, and
       these hold: p's adjoint is -eps sigma^-1 p, so f(gen, p^j gen) pairs
@@ -514,10 +515,22 @@ def _repair_generator(g, gen, duals, m):
     So x is gen + t d_0, t the first root of condition 0 along d_0, or,
     when there is none, gen + t d_1, t its first root along d_1.
     """
-    vecs = ExactMatrix.blocks(g.ctx, [[gen, duals.columns(range(2))]])
-    f = vecs.transpose() @ g @ vecs  # the form on gen, d_0, d_1
-    roots = quadratic_roots(f[1, 1], f[1, 0] + f[0, 1], f[0, 0], EXTEND)
+    top = other.shift_chain(m, m).columns([m - 2, m - 1])
+    vecs = ExactMatrix.blocks(g.ctx, [[gen.shift_chain(m, 2), top]])
+    f = vecs.transpose() @ g @ vecs  # on gen, p gen, p^{m-2} w, p^{m-1} w
+    alpha_inv = f[3, 0].inverse()  # d_0 = p^{m-1} w / alpha
+
+    def both(i, j):
+        return f[i, j] + f[j, i]
+
+    roots = quadratic_roots(f[3, 3] * alpha_inv * alpha_inv,
+                            both(0, 3) * alpha_inv, f[0, 0], EXTEND)
     if roots:
-        return gen + duals.columns([0]).scale(roots[0])
-    t = quadratic_roots(f[2, 2], f[2, 0] + f[0, 2], f[0, 0], EXTEND)[0]
-    return gen + duals.columns([1]).scale(t)
+        return gen + vecs.columns([3]).scale(roots[0] * alpha_inv)
+    # d_1 = (p^{m-2} w - r p^{m-1} w) / gamma, r = beta / alpha
+    r, gamma_inv = f[2, 0] * alpha_inv, f[2, 1].inverse()
+    t = quadratic_roots(
+        (f[2, 2] - r * both(2, 3) + r * r * f[3, 3]) * gamma_inv * gamma_inv,
+        (both(0, 2) - r * both(0, 3)) * gamma_inv, f[0, 0], EXTEND)[0]
+    return gen + (vecs.columns([2]) - vecs.columns([3]).scale(r)).scale(
+        t * gamma_inv)

@@ -398,6 +398,39 @@ def test_a_space_inside_a_number_exit_code(tmp_path, capsys):
     assert cli.main(["canon", p]) == 0
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json.load's RecursionError on 100,000 nested arrays used to exit 5,
+    # as an internal error
+    from matcanon import cli
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"field": {"kind": "rational"}, "matrix": %s%s}'
+                    % ("[" * depth, "]" * depth))
+    assert cli.main(["canon", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error:")
+
+
+def test_deeply_nested_scalar_text_is_read(tmp_path, capsys):
+    # 5,000 parentheses around a matrix entry, a tower value and a G
+    # block's eigenvalue used to exit 5 with a RecursionError
+    from matcanon import cli
+
+    def nested(text):
+        return "(" * 5000 + text + ")" * 5000
+    field = {"kind": "rational",
+             "tower": [{"kind": "sqrt", "value": nested("2")}]}
+    p = write_matrix(tmp_path, "deep.json", field,
+                     [[nested("1/2"), "0"], ["0", "g1"]])
+    assert cli.main(["gabriel", p, "--machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["core"][0] == ["1/2", "0"]
+    assert cli.main(["canon", p, "--machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["field"]["tower"][0] == {
+        "kind": "sqrt", "value": "2"}
+    assert cli.main(["block", "G2(%s)" % nested("1/2"), "--machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["block"] == "G2(1/2)"
+
+
 def test_reducible_gfq_modulus_exit_code(tmp_path):
     # t^2+1 over GF(2) used to end in "minimal polynomial search ran away"
     f = {"kind": "gfq", "p": 2, "modulus": [1, 0]}

@@ -364,6 +364,19 @@ def test_lam_pairing_degenerate(monkeypatch):
         canonicalize(G4)
 
 
+def test_eigenspaces_that_do_not_fill_the_space():
+    # with the roots 2 and 1/2 left out of the split, the classes at +-1
+    # miss the G2 block's space
+    a = ExactMatrix.block_diag(Q, [block(Block("A", 1)), block(Block("C", 2)),
+                                   G2])
+    asym = spectral.split_min_poly(spectral.asymmetry(a))
+    asym.split_roots = [(r, m) for r, m in asym.split_roots
+                        if r in (Q.one(), -Q.one())]
+    with reaches("spectral", "generalized eigenspaces do not fill the "
+                             "space"):
+        spectral.eigen_split(a, asym)
+
+
 # -- unipotent: peeling -------------------------------------------------------------------
 
 F2 = block(Block("F", 2))  # one pair of order 1 at eigenvalue -1
@@ -451,6 +464,6 @@ def test_singular_gamma_side_basis(monkeypatch):
 
 def test_module_pairing_degenerate(monkeypatch):
     monkeypatch.setattr(unipotent, "_repair_generator",
-                        lambda g, gen, duals, m: gen.scale(gen.ctx.zero()))
+                        lambda g, gen, other, m: gen.scale(gen.ctx.zero()))
     with reaches("unipotent", "module pairing is degenerate"):
         canonicalize(block(Block("D", 4)))

@@ -475,11 +475,12 @@ def scrambled(blocks, ctx, seed, elements=None):
 
 # (field, blocks, the most products and eliminations the +-1 reduction may
 # make) for scrambled sums of the bench's blocksum-gfp families: a pair
-# repair forms only the 3 x 3 form on gen, d_0 and d_1
+# repair forms only the 4 x 4 form on gen, p gen, p^{m-2} w and p^{m-1} w,
+# and reads the duals d_0, d_1 off it, with no elimination
 BUDGETS = [
-    (prime_field(2), "B1 B3 D4 E2", 81),
-    (prime_field(3), "A3 C2 D8 F2", 97),
-    (gf4(), "B1 D4 E6", 66),
+    (prime_field(2), "B1 B3 D4 E2", 75),
+    (prime_field(3), "A3 C2 D8 F2", 85),
+    (gf4(), "B1 D4 E6", 54),
 ]
 
 
@@ -723,8 +724,8 @@ def test_the_repairs_reach_their_conditions(field, monkeypatch):
     repaired, adjusted = [], []
     repair, adjust = unipotent._repair_generator, unipotent._adjust_self_value
 
-    def repair_spy(g, gen, duals, m):
-        new = repair(g, gen, duals, m)
+    def repair_spy(g, gen, other, m):
+        new = repair(g, gen, other, m)
         chain = new.shift_chain(m, m)
         repaired.append(chain.transpose() @ g @ chain)
         return new
@@ -745,11 +746,12 @@ def test_the_repairs_reach_their_conditions(field, monkeypatch):
 
 
 def test_a_wrong_repair_fails_the_certificate(monkeypatch):
-    # one more d_0 than the root: the module is no longer isotropic, which
-    # no check in the stage sees, and the one certificate refuses the answer
+    # p^{m-1} w, a multiple of d_0, more than the root: the module is no
+    # longer isotropic, which no check in the stage sees, and the one
+    # certificate refuses the answer
     repair = unipotent._repair_generator
     monkeypatch.setattr(unipotent, "_repair_generator",
-                        lambda g, gen, duals, m: repair(g, gen, duals, m)
-                        + duals.columns([0]))
+                        lambda g, gen, other, m: repair(g, gen, other, m)
+                        + other.shift_chain(m, m).columns([m - 1]))
     with pytest.raises(WitnessError, match="congruence relation"):
         canonicalize(block_sum(rationals(), [Block("D", 4)]))
