@@ -55,7 +55,8 @@ lifts: @, +, scale, minus_scalar and == work in the common context of their
 operands (the longer of two prefix-compatible towers), and ExactMatrix(ctx,
 rows), block_diag, blocks, krylov and solve build in the common context of
 ctx and of all the entries, never in the context of the first entry, which
-may lie lower.  promote only goes up a tower, trim down to
+may lie lower; operands of one context object, fields being interned,
+skip that search.  promote only goes up a tower, trim down to
 the least level holding every entry.  So a value computed from an
 extension carries it, and no caller passes a context beside a value that
 has one.
@@ -83,7 +84,11 @@ import operator
 from collections import namedtuple
 
 from .errors import ContextMismatch, DimensionMismatch, MatcanonError
-from .field import Scalar, power
+from .field import Scalar, cached, power
+
+# (ctx, n) -> the raw rows of the n x n identity, its unit rows, for n <= 16
+# (at most 1,496 entries per field); a larger one is built at every call
+_identity_cache = {}
 
 
 def _trusted(ctx, raw, ncols):
@@ -125,11 +130,15 @@ class ExactMatrix:
         self.ncols = len(rows[0]) if rows else 0
         if any(len(row) != self.ncols for row in rows):
             raise DimensionMismatch("ragged rows")
-        # an entry already in ctx gives its raw value; ctx.scalar converts
-        # an int or Fraction and lifts a Scalar from a prefix of ctx
-        self.raw = tuple(tuple(e.raw if isinstance(e, Scalar) and e.ctx is ctx
-                               else ctx.scalar(e).raw for e in row)
-                         for row in rows)
+        raws = {}  # (type, value) -> raw value, read once; 2.0 is not 2
+
+        def raw(e):
+            if isinstance(e, Scalar):  # of ctx or of a prefix of ctx
+                return e.promote(ctx).raw
+            if (e.__class__, e) not in raws:
+                raws[e.__class__, e] = ctx.scalar(e).raw
+            return raws[e.__class__, e]
+        self.raw = tuple(tuple(map(raw, row)) for row in rows)
 
     # -- constructors -----------------------------------------------------
 
@@ -141,14 +150,16 @@ class ExactMatrix:
     @staticmethod
     def identity(ctx, n):
         z, o = ctx.ops.zero, ctx.ops.one
-        return _trusted(ctx, tuple(tuple(o if i == j else z for j in range(n))
-                                   for i in range(n)), n)
+        rows = (lambda: tuple(tuple(o if i == j else z for j in range(n))
+                              for i in range(n)))
+        return _trusted(ctx, cached(_identity_cache, (ctx, n), rows)
+                        if n <= 16 else rows(), n)
 
     @staticmethod
     def unit_column(ctx, n, j):
         """The n x 1 unit vector e_j, column j of the identity."""
-        z, o = ctx.ops.zero, ctx.ops.one
-        return _trusted(ctx, tuple((o if i == j else z,) for i in range(n)), 1)
+        return _trusted(ctx, tuple(zip(ExactMatrix.identity(ctx, n).raw[j])),
+                        1)
 
     @staticmethod
     def jordan_block(ctx, n, lam=None):
@@ -206,7 +217,7 @@ class ExactMatrix:
 
     def promote(self, ctx):
         """The same matrix in ctx, whose tower must extend self.ctx's."""
-        if ctx == self.ctx:
+        if ctx is self.ctx or ctx == self.ctx:
             return self
         if not self.ctx.is_prefix_of(ctx):
             raise ContextMismatch("cannot promote %r matrix into %r"
@@ -265,6 +276,8 @@ class ExactMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def _common(self, other):
+        if self.ctx is other.ctx:
+            return self, other, self.ctx
         ctx = self.ctx.common(other.ctx)
         return self.promote(ctx), other.promote(ctx), ctx
 
@@ -389,16 +402,11 @@ def inverse_or_rank(a, rank_only=False):
     and pivots: A is reduced alone, and inverse is None.  A product with an
     inverse, A^-1 B, is solve(A, B), not inverse then @.
     """
-    ctx = a.ctx
-    ops = ctx.ops
-    n, m = a.nrows, a.ncols
-    work = list(map(list, a.raw))
+    ctx, n, m = a.ctx, a.nrows, a.ncols
     augment = n == m and not rank_only
-    if augment:
-        zero, one = ops.zero, ops.one
-        for i, row in enumerate(work):
-            row.extend(one if i == j else zero for j in range(n))
-    pivots = _rref(ops, work, m)
+    units = ExactMatrix.identity(ctx, n).raw if augment else ((),) * n
+    work = [[*row, *unit] for row, unit in zip(a.raw, units)]
+    pivots = _rref(ctx.ops, work, m)
     rank = len(pivots)
     inv = (_trusted(ctx, tuple(tuple(row[m:]) for row in work), n)
            if augment and rank == n else None)
@@ -506,9 +514,8 @@ def _kernel(ctx, work, pivots, m):
     piv_set = set(pivots)
     free = [j for j in range(m) if j not in piv_set]
     rows = [None] * m
-    for c, fcol in enumerate(free):
-        rows[fcol] = tuple(ops.one if d == c else ops.zero
-                           for d in range(len(free)))
+    for fcol, unit in zip(free, ExactMatrix.identity(ctx, len(free)).raw):
+        rows[fcol] = unit
     for row, pc in zip(work, pivots):
         rows[pc] = tuple([ops.neg(row[fcol]) for fcol in free])
     return _trusted(ctx, tuple(rows), len(free))

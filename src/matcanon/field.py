@@ -54,11 +54,12 @@ and printing.  format_scalar writes the text grammar, and parse_scalar
 reads it in one pass over its tokens, the sums around open parentheses on
 a stack, so nesting depth is unbounded.
 
-A field is one FieldContext instance, interned in _fields_cache, the one
-memo here, and everything derived from it is kept on that instance: its
-ops (with their exp/log tables and byte lanes), its _MonomialTable and its
-non-residue power.  So a field is checked, and its tables built, once
-however many calls reach it, and emptying _fields_cache empties them all.
+A field is one FieldContext instance (_fields_cache) that keeps its ops
+(with exp/log tables and byte lanes), _MonomialTable and non-residue power,
+so it is checked and its tables built once.  Its constants by size or index
+are kept by cached in dicts named *_cache, keyed by the interned context:
+_generators_cache, exactmat._identity_cache, unipotent._gamma_blocks_cache,
+_cyclic_grams_cache and _gamma_reduction_cache.
 """
 
 from __future__ import annotations
@@ -147,6 +148,19 @@ def power(x, e, mul, one):
 
 # (kind, p, modulus, tower, tower_cap) -> the one FieldContext of that field
 _fields_cache = {}
+# (ctx, i) -> the raw value of the generator g_i of ctx
+_generators_cache = {}
+
+
+def cached(cache, key, build):
+    """cache[key], or build() kept there; key[0] is a context.  A kept value
+    serves every equal field under the cap it was built under (== ignores
+    the cap), so one that must carry its caller's instance is kept raw."""
+    cap, value = cache.get(key, (None, None))
+    if cap != key[0].tower_cap:
+        value = build()
+        cache[key] = key[0].tower_cap, value
+    return value
 
 
 class FieldContext:
@@ -206,7 +220,7 @@ class FieldContext:
         return isinstance(other, FieldContext) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash  # the memos' keys hash a context at every lookup
 
     def __repr__(self):
         if self.kind == "rational":
@@ -286,10 +300,13 @@ class FieldContext:
         """The index-th (1-based) tower generator as a scalar."""
         if not 1 <= index <= len(self.tower):
             raise ValueError("no generator g%d in this context" % index)
-        base = self.truncated(0)
-        coords = [base.zero().coords[0]] * self.dim
-        coords[1 << (index - 1)] = base.one().coords[0]
-        return self.element(coords)
+
+        def build():
+            base = self.truncated(0)
+            coords = [base.zero().coords[0]] * self.dim
+            coords[1 << (index - 1)] = base.one().coords[0]
+            return self.element(coords).raw
+        return Scalar(self, cached(_generators_cache, (self, index), build))
 
     def base_element(self, value):
         """A scalar whose only nonzero coordinate is the given base element."""
@@ -367,6 +384,7 @@ def _interned(kind, p, modulus, tower, tower_cap, prefixes):
     ctx.kind, ctx.p, ctx.modulus = kind, p, modulus
     ctx.tower, ctx.tower_cap = tower, tower_cap
     ctx._key = (kind, p, modulus, tower)
+    ctx._hash = hash(ctx._key)
     ctx._prefixes = prefixes
     ctx.monomials = _MonomialTable(ctx)
     ctx.ops = _raw_ops(ctx)
@@ -406,7 +424,7 @@ class Scalar:
 
     def promote(self, ctx):
         """The same element in a context whose tower extends this scalar's."""
-        if self.ctx == ctx:
+        if self.ctx is ctx or self.ctx == ctx:
             return self
         if not self.ctx.is_prefix_of(ctx):
             raise ContextMismatch("cannot promote %r scalar into %r"

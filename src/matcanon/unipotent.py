@@ -43,7 +43,7 @@ from collections import namedtuple
 
 from .errors import HypothesisViolation, InternalDegenerate
 from .exactmat import ExactMatrix, inverse_or_rank, solve
-from .field import EXTEND, quadratic_roots, sqrt_or_adjoin
+from .field import EXTEND, cached, quadratic_roots, sqrt_or_adjoin
 from .spectral import asymmetry_matrix
 
 UnipotentPiece = namedtuple("UnipotentPiece", "kind order basis gram")
@@ -257,6 +257,11 @@ def canonical_cyclic_gram(ctx, eps, n):
     same relation.  The free diagonal entry is normalized to 0 (or 1 for
     eps = -1 outside characteristic 2, matching the n = 2 base).
     """
+    return cached(_cyclic_grams_cache, (ctx, eps, n),
+                  lambda: _cyclic_gram(ctx, eps, n))
+
+
+def _cyclic_gram(ctx, eps, n):
     char = ctx.characteristic
     one, zero = ctx.one(), ctx.zero()
     if n == 1:
@@ -400,23 +405,22 @@ def gamma0_matrix(ctx, n):
 def gamma_block(ctx, n):
     """The single block of order n: Gamma_n, or Gamma_n^0 in characteristic
     2."""
-    if ctx.characteristic == 2:
-        return gamma0_matrix(ctx, n)
-    return gamma_matrix(ctx, n)
+    return cached(_gamma_blocks_cache, (ctx, n), lambda: (
+        gamma0_matrix if ctx.characteristic == 2 else gamma_matrix)(ctx, n))
 
 
+# the memos of gamma_block, canonical_cyclic_gram and reduce_single
+_gamma_blocks_cache = {}
+_cyclic_grams_cache = {}
 _gamma_reduction_cache = {}
 
 
 def _gamma_cyclic_reduction(eps, n):
     """X^-1 for the witness columns (basis matrix) X that take Gamma_n(^0),
     over eps's context, to the canonical cyclic gram.  Every reduction
-    extends, so the result depends on eps's context, eps and n alone: the
-    memo's key."""
+    extends, so the result depends on eps's context and its tower cap, eps
+    and n alone: reduce_single's memo key, read by cached."""
     ctx = eps.ctx
-    key = (ctx, eps, n)
-    if key in _gamma_reduction_cache:
-        return _gamma_reduction_cache[key]
     gamma = gamma_block(ctx, n)
     nmat = asymmetry_matrix(gamma).minus_scalar(eps)
     v = _height_vector(nmat.power(n - 1))
@@ -425,7 +429,6 @@ def _gamma_cyclic_reduction(eps, n):
     result = inverse_or_rank(bmat @ x).inverse
     if result is None:
         raise InternalDegenerate("Gamma-side reduction basis is singular")
-    _gamma_reduction_cache[key] = result
     return result
 
 
@@ -435,7 +438,9 @@ def reduce_single(g, eps, n):
     x1 = canon_single(g, eps, n)
     # the Gamma side starts from the tower the input side reached, so a
     # root both sides need is adjoined once
-    return x1 @ _gamma_cyclic_reduction(eps.promote(x1.ctx), n)
+    eps = eps.promote(x1.ctx)
+    return x1 @ cached(_gamma_reduction_cache, (eps.ctx, eps, n),
+                       lambda: _gamma_cyclic_reduction(eps, n))
 
 
 # -- the pair (two equal elementary divisors) reduction --------------------------

@@ -16,7 +16,9 @@ the same lines.  Run from the repository root:
 and compare the outputs of two trees with diff.  Each line is
 "index name digest"; the last line is a digest of all of them.  With
 --expect DIGEST the sweep exits 1 when that digest differs, so a pinned
-digest fails a run whose answers changed.
+digest fails a run whose answers changed.  Every answer is also checked
+by tests/refcheck.py, on Scalars and with no ExactMatrix kernel, in
+answer_text; an answer that fails it stops the sweep.
 """
 
 import argparse

@@ -505,3 +505,50 @@ def test_merge_maps_the_generators_the_towers_share_to_themselves():
                                    for i in range(1, shared + 1)]
         for g, (c1, d) in zip(images, field.adjunctions(src)):
             assert g * g == c1 * g + field.embed_scalar(d, merged, images)
+
+
+def test_each_generator_is_built_once_per_field(monkeypatch):
+    """FieldContext.generator keeps g_i per field (field._generators_cache):
+    1,000 g1 and g2 tokens parsed over Q(sqrt 2, sqrt 3) build each of the
+    two generators once, through one FieldContext.element call each, and a
+    field built anew after the field memo is emptied, equal and under the
+    same tower cap, is served the kept raw values in its own context."""
+    q = rationals()
+    ctx = q.adjoin_sqrt(q.scalar(2))
+    ctx = ctx.adjoin_sqrt(ctx.scalar(3))
+    monkeypatch.setattr(field, "_generators_cache", {}, raising=False)
+    built = []
+    element = field.FieldContext.element
+
+    def spy(self, coords):
+        built.append(self)
+        return element(self, coords)
+
+    monkeypatch.setattr(field.FieldContext, "element", spy)
+    values = [parse_scalar("g1 + g2", ctx) for _ in range(500)]
+    assert built == [ctx, ctx]
+    assert {v.raw for v in values} == {(ctx.generator(1)
+                                        + ctx.generator(2)).raw}
+    assert ctx.generator(2) == ctx.generator(2) and len(built) == 2
+    monkeypatch.setattr(field, "_fields_cache", {})
+    fresh = field.FieldContext(ctx.kind, tower=ctx.tower)
+    assert fresh == ctx and fresh is not ctx
+    checked = len(built)  # building fresh checks its records
+    assert fresh.generator(1).ctx is fresh and len(built) == checked
+    assert fresh.generator(1).raw == ctx.generator(1).raw
+
+
+def test_a_memo_keeps_tower_caps_apart(monkeypatch):
+    """field.cached, the rule every per-field memo is read by: == ignores
+    the tower cap, so a value kept under one cap is built again under
+    another, and served to any equal field under its own cap."""
+    capped, free = prime_field(3, tower_cap=0), prime_field(3, tower_cap=2)
+    assert capped == free and capped is not free
+    monkeypatch.setattr(field, "_fields_cache", {})
+    again = prime_field(3, tower_cap=0)
+    assert again == capped and again is not capped
+    memo, built = {}, []
+    values = [field.cached(memo, (ctx, 2), lambda ctx=ctx: built.append(ctx)
+                           or len(built))
+              for ctx in (capped, again, free, free, capped)]
+    assert built == [capped, free, capped] and values == [1, 1, 2, 2, 3]

@@ -160,9 +160,10 @@ def test_routing_and_the_cache(rebuilt, table_builds):
     above the cap computes on integer vectors mod p with the monomial
     tables of its tower, each kept on its own field, and builds no _Tables.
     Every table lives on its field's one instance, held by the field memo,
-    field._fields_cache: the module's one dict whose name ends in _cache,
-    which the bench empties before each measured pass.  A field built after
-    that is a new instance, whose tables give the same products."""
+    field._fields_cache, which the bench empties before each measured pass
+    with the module's one other dict whose name ends in _cache,
+    _generators_cache (the tower generators).  A field built after that is
+    a new instance, whose tables give the same products."""
     f7 = prime_field(7)
     assert isinstance(_raw_ops(f7), _FlatOps)
     assert isinstance(_raw_ops(prime_field(65521)), _FlatOps)
@@ -195,7 +196,7 @@ def test_routing_and_the_cache(rebuilt, table_builds):
     assert table_builds == [f9]
     caches = [name for name, value in vars(field).items()
               if name.endswith("_cache") and isinstance(value, dict)]
-    assert caches == ["_fields_cache"]
+    assert caches == ["_fields_cache", "_generators_cache"]
     # emptied as the bench does, the memo gives new fields, which build
     # their own tables with the same products
     for ctx, before in zip((big, f6561), products):

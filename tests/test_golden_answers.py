@@ -7,8 +7,11 @@ extension report, the invariant record and the witness X; under the strict
 policy, the form JSON or the refusal's type and message.  Every third case
 adds a transpose witness and the `equivalent` verdicts against a scrambled
 copy and against A plus a unit corner entry.  A change that keeps behaviour
-keeps every digest, and a failure names its case.  After a deliberate change
-of answers, regenerate the table with
+keeps every digest, and a failure names its case.  Every answer is also
+checked by tests/refcheck.py, from its entries, with no ExactMatrix kernel:
+each witness X against the input and the B it must reach, the form's
+canonical matrix, A' or the other side of an equivalence.  After a
+deliberate change of answers, regenerate the table with
 
     PYTHONPATH=src python tests/test_golden_answers.py
 
@@ -22,12 +25,14 @@ import random
 import pytest
 
 from matcanon import (Block, ExactMatrix, MatcanonError, NoRootStrictPolicy,
-                      NotSplit, canonical_block_matrix, canonicalize,
-                      equivalent, format_scalar, gf4, inverse_or_rank,
-                      prime_field, rationals, record_from_form,
-                      transpose_witness)
+                      NotSplit, canonical_block_matrix, canonical_form_matrix,
+                      canonicalize, equivalent, format_scalar, gf4,
+                      inverse_or_rank, prime_field, rationals,
+                      record_from_form, transpose_witness)
 from matcanon.cli import form_to_json
 from matcanon.field import EXTEND, STRICT
+
+import refcheck
 
 FIELDS = {"q": rationals(), "gf2": prime_field(2), "gf3": prime_field(3),
           "gf4": gf4(), "gf13": prime_field(13)}
@@ -103,9 +108,12 @@ def _refusal(exc):
 
 
 def answer_text(index, name, a):
+    """The answer text of one case; refcheck.check(X, A, B) checks every
+    witness X against the input A and the matrix B it must reach."""
     lines = []
     try:
         form, wit = canonicalize(a, EXTEND)
+        refcheck.check(wit.x, a, canonical_form_matrix(form))
         lines += ["extend form " + json.dumps(form_to_json(form),
                                               sort_keys=True),
                   "extend context %r" % (form.context,),
@@ -115,14 +123,17 @@ def answer_text(index, name, a):
     except MatcanonError as exc:
         lines.append("extend " + _refusal(exc))
     try:
-        form, _wit = canonicalize(a, STRICT)
+        form, wit = canonicalize(a, STRICT)
+        refcheck.check(wit.x, a, canonical_form_matrix(form))
         lines.append("strict form " + json.dumps(form_to_json(form),
                                                  sort_keys=True))
     except MatcanonError as exc:
         lines.append("strict " + _refusal(exc))
     if index % 3 == 1:
         try:
-            lines.append("transpose " + _rows(transpose_witness(a).x))
+            x = transpose_witness(a).x
+            refcheck.check(x, a, a.transpose())
+            lines.append("transpose " + _rows(x))
         except MatcanonError as exc:
             lines.append("transpose " + _refusal(exc))
         y = _random_invertible(a.ctx, random.Random(name + "/scramble"),
@@ -136,6 +147,7 @@ def answer_text(index, name, a):
                 lines.append("equivalent %r %r %r %r" % (
                     res.equivalent, res.extensions, res.context, res.records))
                 if res.witness is not None:
+                    refcheck.check(res.witness.x, a, b)
                     lines.append("equivalent witness " + _rows(res.witness.x))
             except MatcanonError as exc:
                 lines.append("equivalent " + _refusal(exc))

@@ -13,6 +13,13 @@ each kind of raw value, singular inputs and extensions included.
 The eliminations return matrices: inverse_or_rank, in both its modes, and
 solve build their kernel bases, inverses and solutions from raw values,
 and no Scalar.
+
+Operands of one context object meet without a context search: fields are
+interned, so that object is their common context, and products, sums,
+comparisons and eliminations of such operands never call
+FieldContext.common or is_prefix_of.  The identity's rows are built once
+per field and size (exactmat._identity_cache), so a canonicalization
+repeated builds none.
 """
 
 import ast
@@ -22,10 +29,11 @@ import sys
 import pytest
 
 import matcanon
-from matcanon import (ExactMatrix, Scalar, canonicalize, equivalent, gf4,
+from matcanon import (Block, ExactMatrix, Scalar, canonical_block_matrix,
+                      canonicalize, equivalent, exactmat, gf4,
                       inverse_or_rank, prime_field, rationals, solve,
                       transpose_witness)
-from matcanon.field import artin_schreier_root_or_adjoin
+from matcanon.field import FieldContext, artin_schreier_root_or_adjoin
 from matcanon.unipotent import gamma_matrix
 
 import sweep
@@ -155,3 +163,65 @@ def test_eliminations_build_no_scalar(monkeypatch):
             inverse_or_rank(a, **flags)
         solve(a, b)
     assert not built
+
+
+def _extensions():
+    """One tower over each kind of raw value."""
+    q, f3, big = rationals(), prime_field(3), prime_field(65521)
+    return [q.adjoin_sqrt(q.scalar(2)), f3, f3.adjoin_sqrt(f3.scalar(-1)),
+            artin_schreier_root_or_adjoin(gf4().base_element((0, 1)))[1],
+            big.adjoin_sqrt(big.scalar(17))]
+
+
+def test_one_context_meets_without_a_search(monkeypatch):
+    """@, +, ==, solve and inverse_or_rank (both modes) of operands that
+    hold one context object call neither FieldContext.common nor
+    FieldContext.is_prefix_of."""
+    pairs = []
+    for ctx in _extensions():
+        g = ctx.generator(1) if ctx.tower else ctx.one()
+        a = ExactMatrix(ctx, [[1, g, 0], [0, 1, g], [g, 0, 1]])
+        pairs.append((a, ExactMatrix(ctx, [[g, 1, 1], [0, 2, 1], [1, g, 0]])))
+    low = pairs[0][0]  # over Q(sqrt 2), and a matrix over Q(sqrt 2, sqrt 3)
+    high = low.promote(low.ctx.adjoin_sqrt(low.ctx.scalar(3)))
+    searched = []
+    for name in ("common", "is_prefix_of"):
+        method = getattr(FieldContext, name)
+        monkeypatch.setattr(FieldContext, name,
+                            lambda self, other, name=name, method=method:
+                            searched.append(name) or method(self, other))
+    for a, b in pairs:
+        assert a.ctx is b.ctx
+        a @ b, a + b, a == b, solve(a, b)
+        inverse_or_rank(a), inverse_or_rank(a, rank_only=True)
+    assert searched == []
+    low @ high  # operands of two contexts meet in the common one
+    assert searched[0] == "common"
+
+
+def test_a_repeated_canonicalization_builds_no_identity_rows(monkeypatch):
+    """The identity's rows (ExactMatrix.identity, unit_column, the
+    inverse's augment and the kernel bases) are built once per field and
+    size: a second canonicalization of a scrambled 8 x 8 block sum over
+    GF(3) builds none."""
+    ctx = prime_field(3)
+    a = ExactMatrix.block_diag(ctx, [canonical_block_matrix(Block(*b), ctx)
+                                     for b in (("D", 4), ("C", 2), ("A", 1),
+                                               ("A", 1))])
+    y = ExactMatrix(ctx, [[int(j >= i) + (i == 7 and j == 0)
+                           for j in range(8)] for i in range(8)])
+    a = y.transpose() @ a @ y
+    stores = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            stores.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(exactmat, "_identity_cache", Recording(),
+                        raising=False)
+    form, witness = canonicalize(a)
+    built, stores[:] = list(stores), []
+    again, again_witness = canonicalize(a)
+    assert built and stores == []
+    assert again == form and again_witness.x == witness.x

@@ -10,7 +10,7 @@ import pytest
 from matcanon import canon, exactmat, spectral, unipotent
 from matcanon.canon import Block, canonical_block_matrix, canonicalize
 from matcanon.cli import form_to_json
-from matcanon.errors import NoArtinSchreierRootStrict
+from matcanon.errors import NoArtinSchreierRootStrict, TowerCapExceeded
 from matcanon.exactmat import ExactMatrix, WitnessError, inverse_or_rank
 from matcanon.field import STRICT, gf4, prime_field, rationals
 from matcanon.spectral import (UnipotentClass, asymmetry, asymmetry_matrix,
@@ -755,3 +755,23 @@ def test_a_wrong_repair_fails_the_certificate(monkeypatch):
                         + other.shift_chain(m, m).columns([m - 1]))
     with pytest.raises(WitnessError, match="congruence relation"):
         canonicalize(block_sum(rationals(), [Block("D", 4)]))
+
+
+def test_the_gamma_side_memo_keeps_tower_caps_apart(monkeypatch):
+    """GF(3) under tower caps 1 and 0 are equal contexts (== ignores the
+    cap), but a Gamma-side reduction kept for one is not served to the
+    other: A3 + A3 over GF(3) needs sqrt 2, so under cap 1 it answers in
+    a tower of cap 1, and under cap 0 it is refused, after the cap-1 call
+    as in a fresh process."""
+    monkeypatch.setattr(unipotent, "_gamma_reduction_cache", {})
+    answers = []
+    for cap in (1, 0):
+        ctx = prime_field(3, tower_cap=cap)
+        a = scrambled([Block("A", 3), Block("A", 3)], ctx, "caps")
+        if cap:
+            form, witness = canonicalize(a)
+            answers.append((form.context.tower_cap, witness.x.ctx.tower_cap))
+        else:
+            with pytest.raises(TowerCapExceeded):
+                canonicalize(a)
+    assert answers == [(1, 1)]
