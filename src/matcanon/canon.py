@@ -61,7 +61,7 @@ from .exactmat import (Congruence, CongruenceWitness, ExactMatrix,
 from .field import (EXTEND, RECORD_KINDS, STRICT, adjunctions,
                     canonical_compare, coordinate_map, embed_scalar,
                     format_scalar, merge_contexts)
-from .gabriel import _check_square, _runs, gabriel_decompose
+from .gabriel import check_square, gabriel_decompose, runs
 from .spectral import (Asymmetry, UnipotentClass, asymmetry,
                        asymmetry_or_kernel, eigen_split,
                        hyperbolic_block_matrix, hyperbolic_canonical,
@@ -195,7 +195,7 @@ def canonicalize(a, policy=EXTEND):
 def _canonicalize(a, policy, splits=None):
     """canonicalize without the certificate: (CanonicalForm, Congruence);
     splits is _split's."""
-    _check_square(a)
+    check_square(a)
     trimmed = a.trim()
     s, kernel = asymmetry_or_kernel(trimmed)  # the one elimination of A
     dec = gabriel_decompose(trimmed, kernel)
@@ -246,7 +246,7 @@ def _canonicalize(a, policy, splits=None):
 
     # order the blocks canonically: a column order, the columns of the
     # blocks following those of the Gabriel part
-    cols = _runs(njord, [d.n for d in blocks])
+    cols = runs(njord, [d.n for d in blocks])
     order = sorted(range(len(blocks)), key=lambda i: _block_key(blocks[i]))
     x_total = x_total.columns([*range(njord),
                                *(c for i in order for c in cols[i])])
@@ -445,7 +445,7 @@ def equivalent(a, b, policy=EXTEND):
     witness is still certified, so a broken map raises WitnessError, never
     a wrong verdict.
     """
-    _check_square(a, b)
+    check_square(a, b)
     start_ctx = a.ctx.common(b.ctx)
     if a.nrows != b.nrows:
         return EquivalenceResult(False, None, start_ctx, [])

@@ -27,7 +27,7 @@ from .errors import (ContextMismatch, DimensionMismatch, HypothesisViolation,
 from .exactmat import CongruenceWitness, ExactMatrix
 from .field import (RECORD_KINDS, adjoin_record, adjunctions, finite_field,
                     format_scalar, parse_scalar, prime_field, rationals)
-from .gabriel import _check_square, gabriel_decompose
+from .gabriel import check_square, gabriel_decompose
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -143,7 +143,7 @@ def load_matrix(path, tower_cap=16):
     try:
         with open(path) as handle:
             a = matrix_from_json(json.load(handle), tower_cap)
-        _check_square(a)
+        check_square(a)
     except (ValueError, RecursionError, DimensionMismatch,
             HypothesisViolation, WrongCharacteristic) as exc:
         raise ParseError(str(exc)) from exc

@@ -9,8 +9,8 @@ solutions of solve (one per right-hand side column), a Krylov chain.
 Matrix products (ExactMatrix.__matmul__) and one Gauss-Jordan elimination
 (_rref, behind inverse_or_rank and solve; first_dependence is its
 incremental form) are written once against the ops' row interface (neg,
-inverse, scale, axpy, matmul), which the Scalar operators and root
-finding's polynomial layer share.  field.py has its three cases: GF(p) on
+inverse, scale, axpy, matmul), which the Scalar operators and poly.py's
+raw polynomials share.  field.py has its three cases: GF(p) on
 ints reduced once per dot product (after FFPACK, Dumas, Giorgi and Pernet,
 ISSAC 2004), fields of at most 256 elements on exp/log/Zech tables, and Q
 towers and larger finite fields on integer vectors over one denominator.
@@ -36,7 +36,7 @@ first_dependence reduces matrices, flattened, as they are read and stops
 at the first dependence, so the minimal polynomial forms only the powers
 it needs.
 
-Two product helpers are built on it: ExactMatrix.power (field.power's
+Two product helpers are built on it: ExactMatrix.power (poly.power's
 square and multiply) and ExactMatrix.krylov (the columns v, Mv, ...,
 M^(k-1) v of an n x 1 matrix v); v.shift_chain is krylov of a sum of
 Jordan blocks J_m(0), its entries moved down with no product.  The stages
@@ -84,7 +84,8 @@ import operator
 from collections import namedtuple
 
 from .errors import ContextMismatch, DimensionMismatch, MatcanonError
-from .field import Scalar, cached, power
+from .field import Scalar, cached
+from .poly import power
 
 # (ctx, n) -> the raw rows of the n x n identity, its unit rows, for n <= 16
 # (at most 1,496 entries per field); a larger one is built at every call

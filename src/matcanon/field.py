@@ -11,12 +11,12 @@ one inverse serve both kinds, other modules read them through
 adjunctions(ctx) as (c1, d) pairs, and RECORD_KINDS holds their names in
 JSON and in the extension report.
 
-Arithmetic shared by the package is written here once.  power is its one
-square and multiply: Scalar powers, GF(p^k) base inverses, polynomial powers,
-square roots and ExactMatrix.power all call it.  An element has one
-representation, its raw value (see Scalar), and ctx.ops, built once per
-field by _raw_ops, computes on it an element at a time (add, neg, mul,
-inverse) or a row at a time (scale, axpy, matmul), in one of three ways:
+Field arithmetic shared by the package is written here once; the integer
+and polynomial arithmetic below it (power, is_prime, Rabin's test of a
+modulus) is in poly.py.  An element has one representation, its raw value
+(see Scalar), and ctx.ops, built once per field by _raw_ops, computes on it
+an element at a time (add, neg, mul, inverse) or a row at a time (scale,
+axpy, matmul), in one of three ways:
   - GF(p) with no adjunction: ints mod p (_FlatOps);
   - any other finite field of at most 256 elements: element indices, with
     exp/log tables built once per field (_TableOps, _Tables): a product
@@ -42,13 +42,10 @@ for p <= 13 and the table fields of characteristic 2 the eliminations
 reduce rows of bytes (_ByteRows), both with translate tables built once per
 field; the values are those of the entry loops.
 promote and trim move raw values directly.  The Scalar operators,
-exactmat's kernels and the polynomial layer (raw coefficients, low to high)
-all run on these ops: the products, division and gcd of root finding,
-frobenius_gcd(ops, f, e), the monic gcd(f, X^e - X), which serves both root
-finding over GF(q) (e = q) and Rabin's irreducibility test of a GF(p^k)
-modulus (e = p^k and p^(k/r), over GF(p)), and square roots over GF(q):
-Euler's criterion by norm descent down the tower (_is_finite_square), then
-Tonelli-Shanks with one non-residue power per field.  Coordinates
+exactmat's kernels and poly's polynomials (raw coefficients, low to high)
+all run on these ops, and so do square roots over GF(q): Euler's criterion
+by norm descent down the tower (_is_finite_square), then Tonelli-Shanks
+with one non-residue power per field.  Coordinates
 (Scalar.coords) are read off raw values for tower records, canonical order
 and printing.  format_scalar writes the text grammar, and parse_scalar
 reads it in one pass over its tokens, the sums around open parentheses on
@@ -77,6 +74,7 @@ from fractions import Fraction
 from .errors import (ContextMismatch, DivisionByZero, InternalDegenerate,
                      NoRootStrictPolicy, ParseError, TowerCapExceeded,
                      WrongCharacteristic)
+from .poly import is_irreducible, is_prime, power, two_adic
 
 STRICT = "strict"
 EXTEND = "extend"
@@ -88,62 +86,11 @@ _RANDOM_SEED = 0x6d6174
 # the context is not a field
 _NONRESIDUE_TRIES = 64
 
-
-# Miller-Rabin with these witnesses is exact for every n < 3.3 * 10**24
-# (Sorenson and Webster, 2015), which covers all 64-bit n
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-
 _FRACTION_ZERO = Fraction(0)  # immutable: one object serves every context
 
 # finite contexts of at most this many elements, other than GF(p) itself,
 # compute on exp/log tables (_TableOps, _Tables)
 _TABLE_MAX_ORDER = 256
-
-
-def _is_prime(n):
-    n = operator.index(n)
-    if n < 2:
-        return False
-    for d in _MR_BASES:
-        if n % d == 0:
-            return n == d
-    if n < 41 * 41:
-        return True
-    if n >= _MR_EXACT_BELOW:
-        raise ValueError("characteristic %d is too large to certify as "
-                         "prime" % n)
-    m, s = n - 1, 0
-    while m % 2 == 0:
-        m //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, m, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def power(x, e, mul, one):
-    """x^e for e >= 0 by square and multiply: e = 0 gives one, which is never
-    multiplied, so x^e costs popcount(e) - 1 + floor(log2 e) products.
-    ValueError for e < 0."""
-    if e < 0:
-        raise ValueError("negative exponent %d" % e)
-    result = None
-    while e:
-        if e & 1:
-            result = x if result is None else mul(result, x)
-        e >>= 1
-        if e:
-            x = mul(x, x)
-    return one if result is None else result
 
 
 # (kind, p, modulus, tower, tower_cap) -> the one FieldContext of that field
@@ -186,14 +133,15 @@ class FieldContext:
             raise ValueError("unknown field kind %r" % (kind,))
         if kind == "rational":
             p = 0
-        elif not _is_prime(p):
+        elif not is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         modulus = tuple(c % p for c in modulus) if kind == "gfq" else None
         if modulus == ():
             raise ValueError("gfq modulus must have degree >= 1")
         base = _fields_cache.get((kind, p, modulus, (), tower_cap))
         if base is None:
-            if modulus and not _modulus_is_irreducible(p, modulus):
+            if modulus and not is_irreducible(prime_field(p).ops,
+                                              [*modulus, 1]):
                 raise ValueError("gfq modulus %s (low coefficients of a "
                                  "monic degree-%d polynomial) is reducible "
                                  "over GF(%d)" % (list(modulus),
@@ -1432,83 +1380,6 @@ def canonical_compare(x, y):
     return (kx > ky) - (kx < ky)
 
 
-# -- polynomials (raw coefficients of one context, low to high) ---------------
-
-def _poly_trim(ops, p):
-    while len(p) > 1 and p[-1] == ops.zero:
-        p = p[:-1]
-    return p or [ops.zero]
-
-
-def _poly_axpy(ops, p, c, q):
-    """p - c q."""
-    n = max(len(p), len(q))
-    return ops.axpy(p + [ops.zero] * (n - len(p)), c,
-                    q + [ops.zero] * (n - len(q)))
-
-
-def _poly_mulmod(ops, a, b, f):
-    """a b mod monic f: each coefficient of a adds a scaled row b, and each
-    coefficient above deg f takes a scaled row of f away."""
-    n = len(f) - 1
-    zero = ops.zero
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x != zero:
-            out[i:i + len(b)] = ops.axpy(out[i:i + len(b)], ops.neg(x), b)
-    low = f[:n]
-    for i in range(len(out) - 1, n - 1, -1):
-        if out[i] != zero:  # X^i = X^(i-n) (X^n - f)
-            out[i - n:i] = ops.axpy(out[i - n:i], out[i], low)
-    return _poly_trim(ops, out[:n])
-
-
-def _poly_powmod(ops, base, e, f):
-    """base^e mod monic f, for a base already reduced mod f."""
-    return power(base, e, lambda x, y: _poly_mulmod(ops, x, y, f), [ops.one])
-
-
-def _poly_divmod(ops, a, b):
-    """Quotient and remainder of a by a nonzero b, dividing by b made monic
-    and scaling the quotient back."""
-    lead_inv = ops.inverse(b[-1])
-    b = ops.scale(b, lead_inv)
-    rem = _poly_trim(ops, list(a))
-    quot = [ops.zero] * max(len(rem) - len(b) + 1, 1)
-    while len(rem) >= len(b) and not (len(rem) == 1 and rem[0] == ops.zero):
-        off = len(rem) - len(b)
-        quot[off] = rem[-1]
-        rem[off:] = ops.axpy(rem[off:], rem[-1], b)
-        rem = _poly_trim(ops, rem[:-1])  # the top coefficient cancelled
-    return ops.scale(quot, lead_inv), rem
-
-
-def _poly_gcd(ops, a, b):
-    """The monic gcd of a and b ([zero] when both are zero)."""
-    a, b = _poly_trim(ops, list(a)), _poly_trim(ops, list(b))
-    while not (len(b) == 1 and b[0] == ops.zero):
-        a, b = b, _poly_divmod(ops, a, b)[1]
-    if a[-1] != ops.zero:
-        a = ops.scale(a, ops.inverse(a[-1]))
-    return a
-
-
-def frobenius_gcd(ops, f, e):
-    """The monic gcd(f, X^e - X) of a polynomial f of degree >= 1 over a
-    finite field, raw coefficients of the context of ops, with X^e mod f by
-    square and multiply.
-
-    For e = q, the order of the field, it is the product of X - r over the
-    distinct roots r of f in the field (root finding).  Over GF(p), f of
-    degree k is irreducible iff e = p^k gives f and e = p^(k/r) gives 1 for
-    every prime r | k (Rabin, SIAM J. Comput. 9, 1980).
-    """
-    f = ops.scale(f, ops.inverse(f[-1]))
-    x = [ops.zero, ops.one]
-    return _poly_gcd(ops, f, _poly_axpy(ops, _poly_powmod(ops, x, e, f),
-                                        ops.one, x))
-
-
 # -- roots --------------------------------------------------------------------
 
 def sqrt_or_adjoin(x, policy=EXTEND):
@@ -1656,11 +1527,7 @@ def _tonelli_shanks(ops, x, q):
     square root was taken first.
     """
     mul, one = ops.mul, ops.one
-    m = q - 1
-    s = 0
-    while m % 2 == 0:
-        m //= 2
-        s += 1
+    s, m = two_adic(q - 1)
     u = power(x, (m - 1) // 2, mul, one)
     r = mul(u, x)
     t = mul(u, r)
@@ -1980,16 +1847,6 @@ def finite_field(p, modulus, tower_cap=16):
     the quotient ring has zero divisors.
     """
     return FieldContext("gfq", p, tuple(modulus), tower_cap=tower_cap)
-
-
-def _modulus_is_irreducible(p, modulus):
-    """Rabin's test of the degree-k modulus f over GF(p) (frobenius_gcd)."""
-    k = len(modulus)
-    ops = prime_field(p).ops
-    f = list(modulus) + [1]  # reduced ints: raw GF(p) coefficients
-    return (frobenius_gcd(ops, f, p ** k) == f
-            and all(len(frobenius_gcd(ops, f, p ** (k // r))) == 1
-                    for r in range(2, k + 1) if k % r == 0 and _is_prime(r)))
 
 
 def gf4(tower_cap=16):

@@ -31,6 +31,7 @@ a rank the layout's shapes rest on.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from .errors import HypothesisViolation, InternalDegenerate
@@ -44,13 +45,13 @@ def gabriel_decompose(a, kernel=None):
     """Decompose A up to congruence as (0-Jordan blocks) + invertible core;
     kernel, A's right kernel read off an elimination, stands in for the
     first rank test."""
-    _check_square(a)
+    check_square(a)
     sizes, core, x = _decompose(a, kernel)
     target = _assemble_target(sizes, core)
     return GabrielDecomposition(sizes, core, Congruence(x, a, target))
 
 
-def _check_square(*mats):
+def check_square(*mats):
     """HypothesisViolation unless every matrix is square: congruence, and
     so every entry point, takes square matrices alone."""
     for a in mats:
@@ -105,7 +106,7 @@ def _decompose(a, kernel=None):
     #    split's residues on the end columns, so (Q,Q) is t'M2t + E t =
     #    E_hat t[ends], zero when M has no chain; then restore the
     #    (P,Q)/(Q,Q) zeros as in step 2
-    chains = _runs(0, sizes_m)
+    chains = runs(0, sizes_m)
     ends = [run[-1] for run in chains]
     t, e_hat = _split_off_rowspace(m2, e_block, ends)
     if t is not None:
@@ -149,7 +150,7 @@ def _split_radical(a):
     sizes2, core2, x2 = _decompose(a.submatrix(ext, ext))
     x_total = ExactMatrix.blocks(ctx, [[rad.kernel, x2.scattered(ext, n)]])
     # current layout: r0 J_1 blocks, then sizes2 blocks, then core
-    blocks = [[i] for i in range(r0)] + _runs(r0, sizes2)
+    blocks = [[i] for i in range(r0)] + runs(r0, sizes2)
     sizes, order = _sorted_layout(blocks, range(n - core2.nrows, n))
     return sizes, core2, x_total.columns(order)
 
@@ -209,13 +210,10 @@ def _split_off_rowspace(m2, e_block, ends):
             part.submatrix(range(d, d + len(ends)), range(k)).transpose())
 
 
-def _runs(start, sizes):
+def runs(start, sizes):
     """Consecutive runs of column indices of the given sizes from start."""
-    runs = []
-    for sz in sizes:
-        runs.append(list(range(start, start + sz)))
-        start += sz
-    return runs
+    ends = list(itertools.accumulate(sizes, initial=start))
+    return [list(range(a, b)) for a, b in zip(ends, ends[1:])]
 
 
 def _sorted_layout(blocks, core):

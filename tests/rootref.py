@@ -5,7 +5,7 @@ A rational root a/b in lowest terms of an integer polynomial
 f_0 + f_1 X + ... + f_n X^n with f_0 != 0 has a | f_0 and b | f_n.
 rational_root tries every such pair, least b first, then least |a|, +a
 before -a, and returns the first that is a root: the order in which
-matcanon.spectral._rational_root chooses among the roots it finds by
+matcanon.roots._rational_root chooses among the roots it finds by
 lifting them mod a prime.  Candidates are tested by exact Fraction
 evaluation, with no arithmetic of matcanon.field, and the divisors are
 found by trial division, so keep the coefficients small.

@@ -13,11 +13,12 @@ from matcanon import field
 from matcanon.errors import (ContextMismatch, DivisionByZero,
                              NoRootStrictPolicy, ParseError,
                              TowerCapExceeded, WrongCharacteristic)
-from matcanon.field import (EXTEND, STRICT, Scalar, _is_prime,
+from matcanon.field import (EXTEND, STRICT, Scalar,
                             artin_schreier_root_or_adjoin,
                             canonical_compare, finite_field, format_scalar,
                             gf4, parse_scalar, prime_field, rationals,
                             sqrt_or_adjoin)
+from matcanon.poly import is_prime
 
 
 def test_rational_arithmetic():
@@ -366,7 +367,7 @@ def test_prime_check_is_fast_and_exact():
                       (2 ** 31 - 1) * (2 ** 61 - 1)):
         with pytest.raises(ValueError):
             prime_field(composite)
-    small = [n for n in range(2000) if _is_prime(n)]
+    small = [n for n in range(2000) if is_prime(n)]
     assert small == [n for n in range(2, 2000)
                      if all(n % d for d in range(2, int(n ** 0.5) + 1))]
     # beyond the range where the fixed witnesses are proven exact the
@@ -410,9 +411,10 @@ def test_the_constructor_rejects_reducible_modulus(monkeypatch):
         with pytest.raises(ValueError, match="reducible"):
             field.FieldContext("gfq", p, modulus)
     tests = []
-    rabin = field._modulus_is_irreducible
-    monkeypatch.setattr(field, "_modulus_is_irreducible",
-                        lambda p, f: tests.append((p, f)) or rabin(p, f))
+    rabin = field.is_irreducible
+    monkeypatch.setattr(field, "is_irreducible",
+                        lambda ops, f: tests.append((ops.p, tuple(f[:-1])))
+                        or rabin(ops, f))
     monkeypatch.setattr(field, "_fields_cache", {})
     fields = [field.FieldContext("gfq", 3, (1, 0)), finite_field(3, (4, 3)),
               field.FieldContext("gfq", 3, (1, 0), tower=())]

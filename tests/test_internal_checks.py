@@ -25,7 +25,7 @@ import sys
 
 import pytest
 
-from matcanon import (canon, cli, exactmat, field, gabriel, spectral,
+from matcanon import (canon, cli, exactmat, field, gabriel, roots, spectral,
                       unipotent)
 from matcanon.canon import (Block, CanonicalForm, InvariantRecord,
                             blocks_from_record, canonical_block_matrix,
@@ -297,7 +297,7 @@ def test_minimal_polynomial_without_a_dependence(monkeypatch):
 
 
 def test_claimed_root_does_not_divide(monkeypatch):
-    monkeypatch.setattr(spectral, "_find_one_root",
+    monkeypatch.setattr(spectral, "find_one_root",
                         lambda poly, listed=None:
                         (poly[0].ctx.scalar(7), None))
     with reaches("spectral", "claimed root does not divide"):
@@ -306,14 +306,14 @@ def test_claimed_root_does_not_divide(monkeypatch):
 
 def test_roots_not_closed_under_inversion(monkeypatch):
     calls = []
-    original = spectral._extract_root
+    original = spectral.extract_root
 
     def miscount(work, root):
         quotient, mult = original(work, root)
         calls.append(root)
         return quotient, mult + (len(calls) == 1)
 
-    monkeypatch.setattr(spectral, "_extract_root", miscount)
+    monkeypatch.setattr(spectral, "extract_root", miscount)
     with reaches("spectral", "asymmetry roots are not closed under "
                              "inversion"):
         canonicalize(G2)
@@ -332,12 +332,12 @@ def test_roots_of_a_polynomial_not_closed_under_inversion():
 def test_root_splitting_runs_out_of_shifts(monkeypatch):
     # a constant splitting polynomial never separates two roots
     gf7 = prime_field(7)
-    monkeypatch.setattr(spectral, "_splitting_poly",
+    monkeypatch.setattr(roots, "_splitting_poly",
                         lambda ops, h, a, q: [ops.one])
     poly = [gf7.scalar(c) for c in (-6, 11, -6, 1)]  # (X-1)(X-2)(X-3)
-    with reaches("spectral", "no shift split a degree-%d factor in %d "
-                             "tries"):
-        spectral._finite_field_roots(poly)
+    with reaches("roots", "no shift split a degree-%d factor in %d "
+                          "tries"):
+        roots._finite_field_roots(poly)
 
 
 def test_jordan_chains_of_a_wrong_eigenvalue():

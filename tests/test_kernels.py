@@ -29,12 +29,11 @@ from matcanon.errors import (ContextMismatch, DimensionMismatch,
 from matcanon.exactmat import (ExactMatrix, first_dependence,
                                inverse_or_rank, solve)
 from matcanon.field import (Scalar, _ByteRows, _FlatOps, _PairOps,
-                            _poly_divmod,
-                            _poly_gcd, _poly_mulmod, _poly_powmod, _poly_trim,
                             _TableOps, _VectorOps, adjunctions,
                             artin_schreier_root_or_adjoin, finite_field,
-                            frobenius_gcd, gf4, parse_scalar, prime_field,
+                            gf4, parse_scalar, prime_field,
                             rationals, sqrt_or_adjoin)
+from matcanon.poly import divide, frobenius_gcd, gcd, mulmod, powmod, trim
 from matcanon.spectral import asymmetry_matrix
 from matcanon.unipotent import _module_duals, _restricted
 
@@ -687,12 +686,12 @@ def test_power_matches_reference(name):
     # polynomial powers modulo a monic cubic against repeated products
     ops = ctx.ops
     f = [rand_scalar(ctx, rng).raw for _ in range(3)] + [ops.one]
-    base = _poly_trim(ops, [rand_scalar(ctx, rng).raw for _ in range(3)])
+    base = trim(ops, [rand_scalar(ctx, rng).raw for _ in range(3)])
     ref = [ops.one]
     for k in range(7):
-        got = _poly_powmod(ops, base, k, f)
+        got = powmod(ops, base, k, f)
         assert got == ref, k
-        ref = _poly_mulmod(ops, ref, base, f)
+        ref = mulmod(ops, ref, base, f)
 
 
 def rand_poly(ctx, rng, degree, monic=False):
@@ -705,7 +704,7 @@ def rand_poly(ctx, rng, degree, monic=False):
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_polynomial_layer_matches_reference(name):
-    """mulmod, powmod, divmod, gcd and frobenius_gcd on raw coefficients
+    """mulmod, powmod, divide, gcd and frobenius_gcd on raw coefficients
     give the coefficients of the naive Scalar versions above, read back as
     canonical scalars."""
     ctx = CONTEXTS[name]
@@ -730,22 +729,22 @@ def test_polynomial_layer_matches_reference(name):
         f = rand_poly(ctx, rng, rng.randint(1, 4), monic=True)
         a = ref_divmod(rand_poly(ctx, rng, rng.randint(0, 5)), f)[1]
         b = ref_divmod(rand_poly(ctx, rng, rng.randint(0, 5)), f)[1]
-        assert back(_poly_mulmod(ops, raw(a), raw(b), raw(f))) == \
+        assert back(mulmod(ops, raw(a), raw(b), raw(f))) == \
             want(ref_mulmod(a, b, f))
         # in the rational height-3 tower the coefficients of a^1000 mod f
         # have thousands of digits, and the Scalar reference alone takes
         # about 10 s: that tower stops at 12
         for k in (0, 1, 2, 5, 12) + ((1000,) if ctx.dim < 8 else ()):
-            assert back(_poly_powmod(ops, raw(a), k, raw(f))) == \
+            assert back(powmod(ops, raw(a), k, raw(f))) == \
                 want(ref_powmod(a, k, f)), k
         num = rand_poly(ctx, rng, rng.randint(0, 7))
         den = rand_poly(ctx, rng, rng.randint(0, 3))
-        quot, rem = _poly_divmod(ops, raw(num), raw(den))
+        quot, rem = divide(ops, raw(num), raw(den))
         ref_quot, ref_rem = ref_divmod(num, den)
         assert (back(quot), back(rem)) == (want(ref_quot), want(ref_rem))
         common = rand_poly(ctx, rng, rng.randint(0, 2), monic=True)
         a2, b2 = ref_mul(a, common), ref_mul(b, common)
-        assert back(_poly_gcd(ops, raw(a2), raw(b2))) == want(ref_gcd(a2, b2))
+        assert back(gcd(ops, raw(a2), raw(b2))) == want(ref_gcd(a2, b2))
         g = rand_poly(ctx, rng, rng.randint(1, 4))
         x = [ctx.zero(), ctx.one()]
         xe = ref_powmod(ref_divmod(x, g)[1], e, g)

@@ -10,6 +10,11 @@ documented.  A reference the tests alone need lives under tests/.  Every
 exported name is documented: README.md names it in backticks.  Every name
 a module imports is read in that module, except the re-exports of
 __init__.py and __future__'s annotations.
+
+Modules meet through public names alone: no module reads a private name
+(one with a leading underscore) of another, either by importing it or as
+an attribute of an imported module.  poly.py, the integer and polynomial
+arithmetic below field.py, imports nothing from the package.
 """
 
 import ast
@@ -145,6 +150,52 @@ def unread_imports(sources):
     return unread
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _package_imports(tree):
+    """The import statements of a parsed module that name the package or
+    one of its modules."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0]
+                 == "matcanon")
+            or isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "matcanon" for a in node.names)]
+
+
+def private_imports(sources):
+    """(module, name) for each private name that a module of {module:
+    source text} reads from another: imported (from .m import _x, from
+    matcanon.m import _x), or read as m._x off a module it imported
+    (from . import m, import matcanon.m, each with or without as)."""
+    found = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        own = module.removesuffix(".py")
+        aliases = set()  # names bound to a module of the package
+        for node in _package_imports(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname or "matcanon" for a in node.names
+                            if a.name.split(".")[0] == "matcanon"}
+                continue
+            source = (node.module or "").removeprefix("matcanon.")
+            found |= {(module, a.name) for a in node.names
+                      if _private(a.name) and source != own}
+            if source in ("", "matcanon"):
+                aliases |= {a.asname or a.name for a in node.names}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+                continue
+            base = node.value
+            while isinstance(base, ast.Attribute):  # matcanon.m._x
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                found.add((module, node.attr))
+    return found
+
+
 def _package_sources():
     return {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -160,6 +211,15 @@ def test_every_method_has_a_reader():
 
 def test_every_import_is_read():
     assert not unread_imports(_package_sources())
+
+
+def test_no_module_reads_a_private_name_of_another():
+    assert not private_imports(_package_sources())
+
+
+def test_poly_imports_nothing_from_the_package():
+    tree = ast.parse((SRC / "poly.py").read_text())
+    assert not [ast.unparse(node) for node in _package_imports(tree)]
 
 
 def test_every_export_is_documented():
@@ -237,3 +297,24 @@ def test_rule_flags_an_import_left_behind():
     assert unread_imports(sources) == {("unipotent.py", "itertools"),
                                        ("unipotent.py", "Refused"),
                                        ("unipotent.py", "STRICT")}
+
+
+def test_rule_flags_a_private_import():
+    sources = {
+        "roots.py": "from . import poly\n"
+                    "from .field import EXTEND, _RANDOM_SEED\n"
+                    "from matcanon.poly import _MR_BASES, gcd\n"
+                    "def draws(ctx):\n"
+                    "    return ctx._nonresidue, poly._trim(EXTEND)\n",
+        "canon.py": "import matcanon.gabriel\n"
+                    "import matcanon.field as f\n"
+                    "from .canon import _own\n"
+                    "def runs(x):\n"
+                    "    return matcanon.gabriel._runs(f._cached(x))\n"
+                    "def _own(x):\n"
+                    "    return x.__class__\n",
+    }
+    assert private_imports(sources) == {
+        ("roots.py", "_RANDOM_SEED"), ("roots.py", "_MR_BASES"),
+        ("roots.py", "_trim"), ("canon.py", "_runs"),
+        ("canon.py", "_cached")}

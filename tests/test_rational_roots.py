@@ -1,4 +1,4 @@
-"""Rational roots over Q: spectral._rational_root against the divisor
+"""Rational roots over Q: roots._rational_root against the divisor
 search of tests/rootref.py, and inputs whose coefficients are far too large
 for that search (a 20-digit root, eigenvalues 10^18 + 1 and its inverse, a
 random 16 x 16 matrix).
@@ -23,8 +23,8 @@ from hypothesis import strategies as st  # noqa: E402
 from matcanon import (Block, ExactMatrix, NotSplit,  # noqa: E402
                       canonicalize)
 from matcanon.field import rationals  # noqa: E402
-from matcanon.spectral import (_find_one_root, _rational_root,  # noqa: E402
-                               asymmetry, split_min_poly)
+from matcanon.roots import _rational_root, find_one_root  # noqa: E402
+from matcanon.spectral import asymmetry, split_min_poly  # noqa: E402
 
 from rootref import rational_root  # noqa: E402
 
@@ -77,10 +77,10 @@ def test_cubic_with_20_digit_root_splits():
     r = 12345678901234567891
     poly = _monic(_integer_poly([(Fraction(-r, 7), 1)], [1, 1, 1]))
     assert _rational_root(poly) == Q.scalar(Fraction(-r, 7))
-    root, _listed = _find_one_root(poly)
+    root, _listed = find_one_root(poly)
     assert root == Q.scalar(Fraction(-r, 7))
     rest = _monic([1, 1, 1])
-    other, _listed = _find_one_root(rest)
+    other, _listed = find_one_root(rest)
     assert other.ctx.tower and (other * other + other + 1).is_zero()
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import matcanon.roots
 from matcanon import spectral
 from matcanon.canon import canonicalize
 from matcanon.errors import NotSplit, SingularInput
@@ -119,7 +120,7 @@ def test_extracting_a_root_is_the_repeated_division(ctx):
     # (X - r)^m c(X) with c(r) != 0, for m = 0..3: synthetic division gives
     # the quotient and multiplicity of the general division by X - r,
     # repeated until a remainder is left, raw value for raw value
-    from matcanon.field import _poly_divmod
+    from matcanon.poly import divide
     rng = random.Random("extract " + repr(ctx))
     ops = ctx.ops
 
@@ -139,11 +140,11 @@ def test_extracting_a_root_is_the_repeated_division(ctx):
             for _ in range(mult):  # times X - root
                 poly = [a - root * b for a, b in
                         zip([ctx.zero()] + poly, poly + [ctx.zero()])]
-            quotient, got = spectral._extract_root(poly, root)
+            quotient, got = matcanon.roots.extract_root(poly, root)
             raw, want = [c.raw for c in poly], 0
             while len(raw) > 1:
-                quot, rem = _poly_divmod(ops, raw, [ops.neg(root.raw),
-                                                    ops.one])
+                quot, rem = divide(ops, raw, [ops.neg(root.raw),
+                                              ops.one])
                 if rem != [ops.zero]:
                     break
                 raw, want = quot, want + 1
@@ -569,7 +570,8 @@ def test_roots_closed_under_inversion_random():
 
 def test_finite_field_root_existence_vs_enumeration():
     # gcd(X^q - X, f) agrees with exhaustive evaluation on small fields
-    from matcanon.field import frobenius_gcd, gf4, prime_field
+    from matcanon.field import gf4, prime_field
+    from matcanon.poly import frobenius_gcd
     import itertools
 
     def has_root(poly, ctx):
@@ -608,10 +610,10 @@ def _times(a, b):
 
 def test_finite_field_roots_match_enumeration():
     # the splitter lists exactly the roots enumeration finds, in
-    # iter_elements order, and _find_one_root picks the root the old
+    # iter_elements order, and find_one_root picks the root the old
     # enumeration picked: 1, else -1, else the first one listed
     from matcanon.field import gf4
-    from matcanon.spectral import _find_one_root, _finite_field_roots
+    from matcanon.roots import _finite_field_roots, find_one_root
     f3 = prime_field(3)
     contexts = [prime_field(2), f3, gf4(), prime_field(13),
                 f3.adjoin_sqrt(f3.scalar(-1))]
@@ -626,13 +628,13 @@ def test_finite_field_roots_match_enumeration():
             if len(poly) < 3:
                 continue
             brute = [x for x in pool if poly_eval(poly, x).is_zero()]
-            assert _finite_field_roots(poly) == brute
+            assert _finite_field_roots(poly)[0] == brute
             if not brute:
                 continue
             one = ctx.one()
             expect = next(r for r in (one, -one) + tuple(brute)
                           if poly_eval(poly, r).is_zero())
-            root, listed = _find_one_root(poly)
+            root, listed = find_one_root(poly)
             ctx2 = root.ctx
             assert ctx2 == ctx and root == expect
             assert listed is None or listed == brute
@@ -711,15 +713,15 @@ def test_frobenius_power_once_per_context(monkeypatch):
     -1, else the least left, each partner 1/r peeled with it.  A palindrome
     f = X^k g(X + 1/X) is listed through g: X^q mod g, of half f's
     degree, is the one power computed."""
-    from matcanon import spectral
+    import matcanon.roots
     calls = []
-    real = spectral.frobenius_gcd
+    real = matcanon.roots.frobenius_gcd
 
     def counted(ops, f, e):
         calls.append((e, len(f) - 1))
         return real(ops, f, e)
 
-    monkeypatch.setattr(spectral, "frobenius_gcd", counted)
+    monkeypatch.setattr(matcanon.roots, "frobenius_gcd", counted)
     p = 65537
     ctx = prime_field(p)
     two, three, five = (ctx.scalar(v) for v in (2, 3, 5))
@@ -783,7 +785,7 @@ def test_palindromic_roots_match_enumeration(name, ctx):
     monic), lists exactly the roots enumeration finds, in iter_elements
     order: g of degree 2 or 3 with roots or none, mu = +-2 (a double +-1)
     and a mu in the field whose X^2 - mu X + 1 has no root there."""
-    from matcanon.spectral import _finite_field_roots, _palindrome_transform
+    from matcanon.roots import _finite_field_roots, _palindrome_transform
     pool = list(ctx.iter_elements())
     one, two = ctx.one(), ctx.scalar(2)
     seen = set()
@@ -791,7 +793,7 @@ def test_palindromic_roots_match_enumeration(name, ctx):
         for poly in _palindromes(ctx, k):
             brute = [x for x in pool if poly_eval(poly, x).is_zero()]
             for c in dict.fromkeys([one, pool[-1]]):
-                assert _finite_field_roots([c * a for a in poly]) == brute, \
+                assert _finite_field_roots([c * a for a in poly])[0] == brute, \
                     [str(a) for a in poly]
             g = _palindrome_transform(poly)
             mus = [mu for mu in pool if poly_eval(g, mu).is_zero()]
@@ -849,11 +851,11 @@ def test_planted_palindromic_roots(name, ctx):
     """Over fields too large to enumerate, a palindrome lists exactly its
     planted roots in iter_elements order, and none of the roots of an
     irreducible X^2 - mu X + 1."""
-    from matcanon.spectral import _finite_field_roots
+    from matcanon.roots import _finite_field_roots
     rng = random.Random(name)
     kinds = set()
     for poly, roots in _planted_palindromes(ctx, rng, 60):
-        assert _finite_field_roots(poly) == roots
+        assert _finite_field_roots(poly)[0] == roots
         assert all(poly_eval(poly, r).is_zero() for r in roots)
         kinds.add((len(poly) - 1, len(roots)))
     assert {4, 6, 8} <= {d for d, _ in kinds}
@@ -866,16 +868,16 @@ def test_a_palindromic_quartic_takes_no_frobenius_power(ctx, monkeypatch):
     """A palindromic quartic's g is a quadratic: its roots, and those of
     X^2 - mu X + 1 for each, are square (or Artin-Schreier) roots, and
     neither listing nor splitting computes X^q mod anything."""
-    from matcanon.spectral import _finite_field_roots
+    from matcanon.roots import _finite_field_roots
 
     def refuse(*args):
         raise AssertionError("a palindromic quartic took a Frobenius power")
 
-    monkeypatch.setattr(spectral, "frobenius_gcd", refuse)
+    monkeypatch.setattr(matcanon.roots, "frobenius_gcd", refuse)
     a, b = itertools.islice(ctx.iter_elements(), 2, 4)  # 2, 3 or t, t + 1
     roots = [a, a.inverse(), b, b.inverse()]
     poly = _monic_from_roots(ctx, roots)
-    assert _finite_field_roots(poly) == sorted(set(roots),
+    assert _finite_field_roots(poly)[0] == sorted(set(roots),
                                                key=enumeration_key)
     out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
     assert out.ctx == ctx
@@ -900,12 +902,13 @@ def _product_of_quadratics(ctx, mus):
 
 
 def _root_through_h(poly):
-    """The root _find_one_root takes for a palindrome with no root in its
-    field, found the old way: mu = _find_one_root(h), then the root of
+    """The root find_one_root takes for a palindrome with no root in its
+    field, found the old way: mu = find_one_root(h), then the root of
     X^2 - mu X + 1 adjoined."""
-    mu, _ = spectral._find_one_root(spectral._palindrome_transform(poly))
+    mu, _ = matcanon.roots.find_one_root(
+        matcanon.roots._palindrome_transform(poly))
     one = mu.ctx.one()
-    return spectral._quadratic_roots([one, -mu, one], EXTEND)[0]
+    return matcanon.roots._quadratic_roots([one, -mu, one], EXTEND)[0]
 
 
 @pytest.mark.parametrize("extra", [[], [-1, 1]],
@@ -915,7 +918,7 @@ def test_a_rootless_palindrome_reads_h_once(extra, monkeypatch):
     + 1 irreducible, takes mu from the roots of h that listing found (1,
     else -1, else the least), with no second Frobenius power of h."""
     calls = []
-    real = spectral.frobenius_gcd
+    real = matcanon.roots.frobenius_gcd
 
     def counted(ops, f, e):
         calls.append(len(f) - 1)
@@ -926,8 +929,8 @@ def test_a_rootless_palindrome_reads_h_once(extra, monkeypatch):
     mus = _irreducible_mus(p, 3 - len(extra), start=3) + extra
     poly = _product_of_quadratics(ctx, mus)
     want = _root_through_h(poly)
-    monkeypatch.setattr(spectral, "frobenius_gcd", counted)
-    root, listed = spectral._find_one_root(poly)
+    monkeypatch.setattr(matcanon.roots, "frobenius_gcd", counted)
+    root, listed = matcanon.roots.find_one_root(poly)
     assert (root.ctx, root.raw) == (want.ctx, want.raw)
     assert listed is None and len(root.ctx.tower) == 1
     if not extra:
@@ -946,10 +949,10 @@ def test_a_rootless_palindrome_is_transformed_once(monkeypatch):
     poly = _product_of_quadratics(ctx, [3, 4, 7])  # each irreducible
     want = _root_through_h(poly)
     degrees = []
-    real = spectral._palindrome_transform
-    monkeypatch.setattr(spectral, "_palindrome_transform", lambda f: (
+    real = matcanon.roots._palindrome_transform
+    monkeypatch.setattr(matcanon.roots, "_palindrome_transform", lambda f: (
         degrees.append(len(f) - 1) or real(f)))
-    root, listed = spectral._find_one_root(poly)
+    root, listed = matcanon.roots.find_one_root(poly)
     assert (root.ctx, root.raw) == (want.ctx, want.raw) and listed is None
     assert degrees == [6]
 
@@ -961,14 +964,14 @@ def test_a_rootless_palindromic_quartic_solves_h_once(monkeypatch):
     ctx = prime_field(p)
     mus = _irreducible_mus(p, 2, start=3)
     poly = _product_of_quadratics(ctx, mus)
-    h = spectral._palindrome_transform(poly)
+    h = matcanon.roots._palindrome_transform(poly)
     want = _root_through_h(poly)
     solved = []
-    real = spectral.quadratic_roots
-    monkeypatch.setattr(spectral, "quadratic_roots",
+    real = matcanon.roots.quadratic_roots
+    monkeypatch.setattr(matcanon.roots, "quadratic_roots",
                         lambda a, b, c, policy: solved.append((b, c))
                         or real(a, b, c, policy))
-    root, _listed = spectral._find_one_root(poly)
+    root, _listed = matcanon.roots.find_one_root(poly)
     assert (root.ctx, root.raw) == (want.ctx, want.raw)
     assert solved.count((h[1] / h[2], h[0] / h[2])) == 1
     # the listing's two strict solves of X^2 - mu X + 1, and the one that
@@ -1018,13 +1021,13 @@ def _listed_root(poly):
     else -1, else the first root listed (_finite_field_roots over GF(q),
     _rational_root over Q), else the root quadratic_roots adjoins."""
     from matcanon.field import quadratic_roots
-    from matcanon.spectral import _finite_field_roots, _rational_root
+    from matcanon.roots import _finite_field_roots, _rational_root
     ctx = poly[0].ctx
     one = ctx.one()
     if ctx.kind == "rational":
         listed = [one, -one, _rational_root(poly)]
     else:
-        listed = [one, -one] + _finite_field_roots(poly)
+        listed = [one, -one] + _finite_field_roots(poly)[0]
     found = [r for r in listed
              if r is not None and poly_eval(poly, r).is_zero()]
     if found:
@@ -1049,7 +1052,7 @@ def test_quadratic_roots_without_listing(name, ctx, monkeypatch):
     root the listing picks: 1, else -1, else the least in the field, else
     the one adjoined.  Split quadratics (X - a)(X - 1/a) and irreducible
     palindromes X^2 - mu X + 1 alike."""
-    from matcanon import spectral
+    import matcanon.roots
     from matcanon.field import format_scalar, random_elements
     one = ctx.one()
     if ctx.kind == "rational":
@@ -1079,8 +1082,8 @@ def test_quadratic_roots_without_listing(name, ctx, monkeypatch):
     def refuse(*args):
         raise AssertionError("a quadratic was sent to a root search")
 
-    monkeypatch.setattr(spectral, "frobenius_gcd", refuse)
-    monkeypatch.setattr(spectral, "_rational_root", refuse)
+    monkeypatch.setattr(matcanon.roots, "frobenius_gcd", refuse)
+    monkeypatch.setattr(matcanon.roots, "_rational_root", refuse)
     for poly, want in zip(polys, expected):
         out = split_min_poly(Asymmetry(_companion(ctx, poly), poly, ctx))
         got = out.split_roots[0][0]
